@@ -17,7 +17,6 @@ from repro.core.fingerprints import ToolFingerprinter
 from repro.enrichment import ScannerClassifier
 from repro.stream import (
     BatchStreamSource,
-    ShardedStreamEngine,
     StreamConfig,
     StreamEngine,
     TraceStreamSource,
@@ -126,9 +125,7 @@ def test_perf_stream_sharded(perf_batch, benchmark, tmp_path):
     def source():
         return TraceStreamSource(path, batch_size=65_536, mmap=True)
 
-    base_engine = ShardedStreamEngine(
-        n_shards=1, workers=0, config=StreamConfig(batch_size=65_536)
-    )
+    base_engine = StreamEngine(config=StreamConfig(batch_size=65_536))
     started = time.perf_counter()
     base = base_engine.run(source())
     base_s = time.perf_counter() - started
@@ -136,9 +133,9 @@ def test_perf_stream_sharded(perf_batch, benchmark, tmp_path):
     holder = {}
 
     def work():
-        engine = ShardedStreamEngine(
-            n_shards=shards, workers=workers,
+        engine = StreamEngine(
             config=StreamConfig(batch_size=65_536),
+            n_shards=shards, workers=workers,
         )
         result = engine.run(source())
         holder["result"] = result

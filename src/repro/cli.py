@@ -55,13 +55,13 @@ from repro.simulation import ALL_YEARS, TelescopeWorld
 from repro.stream import DEFAULT_BATCH_SIZE as STREAM_DEFAULT_BATCH_SIZE
 from repro.stream import (
     BatchStreamSource,
-    ShardedStreamEngine,
     StreamConfig,
     StreamEngine,
     TraceStreamSource,
+    analysis_period,
+    finish_report,
     format_bytes,
     peak_rss_bytes,
-    stream_report,
 )
 from repro.telescope import (
     PacketBatch,
@@ -448,6 +448,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    """``stream``: one engine run, at any shard and worker count.
+
+    With ``--report`` the incremental analyses ride along and only the
+    paper report goes to stdout (progress, stats and scan counts go to
+    stderr), so its output is byte-diffable against ``analyze --report``.
+    SIGINT/SIGTERM end an in-process run (``--workers 0``) gracefully at a
+    window boundary; with worker processes no handler is installed, and the
+    per-shard checkpoints already written still resume.
+    """
     if args.json and not args.report:
         print("error: --json requires --report", file=sys.stderr)
         return 2
@@ -467,151 +476,72 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
     source = _capture_source(args, strict=config.strict)
 
-    if args.report:
-        return _stream_report_cmd(args, source, config)
-
-    if args.shards > 1:
-        progress = None
-        if args.progress_every > 0 and args.workers == 0:
-            every = args.progress_every
-
-            def progress(shard, stats):
-                if stats.windows % every == 0:
-                    print(f"shard {shard}: {stats.progress_line()}",
-                          file=sys.stderr)
-
-        sharded = ShardedStreamEngine(
-            n_shards=args.shards, workers=args.workers, config=config
-        )
-        result = sharded.run(source, progress=progress)
-        if result.resumed:
-            print("resumed "
-                  f"{sum(1 for r in result.shards if r.resumed)} shard(s) "
-                  f"from checkpoints past {result.stats.resumed_packets:,} "
-                  "packets", file=sys.stderr)
-        for run in result.shards:
-            print(f"shard {run.shard}: {run.stats.summary_line()}",
-                  file=sys.stderr)
-        print(result.stats.summary_line())
-        table = result.scans
-        print(f"identified {len(table):,} scan(s), "
-              f"{int(table.packets.sum()):,} scan packets, "
-              f"{result.stats.sessions_discarded:,} session(s) below criteria")
-        if args.stats_json is not None:
-            import json
-
-            args.stats_json.write_text(
-                json.dumps(result.stats.to_dict(), indent=2)
-            )
-            print(f"stats written to {args.stats_json}", file=sys.stderr)
-        return 0
-
     progress = None
-    if args.progress_every > 0:
+    if args.progress_every > 0 and args.workers == 0:
         every = args.progress_every
 
-        def progress(stats):
+        def progress(shard, stats):
             if stats.windows % every == 0:
-                print(stats.progress_line(), file=sys.stderr)
+                print(f"shard {shard}: {stats.progress_line()}",
+                      file=sys.stderr)
 
-    stopper = _GracefulStop().install()
+    stopper = _GracefulStop()
+    stop = None
+    if args.workers == 0:
+        # Only the in-process loop can poll a stop flag; with worker
+        # processes a signal ends the run the default way.
+        stopper.install()
+        stop = stopper.stop
     try:
-        engine = StreamEngine(config=config)
-        result = engine.run(source, progress=progress, stop=stopper.stop)
+        engine = StreamEngine(
+            config=config, n_shards=args.shards, workers=args.workers,
+            analyses=(analysis_period(source, args.year, args.days)
+                      if args.report else None),
+        )
+        result = engine.run(source, progress=progress, stop=stop)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         stopper.restore()
+
+    out = sys.stderr if args.report else sys.stdout
     if result.resumed:
         print(f"resumed from checkpoint past "
               f"{result.stats.resumed_packets:,} packets", file=sys.stderr)
     if result.truncated_source:
         print("note: capture was truncated; partial final batch dropped",
               file=sys.stderr)
-    if result.interrupted:
-        where = (result.checkpoint_path if result.checkpoint_path is not None
-                 else "(no --checkpoint-dir; progress not saved)")
-        print(f"interrupted by {stopper.signal_name}; checkpoint flushed — "
-              f"resumable from {where}", file=sys.stderr)
-    print(result.stats.summary_line())
+    for run in result.shards:
+        print(f"shard {run.shard}: {run.stats.summary_line()}",
+              file=sys.stderr)
+    print(result.stats.summary_line(), file=out)
     table = result.scans
     print(f"identified {len(table):,} scan(s), "
           f"{int(table.packets.sum()):,} scan packets, "
-          f"{result.stats.sessions_discarded:,} session(s) below criteria")
-    if result.checkpoint_path is not None:
-        print(f"checkpoint: {result.checkpoint_path}", file=sys.stderr)
+          f"{result.stats.sessions_discarded:,} session(s) below criteria",
+          file=out)
+    if args.report:
+        print(f"analysis state "
+              f"{format_bytes(result.stats.analysis_state_bytes)}",
+              file=sys.stderr)
+    for path in result.checkpoint_paths:
+        print(f"checkpoint: {path}", file=sys.stderr)
+    if result.interrupted:
+        # A partial report would silently break the byte-parity promise
+        # with 'analyze --report'; flush the checkpoint and say so instead.
+        where = (", ".join(map(str, result.checkpoint_paths))
+                 or "(no --checkpoint-dir; progress not saved)")
+        print(f"interrupted by {stopper.signal_name}; checkpoint flushed — "
+              f"resumable from {where}", file=sys.stderr)
+    elif args.report:
+        report = finish_report(result).report
+        print(render_paper_report_json(report) if args.json
+              else render_paper_report(report))
     if args.stats_json is not None:
         import json
 
         args.stats_json.write_text(json.dumps(result.stats.to_dict(), indent=2))
-        print(f"stats written to {args.stats_json}", file=sys.stderr)
-    return 0
-
-
-def _stream_report_cmd(
-    args: argparse.Namespace, source, config: StreamConfig
-) -> int:
-    """``stream --report``: the paper report in one bounded-memory pass.
-
-    Only the report itself goes to stdout (progress, stats and scan counts
-    go to stderr), so its output is byte-diffable against
-    ``analyze --report``.
-    """
-    progress = None
-    if args.progress_every > 0 and (args.shards == 1 or args.workers == 0):
-        every = args.progress_every
-        if args.shards > 1:
-            def progress(shard, stats):
-                if stats.windows % every == 0:
-                    print(f"shard {shard}: {stats.progress_line()}",
-                          file=sys.stderr)
-        else:
-            def progress(stats):
-                if stats.windows % every == 0:
-                    print(stats.progress_line(), file=sys.stderr)
-
-    stopper = _GracefulStop().install()
-    try:
-        result = stream_report(
-            source,
-            year=args.year,
-            days=args.days,
-            n_shards=args.shards,
-            workers=args.workers,
-            batch_size=config.batch_size,
-            window_s=config.window_s,
-            checkpoint_dir=config.checkpoint_dir,
-            checkpoint_every=config.checkpoint_every,
-            strict=config.strict,
-            progress=progress,
-            stop=stopper.stop if args.shards == 1 else None,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        stopper.restore()
-    if result.resumed:
-        print(f"resumed from checkpoint past "
-              f"{result.stats.resumed_packets:,} packets", file=sys.stderr)
-    print(result.stats.summary_line(), file=sys.stderr)
-    print(f"identified {len(result.scans):,} scan(s); analysis state "
-          f"{format_bytes(result.stats.analysis_state_bytes)}",
-          file=sys.stderr)
-    if result.interrupted:
-        # A partial report would silently break the byte-parity promise
-        # with 'analyze --report'; flush the checkpoint and say so instead.
-        where = (result.checkpoint_path if result.checkpoint_path is not None
-                 else "(no --checkpoint-dir; progress not saved)")
-        print(f"interrupted by {stopper.signal_name}; checkpoint flushed — "
-              f"resumable from {where}", file=sys.stderr)
-    else:
-        print(render_paper_report_json(result.report) if args.json
-              else render_paper_report(result.report))
-    if args.stats_json is not None:
-        import json
-
-        args.stats_json.write_text(
-            json.dumps(result.stats.to_dict(), indent=2)
-        )
         print(f"stats written to {args.stats_json}", file=sys.stderr)
     return 0
 

@@ -6,12 +6,7 @@ fingerprints tools (§3.3) and enriches origins; the sibling modules then
 compute every table and figure of the evaluation.
 """
 
-from repro.core.campaigns import (
-    CampaignCriteria,
-    ScanTable,
-    identify_scans,
-    iter_source_sessions,
-)
+from repro.core.campaigns import CampaignCriteria, ScanTable, identify_scans
 from repro.core.fingerprints import (
     FingerprintVerdict,
     ToolFingerprinter,
@@ -174,7 +169,7 @@ from repro.core.geography import (
 
 __all__ = [
     # campaigns
-    "CampaignCriteria", "ScanTable", "identify_scans", "iter_source_sessions",
+    "CampaignCriteria", "ScanTable", "identify_scans",
     # fingerprints
     "FingerprintVerdict", "ToolFingerprinter", "masscan_match", "mirai_match",
     "nmap_pair_match", "unicorn_pair_match", "zmap_match",

@@ -54,6 +54,10 @@ PathLike = Union[str, Path]
 #: (status code, JSON-able body) — the handler serialises.
 Reply = Tuple[int, Dict[str, Any]]
 
+#: Largest request body the API reads (job and scenario bodies are small
+#: JSON objects); a longer declared ``Content-Length`` is refused with 413.
+MAX_BODY_BYTES = 1 << 20
+
 #: Snapshot statuses with no further transitions (``running`` is derived,
 #: so it is non-terminal like ``queued``).
 _TERMINAL = ("done", "failed", "cancelled")
@@ -230,16 +234,36 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(blob)
 
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> Union[Dict[str, Any], Reply]:
+        """The request's JSON object body, or the error reply to send.
+
+        ``Content-Length`` is checked before anything is read: a
+        non-integer or negative length is a 400 and one above
+        :data:`MAX_BODY_BYTES` a 413.  Either way the unread body makes the
+        connection unusable, so it is closed after the reply.
+        """
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            return 400, {"error": f"bad Content-Length {declared!r}"}
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            return 413, {"error": f"body of {length} bytes exceeds the "
+                                  f"{MAX_BODY_BYTES}-byte limit"}
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             body = json.loads(raw)
         except json.JSONDecodeError:
-            return None
-        return body if isinstance(body, dict) else None
+            body = None
+        if not isinstance(body, dict):
+            return 400, {"error": "body must be a JSON object"}
+        return body
 
     def _route(self) -> Tuple[list, Dict[str, str]]:
         parts = urlsplit(self.path)
@@ -282,8 +306,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         seg, _query = self._route()
         body = self._read_body()
-        if body is None:
-            self._send_json(400, {"error": "body must be a JSON object"})
+        if not isinstance(body, dict):
+            self._send_json(*body)
         elif seg == ["jobs"]:
             self._send_json(*self.app.submit_job(body))
         else:
@@ -292,8 +316,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_PUT(self) -> None:  # noqa: N802
         seg, _query = self._route()
         body = self._read_body()
-        if body is None:
-            self._send_json(400, {"error": "body must be a JSON object"})
+        if not isinstance(body, dict):
+            self._send_json(*body)
         elif len(seg) == 3 and seg[0] == "scenarios":
             self._send_json(*self.app.put_scenario(seg[1], seg[2], body))
         else:

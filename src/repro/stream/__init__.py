@@ -5,10 +5,12 @@ ingestion over ``.rtrace`` captures (:mod:`~repro.stream.source`), an
 incremental scan identifier stream-equivalent to batch ``identify_scans``
 (:mod:`~repro.stream.incremental`), durable content-addressed checkpoints
 (:mod:`~repro.stream.checkpoint`), and a live progress/stats surface
-(:mod:`~repro.stream.stats`), all orchestrated by
-:class:`~repro.stream.engine.StreamEngine` — or, source-sharded across
-worker processes with bit-identical output, by
-:class:`~repro.stream.sharded.ShardedStreamEngine`.  On top of the scan
+(:mod:`~repro.stream.stats`), all orchestrated by one engine,
+:class:`~repro.stream.engine.StreamEngine`.  The engine splits the sources
+into ``n_shards`` by hash and walks every shard through the same window
+loop (:mod:`~repro.stream.sharded`), in this process (``workers=0``) or in
+worker processes, with output bit-identical at any shard or worker count;
+the serial run is ``n_shards=1, workers=0``.  On top of the scan
 identifier, :mod:`~repro.stream.analyses` runs the paper's longitudinal
 analyses incrementally, and :func:`~repro.stream.report.stream_report`
 produces the full batch-equal :class:`~repro.core.report.PaperReport` in
@@ -30,6 +32,7 @@ from repro.stream.checkpoint import (
     CheckpointVersionError,
 )
 from repro.stream.engine import (
+    ShardRun,
     StreamConfig,
     StreamEngine,
     StreamResult,
@@ -37,12 +40,14 @@ from repro.stream.engine import (
     identify_scans_stream,
 )
 from repro.stream.incremental import IncrementalScanIdentifier, StreamOrderError
-from repro.stream.report import StreamReportResult, stream_report
+from repro.stream.report import (
+    StreamReportResult,
+    analysis_period,
+    finish_report,
+    stream_report,
+)
 from repro.stream.sharded import (
     ShardedStreamEngine,
-    ShardedStreamResult,
-    ShardRun,
-    identify_scans_sharded,
     merge_scan_tables,
     shard_of,
 )
@@ -65,6 +70,8 @@ __all__ = [
     "IncrementalTrends",
     "IncrementalVolatility",
     "StreamReportResult",
+    "analysis_period",
+    "finish_report",
     "stream_report",
     "STREAM_SCHEMA_VERSION",
     "CheckpointStore",
@@ -77,9 +84,7 @@ __all__ = [
     "IncrementalScanIdentifier",
     "StreamOrderError",
     "ShardedStreamEngine",
-    "ShardedStreamResult",
     "ShardRun",
-    "identify_scans_sharded",
     "merge_scan_tables",
     "shard_of",
     "DEFAULT_BATCH_SIZE",

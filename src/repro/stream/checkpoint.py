@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -61,7 +62,7 @@ class CheckpointStore:
         fingerprinter: ToolFingerprinter,
         batch_size: Optional[int],
         window_s: Optional[float],
-        shard: Optional[Tuple[int, int]] = None,
+        shard: Tuple[int, int],
         analyses: Optional[Dict[str, Any]] = None,
     ) -> str:
         """Content key of one (capture, configuration) streaming run.
@@ -69,10 +70,9 @@ class CheckpointStore:
         The batching parameters are part of the key because they shape the
         window sequence, and a restored run must replay the exact windows
         the checkpointed run saw.  ``shard=(index, of)`` keys one shard of
-        a sharded run (see :mod:`repro.stream.sharded`); it joins the key
-        material only when given, so unsharded keys are unchanged and a
-        shard can never resume from another shard's (or the serial run's)
-        state.  ``analyses`` (the
+        the run (see :mod:`repro.stream.sharded`; a serial run is shard
+        ``(0, 1)``), so a shard can never resume from another shard's — or
+        another shard count's — state.  ``analyses`` (the
         :meth:`~repro.stream.analyses.AnalysisConfig.key_material` dict of a
         run with incremental analyses attached) joins the same way: a run
         carrying analysis accumulators can never restore a checkpoint
@@ -92,9 +92,8 @@ class CheckpointStore:
                 "batch_size": batch_size,
                 "window_s": _canonical(window_s),
             },
+            "shard": {"index": shard[0], "of": shard[1]},
         }
-        if shard is not None:
-            material["shard"] = {"index": shard[0], "of": shard[1]}
         if analyses is not None:
             material["analyses"] = _canonical(analyses)
         blob = json.dumps(material, sort_keys=True).encode("utf-8")
@@ -131,19 +130,28 @@ class CheckpointStore:
     ) -> Optional[Dict[str, np.ndarray]]:
         """Materialise the snapshot for ``key``, or ``None`` when absent.
 
-        A checkpoint written by a different schema/library version or
-        squatting on the wrong key is treated as a miss by default — the
-        caller just streams from the start — but the reason (naming the
-        file, the versions it was written by, and the versions this build
-        reads) is recorded in :attr:`last_mismatch` and raised as
+        A checkpoint written by a different schema/library version,
+        squatting on the wrong key, or damaged on disk (truncated, emptied,
+        overwritten, bit-flipped) is treated as a miss by default — the
+        caller just streams from the start and its next save replaces the
+        file — but the reason (naming the file, and for a version mismatch
+        the versions it was written by and the versions this build reads)
+        is recorded in :attr:`last_mismatch` and raised as
         :class:`CheckpointVersionError` under ``strict=True``.
         """
         self.last_mismatch = None
         path = self.path_for(key)
         if not path.exists():
             return None
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = {name: payload[name] for name in payload.files}
+        try:
+            with np.load(path, allow_pickle=False) as payload:
+                arrays = {name: payload[name] for name in payload.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            return self._mismatch(
+                f"checkpoint {path} is unreadable "
+                f"({type(exc).__name__}: {exc})",
+                strict,
+            )
         meta_blob = arrays.pop("checkpoint_meta", None)
         if meta_blob is None:
             return self._mismatch(

@@ -1,10 +1,20 @@
-"""The streaming execution engine: source → windows → incremental scans.
+"""The streaming engine: source → shards → windows → incremental scans.
 
-:class:`StreamEngine` wires the pieces together: it pulls bounded windows
-from a :class:`~repro.stream.source.StreamSource`, feeds them to an
-:class:`~repro.stream.incremental.IncrementalScanIdentifier`, persists
-durable checkpoints at a configurable cadence, and refreshes a
-:class:`~repro.stream.stats.StreamStats` snapshot for progress reporting.
+:class:`StreamEngine` is the one engine behind every streaming run.  It
+partitions the capture's sources into ``n_shards`` by hash and walks each
+shard through one window loop (:func:`repro.stream.sharded._run_one_shard`):
+pull bounded windows from a :class:`~repro.stream.source.StreamSource`,
+keep the shard's packets, feed them to an
+:class:`~repro.stream.incremental.IncrementalScanIdentifier` (and the
+incremental analyses, when attached), and persist durable checkpoints at a
+configurable cadence.  The per-shard tables merge bit-identically into the
+serial one (see :mod:`repro.stream.sharded`), so the serial run is simply
+the case ``n_shards=1, workers=0``.
+
+``workers=0`` walks the shards one after another in this process;
+``workers>=1`` runs them in a process pool whose workers re-open the
+capture by path.  Only the in-process loop can report progress and poll a
+``stop`` callback.
 
 Checkpoint discipline: a snapshot is saved *after* the window that
 completes each cadence interval is committed, and *before* the progress
@@ -19,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
+
+import numpy as np
 
 from repro.core.campaigns import CampaignCriteria, ScanTable
 from repro.core.fingerprints import ToolFingerprinter
-from repro.stream.analyses import AnalysisSuite
-from repro.stream.checkpoint import CheckpointStore
-from repro.stream.incremental import IncrementalScanIdentifier
+from repro.stream.analyses import AnalysisConfig, AnalysisSuite
 from repro.stream.source import (
     DEFAULT_BATCH_SIZE,
     BatchStreamSource,
@@ -33,22 +43,12 @@ from repro.stream.source import (
     StreamSource,
     TraceStreamSource,
 )
-from repro.stream.stats import StreamStats, peak_rss_bytes, wall_clock
+from repro.stream.stats import StreamStats
 from repro.telescope.packet import PacketBatch
 
-ProgressCallback = Callable[[StreamStats], None]
-
-#: Array-name prefix separating analysis-suite state from identifier state
-#: inside one shared checkpoint payload.
-ANALYSIS_PREFIX = "an__"
-
-
-def _split_analysis_arrays(arrays: dict) -> dict:
-    """Pop the ``an__``-prefixed arrays out of a checkpoint payload."""
-    names = [name for name in arrays if name.startswith(ANALYSIS_PREFIX)]
-    return {
-        name[len(ANALYSIS_PREFIX):]: arrays.pop(name) for name in names
-    }
+#: ``progress(shard, stats)``: the shard's refreshed stats after each
+#: committed window.
+ProgressCallback = Callable[[int, StreamStats], None]
 
 
 @dataclass
@@ -75,163 +75,111 @@ class StreamConfig:
 
 
 @dataclass
+class ShardRun:
+    """One shard's contribution to a streaming run."""
+
+    shard: int
+    scans: ScanTable
+    stats: StreamStats
+    resumed: bool = False
+    checkpoint_key: Optional[str] = None
+    #: Where the shard's final checkpoint landed (None when checkpointing
+    #: was off).
+    checkpoint_path: Optional[Path] = None
+    #: True when a ``stop`` callback ended the shard between windows.
+    interrupted: bool = False
+    truncated_source: bool = False
+    #: Snapshot of the shard's analysis suite (plain arrays, so pool
+    #: workers hand it back without pickling live accumulator objects);
+    #: ``None`` when the run carried no analyses.
+    analysis: Optional[Dict[str, np.ndarray]] = None
+
+
+@dataclass
 class StreamResult:
     """Everything a streaming run produced."""
 
     scans: ScanTable
+    #: Aggregate view (see :meth:`StreamStats.merge` for the semantics).
     stats: StreamStats
-    #: True when the run restored a prior checkpoint instead of starting
+    shards: List[ShardRun] = field(default_factory=list)
+    #: True when any shard restored a prior checkpoint instead of starting
     #: from the first packet.
     resumed: bool = False
-    #: Content key of the run's checkpoint (None when checkpointing was off).
-    checkpoint_key: Optional[str] = None
-    checkpoint_path: Optional[Path] = None
-    truncated_source: bool = field(default=False)
-    #: The incremental analysis suite (when one rode along); it has
-    #: consumed every window and awaits ``consume_scans`` + ``finalize``.
-    analyses: Optional[AnalysisSuite] = None
-    #: True when a ``stop`` callback ended the run between windows (the
-    #: final checkpoint still covers every committed window, so a later
-    #: run resumes where this one left off).
+    #: True when a ``stop`` callback ended the run between windows.  Shards
+    #: not yet started were skipped; every shard that ran flushed its
+    #: checkpoint, so a later run resumes where this one left off.
     interrupted: bool = False
+    truncated_source: bool = False
+    #: Final checkpoint of each shard that saved one.
+    checkpoint_paths: List[Path] = field(default_factory=list)
+    #: The merged incremental analysis suite (when the run carried
+    #: analyses); it has consumed every window and awaits
+    #: ``consume_scans`` + ``finalize``.
+    analyses: Optional[AnalysisSuite] = None
 
 
 class StreamEngine:
-    """Bounded-memory, resumable scan identification over packet streams."""
+    """Bounded-memory, resumable scan identification over source shards.
+
+    ``n_shards`` picks the parallelism of the *state* (how many independent
+    identifiers partition the sources); ``workers`` picks the parallelism of
+    the *execution* (how many processes walk shards concurrently, 0 = this
+    process).  They are separate so a checkpointed run can change its
+    worker count without invalidating its per-shard checkpoints — the shard
+    count, not the worker count, is part of the checkpoint key.
+    ``analyses`` attaches the incremental paper analyses
+    (:class:`~repro.stream.analyses.AnalysisSuite`) to every shard.
+    """
 
     def __init__(
         self,
         criteria: Optional[CampaignCriteria] = None,
         fingerprinter: Optional[ToolFingerprinter] = None,
         config: Optional[StreamConfig] = None,
+        n_shards: int = 1,
+        workers: int = 0,
+        analyses: Optional[AnalysisConfig] = None,
     ):
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be non-negative")
         self.criteria = criteria if criteria is not None else CampaignCriteria()
         self.fingerprinter = (
             fingerprinter if fingerprinter is not None else ToolFingerprinter()
         )
         self.config = config if config is not None else StreamConfig()
+        self.n_shards = n_shards
+        self.workers = workers
+        self.analyses = analyses
 
     def run(
         self,
         source: StreamSource,
         progress: Optional[ProgressCallback] = None,
-        analyses: Optional[AnalysisSuite] = None,
         stop: Optional[Callable[[], bool]] = None,
     ) -> StreamResult:
-        """Stream ``source`` to completion and return the scan table.
+        """Stream every shard of ``source`` and merge the results.
 
-        ``progress`` (when given) is invoked with the refreshed
-        :class:`StreamStats` after every committed window.  ``analyses``
-        (when given) consumes every window alongside the identifier, rides
-        in the same checkpoints (under an ``an__`` array prefix, with its
-        config joined into the key), and is handed back on the result for
-        the caller to feed scans into and finalise.
-
-        ``stop`` (when given) is polled after every committed window; the
+        ``progress`` (in-process runs only) is invoked as
+        ``progress(shard, stats)`` after each committed window.  ``stop``
+        (``workers=0`` only) is polled after every committed window; the
         first ``True`` ends the run at that window boundary — a graceful
-        interrupt.  The final checkpoint is still written (covering every
-        window consumed so far) and the result carries ``interrupted=True``
-        with the partial scans finalised, so the caller can report and a
-        re-run resumes from the flushed checkpoint.
+        interrupt.  The shard's final checkpoint is still written, shards
+        not yet started are skipped, and the result carries
+        ``interrupted=True`` with the partial scans finalised.
         """
-        config = self.config
-        identifier = IncrementalScanIdentifier(self.criteria, self.fingerprinter)
+        # The shard machinery lives in repro.stream.sharded, which imports
+        # this module, so it is looked up at call time.  The run enters
+        # through ShardedStreamEngine.run so the two public names stay one
+        # entry point, with a wrapper on StreamEngine.run always enclosing
+        # one on ShardedStreamEngine.run: perfbench's traced run relies on
+        # that order to charge pool workers' spans to the run waiting for
+        # them.
+        from repro.stream import sharded
 
-        store: Optional[CheckpointStore] = None
-        key: Optional[str] = None
-        resumed = False
-        if config.checkpoint_dir is not None:
-            identity = source.identity()
-            if identity is not None:
-                store = CheckpointStore(config.checkpoint_dir)
-                key = store.key_for(
-                    identity, self.criteria, self.fingerprinter,
-                    config.batch_size, config.window_s,
-                    analyses=(
-                        analyses.key_material() if analyses is not None
-                        else None
-                    ),
-                )
-                arrays = store.load(key)
-                if arrays is not None:
-                    suite_arrays = _split_analysis_arrays(arrays)
-                    identifier.restore(arrays)
-                    if analyses is not None and suite_arrays:
-                        analyses.restore(suite_arrays)
-                    resumed = identifier.packets_consumed > 0
-
-        stats = StreamStats(resumed_packets=identifier.packets_consumed)
-        started = wall_clock()
-        self._refresh(stats, identifier, started, analyses)
-
-        windows_since_save = 0
-        interrupted = False
-        for window in source.windows(skip_packets=identifier.packets_consumed):
-            identifier.consume(window)
-            if analyses is not None:
-                analyses.consume(window)
-            windows_since_save += 1
-            if store is not None and windows_since_save >= config.checkpoint_every:
-                store.save(key, self._snapshot(identifier, analyses))
-                windows_since_save = 0
-            self._refresh(stats, identifier, started, analyses)
-            if progress is not None:
-                progress(stats)
-            if stop is not None and stop():
-                interrupted = True
-                break
-
-        checkpoint_path: Optional[Path] = None
-        if store is not None:
-            # Final snapshot before finalisation mutates the open sessions:
-            # a re-run resumes past every packet and replays finalisation
-            # from this state.
-            checkpoint_path = store.save(key, self._snapshot(identifier, analyses))
-        scans = identifier.finalize()
-        self._refresh(stats, identifier, started, analyses)
-        stats.scans = len(scans)
-        return StreamResult(
-            scans=scans,
-            stats=stats,
-            resumed=resumed,
-            checkpoint_key=key,
-            checkpoint_path=checkpoint_path,
-            truncated_source=getattr(source, "truncated", False),
-            analyses=analyses,
-            interrupted=interrupted,
-        )
-
-    @staticmethod
-    def _snapshot(
-        identifier: IncrementalScanIdentifier,
-        analyses: Optional[AnalysisSuite],
-    ) -> dict:
-        payload = identifier.snapshot()
-        if analyses is not None:
-            for name, array in analyses.snapshot().items():
-                payload[ANALYSIS_PREFIX + name] = array
-        return payload
-
-    @staticmethod
-    def _refresh(
-        stats: StreamStats,
-        identifier: IncrementalScanIdentifier,
-        started: float,
-        analyses: Optional[AnalysisSuite] = None,
-    ) -> None:
-        stats.packets = identifier.packets_consumed
-        stats.windows = identifier.windows_consumed
-        stats.open_sessions = identifier.open_sessions
-        stats.open_packets = identifier.open_packets
-        stats.candidate_sessions = identifier.candidate_sessions
-        stats.scans = identifier.scans_found
-        stats.sessions_discarded = identifier.sessions_discarded
-        stats.buffered_bytes = identifier.buffered_bytes
-        stats.peak_open_session_bytes = identifier.peak_buffered_bytes
-        if analyses is not None:
-            stats.analysis_state_bytes = analyses.state_nbytes()
-        stats.wall_s = wall_clock() - started
-        stats.peak_rss_bytes = peak_rss_bytes()
+        return sharded.ShardedStreamEngine.run(self, source, progress, stop)
 
 
 def as_stream_source(
@@ -262,11 +210,14 @@ def identify_scans_stream(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressCallback] = None,
     mmap: Optional[bool] = None,
+    n_shards: int = 1,
+    workers: int = 0,
 ) -> ScanTable:
     """Streaming drop-in for :func:`repro.core.campaigns.identify_scans`.
 
     Produces a column-by-column identical :class:`ScanTable` at any batch
-    size; see :mod:`repro.stream.incremental` for why.
+    size, shard count and worker count; see :mod:`repro.stream.incremental`
+    and :mod:`repro.stream.sharded` for why.
     """
     source = as_stream_source(capture, batch_size, window_s, mmap=mmap)
     engine = StreamEngine(
@@ -277,5 +228,7 @@ def identify_scans_stream(
             window_s=window_s,
             checkpoint_dir=checkpoint_dir,
         ),
+        n_shards=n_shards,
+        workers=workers,
     )
     return engine.run(source, progress=progress).scans

@@ -1,12 +1,12 @@
 """One-pass paper reports over packet streams.
 
 :func:`stream_report` is the streaming counterpart of
-:func:`repro.core.report.paper_report`: it walks a capture once — through
-the serial :class:`~repro.stream.engine.StreamEngine` or the
-:class:`~repro.stream.sharded.ShardedStreamEngine` — with an
-:class:`~repro.stream.analyses.AnalysisSuite` riding alongside the scan
-identifier, then enriches the identified scans and finalises the suite into
-a :class:`~repro.core.report.PaperReport`.
+:func:`repro.core.report.paper_report`: it walks a capture once through
+:class:`~repro.stream.engine.StreamEngine` — any shard count, serial being
+``n_shards=1`` — with an :class:`~repro.stream.analyses.AnalysisSuite`
+riding alongside the scan identifier, then enriches the identified scans
+and finalises the suite into a :class:`~repro.core.report.PaperReport`
+(:func:`finish_report`, which callers running the engine themselves reuse).
 
 The report is field-by-field equal to the batch path's at any window size,
 shard count, or worker count: the scan table is bit-identical by the
@@ -14,11 +14,18 @@ engine's own guarantee, and the analysis accumulators reproduce the batch
 finalisers exactly (see :mod:`repro.stream.analyses`).  Memory stays
 bounded throughout — the suite holds tallies and the finalised scan
 columns, never the packet stream.
+
+``progress(shard, stats)`` fires after every committed window of an
+in-process run.  ``stop`` is honoured only with ``workers=0``: it ends the
+pass at a window boundary with every started shard's checkpoint flushed
+and marks the result ``interrupted``; a pass over worker processes cannot
+poll it, so a signal there ends the run the default way and the per-shard
+checkpoints already written still resume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Union
 
@@ -26,14 +33,15 @@ from repro.core.campaigns import CampaignCriteria, ScanTable
 from repro.core.fingerprints import ToolFingerprinter
 from repro.core.report import PaperReport
 from repro.enrichment import ScannerClassifier, build_default_registry
-from repro.stream.analyses import AnalysisConfig, AnalysisSuite
+from repro.stream.analyses import AnalysisConfig
 from repro.stream.engine import (
     DEFAULT_BATCH_SIZE,
+    ProgressCallback,
     StreamConfig,
     StreamEngine,
+    StreamResult,
     as_stream_source,
 )
-from repro.stream.sharded import ShardedStreamEngine
 from repro.stream.source import StreamSource
 from repro.stream.stats import StreamStats
 from repro.telescope.packet import PacketBatch
@@ -53,11 +61,11 @@ class StreamReportResult:
     #: only the windows committed before the interrupt, and the flushed
     #: checkpoint lets a re-run pick up from there.
     interrupted: bool = False
-    #: Where the final checkpoint landed (None when checkpointing was off).
-    checkpoint_path: Optional[Path] = None
+    #: Final checkpoint of each shard that saved one.
+    checkpoint_paths: List[Path] = field(default_factory=list)
 
 
-def _period_of(
+def analysis_period(
     source: StreamSource, year: Optional[int], days: Optional[int]
 ) -> AnalysisConfig:
     """Resolve the period from explicit arguments or the source's metadata."""
@@ -78,6 +86,32 @@ def _period_of(
     return AnalysisConfig(year=int(year), days=int(days))
 
 
+def finish_report(
+    result: StreamResult, classifier: Optional[ScannerClassifier] = None
+) -> StreamReportResult:
+    """Enrich a run's scans and finalise its analysis suite into the report.
+
+    ``result`` must come from an engine with analyses attached.
+    ``classifier`` defaults to the registry-backed default; pass the
+    simulation's own classifier to reproduce a specific
+    :class:`~repro.core.pipeline.PeriodAnalysis`.
+    """
+    if result.analyses is None:
+        raise ValueError("the stream ran without analyses attached")
+    if classifier is None:
+        classifier = ScannerClassifier(build_default_registry())
+    scans = result.scans.enrich(classifier)
+    result.analyses.consume_scans(scans)
+    return StreamReportResult(
+        report=result.analyses.finalize(),
+        scans=scans,
+        stats=result.stats,
+        resumed=result.resumed,
+        interrupted=result.interrupted,
+        checkpoint_paths=result.checkpoint_paths,
+    )
+
+
 def stream_report(
     capture: Union[StreamSource, PacketBatch, PathLike, Iterable[PacketBatch]],
     year: Optional[int] = None,
@@ -93,63 +127,32 @@ def stream_report(
     strict: bool = True,
     mmap: Optional[bool] = None,
     classifier: Optional[ScannerClassifier] = None,
-    progress: Optional[Callable[..., None]] = None,
+    progress: Optional[ProgressCallback] = None,
     stop: Optional[Callable[[], bool]] = None,
 ) -> StreamReportResult:
     """Compute the full paper report from ``capture`` in one bounded pass.
 
     ``year``/``days`` default to the capture's own metadata (``.rtrace``
-    files written by the simulator carry both).  ``classifier`` defaults to
-    the registry-backed default; pass the simulation's own classifier to
-    reproduce a specific :class:`~repro.core.pipeline.PeriodAnalysis`.
-    ``progress`` follows the underlying engine's callback signature:
-    ``progress(stats)`` serially, ``progress(shard, stats)`` sharded.
-    ``stop`` (serial path only) gracefully interrupts between windows after
-    flushing a checkpoint — see :meth:`StreamEngine.run`.
+    files written by the simulator carry both).  ``progress`` and ``stop``
+    are the engine's (see :meth:`StreamEngine.run`).
     """
-    if stop is not None and n_shards != 1:
-        raise ValueError("stop callbacks are only supported when n_shards=1")
     source = as_stream_source(
         capture, batch_size, window_s, strict=strict, mmap=mmap
     )
-    analysis_config = _period_of(source, year, days)
-    stream_config = StreamConfig(
-        batch_size=batch_size,
-        window_s=window_s,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        strict=strict,
+    engine = StreamEngine(
+        criteria,
+        fingerprinter,
+        StreamConfig(
+            batch_size=batch_size,
+            window_s=window_s,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            strict=strict,
+        ),
+        n_shards=n_shards,
+        workers=workers,
+        analyses=analysis_period(source, year, days),
     )
-
-    if n_shards == 1:
-        engine = StreamEngine(criteria, fingerprinter, stream_config)
-        result = engine.run(
-            source, progress=progress,
-            analyses=AnalysisSuite(analysis_config),
-            stop=stop,
-        )
-        suite = result.analyses
-    else:
-        sharded = ShardedStreamEngine(
-            n_shards=n_shards,
-            workers=workers,
-            criteria=criteria,
-            fingerprinter=fingerprinter,
-            config=stream_config,
-            analyses=analysis_config,
-        )
-        result = sharded.run(source, progress=progress)
-        suite = result.analyses
-
-    if classifier is None:
-        classifier = ScannerClassifier(build_default_registry())
-    scans = result.scans.enrich(classifier)
-    suite.consume_scans(scans)
-    return StreamReportResult(
-        report=suite.finalize(),
-        scans=scans,
-        stats=result.stats,
-        resumed=result.resumed,
-        interrupted=getattr(result, "interrupted", False),
-        checkpoint_path=getattr(result, "checkpoint_path", None),
+    return finish_report(
+        engine.run(source, progress=progress, stop=stop), classifier
     )

@@ -1,41 +1,41 @@
-"""Source-sharded parallel streaming: N identifiers over one capture.
+"""Source shards: assignment, the one window loop, the pool task, the merge.
 
 Scan sessions are a per-source construct — every statistic the pipeline
 derives from a session (boundaries, score, ports, modes, fingerprints)
 depends only on that source's own packets.  Partitioning the sources into N
 shards and running one :class:`~repro.stream.incremental.IncrementalScanIdentifier`
 per shard therefore changes *nothing* about any individual session, and the
-merged result is column-by-column bit-identical to the serial path at any
-shard count and any window size: each shard's table is exactly the serial
-table restricted to its sources, and the final ``lexsort((start, src_ip))``
-over the concatenated records reproduces the serial sort order (no ties —
-one source never appears in two shards).
+merged result is column-by-column bit-identical to batch
+``identify_scans`` at any shard count and any window size: each shard's
+table is exactly the full table restricted to its sources, and the final
+``lexsort((start, src_ip))`` over the concatenated records reproduces the
+serial sort order (no ties — one source never appears in two shards).
+With one shard the filter keeps every packet, which is how the serial run
+is the ``n_shards=1`` case of :class:`~repro.stream.engine.StreamEngine`.
 
-Execution modes:
-
-* ``workers=0`` walks the shards sequentially in this process (any
-  restartable :class:`~repro.stream.source.StreamSource` works, including
-  in-memory test sources);
-* ``workers>=1`` runs shards in a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (the ``exec/parallel.py`` discipline: a module-level task function, pure
-  in its arguments).  Each worker re-opens the ``.rtrace`` by path through
-  the mmap reader, so the capture's pages are shared read-only between
-  workers by the page cache instead of being pickled across the pool.
+:func:`_run_one_shard` is the window loop every streaming run goes through —
+in this process (``workers=0``) or, via :func:`_shard_stream_task`, in a
+:class:`~concurrent.futures.ProcessPoolExecutor` worker (the
+``exec/parallel.py`` discipline: a module-level task function, pure in its
+arguments).  Each worker re-opens the ``.rtrace`` by path through the mmap
+reader, so the capture's pages are shared read-only between workers by the
+page cache instead of being pickled across the pool.  :func:`_run_engine`,
+the body of :meth:`StreamEngine.run`, dispatches the shards one way or the
+other and merges their results.
 
 Checkpointing is per shard: each shard owns a content-addressed key
 (``key_for(..., shard=(i, n))``) and its snapshot carries one extra array —
 ``shard_stream_pos``, the shard's position in the *raw* (unfiltered) packet
 stream — because the identifier's own ``packets_consumed`` counts only the
-shard's packets and cannot seek the shared source.  A killed sharded run
-resumes each shard independently from its newest snapshot.
+shard's packets and cannot seek the shared source.  A killed run resumes
+each shard independently from its newest snapshot.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -44,20 +44,19 @@ from repro.core.fingerprints import ToolFingerprinter
 from repro.stream.analyses import AnalysisConfig, AnalysisSuite
 from repro.stream.checkpoint import CheckpointStore
 from repro.stream.engine import (
-    ANALYSIS_PREFIX,
+    ProgressCallback,
+    ShardRun,
     StreamConfig,
-    _split_analysis_arrays,
-    as_stream_source,
+    StreamEngine,
+    StreamResult,
 )
 from repro.stream.incremental import IncrementalScanIdentifier
-from repro.stream.source import (
-    DEFAULT_BATCH_SIZE,
-    StreamSource,
-    TraceStreamSource,
-)
+from repro.stream.source import StreamSource, TraceStreamSource
 from repro.stream.stats import StreamStats, peak_rss_bytes, wall_clock
 
-PathLike = Union[str, Path]
+#: Array-name prefix separating analysis-suite state from identifier state
+#: inside one shared checkpoint payload.
+ANALYSIS_PREFIX = "an__"
 
 #: Knuth's multiplicative hash constant (2^32 / phi), used to decorrelate
 #: shard assignment from allocation structure in the source address space
@@ -79,36 +78,6 @@ def shard_of(src_ip: np.ndarray, n_shards: int) -> np.ndarray:
         0xFFFFFFFF
     )
     return (mixed % np.uint64(n_shards)).astype(np.int64)
-
-
-@dataclass
-class ShardRun:
-    """One shard's contribution to a sharded run."""
-
-    shard: int
-    scans: ScanTable
-    stats: StreamStats
-    resumed: bool = False
-    checkpoint_key: Optional[str] = None
-    #: Snapshot of the shard's analysis suite (plain arrays, so pool
-    #: workers hand it back without pickling live accumulator objects);
-    #: ``None`` when the run carried no analyses.
-    analysis: Optional[Dict[str, np.ndarray]] = None
-
-
-@dataclass
-class ShardedStreamResult:
-    """Everything a sharded streaming run produced."""
-
-    scans: ScanTable
-    #: Aggregate view (see :meth:`StreamStats.merge` for the semantics).
-    stats: StreamStats
-    shards: List[ShardRun] = field(default_factory=list)
-    #: True when any shard restored a prior checkpoint.
-    resumed: bool = False
-    #: The merged analysis suite (when the run carried analyses); it has
-    #: consumed every window and awaits ``consume_scans`` + ``finalize``.
-    analyses: Optional[AnalysisSuite] = None
 
 
 def merge_scan_tables(tables: List[ScanTable]) -> ScanTable:
@@ -159,19 +128,21 @@ def _run_one_shard(
     criteria: CampaignCriteria,
     fingerprinter: ToolFingerprinter,
     config: StreamConfig,
-    progress: Optional[Callable[[int, StreamStats], None]] = None,
     analyses: Optional[AnalysisConfig] = None,
+    progress: Optional[ProgressCallback] = None,
+    stop: Optional[Callable[[], bool]] = None,
 ) -> ShardRun:
-    """Stream one shard of ``source`` to completion.
+    """Stream one shard of ``source`` to completion (or to ``stop``).
 
-    Runs in the calling process — the serial fallback and the body of the
-    pool task both come here.  Pure in its arguments (RPR007): all state is
-    constructed locally, and the only writes are the shard's own
+    Runs in the calling process — the in-process engine and the body of
+    the pool task both come here.  Pure in its arguments (RPR007): all
+    state is constructed locally, and the only writes are the shard's own
     content-addressed checkpoint files.  ``analyses`` (when given) attaches
     a fresh :class:`~repro.stream.analyses.AnalysisSuite` that sees exactly
     the shard's packets; its snapshot rides back on the :class:`ShardRun`
     for the caller to merge (sources are disjoint across shards, which is
-    precisely the suite's merge contract).
+    precisely the suite's merge contract).  Stats are refreshed only for a
+    ``progress`` callback and once at the end.
     """
     identifier = IncrementalScanIdentifier(criteria, fingerprinter)
     suite = AnalysisSuite(analyses) if analyses is not None else None
@@ -195,7 +166,10 @@ def _run_one_shard(
             arrays = store.load(key)
             if arrays is not None:
                 raw_pos = int(arrays.pop("shard_stream_pos")[0])
-                suite_arrays = _split_analysis_arrays(arrays)
+                names = [n for n in arrays if n.startswith(ANALYSIS_PREFIX)]
+                suite_arrays = {
+                    n[len(ANALYSIS_PREFIX):]: arrays.pop(n) for n in names
+                }
                 identifier.restore(arrays)
                 if suite is not None and suite_arrays:
                     suite.restore(suite_arrays)
@@ -219,7 +193,7 @@ def _run_one_shard(
         stats.wall_s = wall_clock() - started
         stats.peak_rss_bytes = peak_rss_bytes()
 
-    def save() -> None:
+    def save() -> Path:
         payload = identifier.snapshot()
         # The shard's raw-stream position rides along *outside* the frozen
         # snapshot schema (it is popped again before ``restore``): the
@@ -229,9 +203,10 @@ def _run_one_shard(
         if suite is not None:
             for name, array in suite.snapshot().items():
                 payload[ANALYSIS_PREFIX + name] = array
-        store.save(key, payload)
+        return store.save(key, payload)
 
     windows_since_save = 0
+    interrupted = False
     for window in source.windows(skip_packets=raw_pos):
         raw_pos += len(window)
         if n_shards > 1:
@@ -246,15 +221,21 @@ def _run_one_shard(
         if progress is not None:
             refresh()
             progress(shard, stats)
+        if stop is not None and stop():
+            interrupted = True
+            break
 
-    if store is not None:
-        save()
+    # Final snapshot before finalisation mutates the open sessions: a
+    # re-run resumes past every packet and replays finalisation from it.
+    checkpoint_path = save() if store is not None else None
     scans = identifier.finalize()
     refresh()
     stats.scans = len(scans)
     return ShardRun(
         shard=shard, scans=scans, stats=stats, resumed=resumed,
-        checkpoint_key=key,
+        checkpoint_key=key, checkpoint_path=checkpoint_path,
+        interrupted=interrupted,
+        truncated_source=getattr(source, "truncated", False),
         analysis=suite.snapshot() if suite is not None else None,
     )
 
@@ -285,132 +266,86 @@ def _shard_stream_task(
         mmap=mmap,
     )
     return _run_one_shard(
-        source, shard, n_shards, criteria, fingerprinter, config,
-        analyses=analyses,
+        source, shard, n_shards, criteria, fingerprinter, config, analyses
     )
 
 
-class ShardedStreamEngine:
-    """Bit-identical parallel streaming over source-hashed shards.
+def _run_engine(
+    engine: StreamEngine,
+    source: StreamSource,
+    progress: Optional[ProgressCallback] = None,
+    stop: Optional[Callable[[], bool]] = None,
+) -> StreamResult:
+    """The body of :meth:`StreamEngine.run`: every shard, then the merge.
 
-    ``n_shards`` picks the parallelism of the *state* (how many independent
-    identifiers partition the sources); ``workers`` picks the parallelism of
-    the *execution* (how many processes walk shards concurrently).  They are
-    separate so a checkpointed run can change its worker count without
-    invalidating its per-shard checkpoints — the shard count, not the worker
-    count, is part of the checkpoint key.
+    ``workers=0`` walks the shards one after another through
+    :func:`_run_one_shard`, stopping after a shard that ``stop`` interrupted;
+    otherwise the shards run in a process pool through
+    :func:`_shard_stream_task`.
     """
-
-    def __init__(
-        self,
-        n_shards: int = 2,
-        workers: int = 0,
-        criteria: Optional[CampaignCriteria] = None,
-        fingerprinter: Optional[ToolFingerprinter] = None,
-        config: Optional[StreamConfig] = None,
-        analyses: Optional[AnalysisConfig] = None,
-    ):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
-        self.n_shards = n_shards
-        self.workers = workers
-        self.criteria = criteria if criteria is not None else CampaignCriteria()
-        self.fingerprinter = (
-            fingerprinter if fingerprinter is not None else ToolFingerprinter()
-        )
-        self.config = config if config is not None else StreamConfig()
-        self.analyses = analyses
-
-    def run(
-        self,
-        source: StreamSource,
-        progress: Optional[Callable[[int, StreamStats], None]] = None,
-    ) -> ShardedStreamResult:
-        """Stream every shard of ``source`` and merge the results.
-
-        ``progress`` (in-process mode only) is invoked as
-        ``progress(shard, stats)`` after each committed window.
-        """
-        if self.workers == 0:
-            runs = [
-                _run_one_shard(
-                    source, shard, self.n_shards, self.criteria,
-                    self.fingerprinter, self.config, progress=progress,
-                    analyses=self.analyses,
+    if engine.workers == 0:
+        runs: List[ShardRun] = []
+        for shard in range(engine.n_shards):
+            runs.append(_run_one_shard(
+                source, shard, engine.n_shards, engine.criteria,
+                engine.fingerprinter, engine.config, engine.analyses,
+                progress=progress, stop=stop,
+            ))
+            if runs[-1].interrupted:
+                break
+    else:
+        if stop is not None:
+            raise ValueError(
+                "stop callbacks need workers=0: pool workers cannot poll them"
+            )
+        if not isinstance(source, TraceStreamSource):
+            raise ValueError(
+                "worker processes need a path-backed capture; got "
+                f"{type(source).__name__} (use workers=0, or stream an "
+                ".rtrace file)"
+            )
+        with ProcessPoolExecutor(max_workers=engine.workers) as pool:
+            futures = [
+                pool.submit(
+                    _shard_stream_task,
+                    str(source.path), source.batch_size, source.window_s,
+                    source.strict, source.mmap, shard, engine.n_shards,
+                    engine.criteria, engine.fingerprinter, engine.config,
+                    engine.analyses,
                 )
-                for shard in range(self.n_shards)
+                for shard in range(engine.n_shards)
             ]
-        else:
-            if not isinstance(source, TraceStreamSource):
-                raise ValueError(
-                    "worker processes need a path-backed capture; got "
-                    f"{type(source).__name__} (use workers=0, or stream an "
-                    ".rtrace file)"
-                )
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(
-                        _shard_stream_task,
-                        str(source.path), source.batch_size, source.window_s,
-                        source.strict, source.mmap, shard, self.n_shards,
-                        self.criteria, self.fingerprinter, self.config,
-                        self.analyses,
-                    )
-                    for shard in range(self.n_shards)
-                ]
-                runs = [future.result() for future in futures]
-        scans = merge_scan_tables([run.scans for run in runs])
-        stats = StreamStats.merge([run.stats for run in runs])
-        stats.scans = len(scans)
-        suite: Optional[AnalysisSuite] = None
-        if self.analyses is not None:
-            # Fold the shard snapshots into one suite; shards partition the
-            # sources, which is exactly the suite's merge precondition.
-            suite = AnalysisSuite(self.analyses)
-            for run in runs:
-                part = AnalysisSuite(self.analyses)
-                part.restore(run.analysis)
-                suite.merge(part)
-        return ShardedStreamResult(
-            scans=scans,
-            stats=stats,
-            shards=runs,
-            resumed=any(run.resumed for run in runs),
-            analyses=suite,
-        )
+            runs = [future.result() for future in futures]
 
-
-def identify_scans_sharded(
-    capture: Union[StreamSource, PathLike],
-    n_shards: int = 2,
-    workers: int = 0,
-    criteria: Optional[CampaignCriteria] = None,
-    fingerprinter: Optional[ToolFingerprinter] = None,
-    batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-    window_s: Optional[float] = None,
-    checkpoint_dir: Optional[PathLike] = None,
-    mmap: Optional[bool] = None,
-) -> ScanTable:
-    """Sharded drop-in for :func:`repro.core.campaigns.identify_scans`.
-
-    Column-by-column identical to the batch path (and to
-    :func:`~repro.stream.engine.identify_scans_stream`) at any shard count,
-    window size, or worker count; see the module docstring for why.
-    """
-    source = as_stream_source(
-        capture, batch_size, window_s, mmap=mmap
+    scans = merge_scan_tables([run.scans for run in runs])
+    stats = StreamStats.merge([run.stats for run in runs])
+    stats.scans = len(scans)
+    suite: Optional[AnalysisSuite] = None
+    if engine.analyses is not None:
+        # Fold the shard snapshots into one suite; shards partition the
+        # sources, which is exactly the suite's merge precondition.
+        suite = AnalysisSuite(engine.analyses)
+        for run in runs:
+            part = AnalysisSuite(engine.analyses)
+            part.restore(run.analysis)
+            suite.merge(part)
+    return StreamResult(
+        scans=scans,
+        stats=stats,
+        shards=runs,
+        resumed=any(run.resumed for run in runs),
+        interrupted=any(run.interrupted for run in runs),
+        truncated_source=any(run.truncated_source for run in runs),
+        checkpoint_paths=[
+            run.checkpoint_path for run in runs
+            if run.checkpoint_path is not None
+        ],
+        analyses=suite,
     )
-    engine = ShardedStreamEngine(
-        n_shards=n_shards,
-        workers=workers,
-        criteria=criteria,
-        fingerprinter=fingerprinter,
-        config=StreamConfig(
-            batch_size=batch_size,
-            window_s=window_s,
-            checkpoint_dir=checkpoint_dir,
-        ),
-    )
-    return engine.run(source).scans
+
+
+class ShardedStreamEngine(StreamEngine):
+    """The one engine under its sharded name; :meth:`StreamEngine.run`
+    enters through this class's ``run``."""
+
+    run = _run_engine

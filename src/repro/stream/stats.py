@@ -1,7 +1,8 @@
 """Live progress/stats surface of the streaming engine.
 
 :class:`StreamStats` is a plain snapshot the engine refreshes after every
-committed window; consumers (the ``repro-scan stream`` CLI, tests, or any
+committed window while a progress callback listens, and once at the end of
+each shard; consumers (the ``repro-scan stream`` CLI, tests, or any
 long-running service wrapping the engine) read it to answer "how fast, how
 much is buffered, how far along".  The helpers here are deliberately free of
 engine internals so ``report``/``validate`` reuse them for their own

@@ -287,12 +287,11 @@ class TestCacheCommand:
 
 
 class TestGracefulSignals:
-    def test_sigterm_mid_stream_flushes_and_exits_zero(
-        self, capture, tmp_path, capsys, monkeypatch
-    ):
-        """SIGTERM between windows takes the graceful path: checkpoint
-        flushed, 'resumable from' line, exit code 0 — and the next run
-        resumes from the flushed checkpoint."""
+    @pytest.fixture
+    def sigterm_after(self, monkeypatch):
+        """Deliver SIGTERM to this process right after the n-th window the
+        identifier consumes — synchronously on the main thread, exactly
+        like an operator's ``kill`` between two windows."""
         import os
         import signal
         import threading
@@ -300,23 +299,33 @@ class TestGracefulSignals:
         if threading.current_thread() is not threading.main_thread():
             pytest.skip("signal handlers need the main thread")
 
-        import repro.stream.engine as engine_mod
+        from repro.stream.incremental import IncrementalScanIdentifier
 
-        original = engine_mod.StreamEngine._refresh
-        windows = []
+        original = IncrementalScanIdentifier.consume
 
-        def refresh_then_signal(stats, identifier, started, analyses=None):
-            original(stats, identifier, started, analyses)
-            windows.append(None)
-            if len(windows) == 3:
-                # delivered synchronously on this (main) thread, exactly
-                # like an operator's `kill` between two windows
-                os.kill(os.getpid(), signal.SIGTERM)
+        def arm(n):
+            windows = []
 
-        monkeypatch.setattr(
-            engine_mod.StreamEngine, "_refresh",
-            staticmethod(refresh_then_signal),
-        )
+            def consume_then_signal(self, window):
+                original(self, window)
+                windows.append(None)
+                if len(windows) == n:
+                    os.kill(os.getpid(), signal.SIGTERM)
+
+            monkeypatch.setattr(IncrementalScanIdentifier, "consume",
+                                consume_then_signal)
+
+        return arm
+
+    def test_sigterm_mid_stream_flushes_and_exits_zero(
+        self, capture, tmp_path, capsys, monkeypatch, sigterm_after
+    ):
+        """SIGTERM between windows takes the graceful path: checkpoint
+        flushed, 'resumable from' line, exit code 0 — and the next run
+        resumes from the flushed checkpoint."""
+        import signal
+
+        sigterm_after(3)
         ckpt = tmp_path / "ckpt"
         handler_before = signal.getsignal(signal.SIGTERM)
         assert main(["stream", str(capture), "--batch-size", "4096",
@@ -327,11 +336,35 @@ class TestGracefulSignals:
         assert "resumable from" in err
         assert signal.getsignal(signal.SIGTERM) is handler_before
 
-        monkeypatch.setattr(engine_mod.StreamEngine, "_refresh",
-                            staticmethod(original))
+        monkeypatch.undo()
         assert main(["stream", str(capture), "--batch-size", "4096",
                      "--checkpoint-dir", str(ckpt)]) == 0
         assert "resumed from checkpoint" in capsys.readouterr().err
+
+    def test_sigterm_mid_sharded_report_resumes_to_batch_report(
+        self, capture, tmp_path, capsys, monkeypatch, sigterm_after
+    ):
+        """``stream --report --shards 2`` honours SIGTERM too: no partial
+        report on stdout, exit 0, and the re-run's report is byte-equal to
+        ``analyze --report``."""
+        assert main(["analyze", str(capture), "--report"]) == 0
+        batch_out = capsys.readouterr().out
+
+        sigterm_after(3)
+        argv = ["stream", str(capture), "--report", "--shards", "2",
+                "--batch-size", "4096", "--checkpoint-dir",
+                str(tmp_path / "ckpt"), "--checkpoint-every", "100"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert "interrupted by SIGTERM" in out.err
+        assert "resumable from" in out.err
+        assert out.out == ""
+
+        monkeypatch.undo()
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert "resumed from checkpoint" in out.err
+        assert out.out == batch_out
 
 
 class TestServeCommand:

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.campaigns import (
-    CampaignCriteria,
-    ScanTable,
+from repro.core.campaigns import CampaignCriteria, ScanTable, identify_scans
+from repro.scanners import Tool
+from repro.telescope.packet import PacketBatch
+
+from tests.campaigns_oracle import (
     detect_sequential,
     estimate_internet_rate,
-    identify_scans,
     identify_scans_reference,
     iter_source_sessions,
 )
-from repro.scanners import Tool
-from repro.telescope.packet import PacketBatch
 
 
 def session_batch(src=1000, n=200, t0=0.0, duration=100.0, port=80, seed=0,

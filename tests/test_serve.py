@@ -17,6 +17,7 @@ The contracts under test:
 """
 
 import dataclasses
+import http.client
 import json
 import os
 import threading
@@ -46,6 +47,7 @@ from repro.serve import (
     create_server,
     run_stream_report,
 )
+from repro.serve.api import MAX_BODY_BYTES
 from repro.simulation import TelescopeWorld
 
 #: Tiny budgets — several tests run real simulations in worker processes.
@@ -340,7 +342,7 @@ class TestKillAndRestart:
         )
         assert partial.interrupted
         assert 0 < partial.stats.packets < capture_packets
-        assert partial.checkpoint_path is not None
+        assert partial.checkpoint_paths
 
         # ... and the record a crashed server leaves: persisted job state
         # never says "running", so an in-flight job is on disk as queued.
@@ -543,7 +545,42 @@ def _request(server, method, path, body=None):
         return exc.code, exc.read().decode()
 
 
+def _post_with_length(server, content_length, body=b""):
+    """POST /jobs with a hand-set ``Content-Length`` header."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 class TestHTTPApi:
+    def test_non_integer_content_length_is_400(self, server):
+        status, body = _post_with_length(server, "abc", b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert _request(server, "GET", "/healthz")[0] == 200
+
+    def test_negative_content_length_is_400(self, server):
+        status, body = _post_with_length(server, "-5", b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert _request(server, "GET", "/healthz")[0] == 200
+
+    def test_oversized_content_length_is_413_unread(self, server):
+        """A huge declared length is refused before any read: the server
+        neither allocates it nor waits for bytes that never come."""
+        status, body = _post_with_length(server, "1000000000000", b"{}")
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert _request(server, "GET", "/healthz")[0] == 200
+
     def test_health_and_stats(self, server):
         status, body = _request(server, "GET", "/healthz")
         assert status == 200

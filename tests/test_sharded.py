@@ -1,9 +1,10 @@
-"""Tests for repro.stream.sharded — source-sharded parallel streaming.
+"""Tests for source-sharded streaming — the engine at any shard count.
 
 The load-bearing property is the *shard-merge invariant*: the merged
 per-shard tables must be column-by-column bit-identical to batch
 ``identify_scans`` at any shard count and any window size, because sessions
-are a per-source construct and shards partition the sources.
+are a per-source construct and shards partition the sources.  The serial
+run is the one-shard case, so every test here runs it too.
 """
 
 import numpy as np
@@ -16,8 +17,9 @@ from repro.stream import (
     CheckpointStore,
     ShardedStreamEngine,
     StreamConfig,
+    StreamEngine,
     TraceStreamSource,
-    identify_scans_sharded,
+    identify_scans_stream,
     merge_scan_tables,
     shard_of,
 )
@@ -67,13 +69,13 @@ class TestShardEquivalence:
     @pytest.mark.parametrize("batch_size", [4096, 50_000, None])
     def test_column_equal_to_batch(self, batch2020, scans2020, n_shards,
                                    batch_size):
-        table = identify_scans_sharded(
+        table = identify_scans_stream(
             batch2020, n_shards=n_shards, batch_size=batch_size
         )
         assert_tables_equal(table, scans2020)
 
     def test_time_windows(self, batch2020, scans2020):
-        table = identify_scans_sharded(
+        table = identify_scans_stream(
             batch2020, n_shards=3, batch_size=8192, window_s=6 * 3600.0
         )
         assert_tables_equal(table, scans2020)
@@ -81,17 +83,17 @@ class TestShardEquivalence:
     def test_custom_criteria(self, batch2020):
         criteria = CampaignCriteria(min_distinct_dsts=50, min_rate_pps=10.0,
                                     expiry_s=900.0)
-        table = identify_scans_sharded(
+        table = identify_scans_stream(
             batch2020, n_shards=2, criteria=criteria, batch_size=8192
         )
         assert_tables_equal(table, identify_scans(batch2020, criteria))
 
     def test_discard_counts_partition(self, batch2020):
         """Per-source discard decisions sum across shards exactly."""
-        serial = ShardedStreamEngine(n_shards=1).run(
+        serial = StreamEngine(n_shards=1).run(
             BatchStreamSource(batch2020, batch_size=8192)
         )
-        sharded = ShardedStreamEngine(n_shards=4).run(
+        sharded = StreamEngine(n_shards=4).run(
             BatchStreamSource(batch2020, batch_size=8192)
         )
         assert (
@@ -105,7 +107,7 @@ class TestShardEquivalence:
         """One real process-pool run: workers re-open the trace by path."""
         path = tmp_path / "cap.rtrace"
         write_trace(path, batch2020, meta={"year": 2020}, chunk_size=25_000)
-        engine = ShardedStreamEngine(n_shards=2, workers=2)
+        engine = StreamEngine(n_shards=2, workers=2)
         result = engine.run(TraceStreamSource(path, batch_size=16_384))
         assert_tables_equal(result.scans, scans2020)
         assert len(result.shards) == 2
@@ -114,15 +116,42 @@ class TestShardEquivalence:
             assert run.stats.peak_rss_bytes > 0
 
     def test_workers_need_a_path_backed_source(self, batch2020):
-        engine = ShardedStreamEngine(n_shards=2, workers=1)
+        engine = StreamEngine(n_shards=2, workers=1)
         with pytest.raises(ValueError):
             engine.run(BatchStreamSource(batch2020, batch_size=8192))
 
+    def test_stop_needs_in_process_shards(self, tmp_path, batch2020):
+        """Pool workers cannot poll a stop callback; asking is an error,
+        not a silently ignored flag."""
+        path = tmp_path / "cap.rtrace"
+        write_trace(path, batch2020, meta={"year": 2020})
+        engine = StreamEngine(n_shards=2, workers=1)
+        with pytest.raises(ValueError, match="workers=0"):
+            engine.run(TraceStreamSource(path), stop=lambda: False)
+
+    def test_every_run_enters_through_the_sharded_name(self, batch2020,
+                                                       monkeypatch):
+        """``StreamEngine.run`` enters the engine's body through
+        ``ShardedStreamEngine.run``, looked up at call time, so a wrapper on
+        that name (perfbench's traced run) sees every run."""
+        body = ShardedStreamEngine.run
+        calls = []
+
+        def spy(engine, *args, **kwargs):
+            calls.append(engine)
+            return body(engine, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedStreamEngine, "run", spy)
+        engine = StreamEngine(n_shards=2)
+        result = engine.run(BatchStreamSource(batch2020, batch_size=50_000))
+        assert calls == [engine]
+        assert len(result.shards) == 2
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            ShardedStreamEngine(n_shards=0)
+            StreamEngine(n_shards=0)
         with pytest.raises(ValueError):
-            ShardedStreamEngine(workers=-1)
+            StreamEngine(workers=-1)
 
 
 class TestMerge:
@@ -150,12 +179,8 @@ class TestShardedCheckpoints:
 
     def test_kill_and_resume_per_shard(self, tmp_path, batch2020, scans2020):
         """Every shard dies mid-stream; the rerun resumes all of them and
-        still merges bit-identically."""
+        still merges bit-identically — serial (one shard) included."""
         path = self._trace(tmp_path, batch2020)
-        config = StreamConfig(
-            batch_size=8192, checkpoint_dir=tmp_path / "ckpt",
-            checkpoint_every=1,
-        )
         criteria, fingerprinter = CampaignCriteria(), ToolFingerprinter()
 
         class Killed(Exception):
@@ -165,21 +190,56 @@ class TestShardedCheckpoints:
             if stats.windows >= 3:
                 raise Killed
 
-        n_shards = 3
-        for shard in range(n_shards):
-            with pytest.raises(Killed):
-                _run_one_shard(
-                    TraceStreamSource(path, batch_size=8192), shard,
-                    n_shards, criteria, fingerprinter, config,
-                    progress=killer,
-                )
+        for n_shards in (1, 2, 4):
+            config = StreamConfig(
+                batch_size=8192, checkpoint_dir=tmp_path / f"ckpt{n_shards}",
+                checkpoint_every=1,
+            )
+            for shard in range(n_shards):
+                with pytest.raises(Killed):
+                    _run_one_shard(
+                        TraceStreamSource(path, batch_size=8192), shard,
+                        n_shards, criteria, fingerprinter, config,
+                        progress=killer,
+                    )
 
-        engine = ShardedStreamEngine(n_shards=n_shards, config=config)
-        result = engine.run(TraceStreamSource(path, batch_size=8192))
-        assert result.resumed
-        assert all(run.resumed for run in result.shards)
-        assert result.stats.resumed_packets > 0
-        assert_tables_equal(result.scans, scans2020)
+            engine = StreamEngine(n_shards=n_shards, config=config)
+            result = engine.run(TraceStreamSource(path, batch_size=8192))
+            assert result.resumed
+            assert all(run.resumed for run in result.shards)
+            assert result.stats.resumed_packets > 0
+            assert_tables_equal(result.scans, scans2020)
+
+    def test_stop_skips_unstarted_shards(self, tmp_path, batch2020,
+                                         scans2020):
+        """``stop`` ends the in-process run at a window boundary of the
+        current shard; later shards never start, and the rerun resumes the
+        interrupted shard and merges bit-identically."""
+        path = self._trace(tmp_path, batch2020)
+        config = StreamConfig(
+            batch_size=8192, checkpoint_dir=tmp_path / "ckpt",
+            checkpoint_every=100,  # the flush must come from the stop
+        )
+        polls = []
+
+        def stop():
+            polls.append(None)
+            return len(polls) >= 3
+
+        first = StreamEngine(n_shards=2, config=config).run(
+            TraceStreamSource(path, batch_size=8192), stop=stop
+        )
+        assert first.interrupted
+        assert [run.shard for run in first.shards] == [0]
+        assert first.shards[0].stats.windows == 3
+        assert len(first.checkpoint_paths) == 1
+
+        again = StreamEngine(n_shards=2, config=config).run(
+            TraceStreamSource(path, batch_size=8192)
+        )
+        assert not again.interrupted
+        assert [run.resumed for run in again.shards] == [True, False]
+        assert_tables_equal(again.scans, scans2020)
 
     def test_rerun_after_completion_resumes_every_shard(
         self, tmp_path, batch2020, scans2020
@@ -187,10 +247,10 @@ class TestShardedCheckpoints:
         path = self._trace(tmp_path, batch2020)
         config = StreamConfig(batch_size=16_384,
                               checkpoint_dir=tmp_path / "ckpt")
-        first = ShardedStreamEngine(n_shards=2, config=config).run(
+        first = StreamEngine(n_shards=2, config=config).run(
             TraceStreamSource(path, batch_size=16_384)
         )
-        again = ShardedStreamEngine(n_shards=2, config=config).run(
+        again = StreamEngine(n_shards=2, config=config).run(
             TraceStreamSource(path, batch_size=16_384)
         )
         assert not first.resumed and again.resumed
@@ -201,7 +261,7 @@ class TestShardedCheckpoints:
 
     def test_shard_keys_are_distinct(self, tmp_path, batch2020):
         """Shard (i, n) keys never collide with each other, with other
-        shard counts, or with the unsharded key."""
+        shard counts, or with the serial run's (0, 1) key."""
         path = self._trace(tmp_path, batch2020)
         store = CheckpointStore(tmp_path / "ckpt")
         source = TraceStreamSource(path, batch_size=8192)
@@ -209,7 +269,7 @@ class TestShardedCheckpoints:
         fp = ToolFingerprinter()
         criteria = CampaignCriteria()
         keys = {
-            store.key_for(identity, criteria, fp, 8192, None),
+            store.key_for(identity, criteria, fp, 8192, None, shard=(0, 1)),
             store.key_for(identity, criteria, fp, 8192, None, shard=(0, 2)),
             store.key_for(identity, criteria, fp, 8192, None, shard=(1, 2)),
             store.key_for(identity, criteria, fp, 8192, None, shard=(0, 4)),

@@ -240,7 +240,7 @@ class TestBoundedMemory:
         seen = []
         result = engine.run(
             BatchStreamSource(batch2020, batch_size=8192),
-            progress=lambda stats: seen.append(stats.to_dict()),
+            progress=lambda shard, stats: seen.append(stats.to_dict()),
         )
         assert result.stats.packets == len(batch2020)
         assert result.stats.peak_rss_bytes > 0
@@ -279,7 +279,7 @@ class TestCheckpointResume:
         windows_before_kill = 3
         calls = []
 
-        def killer(stats):
+        def killer(shard, stats):
             calls.append(stats.windows)
             if len(calls) >= windows_before_kill:
                 raise Killed
@@ -318,8 +318,8 @@ class TestCheckpointResume:
         )
         assert first.interrupted
         assert first.stats.packets == 3 * 8192
-        assert first.checkpoint_path is not None
-        assert first.checkpoint_path.exists()
+        assert len(first.checkpoint_paths) == 1
+        assert first.checkpoint_paths[0].exists()
 
         second = StreamEngine(config=config).run(
             TraceStreamSource(path, batch_size=8192)
@@ -354,6 +354,51 @@ class TestCheckpointResume:
         assert_tables_equal(again.scans, first.scans)
         assert_tables_equal(again.scans, scans2020)
 
+    @staticmethod
+    def _damage(path, shape):
+        blob = path.read_bytes()
+        if shape == "truncated":
+            blob = blob[: len(blob) // 2]
+        elif shape == "emptied":
+            blob = b""
+        elif shape == "garbage":
+            blob = b"not a checkpoint" * 64
+        else:  # one byte flipped mid-file
+            middle = len(blob) // 2
+            blob = blob[:middle] + bytes([blob[middle] ^ 0xFF]) + blob[middle + 1:]
+        path.write_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "shape", ["truncated", "emptied", "garbage", "flipped"]
+    )
+    def test_damaged_checkpoint_is_a_miss(self, tmp_path, batch2020,
+                                          scans2020, shape):
+        """An unreadable checkpoint restarts the stream from packet 0 (and
+        the next save replaces it) instead of crashing the resume."""
+        path = self._trace(tmp_path, batch2020)
+        config = StreamConfig(batch_size=16_384,
+                              checkpoint_dir=tmp_path / "ckpt")
+        first = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        )
+        run = first.shards[0]
+        self._damage(run.checkpoint_path, shape)
+
+        store = CheckpointStore(config.checkpoint_dir)
+        assert store.load(run.checkpoint_key) is None
+        assert str(run.checkpoint_path) in store.last_mismatch
+        assert "unreadable" in store.last_mismatch
+        with pytest.raises(CheckpointVersionError):
+            store.load(run.checkpoint_key, strict=True)
+
+        again = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        )
+        assert not again.resumed
+        assert_tables_equal(again.scans, first.scans)
+        assert_tables_equal(again.scans, scans2020)
+        assert store.load(run.checkpoint_key) is not None
+
     def test_key_separates_configurations(self, tmp_path, batch2020):
         path = self._trace(tmp_path, batch2020)
         store = CheckpointStore(tmp_path / "ckpt")
@@ -361,12 +406,16 @@ class TestCheckpointResume:
         from repro.core.fingerprints import ToolFingerprinter
 
         fp = ToolFingerprinter()
-        base = store.key_for(source.identity(), CampaignCriteria(), fp, 8192, None)
+        serial = (0, 1)
+        base = store.key_for(
+            source.identity(), CampaignCriteria(), fp, 8192, None, serial
+        )
         other_batch = store.key_for(
-            source.identity(), CampaignCriteria(), fp, 4096, None
+            source.identity(), CampaignCriteria(), fp, 4096, None, serial
         )
         other_criteria = store.key_for(
-            source.identity(), CampaignCriteria(min_rate_pps=10.0), fp, 8192, None
+            source.identity(), CampaignCriteria(min_rate_pps=10.0), fp, 8192,
+            None, serial,
         )
         assert len({base, other_batch, other_criteria}) == 3
 

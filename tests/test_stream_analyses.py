@@ -195,7 +195,7 @@ class TestStreamReport:
 
         windows_seen = {"n": 0}
 
-        def killer(stats):
+        def killer(shard, stats):
             windows_seen["n"] += 1
             if windows_seen["n"] == 3:
                 raise Killed()
