@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BENCH_DAYS, BENCH_MAX_PACKETS, BENCH_SEED
 from repro.core.campaigns import identify_scans
 from repro.core.fingerprints import ToolFingerprinter
 from repro.enrichment import ScannerClassifier
+from repro.simulation import TelescopeWorld
 from repro.stream import (
     BatchStreamSource,
     StreamConfig,
@@ -32,6 +34,20 @@ from repro.telescope import (
 def perf_batch(sims):
     """A ~300k-packet capture shared by the throughput benchmarks."""
     return sims[2020].batch
+
+
+def test_perf_simulate_year(benchmark):
+    """One calibrated period from parameters on a fresh world, no cache:
+    the stage that dominates a cold report."""
+    result = benchmark.pedantic(
+        lambda: TelescopeWorld(rng=BENCH_SEED).simulate_year(
+            2024, days=BENCH_DAYS, max_packets=BENCH_MAX_PACKETS
+        ),
+        rounds=3, iterations=1,
+    )
+    benchmark.extra_info["packets"] = len(result.batch)
+    benchmark.extra_info["campaigns"] = len(result.campaigns)
+    assert not result.cache_hit
 
 
 def test_perf_identify_scans(perf_batch, benchmark):

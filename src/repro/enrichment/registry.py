@@ -84,7 +84,7 @@ class InternetRegistry:
                 raise ValueError(
                     f"overlapping prefixes: {prev.block} and {cur.block}"
                 )
-        self._records: List[PrefixRecord] = ordered
+        self._records: Tuple[PrefixRecord, ...] = tuple(ordered)
         self._starts = np.array([r.block.first for r in ordered], dtype=np.uint32)
         self._ends = np.array([r.block.last for r in ordered], dtype=np.uint32)
         self._countries = np.array([r.country for r in ordered])
@@ -101,7 +101,7 @@ class InternetRegistry:
 
     @property
     def records(self) -> Tuple[PrefixRecord, ...]:
-        return tuple(self._records)
+        return self._records
 
     def lookup_indices(self, addresses: np.ndarray) -> np.ndarray:
         """Record index per address; -1 where unallocated."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro import __version__
 from repro._util.rng import stream_signature
-from repro.telescope.trace import read_trace, read_trace_meta, write_trace
+from repro.telescope.trace import TraceFormatError, read_trace, write_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.world import SimulationResult, TelescopeWorld
@@ -135,8 +135,8 @@ def _spec_from_json(data: Dict[str, Any]):
         scanner_type=ScannerType(data["scanner_type"]),
         tool=Tool(data["tool"]),
         country=data["country"],
-        src_ips=tuple(int(ip) for ip in data["src_ips"]),
-        ports=tuple(int(p) for p in data["ports"]),
+        src_ips=tuple(map(int, data["src_ips"])),
+        ports=tuple(map(int, data["ports"])),
         start=float(data["start"]),
         rate_pps=float(data["rate_pps"]),
         telescope_hits=int(data["telescope_hits"]),
@@ -211,6 +211,9 @@ class CaptureCache:
 
         The live world's telescope and registry are attached to the result;
         they are part of the key, so they match what produced the capture.
+        A damaged entry (truncated, emptied, overwritten, unreadable
+        metadata) or a foreign file squatting on the key's name is a miss;
+        the ``store`` that follows replaces it atomically.
         """
         from repro.simulation.config import year_config
         from repro.simulation.world import SimulationResult
@@ -219,12 +222,30 @@ class CaptureCache:
         if not path.exists():
             self.misses += 1
             return None
-        meta = read_trace_meta(path)
-        if meta.get("cache_key") != key:
-            # Foreign or damaged file squatting on the key's name.
+        try:
+            batch, meta = read_trace(path)
+            if meta.get("cache_key") != key:
+                raise TraceFormatError(f"{path} is not the entry for {key}")
+            result = SimulationResult(
+                year=int(meta["year"]),
+                config=year_config(int(meta["year"]), days=int(meta["days"])),
+                telescope=world.telescope,
+                registry=world.registry,
+                batch=batch,
+                campaigns=[_spec_from_json(s) for s in meta["campaigns"]],
+                packet_scale=float(meta["packet_scale"]),
+                scan_scale=float(meta["scan_scale"]),
+                background_sources=int(meta["background_sources"]),
+                backscatter_packets=int(meta["backscatter_packets"]),
+                coverage_cap=float(meta["coverage_cap"]),
+                cache_hit=True,
+            )
+        except (OSError, KeyError, ValueError):
+            # OSError: unreadable, or removed by a concurrent prune.
+            # ValueError: damaged bytes (TraceFormatError is one) or a bad
+            # field value.  KeyError: metadata that parses but lacks a field.
             self.misses += 1
             return None
-        batch, _ = read_trace(path)
         self.hits += 1
         # Refresh the entry's mtime so prune()'s LRU order tracks use, not
         # creation; best-effort (a concurrent prune may have removed it).
@@ -232,20 +253,7 @@ class CaptureCache:
             os.utime(path)
         except OSError:  # pragma: no cover - raced with prune/clear
             pass
-        return SimulationResult(
-            year=int(meta["year"]),
-            config=year_config(int(meta["year"]), days=int(meta["days"])),
-            telescope=world.telescope,
-            registry=world.registry,
-            batch=batch,
-            campaigns=[_spec_from_json(s) for s in meta["campaigns"]],
-            packet_scale=float(meta["packet_scale"]),
-            scan_scale=float(meta["scan_scale"]),
-            background_sources=int(meta["background_sources"]),
-            backscatter_packets=int(meta["backscatter_packets"]),
-            coverage_cap=float(meta["coverage_cap"]),
-            cache_hit=True,
-        )
+        return result
 
     def store(self, key: str, result: "SimulationResult") -> Path:
         """Persist a finished period under ``key`` (atomic)."""

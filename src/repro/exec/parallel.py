@@ -75,12 +75,14 @@ def simulate_years_parallel(
     results: Dict[int, "SimulationResult"] = {}
 
     pending = []
+    keys: Dict[int, str] = {}
     for year in ordered:
         hit = None
         if cache is not None:
-            key = cache.key_for(world, year, days=days, max_packets=max_packets,
-                                min_scans=min_scans)
-            hit = cache.load(key, world)
+            keys[year] = cache.key_for(world, year, days=days,
+                                       max_packets=max_packets,
+                                       min_scans=min_scans)
+            hit = cache.load(keys[year], world)
         if hit is not None:
             results[year] = hit
         else:
@@ -108,8 +110,6 @@ def simulate_years_parallel(
                     results[year] = result
         if cache is not None:
             for year in pending:
-                key = cache.key_for(world, year, days=days,
-                                    max_packets=max_packets, min_scans=min_scans)
-                cache.store(key, results[year])
+                cache.store(keys[year], results[year])
 
     return {year: results[year] for year in ordered}

@@ -16,6 +16,7 @@ Three behaviours the paper measures are produced here:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -127,6 +128,16 @@ class PortSelector:
         if np.any(weights < 0) or (weights.sum() <= 0 and tail_fraction < 1):
             raise ValueError("port weights must be non-negative and not all zero")
         self._probs = weights / weights.sum() if weights.sum() > 0 else weights
+        # The normalised cumulative weights ``Generator.choice(p=...)`` would
+        # rebuild (and re-validate) on every call; bisecting a uniform draw
+        # on them reproduces its output and consumes the same stream.
+        # ``None`` without named weight, where the tail takes every draw.
+        self._cdf: Optional[np.ndarray] = None
+        if self._ports.size and weights.sum() > 0:
+            self._cdf = np.cumsum(self._probs)
+            self._cdf /= self._cdf[-1]
+        self._port_list: List[int] = self._ports.tolist()
+        self._cdf_list: List[float] = [] if self._cdf is None else self._cdf.tolist()
         self._tail_fraction = tail_fraction
         self._tail_range = (lo, hi)
         self._alias_adoption = alias_adoption
@@ -147,8 +158,21 @@ class PortSelector:
                 lo, hi = self._tail_range
                 out[~tail] = generator.integers(lo, hi + 1, size=n_named)
             else:
-                out[~tail] = generator.choice(self._ports, size=n_named, p=self._probs)
+                picks = self._cdf.searchsorted(generator.random(n_named), side="right")
+                out[~tail] = self._ports[picks]
         return out
+
+    def _draw_one(self) -> int:
+        """One primary port: ``int(sample_primary(1)[0])`` without arrays.
+
+        Draws the same values from the generator in the same order, so the
+        two are interchangeable without moving any later draw.
+        """
+        generator = self._rng
+        if generator.random() < self._tail_fraction or not self._port_list:
+            lo, hi = self._tail_range
+            return int(generator.integers(lo, hi + 1))
+        return self._port_list[bisect_right(self._cdf_list, generator.random())]
 
     def sample_port_set(
         self, primary: int, count: int, force_alias: Optional[bool] = None
@@ -167,33 +191,29 @@ class PortSelector:
         primary = check_port("primary", primary)
         if count == 1:
             return np.array([primary], dtype=np.int64)
-        chosen: List[int] = [primary]
         if count > 1000:
             # Vertical scan: primary plus a contiguous window.
             start = int(self._rng.integers(1, max(2, 65536 - count)))
             window = np.arange(start, start + count - 1, dtype=np.int64)
             ports = np.unique(np.concatenate([np.array([primary]), window]))[:count]
             return ports
+        seen = {primary}
         aliases = alias_ports_of(primary)
         include_aliases = (
             force_alias if force_alias is not None
             else self._rng.random() < self._alias_adoption
         )
         if aliases and include_aliases:
-            chosen.extend(aliases[: count - 1])
+            seen.update(aliases[: count - 1])
         # The reachable pool may be smaller than ``count`` (few named ports,
         # no tail); bound the rejection sampling and top up with adjacent
         # ports, which is what small multi-port scans do in practice.
         attempts = 0
-        while len(chosen) < count and attempts < 20 * count:
-            extra = int(self.sample_primary(1)[0])
+        while len(seen) < count and attempts < 20 * count:
+            seen.add(self._draw_one())
             attempts += 1
-            if extra not in chosen:
-                chosen.append(extra)
         offset = 1
-        while len(chosen) < count:
-            candidate = (primary + offset - 1) % 65535 + 1
-            if candidate not in chosen:
-                chosen.append(candidate)
+        while len(seen) < count:
+            seen.add((primary + offset - 1) % 65535 + 1)
             offset += 1
-        return np.array(sorted(set(chosen))[:count], dtype=np.int64)
+        return np.array(sorted(seen), dtype=np.int64)

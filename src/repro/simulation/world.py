@@ -77,6 +77,20 @@ _COMMON_PORTS_FIRST: Tuple[int, ...] = (
 )
 
 
+def _institutional_port_order() -> np.ndarray:
+    """Every port 1-65535 in institutional priority order (read-only)."""
+    common = np.array(_COMMON_PORTS_FIRST, dtype=np.int64)
+    rest = np.ones(65536, dtype=bool)
+    rest[0] = False
+    rest[common] = False
+    order = np.concatenate([common, np.flatnonzero(rest).astype(np.int64)])
+    order.flags.writeable = False
+    return order
+
+
+_INSTITUTIONAL_PORT_ORDER = _institutional_port_order()
+
+
 @dataclass
 class SimulationResult:
     """A simulated measurement period plus its ground truth."""
@@ -141,6 +155,7 @@ class TelescopeWorld:
         )
         self.registry = registry if registry is not None else build_default_registry()
         self._prefix_cache: Dict[Tuple[Optional[str], AllocationType], List[int]] = {}
+        self._prefix_size_cache: Dict[Tuple[Optional[str], AllocationType], np.ndarray] = {}
         self._weekly_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._recurrence_pools: Dict[str, List[Tuple[int, str]]] = {}
 
@@ -420,8 +435,8 @@ class TelescopeWorld:
                 scanner_type=cohort.scanner_type,
                 tool=tool,
                 country=country,
-                src_ips=tuple(int(s) for s in src_ips),
-                ports=tuple(int(p) for p in ports),
+                src_ips=tuple(src_ips.tolist()),
+                ports=tuple(ports.tolist()),
                 start=float(starts[i]),
                 rate_pps=pps,
                 telescope_hits=hits,
@@ -457,6 +472,17 @@ class TelescopeWorld:
             self._prefix_cache[key] = indices
         return self._prefix_cache[key]
 
+    def _prefix_sizes(self, country: Optional[str], alloc: AllocationType) -> np.ndarray:
+        """Block sizes of ``_prefixes(country, alloc)``, as float weights."""
+        key = (country, alloc)
+        if key not in self._prefix_size_cache:
+            records = self.registry.records
+            self._prefix_size_cache[key] = np.array(
+                [records[i].block.size for i in self._prefixes(country, alloc)],
+                dtype=float,
+            )
+        return self._prefix_size_cache[key]
+
     def _weekly_weights(self, year: int, week: int) -> np.ndarray:
         """Per-prefix activity multipliers for one week.
 
@@ -490,9 +516,7 @@ class TelescopeWorld:
         alloc = _ALLOC_FOR_TYPE[cohort.scanner_type]
         indices = self._prefixes(country, alloc)
         weekly = self._weekly_weights(year, int(start // _WEEK))
-        weights = weekly[indices] * np.array(
-            [self.registry.records[i].block.size for i in indices], dtype=float
-        )
+        weights = weekly[indices] * self._prefix_sizes(country, alloc)
         if shards == 1:
             ips = self.registry.sample_from_prefixes(rng, indices, 1, weights=weights)
         else:
@@ -627,7 +651,7 @@ class TelescopeWorld:
                     }))
                 else:
                     chunk = port_priority[j % rotation::rotation]
-                    ports = tuple(int(p) for p in chunk) or (443,)
+                    ports = tuple(chunk.tolist()) or (443,)
                 coverage = min(1.0, hits_per / (self.telescope.size * len(ports)))
                 probes = coverage * IPV4_SPACE_SIZE * len(ports)
                 pps = float(rng.lognormal(np.log(profile.speed_pps), 0.5))
@@ -654,13 +678,7 @@ class TelescopeWorld:
     @staticmethod
     def _port_priority(covered: int) -> np.ndarray:
         """First ``covered`` ports in institutional priority order."""
-        rest = np.setdiff1d(
-            np.arange(1, 65536, dtype=np.int64),
-            np.array(_COMMON_PORTS_FIRST, dtype=np.int64),
-            assume_unique=False,
-        )
-        priority = np.concatenate([np.array(_COMMON_PORTS_FIRST, dtype=np.int64), rest])
-        return priority[:covered]
+        return _INSTITUTIONAL_PORT_ORDER[:covered]
 
     def _org_pool(self, organisation: str, n_sources: int, rng: np.random.Generator) -> np.ndarray:
         """Stable source-IP pool for one organisation."""
@@ -715,27 +733,29 @@ class TelescopeWorld:
         )
         country_probs /= country_probs.sum()
 
+        # Per-allocation prefix tables, shared by every week.
+        records = self.registry.records
+        allocs = []
+        for alloc, lo, hi in (
+            (AllocationType.RESIDENTIAL, 0.0, 0.7),
+            (AllocationType.UNKNOWN, 0.7, 1.0),
+        ):
+            indices = self._prefixes(None, alloc)
+            country_factor = np.array([
+                cfg.background_country_weights.get(records[i].country, 0.01)
+                for i in indices
+            ])
+            allocs.append(
+                (indices, self._prefix_sizes(None, alloc), country_factor, lo, hi)
+            )
+
         for week in np.unique(weeks):
             weekly = self._weekly_weights(cfg.year, int(week))
-            for alloc, lo, hi in (
-                (AllocationType.RESIDENTIAL, 0.0, 0.7),
-                (AllocationType.UNKNOWN, 0.7, 1.0),
-            ):
+            for indices, sizes_arr, country_factor, lo, hi in allocs:
                 mask = (weeks == week) & (alloc_draw >= lo) & (alloc_draw < hi)
                 count = int(mask.sum())
                 if count == 0:
                     continue
-                indices = self._prefixes(None, alloc)
-                sizes_arr = np.array(
-                    [self.registry.records[i].block.size for i in indices], dtype=float
-                )
-                country_of_prefix = np.array(
-                    [self.registry.records[i].country for i in indices]
-                )
-                country_factor = np.array([
-                    cfg.background_country_weights.get(c, 0.01)
-                    for c in country_of_prefix
-                ])
                 weights = weekly[indices] * sizes_arr * country_factor
                 src_ips[mask] = self.registry.sample_from_prefixes(
                     rng, indices, count, weights=weights

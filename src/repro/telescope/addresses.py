@@ -140,10 +140,19 @@ class AddressSet:
     """
 
     def __init__(self, addresses: Iterable[int]):
-        arr = np.asarray(sorted(set(int(a) for a in addresses)), dtype=np.uint32)
-        if arr.size and (int(arr[-1]) >= IPV4_SPACE_SIZE):
+        if isinstance(addresses, np.ndarray):
+            values = addresses.astype(np.int64, copy=False)
+        else:
+            try:
+                values = np.array([int(a) for a in addresses], dtype=np.int64)
+            except OverflowError:
+                raise ValueError("address out of IPv4 range") from None
+        values = np.sort(values, axis=None)
+        if values.size and (values[0] < 0 or values[-1] >= IPV4_SPACE_SIZE):
             raise ValueError("address out of IPv4 range")
-        self._addresses = arr
+        distinct = np.ones(values.size, dtype=bool)
+        np.not_equal(values[1:], values[:-1], out=distinct[1:])
+        self._addresses = values[distinct].astype(np.uint32)
 
     @classmethod
     def from_blocks(

@@ -56,6 +56,17 @@ class TraceFormatError(ValueError):
     """Raised when a trace file is malformed or truncated."""
 
 
+def _decode_meta(raw: bytes, path: Path) -> Dict[str, Any]:
+    """Parse a metadata block; damage raises :class:`TraceFormatError`."""
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise TraceFormatError(f"unreadable metadata block in {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise TraceFormatError(f"metadata block in {path} is not a JSON object")
+    return meta
+
+
 class TraceWriter:
     """Streaming trace writer; use as a context manager.
 
@@ -129,10 +140,17 @@ class TraceReader:
 
     def __enter__(self) -> "TraceReader":
         self._file = open(self._path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._file.close()
+            raise
+        return self
+
+    def _read_header(self) -> None:
         magic = self._file.read(len(MAGIC))
         self._offset = len(magic)
         if magic != MAGIC:
-            self._file.close()
             if magic.startswith(b"RTRACE"):
                 # Same family, different format revision: name both
                 # versions so multi-trace runs can tell which file is old.
@@ -142,10 +160,9 @@ class TraceReader:
                 )
             raise TraceFormatError(f"bad magic in {self._path}: {magic!r}")
         (meta_len,) = struct.unpack("<I", self._read_exact(4, "metadata length"))
-        self.meta = json.loads(
-            self._read_exact(meta_len, "metadata block").decode("utf-8")
+        self.meta = _decode_meta(
+            self._read_exact(meta_len, "metadata block"), self._path
         )
-        return self
 
     def _read_exact(self, count: int, context: str) -> bytes:
         data = self._file.read(count)
@@ -432,7 +449,7 @@ class MappedTraceReader:
                     f"truncated trace file {self._path}: short read of "
                     f"metadata block at byte offset {size} (batch 0)"
                 )
-            self.meta = json.loads(bytes(mm[len(MAGIC) + 4: meta_end]))
+            self.meta = _decode_meta(bytes(mm[len(MAGIC) + 4: meta_end]), self._path)
             self.index = TraceIndex.build(
                 mm, meta_end, size, self._path, self._strict
             )
@@ -557,9 +574,10 @@ def write_trace(
 def read_trace_meta(path: PathLike) -> Dict[str, Any]:
     """Read only a trace's metadata block, without touching the chunks.
 
-    Cache lookups and capture inventories need the meta (key, year, scales)
-    far more often than the packets; this stops after the JSON header, so it
-    costs a few kilobytes of I/O regardless of capture size.
+    This stops after the JSON header, so its cost is the header's size, not
+    the capture's.  That header is not always small: a capture-cache entry
+    stores its ground-truth campaign list there, megabytes of port numbers
+    for a period with full-range institutional sweeps.
     """
     with TraceReader(path) as reader:
         return reader.meta

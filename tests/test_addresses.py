@@ -158,3 +158,10 @@ class TestAddressSet:
     def test_space_fraction(self):
         s = AddressSet(range(1024))
         assert s.overlap_fraction_of_space() == pytest.approx(1024 / IPV4_SPACE_SIZE)
+
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of IPv4 range"):
+            AddressSet([7, bad])
+        with pytest.raises(ValueError, match="out of IPv4 range"):
+            AddressSet(np.array([7, bad], dtype=np.int64))

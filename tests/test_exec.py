@@ -6,6 +6,8 @@ count and in any simulation order, and the capture cache returns exactly
 what synthesis would have produced.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ def _simulate(workers, years=YEARS, seed=SEED, cache=None):
         years, days=DAYS, max_packets=MAX_PACKETS, min_scans=MIN_SCANS,
         workers=workers, cache=cache,
     )
+
+
+def _flip_meta_byte(data):
+    """XOR one byte in the middle of the JSON metadata block."""
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    at = 12 + meta_len // 2
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
+#: Ways a cache entry gets damaged on disk; each must read as a miss.
+DAMAGE = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "tail-cut": lambda data: data[:-7],
+    "emptied": lambda data: b"",
+    "garbage": lambda data: bytes(range(256)) * 8,
+    "meta-byte-flipped": _flip_meta_byte,
+    "meta-field-renamed": lambda data: data.replace(
+        b'"coverage_cap"', b'"coverage_cbp"', 1),
+}
 
 
 def _assert_batches_identical(a, b):
@@ -179,6 +200,27 @@ class TestCaptureCache:
                     meta={"cache_key": "not-the-key"})
         assert cache.load(key, world) is None
         assert cache.misses == 1
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_resimulated(self, tmp_path, damage):
+        def simulate(cache=None):
+            return TelescopeWorld(rng=SEED).simulate_year(
+                2015, days=DAYS, max_packets=MAX_PACKETS, min_scans=MIN_SCANS,
+                cache=cache)
+
+        uncached = simulate()
+        cache = CaptureCache(tmp_path / "cache")
+        simulate(cache)
+        (path,) = cache.entries()
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+
+        again = simulate(cache)
+        assert not again.cache_hit
+        _assert_results_identical(again, uncached)
+        # The re-simulation replaced the damaged file.
+        hit = simulate(cache)
+        assert hit.cache_hit
+        _assert_results_identical(hit, uncached)
 
     def test_clear(self, tmp_path):
         cache = CaptureCache(tmp_path / "cache")
