@@ -84,6 +84,30 @@ def test_perf_stream_identify(perf_batch, benchmark):
     assert len(table) > 100
 
 
+def test_perf_stream_identify_small_windows(perf_batch, benchmark):
+    """Streaming campaign identification at 4,096-packet windows.
+
+    Every window re-sorts the packets of the sessions still open from the
+    windows before it, so small windows are where that carry costs most.
+    """
+    engine = StreamEngine(config=StreamConfig(batch_size=4096))
+    holder = {}
+
+    def work():
+        result = engine.run(BatchStreamSource(perf_batch, batch_size=4096))
+        holder["stats"] = result.stats
+        return result.scans
+
+    table = benchmark.pedantic(work, rounds=3, iterations=1)
+    stats = holder["stats"]
+    benchmark.extra_info["packets"] = stats.packets
+    benchmark.extra_info["stream_packets_per_s"] = round(stats.packets_per_s)
+    benchmark.extra_info["peak_open_session_bytes"] = (
+        stats.peak_open_session_bytes
+    )
+    assert len(table) > 100
+
+
 def test_perf_stream_report(perf_batch, sims, benchmark):
     """The one-pass streaming paper report (identification + incremental
     analyses), the path 'repro-scan stream --report' exercises.

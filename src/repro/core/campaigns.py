@@ -358,10 +358,9 @@ def score_sessions(
     ``times``/``dsts`` hold the time-ordered packets of all sessions back to
     back (``dsts`` already as float64); ``offsets``/``counts`` delimit the
     sessions.  Every statistic is segment-local — nothing crosses session
-    boundaries — so scoring the same session in a different grouping (the
-    whole capture at once, or window-by-window as sessions finalise in
-    ``repro.stream``) yields bit-identical values.  Both the batch and the
-    incremental identifier go through this function for exactly that reason.
+    boundaries — so a session scores to the same bits whether the whole
+    capture is scored at once or ``repro.stream`` scores it in the window
+    that closes it.  :func:`identify_sessions` is its only caller.
     """
     start = times[offsets]
     end = times[offsets + counts - 1]
@@ -414,7 +413,32 @@ def identify_scans(
     """Bundle a packet batch into observed scans (§3.4) and fingerprint them.
 
     Sessions failing the distinct-destination or rate thresholds are dropped
-    (they are background noise, not Internet-wide scans).
+    (they are background noise, not Internet-wide scans).  Every session of
+    the batch is closed: this is :func:`identify_sessions` without a
+    watermark.
+    """
+    criteria = criteria if criteria is not None else CampaignCriteria()
+    fingerprinter = fingerprinter if fingerprinter is not None else ToolFingerprinter()
+    return identify_sessions(batch, criteria, fingerprinter)[0]
+
+
+def identify_sessions(
+    batch: PacketBatch,
+    criteria: CampaignCriteria,
+    fingerprinter: ToolFingerprinter,
+    watermark: Optional[float] = None,
+) -> Tuple[ScanTable, int, np.ndarray]:
+    """The one kernel that turns packets into scans.
+
+    Returns ``(scans, dropped, open_rows)``.  A session is *open* while a
+    packet at the ``watermark`` could still extend it
+    (``watermark - last_time <= expiry_s``, the negation of the ``>`` that
+    splits sessions); ``watermark=None`` closes every session.  Closed
+    sessions are scored: ``scans`` holds those that pass the thresholds and
+    ``dropped`` counts the rest.  Open sessions are never scored; their
+    packets come back as ``open_rows``, indices into ``batch`` in
+    ``(src, time, capture order)`` order, for ``repro.stream`` to carry into
+    the next window.
 
     This is the analysis hot path, so the per-source Python loop of the
     original implementation (kept as the executable spec in the test
@@ -424,10 +448,8 @@ def identify_scans(
     for the scans that survive all thresholds (port sets, header modes,
     fingerprinting).
     """
-    criteria = criteria if criteria is not None else CampaignCriteria()
-    fingerprinter = fingerprinter if fingerprinter is not None else ToolFingerprinter()
     if len(batch) == 0:
-        return ScanTable.empty()
+        return ScanTable.empty(), 0, np.array([], dtype=np.intp)
 
     # -- session table: one lexsort, boundaries where source or gap breaks --
     order = np.lexsort((batch.time, batch.src_ip))
@@ -444,12 +466,20 @@ def identify_scans(
     counts = session_ends - bounds
     n_sessions = bounds.size
 
+    if watermark is None:
+        closed = np.ones(n_sessions, dtype=bool)
+        open_rows = np.array([], dtype=np.intp)
+    else:
+        closed = (watermark - time_s[session_ends - 1]) > criteria.expiry_s
+        open_rows = order[np.repeat(~closed, counts)]
+    n_closed = int(np.count_nonzero(closed))
+
     # -- cheap prefilter: a session with < min_distinct_dsts packets cannot
     # have enough distinct destinations.  This alone drops the long tail of
     # background sources before any per-session work happens.
-    candidate = counts >= criteria.min_distinct_dsts
+    candidate = closed & (counts >= criteria.min_distinct_dsts)
     if not np.any(candidate):
-        return ScanTable.empty()
+        return ScanTable.empty(), n_closed, open_rows
 
     session_of_packet = np.repeat(np.arange(n_sessions), counts)
     cand_packets = candidate[session_of_packet]
@@ -477,7 +507,7 @@ def identify_scans(
     distinct_c = distinct_all[cand_ids]
     keep = distinct_c >= criteria.min_distinct_dsts
     if not np.any(keep):
-        return ScanTable.empty()
+        return ScanTable.empty(), n_closed, open_rows
 
     # -- per-session statistics over candidate packets (shared scorer) -----
     t_c = time_s[cand_packets]
@@ -488,7 +518,7 @@ def identify_scans(
 
     keep &= rate >= criteria.min_rate_pps
     if not np.any(keep):
-        return ScanTable.empty()
+        return ScanTable.empty(), n_closed, open_rows
 
     # -- survivor tail: grouped passes for ports/modes, a narrow Python
     # loop only for tool fingerprinting (bounded by its sample limit).
@@ -531,7 +561,7 @@ def identify_scans(
         tool_list.append(verdict.tool)
         match_list.append(verdict.match_fraction)
 
-    return ScanTable(
+    scans = ScanTable(
         src_ip=src_s[bounds[cand_ids[kept]]].astype(np.uint32),
         start=start_c[kept].astype(float),
         end=end_c[kept].astype(float),
@@ -548,4 +578,46 @@ def identify_scans(
         sequential=sequential[kept],
         window_mode=window_mode.astype(np.uint16),
         ttl_mode=ttl_mode.astype(np.uint8),
+    )
+    return scans, n_closed - kept.size, open_rows
+
+
+def merge_scan_tables(tables: List[ScanTable]) -> ScanTable:
+    """Concatenate tables of disjoint sessions into batch table order.
+
+    :func:`identify_scans` emits its rows in session order, i.e. sorted by
+    ``(src_ip, start)``; re-sorting the concatenated columns with
+    ``lexsort((start, src_ip))`` reproduces that order exactly, because
+    ``(src, start)`` pairs are unique (one source never starts two sessions
+    at the same instant).  The streaming identifier merges its per-window
+    tables this way, and the sharded engine its per-shard ones.
+    """
+    tables = [t for t in tables if len(t)]
+    if not tables:
+        return ScanTable.empty()
+    if len(tables) == 1:
+        return tables[0]
+    src = np.concatenate([t.src_ip for t in tables])
+    start = np.concatenate([t.start for t in tables])
+    order = np.lexsort((start, src))
+    port_sets = [ports for t in tables for ports in t.port_sets]
+    return ScanTable(
+        src_ip=src[order],
+        start=start[order],
+        end=np.concatenate([t.end for t in tables])[order],
+        packets=np.concatenate([t.packets for t in tables])[order],
+        distinct_dsts=np.concatenate(
+            [t.distinct_dsts for t in tables]
+        )[order],
+        port_sets=[port_sets[i] for i in order],
+        primary_port=np.concatenate([t.primary_port for t in tables])[order],
+        tool=np.concatenate([t.tool for t in tables])[order],
+        match_fraction=np.concatenate(
+            [t.match_fraction for t in tables]
+        )[order],
+        speed_pps=np.concatenate([t.speed_pps for t in tables])[order],
+        coverage=np.concatenate([t.coverage for t in tables])[order],
+        sequential=np.concatenate([t.sequential for t in tables])[order],
+        window_mode=np.concatenate([t.window_mode for t in tables])[order],
+        ttl_mode=np.concatenate([t.ttl_mode for t in tables])[order],
     )

@@ -8,7 +8,6 @@ spellings.
 This lives outside the :mod:`repro.lint.rules` package so that
 :mod:`repro.lint.project` can use it without triggering rule registration
 (the rules package imports project back — a cycle otherwise).
-:mod:`repro.lint.rules.common` re-exports everything for the rule modules.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint._ast import import_aliases, resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
-from repro.lint.rules.common import import_aliases, resolve
 
 _FLOAT_CALLS = {
     "float",

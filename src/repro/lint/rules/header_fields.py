@@ -20,9 +20,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.lint._ast import FIELD_BITS, import_aliases, int_literal, resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
-from repro.lint.rules.common import FIELD_BITS, import_aliases, int_literal, resolve
 
 _NUMPY_INT_BITS = {
     "numpy.uint8": (0, 8),

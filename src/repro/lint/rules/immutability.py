@@ -17,9 +17,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from repro.lint._ast import BATCH_COLUMNS
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
-from repro.lint.rules.common import BATCH_COLUMNS
 
 _MUTATOR_METHODS = {
     "sort", "fill", "partition", "put", "resize", "setflags", "byteswap",

@@ -17,9 +17,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
+from repro.lint._ast import annotation_text, import_aliases, resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
-from repro.lint.rules.common import annotation_text, import_aliases, resolve
 
 _DIRECT_CONSTRUCTORS = {
     "numpy.random.default_rng",

@@ -2,7 +2,9 @@
 
 Turns the batch pipeline into a bounded-memory, resumable one: chunked
 ingestion over ``.rtrace`` captures (:mod:`~repro.stream.source`), an
-incremental scan identifier stream-equivalent to batch ``identify_scans``
+incremental scan identifier that runs the batch kernel over each window
+plus the open sessions it carries from the windows before, so its table
+equals batch ``identify_scans`` by construction
 (:mod:`~repro.stream.incremental`), durable content-addressed checkpoints
 (:mod:`~repro.stream.checkpoint`), and a live progress/stats surface
 (:mod:`~repro.stream.stats`), all orchestrated by one engine,

@@ -1,9 +1,9 @@
 """Durable checkpoints for the streaming engine.
 
 A checkpoint is the full :class:`~repro.stream.incremental.IncrementalScanIdentifier`
-state after some prefix of committed windows — open-session buffers,
-finalised records, and the consumed-packet counter — serialised to one
-``.npz`` file.  A killed run resumes by restoring the newest checkpoint and
+state after some prefix of committed windows — the carry (the raw packets
+of the still-open sessions), the scans found so far, the counters and the
+watermark — serialised to one ``.npz`` file.  A killed run resumes by restoring the newest checkpoint and
 asking the source to skip the packets it already consumed; memoryless
 re-batching (see :mod:`repro.stream.source`) guarantees the resumed window
 sequence matches the original one exactly.
@@ -34,7 +34,7 @@ from repro.exec.cache import _canonical
 
 #: Bump when the snapshot array layout changes; stale checkpoints are then
 #: ignored (the stream simply restarts from the beginning).
-STREAM_SCHEMA_VERSION = 1
+STREAM_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 

@@ -5,9 +5,10 @@ partitions the capture's sources into ``n_shards`` by hash and walks each
 shard through one window loop (:func:`repro.stream.sharded._run_one_shard`):
 pull bounded windows from a :class:`~repro.stream.source.StreamSource`,
 keep the shard's packets, feed them to an
-:class:`~repro.stream.incremental.IncrementalScanIdentifier` (and the
-incremental analyses, when attached), and persist durable checkpoints at a
-configurable cadence.  The per-shard tables merge bit-identically into the
+:class:`~repro.stream.incremental.IncrementalScanIdentifier` (which runs
+the batch identification kernel over each window plus the open sessions it
+carries between windows) and to the incremental analyses, when attached,
+and persist durable checkpoints at a configurable cadence.  The per-shard tables merge bit-identically into the
 serial one (see :mod:`repro.stream.sharded`), so the serial run is simply
 the case ``n_shards=1, workers=0``.
 
@@ -22,7 +23,9 @@ callback fires — so however the process dies afterwards (including inside
 the callback), the newest checkpoint covers exactly the windows already
 reported.  A final snapshot lands before finalisation, which makes
 re-running a completed stream nearly free: resume skips every packet and
-finalisation replays from the restored state.
+finalisation replays from the restored state.  A checkpoint written under
+another ``STREAM_SCHEMA_VERSION`` is a recorded miss, and its shard
+restarts from packet 0.
 """
 
 from __future__ import annotations

@@ -1,45 +1,52 @@
 """Incremental scan identification: the streaming ``identify_scans``.
 
 :class:`IncrementalScanIdentifier` consumes time-ordered packet windows one
-at a time and maintains a mergeable per-source *session accumulator*; a
-session finalises once its idle gap exceeds the campaign criteria (or the
-stream ends) and is then scored through the exact same
-:func:`repro.core.campaigns.score_sessions` math as the batch path.
+at a time.  It holds no session state of its own: between windows it keeps
+the raw packets of the sessions that may still grow (the *carry*), and for
+each window it runs the batch kernel,
+:func:`repro.core.campaigns.identify_sessions`, over carry + window.  The
+kernel scores the sessions the watermark has closed and hands back the rows
+of the open ones, which become the next carry.
 
 Why the result is column-by-column **identical** to batch
 :func:`~repro.core.campaigns.identify_scans` at any window size:
 
-* Captures are time-ordered (``Telescope.observe`` sorts; the engine
-  enforces a monotone watermark), so appending each window's per-source,
-  time-sorted packet runs reproduces the batch path's global
-  ``lexsort((time, src_ip))`` order, including its stable tie-breaks.
-* Session boundaries depend only on per-source inter-packet gaps, which
-  windowing never changes.
-* Every per-session statistic in :func:`score_sessions` is segment-local,
-  so scoring sessions in finalisation groups (rather than all at once)
-  yields bit-identical floats; ports/modes/fingerprints are computed from
-  exact tallies and first-*k* buffers that match the batch definitions.
+* Captures are time-ordered (``Telescope.observe`` sorts; :meth:`consume`
+  rejects a window that starts before the watermark), so no later packet
+  can precede the watermark and a closed session can never grow again.
+* The carry keeps its packets in ``(src, time, capture order)`` order and
+  goes *before* the window, so the kernel's stable ``lexsort`` orders every
+  source's packets exactly as the batch path's global sort does, ties
+  included.
+* Every scan is then produced by the same code from the same packets in the
+  same order; the per-window tables merge into batch row order by
+  ``(src_ip, start)``.
 
-Memory model: open sessions buffer their own packets (times/destinations as
-column copies, ports as an exact count tally, header and fingerprint fields
-only up to their first-64 / sample-limit prefixes).  The idle-gap expiry
-continuously retires quiet sources, so the working set is bounded by the
-traffic active within one expiry window — independent of capture length.
+Memory model: the carry holds all ten columns of the packets of open
+sessions.  Only a source's last session can be open, and the idle-gap
+expiry continuously closes quiet sources, so the working set is bounded by
+the traffic active within one expiry window — independent of capture
+length.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.campaigns import CampaignCriteria, ScanTable, score_sessions
+# ``score_sessions`` is not called here; perfbench wraps it under this
+# module's name, so the import stays.
+from repro.core.campaigns import (  # noqa: F401
+    CampaignCriteria,
+    ScanTable,
+    identify_sessions,
+    merge_scan_tables,
+    score_sessions,
+)
 from repro.core.fingerprints import ToolFingerprinter
 from repro.scanners.base import Tool
 from repro.telescope.packet import PacketBatch
-
-#: Header-quirk modes use each session's first 64 packets (batch parity).
-_HEAD_LIMIT = 64
 
 
 class StreamOrderError(ValueError):
@@ -52,157 +59,11 @@ class StreamOrderError(ValueError):
     """
 
 
-def _whole(chunks: List[np.ndarray]) -> np.ndarray:
-    """Concatenate a chunked buffer (no-op view for the single-chunk case)."""
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def _batched_modes(heads: List[np.ndarray]) -> np.ndarray:
-    """Most frequent value of each array, ties broken toward the smallest.
-
-    Matches ``u, c = np.unique(h, return_counts=True); u[np.argmax(c)]``
-    per array (``np.unique`` sorts ascending and ``argmax`` takes the first
-    maximum), but packs every array into one sort: values are tagged with
-    their array ordinal in the high bits, so per-array tallies land in
-    contiguous, value-sorted runs of a single ``np.unique``.
-    """
-    lens = np.array([h.size for h in heads], dtype=np.int64)
-    ordinal = np.repeat(np.arange(len(heads), dtype=np.int64), lens)
-    packed = (ordinal << np.int64(16)) | np.concatenate(heads).astype(np.int64)
-    u, c = np.unique(packed, return_counts=True)
-    seg = u >> np.int64(16)
-    firsts = np.concatenate(
-        ([0], np.cumsum(np.bincount(seg, minlength=len(heads)))[:-1])
-    )
-    max_count = np.maximum.reduceat(c, firsts)
-    at_max = np.flatnonzero(c == max_count[seg])
-    # First at-max position per array = smallest value with the top count.
-    _, first_idx = np.unique(seg[at_max], return_index=True)
-    return u[at_max[first_idx]] & np.int64(0xFFFF)
-
-
-class _SessionState:
-    """Mergeable accumulator for one source's open session."""
-
-    __slots__ = (
-        "src", "count", "last_time", "times", "dsts", "dst_set",
-        "ports", "port_counts", "head_window", "head_ttl", "head_count",
-        "fp_cols", "fp_count", "buffered",
-    )
-
-    def __init__(self, src: int):
-        self.src = src
-        self.count = 0
-        self.last_time = 0.0
-        #: Chunked column buffers (copies, so window arrays are not pinned).
-        self.times: List[np.ndarray] = []
-        self.dsts: List[np.ndarray] = []
-        #: Exact distinct-destination sketch: a sorted-unique merge.  Kept
-        #: incrementally so live stats can count candidate sessions and
-        #: finalisation needs no full-buffer unique pass.
-        self.dst_set = np.array([], dtype=np.uint32)
-        #: Exact port tally (sorted distinct ports + multiplicities).
-        self.ports = np.array([], dtype=np.int64)
-        self.port_counts = np.array([], dtype=np.int64)
-        self.head_window: List[np.ndarray] = []
-        self.head_ttl: List[np.ndarray] = []
-        self.head_count = 0
-        #: First sample-limit packets of (ip_id, seq, dst_ip, dst_port,
-        #: src_port) for tool fingerprinting.
-        self.fp_cols: Tuple[List[np.ndarray], ...] = ([], [], [], [], [])
-        self.fp_count = 0
-        self.buffered = 0
-
-    def append(
-        self,
-        times: np.ndarray,
-        dsts: np.ndarray,
-        ports: np.ndarray,
-        windows: np.ndarray,
-        ttls: np.ndarray,
-        fp_slices: Tuple[np.ndarray, ...],
-        fp_limit: int,
-        copy: bool = True,
-        dst_distinct: Optional[np.ndarray] = None,
-        port_tally: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> int:
-        """Merge one time-ordered packet run; returns buffered-byte delta.
-
-        ``copy=False`` keeps zero-copy views of the input slices instead of
-        snapshotting them — only safe when the session is retired (scored or
-        dropped) before the window arrays go away, i.e. within the same
-        ``consume`` call.  Sessions that stay open across windows must copy,
-        or they would pin every window they ever touched.
-
-        ``dst_distinct`` / ``port_tally`` hand in this run's sorted
-        distinct destinations and its ``(sorted ports, multiplicities)``
-        tally when the caller already computed them in a batched pass; they
-        replace the per-state ``np.unique`` calls and merge identically
-        (``union1d`` deduplicates either way).
-        """
-        n = times.size
-        t = times.copy() if copy else times
-        d = dsts.copy() if copy else dsts
-        self.times.append(t)
-        self.dsts.append(d)
-        delta = t.nbytes + d.nbytes
-
-        if self.dst_set.size == 0:
-            if dst_distinct is not None:
-                self.dst_set = dst_distinct.copy() if copy else dst_distinct
-            else:
-                self.dst_set = np.unique(d)
-        else:
-            self.dst_set = np.union1d(
-                self.dst_set, d if dst_distinct is None else dst_distinct
-            )
-
-        if port_tally is not None:
-            u, c = port_tally
-        else:
-            u, c = np.unique(ports.astype(np.int64), return_counts=True)
-        if self.ports.size == 0:
-            if copy and port_tally is not None:
-                u, c = u.copy(), c.copy()
-            self.ports, self.port_counts = u, c
-        else:
-            allp = np.concatenate([self.ports, u])
-            allc = np.concatenate([self.port_counts, c])
-            order = np.argsort(allp, kind="stable")
-            allp, allc = allp[order], allc[order]
-            firsts = np.flatnonzero(
-                np.concatenate(([True], allp[1:] != allp[:-1]))
-            )
-            self.ports = allp[firsts]
-            self.port_counts = np.add.reduceat(allc, firsts)
-
-        if self.head_count < _HEAD_LIMIT:
-            take = min(_HEAD_LIMIT - self.head_count, n)
-            w = windows[:take].copy() if copy else windows[:take]
-            tt = ttls[:take].copy() if copy else ttls[:take]
-            self.head_window.append(w)
-            self.head_ttl.append(tt)
-            self.head_count += take
-            delta += w.nbytes + tt.nbytes
-        if self.fp_count < fp_limit:
-            take = min(fp_limit - self.fp_count, n)
-            for store, col in zip(self.fp_cols, fp_slices):
-                piece = col[:take].copy() if copy else col[:take]
-                store.append(piece)
-                delta += piece.nbytes
-            self.fp_count += take
-
-        self.count += n
-        self.last_time = float(times[n - 1])
-        self.buffered += delta
-        return delta
-
-
 class IncrementalScanIdentifier:
     """Streaming equivalent of :func:`repro.core.campaigns.identify_scans`.
 
     Feed time-ordered windows to :meth:`consume`; call :meth:`finalize` once
-    the stream ends to retire the remaining open sessions and obtain the
+    the stream ends to close the remaining open sessions and obtain the
     :class:`ScanTable`.  State between windows is exposed via
     :meth:`snapshot` / :meth:`restore` for durable checkpoints.
     """
@@ -216,539 +77,173 @@ class IncrementalScanIdentifier:
         self.fingerprinter = (
             fingerprinter if fingerprinter is not None else ToolFingerprinter()
         )
-        self._open: Dict[int, _SessionState] = {}
+        self._carry = PacketBatch.empty()
+        self._tables: List[ScanTable] = []
         self.packets_consumed = 0
         self.windows_consumed = 0
         self.watermark = float("-inf")
         self.sessions_discarded = 0
-        self.buffered_bytes = 0
-        #: High-water mark of ``buffered_bytes`` (open-session buffers).
-        #: Not checkpointed: after a restore it restarts from the resumed
-        #: working set, i.e. it is the peak *since resume*.
+        #: High-water mark of ``buffered_bytes`` after each window.  Not
+        #: checkpointed: after a restore it restarts from the resumed carry,
+        #: i.e. it is the peak *since resume*.
         self.peak_buffered_bytes = 0
-        # Columnar store of finalised scans (sorted into table order at the
-        # very end; completion order is irrelevant after that sort).
-        self._rec_src: List[int] = []
-        self._rec_start: List[float] = []
-        self._rec_end: List[float] = []
-        self._rec_packets: List[int] = []
-        self._rec_distinct: List[int] = []
-        self._rec_port_sets: List[np.ndarray] = []
-        self._rec_primary: List[int] = []
-        self._rec_tool: List[Tool] = []
-        self._rec_match: List[float] = []
-        self._rec_speed: List[float] = []
-        self._rec_coverage: List[float] = []
-        self._rec_sequential: List[bool] = []
-        self._rec_window: List[int] = []
-        self._rec_ttl: List[int] = []
 
     # -- live gauges --------------------------------------------------------
 
     @property
     def open_sessions(self) -> int:
-        return len(self._open)
+        """Distinct sources in the carry (only a last session is open)."""
+        src = self._carry.src_ip
+        return int(np.count_nonzero(src[1:] != src[:-1])) + 1 if src.size else 0
 
     @property
     def open_packets(self) -> int:
-        return sum(state.count for state in self._open.values())
+        return len(self._carry)
+
+    @property
+    def buffered_bytes(self) -> int:
+        return self._carry.memory_bytes()
+
+    @property
+    def scans_found(self) -> int:
+        return sum(len(table) for table in self._tables)
 
     @property
     def candidate_sessions(self) -> int:
         """Open sessions already past the distinct-destination threshold."""
-        threshold = self.criteria.min_distinct_dsts
-        return sum(
-            1 for state in self._open.values() if state.dst_set.size >= threshold
-        )
-
-    @property
-    def scans_found(self) -> int:
-        return len(self._rec_src)
+        carry = self._carry
+        if len(carry) == 0:
+            return 0
+        pairs = np.unique(np.stack([carry.src_ip, carry.dst_ip]), axis=1)
+        _, per_src = np.unique(pairs[0], return_counts=True)
+        return int(np.count_nonzero(per_src >= self.criteria.min_distinct_dsts))
 
     # -- streaming ----------------------------------------------------------
 
     def consume(self, batch: PacketBatch) -> None:
         """Ingest one window (a contiguous, time-ordered stream slice)."""
-        self.windows_consumed += 1
-        n = len(batch)
-        if n == 0:
-            return
-        expiry = self.criteria.expiry_s
-        t = batch.time
-        tmin = float(t.min())
-        if self.packets_consumed and tmin < self.watermark:
-            raise StreamOrderError(
-                f"window starts at t={tmin:.6f}, before the stream watermark "
-                f"{self.watermark:.6f}; the incremental identifier needs a "
-                f"time-ordered stream"
-            )
-
-        # Window-local grouping: identical to the batch path's global
-        # lexsort restricted to this window (stable tie-breaks and all).
-        order = np.lexsort((t, batch.src_ip))
-        s_o = batch.src_ip[order]
-        t_o = batch.time[order]
-        d_o = batch.dst_ip[order]
-        p_o = batch.dst_port[order]
-        w_o = batch.window[order]
-        ttl_o = batch.ttl[order]
-        ipid_o = batch.ip_id[order]
-        seq_o = batch.seq[order]
-        sp_o = batch.src_port[order]
-
-        starts = np.flatnonzero(np.concatenate(([True], s_o[1:] != s_o[:-1])))
-        ends = np.append(starts[1:], n)
-        min_packets = self.criteria.min_distinct_dsts
-        fp_limit = self.fingerprinter.sample_limit
-        pending: List[_SessionState] = []
-
-        # Fast path for *ephemeral* sources: no open state to attach to, and
-        # their last packet is already more than the expiry gap behind this
-        # window's maximum time, so every one of their sessions both opens
-        # and watermark-expires inside this single window.  At telescope
-        # scale this is the overwhelming majority (background radiation that
-        # probes a handful of addresses and vanishes), and the per-source
-        # Python loop is what capped the serial path.  These sources never
-        # enter ``_open``: sub-threshold segments are counted as discarded
-        # in one vectorised pass, and only candidate segments pay for a
-        # (zero-copy, retire-immediately) ``_SessionState``.  Slow sources —
-        # anything with attached or lingering state — still take the exact
-        # per-source loop below, so the stream semantics are unchanged.
-        wmax = float(t.max())
-        group_src = s_o[starts]
-        group_last = t_o[ends - 1]
-        if self._open:
-            open_srcs = np.fromiter(
-                self._open.keys(), dtype=np.uint32, count=len(self._open)
-            )
-            has_open = np.isin(group_src, open_srcs)
-        else:
-            has_open = np.zeros(group_src.size, dtype=bool)
-        slow_group = has_open | ((wmax - group_last) <= expiry)
-
-        # Global segment table: a new session segment starts where the
-        # source changes or the in-source idle gap exceeds the expiry —
-        # exactly the per-source ``np.diff`` cuts of the serial
-        # formulation, computed once for the whole window.
-        brk = np.empty(n, dtype=bool)
-        brk[0] = True
-        if n > 1:
-            brk[1:] = (s_o[1:] != s_o[:-1]) | (np.diff(t_o) > expiry)
-        seg_starts = np.flatnonzero(brk)
-        seg_ends = np.append(seg_starts[1:], n)
-        seg_len = seg_ends - seg_starts
-        seg_group = np.searchsorted(starts, seg_starts, side="right") - 1
-        fast_seg = ~slow_group[seg_group]
-
-        # Sub-threshold fast segments can never reach the
-        # distinct-destination threshold: discarded without any state.
-        small_fast = fast_seg & (seg_len < min_packets)
-        self.sessions_discarded += int(np.count_nonzero(small_fast))
-
-        def packed_tally(
-            segs: np.ndarray, values: np.ndarray, bits: int
-        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Per-segment sorted-unique tallies in one pass.
-
-            Tags each value with its segment ordinal in the high bits and
-            sorts once; per-segment results are then contiguous slices of
-            the sorted array.  Replaces one ``np.unique`` per segment with
-            a single ``np.unique`` per window.  Returns ``(values, counts,
-            offsets)`` where segment ``i`` owns ``values[offsets[i]:
-            offsets[i + 1]]`` (sorted distinct) with multiplicities
-            ``counts[...]``.
-            """
-            lens = seg_len[segs]
-            total = int(lens.sum())
-            ordinal = np.repeat(np.arange(segs.size, dtype=np.int64), lens)
-            idx = (
-                np.repeat(seg_starts[segs] - (np.cumsum(lens) - lens), lens)
-                + np.arange(total)
-            )
-            packed = (ordinal << np.int64(bits)) | values[idx].astype(
-                np.int64
-            )
-            u, c = np.unique(packed, return_counts=True)
-            per_seg = np.bincount(u >> np.int64(bits), minlength=segs.size)
-            vals = u & np.int64((1 << bits) - 1)
-            offsets = np.concatenate(([0], np.cumsum(per_seg)))
-            return vals, c, offsets
-
-        # Batched destination tallies for every segment that may need them
-        # (fast candidates for the threshold check, slow segments to seed
-        # their state append); position lookup maps a global segment index
-        # into the tally arrays.
-        tally_segs = np.flatnonzero(~small_fast)
-        tally_pos = np.full(seg_starts.size, -1, dtype=np.int64)
-        tally_pos[tally_segs] = np.arange(tally_segs.size)
-        dst_vals_i64, _, dst_offs = packed_tally(tally_segs, d_o, 32)
-        dst_vals = dst_vals_i64.astype(np.uint32)
-        dst_n = np.diff(dst_offs)
-
-        fast_tally = fast_seg[tally_segs]
-        ok = dst_n >= min_packets
-        # Fast candidates failing the distinct threshold: discarded without
-        # any state either.
-        self.sessions_discarded += int(np.count_nonzero(fast_tally & ~ok))
-
-        # Port tallies only where a state will actually be built: passing
-        # fast segments plus every slow segment.
-        port_mask = (fast_tally & ok) | ~fast_tally
-        port_segs = tally_segs[port_mask]
-        port_pos = np.full(seg_starts.size, -1, dtype=np.int64)
-        port_pos[port_segs] = np.arange(port_segs.size)
-        port_vals, port_counts, port_offs = packed_tally(port_segs, p_o, 16)
-
-        def seg_append(
-            state: _SessionState, k: int, copy: bool
-        ) -> int:
-            """Append global segment ``k`` to ``state`` with its tallies."""
-            a0, a1 = int(seg_starts[k]), int(seg_ends[k])
-            ti, pi = int(tally_pos[k]), int(port_pos[k])
-            return state.append(
-                t_o[a0:a1], d_o[a0:a1], p_o[a0:a1], w_o[a0:a1],
-                ttl_o[a0:a1],
-                (ipid_o[a0:a1], seq_o[a0:a1], d_o[a0:a1], p_o[a0:a1],
-                 sp_o[a0:a1]),
-                fp_limit,
-                copy=copy,
-                dst_distinct=dst_vals[dst_offs[ti]:dst_offs[ti + 1]],
-                port_tally=(
-                    port_vals[port_offs[pi]:port_offs[pi + 1]],
-                    port_counts[port_offs[pi]:port_offs[pi + 1]],
-                ),
-            )
-
-        # Fast path: ephemeral sources whose sessions open *and*
-        # watermark-expire inside this window.  They never enter ``_open``;
-        # each passing segment pays only for a zero-copy,
-        # retire-immediately state.
-        for k in tally_segs[fast_tally & ok].tolist():
-            state = _SessionState(int(s_o[seg_starts[k]]))
-            seg_append(state, k, copy=False)
-            pending.append(state)
-
-        # Slow path: sources with attached or lingering state take the
-        # serial per-source walk (segment bounds and tallies now come from
-        # the global tables, so the semantics are unchanged).
-        slow_idx = np.flatnonzero(slow_group)
-        seg_lo = np.searchsorted(seg_group, slow_idx, side="left")
-        seg_hi = np.searchsorted(seg_group, slow_idx, side="right")
-        for g, k0, k1 in zip(
-            slow_idx.tolist(), seg_lo.tolist(), seg_hi.tolist()
-        ):
-            src = int(group_src[g])
-            state = self._open.get(src)
-            for k in range(k0, k1):
-                a0 = int(seg_starts[k])
-                if (
-                    state is not None
-                    and float(t_o[a0]) - state.last_time > expiry
-                ):
-                    self._retire(state, pending)
-                    state = None
-                last_segment = k == k1 - 1
-                if state is None:
-                    # A segment known-complete within this window that is
-                    # too small to have enough distinct destinations can be
-                    # dropped without ever building a state (the batch
-                    # path's cheap prefilter, applied eagerly).
-                    if not last_segment and int(seg_len[k]) < min_packets:
-                        self.sessions_discarded += 1
-                        continue
-                    state = _SessionState(src)
-                # Only a last segment can leave the state open past this
-                # ``consume`` call; earlier segments are retired right away
-                # and may keep zero-copy views.
-                self.buffered_bytes += seg_append(
-                    state, k, copy=last_segment
+        if len(batch):
+            tmin = float(batch.time.min())
+            if self.packets_consumed and tmin < self.watermark:
+                raise StreamOrderError(
+                    f"window starts at t={tmin:.6f}, before the stream "
+                    f"watermark {self.watermark:.6f}; the incremental "
+                    f"identifier needs a time-ordered stream"
                 )
-                if not last_segment:
-                    self._retire(state, pending)
-                    state = None
-            if state is not None:
-                self._open[src] = state
-            else:
-                self._open.pop(src, None)
-
-        # Watermark finalisation: future packets can only arrive at or after
-        # this window's maximum time, so a source idle for more than the
-        # expiry gap can never extend its session again.
-        self.watermark = max(self.watermark, wmax)
-        if self.buffered_bytes > self.peak_buffered_bytes:
-            # Peak *before* the sweep: the retiring sessions were genuinely
-            # buffered up to this point.
-            self.peak_buffered_bytes = self.buffered_bytes
-        expired = [
-            src for src, state in self._open.items()
-            if self.watermark - state.last_time > expiry
-        ]
-        for src in expired:
-            self._retire(self._open.pop(src), pending)
-
-        self.packets_consumed += n
-        if pending:
-            self._commit(pending)
+            # Later packets arrive at or after this window's maximum time.
+            self.watermark = max(self.watermark, float(batch.time.max()))
+            # Carry first: the kernel's stable sort then keeps capture order
+            # among packets with equal (src, time).
+            self._run(
+                PacketBatch.concat([self._carry, batch])
+                if len(self._carry) else batch,
+                self.watermark,
+            )
+            self.packets_consumed += len(batch)
+            self.peak_buffered_bytes = max(
+                self.peak_buffered_bytes, self.buffered_bytes
+            )
+        self.windows_consumed += 1
 
     def finalize(self) -> ScanTable:
-        """Retire every remaining open session and build the scan table.
+        """Close every remaining open session and build the scan table."""
+        self._run(self._carry, None)
+        self._tables = [merge_scan_tables(self._tables)]
+        return self._tables[0]
 
-        The records are sorted by (source, start time), which is exactly the
-        session order the batch path's ``lexsort((time, src_ip))`` produces.
-        """
-        pending: List[_SessionState] = []
-        for src in list(self._open):
-            self._retire(self._open.pop(src), pending)
-        if pending:
-            self._commit(pending)
-        if not self._rec_src:
-            return ScanTable.empty()
-        src = np.array(self._rec_src, dtype=np.uint32)
-        start = np.array(self._rec_start, dtype=float)
-        order = np.lexsort((start, src))
-        return ScanTable(
-            src_ip=src[order],
-            start=start[order],
-            end=np.array(self._rec_end, dtype=float)[order],
-            packets=np.array(self._rec_packets, dtype=np.int64)[order],
-            distinct_dsts=np.array(self._rec_distinct, dtype=np.int64)[order],
-            port_sets=[self._rec_port_sets[i] for i in order],
-            primary_port=np.array(self._rec_primary, dtype=np.uint16)[order],
-            tool=np.array(self._rec_tool, dtype=object)[order],
-            match_fraction=np.array(self._rec_match, dtype=float)[order],
-            speed_pps=np.array(self._rec_speed, dtype=float)[order],
-            coverage=np.array(self._rec_coverage, dtype=float)[order],
-            sequential=np.array(self._rec_sequential, dtype=bool)[order],
-            window_mode=np.array(self._rec_window, dtype=np.uint16)[order],
-            ttl_mode=np.array(self._rec_ttl, dtype=np.uint8)[order],
+    def _run(self, packets: PacketBatch, watermark: Optional[float]) -> None:
+        scans, dropped, open_rows = identify_sessions(
+            packets, self.criteria, self.fingerprinter, watermark
         )
-
-    # -- internals ----------------------------------------------------------
-
-    def _retire(
-        self, state: _SessionState, pending: List[_SessionState]
-    ) -> None:
-        """Close a session: queue it for scoring, or drop it outright."""
-        self.buffered_bytes -= state.buffered
-        threshold = self.criteria.min_distinct_dsts
-        if state.count >= threshold and state.dst_set.size >= threshold:
-            pending.append(state)
-        else:
-            self.sessions_discarded += 1
-
-    def _commit(self, pending: List[_SessionState]) -> None:
-        """Score a group of closed candidate sessions (batch-exact)."""
-        counts = np.array([state.count for state in pending], dtype=np.int64)
-        offsets = np.concatenate(
-            ([0], np.cumsum(counts)[:-1])
-        ).astype(np.int64)
-        times = np.concatenate(
-            [chunk for state in pending for chunk in state.times]
-        )
-        dsts = np.concatenate(
-            [chunk for state in pending for chunk in state.dsts]
-        ).astype(np.float64)
-        start, end, sequential, rate = score_sessions(
-            times, dsts, offsets, counts, self.criteria
-        )
-        min_rate = self.criteria.min_rate_pps
-        keep: List[int] = []
-        for i in range(len(pending)):
-            if rate[i] < min_rate:
-                self.sessions_discarded += 1
-            else:
-                keep.append(i)
-        if not keep:
-            return
-        # Header-quirk modes of all kept sessions in one batched pass (the
-        # heads are at most 64 packets each, so one sort over the lot beats
-        # two ``np.unique`` calls per session).
-        window_modes = _batched_modes(
-            [_whole(pending[i].head_window) for i in keep]
-        )
-        ttl_modes = _batched_modes([_whole(pending[i].head_ttl) for i in keep])
-        for j, i in enumerate(keep):
-            self._record(pending[i], float(start[i]), float(end[i]),
-                         bool(sequential[i]), float(rate[i]),
-                         int(window_modes[j]), int(ttl_modes[j]))
-
-    def _record(
-        self,
-        state: _SessionState,
-        start: float,
-        end: float,
-        sequential: bool,
-        rate: float,
-        window_mode: int,
-        ttl_mode: int,
-    ) -> None:
-        distinct = int(state.dst_set.size)
-        verdict = self.fingerprinter.fingerprint_arrays(
-            *(_whole(chunks) for chunks in state.fp_cols)
-        )
-        self._rec_src.append(state.src)
-        self._rec_start.append(start)
-        self._rec_end.append(end)
-        self._rec_packets.append(state.count)
-        self._rec_distinct.append(distinct)
-        self._rec_port_sets.append(state.ports)
-        self._rec_primary.append(int(state.ports[int(np.argmax(state.port_counts))]))
-        self._rec_tool.append(verdict.tool)
-        self._rec_match.append(verdict.match_fraction)
-        self._rec_speed.append(rate)
-        self._rec_coverage.append(
-            min(1.0, distinct / self.criteria.telescope_size)
-        )
-        self._rec_sequential.append(sequential)
-        self._rec_window.append(window_mode)
-        self._rec_ttl.append(ttl_mode)
+        # Fancy indexing copies, so the carry never pins a mapped window.
+        self._carry = packets[open_rows]
+        self.sessions_discarded += dropped
+        self._tables.append(scans)
 
     # -- checkpoint state ----------------------------------------------------
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Serialise the full mid-stream state into flat numpy arrays.
 
-        Variable-length per-session data (buffers, tallies) is stored as
-        concatenated value arrays plus ``int64`` offset arrays of length
-        ``n_sessions + 1``; the finalised records the same way.  The result
-        round-trips through ``np.savez`` untouched.
+        The carry's ten columns, the scans found so far (port sets as one
+        value array plus ``int64`` offsets), the counters and the
+        watermark.  The result round-trips through ``np.savez`` untouched.
         """
-        states = list(self._open.values())
-
-        def offsets_of(sizes: List[int]) -> np.ndarray:
-            return np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-
-        def cat(chunks: List[np.ndarray], dtype) -> np.ndarray:
-            if not chunks:
-                return np.array([], dtype=dtype)
-            return np.concatenate(chunks).astype(dtype, copy=False)
-
-        fp_chunks: Tuple[List[np.ndarray], ...] = ([], [], [], [], [])
-        for state in states:
-            for store, chunks in zip(fp_chunks, state.fp_cols):
-                store.extend(chunks)
+        self._tables = [merge_scan_tables(self._tables)]
+        carry, rec = self._carry, self._tables[0]
         return {
-            "open_src": np.array([s.src for s in states], dtype=np.uint32),
-            "open_count": np.array([s.count for s in states], dtype=np.int64),
-            "open_last_time": np.array(
-                [s.last_time for s in states], dtype=np.float64
-            ),
-            "open_buf_offsets": offsets_of([s.count for s in states]),
-            "open_times": cat(
-                [c for s in states for c in s.times], np.float64
-            ),
-            "open_dsts": cat([c for s in states for c in s.dsts], np.uint32),
-            "open_ports_offsets": offsets_of([s.ports.size for s in states]),
-            "open_ports": cat([s.ports for s in states], np.int64),
-            "open_port_counts": cat(
-                [s.port_counts for s in states], np.int64
-            ),
-            "open_head_offsets": offsets_of([s.head_count for s in states]),
-            "open_head_window": cat(
-                [c for s in states for c in s.head_window], np.uint16
-            ),
-            "open_head_ttl": cat(
-                [c for s in states for c in s.head_ttl], np.uint8
-            ),
-            "open_fp_offsets": offsets_of([s.fp_count for s in states]),
-            "open_fp_ip_id": cat(fp_chunks[0], np.uint16),
-            "open_fp_seq": cat(fp_chunks[1], np.uint32),
-            "open_fp_dst_ip": cat(fp_chunks[2], np.uint32),
-            "open_fp_dst_port": cat(fp_chunks[3], np.uint16),
-            "open_fp_src_port": cat(fp_chunks[4], np.uint16),
+            "carry_time": carry.time,
+            "carry_src_ip": carry.src_ip,
+            "carry_dst_ip": carry.dst_ip,
+            "carry_src_port": carry.src_port,
+            "carry_dst_port": carry.dst_port,
+            "carry_ip_id": carry.ip_id,
+            "carry_seq": carry.seq,
+            "carry_ttl": carry.ttl,
+            "carry_window": carry.window,
+            "carry_flags": carry.flags,
             "counters": np.array(
                 [self.packets_consumed, self.windows_consumed,
                  self.sessions_discarded],
                 dtype=np.int64,
             ),
             "watermark": np.array([self.watermark], dtype=np.float64),
-            "rec_src": np.array(self._rec_src, dtype=np.uint32),
-            "rec_start": np.array(self._rec_start, dtype=np.float64),
-            "rec_end": np.array(self._rec_end, dtype=np.float64),
-            "rec_packets": np.array(self._rec_packets, dtype=np.int64),
-            "rec_distinct": np.array(self._rec_distinct, dtype=np.int64),
-            "rec_ports_offsets": offsets_of(
-                [ports.size for ports in self._rec_port_sets]
+            "rec_src": rec.src_ip,
+            "rec_start": rec.start,
+            "rec_end": rec.end,
+            "rec_packets": rec.packets,
+            "rec_distinct": rec.distinct_dsts,
+            "rec_ports_offsets": np.concatenate(
+                ([0], np.cumsum(rec.n_ports))
+            ).astype(np.int64),
+            "rec_ports": (
+                np.concatenate(rec.port_sets).astype(np.int64)
+                if len(rec) else np.array([], dtype=np.int64)
             ),
-            "rec_ports": cat(list(self._rec_port_sets), np.int64),
-            "rec_primary": np.array(self._rec_primary, dtype=np.uint16),
+            "rec_primary": rec.primary_port,
             "rec_tool": np.array(
-                [str(tool.value) for tool in self._rec_tool], dtype=np.str_
+                [str(tool.value) for tool in rec.tool], dtype=np.str_
             ),
-            "rec_match": np.array(self._rec_match, dtype=np.float64),
-            "rec_speed": np.array(self._rec_speed, dtype=np.float64),
-            "rec_coverage": np.array(self._rec_coverage, dtype=np.float64),
-            "rec_sequential": np.array(self._rec_sequential, dtype=bool),
-            "rec_window": np.array(self._rec_window, dtype=np.uint16),
-            "rec_ttl": np.array(self._rec_ttl, dtype=np.uint8),
+            "rec_match": rec.match_fraction,
+            "rec_speed": rec.speed_pps,
+            "rec_coverage": rec.coverage,
+            "rec_sequential": rec.sequential,
+            "rec_window": rec.window_mode,
+            "rec_ttl": rec.ttl_mode,
         }
 
     def restore(self, arrays: Dict[str, np.ndarray]) -> None:
         """Rebuild mid-stream state from a :meth:`snapshot` payload."""
-        self._open.clear()
-        self.buffered_bytes = 0
-        self.peak_buffered_bytes = 0
-        fp_limit = self.fingerprinter.sample_limit
-        src_arr = arrays["open_src"]
-        buf_off = arrays["open_buf_offsets"]
-        ports_off = arrays["open_ports_offsets"]
-        head_off = arrays["open_head_offsets"]
-        fp_off = arrays["open_fp_offsets"]
-        for i in range(src_arr.size):
-            state = _SessionState(int(src_arr[i]))
-            b0, b1 = int(buf_off[i]), int(buf_off[i + 1])
-            times = arrays["open_times"][b0:b1].copy()
-            dsts = arrays["open_dsts"][b0:b1].copy()
-            state.times = [times]
-            state.dsts = [dsts]
-            state.dst_set = np.unique(dsts)
-            p0, p1 = int(ports_off[i]), int(ports_off[i + 1])
-            state.ports = arrays["open_ports"][p0:p1].copy()
-            state.port_counts = arrays["open_port_counts"][p0:p1].copy()
-            h0, h1 = int(head_off[i]), int(head_off[i + 1])
-            head_window = arrays["open_head_window"][h0:h1].copy()
-            head_ttl = arrays["open_head_ttl"][h0:h1].copy()
-            state.head_window = [head_window]
-            state.head_ttl = [head_ttl]
-            state.head_count = h1 - h0
-            f0, f1 = int(fp_off[i]), int(fp_off[i + 1])
-            state.fp_cols = tuple(
-                [arrays[name][f0:f1].copy()]
-                for name in ("open_fp_ip_id", "open_fp_seq", "open_fp_dst_ip",
-                             "open_fp_dst_port", "open_fp_src_port")
-            )
-            state.fp_count = min(f1 - f0, fp_limit)
-            state.count = int(arrays["open_count"][i])
-            state.last_time = float(arrays["open_last_time"][i])
-            state.buffered = sum(
-                chunk.nbytes
-                for chunk in (times, dsts, head_window, head_ttl)
-            ) + sum(chunks[0].nbytes for chunks in state.fp_cols)
-            self.buffered_bytes += state.buffered
-            self._open[state.src] = state
+        self._carry = PacketBatch(**{
+            name[len("carry_"):]: array
+            for name, array in arrays.items() if name.startswith("carry_")
+        })
         counters = arrays["counters"]
         self.packets_consumed = int(counters[0])
         self.windows_consumed = int(counters[1])
         self.sessions_discarded = int(counters[2])
         self.watermark = float(arrays["watermark"][0])
-        rec_ports_off = arrays["rec_ports_offsets"]
-        self._rec_src = [int(v) for v in arrays["rec_src"]]
-        self._rec_start = [float(v) for v in arrays["rec_start"]]
-        self._rec_end = [float(v) for v in arrays["rec_end"]]
-        self._rec_packets = [int(v) for v in arrays["rec_packets"]]
-        self._rec_distinct = [int(v) for v in arrays["rec_distinct"]]
-        self._rec_port_sets = [
-            arrays["rec_ports"][
-                int(rec_ports_off[i]):int(rec_ports_off[i + 1])
-            ].copy()
-            for i in range(len(self._rec_src))
-        ]
-        self._rec_primary = [int(v) for v in arrays["rec_primary"]]
-        self._rec_tool = [Tool(str(v)) for v in arrays["rec_tool"]]
-        self._rec_match = [float(v) for v in arrays["rec_match"]]
-        self._rec_speed = [float(v) for v in arrays["rec_speed"]]
-        self._rec_coverage = [float(v) for v in arrays["rec_coverage"]]
-        self._rec_sequential = [bool(v) for v in arrays["rec_sequential"]]
-        self._rec_window = [int(v) for v in arrays["rec_window"]]
-        self._rec_ttl = [int(v) for v in arrays["rec_ttl"]]
+        offsets = arrays["rec_ports_offsets"]
+        rec = ScanTable(
+            src_ip=arrays["rec_src"],
+            start=arrays["rec_start"],
+            end=arrays["rec_end"],
+            packets=arrays["rec_packets"],
+            distinct_dsts=arrays["rec_distinct"],
+            port_sets=(
+                np.split(arrays["rec_ports"], offsets[1:-1])
+                if offsets.size > 1 else []
+            ),
+            primary_port=arrays["rec_primary"],
+            tool=np.array(
+                [Tool(str(v)) for v in arrays["rec_tool"]], dtype=object
+            ),
+            match_fraction=arrays["rec_match"],
+            speed_pps=arrays["rec_speed"],
+            coverage=arrays["rec_coverage"],
+            sequential=arrays["rec_sequential"],
+            window_mode=arrays["rec_window"],
+            ttl_mode=arrays["rec_ttl"],
+        )
+        self._tables = [rec]
         self.peak_buffered_bytes = self.buffered_bytes

@@ -7,9 +7,10 @@ shards and running one :class:`~repro.stream.incremental.IncrementalScanIdentifi
 per shard therefore changes *nothing* about any individual session, and the
 merged result is column-by-column bit-identical to batch
 ``identify_scans`` at any shard count and any window size: each shard's
-table is exactly the full table restricted to its sources, and the final
-``lexsort((start, src_ip))`` over the concatenated records reproduces the
-serial sort order (no ties — one source never appears in two shards).
+table is exactly the full table restricted to its sources, and
+:func:`~repro.core.campaigns.merge_scan_tables` (the same merge the
+identifier applies to its per-window tables) reproduces the serial sort
+order (no ties — one source never appears in two shards).
 With one shard the filter keeps every packet, which is how the serial run
 is the ``n_shards=1`` case of :class:`~repro.stream.engine.StreamEngine`.
 
@@ -21,7 +22,9 @@ arguments).  Each worker re-opens the ``.rtrace`` by path through the mmap
 reader, so the capture's pages are shared read-only between workers by the
 page cache instead of being pickled across the pool.  :func:`_run_engine`,
 the body of :meth:`StreamEngine.run`, dispatches the shards one way or the
-other and merges their results.
+other and merges their results.  Pool workers die with the process that
+forked them (:func:`_die_with_parent`), so killing that process alone
+leaves none behind.
 
 Checkpointing is per shard: each shard owns a content-addressed key
 (``key_for(..., shard=(i, n))``) and its snapshot carries one extra array —
@@ -33,13 +36,18 @@ each shard independently from its newest snapshot.
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core.campaigns import CampaignCriteria, ScanTable
+from repro.core.campaigns import CampaignCriteria, merge_scan_tables
 from repro.core.fingerprints import ToolFingerprinter
 from repro.stream.analyses import AnalysisConfig, AnalysisSuite
 from repro.stream.checkpoint import CheckpointStore
@@ -78,47 +86,6 @@ def shard_of(src_ip: np.ndarray, n_shards: int) -> np.ndarray:
         0xFFFFFFFF
     )
     return (mixed % np.uint64(n_shards)).astype(np.int64)
-
-
-def merge_scan_tables(tables: List[ScanTable]) -> ScanTable:
-    """Concatenate per-shard tables into serial finalisation order.
-
-    The serial path sorts its records with ``lexsort((start, src_ip))``;
-    re-sorting the concatenated shard columns the same way reproduces that
-    order exactly, because ``(src, start)`` pairs are unique (a source lives
-    in one shard, and one source never starts two sessions at the same
-    instant).  Byte-identity of every column follows: the rows themselves
-    were produced by the same scoring code over the same per-source packets.
-    """
-    tables = [t for t in tables if len(t)]
-    if not tables:
-        return ScanTable.empty()
-    if len(tables) == 1:
-        return tables[0]
-    src = np.concatenate([t.src_ip for t in tables])
-    start = np.concatenate([t.start for t in tables])
-    order = np.lexsort((start, src))
-    port_sets = [ports for t in tables for ports in t.port_sets]
-    return ScanTable(
-        src_ip=src[order],
-        start=start[order],
-        end=np.concatenate([t.end for t in tables])[order],
-        packets=np.concatenate([t.packets for t in tables])[order],
-        distinct_dsts=np.concatenate(
-            [t.distinct_dsts for t in tables]
-        )[order],
-        port_sets=[port_sets[i] for i in order],
-        primary_port=np.concatenate([t.primary_port for t in tables])[order],
-        tool=np.concatenate([t.tool for t in tables])[order],
-        match_fraction=np.concatenate(
-            [t.match_fraction for t in tables]
-        )[order],
-        speed_pps=np.concatenate([t.speed_pps for t in tables])[order],
-        coverage=np.concatenate([t.coverage for t in tables])[order],
-        sequential=np.concatenate([t.sequential for t in tables])[order],
-        window_mode=np.concatenate([t.window_mode for t in tables])[order],
-        ttl_mode=np.concatenate([t.ttl_mode for t in tables])[order],
-    )
 
 
 def _run_one_shard(
@@ -240,6 +207,29 @@ def _run_one_shard(
     )
 
 
+#: ``prctl`` option asking the kernel to signal this process when the
+#: thread that forked it exits (Linux ``<sys/prctl.h>``).
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: a worker dies with the process that forked it.
+
+    A parent killed by a signal runs no clean-up, and a forked pool worker
+    waiting on its call queue never sees the queue close (it holds the
+    queue's other end itself), so it would sleep on forever.  On Linux the
+    kernel SIGKILLs the worker when its parent exits instead; elsewhere
+    this is a no-op.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    # A forked worker whose parent died before the prctl call has been
+    # reparented already, and no signal will come.
+    if multiprocessing.get_start_method() == "fork" and os.getppid() != parent:
+        os._exit(1)
+
+
 def _shard_stream_task(
     path: str,
     batch_size: Optional[int],
@@ -304,7 +294,10 @@ def _run_engine(
                 f"{type(source).__name__} (use workers=0, or stream an "
                 ".rtrace file)"
             )
-        with ProcessPoolExecutor(max_workers=engine.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=engine.workers, initializer=_die_with_parent,
+            initargs=(os.getpid(),),
+        ) as pool:
             futures = [
                 pool.submit(
                     _shard_stream_task,

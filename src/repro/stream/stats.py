@@ -63,9 +63,9 @@ class StreamStats:
     windows: int = 0
     #: Packets skipped on resume because a checkpoint already covered them.
     resumed_packets: int = 0
-    #: Sessions currently open (accumulating, not yet past the idle gap).
+    #: Sessions currently open (not yet past the idle gap).
     open_sessions: int = 0
-    #: Packets buffered inside open sessions.
+    #: Packets of open sessions carried to the next window.
     open_packets: int = 0
     #: Open sessions already past the distinct-destination threshold.
     candidate_sessions: int = 0
@@ -73,7 +73,7 @@ class StreamStats:
     scans: int = 0
     #: Sessions finalised and discarded (below the campaign criteria).
     sessions_discarded: int = 0
-    #: Bytes buffered by open-session accumulators (column copies only).
+    #: Bytes of the carried packets (all ten columns).
     buffered_bytes: int = 0
     #: High-water mark of ``buffered_bytes`` over the run — the bounded-
     #: memory guarantee in one number (``buffered_bytes`` itself drains to 0

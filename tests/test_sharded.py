@@ -7,9 +7,17 @@ are a per-source construct and shards partition the sources.  The serial
 run is the one-shard case, so every test here runs it too.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.campaigns import CampaignCriteria, identify_scans
 from repro.core.fingerprints import ToolFingerprinter
 from repro.stream import (
@@ -146,6 +154,64 @@ class TestShardEquivalence:
         result = engine.run(BatchStreamSource(batch2020, batch_size=50_000))
         assert calls == [engine]
         assert len(result.shards) == 2
+
+    @pytest.mark.skipif(
+        not Path("/proc").is_dir(), reason="needs /proc to list a process group"
+    )
+    def test_workers_die_with_a_killed_parent(self, tmp_path, batch2020):
+        """SIGTERM to the parent of a pooled ``stream`` run alone (default
+        signal death, no clean-up) must not leave its workers running."""
+        path = tmp_path / "cap.rtrace"
+        write_trace(path, batch2020, meta={"year": 2020}, chunk_size=10_000)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "stream", str(path),
+             "--shards", "2", "--workers", "2", "--batch-size", "64"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+            start_new_session=True,
+        )
+        pgid = proc.pid
+
+        def group_size():
+            size = 0
+            for entry in Path("/proc").iterdir():
+                try:
+                    stat = (entry / "stat").read_text()
+                except OSError:
+                    continue
+                # "pid (comm) state ppid pgrp ...": comm may hold spaces.
+                if int(stat.rsplit(")", 1)[1].split()[2]) == pgid:
+                    size += 1
+            return size
+
+        try:
+            deadline = time.monotonic() + 60
+            while group_size() < 3:
+                assert proc.poll() is None, "run ended before its workers ran"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == -signal.SIGTERM
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, (
+                    "pool workers outlived their killed parent"
+                )
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

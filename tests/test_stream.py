@@ -5,10 +5,12 @@ identifier must reproduce batch ``identify_scans`` column by column at any
 window size, and still after a kill-and-resume through a checkpoint.
 """
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import __version__ as repro_version
 from repro.core.campaigns import CampaignCriteria, identify_scans
@@ -31,6 +33,8 @@ from repro.stream import (
 )
 from repro.telescope import PacketBatch, write_trace
 from repro.telescope import trace as trace_module
+
+from tests.campaigns_oracle import iter_source_sessions
 
 
 def assert_tables_equal(actual, expected):
@@ -218,6 +222,158 @@ class TestStreamEquivalence:
             identifier.consume(batch[:100])
 
 
+#: Clock of the tie-heavy captures: every timestamp is a whole number of
+#: ticks and the expiry is three ticks, so packets often share a timestamp
+#: and some in-source gaps equal ``expiry_s`` exactly.
+TICK_S = 10.0
+TIED_CRITERIA = CampaignCriteria(
+    min_distinct_dsts=30, min_rate_pps=300_000.0, expiry_s=3 * TICK_S
+)
+
+
+def tied_capture(seed):
+    """A small time-ordered capture of bursty sources on a coarse clock.
+
+    Each of 1-4 sources sends 1-4 bursts of 1-150 packets over 1-3 ticks,
+    each burst starting 1-5 ticks after the previous one's last packet, so
+    sessions split at gaps above three ticks but not at exactly three.
+    Packets with equal timestamps keep a random capture order, and
+    destinations, destination ports, windows and TTLs come from small sets,
+    so distinct counts, header modes and fingerprints all depend on which
+    packets of a session come first.
+    """
+    gen = np.random.default_rng(seed)
+    srcs, ticks = [], []
+    for src in range(1, int(gen.integers(2, 6))):
+        tick = int(gen.integers(0, 6))
+        for _ in range(int(gen.integers(1, 5))):
+            size = int(gen.integers(1, 151))
+            burst = tick + np.sort(gen.integers(0, int(gen.integers(1, 4)), size))
+            srcs.append(np.full(size, src, dtype=np.uint32))
+            ticks.append(burst)
+            tick = int(burst[-1]) + int(gen.integers(1, 6))
+    shuffle = gen.permutation(sum(s.size for s in srcs))
+    n = shuffle.size
+    return PacketBatch(
+        time=np.concatenate(ticks)[shuffle] * TICK_S,
+        src_ip=np.concatenate(srcs)[shuffle],
+        dst_ip=gen.integers(0, 48, n).astype(np.uint32),
+        src_port=gen.integers(1024, 2**16, n).astype(np.uint16),
+        dst_port=gen.choice(np.array([22, 80, 443], dtype=np.uint16), n),
+        ip_id=gen.integers(0, 2**16, n, dtype=np.uint16),
+        seq=gen.integers(0, 2**32, n, dtype=np.uint32),
+        ttl=gen.choice(np.array([40, 50, 60], dtype=np.uint8), n),
+        window=gen.choice(np.array([1024, 2048, 65535], dtype=np.uint16), n),
+        flags=np.full(n, 2, dtype=np.uint8),
+    ).sorted_by_time()
+
+
+def stream_in_pieces(batch, cuts, criteria=None, checkpoint_at=None):
+    """Feed ``batch`` cut before each packet index in ``cuts``.
+
+    With ``checkpoint_at=i`` the identifier goes through ``snapshot`` →
+    ``np.savez`` → ``restore`` into a fresh one before piece ``i`` (or
+    before ``finalize`` when ``i`` is the number of pieces).
+    """
+    identifier = IncrementalScanIdentifier(criteria)
+    bounds = [0, *cuts, len(batch)]
+    for i in range(len(bounds)):
+        if i == checkpoint_at:
+            buffer = io.BytesIO()
+            np.savez(buffer, **identifier.snapshot())
+            buffer.seek(0)
+            with np.load(buffer, allow_pickle=False) as payload:
+                arrays = {name: payload[name] for name in payload.files}
+            identifier = IncrementalScanIdentifier(criteria)
+            identifier.restore(arrays)
+        if i + 1 < len(bounds):
+            identifier.consume(batch[bounds[i]:bounds[i + 1]])
+    return identifier, identifier.finalize()
+
+
+def one_source(times, window, ttl, src=7, first_dst=1000):
+    """Packets of one source to distinct, scattered destinations (so no
+    sweep is detected), in capture order."""
+    n = len(times)
+    return PacketBatch(
+        time=np.asarray(times, dtype=np.float64),
+        src_ip=np.full(n, src, dtype=np.uint32),
+        dst_ip=(first_dst + np.arange(n) * 7919 % 100_003).astype(np.uint32),
+        src_port=np.full(n, 40_000, dtype=np.uint16),
+        dst_port=np.full(n, 443, dtype=np.uint16),
+        ip_id=np.arange(n, dtype=np.uint16),
+        seq=(np.arange(n, dtype=np.uint32) * 7919).astype(np.uint32),
+        ttl=np.asarray(ttl, dtype=np.uint8),
+        window=np.asarray(window, dtype=np.uint16),
+        flags=np.full(n, 2, dtype=np.uint8),
+    )
+
+
+class TestOneIdentifier:
+    """The stream runs the batch kernel, so its table *is* the batch table:
+    at any cut, across a checkpoint, with timestamp ties and boundary gaps."""
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_cut_gives_the_batch_table(self, seed, data):
+        batch = tied_capture(seed)
+        n = len(batch)
+        cuts = sorted(data.draw(
+            st.lists(st.integers(1, n - 1), max_size=8, unique=True)
+            if n > 1 else st.just([])
+        ))
+        checkpoint_at = data.draw(st.integers(0, len(cuts) + 1))
+        identifier, table = stream_in_pieces(
+            batch, cuts, TIED_CRITERIA, checkpoint_at
+        )
+        expected = identify_scans(batch, TIED_CRITERIA)
+        assert_tables_equal(table, expected)
+        sessions = sum(
+            1 for _ in iter_source_sessions(batch, TIED_CRITERIA.expiry_s)
+        )
+        assert identifier.sessions_discarded == sessions - len(expected)
+
+    def test_equal_timestamps_across_a_cut_keep_capture_order(self):
+        """130 packets share one (src, time); the header modes use the
+        first 64 in capture order, and the cut falls inside that head.  The
+        carried 40 must sort before the window's 90."""
+        window = [1000] * 40 + [2000] * 90
+        ttl = [40] * 40 + [50] * 90
+        batch = one_source([100.0] * 130, window, ttl)
+        expected = identify_scans(batch)
+        assert expected.window_mode.tolist() == [1000]
+        assert expected.ttl_mode.tolist() == [40]
+        _, table = stream_in_pieces(batch, [40])
+        assert_tables_equal(table, expected)
+
+    def test_gap_of_exactly_expiry_across_a_cut(self):
+        """A gap equal to ``expiry_s`` does not split a session, so a
+        session whose last packet is exactly one expiry behind the
+        watermark is still open and takes the next window's packets."""
+        expiry = CampaignCriteria().expiry_s
+        head = one_source([0.0] * 120, [1024] * 120, [50] * 120)
+        other = one_source([expiry], [1024], [50], src=9)
+        tail = one_source(
+            [expiry] * 50, [1024] * 50, [50] * 50, first_dst=3000
+        )
+        batch = PacketBatch.concat([head, other, tail])
+        expected = identify_scans(batch)
+        assert expected.packets.tolist() == [170]
+        identifier, table = stream_in_pieces(batch, [121])
+        assert_tables_equal(table, expected)
+        assert identifier.sessions_discarded == 1
+
+    def test_one_nan_timestamp_agrees_with_batch(self, batch2020):
+        """NaN sorts last among its source's packets and never splits or
+        closes a session, the same way in both paths."""
+        columns = {name: np.array(col) for name, col in batch2020.columns().items()}
+        columns["time"][60_000] = np.nan
+        batch = PacketBatch(**columns)
+        assert_tables_equal(
+            identify_scans_stream(batch, batch_size=8192), identify_scans(batch)
+        )
+
+
 class TestBoundedMemory:
     def test_sessions_finalise_as_stream_advances(self, batch2020):
         """Open-session state stays bounded: quiet sources retire mid-run."""
@@ -398,6 +554,37 @@ class TestCheckpointResume:
         assert_tables_equal(again.scans, first.scans)
         assert_tables_equal(again.scans, scans2020)
         assert store.load(run.checkpoint_key) is not None
+
+    def test_schema_1_checkpoint_is_a_recorded_miss(self, tmp_path, batch2020,
+                                                    scans2020):
+        """A checkpoint in the schema-1 layout (per-session accumulator
+        arrays instead of the carry's columns) found under the run's key is
+        a recorded miss, and the run restarts from packet 0."""
+        path = self._trace(tmp_path, batch2020)
+        config = StreamConfig(batch_size=16_384,
+                              checkpoint_dir=tmp_path / "ckpt")
+        run = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        ).shards[0]
+        with np.load(run.checkpoint_path, allow_pickle=False) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        for name in [n for n in arrays if n.startswith("carry_")]:
+            del arrays[name]
+        arrays["open_src"] = np.array([], dtype=np.uint32)
+        meta = json.loads(str(arrays["checkpoint_meta"]))
+        meta["schema"] = 1
+        arrays["checkpoint_meta"] = np.array(json.dumps(meta, sort_keys=True))
+        with open(run.checkpoint_path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+        store = CheckpointStore(config.checkpoint_dir)
+        assert store.load(run.checkpoint_key) is None
+        assert "schema 1 " in store.last_mismatch
+        again = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        )
+        assert not again.resumed
+        assert_tables_equal(again.scans, scans2020)
 
     def test_key_separates_configurations(self, tmp_path, batch2020):
         path = self._trace(tmp_path, batch2020)
