@@ -2,11 +2,14 @@
 
 Unlike the table/figure benchmarks (which compare against the paper), these
 measure throughput of the hot paths so regressions in the pipeline's own
-speed are visible: packet-batch operations, campaign identification,
-fingerprinting, enrichment lookups, trace serialisation and anonymisation.
-Multiple rounds; pytest-benchmark reports the distribution.
+speed are visible: package start-up, packet-batch operations, campaign
+identification, fingerprinting, enrichment lookups, trace serialisation and
+anonymisation.  Multiple rounds; pytest-benchmark reports the distribution.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,31 @@ from repro.telescope import (
 def perf_batch(sims):
     """A ~300k-packet capture shared by the throughput benchmarks."""
     return sims[2020].batch
+
+
+def test_perf_cli_import(benchmark):
+    """A fresh interpreter importing ``repro.cli``: the start-up every CLI
+    call, ``serve`` worker and benchmark child pays before any work.
+
+    The warm-up round writes the bytecode.  Each child prints its own peak
+    RSS (``RUSAGE_CHILDREN`` here would also count earlier pool workers).
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    child = ("import repro.cli\n"
+             "from repro.stream import peak_rss_bytes\n"
+             "print(peak_rss_bytes())")
+    peaks = []
+
+    def start():
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, check=True)
+        peaks.append(int(proc.stdout))
+
+    benchmark.pedantic(start, rounds=7, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["peak_rss_bytes"] = max(peaks)
 
 
 def test_perf_simulate_year(benchmark):

@@ -140,7 +140,8 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
 def _add_capture_flags(parser: argparse.ArgumentParser) -> None:
     """Flags of subcommands that read a capture through the streaming layer."""
     _add_worker_flags(parser)
-    parser.add_argument("--batch-size", type=int, default=None,
+    parser.add_argument("--batch-size", type=int,
+                        default=STREAM_DEFAULT_BATCH_SIZE,
                         help="streaming-reader window size in packets "
                              f"(default {STREAM_DEFAULT_BATCH_SIZE:,})")
 
@@ -322,14 +323,13 @@ def _resolve_capture(args: argparse.Namespace) -> Path:
 def _capture_source(args: argparse.Namespace, strict: bool = True):
     """Build the streaming source for a subcommand's capture argument."""
     path = _resolve_capture(args)
-    batch_size = getattr(args, "batch_size", None) or STREAM_DEFAULT_BATCH_SIZE
     if path.suffix == ".pcap":
         return BatchStreamSource(
-            read_pcap(path), batch_size=batch_size,
+            read_pcap(path), batch_size=args.batch_size,
             window_s=getattr(args, "window_s", None),
         )
     return TraceStreamSource(
-        path, batch_size=batch_size, strict=strict,
+        path, batch_size=args.batch_size, strict=strict,
         window_s=getattr(args, "window_s", None),
         mmap=getattr(args, "mmap", None),
     )
@@ -351,16 +351,14 @@ def _load_capture(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
-    if args.workers > 0:
+    try:
         sim = world.simulate_years(
             [args.year], days=args.days, max_packets=args.max_packets,
             min_scans=args.min_scans, workers=args.workers, cache=cache,
         )[args.year]
-    else:
-        sim = world.simulate_year(
-            args.year, days=args.days, max_packets=args.max_packets,
-            min_scans=args.min_scans, cache=cache,
-        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if cache is not None:
         print(cache.stats_line(), file=sys.stderr)
     meta = {
@@ -385,7 +383,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.json and not args.report:
         print("error: --json requires --report", file=sys.stderr)
         return 2
-    batch, meta = _load_capture(args)
+    try:
+        batch, meta = _load_capture(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     year = args.year if args.year is not None else meta.get("year")
     days = args.days if args.days is not None else meta.get("days")
     if year is None or days is None:
@@ -428,10 +430,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 2
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
-    sims = world.simulate_years(
-        years, days=args.days, max_packets=args.max_packets,
-        workers=args.workers, cache=cache,
-    )
+    try:
+        sims = world.simulate_years(
+            years, days=args.days, max_packets=args.max_packets,
+            workers=args.workers, cache=cache,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summaries = {}
     for year in years:
         sim = sims[year]
@@ -462,7 +468,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
     try:
         config = StreamConfig(
-            batch_size=args.batch_size or STREAM_DEFAULT_BATCH_SIZE,
+            batch_size=args.batch_size,
             window_s=args.window_s,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
@@ -547,7 +553,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    batch, meta = _load_capture(args)
+    try:
+        batch, meta = _load_capture(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if len(batch) == 0:
         print("capture is empty", file=sys.stderr)
         return 1
@@ -575,10 +585,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     print(f"simulating {len(years)} year(s) "
           f"(workers={args.workers}) ...", file=sys.stderr)
-    sims = world.simulate_years(
-        years, days=args.days, max_packets=args.max_packets, min_scans=400,
-        workers=args.workers, cache=cache,
-    )
+    try:
+        sims = world.simulate_years(
+            years, days=args.days, max_packets=args.max_packets, min_scans=400,
+            workers=args.workers, cache=cache,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     analyses = {year: analyze_simulation(sims[year]) for year in years}
     if cache is not None:
         print(cache.stats_line(), file=sys.stderr)
@@ -589,8 +603,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
-    batch, meta = _load_capture(args)
     try:
+        batch, meta = _load_capture(args)
         anonymizer = PrefixPreservingAnonymizer(args.key)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ both pcap endiannesses.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
@@ -150,6 +151,7 @@ def iter_pcap(path: PathLike) -> Iterator[SynPacket]:
         else:
             raise PcapFormatError(f"bad pcap magic {magic:#010x}: {path}")
         record = struct.Struct(endian + "IIII")
+        size = os.fstat(handle.fileno()).st_size
         while True:
             raw = handle.read(record.size)
             if not raw:
@@ -157,9 +159,11 @@ def iter_pcap(path: PathLike) -> Iterator[SynPacket]:
             if len(raw) < record.size:
                 raise PcapFormatError(f"truncated pcap record header: {path}")
             seconds, micros, caplen, _origlen = record.unpack(raw)
-            data = handle.read(caplen)
-            if len(data) < caplen:
+            # Checked before reading, so a damaged length cannot request
+            # gigabytes.
+            if caplen > size - handle.tell():
                 raise PcapFormatError(f"truncated pcap frame: {path}")
+            data = handle.read(caplen)
             packet = _parse_frame(data, seconds + micros / 1e6)
             if packet is not None:
                 yield packet

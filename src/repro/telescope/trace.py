@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -134,6 +135,7 @@ class TraceReader:
         self._path = Path(path)
         self._strict = strict
         self._offset = 0
+        self._size = 0
         self._batch_index = 0
         self.meta: Dict[str, Any] = {}
         self.truncated = False
@@ -141,6 +143,7 @@ class TraceReader:
     def __enter__(self) -> "TraceReader":
         self._file = open(self._path, "rb")
         try:
+            self._size = os.fstat(self._file.fileno()).st_size
             self._read_header()
         except BaseException:
             self._file.close()
@@ -165,6 +168,15 @@ class TraceReader:
         )
 
     def _read_exact(self, count: int, context: str) -> bytes:
+        left = self._size - self._offset
+        if count > left:
+            # Checked before reading: a damaged length field (metadata or
+            # chunk count) must not become a multi-gigabyte allocation.
+            raise TraceFormatError(
+                f"truncated trace file {self._path}: {context} needs {count} "
+                f"bytes at byte offset {self._offset} but only {left} remain "
+                f"(batch {self._batch_index})"
+            )
         data = self._file.read(count)
         self._offset += len(data)
         if len(data) != count:

@@ -367,6 +367,37 @@ class TestGracefulSignals:
         assert out.out == batch_out
 
 
+#: Invalid argument values and the library message each must end in;
+#: ``CAPTURE`` stands for the shared test capture.
+BAD_ARGV = {
+    "simulate --days 100": "days must be within",
+    "simulate --max-packets -5": "max_packets must be positive",
+    "simulate --workers -1": "workers must be non-negative",
+    "report --days 0": "days must be within",
+    "validate --days 0": "days must be within",
+    "analyze CAPTURE --batch-size -1": "batch_size must be positive",
+    "analyze CAPTURE --batch-size 0": "batch_size must be positive",
+    "fingerprint CAPTURE --batch-size 0": "batch_size must be positive",
+    "anonymize CAPTURE --key 3 --batch-size 0": "batch_size must be positive",
+    "stream CAPTURE --batch-size 0": "batch_size must be positive",
+}
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", sorted(BAD_ARGV))
+    def test_exits_2_with_one_error_line(self, capture, tmp_path, capsys, argv):
+        # The library's own message, not a traceback or a silent default.
+        out = tmp_path / "out.rtrace"
+        args = [str(capture) if a == "CAPTURE" else a for a in argv.split()]
+        if args[0] in ("simulate", "anonymize"):
+            args += ["--out", str(out)]
+        assert main(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and BAD_ARGV[argv] in errors[0]
+        assert not out.exists()
+
+
 class TestServeCommand:
     def test_rejects_zero_workers(self, capsys):
         assert main(["serve", "--workers", "0"]) == 2

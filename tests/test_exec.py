@@ -37,6 +37,14 @@ def _flip_meta_byte(data):
     return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
 
 
+def _flip_chunk_count(data):
+    """XOR the high byte of the first chunk's packet count: the header then
+    claims ~4 billion packets, far more than the file holds."""
+    (meta_len,) = struct.unpack("<I", data[8:12])
+    at = 12 + meta_len + 3
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
 #: Ways a cache entry gets damaged on disk; each must read as a miss.
 DAMAGE = {
     "truncated": lambda data: data[: len(data) // 2],
@@ -44,6 +52,7 @@ DAMAGE = {
     "emptied": lambda data: b"",
     "garbage": lambda data: bytes(range(256)) * 8,
     "meta-byte-flipped": _flip_meta_byte,
+    "chunk-count-flipped": _flip_chunk_count,
     "meta-field-renamed": lambda data: data.replace(
         b'"coverage_cap"', b'"coverage_cbp"', 1),
 }

@@ -3,10 +3,78 @@ yield nothing), never crash with an unrelated exception."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.telescope.pcap import PcapFormatError, iter_pcap
-from repro.telescope.trace import MAGIC, TraceFormatError, TraceReader
+from repro.telescope.pcap import PcapFormatError, iter_pcap, write_pcap
+from repro.telescope.trace import (
+    MAGIC,
+    MappedTraceReader,
+    TraceFormatError,
+    TraceReader,
+    write_trace,
+)
+from tests.test_trace import sample_batch
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a valid three-chunk ``.rtrace`` and of a valid pcap."""
+    d = tmp_path_factory.mktemp("valid")
+    write_trace(d / "t.rtrace", sample_batch(12), meta={"year": 2020},
+                chunk_size=5)
+    write_pcap(d / "t.pcap", sample_batch(12))
+    return (d / "t.rtrace").read_bytes(), (d / "t.pcap").read_bytes()
+
+
+def _damage(data, offset, flip):
+    """Cut ``data`` at ``offset`` (``flip == 0``) or XOR the byte there."""
+    at = offset % len(data)
+    if flip == 0:
+        return data[:at]
+    return data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
+
+
+#: Any offset into the file, and either a cut (0) or a one-byte XOR mask.
+_DAMAGE_AT = dict(offset=st.integers(min_value=0, max_value=2**16),
+                  flip=st.integers(min_value=0, max_value=255))
+
+
+class TestDamagedValidFiles:
+    # Always tried: the high byte of the first chunk's packet count (magic,
+    # meta_len and the 14-byte metadata come first), which once made the
+    # buffered reader request ~34 GB.
+    @example(offset=8 + 4 + 14 + 3, flip=0xFF)
+    @given(**_DAMAGE_AT)
+    @settings(max_examples=150, deadline=None)
+    def test_rtrace(self, tmp_path_factory, valid_files, offset, flip):
+        path = tmp_path_factory.mktemp("fuzz") / "t.rtrace"
+        path.write_bytes(_damage(valid_files[0], offset, flip))
+        for reader in (TraceReader, MappedTraceReader):
+            for strict in (True, False):
+                try:
+                    with reader(path, strict=strict) as r:
+                        for _ in r:
+                            pass
+                except TraceFormatError:
+                    pass
+                except Exception as exc:  # pragma: no cover
+                    pytest.fail(f"{reader.__name__}(strict={strict}): "
+                                f"unexpected {type(exc).__name__}: {exc}")
+
+    # Always tried: the high byte of the first frame's captured length
+    # (24-byte global header, then the record's two timestamp words).
+    @example(offset=24 + 8 + 3, flip=0xFF)
+    @given(**_DAMAGE_AT)
+    @settings(max_examples=150, deadline=None)
+    def test_pcap(self, tmp_path_factory, valid_files, offset, flip):
+        path = tmp_path_factory.mktemp("fuzz") / "t.pcap"
+        path.write_bytes(_damage(valid_files[1], offset, flip))
+        try:
+            list(iter_pcap(path))
+        except PcapFormatError:
+            pass
+        except Exception as exc:  # pragma: no cover
+            pytest.fail(f"unexpected {type(exc).__name__}: {exc}")
 
 
 class TestTraceFuzz:
