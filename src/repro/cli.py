@@ -384,18 +384,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("error: --json requires --report", file=sys.stderr)
         return 2
     try:
-        batch, meta = _load_capture(args)
+        source = _capture_source(args)
+        period = analysis_period(source, args.year, args.days)
+        batch = PacketBatch.concat(list(source.windows()))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    year = args.year if args.year is not None else meta.get("year")
-    days = args.days if args.days is not None else meta.get("days")
-    if year is None or days is None:
-        print("error: capture carries no year/days metadata; "
-              "pass --year and --days", file=sys.stderr)
-        return 2
     classifier = ScannerClassifier(build_default_registry())
-    analysis = analyze_period(batch, year=int(year), days=int(days),
+    analysis = analyze_period(batch, year=period.year, days=period.days,
                               classifier=classifier)
     if args.report:
         # Report only on stdout — 'stream --report' promises byte-equal
@@ -405,7 +401,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               else render_paper_report(report))
         return 0
     summary = summarize_period(analysis)
-    print(render_table1({int(year): summary}))
+    print(render_table1({period.year: summary}))
     print()
     print(render_table2(type_shares(analysis)))
     share = known_scanner_share(analysis)

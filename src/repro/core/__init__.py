@@ -53,7 +53,6 @@ from repro.core.volatility import (
     summaries_from_counts,
     volatility_summary,
     weekly_change_factors,
-    weekly_slash16_counts,
     weeks_in_period,
 )
 from repro.core.events import (
@@ -188,7 +187,6 @@ __all__ = [
     # volatility
     "VolatilitySummary", "dense_weekly_counts", "summaries_from_counts",
     "volatility_summary", "weekly_change_factors", "weeks_in_period",
-    "weekly_slash16_counts",
     # events
     "EventResponse", "event_response", "multi_event_responses",
     "port_daily_packets",

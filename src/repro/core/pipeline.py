@@ -7,8 +7,8 @@ figure/table modules consume.
 
 Ports 23 and 445 are excluded from all general statistics (the telescope
 blocks them at the ingress from 2017 and the paper therefore drops them from
-every year's statistics, §3.2); :attr:`PeriodAnalysis.study_batch` is the
-capture with those ports removed.
+every year's statistics, §3.2).  :func:`study_batch_of` and
+:func:`study_scans_of` are that one filter, for packets and for scans.
 """
 
 from __future__ import annotations
@@ -28,6 +28,23 @@ from repro.telescope.packet import PacketBatch
 #: Ports excluded from every statistic (ingress-blocked since 2017, §3.2).
 EXCLUDED_STUDY_PORTS: FrozenSet[int] = frozenset({23, 445})
 
+_EXCLUDED_PORTS = np.array(sorted(EXCLUDED_STUDY_PORTS), dtype=np.uint16)
+_EXCLUDED_PORTS.setflags(write=False)
+
+
+def study_batch_of(batch: PacketBatch) -> PacketBatch:
+    """``batch`` without its packets to study-excluded ports."""
+    if len(batch) == 0:
+        return batch
+    return batch.where(~np.isin(batch.dst_port, _EXCLUDED_PORTS))
+
+
+def study_scans_of(scans: ScanTable) -> ScanTable:
+    """``scans`` without the scans whose primary port is study-excluded."""
+    if len(scans) == 0:
+        return scans
+    return scans.select(~np.isin(scans.primary_port, _EXCLUDED_PORTS))
+
 
 @dataclass
 class PeriodAnalysis:
@@ -43,18 +60,12 @@ class PeriodAnalysis:
     @cached_property
     def study_batch(self) -> PacketBatch:
         """The capture with study-excluded ports removed."""
-        if len(self.batch) == 0:
-            return self.batch
-        excluded = np.array(sorted(EXCLUDED_STUDY_PORTS), dtype=np.uint16)
-        return self.batch.where(~np.isin(self.batch.dst_port, excluded))
+        return study_batch_of(self.batch)
 
     @cached_property
     def study_scans(self) -> ScanTable:
         """Scans whose primary port is not study-excluded."""
-        if len(self.scans) == 0:
-            return self.scans
-        excluded = np.array(sorted(EXCLUDED_STUDY_PORTS), dtype=np.uint16)
-        return self.scans.select(~np.isin(self.scans.primary_port, excluded))
+        return study_scans_of(self.scans)
 
     @property
     def packets_per_day(self) -> float:

@@ -66,15 +66,6 @@ def split_scan_times(
     return src_sorted[firsts], offsets, times
 
 
-def _per_source_scan_times(scans: ScanTable) -> Dict[int, np.ndarray]:
-    """Sorted scan start times per source (dict view of the split arrays)."""
-    sources, offsets, times = split_scan_times(scans.src_ip, scans.start)
-    return {
-        int(sources[i]): times[offsets[i]:offsets[i + 1]]
-        for i in range(sources.size)
-    }
-
-
 def recurrence_stats_arrays(
     sources: np.ndarray, offsets: np.ndarray, times: np.ndarray
 ) -> RecurrenceStats:

@@ -1,20 +1,12 @@
 """The combined paper report: trends, volatility, recurrence, churn.
 
 :class:`PaperReport` bundles the longitudinal analyses of §4.2/§4.4/§6.6
-into one value both computation paths produce:
-
-* :func:`paper_report` builds it from a fully materialised
-  :class:`~repro.core.pipeline.PeriodAnalysis` (the batch path);
-* :class:`repro.stream.analyses.AnalysisSuite` builds the *same* report —
-  field by field, float for float — from a single bounded-memory streaming
-  pass, at any window size and shard count.
-
-Both paths funnel through the pure finalisers of the analysis modules
-(:func:`~repro.core.volatility.summaries_from_counts`,
-:func:`~repro.core.trends.concentration_from_packets`,
-:func:`~repro.core.recurrence.recurrence_stats_arrays`,
-:func:`~repro.core.churn.fit_population_curve`), which is what makes the
-equality structural rather than coincidental.
+into one value.  One implementation computes it: the mergeable
+accumulators of :class:`repro.stream.analyses.AnalysisSuite`.  A streaming
+pass feeds the suite window by window; :func:`paper_report` feeds it a
+fully materialised :class:`~repro.core.pipeline.PeriodAnalysis` as a
+single window.  The report is therefore the same, field by field and float
+for float, however the capture was cut into windows or shards.
 """
 
 from __future__ import annotations
@@ -24,30 +16,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.churn import ChurnFit, cumulative_distinct_sources, fit_population_curve
+from repro.core.churn import ChurnFit
 from repro.core.pipeline import PeriodAnalysis
-from repro.core.recurrence import (
-    RecurrenceStats,
-    institutional_daily_scanners,
-    recurrence_by_type,
-    recurrence_stats,
-)
-from repro.core.trends import (
-    CLASSIC_PORTS,
-    ConcentrationReport,
-    IntensityReport,
-    country_distribution_entropy,
-    port_distribution_entropy,
-    port_share,
-    scan_intensity,
-    traffic_concentration,
-)
-from repro.core.volatility import (
-    VolatilitySummary,
-    summaries_from_counts,
-    weekly_slash16_counts,
-    weeks_in_period,
-)
+from repro.core.recurrence import RecurrenceStats
+from repro.core.trends import ConcentrationReport, IntensityReport
+from repro.core.volatility import VolatilitySummary
 from repro.enrichment.types import ScannerType
 
 
@@ -94,34 +67,11 @@ class PaperReport:
 
 
 def paper_report(analysis: PeriodAnalysis) -> PaperReport:
-    """Assemble the report from a batch :class:`PeriodAnalysis`."""
-    scans = analysis.study_scans
-    batch = analysis.study_batch
-    n_weeks = weeks_in_period(analysis.days)
-    counts = weekly_slash16_counts(batch, scans, n_weeks)
-    curve = cumulative_distinct_sources(batch, analysis.days)
-    return PaperReport(
-        year=analysis.year,
-        days=analysis.days,
-        packets=len(batch),
-        scans=len(scans),
-        trends=TrendsReport(
-            classic_port_share=port_share(analysis, CLASSIC_PORTS),
-            port_entropy=port_distribution_entropy(analysis),
-            country_entropy=country_distribution_entropy(analysis),
-            concentration=(
-                traffic_concentration(scans) if len(scans) else None
-            ),
-            intensity=scan_intensity(scans) if len(scans) else None,
-        ),
-        volatility=summaries_from_counts(counts),
-        recurrence=RecurrenceReport(
-            overall=recurrence_stats(scans),
-            by_type=recurrence_by_type(scans),
-            institutional_daily=institutional_daily_scanners(scans),
-        ),
-        churn=ChurnReport(
-            curve=curve,
-            fit=fit_population_curve(curve) if curve[-1] > 0 else None,
-        ),
-    )
+    """The report of a batch period: the analysis suite over one window."""
+    # Imported here: repro.stream.analyses imports this module's dataclasses.
+    from repro.stream.analyses import AnalysisConfig, AnalysisSuite
+
+    suite = AnalysisSuite(AnalysisConfig(analysis.year, analysis.days))
+    suite.consume(analysis.batch)
+    suite.consume_scans(analysis.scans)
+    return suite.finalize()

@@ -8,11 +8,11 @@ next; only 20–30% of netblocks are stable.
 
 The per-(block, week) counting is factored into *sparse tallies* — packed
 ``(block << 32) | week`` keys with ``int64`` multiplicities — plus a pure
-:func:`dense_weekly_counts` finaliser.  The batch path computes the tallies
-from whole arrays in one pass; the streaming path
-(:class:`repro.stream.analyses.IncrementalVolatility`) accumulates the same
-tallies window by window and merges them across shards.  Both funnel through
-the one finaliser, so the dense matrices are equal by construction.
+:func:`dense_weekly_counts` finaliser.  The accumulator
+:class:`repro.stream.analyses.IncrementalVolatility` builds the tallies
+window by window and merges them across shards; :func:`volatility_summary`
+is the volatility section of :func:`~repro.core.report.paper_report`, which
+runs that accumulator over the whole period as one window.
 """
 
 from __future__ import annotations
@@ -62,24 +62,6 @@ def packet_weekly_tally(batch: PacketBatch, n_weeks: int) -> SparseTally:
     return np.unique(pack_block_week(blocks, weeks), return_counts=True)
 
 
-def source_weekly_tally(batch: PacketBatch, n_weeks: int) -> SparseTally:
-    """Sparse per-(block, week) *distinct source* counts of one batch.
-
-    Dedupes ``(src, week)`` pairs with the source in the high 32 bits of a
-    ``uint64`` key, so the week index can never overflow into the address
-    bits (the regression the old ``src << 8`` packing had past week 255).
-    """
-    weeks = week_index(batch.time, n_weeks)
-    pairs = (batch.src_ip.astype(np.uint64) << np.uint64(32)) | weeks.astype(
-        np.uint64
-    )
-    distinct = np.unique(pairs)
-    src = (distinct >> np.uint64(32)).astype(np.uint32)
-    blocks = slash16_of(src).astype(np.int64)
-    wk = (distinct & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    return np.unique(pack_block_week(blocks, wk), return_counts=True)
-
-
 def scan_weekly_tally(scans: ScanTable, n_weeks: int) -> SparseTally:
     """Sparse per-(block, week) scan counts (by scan start time)."""
     if len(scans) == 0:
@@ -121,30 +103,6 @@ def dense_weekly_counts(
         rows = np.searchsorted(blocks_all, blocks[present])
         out[metric][rows, weeks[present]] += counts[present]
     return out
-
-
-def weekly_slash16_counts(
-    batch: PacketBatch, scans: ScanTable, n_weeks: int
-) -> Dict[str, np.ndarray]:
-    """Per-/16, per-week activity counts.
-
-    Returns a dict of dense ``(n_blocks, n_weeks)`` arrays keyed by metric,
-    plus the block index under key ``'blocks'`` (the distinct /16 values, in
-    row order).
-    """
-    if n_weeks < 1:
-        raise ValueError("n_weeks must be >= 1")
-    if len(batch) == 0:
-        return dense_weekly_counts(
-            np.array([], dtype=np.int64), n_weeks,
-            {m: (np.array([], dtype=np.int64),) * 2 for m in METRICS},
-        )
-    blocks_all = np.unique(slash16_of(batch.src_ip)).astype(np.int64)
-    return dense_weekly_counts(blocks_all, n_weeks, {
-        "packets": packet_weekly_tally(batch, n_weeks),
-        "sources": source_weekly_tally(batch, n_weeks),
-        "scans": scan_weekly_tally(scans, n_weeks),
-    })
 
 
 def weekly_change_factors(series: np.ndarray) -> np.ndarray:
@@ -189,8 +147,8 @@ def summaries_from_counts(
 ) -> Dict[str, VolatilitySummary]:
     """Per-metric weekly-change summaries from dense weekly counts.
 
-    The shared finaliser: both :func:`volatility_summary` (batch) and the
-    streaming accumulator produce their summaries through this function.
+    The finaliser of :class:`repro.stream.analyses.IncrementalVolatility`'s
+    dense counts.
     """
     out: Dict[str, VolatilitySummary] = {}
     for metric in METRICS:
@@ -212,7 +170,8 @@ def summaries_from_counts(
 
 
 def volatility_summary(analysis: PeriodAnalysis) -> Dict[str, VolatilitySummary]:
-    """Per-metric weekly-change summaries over the period."""
-    n_weeks = weeks_in_period(analysis.days)
-    counts = weekly_slash16_counts(analysis.study_batch, analysis.study_scans, n_weeks)
-    return summaries_from_counts(counts)
+    """Per-metric weekly-change summaries over the period (Figure 2)."""
+    # Imported here: repro.core.report imports this module.
+    from repro.core.report import paper_report
+
+    return paper_report(analysis).volatility

@@ -5,11 +5,12 @@ capture material:
 
 * ``simulate`` — synthesize (or cache-load) one calibrated telescope
   period and leave it in the :class:`~repro.exec.cache.CaptureCache`;
-* ``analyze`` — the batch paper report over that capture
-  (:func:`~repro.core.report.paper_report`);
-* ``stream-report`` — the same report through the streaming substrate
-  (:func:`~repro.stream.report.stream_report`), checkpointed so a killed
-  worker re-attaches instead of recomputing.
+* ``analyze`` — the paper report over that capture loaded whole
+  (:func:`~repro.core.report.paper_report`: the analysis suite over one
+  window);
+* ``stream-report`` — the same report from the same suite fed window by
+  window (:func:`~repro.stream.report.stream_report`), checkpointed so a
+  killed worker re-attaches instead of recomputing.
 
 :func:`execute_job` is the single :class:`~concurrent.futures.ProcessPoolExecutor`
 entry point (submitted by :class:`repro.serve.queue.JobQueue`); it must stay
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.core import analyze_period
 from repro.core.campaigns import ScanTable
+from repro.core.pipeline import study_scans_of
 from repro.core.report import PaperReport, paper_report
 from repro.enrichment import ScannerClassifier, build_default_registry
 from repro.exec.cache import CaptureCache
@@ -107,7 +109,9 @@ class JobSpec:
 
 
 def _fingerprints(scans: ScanTable) -> Dict[str, Dict[str, Any]]:
-    """Per-tool attribution of the identified scans (derived analysis)."""
+    """Per-tool attribution of the study-view scans, the ones the report
+    counts (derived analysis)."""
+    scans = study_scans_of(scans)
     if len(scans) == 0:
         return {}
     tools, counts = np.unique(scans.tool.astype(str), return_counts=True)
@@ -201,7 +205,7 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         analysis = analyze_period(
             sim.batch, year=spec.year, days=spec.days, classifier=classifier
         )
-        result.update(_report_result(paper_report(analysis), analysis.study_scans))
+        result.update(_report_result(paper_report(analysis), analysis.scans))
         return result
 
     # stream-report: one bounded pass, re-attaching to any prior checkpoint

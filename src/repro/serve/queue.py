@@ -50,7 +50,7 @@ from repro.simulation import TelescopeWorld
 from repro.stream.stats import wall_clock
 
 #: Bump to invalidate every persisted job record and job key.
-SERVE_SCHEMA_VERSION = 1
+SERVE_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 

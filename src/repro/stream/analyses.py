@@ -1,16 +1,17 @@
-"""Incremental paper analyses: the batch report on the streaming substrate.
+"""Incremental paper analyses: the one implementation of the paper report.
 
-The batch pipeline computes the paper's longitudinal results — §4.4
-volatility, §6.6 recurrence, §4.2 trends and churn — from fully
-materialised captures.  This module provides *mergeable accumulators* that
-compute the exact same numbers from time-ordered packet windows, following
-the :class:`~repro.stream.incremental.IncrementalScanIdentifier` pattern:
+The paper's longitudinal results — §4.4 volatility, §6.6 recurrence, §4.2
+trends and churn — are computed here, and only here, by *mergeable
+accumulators* over time-ordered packet windows, following the
+:class:`~repro.stream.incremental.IncrementalScanIdentifier` pattern:
 ``consume`` windows (and ``consume_scans`` finalised scan-table chunks),
 ``merge`` accumulators from source-disjoint shards, ``snapshot`` /
 ``restore`` through flat numpy arrays for durable checkpoints, and
-``finalize`` into the same report values the batch functions return.
+``finalize`` into a :class:`~repro.core.report.PaperReport`.  The batch
+:func:`~repro.core.report.paper_report` is this suite fed one window: the
+whole capture and its whole scan table.
 
-Why the results are field-by-field **equal** to the batch path at any
+Why the results are field-by-field **equal** to that one-window run at any
 window size and shard count:
 
 * Every tally (per-port packets, per-(/16, week) activity, per-day first
@@ -19,13 +20,14 @@ window size and shard count:
 * Distinct-(source, week) dedupe is windowed: the stream is time-ordered,
   so only the weeks at the watermark can still receive packets — older
   weeks retire their source sets into the sparse tally and free the memory.
-* Float statistics go through the same pure finalisers as the batch path
+* Float statistics go through pure finalisers
   (:func:`~repro.core.volatility.summaries_from_counts`,
   :func:`~repro.core.trends.concentration_from_packets`,
   :func:`~repro.core.recurrence.recurrence_stats_arrays`,
-  :func:`~repro.core.churn.fit_population_curve`), fed in the batch path's
-  canonical orders (sorted tally keys; ``lexsort((start, src_ip))`` scan
-  rows), so even order-dependent pairwise float sums agree bit for bit.
+  :func:`~repro.core.churn.fit_population_curve`), fed in canonical orders
+  that do not depend on the windowing (sorted tally keys;
+  ``lexsort((start, src_ip))`` scan rows), so even order-dependent
+  pairwise float sums agree bit for bit.
 
 Merging follows the shard contract of :mod:`repro.stream.sharded`: the two
 accumulators must have consumed *source-disjoint* packet streams (per-source
@@ -48,7 +50,11 @@ import numpy as np
 
 from repro.core.campaigns import ScanTable
 from repro.core.churn import first_appearance_days, fit_population_curve
-from repro.core.pipeline import EXCLUDED_STUDY_PORTS
+from repro.core.pipeline import (
+    EXCLUDED_STUDY_PORTS,
+    study_batch_of,
+    study_scans_of,
+)
 from repro.core.recurrence import (
     daily_cadence_sources,
     recurrence_stats_arrays,
@@ -89,10 +95,9 @@ ANALYSES_SCHEMA_VERSION = 1
 class _SparseTally:
     """A sorted-key ``int64`` tally, mergeable by sorted reduction.
 
-    The same idiom as the per-session port tally of
-    :mod:`repro.stream.incremental`: keys stay sorted-distinct, adds
-    concatenate + stable-argsort + ``np.add.reduceat``.  Sorted keys are
-    load-bearing — entropy finalisers sum in ``np.unique`` key order.
+    Keys stay sorted-distinct; adds concatenate + stable-argsort +
+    ``np.add.reduceat``.  Sorted keys are load-bearing — entropy
+    finalisers sum in ``np.unique`` key order.
     """
 
     __slots__ = ("keys", "counts")
@@ -176,7 +181,7 @@ class IncrementalVolatility:
             metric: _SparseTally() for metric in METRICS
         }
         #: Sorted distinct /16 blocks of the consumed packets (the dense
-        #: matrices' row index, matching the batch path's block universe).
+        #: matrices' row index).
         self.blocks = np.array([], dtype=np.int64)
         #: week -> sorted distinct sources still able to gain members.
         self._open_weeks: Dict[int, np.ndarray] = {}
@@ -293,8 +298,8 @@ class IncrementalTrends:
     Packet-side state is a sorted port tally (exact counts, entropy-safe
     order).  Scan-side columns are buffered as chunks and sorted into the
     canonical scan-table order (``lexsort((start, src_ip))``) at finalise,
-    so the order-dependent float means match the batch path bit for bit;
-    this buffer grows with the *result set*, not the packet stream.
+    so the order-dependent float means do not depend on how the scans
+    arrived; this buffer grows with the *result set*, not the packet stream.
     """
 
     def __init__(self):
@@ -507,11 +512,10 @@ class IncrementalRecurrence:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """What one analysis suite computes over: the period and study filter."""
+    """What one analysis suite computes over: the period."""
 
     year: int
     days: int
-    exclude_ports: Tuple[int, ...] = tuple(sorted(EXCLUDED_STUDY_PORTS))
 
     def __post_init__(self) -> None:
         if self.days < 1:
@@ -529,17 +533,17 @@ class AnalysisConfig:
             "analyses_schema": ANALYSES_SCHEMA_VERSION,
             "year": self.year,
             "days": self.days,
-            "exclude_ports": list(self.exclude_ports),
+            "exclude_ports": sorted(EXCLUDED_STUDY_PORTS),
         }
 
 
 class AnalysisSuite:
     """All incremental analyses of one period behind a single surface.
 
-    The suite applies the §3.2 study filter itself (packets to, and scans
-    whose primary port is, an excluded port are dropped), so feeding it the
-    raw stream plus the raw finalised scan table reproduces the batch
-    path's ``study_batch`` / ``study_scans`` views exactly.
+    The suite applies the §3.2 study filter itself
+    (:func:`~repro.core.pipeline.study_batch_of` on packets,
+    :func:`~repro.core.pipeline.study_scans_of` on scans), so it is fed the
+    raw stream and the raw finalised scan table.
     """
 
     def __init__(self, config: AnalysisConfig):
@@ -553,9 +557,6 @@ class AnalysisSuite:
         self.study_scans = 0
         self.windows_consumed = 0
         self.watermark = float("-inf")
-        self._excluded = np.array(
-            sorted(config.exclude_ports), dtype=np.uint16
-        )
 
     # -- streaming ----------------------------------------------------------
 
@@ -574,10 +575,7 @@ class AnalysisSuite:
             )
         self.watermark = max(self.watermark, float(batch.time.max()))
         self.packets_consumed += n
-        if self._excluded.size:
-            batch = batch.where(
-                ~np.isin(batch.dst_port, self._excluded)
-            )
+        batch = study_batch_of(batch)
         if len(batch) == 0:
             return
         self.study_packets += len(batch)
@@ -587,12 +585,7 @@ class AnalysisSuite:
 
     def consume_scans(self, scans: ScanTable) -> None:
         """Fold finalised, *enriched* scans in (each scan exactly once)."""
-        if len(scans) == 0:
-            return
-        if self._excluded.size:
-            scans = scans.select(
-                ~np.isin(scans.primary_port, self._excluded)
-            )
+        scans = study_scans_of(scans)
         if len(scans) == 0:
             return
         self.study_scans += len(scans)

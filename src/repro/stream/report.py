@@ -1,19 +1,20 @@
 """One-pass paper reports over packet streams.
 
-:func:`stream_report` is the streaming counterpart of
-:func:`repro.core.report.paper_report`: it walks a capture once through
+:func:`stream_report` walks a capture once through
 :class:`~repro.stream.engine.StreamEngine` — any shard count, serial being
 ``n_shards=1`` — with an :class:`~repro.stream.analyses.AnalysisSuite`
 riding alongside the scan identifier, then enriches the identified scans
 and finalises the suite into a :class:`~repro.core.report.PaperReport`
 (:func:`finish_report`, which callers running the engine themselves reuse).
+:func:`repro.core.report.paper_report` runs the same suite over a loaded
+capture as one window.
 
-The report is field-by-field equal to the batch path's at any window size,
-shard count, or worker count: the scan table is bit-identical by the
-engine's own guarantee, and the analysis accumulators reproduce the batch
-finalisers exactly (see :mod:`repro.stream.analyses`).  Memory stays
-bounded throughout — the suite holds tallies and the finalised scan
-columns, never the packet stream.
+The report is field-by-field equal to that one-window report at any window
+size, shard count, or worker count: the scan table is bit-identical by the
+engine's own guarantee, and the suite's accumulators do not depend on the
+windowing (see :mod:`repro.stream.analyses`).  Memory stays bounded
+throughout — the suite holds tallies and the finalised scan columns, never
+the packet stream.
 
 ``progress(shard, stats)`` fires after every committed window of an
 in-process run.  ``stop`` is honoured only with ``workers=0``: it ends the
@@ -81,7 +82,8 @@ def analysis_period(
         ]
         raise ValueError(
             f"cannot size the analysis period: {' and '.join(missing)} "
-            f"neither passed explicitly nor present in the capture metadata"
+            f"neither passed explicitly nor in the capture's year/days "
+            f"metadata"
         )
     return AnalysisConfig(year=int(year), days=int(days))
 

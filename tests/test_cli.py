@@ -377,6 +377,7 @@ BAD_ARGV = {
     "validate --days 0": "days must be within",
     "analyze CAPTURE --batch-size -1": "batch_size must be positive",
     "analyze CAPTURE --batch-size 0": "batch_size must be positive",
+    "analyze CAPTURE --days 0": "days must be >= 1",
     "fingerprint CAPTURE --batch-size 0": "batch_size must be positive",
     "anonymize CAPTURE --key 3 --batch-size 0": "batch_size must be positive",
     "stream CAPTURE --batch-size 0": "batch_size must be positive",

@@ -22,8 +22,9 @@ from repro.core.speed import (
     top_k_mean_speed,
     top_k_speed_trend,
 )
-from repro.core.volatility import source_weekly_tally, weekly_change_factors
+from repro.core.volatility import weekly_change_factors
 from repro.scanners import Tool
+from repro.stream.analyses import IncrementalVolatility
 from repro.telescope.packet import PacketBatch
 
 
@@ -225,6 +226,14 @@ def _week_batch(src_ips, weeks):
     )
 
 
+def _source_tally(batch, n_weeks):
+    """The per-(block, week) distinct-source tally of one window."""
+    volatility = IncrementalVolatility(n_weeks)
+    volatility.consume(batch)
+    volatility.finalize_counts()
+    return volatility.tallies["sources"].pair()
+
+
 class TestSourceWeeklyTally:
     def test_distinct_sources_past_week_255(self):
         """Regression: the old ``(src << 8) | week`` dedupe key let week
@@ -236,8 +245,8 @@ class TestSourceWeeklyTally:
         assert ((np.uint64(src) << np.uint64(8)) | np.uint64(257)) == (
             (np.uint64(src + 1) << np.uint64(8)) | np.uint64(1)
         )  # the collision the old key had
-        batch = _week_batch([src, src + 1], [257, 1])
-        keys, counts = source_weekly_tally(batch, n_weeks=300)
+        batch = _week_batch([src + 1, src], [1, 257])
+        keys, counts = _source_tally(batch, n_weeks=300)
         block = int(src) >> 16
         assert keys.tolist() == [
             (block << 32) | 1, (block << 32) | 257
@@ -247,7 +256,7 @@ class TestSourceWeeklyTally:
     def test_duplicate_packets_deduped_within_week(self):
         src = np.uint32(0x0A0A0001)
         batch = _week_batch([src, src, src + 1], [260, 260, 260])
-        keys, counts = source_weekly_tally(batch, n_weeks=300)
+        keys, counts = _source_tally(batch, n_weeks=300)
         assert counts.tolist() == [2]  # two sources, one week, one block
 
 

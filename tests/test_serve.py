@@ -45,6 +45,7 @@ from repro.serve import (
     ScenarioStore,
     config_hash,
     create_server,
+    execute_job,
     run_stream_report,
 )
 from repro.serve.api import MAX_BODY_BYTES
@@ -211,6 +212,25 @@ class TestDedupUnderConcurrency:
             assert "report" in second.result
             assert "report_text" in second.result
             assert second.result["fingerprints"]
+
+
+class TestReportJobs:
+    def test_both_kinds_attribute_tools_over_the_report_scans(self, tmp_path):
+        """``fingerprints`` counts the scans the report counts, in both
+        kinds: the streaming kind once also counted the scans on the
+        study-excluded ports 23/445, which this capture has."""
+        results = {
+            kind: execute_job({
+                "spec": JobSpec(kind=kind, **SPEC).to_dict(),
+                "cache_dir": str(tmp_path / "cache"),
+            })
+            for kind in ("analyze", "stream-report")
+        }
+        assert (results["analyze"]["fingerprints"]
+                == results["stream-report"]["fingerprints"])
+        for result in results.values():
+            tools = result["fingerprints"].values()
+            assert sum(t["scans"] for t in tools) == result["report"]["scans"]
 
 
 class TestRetryAndFailure:

@@ -1,10 +1,12 @@
-"""Streaming analyses vs the batch paper report.
+"""The analysis suite vs the whole-array reference report.
 
 The contract under test (see ``repro/stream/analyses.py``): the incremental
 accumulators produce a :class:`~repro.core.report.PaperReport` that is
-field-by-field — including every float — equal to the batch
-:func:`~repro.core.report.paper_report`, at any window size and shard
-count, across kill-and-resume, and within bounded memory.
+field-by-field — including every float — equal to the batch assembly kept
+in ``tests/report_oracle.py``, at any window size and shard count, across
+kill-and-resume, and within bounded memory; and
+:func:`~repro.core.report.paper_report`, the suite over one window, equals
+it too.
 """
 
 import dataclasses
@@ -12,7 +14,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import paper_report
+from repro.core import analyze_period, analyze_simulation, paper_report
+from repro.simulation import TelescopeWorld
 from repro.stream import (
     AnalysisConfig,
     AnalysisSuite,
@@ -22,6 +25,7 @@ from repro.stream import (
     stream_report,
 )
 from repro.telescope import PacketBatch, write_trace
+from tests.report_oracle import batch_paper_report
 
 
 def assert_reports_equal(actual, expected, path="report"):
@@ -51,7 +55,7 @@ def assert_reports_equal(actual, expected, path="report"):
 
 @pytest.fixture(scope="module")
 def expected_report(analysis2020):
-    return paper_report(analysis2020)
+    return batch_paper_report(analysis2020)
 
 
 def windows_of(batch, size):
@@ -61,6 +65,50 @@ def windows_of(batch, size):
         mask = np.zeros(len(batch), dtype=bool)
         mask[i:i + step] = True
         yield batch.where(mask)
+
+
+def no_scan_analysis(classifier):
+    """A 10-day period whose sources each probe too few addresses to scan."""
+    gen = np.random.default_rng(3)
+    n = 500
+    sources = gen.integers(1, 2**32, 50, dtype=np.uint32)
+    batch = PacketBatch(
+        time=np.sort(gen.uniform(0.0, 10 * 86_400.0, n)),
+        src_ip=sources[gen.integers(0, sources.size, n)],
+        dst_ip=gen.integers(0, 2**32, n, dtype=np.uint32),
+        src_port=gen.integers(1024, 2**16, n).astype(np.uint16),
+        dst_port=gen.choice([22, 23, 80, 445], n).astype(np.uint16),
+        ip_id=gen.integers(0, 2**16, n, dtype=np.uint16),
+        seq=gen.integers(0, 2**32, n, dtype=np.uint32),
+        ttl=gen.integers(32, 128, n).astype(np.uint8),
+        window=gen.integers(0, 2**16, n, dtype=np.uint16),
+        flags=np.full(n, 2, dtype=np.uint8),
+    )
+    return analyze_period(batch, year=2020, days=10, classifier=classifier)
+
+
+class TestPaperReport:
+    """``paper_report`` — the suite over one window — equals the oracle."""
+
+    def test_equals_oracle(self, analysis2020, expected_report):
+        assert_reports_equal(paper_report(analysis2020), expected_report)
+
+    def test_study_filter_drops_scans(self):
+        sim = TelescopeWorld(rng=5).simulate_year(
+            2016, days=3, max_packets=6_000, min_scans=40
+        )
+        analysis = analyze_simulation(sim)
+        assert len(analysis.study_scans) < len(analysis.scans)
+        assert_reports_equal(
+            paper_report(analysis), batch_paper_report(analysis)
+        )
+
+    def test_period_without_scans(self, analysis2020):
+        analysis = no_scan_analysis(analysis2020.classifier)
+        assert len(analysis.scans) == 0 and len(analysis.study_batch) > 0
+        report = paper_report(analysis)
+        assert report.scans == 0 and report.trends.intensity is None
+        assert_reports_equal(report, batch_paper_report(analysis))
 
 
 class TestSuiteEquivalence:
@@ -150,7 +198,7 @@ class TestSnapshotRestore:
         )
         restored.restore(arrays)
         assert_reports_equal(
-            restored.finalize(), paper_report(analysis2020)
+            restored.finalize(), batch_paper_report(analysis2020)
         )
 
 
@@ -270,7 +318,7 @@ class TestStreamReport:
         )
         assert not result.resumed  # distinct key -> fresh pass
         assert_reports_equal(
-            result.report, paper_report(analysis2020)
+            result.report, batch_paper_report(analysis2020)
         )
         assert len(plain.scans) == len(result.scans)
 
