@@ -168,6 +168,36 @@ def test_perf_stream_report(perf_batch, sims, benchmark):
     assert 0 < stats.analysis_state_bytes < perf_batch.memory_bytes()
 
 
+def test_perf_stream_report_small_windows(perf_batch, sims, benchmark):
+    """The streaming paper report at 4,096-packet windows.
+
+    The analysis suite reduces every window on its own (study mask, day
+    index, one sort into distinct (source, day) pairs) and folds it into
+    its tallies, so small windows are where that per-window pass costs
+    most.
+    """
+    from repro.stream import stream_report
+
+    sim = sims[2020]
+    classifier = ScannerClassifier(sim.registry)
+    holder = {}
+
+    def work():
+        result = stream_report(
+            BatchStreamSource(perf_batch, batch_size=4096),
+            year=sim.year, days=sim.days,
+            batch_size=4096, classifier=classifier,
+        )
+        holder["result"] = result
+        return result.report
+
+    report = benchmark.pedantic(work, rounds=3, iterations=1)
+    stats = holder["result"].stats
+    benchmark.extra_info["packets"] = stats.packets
+    benchmark.extra_info["stream_packets_per_s"] = round(stats.packets_per_s)
+    assert report.scans > 100
+
+
 def test_perf_stream_sharded(perf_batch, benchmark, tmp_path):
     """Source-sharded parallel streaming over a memory-mapped trace.
 

@@ -118,3 +118,20 @@ def gini_coefficient(values: Iterable[float]) -> float:
     # Standard formula over sorted values.
     index = np.arange(1, n + 1)
     return float((2 * np.sum(index * arr) / (n * total)) - (n + 1) / n)
+
+
+def run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal rows starts in row-sorted ``columns``.
+
+    The grouping step after a sort: with rows sorted so equal rows are
+    adjacent, the run starts index the distinct rows, and
+    ``np.diff(np.append(starts, n))`` their multiplicities.
+    """
+    n = columns[0].size
+    change = np.empty(n, dtype=bool)
+    if n:
+        change[0] = True
+        change[1:] = columns[0][1:] != columns[0][:-1]
+        for column in columns[1:]:
+            change[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(change)

@@ -22,14 +22,19 @@ capture so studies can report device populations instead of address counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro._util.stats import run_starts
 from repro._util.validate import check_positive
 from repro.telescope.packet import PacketBatch
 
 _DAY_S = 86_400.0
+
+#: Largest day index: :func:`source_days` packs it into the low 32 bits of
+#: a ``uint64`` key, below the source address.
+_MAX_DAY = 0xFFFFFFFF
 
 #: Plausible mean address lifetimes per origin class (days).  Residential
 #: pools churn within days; hosting and institutional space is static.
@@ -62,19 +67,73 @@ def correct_source_count(
     return observed_sources / (1.0 + period_days / lifetime_days)
 
 
-def first_appearance_days(batch: PacketBatch, days: int) -> Tuple[np.ndarray, np.ndarray]:
-    """First-appearance day per distinct source of one batch (or window).
+def day_index(times: np.ndarray) -> np.ndarray:
+    """Whole days since ``t = 0`` of each timestamp (``int64``).
 
-    Returns ``(sources, first_days)`` with the sources sorted ascending.
-    Shared by the batch cumulative curve and the streaming churn
-    accumulator (which dedupes these against its already-seen sources).
+    The one day division of the report's window pass: churn keys pack it
+    below the source address (:func:`source_days`) and the volatility weeks
+    derive from it (:func:`repro.core.volatility.week_index`).  Raises
+    ``ValueError`` for a timestamp whose day index falls outside
+    ``[0, 2**32)``: a negative or far-future time, and a NaN or infinite
+    one, whose floor casts to ``INT64_MIN``.
     """
-    day_idx = np.minimum((batch.time // _DAY_S).astype(np.int64), days - 1)
-    order = np.lexsort((day_idx, batch.src_ip))
-    src_sorted = batch.src_ip[order]
-    day_sorted = day_idx[order]
-    first_mask = np.concatenate([[True], src_sorted[1:] != src_sorted[:-1]])
-    return src_sorted[first_mask], day_sorted[first_mask]
+    with np.errstate(invalid="ignore"):
+        day = (times // _DAY_S).astype(np.int64)
+    if day.size and (day.min() < 0 or day.max() > _MAX_DAY):
+        bad = times[(day < 0) | (day > _MAX_DAY)][0]
+        raise ValueError(
+            f"packet time {float(bad)!r} has no day index in [0, 2**32): "
+            f"times must be finite seconds >= 0"
+        )
+    return day
+
+
+class SourceDays(NamedTuple):
+    """A window's distinct (source, day) pairs, sorted source-major."""
+
+    src: np.ndarray                    # uint32 sources, ascending
+    day: np.ndarray                    # int64 days, ascending per source
+    packets: np.ndarray                # int64 packets of each pair
+
+
+def source_days(src_ip: np.ndarray, day: np.ndarray) -> SourceDays:
+    """Reduce a window's packets to its distinct (source, day) pairs.
+
+    ``day`` comes from :func:`day_index`.  This is the window pass's one
+    packet-rate sort: each packet becomes one ``uint64`` key, source above
+    day, sorted in place.  (``np.unique`` without counts and
+    ``np.union1d`` take NumPy >= 2.3's hash path, several times slower
+    than sorting the same keys.)  Churn's first appearances and the
+    volatility tallies all reduce these pairs, not the packets.
+    """
+    key = src_ip.astype(np.uint64)
+    # Sources are 32-bit, so the shifted source fills the high word only.
+    key <<= np.uint64(32)  # repro-lint: disable=RPR011
+    # day_index bounds every day to [0, 2**32): it fits the low word.
+    key |= day.view(np.uint64)
+    key.sort()
+    starts = run_starts(key)
+    packets = np.diff(np.append(starts, key.size))
+    key = key[starts]
+    return SourceDays(
+        src=(key >> np.uint64(32)).astype(np.uint32),
+        day=(key & np.uint64(_MAX_DAY)).astype(np.int64),
+        packets=packets,
+    )
+
+
+def first_appearance_days(
+    pairs: SourceDays, days: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First-appearance day per distinct source of one window.
+
+    Returns ``(sources, first_days)`` with the sources ascending and the
+    days clamped into ``[0, days)``.  Shared by the batch cumulative curve
+    and the streaming churn accumulator (which dedupes these against its
+    already-seen sources).
+    """
+    first = run_starts(pairs.src)
+    return pairs.src[first], np.minimum(pairs.day[first], days - 1)
 
 
 def cumulative_distinct_sources(batch: PacketBatch, days: int) -> np.ndarray:
@@ -83,7 +142,9 @@ def cumulative_distinct_sources(batch: PacketBatch, days: int) -> np.ndarray:
         raise ValueError("days must be >= 1")
     if len(batch) == 0:
         return np.zeros(days, dtype=np.int64)
-    _, first_days = first_appearance_days(batch, days)
+    _, first_days = first_appearance_days(
+        source_days(batch.src_ip, day_index(batch.time)), days
+    )
     per_day = np.bincount(first_days, minlength=days)
     return np.cumsum(per_day)
 

@@ -22,13 +22,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro._util.stats import empirical_cdf
+from repro._util.stats import empirical_cdf, run_starts
 from repro.core.campaigns import ScanTable
+from repro.core.churn import day_index
 from repro.core.pipeline import PeriodAnalysis
 from repro.telescope.addresses import slash16_of
-from repro.telescope.packet import PacketBatch
-
-_WEEK_S = 7 * 86_400.0
 
 #: Metrics tracked per netblock per week.
 METRICS = ("sources", "scans", "packets")
@@ -37,9 +35,13 @@ METRICS = ("sources", "scans", "packets")
 SparseTally = Tuple[np.ndarray, np.ndarray]
 
 
-def week_index(times: np.ndarray, n_weeks: int) -> np.ndarray:
-    """Week index of each timestamp, clamped into ``[0, n_weeks)``."""
-    return np.minimum((times // _WEEK_S).astype(np.int64), n_weeks - 1)
+def week_index(day: np.ndarray, n_weeks: int) -> np.ndarray:
+    """Week of each day index, clamped into ``[0, n_weeks)``.
+
+    ``day`` comes from :func:`~repro.core.churn.day_index`, the exact floor
+    of ``t / 86400``, so ``day // 7`` is exactly ``t // 604800``.
+    """
+    return np.minimum(day // 7, n_weeks - 1)
 
 
 def pack_block_week(blocks: np.ndarray, weeks: np.ndarray) -> np.ndarray:
@@ -55,11 +57,20 @@ def pack_block_week(blocks: np.ndarray, weeks: np.ndarray) -> np.ndarray:
     ) | weeks.astype(np.int64)
 
 
-def packet_weekly_tally(batch: PacketBatch, n_weeks: int) -> SparseTally:
-    """Sparse per-(block, week) packet counts of one batch (or window)."""
-    weeks = week_index(batch.time, n_weeks)
-    blocks = slash16_of(batch.src_ip).astype(np.int64)
-    return np.unique(pack_block_week(blocks, weeks), return_counts=True)
+def packet_weekly_tally(
+    src: np.ndarray, week: np.ndarray, packets: np.ndarray
+) -> SparseTally:
+    """Sparse per-(block, week) packet counts of one window.
+
+    Rows are ``(source, week)`` with their packet counts — a window's
+    distinct (source, day) pairs (:func:`~repro.core.churn.source_days`),
+    not its packets.
+    """
+    keys = pack_block_week(slash16_of(src), week)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = run_starts(keys)
+    return keys[starts], np.add.reduceat(packets[order], starts)
 
 
 def scan_weekly_tally(scans: ScanTable, n_weeks: int) -> SparseTally:
@@ -67,7 +78,7 @@ def scan_weekly_tally(scans: ScanTable, n_weeks: int) -> SparseTally:
     if len(scans) == 0:
         empty = np.array([], dtype=np.int64)
         return empty, empty.copy()
-    weeks = week_index(scans.start, n_weeks)
+    weeks = week_index(day_index(scans.start), n_weeks)
     blocks = slash16_of(scans.src_ip).astype(np.int64)
     return np.unique(pack_block_week(blocks, weeks), return_counts=True)
 

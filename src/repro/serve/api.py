@@ -259,7 +259,10 @@ class _Handler(BaseHTTPRequestHandler):
             return {}
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # ValueError covers malformed JSON, bytes that decode as no
+            # Unicode encoding and integer literals past Python's digit
+            # limit; deep nesting exhausts the parser's recursion.
             body = None
         if not isinstance(body, dict):
             return 400, {"error": "body must be a JSON object"}

@@ -11,6 +11,19 @@ accumulators* over time-ordered packet windows, following the
 :func:`~repro.core.report.paper_report` is this suite fed one window: the
 whole capture and its whole scan table.
 
+The window pass: :class:`AnalysisSuite` reduces each raw window once and
+hands the reduction to the packet-side accumulators — one study mask
+(:func:`~repro.core.pipeline.study_mask`), one day division
+(:func:`~repro.core.churn.day_index`; weeks are ``day // 7``), and one
+in-place sort of packed ``(source << 32) | day`` keys into the window's
+distinct (source, day) pairs (:func:`~repro.core.churn.source_days`).
+First appearances, the per-(/16, week) packet tally and the distinct
+(source, week) pairs are run-start reductions of those pairs, and the
+port tally is one ``np.bincount``.  Sorted arrays merge with a stable sort
+of their concatenation, not ``np.union1d``: NumPy >= 2.3 answers
+``np.unique`` without counts from a hash table, measured at 46 ms against
+7.5 ms for an in-place sort of the same 988k keys (NumPy 2.4.6, 2-core VM).
+
 Why the results are field-by-field **equal** to that one-window run at any
 window size and shard count:
 
@@ -34,25 +47,32 @@ accumulators must have consumed *source-disjoint* packet streams (per-source
 facts — first appearance, distinct weeks — cannot be reconciled after the
 fact when a source is split across accumulators).
 
-Memory model: tallies grow with distinct (/16, week) and (port,) keys;
-scan-side buffers grow with the result set (scans, not packets); the only
-packet-rate structure — the open-week source sets — is bounded by the
-sources active within the watermark's week.  Nothing scales with capture
-length in packets.
+Memory model: tallies grow with distinct (/16, week) keys, and the port
+histogram is a fixed 65,536 counters; scan-side buffers grow with the
+result set (scans, not packets); the only packet-rate structure — the
+open-week source sets — is bounded by the sources active within the
+watermark's week.  Nothing scales with capture length in packets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro._util.stats import run_starts
 from repro.core.campaigns import ScanTable
-from repro.core.churn import first_appearance_days, fit_population_curve
+from repro.core.churn import (
+    SourceDays,
+    day_index,
+    first_appearance_days,
+    fit_population_curve,
+    source_days,
+)
 from repro.core.pipeline import (
     EXCLUDED_STUDY_PORTS,
-    study_batch_of,
+    study_mask,
     study_scans_of,
 )
 from repro.core.recurrence import (
@@ -87,6 +107,9 @@ from repro.stream.incremental import StreamOrderError
 from repro.telescope.addresses import slash16_of
 from repro.telescope.packet import PacketBatch
 
+#: Size of the dense port histogram (ports are 16-bit).
+_N_PORTS = 1 << 16
+
 #: Bumped when any accumulator's snapshot layout changes; part of the
 #: checkpoint key material, so old analysis checkpoints miss cleanly.
 ANALYSES_SCHEMA_VERSION = 1
@@ -96,8 +119,7 @@ class _SparseTally:
     """A sorted-key ``int64`` tally, mergeable by sorted reduction.
 
     Keys stay sorted-distinct; adds concatenate + stable-argsort +
-    ``np.add.reduceat``.  Sorted keys are load-bearing — entropy
-    finalisers sum in ``np.unique`` key order.
+    ``np.add.reduceat``.
     """
 
     __slots__ = ("keys", "counts")
@@ -126,9 +148,7 @@ class _SparseTally:
         )
         order = np.argsort(allk, kind="stable")
         allk, allc = allk[order], allc[order]
-        firsts = np.flatnonzero(
-            np.concatenate(([True], allk[1:] != allk[:-1]))
-        )
+        firsts = run_starts(allk)
         self.keys = allk[firsts]
         self.counts = np.add.reduceat(allc, firsts)
 
@@ -137,16 +157,6 @@ class _SparseTally:
 
     def pair(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.keys, self.counts
-
-    def count_of(self, keys: np.ndarray) -> int:
-        """Total multiplicity of ``keys`` (absent keys count zero)."""
-        if self.keys.size == 0:
-            return 0
-        idx = np.minimum(
-            np.searchsorted(self.keys, keys), self.keys.size - 1
-        )
-        hit = self.keys[idx] == keys
-        return int(self.counts[idx][hit].sum())
 
     @property
     def nbytes(self) -> int:
@@ -160,6 +170,36 @@ def _cat(chunks: List[np.ndarray], dtype) -> np.ndarray:
     if len(chunks) == 1:
         return chunks[0].astype(dtype, copy=False)
     return np.concatenate(chunks).astype(dtype, copy=False)
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct union of two sorted arrays (``np.union1d``'s result).
+
+    A stable sort of two concatenated sorted runs is one linear merge,
+    where ``np.union1d`` hashes on NumPy >= 2.3.
+    """
+    merged = np.concatenate([a, b])
+    merged.sort(kind="stable")
+    return merged[run_starts(merged)]
+
+
+class _Window(NamedTuple):
+    """A time-ordered study-view window, reduced once for every accumulator.
+
+    ``tmin``/``tmax`` feed the order checks and watermarks; ``pairs`` are
+    the window's distinct (source, day) pairs.
+    """
+
+    tmin: float
+    tmax: float
+    pairs: SourceDays
+
+
+def _window_of(time: np.ndarray, src_ip: np.ndarray) -> _Window:
+    return _Window(
+        float(time.min()), float(time.max()),
+        source_days(src_ip, day_index(time)),
+    )
 
 
 class IncrementalVolatility:
@@ -189,36 +229,31 @@ class IncrementalVolatility:
 
     def consume(self, batch: PacketBatch) -> None:
         """Ingest one time-ordered packet window (study view)."""
-        if len(batch) == 0:
-            return
-        t = batch.time
-        tmin = float(t.min())
-        if self.watermark != float("-inf") and tmin < self.watermark:
+        if len(batch):
+            self._consume(_window_of(batch.time, batch.src_ip))
+
+    def _consume(self, window: _Window) -> None:
+        if self.watermark != float("-inf") and window.tmin < self.watermark:
             raise StreamOrderError(
-                f"window starts at t={tmin:.6f}, before the volatility "
+                f"window starts at t={window.tmin:.6f}, before the volatility "
                 f"watermark {self.watermark:.6f}; week retirement needs a "
                 f"time-ordered stream"
             )
-        keys, counts = packet_weekly_tally(batch, self.n_weeks)
+        pairs = window.pairs
+        weeks = week_index(pairs.day, self.n_weeks)
+        keys, counts = packet_weekly_tally(pairs.src, weeks, pairs.packets)
         self.tallies["packets"].add(keys, counts)
-        self.blocks = np.union1d(
-            self.blocks, np.unique(slash16_of(batch.src_ip)).astype(np.int64)
-        )
+        blocks = keys >> np.int64(32)
+        self.blocks = _union(self.blocks, blocks[run_starts(blocks)])
 
-        weeks = week_index(t, self.n_weeks)
-        pairs = np.unique(
-            (batch.src_ip.astype(np.uint64) << np.uint64(32))
-            | weeks.astype(np.uint64)
-        )
-        pair_week = (pairs & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        pair_src = (pairs >> np.uint64(32)).astype(np.uint32)
-        # Group the distinct (src, week) pairs by week; the stable sort
-        # keeps each group's sources ascending (pairs are src-major).
+        # Distinct (src, week) pairs: days ascend within each source, so
+        # weeks do too.  Group them by week; the stable sort keeps each
+        # group's sources ascending.
+        firsts = run_starts(pairs.src, weeks)
+        pair_src, pair_week = pairs.src[firsts], weeks[firsts]
         order = np.argsort(pair_week, kind="stable")
         pair_week, pair_src = pair_week[order], pair_src[order]
-        firsts = np.flatnonzero(
-            np.concatenate(([True], pair_week[1:] != pair_week[:-1]))
-        )
+        firsts = run_starts(pair_week)
         bounds = np.append(firsts, pair_week.size)
         for i in range(firsts.size):
             week = int(pair_week[firsts[i]])
@@ -227,9 +262,9 @@ class IncrementalVolatility:
             if current is None:
                 self._open_weeks[week] = srcs.copy()
             else:
-                self._open_weeks[week] = np.union1d(current, srcs)
+                self._open_weeks[week] = _union(current, srcs)
 
-        self.watermark = max(self.watermark, float(t.max()))
+        self.watermark = max(self.watermark, window.tmax)
         self._retire_closed_weeks()
 
     def consume_scans(self, scans: ScanTable) -> None:
@@ -243,11 +278,11 @@ class IncrementalVolatility:
             raise ValueError("cannot merge volatility over different horizons")
         for metric in METRICS:
             self.tallies[metric].merge(other.tallies[metric])
-        self.blocks = np.union1d(self.blocks, other.blocks)
+        self.blocks = _union(self.blocks, other.blocks)
         for week, srcs in other._open_weeks.items():
             current = self._open_weeks.get(week)
             self._open_weeks[week] = (
-                srcs.copy() if current is None else np.union1d(current, srcs)
+                srcs.copy() if current is None else _union(current, srcs)
             )
         self.watermark = max(self.watermark, other.watermark)
         self._retire_closed_weeks()
@@ -276,7 +311,7 @@ class IncrementalVolatility:
         if self.watermark == float("-inf"):
             return
         floor = int(week_index(
-            np.array([self.watermark]), self.n_weeks
+            day_index(np.array([self.watermark])), self.n_weeks
         )[0])
         for week in [w for w in self._open_weeks if w < floor]:
             self._retire_week(week)
@@ -295,15 +330,18 @@ class IncrementalVolatility:
 class IncrementalTrends:
     """Streaming §4.2 trends: port/country tallies plus scan-side buffers.
 
-    Packet-side state is a sorted port tally (exact counts, entropy-safe
-    order).  Scan-side columns are buffered as chunks and sorted into the
+    Packet-side state is a dense per-port packet histogram (exact counts;
+    its nonzero entries, in port order, are the entropy-safe sorted tally).
+    Scan-side columns are buffered as chunks and sorted into the
     canonical scan-table order (``lexsort((start, src_ip))``) at finalise,
     so the order-dependent float means do not depend on how the scans
     arrived; this buffer grows with the *result set*, not the packet stream.
     """
 
     def __init__(self):
-        self.ports = _SparseTally()
+        #: Packets per destination port; ports are 16-bit, so a window adds
+        #: its ``np.bincount`` instead of merging a sparse tally.
+        self.port_packets = np.zeros(_N_PORTS, dtype=np.int64)
         self.total_packets = 0
         self._src: List[np.ndarray] = []
         self._start: List[np.ndarray] = []
@@ -313,13 +351,13 @@ class IncrementalTrends:
 
     def consume(self, batch: PacketBatch) -> None:
         """Ingest one packet window (study view)."""
-        if len(batch) == 0:
+        self._consume_ports(batch.dst_port)
+
+    def _consume_ports(self, dst_port: np.ndarray) -> None:
+        if dst_port.size == 0:
             return
-        ports, counts = np.unique(
-            batch.dst_port.astype(np.int64), return_counts=True
-        )
-        self.ports.add(ports, counts)
-        self.total_packets += len(batch)
+        self.port_packets += np.bincount(dst_port, minlength=_N_PORTS)
+        self.total_packets += dst_port.size
 
     def consume_scans(self, scans: ScanTable) -> None:
         """Buffer one chunk of finalised, enriched scans (study view)."""
@@ -332,7 +370,7 @@ class IncrementalTrends:
         self._country.append(scans.country.astype(str))
 
     def merge(self, other: "IncrementalTrends") -> None:
-        self.ports.merge(other.ports)
+        self.port_packets += other.port_packets
         self.total_packets += other.total_packets
         self._src.extend(other._src)
         self._start.extend(other._start)
@@ -342,11 +380,11 @@ class IncrementalTrends:
 
     def finalize(self) -> TrendsReport:
         if self.total_packets:
-            classic = self.ports.count_of(
-                np.asarray(CLASSIC_PORTS, dtype=np.int64)
-            )
+            classic = int(self.port_packets[list(CLASSIC_PORTS)].sum())
             classic_share = float(classic / self.total_packets)
-            port_entropy = entropy_from_counts(self.ports.counts)
+            port_entropy = entropy_from_counts(
+                self.port_packets[self.port_packets > 0]
+            )
         else:
             classic_share = 0.0
             port_entropy = 0.0
@@ -390,7 +428,7 @@ class IncrementalTrends:
             )
             for chunk in store
         )
-        return self.ports.nbytes + chunk_bytes
+        return int(self.port_packets.nbytes) + chunk_bytes
 
 
 class IncrementalChurn:
@@ -412,17 +450,18 @@ class IncrementalChurn:
 
     def consume(self, batch: PacketBatch) -> None:
         """Ingest one time-ordered packet window (study view)."""
-        if len(batch) == 0:
-            return
-        tmin = float(batch.time.min())
-        if self.watermark != float("-inf") and tmin < self.watermark:
+        if len(batch):
+            self._consume(_window_of(batch.time, batch.src_ip))
+
+    def _consume(self, window: _Window) -> None:
+        if self.watermark != float("-inf") and window.tmin < self.watermark:
             raise StreamOrderError(
-                f"window starts at t={tmin:.6f}, before the churn watermark "
-                f"{self.watermark:.6f}; first-appearance days need a "
-                f"time-ordered stream"
+                f"window starts at t={window.tmin:.6f}, before the churn "
+                f"watermark {self.watermark:.6f}; first-appearance days need "
+                f"a time-ordered stream"
             )
-        self.watermark = max(self.watermark, float(batch.time.max()))
-        srcs, first_days = first_appearance_days(batch, self.days)
+        self.watermark = max(self.watermark, window.tmax)
+        srcs, first_days = first_appearance_days(window.pairs, self.days)
         if self.seen.size:
             idx = np.minimum(
                 np.searchsorted(self.seen, srcs), self.seen.size - 1
@@ -434,14 +473,14 @@ class IncrementalChurn:
             self.per_day += np.bincount(
                 first_days[new], minlength=self.days
             ).astype(np.int64, copy=False)
-            self.seen = np.union1d(self.seen, srcs[new])
+            self.seen = _union(self.seen, srcs[new])
 
     def merge(self, other: "IncrementalChurn") -> None:
         """Fold a source-disjoint shard's state into this one."""
         if other.days != self.days:
             raise ValueError("cannot merge churn over different horizons")
         self.per_day += other.per_day
-        self.seen = np.union1d(self.seen, other.seen)
+        self.seen = _union(self.seen, other.seen)
         self.watermark = max(self.watermark, other.watermark)
 
     def finalize(self) -> ChurnReport:
@@ -541,9 +580,12 @@ class AnalysisSuite:
     """All incremental analyses of one period behind a single surface.
 
     The suite applies the §3.2 study filter itself
-    (:func:`~repro.core.pipeline.study_batch_of` on packets,
+    (:func:`~repro.core.pipeline.study_mask` on packets,
     :func:`~repro.core.pipeline.study_scans_of` on scans), so it is fed the
-    raw stream and the raw finalised scan table.
+    raw stream and the raw finalised scan table.  Each window is reduced
+    once — the study mask, one day division and one sort into distinct
+    (source, day) pairs — and the packet-side accumulators read that
+    reduction through their private ``_consume`` paths.
     """
 
     def __init__(self, config: AnalysisConfig):
@@ -575,13 +617,17 @@ class AnalysisSuite:
             )
         self.watermark = max(self.watermark, float(batch.time.max()))
         self.packets_consumed += n
-        batch = study_batch_of(batch)
-        if len(batch) == 0:
-            return
-        self.study_packets += len(batch)
-        self.volatility.consume(batch)
-        self.trends.consume(batch)
-        self.churn.consume(batch)
+        time, src_ip, dst_port = batch.time, batch.src_ip, batch.dst_port
+        keep = study_mask(dst_port)
+        if not keep.all():
+            time, src_ip, dst_port = time[keep], src_ip[keep], dst_port[keep]
+            if time.size == 0:
+                return
+        window = _window_of(time, src_ip)
+        self.study_packets += time.size
+        self.volatility._consume(window)
+        self.trends._consume_ports(dst_port)
+        self.churn._consume(window)
 
     def consume_scans(self, scans: ScanTable) -> None:
         """Fold finalised, *enriched* scans in (each scan exactly once)."""
@@ -641,6 +687,7 @@ class AnalysisSuite:
         """Serialise the suite into flat arrays (``np.savez``-safe)."""
         vol = self.volatility
         open_weeks = sorted(vol._open_weeks)
+        port_keys = np.flatnonzero(self.trends.port_packets).astype(np.int64)
         out: Dict[str, np.ndarray] = {
             "counters": np.array(
                 [self.packets_consumed, self.study_packets,
@@ -659,8 +706,8 @@ class AnalysisSuite:
             "vol_week_srcs": _cat(
                 [vol._open_weeks[w] for w in open_weeks], np.uint32
             ),
-            "tr_port_keys": self.trends.ports.keys,
-            "tr_port_counts": self.trends.ports.counts,
+            "tr_port_keys": port_keys,
+            "tr_port_counts": self.trends.port_packets[port_keys],
             "tr_total_packets": np.array(
                 [self.trends.total_packets], dtype=np.int64
             ),
@@ -709,9 +756,7 @@ class AnalysisSuite:
         self.volatility = vol
 
         trends = IncrementalTrends()
-        trends.ports = _SparseTally(
-            arrays["tr_port_keys"].copy(), arrays["tr_port_counts"].copy()
-        )
+        trends.port_packets[arrays["tr_port_keys"]] = arrays["tr_port_counts"]
         trends.total_packets = int(arrays["tr_total_packets"][0])
         if arrays["tr_src"].size:
             trends._src = [arrays["tr_src"].copy()]

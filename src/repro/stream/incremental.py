@@ -35,6 +35,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro._util.stats import run_starts
+
 # ``score_sessions`` is not called here; perfbench wraps it under this
 # module's name, so the import stays.
 from repro.core.campaigns import (  # noqa: F401
@@ -114,8 +116,17 @@ class IncrementalScanIdentifier:
         carry = self._carry
         if len(carry) == 0:
             return 0
-        pairs = np.unique(np.stack([carry.src_ip, carry.dst_ip]), axis=1)
-        _, per_src = np.unique(pairs[0], return_counts=True)
+        # Distinct (src, dst) pairs as one sorted uint64 key: a row-wise
+        # ``np.unique(axis=1)`` took up to 170 ms per call on a 100k-packet
+        # carry, and a progress callback reads this gauge after every window.
+        key = carry.src_ip.astype(np.uint64)
+        # Sources are 32-bit, so the shifted source fills the high word only.
+        key <<= np.uint64(32)  # repro-lint: disable=RPR011
+        key |= carry.dst_ip
+        key.sort()
+        pair_src = key[run_starts(key)] >> np.uint64(32)
+        starts = run_starts(pair_src)
+        per_src = np.diff(np.append(starts, pair_src.size))
         return int(np.count_nonzero(per_src >= self.criteria.min_distinct_dsts))
 
     # -- streaming ----------------------------------------------------------

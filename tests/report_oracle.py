@@ -6,20 +6,25 @@ accumulators; :func:`repro.core.report.paper_report` is that suite over a
 single window.  This module keeps the readable batch form it replaced — each
 section computed from the fully materialised study views by the batch
 helpers the fidelity benches use (``port_share``, the entropies,
-``recurrence_stats``, ``cumulative_distinct_sources``, …), with the weekly
-/16 matrices built in one ``np.unique`` pass over the whole capture.  Tests
-require the suite to equal it field for field, floats included, at every
-window size and shard count; nothing in ``src/`` calls it.
+``recurrence_stats``, …), with the weekly /16 matrices built in one
+``np.unique`` pass over the whole capture.  Tests require the suite to equal
+it field for field, floats included, at every window size and shard count;
+nothing in ``src/`` calls it.
+
+The packet-side forms the suite's window pass replaced live here too, so the
+oracle never checks that pass against itself: week indices from
+``t // 604800``, ``np.unique`` tallies, and ``np.lexsort`` first-appearance
+days.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.campaigns import ScanTable
-from repro.core.churn import cumulative_distinct_sources, fit_population_curve
+from repro.core.churn import fit_population_curve
 from repro.core.pipeline import PeriodAnalysis
 from repro.core.recurrence import (
     institutional_daily_scanners,
@@ -45,14 +50,61 @@ from repro.core.volatility import (
     SparseTally,
     dense_weekly_counts,
     pack_block_week,
-    packet_weekly_tally,
-    scan_weekly_tally,
     summaries_from_counts,
-    week_index,
     weeks_in_period,
 )
 from repro.telescope.addresses import slash16_of
 from repro.telescope.packet import PacketBatch
+
+_DAY_S = 86_400.0
+_WEEK_S = 7 * _DAY_S
+
+
+def week_index(times: np.ndarray, n_weeks: int) -> np.ndarray:
+    """Week index of each timestamp, clamped into ``[0, n_weeks)``."""
+    return np.minimum((times // _WEEK_S).astype(np.int64), n_weeks - 1)
+
+
+def packet_weekly_tally(batch: PacketBatch, n_weeks: int) -> SparseTally:
+    """Sparse per-(block, week) packet counts of one batch."""
+    weeks = week_index(batch.time, n_weeks)
+    blocks = slash16_of(batch.src_ip).astype(np.int64)
+    return np.unique(pack_block_week(blocks, weeks), return_counts=True)
+
+
+def scan_weekly_tally(scans: ScanTable, n_weeks: int) -> SparseTally:
+    """Sparse per-(block, week) scan counts (by scan start time)."""
+    if len(scans) == 0:
+        empty = np.array([], dtype=np.int64)
+        return empty, empty.copy()
+    weeks = week_index(scans.start, n_weeks)
+    blocks = slash16_of(scans.src_ip).astype(np.int64)
+    return np.unique(pack_block_week(blocks, weeks), return_counts=True)
+
+
+def port_tally(batch: PacketBatch) -> SparseTally:
+    """Sorted distinct destination ports of one batch, with packet counts."""
+    return np.unique(batch.dst_port.astype(np.int64), return_counts=True)
+
+
+def first_appearance_days(
+    batch: PacketBatch, days: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First-appearance day per distinct source, sources ascending."""
+    day_idx = np.minimum((batch.time // _DAY_S).astype(np.int64), days - 1)
+    order = np.lexsort((day_idx, batch.src_ip))
+    src_sorted = batch.src_ip[order]
+    day_sorted = day_idx[order]
+    first_mask = np.concatenate([[True], src_sorted[1:] != src_sorted[:-1]])
+    return src_sorted[first_mask], day_sorted[first_mask]
+
+
+def cumulative_distinct_sources(batch: PacketBatch, days: int) -> np.ndarray:
+    """Cumulative count of distinct source addresses by end of each day."""
+    if len(batch) == 0:
+        return np.zeros(days, dtype=np.int64)
+    _, first_days = first_appearance_days(batch, days)
+    return np.cumsum(np.bincount(first_days, minlength=days))
 
 
 def source_weekly_tally(batch: PacketBatch, n_weeks: int) -> SparseTally:

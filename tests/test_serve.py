@@ -27,6 +27,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import __version__
 from repro.cli import main
@@ -580,7 +581,78 @@ def _post_with_length(server, content_length, body=b""):
         conn.close()
 
 
+def _send_raw(server, method, path, raw):
+    """One request with a raw byte body; returns (status, decoded JSON)."""
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request(method, path, body=raw,
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def _submits_a_job(raw):
+    """Whether ``POST /jobs`` would accept ``raw`` and run a real job."""
+    try:
+        body = json.loads(raw) if raw else {}
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(body, dict):
+        return False
+    try:
+        JobSpec.from_dict(body)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+#: JSON documents of any shape, as request bodies.
+_JSON_BODIES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+).map(lambda doc: json.dumps(doc).encode())
+
+#: Bodies that are not UTF-8, nested past the parser's recursion limit, or
+#: carry an integer literal past Python's 4,300-digit limit.
+_HOSTILE_BODIES = [
+    b"\xff\xfe{",
+    b'{"kind": "\xff"}',
+    b"[" * 100_000,
+    b'{"seed": ' + b"9" * 5_000 + b"}",
+]
+
+
 class TestHTTPApi:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method_path=st.sampled_from(
+            [("POST", "/jobs"), ("PUT", "/scenarios/t/n")]
+        ),
+        raw=st.binary(max_size=64) | _JSON_BODIES,
+    )
+    @example(method_path=("POST", "/jobs"), raw=_HOSTILE_BODIES[0])
+    @example(method_path=("POST", "/jobs"), raw=_HOSTILE_BODIES[1])
+    @example(method_path=("POST", "/jobs"), raw=_HOSTILE_BODIES[2])
+    @example(method_path=("PUT", "/scenarios/t/n"), raw=_HOSTILE_BODIES[2])
+    @example(method_path=("POST", "/jobs"), raw=_HOSTILE_BODIES[3])
+    def test_any_body_gets_a_json_reply(self, server, method_path, raw):
+        """No request body drops the connection: every one is answered
+        with JSON, malformed ones with a 400, and the server stays up."""
+        method, path = method_path
+        if method == "POST" and _submits_a_job(raw):
+            return  # a valid spec would start a real simulation
+        status, body = _send_raw(server, method, path, raw)
+        assert status in (200, 202, 400)
+        assert isinstance(body, dict)
+        if status == 400:
+            assert "error" in body
+        assert _request(server, "GET", "/healthz")[0] == 200
+
     def test_non_integer_content_length_is_400(self, server):
         status, body = _post_with_length(server, "abc", b"{}")
         assert status == 400

@@ -391,6 +391,31 @@ class TestBoundedMemory:
         assert identifier.open_sessions == 0
         assert identifier.buffered_bytes == 0
 
+    @pytest.mark.parametrize("batch_size", [4096, 20_000, 65_536])
+    def test_candidate_gauge_equals_pairwise_unique(
+        self, batch2020, batch_size
+    ):
+        """``candidate_sessions`` after every window equals the row-wise
+        ``np.unique`` count of open sources with enough destinations."""
+        identifier = IncrementalScanIdentifier()
+        threshold = identifier.criteria.min_distinct_dsts
+        gauges = []
+        for window in BatchStreamSource(
+            batch2020, batch_size=batch_size
+        ).windows():
+            identifier.consume(window)
+            carry = identifier._carry
+            expected = 0
+            if len(carry):
+                pairs = np.unique(
+                    np.stack([carry.src_ip, carry.dst_ip]), axis=1
+                )
+                _, per_src = np.unique(pairs[0], return_counts=True)
+                expected = int(np.count_nonzero(per_src >= threshold))
+            assert identifier.candidate_sessions == expected
+            gauges.append(expected)
+        assert max(gauges) > 0
+
     def test_stats_surface_reports_memory(self, batch2020):
         engine = StreamEngine(config=StreamConfig(batch_size=8192))
         seen = []
