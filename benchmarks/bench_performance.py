@@ -221,7 +221,7 @@ def test_perf_stream_sharded(perf_batch, benchmark, tmp_path):
     workers = min(shards, cores)
 
     def source():
-        return TraceStreamSource(path, batch_size=65_536, mmap=True)
+        return TraceStreamSource(path, batch_size=65_536)
 
     base_engine = StreamEngine(config=StreamConfig(batch_size=65_536))
     started = time.perf_counter()

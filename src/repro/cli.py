@@ -202,10 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="source-hash shards; >1 splits the identifier "
                           "state by hash(src_ip) %% N with bit-identical "
                           "output (--workers then runs shards in parallel)")
-    stm.add_argument("--mmap", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="force (--mmap) or forbid (--no-mmap) the "
-                          "zero-copy mapped trace reader; default auto")
     stm.add_argument("--report", action="store_true",
                      help="run the incremental analyses alongside the "
                           "identifier and print the combined paper report "
@@ -331,7 +327,6 @@ def _capture_source(args: argparse.Namespace, strict: bool = True):
     return TraceStreamSource(
         path, batch_size=args.batch_size, strict=strict,
         window_s=getattr(args, "window_s", None),
-        mmap=getattr(args, "mmap", None),
     )
 
 
@@ -476,7 +471,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    source = _capture_source(args, strict=config.strict)
 
     progress = None
     if args.progress_every > 0 and args.workers == 0:
@@ -495,6 +489,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         stopper.install()
         stop = stopper.stop
     try:
+        # Opening the capture checks its whole chunk directory, so a
+        # damaged file fails here as one ``error:`` line.
+        source = _capture_source(args, strict=config.strict)
         engine = StreamEngine(
             config=config, n_shards=args.shards, workers=args.workers,
             analyses=(analysis_period(source, args.year, args.days)

@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.core.pipeline import PeriodAnalysis
+from repro.core.ports_analysis import source_port_pairs
 from repro.scanners.base import Tool
 
 
@@ -63,9 +64,7 @@ def top_ports_by_sources(analysis: PeriodAnalysis, k: int = 5) -> List[PortShare
     batch = analysis.study_batch
     if len(batch) == 0:
         return []
-    pairs = (batch.src_ip.astype(np.uint64) << np.uint64(16)) | batch.dst_port.astype(np.uint64)
-    unique_pairs = np.unique(pairs)
-    ports = (unique_pairs & np.uint64(0xFFFF)).astype(np.int64)
+    ports = (source_port_pairs(batch) & np.uint64(0xFFFF)).astype(np.int64)
     port_values, counts = np.unique(ports, return_counts=True)
     order = np.argsort(counts)[::-1][:k]
     total_sources = analysis.distinct_sources

@@ -190,7 +190,6 @@ def as_stream_source(
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
     window_s: Optional[float] = None,
     strict: bool = True,
-    mmap: Optional[bool] = None,
 ) -> StreamSource:
     """Coerce common capture shapes into a :class:`StreamSource`."""
     if isinstance(capture, StreamSource):
@@ -198,9 +197,7 @@ def as_stream_source(
     if isinstance(capture, PacketBatch):
         return BatchStreamSource(capture, batch_size, window_s)
     if isinstance(capture, (str, Path)):
-        return TraceStreamSource(
-            capture, batch_size, window_s, strict=strict, mmap=mmap
-        )
+        return TraceStreamSource(capture, batch_size, window_s, strict=strict)
     return IterStreamSource(capture, batch_size, window_s)
 
 
@@ -212,7 +209,6 @@ def identify_scans_stream(
     window_s: Optional[float] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressCallback] = None,
-    mmap: Optional[bool] = None,
     n_shards: int = 1,
     workers: int = 0,
 ) -> ScanTable:
@@ -222,7 +218,7 @@ def identify_scans_stream(
     size, shard count and worker count; see :mod:`repro.stream.incremental`
     and :mod:`repro.stream.sharded` for why.
     """
-    source = as_stream_source(capture, batch_size, window_s, mmap=mmap)
+    source = as_stream_source(capture, batch_size, window_s)
     engine = StreamEngine(
         criteria,
         fingerprinter,

@@ -127,7 +127,6 @@ def stream_report(
     checkpoint_dir: Optional[PathLike] = None,
     checkpoint_every: int = 8,
     strict: bool = True,
-    mmap: Optional[bool] = None,
     classifier: Optional[ScannerClassifier] = None,
     progress: Optional[ProgressCallback] = None,
     stop: Optional[Callable[[], bool]] = None,
@@ -138,9 +137,7 @@ def stream_report(
     files written by the simulator carry both).  ``progress`` and ``stop``
     are the engine's (see :meth:`StreamEngine.run`).
     """
-    source = as_stream_source(
-        capture, batch_size, window_s, strict=strict, mmap=mmap
-    )
+    source = as_stream_source(capture, batch_size, window_s, strict=strict)
     engine = StreamEngine(
         criteria,
         fingerprinter,

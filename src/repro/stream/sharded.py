@@ -18,11 +18,12 @@ is the ``n_shards=1`` case of :class:`~repro.stream.engine.StreamEngine`.
 in this process (``workers=0``) or, via :func:`_shard_stream_task`, in a
 :class:`~concurrent.futures.ProcessPoolExecutor` worker (the
 ``exec/parallel.py`` discipline: a module-level task function, pure in its
-arguments).  Each worker re-opens the ``.rtrace`` by path through the mmap
-reader, so the capture's pages are shared read-only between workers by the
-page cache instead of being pickled across the pool.  :func:`_run_engine`,
-the body of :meth:`StreamEngine.run`, dispatches the shards one way or the
-other and merges their results.  Pool workers die with the process that
+arguments).  Each worker re-opens the ``.rtrace`` by path and maps it
+(:class:`~repro.telescope.trace.TraceReader`), so the capture's pages are
+shared read-only between workers by the page cache instead of being pickled
+across the pool.  :func:`_run_engine`, the body of
+:meth:`StreamEngine.run`, dispatches the shards one way or the other and
+merges their results.  Pool workers die with the process that
 forked them (:func:`_die_with_parent`), so killing that process alone
 leaves none behind.
 
@@ -235,7 +236,6 @@ def _shard_stream_task(
     batch_size: Optional[int],
     window_s: Optional[float],
     strict: bool,
-    mmap: Optional[bool],
     shard: int,
     n_shards: int,
     criteria: CampaignCriteria,
@@ -252,8 +252,7 @@ def _shard_stream_task(
     state crosses back as the plain-array snapshot on the result).
     """
     source = TraceStreamSource(
-        path, batch_size=batch_size, window_s=window_s, strict=strict,
-        mmap=mmap,
+        path, batch_size=batch_size, window_s=window_s, strict=strict
     )
     return _run_one_shard(
         source, shard, n_shards, criteria, fingerprinter, config, analyses
@@ -302,7 +301,7 @@ def _run_engine(
                 pool.submit(
                     _shard_stream_task,
                     str(source.path), source.batch_size, source.window_s,
-                    source.strict, source.mmap, shard, engine.n_shards,
+                    source.strict, shard, engine.n_shards,
                     engine.criteria, engine.fingerprinter, engine.config,
                     engine.analyses,
                 )

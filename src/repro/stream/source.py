@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.telescope.packet import PacketBatch
-from repro.telescope.trace import MAGIC, TraceReader, open_trace_reader
+from repro.telescope.trace import MAGIC, TraceReader
 
 PathLike = Union[str, Path]
 
@@ -134,18 +134,18 @@ class StreamSource:
 class TraceStreamSource(StreamSource):
     """Windows over an ``.rtrace`` capture.
 
-    ``mmap=None`` (the default) reads through the zero-copy
-    :class:`~repro.telescope.trace.MappedTraceReader` where the platform
-    supports it, falling back to the buffered :class:`TraceReader`
-    elsewhere; ``True`` requires the mapped reader, ``False`` forces the
-    buffered one.  On the mapped path the windows handed to the engine are
-    read-only views straight into the file — the sensor filter, re-batching
-    and session building all run over the mapped pages in one pass, with a
-    copy only where a window genuinely spans two chunks.
+    The windows handed to the engine are read-only views straight into the
+    mapped file (:class:`~repro.telescope.trace.TraceReader`) — the sensor
+    filter, re-batching and session building all run over the mapped pages
+    in one pass, with a copy only where a window genuinely spans two
+    chunks.
 
-    ``skip_packets`` fast-forwards for checkpoint resume: an index seek on
-    the mapped reader, chunk-header seeks on the buffered one — either way a
-    resumed run re-reads almost none of the committed bytes.
+    Building the source opens the capture once, which checks the whole
+    chunk directory: a damaged capture raises :class:`TraceFormatError`
+    here, and with ``strict=False`` a cleanly-truncated tail is dropped and
+    ``truncated`` is set.  ``skip_packets`` fast-forwards for checkpoint
+    resume with an index seek, so a resumed run re-reads none of the
+    committed bytes.
     """
 
     def __init__(
@@ -154,17 +154,15 @@ class TraceStreamSource(StreamSource):
         batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
         window_s: Optional[float] = None,
         strict: bool = True,
-        mmap: Optional[bool] = None,
     ):
         self.path = Path(path)
         self.batch_size = batch_size
         self.window_s = window_s
         self.strict = strict
-        self.mmap = mmap
-        #: Mirrors ``TraceReader.truncated`` after a ``windows()`` pass.
-        self.truncated = False
         with TraceReader(self.path, strict=strict) as reader:
             self.meta = reader.meta
+            #: Mirrors ``TraceReader.truncated``.
+            self.truncated = reader.truncated
 
     def identity(self) -> Optional[Dict[str, Any]]:
         """Size plus a digest of the metadata block.
@@ -185,9 +183,8 @@ class TraceStreamSource(StreamSource):
         }
 
     def windows(self, skip_packets: int = 0) -> Iterator[PacketBatch]:
-        with open_trace_reader(
-            self.path, strict=self.strict, use_mmap=self.mmap
-        ) as reader:
+        with TraceReader(self.path, strict=self.strict) as reader:
+            self.truncated = reader.truncated
             chunks: Iterator[PacketBatch]
             if skip_packets:
                 remainder = reader.skip_packets(skip_packets)
@@ -195,7 +192,6 @@ class TraceStreamSource(StreamSource):
             else:
                 chunks = iter(reader)
             yield from rebatch(chunks, self.batch_size, self.window_s)
-            self.truncated = reader.truncated
 
 
 class BatchStreamSource(StreamSource):

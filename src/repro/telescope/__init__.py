@@ -48,16 +48,11 @@ from repro.telescope.pcap import (
     write_pcap,
 )
 from repro.telescope.trace import (
-    MappedTraceReader,
     TraceFormatError,
     TraceIndex,
     TraceReader,
     TraceWriter,
-    iter_trace,
-    mmap_supported,
-    open_trace_reader,
     read_trace,
-    read_trace_meta,
     write_trace,
 )
 
@@ -94,15 +89,10 @@ __all__ = [
     "iter_pcap",
     "read_pcap",
     "write_pcap",
-    "MappedTraceReader",
     "TraceFormatError",
     "TraceIndex",
     "TraceReader",
     "TraceWriter",
-    "iter_trace",
-    "mmap_supported",
-    "open_trace_reader",
     "read_trace",
-    "read_trace_meta",
     "write_trace",
 ]

@@ -14,26 +14,23 @@ Layout::
         columns     raw little-endian arrays, in fixed column order
 
 Chunking lets a writer stream a multi-day capture without holding it in
-memory, and lets a reader iterate chunk-by-chunk.
+memory.  :class:`TraceReader`, the one reader, maps the file and hands its
+chunks out as zero-copy column views; :func:`read_trace` copies them into
+one owned batch.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
+import mmap
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.telescope.packet import PacketBatch
-
-try:  # pragma: no cover - mmap is stdlib on every supported platform
-    import mmap as _mmap
-except ImportError:  # pragma: no cover - exotic builds without mmap
-    _mmap = None
 
 MAGIC = b"RTRACE01"
 
@@ -119,171 +116,6 @@ class TraceWriter:
 #: Bytes per packet across all serialised columns (one row of a chunk).
 _ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMN_ORDER)
 
-
-class TraceReader:
-    """Streaming trace reader; iterates chunks as :class:`PacketBatch`.
-
-    ``strict=True`` (the default) raises :class:`TraceFormatError` on any
-    truncated or corrupt batch, reporting the byte offset and batch index of
-    the damage.  ``strict=False`` tolerates a cleanly-truncated final batch
-    — a writer killed mid-chunk — by dropping the partial batch and ending
-    the stream (``reader.truncated`` records that this happened).  Structural
-    damage before the chunks (bad magic, unreadable metadata) always raises.
-    """
-
-    def __init__(self, path: PathLike, strict: bool = True):
-        self._path = Path(path)
-        self._strict = strict
-        self._offset = 0
-        self._size = 0
-        self._batch_index = 0
-        self.meta: Dict[str, Any] = {}
-        self.truncated = False
-
-    def __enter__(self) -> "TraceReader":
-        self._file = open(self._path, "rb")
-        try:
-            self._size = os.fstat(self._file.fileno()).st_size
-            self._read_header()
-        except BaseException:
-            self._file.close()
-            raise
-        return self
-
-    def _read_header(self) -> None:
-        magic = self._file.read(len(MAGIC))
-        self._offset = len(magic)
-        if magic != MAGIC:
-            if magic.startswith(b"RTRACE"):
-                # Same family, different format revision: name both
-                # versions so multi-trace runs can tell which file is old.
-                raise TraceFormatError(
-                    f"unsupported trace format version {magic!r} in "
-                    f"{self._path}: this reader supports {MAGIC!r}"
-                )
-            raise TraceFormatError(f"bad magic in {self._path}: {magic!r}")
-        (meta_len,) = struct.unpack("<I", self._read_exact(4, "metadata length"))
-        self.meta = _decode_meta(
-            self._read_exact(meta_len, "metadata block"), self._path
-        )
-
-    def _read_exact(self, count: int, context: str) -> bytes:
-        left = self._size - self._offset
-        if count > left:
-            # Checked before reading: a damaged length field (metadata or
-            # chunk count) must not become a multi-gigabyte allocation.
-            raise TraceFormatError(
-                f"truncated trace file {self._path}: {context} needs {count} "
-                f"bytes at byte offset {self._offset} but only {left} remain "
-                f"(batch {self._batch_index})"
-            )
-        data = self._file.read(count)
-        self._offset += len(data)
-        if len(data) != count:
-            raise TraceFormatError(
-                f"truncated trace file {self._path}: short read of {context} "
-                f"at byte offset {self._offset} "
-                f"(batch {self._batch_index}, got {len(data)} of {count} bytes)"
-            )
-        return data
-
-    def _read_chunk(self) -> Optional[PacketBatch]:
-        """Read the next chunk, or ``None`` at end of stream.
-
-        In non-strict mode a truncated final chunk (including a partial
-        chunk header) ends the stream instead of raising.
-        """
-        header = self._file.read(4)
-        self._offset += len(header)
-        if len(header) == 0:
-            # Missing terminator: tolerate but treat as end of stream.
-            return None
-        try:
-            if len(header) != 4:
-                raise TraceFormatError(
-                    f"truncated trace file {self._path}: partial chunk header "
-                    f"at byte offset {self._offset} (batch {self._batch_index})"
-                )
-            (count,) = struct.unpack("<I", header)
-            if count == 0:
-                return None
-            cols: Dict[str, np.ndarray] = {}
-            for name, dtype in _COLUMN_ORDER:
-                nbytes = count * np.dtype(dtype).itemsize
-                cols[name] = np.frombuffer(
-                    self._read_exact(nbytes, f"column {name!r}"), dtype=dtype
-                ).copy()
-        except TraceFormatError:
-            if self._strict:
-                raise
-            # A short read on a regular file means EOF: the writer died
-            # mid-chunk.  Drop the partial batch and end the stream cleanly.
-            self.truncated = True
-            return None
-        self._batch_index += 1
-        return PacketBatch(**cols)
-
-    def skip_packets(self, count: int) -> PacketBatch:
-        """Advance past ``count`` packets with seeks; returns the remainder.
-
-        Whole chunks are skipped without deserialising them (a single seek
-        per chunk), so fast-forwarding a resumed stream costs almost no I/O.
-        When ``count`` lands inside a chunk, that chunk is read and the part
-        after the skip point is returned (possibly empty).  Raises
-        ``ValueError`` when the trace holds fewer than ``count`` packets.
-        """
-        if count < 0:
-            raise ValueError("cannot skip a negative packet count")
-        remaining = count
-        while remaining > 0:
-            header = self._file.read(4)
-            self._offset += len(header)
-            if len(header) == 0:
-                raise ValueError(
-                    f"cannot skip {count} packets: {self._path} ends "
-                    f"{remaining} packets short"
-                )
-            if len(header) != 4:
-                raise TraceFormatError(
-                    f"truncated trace file {self._path}: partial chunk header "
-                    f"at byte offset {self._offset} (batch {self._batch_index})"
-                )
-            (n,) = struct.unpack("<I", header)
-            if n == 0:
-                raise ValueError(
-                    f"cannot skip {count} packets: {self._path} ends "
-                    f"{remaining} packets short"
-                )
-            if n <= remaining:
-                self._file.seek(n * _ROW_BYTES, io.SEEK_CUR)
-                self._offset += n * _ROW_BYTES
-                self._batch_index += 1
-                remaining -= n
-                continue
-            # Skip point lands inside this chunk: rewind to its header and
-            # read it normally, then drop the consumed prefix.
-            self._file.seek(-4, io.SEEK_CUR)
-            self._offset -= 4
-            chunk = self._read_chunk()
-            if chunk is None:  # pragma: no cover - only on non-strict damage
-                raise ValueError(
-                    f"cannot skip {count} packets: {self._path} ends "
-                    f"{remaining} packets short"
-                )
-            return chunk[remaining:]
-        return PacketBatch.empty()
-
-    def __iter__(self) -> Iterator[PacketBatch]:
-        while True:
-            chunk = self._read_chunk()
-            if chunk is None:
-                return
-            yield chunk
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._file.close()
-
-
 #: Byte offset of each column inside a chunk's data block, per packet: the
 #: columns are laid out back to back, so column ``k`` of an ``n``-packet
 #: chunk starts ``n * _COL_PREFIX[k]`` bytes into the block.
@@ -293,19 +125,14 @@ _COL_PREFIX: Tuple[int, ...] = tuple(
 )
 
 
-def mmap_supported() -> bool:
-    """True when this platform can memory-map trace files."""
-    return _mmap is not None
-
-
 class TraceIndex:
     """Chunk directory of an ``.rtrace`` file, built from the headers alone.
 
     One forward walk over the chunk headers (a few bytes per chunk, no
     column deserialisation) yields, per chunk, the byte offset of its data
     block and its packet count.  With the index in hand, random access is
-    O(log chunks): ``skip_packets`` becomes a binary search over the
-    cumulative packet counts instead of a header-by-header scan.
+    O(log chunks): ``skip_packets`` is a binary search over the cumulative
+    packet counts.
     """
 
     __slots__ = ("offsets", "counts", "cum_counts", "truncated")
@@ -342,8 +169,7 @@ class TraceIndex:
 
         ``buf`` is any random-access byte buffer (an ``mmap``, a ``bytes``).
         Raises :class:`TraceFormatError` on damage under ``strict=True``;
-        otherwise a truncated tail ends the index with ``truncated`` set,
-        mirroring :class:`TraceReader`'s non-strict semantics.
+        otherwise a truncated tail ends the index with ``truncated`` set.
         """
         offsets: List[int] = []
         counts: List[int] = []
@@ -382,53 +208,52 @@ class TraceIndex:
         return cls(offsets, counts, truncated)
 
 
-class MappedTraceReader:
+class TraceReader:
     """Zero-copy ``.rtrace`` reader over a memory-mapped file.
 
-    Drop-in for :class:`TraceReader` on the read side (context manager,
-    chunk iteration, ``skip_packets``, ``meta``, ``truncated``), with two
-    structural differences:
+    A context manager: ``__enter__`` maps the file, checks the magic and
+    the metadata block, and builds the chunk directory (:class:`TraceIndex`)
+    from the headers.  Every length field is bounded by the file size
+    before it is used, so a damaged count is an error, never a huge read.
+    Then:
 
-    * chunks come back as :class:`PacketBatch` columns that are **read-only
-      views straight into the mapped file** — no deserialisation copy, no
-      per-column allocation; the OS pages data in on first touch and is
-      free to evict it again, so reading a capture larger than RAM costs
-      only page-cache churn;
-    * the chunk directory is built once from the headers
-      (:class:`TraceIndex`), so ``skip_packets`` is a binary search plus a
-      view construction instead of a header-by-header seek scan, and random
-      chunk access (:meth:`chunk`) is O(1).
+    * iteration yields each chunk as a :class:`PacketBatch` whose columns
+      are **read-only views straight into the mapped file** — no
+      deserialisation copy, no per-column allocation; the OS pages data in
+      on first touch and is free to evict it again, so reading a capture
+      larger than RAM costs only page-cache churn;
+    * ``skip_packets`` is a binary search over the index plus a view
+      construction, and :meth:`chunk` is random access in O(1).
 
-    Format validation happens while the index is built, so a damaged file
-    fails on ``__enter__`` (or, with ``strict=False``, drops the partial
-    tail exactly like :class:`TraceReader`).
+    ``strict=True`` (the default) raises :class:`TraceFormatError` on any
+    truncated or corrupt chunk, reporting the byte offset and batch index of
+    the damage.  ``strict=False`` tolerates a cleanly-truncated tail — a
+    writer killed mid-chunk — by dropping the partial chunk (``truncated``
+    records that this happened).  Damage before the chunks (bad magic,
+    unreadable metadata) always raises.  Either way it happens on
+    ``__enter__``.
 
     Lifetime: batches handed out remain valid after the reader closes —
     the mapping is only released once the last view is garbage-collected
-    (``close`` drops the file descriptor immediately but unmaps lazily).
-    Use :func:`mmap_supported` / ``TraceStreamSource(mmap=False)`` on
-    platforms without ``mmap``.
+    (``close`` unmaps at once when no view is alive, lazily otherwise).
+    Callers that keep data while the file may be rewritten in place copy
+    it out, as :func:`read_trace` does.
     """
 
     def __init__(self, path: PathLike, strict: bool = True):
-        if _mmap is None:  # pragma: no cover - exotic builds without mmap
-            raise TraceFormatError(
-                f"cannot memory-map {path}: this platform has no mmap "
-                "support; use the buffered TraceReader instead"
-            )
         self._path = Path(path)
         self._strict = strict
         self.meta: Dict[str, Any] = {}
         self.truncated = False
         self.index: Optional[TraceIndex] = None
-        self._mm = None
+        self._mm: Optional[mmap.mmap] = None
         self._next_chunk = 0
 
-    def __enter__(self) -> "MappedTraceReader":
+    def __enter__(self) -> "TraceReader":
         fh = open(self._path, "rb")
         try:
             try:
-                self._mm = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+                self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             except ValueError:
                 # Zero-length file: cannot be mapped, and cannot be a trace.
                 raise TraceFormatError(f"bad magic in {self._path}: b''")
@@ -437,16 +262,17 @@ class MappedTraceReader:
             fh.close()
         mm = self._mm
         size = len(mm)
-        magic = bytes(mm[: len(MAGIC)])
-        if magic != MAGIC:
-            self.close()
-            if magic.startswith(b"RTRACE"):
-                raise TraceFormatError(
-                    f"unsupported trace format version {magic!r} in "
-                    f"{self._path}: this reader supports {MAGIC!r}"
-                )
-            raise TraceFormatError(f"bad magic in {self._path}: {magic!r}")
         try:
+            magic = bytes(mm[: len(MAGIC)])
+            if magic != MAGIC:
+                if magic.startswith(b"RTRACE"):
+                    # Same family, different format revision: name both
+                    # versions so multi-trace runs can tell which file is old.
+                    raise TraceFormatError(
+                        f"unsupported trace format version {magic!r} in "
+                        f"{self._path}: this reader supports {MAGIC!r}"
+                    )
+                raise TraceFormatError(f"bad magic in {self._path}: {magic!r}")
             if size < len(MAGIC) + 4:
                 raise TraceFormatError(
                     f"truncated trace file {self._path}: short read of "
@@ -474,19 +300,21 @@ class MappedTraceReader:
 
     # -- access --------------------------------------------------------------
 
+    def _entered(self) -> TraceIndex:
+        if self.index is None:
+            raise RuntimeError("TraceReader must be entered first")
+        return self.index
+
     @property
     def total_packets(self) -> int:
         """Packets in the capture (index lookup, no data touched)."""
-        if self.index is None:
-            raise RuntimeError("MappedTraceReader must be entered first")
-        return self.index.total_packets
+        return self._entered().total_packets
 
     def chunk(self, i: int, start: int = 0) -> PacketBatch:
         """Chunk ``i`` (optionally from packet ``start``) as zero-copy views."""
-        if self.index is None:
-            raise RuntimeError("MappedTraceReader must be entered first")
-        data = self.index.offsets[i]
-        count = self.index.counts[i]
+        index = self._entered()
+        data = index.offsets[i]
+        count = index.counts[i]
         cols: Dict[str, np.ndarray] = {}
         for (name, dtype), prefix in zip(_COLUMN_ORDER, _COL_PREFIX):
             col = np.frombuffer(
@@ -498,37 +326,37 @@ class MappedTraceReader:
     def skip_packets(self, count: int) -> PacketBatch:
         """Advance past ``count`` packets via the index; returns the remainder.
 
-        Equivalent to :meth:`TraceReader.skip_packets`, but a binary search
-        over the cumulative chunk counts replaces the header-by-header seek
-        scan, and the mid-chunk remainder comes back as a zero-copy view.
+        A binary search over the cumulative chunk counts finds the chunk
+        holding the skip point, so fast-forwarding a resumed stream reads
+        none of the skipped data.  When ``count`` lands inside a chunk, the
+        part after the skip point comes back as a zero-copy view (possibly
+        empty).  Raises ``ValueError`` when the trace holds fewer than
+        ``count`` packets.
         """
-        if self.index is None:
-            raise RuntimeError("MappedTraceReader must be entered first")
+        index = self._entered()
         if count < 0:
             raise ValueError("cannot skip a negative packet count")
         if count == 0:
             self._next_chunk = 0
             return PacketBatch.empty()
-        total = self.index.total_packets
+        total = index.total_packets
         if count > total:
             raise ValueError(
                 f"cannot skip {count} packets: {self._path} ends "
                 f"{count - total} packets short"
             )
         # First chunk whose cumulative count exceeds the skip point.
-        i = int(np.searchsorted(self.index.cum_counts, count, side="left"))
-        if self.index.cum_counts[i] == count:
-            # Skip point lands exactly on a chunk boundary.
-            self._next_chunk = i + 1
-            return PacketBatch.empty()
-        before = int(self.index.cum_counts[i - 1]) if i else 0
+        i = int(np.searchsorted(index.cum_counts, count, side="left"))
         self._next_chunk = i + 1
+        if index.cum_counts[i] == count:
+            # Skip point lands exactly on a chunk boundary.
+            return PacketBatch.empty()
+        before = int(index.cum_counts[i - 1]) if i else 0
         return self.chunk(i, start=count - before)
 
     def __iter__(self) -> Iterator[PacketBatch]:
-        if self.index is None:
-            raise RuntimeError("MappedTraceReader must be entered first")
-        while self._next_chunk < self.index.n_chunks:
+        index = self._entered()
+        while self._next_chunk < index.n_chunks:
             i = self._next_chunk
             self._next_chunk = i + 1
             yield self.chunk(i)
@@ -547,27 +375,6 @@ class MappedTraceReader:
         self.close()
 
 
-def open_trace_reader(
-    path: PathLike,
-    strict: bool = True,
-    use_mmap: Optional[bool] = None,
-) -> Union[TraceReader, MappedTraceReader]:
-    """Pick a trace reader: mapped when possible, buffered otherwise.
-
-    ``use_mmap=None`` (the default) selects the zero-copy mapped reader on
-    platforms that support it and falls back to the buffered reader
-    elsewhere; ``True`` requires the mapped reader (raising
-    :class:`TraceFormatError` where unavailable); ``False`` forces the
-    buffered reader.  Both readers share the iteration / ``skip_packets``
-    interface, so callers need no further branching.
-    """
-    if use_mmap is None:
-        use_mmap = mmap_supported()
-    if use_mmap:
-        return MappedTraceReader(path, strict=strict)
-    return TraceReader(path, strict=strict)
-
-
 def write_trace(
     path: PathLike,
     batch: PacketBatch,
@@ -583,32 +390,14 @@ def write_trace(
         return writer.packets_written
 
 
-def read_trace_meta(path: PathLike) -> Dict[str, Any]:
-    """Read only a trace's metadata block, without touching the chunks.
-
-    This stops after the JSON header, so its cost is the header's size, not
-    the capture's.  That header is not always small: a capture-cache entry
-    stores its ground-truth campaign list there, megabytes of port numbers
-    for a period with full-range institutional sweeps.
-    """
-    with TraceReader(path) as reader:
-        return reader.meta
-
-
 def read_trace(
     path: PathLike, strict: bool = True
 ) -> Tuple[PacketBatch, Dict[str, Any]]:
-    """Read a whole trace into memory; returns ``(batch, meta)``."""
-    with TraceReader(path, strict=strict) as reader:
-        chunks = list(reader)
-        return PacketBatch.concat(chunks), reader.meta
+    """Read a whole trace into memory; returns ``(batch, meta)``.
 
-
-def iter_trace(path: PathLike, strict: bool = True) -> Iterator[PacketBatch]:
-    """Iterate a trace chunk-by-chunk without loading it all.
-
-    This is the substrate of the streaming layer: ``repro.stream`` re-chunks
-    these native batches into fixed-size / time-aligned windows.
+    The columns are copied out of the mapping (``PacketBatch.concat``
+    always copies), so the batch never aliases a file that is later
+    rewritten in place.
     """
     with TraceReader(path, strict=strict) as reader:
-        yield from reader
+        return PacketBatch.concat(list(reader)), reader.meta

@@ -399,6 +399,40 @@ class TestBadArguments:
         assert not out.exists()
 
 
+#: Every command that reads a capture, as run over a damaged one.
+DAMAGED_ARGV = ["analyze", "fingerprint", "anonymize --key 3", "stream",
+                "stream --report"]
+
+
+class TestDamagedCapture:
+    @pytest.fixture(scope="class")
+    def damaged(self, capture, tmp_path_factory):
+        """A bad-magic file and a copy of the capture cut mid-chunk."""
+        d = tmp_path_factory.mktemp("damaged")
+        (d / "bad.rtrace").write_bytes(b"NOTTRACE" + b"\x00" * 6)
+        data = capture.read_bytes()
+        (d / "cut.rtrace").write_bytes(data[: len(data) // 2])
+        return d
+
+    @pytest.mark.parametrize("kind,message", [
+        ("bad", "bad magic in"), ("cut", "truncated trace file"),
+    ])
+    @pytest.mark.parametrize("argv", DAMAGED_ARGV)
+    def test_exits_2_with_one_error_line(self, damaged, tmp_path, capsys,
+                                         argv, kind, message):
+        args = argv.split()
+        args.insert(1, str(damaged / f"{kind}.rtrace"))
+        if args[0] == "anonymize":
+            args += ["--out", str(tmp_path / "out.rtrace")]
+        if args[0] == "stream":
+            args += ["--stats-json", str(tmp_path / "stats.json")]
+        assert main(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
+        assert list(tmp_path.iterdir()) == []  # no output file written
+
+
 class TestServeCommand:
     def test_rejects_zero_workers(self, capsys):
         assert main(["serve", "--workers", "0"]) == 2

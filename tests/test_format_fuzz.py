@@ -6,13 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.telescope.pcap import PcapFormatError, iter_pcap, write_pcap
-from repro.telescope.trace import (
-    MAGIC,
-    MappedTraceReader,
-    TraceFormatError,
-    TraceReader,
-    write_trace,
-)
+from repro.telescope.trace import MAGIC, TraceFormatError, TraceReader, write_trace
 from tests.test_trace import sample_batch
 
 
@@ -34,6 +28,20 @@ def _damage(data, offset, flip):
     return data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
 
 
+def _read_all(path):
+    """Read every chunk, strict and not: only the format error may escape."""
+    for strict in (True, False):
+        try:
+            with TraceReader(path, strict=strict) as reader:
+                for _ in reader:
+                    pass
+        except TraceFormatError:
+            pass  # the contract: malformed input fails loudly and typed
+        except Exception as exc:  # pragma: no cover - the failure we hunt
+            pytest.fail(f"TraceReader(strict={strict}): "
+                        f"unexpected {type(exc).__name__}: {exc}")
+
+
 #: Any offset into the file, and either a cut (0) or a one-byte XOR mask.
 _DAMAGE_AT = dict(offset=st.integers(min_value=0, max_value=2**16),
                   flip=st.integers(min_value=0, max_value=255))
@@ -41,25 +49,15 @@ _DAMAGE_AT = dict(offset=st.integers(min_value=0, max_value=2**16),
 
 class TestDamagedValidFiles:
     # Always tried: the high byte of the first chunk's packet count (magic,
-    # meta_len and the 14-byte metadata come first), which once made the
-    # buffered reader request ~34 GB.
+    # meta_len and the 14-byte metadata come first), which once made a
+    # reader request ~34 GB.
     @example(offset=8 + 4 + 14 + 3, flip=0xFF)
     @given(**_DAMAGE_AT)
     @settings(max_examples=150, deadline=None)
     def test_rtrace(self, tmp_path_factory, valid_files, offset, flip):
         path = tmp_path_factory.mktemp("fuzz") / "t.rtrace"
         path.write_bytes(_damage(valid_files[0], offset, flip))
-        for reader in (TraceReader, MappedTraceReader):
-            for strict in (True, False):
-                try:
-                    with reader(path, strict=strict) as r:
-                        for _ in r:
-                            pass
-                except TraceFormatError:
-                    pass
-                except Exception as exc:  # pragma: no cover
-                    pytest.fail(f"{reader.__name__}(strict={strict}): "
-                                f"unexpected {type(exc).__name__}: {exc}")
+        _read_all(path)
 
     # Always tried: the high byte of the first frame's captured length
     # (24-byte global header, then the record's two timestamp words).
@@ -83,28 +81,14 @@ class TestTraceFuzz:
     def test_random_bytes(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("fuzz") / "t.rtrace"
         path.write_bytes(data)
-        try:
-            with TraceReader(path) as reader:
-                for _ in reader:
-                    pass
-        except TraceFormatError:
-            pass  # the contract: malformed input fails loudly and typed
-        except Exception as exc:  # pragma: no cover - the failure we hunt
-            pytest.fail(f"unexpected {type(exc).__name__}: {exc}")
+        _read_all(path)
 
     @given(body=st.binary(min_size=0, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_valid_magic_random_body(self, tmp_path_factory, body):
         path = tmp_path_factory.mktemp("fuzz") / "t.rtrace"
         path.write_bytes(MAGIC + body)
-        try:
-            with TraceReader(path) as reader:
-                for _ in reader:
-                    pass
-        except TraceFormatError:
-            pass  # unreadable metadata is a format error too
-        except Exception as exc:  # pragma: no cover
-            pytest.fail(f"unexpected {type(exc).__name__}: {exc}")
+        _read_all(path)  # unreadable metadata is a format error too
 
 
 class TestPcapFuzz:

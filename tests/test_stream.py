@@ -32,7 +32,7 @@ from repro.stream import (
     rebatch,
 )
 from repro.telescope import PacketBatch, write_trace
-from repro.telescope import trace as trace_module
+from repro.telescope.trace import TraceFormatError
 
 from tests.campaigns_oracle import iter_source_sessions
 
@@ -185,34 +185,36 @@ class TestStreamEquivalence:
         table = identify_scans_stream(str(path), batch_size=8192)
         assert_tables_equal(table, scans2020)
 
-    def test_trace_source_mmap_modes(self, tmp_path, batch2020, scans2020):
-        """Mapped and buffered reads produce the same table."""
-        path = tmp_path / "cap.rtrace"
-        write_trace(path, batch2020, meta={"year": 2020}, chunk_size=8192)
-        table = identify_scans_stream(
-            TraceStreamSource(path, batch_size=8192, mmap=False)
-        )
-        assert_tables_equal(table, scans2020)
-        if trace_module.mmap_supported():
-            table = identify_scans_stream(
-                TraceStreamSource(path, batch_size=8192, mmap=True)
-            )
-            assert_tables_equal(table, scans2020)
-
-    @pytest.mark.skipif(
-        not trace_module.mmap_supported(), reason="platform has no mmap"
-    )
     def test_mapped_windows_are_file_views(self, tmp_path, batch2020):
         """With chunk size == window size, the fused pass never copies:
         windows reaching the identifier are read-only views into the map."""
         path = tmp_path / "cap.rtrace"
         write_trace(path, batch2020, meta={"year": 2020}, chunk_size=8192)
-        source = TraceStreamSource(path, batch_size=8192, mmap=True)
+        source = TraceStreamSource(path, batch_size=8192)
         windows = list(source.windows())
         assert sum(len(w) for w in windows) == len(batch2020)
         for window in windows:
             assert not window.time.flags.owndata
             assert not window.time.flags.writeable
+
+    def test_truncated_trace_source(self, tmp_path, batch2020):
+        """The source checks the chunk directory when it is built: strict
+        raises there; non-strict windows the complete chunks only."""
+        good = tmp_path / "good.rtrace"
+        write_trace(good, batch2020, meta={"year": 2020}, chunk_size=8192)
+        cut = tmp_path / "cut.rtrace"
+        # Cut inside the third chunk's columns.
+        header = 8 + 4 + len(b'{"year": 2020}')
+        chunk_bytes = 4 + 8192 * 30
+        cut.write_bytes(good.read_bytes()[: header + 2 * chunk_bytes + 100])
+        with pytest.raises(TraceFormatError, match="batch 2"):
+            TraceStreamSource(cut, batch_size=4096)
+        source = TraceStreamSource(cut, batch_size=4096, strict=False)
+        assert source.truncated
+        kept = PacketBatch.concat(list(source.windows()))
+        assert source.truncated
+        assert np.array_equal(kept.time, batch2020.time[: 2 * 8192])
+        assert np.array_equal(kept.src_ip, batch2020.src_ip[: 2 * 8192])
 
     def test_out_of_order_rejected(self):
         batch = ordered_batch(200)

@@ -1,24 +1,22 @@
 """Unit tests for the .rtrace serialisation format."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.telescope import (
-    MappedTraceReader,
     PacketBatch,
     SynPacket,
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    iter_trace,
-    mmap_supported,
-    open_trace_reader,
     read_trace,
     write_trace,
 )
-from repro.telescope import trace as trace_module
 
 
 def sample_batch(n=100):
@@ -59,7 +57,8 @@ class TestRoundTrip:
         batch = sample_batch(250)
         path = tmp_path / "c.rtrace"
         write_trace(path, batch, chunk_size=100)
-        chunks = list(iter_trace(path))
+        with TraceReader(path) as reader:
+            chunks = list(reader)
         assert [len(c) for c in chunks] == [100, 100, 50]
         merged = PacketBatch.concat(chunks)
         assert np.array_equal(merged.seq, batch.seq)
@@ -240,30 +239,32 @@ class TestSkipPackets:
 
 
 class TestMappedReader:
-    """The zero-copy mmap reader must be a drop-in for TraceReader."""
+    """The reader maps the file: chunks are zero-copy views, and the chunk
+    directory is checked when the reader is entered."""
 
     @pytest.mark.parametrize("n,chunk_size", [(1, 10), (100, 100), (250, 100),
                                               (250, 30), (1000, 256)])
     def test_equivalent_to_buffered(self, tmp_path, n, chunk_size):
+        # Every chunk shape reads back as written: the chunk lengths, the
+        # metadata and every column of every chunk.
         batch = sample_batch(n)
         path = tmp_path / "t.rtrace"
         write_trace(path, batch, meta={"year": 2020}, chunk_size=chunk_size)
-        with TraceReader(path) as buffered:
-            expected = list(buffered)
-            expected_meta = buffered.meta
-        with MappedTraceReader(path) as mapped:
-            assert mapped.meta == expected_meta
+        with TraceReader(path) as mapped:
+            assert mapped.meta == {"year": 2020}
             assert mapped.total_packets == n
             chunks = list(mapped)
-        assert [len(c) for c in chunks] == [len(c) for c in expected]
-        for got, want in zip(chunks, expected):
+        starts = range(0, n, chunk_size)
+        assert [len(c) for c in chunks] == [min(chunk_size, n - s) for s in starts]
+        for got, start in zip(chunks, starts):
+            want = batch[start:start + chunk_size]
             for name, col in want.columns().items():
                 assert np.array_equal(got.columns()[name], col), name
 
     def test_views_are_zero_copy_and_readonly(self, tmp_path):
         path = tmp_path / "t.rtrace"
         write_trace(path, sample_batch(64))
-        with MappedTraceReader(path) as mapped:
+        with TraceReader(path) as mapped:
             (chunk,) = list(mapped)
             for name, col in chunk.columns().items():
                 assert not col.flags.writeable, name
@@ -275,7 +276,7 @@ class TestMappedReader:
         batch = sample_batch(64)
         path = tmp_path / "t.rtrace"
         write_trace(path, batch)
-        with MappedTraceReader(path) as mapped:
+        with TraceReader(path) as mapped:
             (chunk,) = list(mapped)
         # The context has exited; the mapping is released lazily, so the
         # views stay readable.
@@ -284,7 +285,7 @@ class TestMappedReader:
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.rtrace"
         write_trace(path, PacketBatch.empty())
-        with MappedTraceReader(path) as mapped:
+        with TraceReader(path) as mapped:
             assert mapped.total_packets == 0
             assert list(mapped) == []
 
@@ -293,23 +294,23 @@ class TestMappedReader:
         path = tmp_path / "t.rtrace"
         write_trace(path, batch, chunk_size=30)
         # Whole-chunk boundary.
-        with MappedTraceReader(path) as mapped:
+        with TraceReader(path) as mapped:
             remainder = mapped.skip_packets(60)
             assert len(remainder) == 0
             rest = PacketBatch.concat([remainder] + list(mapped))
         assert np.array_equal(rest.time, batch.time[60:])
         # Mid-chunk: the remainder is a zero-copy view.
-        with MappedTraceReader(path) as mapped:
+        with TraceReader(path) as mapped:
             remainder = mapped.skip_packets(45)
             assert len(remainder) == 15
             assert not remainder.time.flags.owndata
             rest = PacketBatch.concat([remainder] + list(mapped))
         assert np.array_equal(rest.src_ip, batch.src_ip[45:])
-        # Zero, beyond-end and negative match the buffered reader.
-        with MappedTraceReader(path) as mapped:
+        # Zero, beyond-end and negative skips, as in TestSkipPackets.
+        with TraceReader(path) as mapped:
             assert len(mapped.skip_packets(0)) == 0
             assert len(PacketBatch.concat(list(mapped))) == 100
-        with MappedTraceReader(path) as mapped:
+        with TraceReader(path) as mapped:
             with pytest.raises(ValueError):
                 mapped.skip_packets(101)
             with pytest.raises(ValueError):
@@ -319,12 +320,12 @@ class TestMappedReader:
         bad = tmp_path / "bad.rtrace"
         bad.write_bytes(b"NOTTRACE" + b"\x00" * 16)
         with pytest.raises(TraceFormatError):
-            with MappedTraceReader(bad):
+            with TraceReader(bad):
                 pass
         old = tmp_path / "old.rtrace"
         old.write_bytes(b"RTRACE99" + b"\x00" * 16)
         with pytest.raises(TraceFormatError) as excinfo:
-            with MappedTraceReader(old):
+            with TraceReader(old):
                 pass
         message = str(excinfo.value)
         assert "RTRACE99" in message and "RTRACE01" in message
@@ -333,7 +334,7 @@ class TestMappedReader:
         empty = tmp_path / "zero.rtrace"
         empty.write_bytes(b"")
         with pytest.raises(TraceFormatError) as excinfo:
-            with MappedTraceReader(empty):
+            with TraceReader(empty):
                 pass
         assert "bad magic" in str(excinfo.value)
 
@@ -346,59 +347,62 @@ class TestMappedReader:
         chunk_bytes = 4 + 20 * 30
         bad.write_bytes(data[: header + chunk_bytes + chunk_bytes // 2])
         with pytest.raises(TraceFormatError) as excinfo:
-            with MappedTraceReader(bad):
+            with TraceReader(bad):
                 pass
         message = str(excinfo.value)
         assert "byte offset" in message and "batch 1" in message
 
     def test_non_strict_drops_partial_final_chunk(self, tmp_path):
+        batch = sample_batch(50)
         good = tmp_path / "good.rtrace"
-        write_trace(good, sample_batch(50), chunk_size=20)
+        write_trace(good, batch, chunk_size=20)
         data = good.read_bytes()
         bad = tmp_path / "bad.rtrace"
         header = 8 + 4 + 2
         chunk_bytes = 4 + 20 * 30
         bad.write_bytes(data[: header + 2 * chunk_bytes + 100])
-        with MappedTraceReader(bad, strict=False) as mapped:
+        with TraceReader(bad, strict=False) as mapped:
+            assert mapped.truncated  # known on open, before any chunk
             chunks = list(mapped)
-            assert mapped.truncated
         assert [len(c) for c in chunks] == [20, 20]
-        # Same packets as the buffered reader's non-strict read.
-        with TraceReader(bad, strict=False) as buffered:
-            assert [len(c) for c in buffered] == [20, 20]
+        kept = PacketBatch.concat(chunks)
+        for name, col in batch[:40].columns().items():
+            assert np.array_equal(kept.columns()[name], col), name
 
     def test_missing_terminator_tolerated(self, tmp_path):
         good = tmp_path / "good.rtrace"
         write_trace(good, sample_batch(10))
         trimmed = tmp_path / "trimmed.rtrace"
         trimmed.write_bytes(good.read_bytes()[:-4])
-        with MappedTraceReader(trimmed) as mapped:
+        with TraceReader(trimmed) as mapped:
             assert sum(len(c) for c in mapped) == 10
 
 
-class TestOpenTraceReader:
-    def test_auto_picks_mapped_when_supported(self, tmp_path):
-        path = tmp_path / "t.rtrace"
-        write_trace(path, sample_batch(10))
-        reader = open_trace_reader(path)
-        expected = MappedTraceReader if mmap_supported() else TraceReader
-        assert isinstance(reader, expected)
+class TestReadTraceCopies:
+    def test_loaded_batch_survives_in_place_rewrite(self, tmp_path):
+        """``read_trace`` copies out of the mapping: rewriting the file in
+        place with a shorter capture leaves the loaded batch intact.  Runs in
+        a child process, because a view into a truncated mapping faults with
+        SIGBUS instead of raising."""
+        script = """
+import sys
+import numpy as np
+from repro.telescope import read_trace, write_trace
+from tests.test_trace import sample_batch
 
-    def test_forced_buffered(self, tmp_path):
-        path = tmp_path / "t.rtrace"
-        write_trace(path, sample_batch(10))
-        with open_trace_reader(path, use_mmap=False) as reader:
-            assert isinstance(reader, TraceReader)
-            assert sum(len(c) for c in reader) == 10
-
-    def test_fallback_when_mmap_unavailable(self, tmp_path, monkeypatch):
-        """Platforms without mmap transparently get the buffered reader."""
-        path = tmp_path / "t.rtrace"
-        write_trace(path, sample_batch(10))
-        monkeypatch.setattr(trace_module, "_mmap", None)
-        assert not mmap_supported()
-        with open_trace_reader(path) as reader:  # auto falls back
-            assert isinstance(reader, TraceReader)
-            assert sum(len(c) for c in reader) == 10
-        with pytest.raises(TraceFormatError):  # forcing mmap now fails
-            open_trace_reader(path, use_mmap=True)
+path = sys.argv[1]
+batch = sample_batch(5000)
+write_trace(path, batch)  # one chunk: the case a view could stand in for
+loaded, _ = read_trace(path)
+write_trace(path, sample_batch(10))  # same inode, truncated and rewritten
+for name, col in batch.columns().items():
+    assert np.array_equal(loaded.columns()[name], col), name
+"""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "t.rtrace")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, (child.returncode, child.stderr)
