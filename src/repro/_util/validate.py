@@ -53,8 +53,8 @@ def check_header_field(name: str, value: int, bits: int) -> int:
     """Require an integer fitting an unsigned ``bits``-wide wire field.
 
     The single bound check behind :func:`check_port` / :func:`check_ttl` /
-    :func:`check_ip` and :class:`repro.telescope.packet.SynPacket`; the
-    static rule RPR003 checks the same widths at lint time.
+    :func:`check_ip` and :class:`repro.telescope.packet.SynPacket`: an
+    out-of-range value raises here instead of wrapping in a numpy column.
     """
     if isinstance(bits, bool) or not isinstance(bits, numbers.Integral) or bits <= 0:
         raise ValueError(f"bits must be a positive integer, got {bits!r}")

@@ -108,7 +108,7 @@ def source_days(src_ip: np.ndarray, day: np.ndarray) -> SourceDays:
     """
     key = src_ip.astype(np.uint64)
     # Sources are 32-bit, so the shifted source fills the high word only.
-    key <<= np.uint64(32)  # repro-lint: disable=RPR011
+    key <<= np.uint64(32)
     # day_index bounds every day to [0, 2**32): it fits the low word.
     key |= day.view(np.uint64)
     key.sort()

@@ -23,10 +23,11 @@ Only calibrated periods (``config is None`` in ``simulate_year``) are
 cached: ad-hoc config objects are not reliably serialisable, and they are
 the rare experimental path.
 
-Entries are written atomically (temp file + ``os.replace``) so a crashed or
-concurrent writer can never leave a truncated entry behind; the packet
-columns live in the trace chunks and the ground-truth campaign list plus
-scale metadata in the trace's JSON meta block.
+Entries are written atomically (``write_trace`` writes a temp file and
+``os.replace``-s it into place) so a crashed or concurrent writer can
+never leave a truncated entry behind; the packet columns live in the
+trace chunks and the ground-truth campaign list plus scale metadata in
+the trace's JSON meta block.
 """
 
 from __future__ import annotations
@@ -269,13 +270,7 @@ class CaptureCache:
             "coverage_cap": result.coverage_cap,
             "campaigns": [_spec_to_json(s) for s in result.campaigns],
         }
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        try:
-            write_trace(tmp, result.batch, meta=meta)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # pragma: no cover - only on write failure
-                tmp.unlink()
+        write_trace(path, result.batch, meta=meta)
         return path
 
     # -- maintenance --------------------------------------------------------

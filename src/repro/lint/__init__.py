@@ -1,43 +1,29 @@
 """repro.lint — AST-based domain-invariant linter for this codebase.
 
 The rules encode the invariants the reproduction's calibration rests on
-(see docs/lint.md for the full catalog with examples, and
-docs/architecture.md, "Static analysis & invariants"):
+(see docs/lint.md for the design, and docs/architecture.md, "Static
+analysis & invariants"):
 
-========  ====================  ===============================================
-Code      Name                  Invariant
-========  ====================  ===============================================
-RPR001    determinism           no ambient randomness / wall-clock reads
-RPR002    rng-plumbing          generators derive from repro._util.rng
-RPR003    header-field-safety   literals fit packet-header wire widths
-RPR004    batch-immutability    no in-place PacketBatch column mutation
-RPR005    float-equality        no ==/!= on floats in core/ analysis code
-RPR006    rng-key-paths         derive_rng keys constant and collision-free
-RPR007    process-safety        executor-submitted functions stay pure
-RPR008    schema-drift          persisted fields match the schema manifest
-RPR009    batch-column-flow     no interprocedural batch-column mutation
-RPR010    narrowing-cast        casts never truncate tracked column values
-RPR011    overflow-arithmetic   packed-key arithmetic fits its dtype
-RPR012    unit-mixing           seconds/packets/bytes/... never mix silently
-RPR013    persisted-dtype-drift serialised layouts match declared columns
-RPR014    float-accumulation    timestamps accumulate in float64
-RPR015    unguarded-shared-state guarded attributes never read/written bare
-RPR016    lock-order-inversion  the lock-acquisition graph stays acyclic
-RPR017    blocking-call-under-lock no blocking calls while a lock is held
-RPR018    callback-reentrancy   callbacks never re-enter a held Lock
-RPR019    atomicity-split       no check-then-act across lock scopes
-========  ====================  ===============================================
+========  ========================  ===========================================
+Code      Name                      Invariant
+========  ========================  ===========================================
+RPR001    determinism               no ambient randomness / wall-clock reads
+RPR002    rng-plumbing              generators derive from repro._util.rng
+RPR008    schema-drift              persisted fields match the schema manifest
+RPR011    overflow-arithmetic       packed-key arithmetic fits its dtype
+RPR017    blocking-call-under-lock  no blocking calls while a lock is held
+RPR018    callback-reentrancy       callbacks never re-enter a held Lock
+========  ========================  ===========================================
 
-RPR001–005 are per-file syntactic rules; RPR006–009 are whole-program
-rules that run over the :class:`~repro.lint.project.ProjectContext` built
-by the analyzer in :mod:`repro.lint.project` (per-file summaries are
-content-addressed-cached and parsed in parallel under ``--workers``);
-RPR010–014 are the third pass — interprocedural dtype/width/unit abstract
-interpretation in :mod:`repro.lint.typeflow`, running purely over the
-cached summaries; RPR015–019 are the fourth pass — lockset, lock-order
-and blocking-under-lock analysis in :mod:`repro.lint.concurrency` over
-the threaded serve layer (``repro-lint --explain RPR0NN`` prints any
-rule's catalog entry).
+RPR001 and RPR002 are per-file syntactic rules.  The other four are
+whole-program rules over the :class:`~repro.lint.project.ProjectContext`
+built by :mod:`repro.lint.project` (per-file summaries are
+content-addressed-cached and parsed in parallel under ``--workers``):
+RPR008 compares persisted field sets with a committed manifest, RPR011
+runs over the interprocedural dtype/width abstract interpretation in
+:mod:`repro.lint.typeflow`, and RPR017/RPR018 over the lock analysis in
+:mod:`repro.lint.concurrency`.  Each rule class documents itself;
+``repro-lint --explain RPR0NN`` prints that text.
 
 Run ``python -m repro.lint`` (or the ``repro-lint`` console script);
 configure via ``[tool.repro-lint]`` in pyproject.toml (path-scoped rule

@@ -15,23 +15,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-#: Wire widths of the packet header fields the paper's methodology models
-#: (mirrors ``_COLUMNS`` in repro.telescope.packet).
-FIELD_BITS: Dict[str, int] = {
-    "src_ip": 32,
-    "dst_ip": 32,
-    "seq": 32,
-    "src_port": 16,
-    "dst_port": 16,
-    "ip_id": 16,
-    "window": 16,
-    "ttl": 8,
-    "flags": 8,
-}
-
-#: PacketBatch column attribute names (integer columns plus ``time``).
-BATCH_COLUMNS = frozenset(FIELD_BITS) | {"time"}
-
 
 def import_aliases(tree: ast.AST) -> Dict[str, str]:
     """Map local names bound by imports to canonical dotted module paths."""
@@ -75,16 +58,6 @@ def resolve(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     if head in aliases:
         head = aliases[head]
     return f"{head}.{rest}" if rest else head
-
-
-def int_literal(node: ast.AST) -> Optional[int]:
-    """Value of an integer literal, handling unary minus; else ``None``."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = int_literal(node.operand)
-        return None if inner is None else -inner
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value
-    return None
 
 
 def annotation_text(node: Optional[ast.AST]) -> str:

@@ -1,9 +1,10 @@
 """Command-line front end: ``python -m repro.lint`` / ``repro-lint``.
 
-One invocation runs both passes — the per-file syntactic rules and the
-whole-program project rules (RPR006–RPR009) over a
-:class:`~repro.lint.project.ProjectContext` — with per-file summaries
-content-addressed-cached and parsed in parallel under ``--workers``.
+One invocation runs both passes — the per-file syntactic rules
+(RPR001, RPR002) and the whole-program project rules (RPR008, RPR011,
+RPR017, RPR018) over a :class:`~repro.lint.project.ProjectContext` — with
+per-file summaries content-addressed-cached and parsed in parallel under
+``--workers``.
 
 Exit status: 0 — clean (no unbaselined error-severity findings);
 1 — findings (or, under ``--update-baseline``, stale entries pruned);
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.lint.baseline import Baseline
-from repro.lint.catalog import explain
 from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import REGISTRY
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule-code prefixes to run exclusively "
-             "(flake8 semantics, e.g. --select RPR01 for the typeflow "
-             "family); overrides [tool.repro-lint] select",
+             "(flake8 semantics, e.g. --select RPR017,RPR018 for the lock "
+             "rules); overrides [tool.repro-lint] select",
     )
     parser.add_argument(
         "--ignore", default=None, metavar="CODES",
@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--explain", default=None, metavar="CODES",
-        help="print the catalog entry (doc paragraph + example) for the "
-             "given comma-separated rule codes and exit",
+        help="print the rule's own documentation (invariant + example) "
+             "for the given comma-separated rule codes and exit",
     )
     return parser
 
@@ -136,7 +136,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_USAGE
         entries = []
         for code in codes:
-            entry = explain(code)
+            entry = REGISTRY.explain(code)
             if entry is None:
                 print(f"repro-lint: error: unknown rule code: {code}",
                       file=sys.stderr)

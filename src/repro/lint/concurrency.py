@@ -1,23 +1,20 @@
-"""Concurrency pass (pass 4): lockset, lock-order, and blocking analysis.
+"""Concurrency pass (pass 4): locks held at blocking calls and callbacks.
 
-PR 9 turned the reproduction into a threaded HTTP service and hit two
-concurrency bugs by hand: ``JobQueue``'s lock had to become reentrant
-because a settled :class:`~concurrent.futures.Future` runs
-``add_done_callback`` callbacks synchronously, and ``cancel()`` had to
-release the lock around ``Future.cancel()`` (which blocks on the done
-callbacks).  This module makes that bug class machine-checked, in the
-spirit of Eraser-style lockset race detection and RacerD's compositional
-reasoning, on top of the existing two-pass summary architecture:
+The threaded serve layer hit two concurrency bugs by hand: ``JobQueue``'s
+lock had to become reentrant because a settled
+:class:`~concurrent.futures.Future` runs ``add_done_callback`` callbacks
+synchronously, and ``cancel()`` had to release the lock around
+``Future.cancel()`` (which blocks on the done callbacks).  This module
+makes that bug class machine-checked on top of the summary architecture:
 
 * :class:`ConcurrencyExtractor` runs once per function during pass 1 and
   emits a JSON-serialisable event list — lock acquisitions (``with
   self._lock:`` scopes, with the locks already held at that point),
-  ``self``-attribute reads/writes, project calls (flagged *deferred* when
-  they sit inside a lambda or nested ``def``, i.e. run later on an
-  arbitrary thread), callback registrations (``add_done_callback``,
-  ``signal.signal``) and thread spawns.  Lock objects themselves
-  (``self._lock = threading.Lock()``, module-level ``LOCK =
-  threading.Lock()``) and class bases are indexed on the
+  project calls (flagged *deferred* when they sit inside a lambda or
+  nested ``def``, i.e. run later on an arbitrary thread) and callback
+  registrations (``add_done_callback``, ``signal.signal``).  Lock objects
+  themselves (``self._lock = threading.Lock()``, module-level ``LOCK =
+  threading.Lock()``) are indexed on the
   :class:`~repro.lint.project.ModuleSummary`.  Everything is cached with
   the summary, so warm runs never re-parse.
 
@@ -25,23 +22,14 @@ reasoning, on top of the existing two-pass summary architecture:
   facts, solved to a fixpoint in sorted function order so diagnostics are
   byte-identical at any ``--workers``:
 
-  - **entry locksets** — *must* (intersection over non-deferred call
-    sites: a ``_locked``-suffix helper only ever called under the lock
-    inherits it) and *may* (union: any path that can hold the lock);
-  - **acquisition closure** — locks a call may take, transitively;
-  - **thread entries** — spawn targets, registered callbacks, signal
-    handlers, and ``do_*`` methods of socketserver handler classes, all
-    of which start with an empty lockset;
-  - **initialisation phase** — methods reachable only from ``__init__``
-    of their own class are excluded from race reporting (the object is
-    not yet visible to other threads), Eraser's init-phase refinement;
-  - **inferred guards** — per attribute of a lock-owning class, the
-    intersection of locks held over its guarded accesses.
+  - **entry locksets** — the locks that *may* be held on entry (union
+    over non-deferred call sites), with a witness caller chain;
+  - **acquisition closure** — locks a call may take, transitively.
 
-The RPR015–RPR019 rules in :mod:`repro.lint.rules.concurrency_rules`
+The RPR017 and RPR018 rules in :mod:`repro.lint.rules.concurrency_rules`
 evaluate these facts.  The vocabulary below (lock constructors, blocking
-defaults, handler bases) is fingerprinted into the summary-cache salt:
-editing it invalidates every cached summary.
+defaults) is fingerprinted into the summary-cache salt: editing it
+invalidates every cached summary.
 """
 
 from __future__ import annotations
@@ -66,7 +54,7 @@ from typing import (
 from repro.lint._ast import resolve
 
 #: Bump on any change to the extraction or solving semantics.
-CONCURRENCY_VERSION = 1
+CONCURRENCY_VERSION = 2
 
 #: Canonical constructors whose result is a lock, with its kind.
 #: ``Condition``/``Semaphore`` are treated as non-reentrant: re-acquiring
@@ -78,19 +66,6 @@ LOCK_CONSTRUCTORS: Dict[str, str] = {
     "threading.Semaphore": "lock",
     "threading.BoundedSemaphore": "lock",
 }
-
-#: Constructors that spawn a thread; their ``target=`` runs lock-free.
-THREAD_CONSTRUCTORS: Tuple[str, ...] = ("threading.Thread", "threading.Timer")
-
-#: Base classes whose ``do_*``/``handle`` methods are called per-request
-#: on server threads (thread entry points with an empty lockset).
-HANDLER_BASES: Tuple[str, ...] = (
-    "BaseHTTPRequestHandler",
-    "SimpleHTTPRequestHandler",
-    "StreamRequestHandler",
-    "DatagramRequestHandler",
-    "BaseRequestHandler",
-)
 
 #: Default RPR017 blocklist (overridable via ``[tool.repro-lint]
 #: blocking-calls``).  ``*.leaf`` matches any attribute call with that
@@ -118,37 +93,17 @@ DEFAULT_BLOCKING_CALLS: Tuple[str, ...] = (
     "open",
 )
 
-#: Attribute-call leaves that mutate the receiver in place — a call like
-#: ``self._jobs.pop(k)`` is a *write* of ``_jobs`` for lockset purposes.
-MUTATOR_LEAVES: Set[str] = {
-    "append", "extend", "insert", "clear", "update", "pop", "popitem",
-    "setdefault", "remove", "discard", "add", "sort", "reverse",
-    "appendleft", "extendleft", "fill", "put", "resize",
-}
-
-#: Methods that run in single-threaded construction context.
-_CONSTRUCTOR_METHODS: Tuple[str, ...] = (
-    "__init__", "__new__", "__del__", "__post_init__",
-)
-
-#: Scope id of locks held on function entry (vs. a local ``with`` scope).
-ENTRY_SCOPE = "entry"
-
 _TEXT_CAP = 80
 
 
 def concurrency_fingerprint() -> str:
     """Content fingerprint of the concurrency vocabulary (part of the
-    cache salt — editing the lock/blocking/handler tables re-analyses
-    every file)."""
+    cache salt — editing the lock or blocking tables re-analyses every
+    file)."""
     material = {
         "version": CONCURRENCY_VERSION,
         "locks": LOCK_CONSTRUCTORS,
-        "threads": list(THREAD_CONSTRUCTORS),
-        "handlers": list(HANDLER_BASES),
         "blocking": list(DEFAULT_BLOCKING_CALLS),
-        "mutators": sorted(MUTATOR_LEAVES),
-        "constructors": list(_CONSTRUCTOR_METHODS),
     }
     digest = hashlib.blake2b(digest_size=8)
     digest.update(json.dumps(material, sort_keys=True).encode("utf-8"))
@@ -189,19 +144,17 @@ class FunctionConcurrency:
     """Serialisable concurrency record of one function.
 
     ``events`` is an ordered list of dicts.  Common fields: ``k`` (kind),
-    ``lineno``/``col``, ``held`` (``[lock, scope]`` pairs live at the
-    event — local ``with`` scopes only; entry locks are solved in pass 2)
-    and ``deferred`` (the event sits inside a lambda/nested ``def`` and
-    runs later, on an arbitrary thread, with no caller locks).  Per kind:
+    ``lineno``/``col``, ``held`` (locks live at the event — local
+    ``with`` scopes only; entry locks are solved in pass 2) and
+    ``deferred`` (the event sits inside a lambda/nested ``def`` and runs
+    later, on an arbitrary thread, with no caller locks).  Per kind:
 
-    - ``acquire``: ``lock`` (canonical id), ``scope`` (syntactic scope id);
-    - ``access``: ``attr`` (a ``self`` attribute), ``mode`` (read/write);
+    - ``acquire``: ``lock`` (canonical id);
     - ``call``: ``callee`` (resolved dotted name or None), ``leaf``
       (attribute/bare name), ``recv`` (receiver shape: self/name/attr/
       call/const/bare/other), ``text``;
     - ``register``: ``target`` (resolved callback or None), ``via``
-      (add_done_callback/signal), ``text``;
-    - ``spawn``: ``target`` (resolved thread target or None), ``text``.
+      (add_done_callback/signal), ``text``.
     """
 
     events: List[Dict[str, Any]] = field(default_factory=list)
@@ -231,7 +184,7 @@ class ConcurrencyExtractor:
         self._toplevel = toplevel_defs
         self._resolver = resolver
         self._events: List[Dict[str, Any]] = []
-        self._held: List[Tuple[str, str]] = []
+        self._held: List[str] = []
         self._deferred = 0
 
     def extract(self, func: ast.AST) -> FunctionConcurrency:
@@ -247,16 +200,11 @@ class ConcurrencyExtractor:
             "k": kind,
             "lineno": getattr(node, "lineno", 1),
             "col": getattr(node, "col_offset", 0),
-            "held": [[lock, scope] for lock, scope in self._held],
+            "held": list(self._held),
             "deferred": bool(self._deferred),
         }
         record.update(fields)
         self._events.append(record)
-
-    def _access(self, node: ast.AST, attr: str, mode: str) -> None:
-        if self._klass is None:
-            return
-        self._event(node, "access", attr=attr, mode=mode)
 
     # -- shapes -------------------------------------------------------------
 
@@ -304,27 +252,6 @@ class ConcurrencyExtractor:
         if isinstance(node, ast.Call):
             self._visit_call(node)
             return
-        if isinstance(node, ast.Attribute):
-            attr = self._self_attr(node)
-            if attr is not None:
-                mode = (
-                    "write"
-                    if isinstance(node.ctx, (ast.Store, ast.Del))
-                    else "read"
-                )
-                self._access(node, attr, mode)
-                return
-            self._visit(node.value)
-            return
-        if isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            attr = self._self_attr(node.value)
-            if attr is not None:
-                # self._jobs[k] = v mutates _jobs, not merely reads it.
-                self._access(node.value, attr, "write")
-                self._visit(node.slice)
-                return
         for child in ast.iter_child_nodes(node):
             self._visit(child)
 
@@ -345,10 +272,8 @@ class ConcurrencyExtractor:
         for item in items:
             ref = self._lock_ref(item.context_expr)
             if ref is not None:
-                ctx = item.context_expr
-                scope = f"{getattr(ctx, 'lineno', 0)}:{getattr(ctx, 'col_offset', 0)}"
-                self._event(ctx, "acquire", lock=ref, scope=scope)
-                self._held.append((ref, scope))
+                self._event(item.context_expr, "acquire", lock=ref)
+                self._held.append(ref)
                 pushed += 1
             else:
                 self._visit(item.context_expr)
@@ -389,30 +314,14 @@ class ConcurrencyExtractor:
             for target in self._callable_targets(node.args[1]) or [None]:
                 self._event(node, "register", via="signal",
                             target=target, text=_text(node))
-        elif resolved in THREAD_CONSTRUCTORS:
-            tnode = next(
-                (kw.value for kw in node.keywords if kw.arg == "target"), None
-            )
-            targets = (
-                self._callable_targets(tnode) if tnode is not None else []
-            )
-            for target in targets or [None]:
-                self._event(node, "spawn", target=target, text=_text(node))
         elif resolved is not None or leaf is not None:
             self._event(node, "call", callee=resolved, leaf=leaf, recv=recv,
                         text=_text(node))
 
-        # Recurse: the callee attribute itself is *not* an attribute
-        # access (calling self.m() does not race on 'm'), but a method
-        # call on a self attribute reads — or, for mutator leaves,
-        # writes — that attribute: self._jobs.pop(k).
+        # Recurse into the receiver (calls nested in it run first).
         if isinstance(func, ast.Attribute):
             base = func.value
-            base_attr = self._self_attr(base)
-            if base_attr is not None:
-                mode = "write" if func.attr in MUTATOR_LEAVES else "read"
-                self._access(base, base_attr, mode)
-            elif not isinstance(base, ast.Name):
+            if not isinstance(base, ast.Name):
                 self._visit(base)
         elif not isinstance(func, ast.Name):
             self._visit(func)
@@ -469,16 +378,8 @@ class ConcurrencyFunction:
     """Solver-side view of one summarised function."""
 
     fqname: str
-    module: str
-    qualname: str
     rel_path: str
-    #: fq name of the owning class (module.Class) for methods, else None
-    owner: Optional[str]
     events: List[Dict[str, Any]]
-
-    @property
-    def leaf(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
 
 class ConcurrencyAnalysis:
@@ -493,22 +394,14 @@ class ConcurrencyAnalysis:
         self,
         functions: Dict[str, ConcurrencyFunction],
         locks: Dict[str, LockInfo],
-        class_bases: Dict[str, List[str]],
     ) -> None:
         self.functions = functions
         self.locks = locks
-        self.class_bases = class_bases
         #: callee -> [(caller fq, call event)] over non-deferred edges
         self._callers: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
-        #: callee -> caller fqs over *all* call edges (deferred included)
-        self._all_callers: Dict[str, Set[str]] = {}
-        self.thread_entries: Set[str] = set()
-        self.entry_must: Dict[str, Set[str]] = {}
         self.entry_may: Dict[str, Set[str]] = {}
         self._witness: Dict[Tuple[str, str], str] = {}
         self._acquires: Dict[str, Set[str]] = {}
-        self.init_only: Set[str] = set()
-        self._guards: Optional[Dict[Tuple[str, str], Set[str]]] = None
         self._solved = False
 
     # -- solving ------------------------------------------------------------
@@ -518,79 +411,23 @@ class ConcurrencyAnalysis:
             return
         self._solved = True
         self._build_edges()
-        self._find_thread_entries()
-        self._solve_entry_must()
         self._solve_entry_may()
         self._solve_acquires()
-        self._find_init_only()
 
-    def _held_locks(self, event: Dict[str, Any]) -> Set[str]:
+    def held_locks(self, event: Dict[str, Any]) -> Set[str]:
         """Locally-held known locks at an event."""
-        return {
-            pair[0] for pair in event.get("held", []) if pair[0] in self.locks
-        }
+        return {lock for lock in event.get("held", []) if lock in self.locks}
 
     def _build_edges(self) -> None:
         for name in sorted(self.functions):
             fn = self.functions[name]
             for event in fn.events:
-                if event["k"] != "call":
+                if event["k"] != "call" or event["deferred"]:
                     continue
                 callee = event.get("callee")
                 if callee is None or callee not in self.functions:
                     continue
-                self._all_callers.setdefault(callee, set()).add(name)
-                if not event["deferred"]:
-                    self._callers.setdefault(callee, []).append((name, event))
-
-    def _find_thread_entries(self) -> None:
-        handler_classes = {
-            cls
-            for cls, bases in self.class_bases.items()
-            if any(b.rsplit(".", 1)[-1] in HANDLER_BASES for b in bases)
-        }
-        for name in sorted(self.functions):
-            fn = self.functions[name]
-            if fn.owner in handler_classes and (
-                fn.leaf.startswith("do_") or fn.leaf == "handle"
-            ):
-                self.thread_entries.add(name)
-            for event in fn.events:
-                if event["k"] in ("spawn", "register"):
-                    target = event.get("target")
-                    if target is not None and target in self.functions:
-                        self.thread_entries.add(target)
-
-    def _solve_entry_must(self) -> None:
-        """Intersection fixpoint: locks held on *every* path into a
-        function.  Thread entries and uncalled functions start empty;
-        everything else starts ⊤ (None) and only shrinks."""
-        state: Dict[str, Optional[Set[str]]] = {}
-        for name in self.functions:
-            if name in self.thread_entries or name not in self._callers:
-                state[name] = set()
-            else:
-                state[name] = None
-        changed = True
-        while changed:
-            changed = False
-            for name in sorted(self.functions):
-                if name in self.thread_entries or name not in self._callers:
-                    continue
-                meet: Optional[Set[str]] = None
-                for caller, event in self._callers[name]:
-                    caller_entry = state[caller]
-                    if caller_entry is None:
-                        continue  # unresolved this round; ⊤ is meet-identity
-                    contrib = caller_entry | self._held_locks(event)
-                    meet = set(contrib) if meet is None else meet & contrib
-                if meet is not None and meet != state[name]:
-                    state[name] = meet
-                    changed = True
-        self.entry_must = {
-            name: (entry if entry is not None else set())
-            for name, entry in state.items()
-        }
+                self._callers.setdefault(callee, []).append((name, event))
 
     def _solve_entry_may(self) -> None:
         """Union fixpoint: locks held on *some* path into a function,
@@ -601,7 +438,7 @@ class ConcurrencyAnalysis:
             changed = False
             for name in sorted(self.functions):
                 for caller, event in self._callers.get(name, []):
-                    contrib = self.entry_may[caller] | self._held_locks(event)
+                    contrib = self.entry_may[caller] | self.held_locks(event)
                     fresh = contrib - self.entry_may[name]
                     if fresh:
                         self.entry_may[name] |= fresh
@@ -639,37 +476,6 @@ class ConcurrencyAnalysis:
                         mine |= fresh
                         changed = True
 
-    def _find_init_only(self) -> None:
-        """Methods reachable only from their class's ``__init__`` run in
-        single-threaded construction context (Eraser's init phase)."""
-        by_class: Dict[str, List[str]] = {}
-        for name, fn in self.functions.items():
-            if fn.owner is not None:
-                by_class.setdefault(fn.owner, []).append(name)
-        for cls in sorted(by_class):
-            methods = set(by_class[cls])
-            init_name = f"{cls}.__init__"
-            candidates = {
-                m
-                for m in methods
-                if self.functions[m].leaf not in _CONSTRUCTOR_METHODS
-                and m not in self.thread_entries
-                and self._all_callers.get(m)
-            }
-            changed = True
-            while changed:
-                changed = False
-                for m in sorted(candidates):
-                    callers = self._all_callers.get(m, set())
-                    ok = callers and all(
-                        c == init_name or (c in candidates and c != m)
-                        for c in callers
-                    )
-                    if not ok:
-                        candidates.discard(m)
-                        changed = True
-            self.init_only |= candidates
-
     # -- queries ------------------------------------------------------------
 
     def iter_functions(self) -> Iterator[ConcurrencyFunction]:
@@ -679,36 +485,12 @@ class ConcurrencyAnalysis:
     def kind(self, lock: str) -> str:
         return self.locks[lock].kind
 
-    def held_must(self, fn: ConcurrencyFunction,
-                  event: Dict[str, Any]) -> Set[str]:
-        """Locks guaranteed held at an event (entry ∪ local scopes)."""
-        if event["deferred"]:
-            return set()
-        return self.entry_must.get(fn.fqname, set()) | self._held_locks(event)
-
     def held_may(self, fn: ConcurrencyFunction,
                  event: Dict[str, Any]) -> Set[str]:
-        """Locks possibly held at an event."""
+        """Locks possibly held at an event (entry ∪ local scopes)."""
         if event["deferred"]:
             return set()
-        return self.entry_may.get(fn.fqname, set()) | self._held_locks(event)
-
-    def held_scoped(self, fn: ConcurrencyFunction,
-                    event: Dict[str, Any]) -> Set[Tuple[str, str]]:
-        """Must-held locks with their syntactic acquisition scope;
-        entry locks carry the pseudo-scope :data:`ENTRY_SCOPE`."""
-        if event["deferred"]:
-            return set()
-        scoped = {
-            (pair[0], pair[1])
-            for pair in event.get("held", [])
-            if pair[0] in self.locks
-        }
-        local = {lock for lock, _ in scoped}
-        for lock in self.entry_must.get(fn.fqname, set()):
-            if lock not in local:
-                scoped.add((lock, ENTRY_SCOPE))
-        return scoped
+        return self.entry_may.get(fn.fqname, set()) | self.held_locks(event)
 
     def acquires(self, fqname: str) -> Set[str]:
         return self._acquires.get(fqname, set())
@@ -725,39 +507,6 @@ class ConcurrencyAnalysis:
             chain.append(caller)
             seen.add(caller)
             node = caller
-
-    def attr_guards(self) -> Dict[Tuple[str, str], Set[str]]:
-        """Inferred guard per (class fq, attribute): the intersection of
-        must-held locks over every access that holds at least one."""
-        if self._guards is not None:
-            return self._guards
-        guards: Dict[Tuple[str, str], Set[str]] = {}
-        for fn in self.iter_functions():
-            if fn.owner is None:
-                continue
-            for event in fn.events:
-                if event["k"] != "access":
-                    continue
-                held = self.held_must(fn, event)
-                if not held:
-                    continue
-                key = (fn.owner, event["attr"])
-                if key in guards:
-                    guards[key] &= held
-                else:
-                    guards[key] = set(held)
-        self._guards = guards
-        return guards
-
-    def class_locks(self, cls: str) -> Set[str]:
-        """Locks owned by a class (canonical ids ``{cls}.{attr}``)."""
-        return {
-            canon for canon in self.locks if canon.rsplit(".", 1)[0] == cls
-        }
-
-    def lock_attrs(self, cls: str) -> Set[str]:
-        """Attribute names under which a class stores its locks."""
-        return {canon.rsplit(".", 1)[-1] for canon in self.class_locks(cls)}
 
 
 def match_blocking(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.lint.concurrency import DEFAULT_BLOCKING_CALLS
 
@@ -27,17 +27,6 @@ SECTION = "repro-lint"
 #: determinism and plumbing rules do not apply — the RNG plumbing itself.
 DEFAULT_RNG_EXEMPT = ("_util/rng.py",)
 
-#: Paths where ``self._cols`` may legitimately be bound — the PacketBatch
-#: definition site.
-DEFAULT_IMMUTABILITY_EXEMPT = ("telescope/packet.py",)
-
-#: Substrings of the relative path where the float-equality rule applies
-#: (the paper's analysis code, per the invariant in docs/architecture.md).
-DEFAULT_FLOAT_EQ_PATHS = ("core/",)
-
-#: Modules (suffix-matched) whose executor submissions RPR007 audits.
-DEFAULT_EXECUTOR_MODULES = ("exec/parallel.py",)
-
 #: Persisted-schema sites for RPR008, each
 #: ``"<site path>:<site qualname>:<version path>:<version constant>"``
 #: (relative paths contain ``/`` never ``:``, so the colon split is safe).
@@ -47,13 +36,6 @@ DEFAULT_SCHEMA_SITES = (
     "stream/incremental.py:IncrementalScanIdentifier.snapshot"
     ":stream/checkpoint.py:STREAM_SCHEMA_VERSION",
     "telescope/trace.py:_COLUMN_ORDER:telescope/trace.py:MAGIC",
-)
-
-#: Declared/serialised dtype-layout pairs for RPR013, each
-#: ``"<decl path>:<DECL_NAME>:<serialised path>:<SER_NAME>"``; the
-#: serialised side must spell explicit little-endian struct codes.
-DEFAULT_DTYPE_LAYOUTS = (
-    "telescope/packet.py:_COLUMNS:telescope/trace.py:_COLUMN_ORDER",
 )
 
 
@@ -75,12 +57,6 @@ class LintConfig:
     #: ``[tool.repro-lint.paths]`` block (keys double as lint targets).
     path_rules: Dict[str, List[str]] = field(default_factory=dict)
     rng_exempt: List[str] = field(default_factory=lambda: list(DEFAULT_RNG_EXEMPT))
-    immutability_exempt: List[str] = field(
-        default_factory=lambda: list(DEFAULT_IMMUTABILITY_EXEMPT)
-    )
-    float_eq_paths: List[str] = field(
-        default_factory=lambda: list(DEFAULT_FLOAT_EQ_PATHS)
-    )
     #: project-pass knobs — TOML values are strings per the fallback parser,
     #: so ``workers`` stays a string here and is int()-ed at the use site.
     workers: str = "0"
@@ -88,12 +64,6 @@ class LintConfig:
     schema_manifest: str = "lint-schema.json"
     schema_sites: List[str] = field(
         default_factory=lambda: list(DEFAULT_SCHEMA_SITES)
-    )
-    executor_modules: List[str] = field(
-        default_factory=lambda: list(DEFAULT_EXECUTOR_MODULES)
-    )
-    dtype_layouts: List[str] = field(
-        default_factory=lambda: list(DEFAULT_DTYPE_LAYOUTS)
     )
     #: RPR017 blocklist: ``*.leaf`` patterns (attribute calls by leaf name
     #: on non-literal receivers, project functions excluded), resolved
@@ -181,14 +151,10 @@ _KEY_MAP = {
     "ignore": "ignore",
     "path-rules": "path_rules",
     "rng-exempt": "rng_exempt",
-    "immutability-exempt": "immutability_exempt",
-    "float-eq-paths": "float_eq_paths",
     "workers": "workers",
     "cache": "cache",
     "schema-manifest": "schema_manifest",
     "schema-sites": "schema_sites",
-    "executor-modules": "executor_modules",
-    "dtype-layouts": "dtype_layouts",
     "blocking-calls": "blocking_calls",
 }
 

@@ -13,13 +13,17 @@ Two rule families share the registry:
   the per-file syntactic pass;
 * **project rules** (:class:`ProjectRule`) see the whole-program
   :class:`~repro.lint.project.ProjectContext` built by
-  :mod:`repro.lint.project` — cross-module invariants (RPR006–RPR009) that
-  no single file can witness.
+  :mod:`repro.lint.project` — schema drift (RPR008), overflow typeflow
+  (RPR011) and the lock rules (RPR017, RPR018), which no single file can
+  witness.
+
+Each rule class carries its own ``--explain`` text: the class docstring
+says what the rule enforces and ``example`` shows a minimal trigger.
 
 Inline suppressions use the comment syntax::
 
     something_noisy()  # repro-lint: disable=RPR001
-    other(), thing()   # repro-lint: disable=RPR003,RPR004
+    other(), thing()   # repro-lint: disable=RPR001,RPR002
     legacy_line()      # repro-lint: disable
 
 A bare ``disable`` silences every rule on that line.  Suppressions are
@@ -29,7 +33,9 @@ line-scoped on purpose — block scopes rot.
 from __future__ import annotations
 
 import ast
+import inspect
 import re
+import textwrap
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
@@ -72,17 +78,29 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``code`` / ``name`` / ``description`` /
-    ``default_severity`` and implement :meth:`check` as a generator of
-    :class:`Diagnostic`.  Use :meth:`diag` to stamp findings consistently.
+    ``default_severity`` and ``example``, document the invariant in their
+    class docstring (both feed :meth:`explain`), and implement
+    :meth:`check` as a generator of :class:`Diagnostic`.  Use :meth:`diag`
+    to stamp findings consistently.
     """
 
     code: str = "RPR000"
     name: str = "abstract"
     description: str = ""
     default_severity: Severity = Severity.ERROR
+    #: a minimal triggering snippet, printed by ``--explain``
+    example: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         raise NotImplementedError
+
+    def explain(self) -> str:
+        """The ``--explain`` entry: code, name, docstring and example."""
+        summary = inspect.cleandoc(type(self).__doc__ or self.description)
+        example = textwrap.indent(
+            textwrap.dedent(self.example).strip("\n"), "    "
+        )
+        return f"{self.code} — {self.name}\n\n{summary}\n\nExample:\n{example}"
 
     def diag(self, ctx: FileContext, node: ast.AST, message: str) -> Diagnostic:
         return Diagnostic(
@@ -150,6 +168,11 @@ class RuleRegistry:
 
     def get(self, code: str) -> Rule:
         return self._rules[code]
+
+    def explain(self, code: str) -> Optional[str]:
+        """One rule's ``--explain`` entry, or None for an unknown code."""
+        rule = self._rules.get(code)
+        return None if rule is None else rule.explain()
 
     def enabled(self, config: LintConfig) -> List[Rule]:
         """Rules that survive ``disable`` plus the flake8-style

@@ -1,13 +1,11 @@
 """Whole-program analysis pass (pass 1) for the project rules.
 
 :func:`analyze_files` reduces every source file to a serialisable
-:class:`ModuleSummary` — symbol table, import graph edges, a conservative
-call graph, and an index of the call sites the cross-module rules care
-about (``derive_rng`` keys, ``*_SCHEMA_VERSION`` constants, persisted-dict
-field sets, ``np.savez``/process-pool submissions, ``PacketBatch`` column
-arguments).  :class:`ProjectContext` stitches the summaries into the
-whole-program view that the :class:`~repro.lint.engine.ProjectRule`
-subclasses (RPR006–RPR009) traverse.
+:class:`ModuleSummary` — ALL_CAPS constants, persisted-dict field sets,
+lock definitions, and per function the typeflow and concurrency records.
+:class:`ProjectContext` stitches the summaries into the whole-program
+view that the :class:`~repro.lint.engine.ProjectRule` subclasses (RPR008,
+RPR011, RPR017, RPR018) traverse.
 
 Summaries carry everything pass 2 needs and nothing it does not (no live
 ASTs), so they are content-addressed-cached per file — the same blake2b
@@ -39,7 +37,7 @@ from repro.lint.engine import (
     is_suppressed,
     parse_suppressions,
 )
-from repro.lint._ast import BATCH_COLUMNS, import_aliases, resolve
+from repro.lint._ast import import_aliases, resolve
 from repro.lint.concurrency import (
     ConcurrencyAnalysis,
     ConcurrencyExtractor,
@@ -58,109 +56,12 @@ from repro.lint.typeflow import (
 )
 
 #: Bump when the summary layout changes; every cache entry then misses.
-SUMMARY_SCHEMA_VERSION = 5
-
-#: Canonical names whose call constructs a process pool.
-_POOL_CONSTRUCTORS = {
-    "concurrent.futures.ProcessPoolExecutor",
-    "concurrent.futures.process.ProcessPoolExecutor",
-}
-
-#: Constructors whose result is module-level *mutable* state when bound at
-#: module scope (literals are detected structurally).
-_MUTABLE_CONSTRUCTOR_LEAVES = {"dict", "list", "set", "defaultdict", "Counter",
-                               "deque", "OrderedDict", "bytearray"}
-
-#: Canonical call prefixes that are ambient randomness (process-pool purity).
-_RANDOM_PREFIXES = ("random.", "numpy.random.", "secrets.")
-_RANDOM_EXACT = {"os.urandom", "uuid.uuid4", "uuid.uuid1"}
-
-#: numpy.random leaves that only *construct* (deterministically seeded)
-#: machinery rather than draw ambient entropy; RPR002 already polices
-#: construction, so RPR007 does not re-flag them.
-_RANDOM_OK_LEAVES = {"Generator", "SeedSequence", "BitGenerator", "PCG64",
-                     "PCG64DXSM", "MT19937", "Philox", "SFC64"}
-
-_MUTATOR_METHODS = {
-    "sort", "fill", "partition", "put", "resize", "setflags", "byteswap",
-    "append", "extend", "clear", "update", "pop", "setdefault",
-}
-
-#: In-place numpy mutators relevant to array parameters (RPR009).
-_ARRAY_MUTATORS = {"sort", "fill", "partition", "put", "resize", "setflags",
-                   "byteswap"}
+SUMMARY_SCHEMA_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
 # summary records
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RngSite:
-    """One ``derive_rng(root, *tokens)`` call site."""
-
-    lineno: int
-    col: int
-    func: str  #: enclosing function qualname ('<module>' at top level)
-    #: per token: repr of the literal, or None when dynamic
-    tokens: List[Optional[str]]
-    #: source text per token, for messages
-    token_texts: List[str]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"lineno": self.lineno, "col": self.col, "func": self.func,
-                "tokens": self.tokens, "token_texts": self.token_texts}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RngSite":
-        return cls(lineno=int(data["lineno"]), col=int(data["col"]),
-                   func=data["func"], tokens=list(data["tokens"]),
-                   token_texts=list(data["token_texts"]))
-
-
-@dataclass
-class SubmitSite:
-    """One ``pool.submit(f, ...)`` / ``pool.map(f, ...)`` call site."""
-
-    lineno: int
-    col: int
-    method: str  #: 'submit' or 'map'
-    callee: Optional[str]  #: resolved dotted name of the submitted callable
-    callee_text: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"lineno": self.lineno, "col": self.col, "method": self.method,
-                "callee": self.callee, "callee_text": self.callee_text}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SubmitSite":
-        return cls(lineno=int(data["lineno"]), col=int(data["col"]),
-                   method=data["method"], callee=data["callee"],
-                   callee_text=data["callee_text"])
-
-
-@dataclass
-class ColumnArg:
-    """A call passing a ``PacketBatch`` column attribute as an argument."""
-
-    lineno: int
-    col: int
-    callee: str  #: resolved dotted callee
-    arg_index: int
-    column: str
-    arg_text: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"lineno": self.lineno, "col": self.col, "callee": self.callee,
-                "arg_index": self.arg_index, "column": self.column,
-                "arg_text": self.arg_text}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ColumnArg":
-        return cls(lineno=int(data["lineno"]), col=int(data["col"]),
-                   callee=data["callee"], arg_index=int(data["arg_index"]),
-                   column=data["column"], arg_text=data["arg_text"])
 
 
 @dataclass
@@ -170,32 +71,15 @@ class FunctionSummary:
     qualname: str
     lineno: int
     params: List[str]
-    #: positional indices mutated in place (subscript store / array mutator)
-    mutated_params: List[int] = field(default_factory=list)
-    #: (callee, callee_arg_index, own_param_index) — param forwarded whole
-    forwards: List[Tuple[str, int, int]] = field(default_factory=list)
-    #: resolved dotted callees (project call-graph edges)
-    calls: List[str] = field(default_factory=list)
-    #: (global name, 'read'|'write', lineno) touching module mutable state
-    global_uses: List[Tuple[str, str, int]] = field(default_factory=list)
-    #: (canonical dotted name, lineno) — from-imported foreign-module values
-    ext_reads: List[Tuple[str, int]] = field(default_factory=list)
-    #: (canonical target, lineno) — ambient randomness reached directly
-    random_calls: List[Tuple[str, int]] = field(default_factory=list)
     #: pass-3 dataflow record (events, returns, abstract call args)
     typeflow: Optional[Dict[str, Any]] = None
-    #: pass-4 concurrency record (lock scopes, accesses, calls, spawns)
+    #: pass-4 concurrency record (lock scopes, calls, callback registrations)
     concurrency: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "qualname": self.qualname, "lineno": self.lineno,
-            "params": self.params, "mutated_params": self.mutated_params,
-            "forwards": [list(f) for f in self.forwards],
-            "calls": self.calls,
-            "global_uses": [list(g) for g in self.global_uses],
-            "ext_reads": [list(e) for e in self.ext_reads],
-            "random_calls": [list(r) for r in self.random_calls],
+            "params": self.params,
             "typeflow": self.typeflow,
             "concurrency": self.concurrency,
         }
@@ -205,12 +89,6 @@ class FunctionSummary:
         return cls(
             qualname=data["qualname"], lineno=int(data["lineno"]),
             params=list(data["params"]),
-            mutated_params=[int(i) for i in data["mutated_params"]],
-            forwards=[(f[0], int(f[1]), int(f[2])) for f in data["forwards"]],
-            calls=list(data["calls"]),
-            global_uses=[(g[0], g[1], int(g[2])) for g in data["global_uses"]],
-            ext_reads=[(e[0], int(e[1])) for e in data["ext_reads"]],
-            random_calls=[(r[0], int(r[1])) for r in data["random_calls"]],
             typeflow=data.get("typeflow"),
             concurrency=data.get("concurrency"),
         )
@@ -222,25 +100,14 @@ class ModuleSummary:
 
     rel_path: str
     module: str  #: dotted module name derived from the relative path
-    mutable_globals: List[str] = field(default_factory=list)
     #: ALL_CAPS module constants: name -> repr(value)
     constants: Dict[str, str] = field(default_factory=dict)
     #: persisted-field sets: qualname -> {'fields': [...], 'lineno': n}
     schema_fields: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: dtype layout tables (``_COLUMNS``/``_COLUMN_ORDER`` style):
-    #: name -> {'pairs': [[field, dtype-spelling], ...], 'lineno': n}
-    layouts: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    rng_sites: List[RngSite] = field(default_factory=list)
-    submit_sites: List[SubmitSite] = field(default_factory=list)
-    pool_sites: List[int] = field(default_factory=list)
-    savez_sites: List[int] = field(default_factory=list)
-    column_args: List[ColumnArg] = field(default_factory=list)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     #: lock definition sites: [owner ('<module>' or class name), attr,
     #: kind ('lock'/'rlock'), lineno]
     lock_defs: List[List[Any]] = field(default_factory=list)
-    #: class index: name -> {'bases': [dotted...], 'lineno': n}
-    classes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: inline-suppression table: [line, codes-or-None]
     suppressions: List[Tuple[int, Optional[List[str]]]] = field(
         default_factory=list
@@ -256,21 +123,10 @@ class ModuleSummary:
         return {
             "rel_path": self.rel_path,
             "module": self.module,
-            "mutable_globals": self.mutable_globals,
             "constants": self.constants,
             "schema_fields": self.schema_fields,
-            "layouts": self.layouts,
-            "rng_sites": [s.to_dict() for s in self.rng_sites],
-            "submit_sites": [s.to_dict() for s in self.submit_sites],
-            "pool_sites": self.pool_sites,
-            "savez_sites": self.savez_sites,
-            "column_args": [a.to_dict() for a in self.column_args],
             "functions": {q: f.to_dict() for q, f in self.functions.items()},
             "lock_defs": [list(d) for d in self.lock_defs],
-            "classes": {
-                name: {"bases": list(v["bases"]), "lineno": v["lineno"]}
-                for name, v in self.classes.items()
-            },
             "suppressions": [
                 [line, codes] for line, codes in self.suppressions
             ],
@@ -281,24 +137,11 @@ class ModuleSummary:
         return cls(
             rel_path=data["rel_path"],
             module=data["module"],
-            mutable_globals=list(data["mutable_globals"]),
             constants=dict(data["constants"]),
             schema_fields={
                 q: {"fields": list(v["fields"]), "lineno": int(v["lineno"])}
                 for q, v in data["schema_fields"].items()
             },
-            layouts={
-                name: {
-                    "pairs": [[p[0], p[1]] for p in v["pairs"]],
-                    "lineno": int(v["lineno"]),
-                }
-                for name, v in data.get("layouts", {}).items()
-            },
-            rng_sites=[RngSite.from_dict(s) for s in data["rng_sites"]],
-            submit_sites=[SubmitSite.from_dict(s) for s in data["submit_sites"]],
-            pool_sites=[int(n) for n in data["pool_sites"]],
-            savez_sites=[int(n) for n in data["savez_sites"]],
-            column_args=[ColumnArg.from_dict(a) for a in data["column_args"]],
             functions={
                 q: FunctionSummary.from_dict(f)
                 for q, f in data["functions"].items()
@@ -307,26 +150,11 @@ class ModuleSummary:
                 [d[0], d[1], d[2], int(d[3])]
                 for d in data.get("lock_defs", [])
             ],
-            classes={
-                name: {"bases": list(v["bases"]), "lineno": int(v["lineno"])}
-                for name, v in data.get("classes", {}).items()
-            },
             suppressions=[
                 (int(line), None if codes is None else list(codes))
                 for line, codes in data["suppressions"]
             ],
         )
-
-
-def target_param_index(fsum: "FunctionSummary", call_arg_index: int) -> int:
-    """Map a positional call-site index onto the callee's parameter list.
-
-    Instance/class methods resolved through an attribute call receive the
-    receiver implicitly, so positional arguments shift by one.
-    """
-    if fsum.params and fsum.params[0] in ("self", "cls"):
-        return call_arg_index + 1
-    return call_arg_index
 
 
 def module_name_for(rel_path: str) -> str:
@@ -348,25 +176,6 @@ def module_name_for(rel_path: str) -> str:
 # ---------------------------------------------------------------------------
 # pass 1: the summariser
 # ---------------------------------------------------------------------------
-
-
-def _expr_text(node: ast.AST) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - malformed expression
-        return "<expr>"
-
-
-def _const_token(node: ast.AST) -> Optional[str]:
-    """repr of a hashable literal token, None when dynamic."""
-    if isinstance(node, ast.Constant) and isinstance(
-        node.value, (str, int, bool, float, bytes)
-    ):
-        return repr(node.value)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _const_token(node.operand)
-        return None if inner is None else f"-{inner}"
-    return None
 
 
 def _const_str_keys(node: ast.Dict) -> Optional[List[str]]:
@@ -395,48 +204,6 @@ def _pair_sequence_fields(node: ast.AST) -> Optional[List[str]]:
     return fields
 
 
-def _pair_sequence_layout(
-    node: ast.AST, aliases: Dict[str, str]
-) -> Optional[List[List[str]]]:
-    """(name, dtype-spelling) pairs of a ``_COLUMNS``-style table.
-
-    The dtype spelling is kept verbatim: a string literal (``"<u4"``,
-    endianness included) or the canonical dotted name of a numpy dtype
-    (``numpy.float64``); rows with a dynamic second element abort the
-    capture (the table is not a declared layout).
-    """
-    if not isinstance(node, (ast.Tuple, ast.List)) or not node.elts:
-        return None
-    pairs: List[List[str]] = []
-    for elt in node.elts:
-        if not (isinstance(elt, (ast.Tuple, ast.List)) and len(elt.elts) >= 2):
-            return None
-        head, dtype_node = elt.elts[0], elt.elts[1]
-        if not (isinstance(head, ast.Constant)
-                and isinstance(head.value, str)):
-            return None
-        if isinstance(dtype_node, ast.Constant) and isinstance(
-            dtype_node.value, str
-        ):
-            pairs.append([head.value, dtype_node.value])
-            continue
-        dotted = resolve(dtype_node, aliases)
-        if dotted is None:
-            return None
-        pairs.append([head.value, dotted])
-    return pairs
-
-
-def _is_mutable_value(node: ast.AST, aliases: Dict[str, str]) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set,
-                         ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        target = resolve(node.func, aliases) or ""
-        return target.rsplit(".", 1)[-1] in _MUTABLE_CONSTRUCTOR_LEAVES
-    return False
-
-
 class _Summarizer:
     """Single AST pass producing a :class:`ModuleSummary`."""
 
@@ -457,6 +224,7 @@ class _Summarizer:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
         }
+
     def run(self) -> ModuleSummary:
         self._module_scope()
         stack: List[str] = []
@@ -464,7 +232,6 @@ class _Summarizer:
         def visit(node: ast.AST, klass: Optional[str]) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
-                    self._class_def(child)
                     visit(child, child.name)
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if stack:
@@ -481,20 +248,7 @@ class _Summarizer:
                     visit(child, klass)
 
         visit(self.tree, None)
-        self._call_index()
         return self.summary
-
-    # -- classes and locks ---------------------------------------------------
-
-    def _class_def(self, node: ast.ClassDef) -> None:
-        bases: List[str] = []
-        for base in node.bases:
-            dotted = resolve(base, self.aliases)
-            if dotted is not None:
-                bases.append(dotted)
-        self.summary.classes.setdefault(
-            node.name, {"bases": bases, "lineno": node.lineno}
-        )
 
     def _lock_def(self, owner: str, attr: str, kind: str,
                   lineno: int) -> None:
@@ -523,8 +277,6 @@ class _Summarizer:
                 kind = lock_kind(value, self.aliases)
                 if kind is not None:
                     self._lock_def("<module>", name, kind, node.lineno)
-                if _is_mutable_value(value, self.aliases):
-                    out.mutable_globals.append(name)
                 if name.isupper():
                     if isinstance(value, ast.Constant) and isinstance(
                         value.value, (int, str, bytes)
@@ -534,11 +286,6 @@ class _Summarizer:
                     if fields is not None:
                         out.schema_fields[name] = {
                             "fields": fields, "lineno": node.lineno
-                        }
-                    pairs = _pair_sequence_layout(value, self.aliases)
-                    if pairs is not None:
-                        out.layouts[name] = {
-                            "pairs": pairs, "lineno": node.lineno
                         }
                 if isinstance(value, ast.Dict):
                     keys = _const_str_keys(value)
@@ -555,30 +302,8 @@ class _Summarizer:
         params = [a.arg for a in [*args.posonlyargs, *args.args]]
         fsum = FunctionSummary(qualname=qualname, lineno=func.lineno,
                                params=params)
-        param_index = {name: i for i, name in enumerate(params)}
-        mutable = set(self.summary.mutable_globals)
-        locals_bound: Set[str] = set(params)
-        global_decls: Set[str] = set()
 
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                global_decls.update(node.names)
-                for name in node.names:
-                    fsum.global_uses.append((name, "write", node.lineno))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                self._function_store(node, fsum, param_index, mutable,
-                                     locals_bound)
-            elif isinstance(node, ast.Call):
-                self._function_call(node, fsum, param_index, klass)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                if node.id in mutable and node.id not in locals_bound:
-                    fsum.global_uses.append((node.id, "read", node.lineno))
-                elif node.id in self.aliases and node.id.isupper():
-                    dotted = self.aliases[node.id]
-                    if "." in dotted:
-                        fsum.ext_reads.append((dotted, node.lineno))
-
-        # Pass-3 dataflow record: expression IR + cast/arith/sink events,
+        # Pass-3 dataflow record: expression IR + arithmetic events,
         # extracted now so warm runs never re-parse for typeflow.
         flow = TypeflowExtractor(
             params,
@@ -588,8 +313,8 @@ class _Summarizer:
         if flow.events or flow.returns or flow.calls:
             fsum.typeflow = flow.to_dict()
 
-        # Pass-4 concurrency record: lock scopes, self-attribute accesses,
-        # calls (deferred-flagged), callback registrations, thread spawns.
+        # Pass-4 concurrency record: lock scopes, calls (deferred-flagged)
+        # and callback registrations.
         if klass is not None:
             for node in ast.walk(func):
                 if not isinstance(node, ast.Assign):
@@ -640,63 +365,6 @@ class _Summarizer:
 
         self.summary.functions[qualname] = fsum
 
-    def _function_store(self, node: ast.AST, fsum: FunctionSummary,
-                        param_index: Dict[str, int], mutable: Set[str],
-                        locals_bound: Set[str]) -> None:
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if target.id in mutable and not isinstance(node, ast.AugAssign):
-                    # Rebinding a module name locally shadows it from here
-                    # on; conservative, but stops param-style false hits.
-                    locals_bound.add(target.id)
-                continue
-            if isinstance(target, ast.Subscript):
-                base = target.value
-                if isinstance(base, ast.Name):
-                    if base.id in param_index:
-                        idx = param_index[base.id]
-                        if idx not in fsum.mutated_params:
-                            fsum.mutated_params.append(idx)
-                    elif base.id in mutable and base.id not in locals_bound:
-                        fsum.global_uses.append(
-                            (base.id, "write", node.lineno)
-                        )
-
-    def _function_call(self, node: ast.Call, fsum: FunctionSummary,
-                       param_index: Dict[str, int],
-                       klass: Optional[str]) -> None:
-        resolved = self._resolve_call(node, klass)
-        if resolved is not None:
-            fsum.calls.append(resolved)
-            if self._is_random(resolved):
-                fsum.random_calls.append((resolved, node.lineno))
-            # Whole-parameter forwarding (for transitive mutation).
-            for arg_idx, arg in enumerate(node.args):
-                if isinstance(arg, ast.Name) and arg.id in param_index:
-                    fsum.forwards.append(
-                        (resolved, arg_idx, param_index[arg.id])
-                    )
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            # In-place mutators on a bare parameter: arr.sort(), arr.fill(0).
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id in param_index
-                and func.attr in _ARRAY_MUTATORS
-            ):
-                idx = param_index[base.id]
-                if idx not in fsum.mutated_params:
-                    fsum.mutated_params.append(idx)
-            # Mutation of module-level mutable state: CACHE.clear(), ...
-            if (
-                isinstance(base, ast.Name)
-                and base.id in self.summary.mutable_globals
-                and func.attr in _MUTATOR_METHODS
-            ):
-                fsum.global_uses.append((base.id, "write", node.lineno))
-
     def _resolve_call(self, node: ast.Call,
                       klass: Optional[str]) -> Optional[str]:
         func = node.func
@@ -713,100 +381,6 @@ class _Summarizer:
                 return f"{self.module}.{klass}.{func.attr}"
             return resolve(func, self.aliases)
         return None
-
-    @staticmethod
-    def _is_random(target: str) -> bool:
-        if target in _RANDOM_EXACT:
-            return True
-        for prefix in _RANDOM_PREFIXES:
-            if target.startswith(prefix):
-                leaf = target.rsplit(".", 1)[-1]
-                return leaf not in _RANDOM_OK_LEAVES
-        return False
-
-    # -- call-site indexes ---------------------------------------------------
-
-    def _call_index(self) -> None:
-        stack: List[Tuple[Optional[str], str]] = []
-
-        def visit(node: ast.AST, klass: Optional[str]) -> None:
-            if isinstance(node, ast.ClassDef):
-                for child in ast.iter_child_nodes(node):
-                    visit(child, node.name)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stack:
-                    qual = f"{stack[-1][1]}.{node.name}"
-                    owner = stack[-1][0]
-                else:
-                    qual = f"{klass}.{node.name}" if klass else node.name
-                    owner = klass
-                stack.append((owner, qual))
-                for child in ast.iter_child_nodes(node):
-                    visit(child, None)
-                stack.pop()
-                return
-            if isinstance(node, ast.Call):
-                enclosing = stack[-1][1] if stack else "<module>"
-                owner = stack[-1][0] if stack else klass
-                self._index_call(node, enclosing, owner)
-            for child in ast.iter_child_nodes(node):
-                visit(child, klass)
-
-        visit(self.tree, None)
-
-    def _index_call(self, node: ast.Call, enclosing: str,
-                    klass: Optional[str]) -> None:
-        out = self.summary
-        resolved = self._resolve_call(node, klass)
-        leaf = (resolved or "").rsplit(".", 1)[-1]
-
-        if leaf == "derive_rng":
-            tokens = [_const_token(arg) for arg in node.args[1:]]
-            texts = [_expr_text(arg) for arg in node.args[1:]]
-            out.rng_sites.append(RngSite(
-                lineno=node.lineno, col=node.col_offset, func=enclosing,
-                tokens=tokens, token_texts=texts,
-            ))
-        if resolved in _POOL_CONSTRUCTORS:
-            out.pool_sites.append(node.lineno)
-        if resolved in ("numpy.savez", "numpy.savez_compressed"):
-            out.savez_sites.append(node.lineno)
-
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in ("submit", "map")
-            and node.args
-        ):
-            head = node.args[0]
-            callee: Optional[str] = None
-            if isinstance(head, ast.Name):
-                callee = (
-                    f"{self.module}.{head.id}"
-                    if head.id in self.toplevel_defs
-                    else self.aliases.get(head.id)
-                )
-            elif isinstance(head, ast.Attribute):
-                callee = resolve(head, self.aliases)
-            out.submit_sites.append(SubmitSite(
-                lineno=node.lineno, col=node.col_offset, method=func.attr,
-                callee=callee, callee_text=_expr_text(head),
-            ))
-
-        # PacketBatch column attributes handed to a resolvable callee.
-        if resolved is not None:
-            for arg_idx, arg in enumerate(node.args):
-                if (
-                    isinstance(arg, ast.Attribute)
-                    and arg.attr in BATCH_COLUMNS
-                    and not isinstance(arg.value, ast.Attribute)
-                ):
-                    out.column_args.append(ColumnArg(
-                        lineno=node.lineno, col=node.col_offset,
-                        callee=resolved, arg_index=arg_idx, column=arg.attr,
-                        arg_text=_expr_text(arg),
-                    ))
 
 
 def summarize_source(source: str, rel_path: str,
@@ -829,27 +403,10 @@ class ProjectContext:
                  modules: Dict[str, ModuleSummary]):
         self.config = config
         self.modules = modules  #: rel_path -> summary
-        self.by_name: Dict[str, ModuleSummary] = {
-            summary.module: summary for summary in modules.values()
-        }
-        self._functions: Dict[str, Tuple[ModuleSummary, FunctionSummary]] = {}
-        for summary in modules.values():
-            for fsum in summary.functions.values():
-                self._functions[f"{summary.module}.{fsum.qualname}"] = (
-                    summary, fsum
-                )
-        self._mutated: Optional[Dict[str, Set[int]]] = None
         self._typeflow: Optional[TypeflowAnalysis] = None
         self._concurrency: Optional[ConcurrencyAnalysis] = None
 
     # -- lookups ------------------------------------------------------------
-
-    def function(
-        self, dotted: Optional[str]
-    ) -> Optional[Tuple[ModuleSummary, FunctionSummary]]:
-        if dotted is None:
-            return None
-        return self._functions.get(dotted)
 
     def module_by_suffix(self, suffix: str) -> Optional[ModuleSummary]:
         for summary in self.modules.values():
@@ -860,53 +417,6 @@ class ProjectContext:
     def iter_modules(self) -> Iterator[ModuleSummary]:
         for rel_path in sorted(self.modules):
             yield self.modules[rel_path]
-
-    # -- call graph ---------------------------------------------------------
-
-    def reachable(
-        self, start: str, max_depth: int = 8, max_nodes: int = 400
-    ) -> Dict[str, List[str]]:
-        """Project functions reachable from ``start``: name -> call chain."""
-        if start not in self._functions:
-            return {}
-        chains: Dict[str, List[str]] = {start: [start]}
-        frontier = [start]
-        depth = 0
-        while frontier and depth < max_depth and len(chains) < max_nodes:
-            next_frontier: List[str] = []
-            for name in frontier:
-                _, fsum = self._functions[name]
-                for callee in fsum.calls:
-                    if callee in self._functions and callee not in chains:
-                        chains[callee] = chains[name] + [callee]
-                        next_frontier.append(callee)
-            frontier = next_frontier
-            depth += 1
-        return chains
-
-    def mutated_param_table(self) -> Dict[str, Set[int]]:
-        """Fixpoint of in-place parameter mutation across call forwarding."""
-        if self._mutated is not None:
-            return self._mutated
-        table: Dict[str, Set[int]] = {
-            name: set(fsum.mutated_params)
-            for name, (_, fsum) in self._functions.items()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for name, (_, fsum) in self._functions.items():
-                mine = table[name]
-                for callee, arg_idx, param_idx in fsum.forwards:
-                    entry = self._functions.get(callee)
-                    if entry is None:
-                        continue
-                    idx = target_param_index(entry[1], arg_idx)
-                    if idx in table[callee] and param_idx not in mine:
-                        mine.add(param_idx)
-                        changed = True
-        self._mutated = table
-        return table
 
     # -- typeflow (pass 3) ---------------------------------------------------
 
@@ -919,15 +429,17 @@ class ProjectContext:
         if self._typeflow is not None:
             return self._typeflow
         functions: Dict[str, TypeflowFunction] = {}
-        for name, (summary, fsum) in self._functions.items():
-            if fsum.typeflow is None:
-                continue
-            functions[name] = TypeflowFunction(
-                fqname=name,
-                rel_path=summary.rel_path,
-                params=list(fsum.params),
-                flow=FunctionTypeflow.from_dict(fsum.typeflow),
-            )
+        for summary in self.modules.values():
+            for fsum in summary.functions.values():
+                if fsum.typeflow is None:
+                    continue
+                name = f"{summary.module}.{fsum.qualname}"
+                functions[name] = TypeflowFunction(
+                    fqname=name,
+                    rel_path=summary.rel_path,
+                    params=list(fsum.params),
+                    flow=FunctionTypeflow.from_dict(fsum.typeflow),
+                )
         analysis = TypeflowAnalysis(functions)
         analysis.solve()
         self._typeflow = analysis
@@ -936,23 +448,19 @@ class ProjectContext:
     # -- concurrency (pass 4) ------------------------------------------------
 
     def concurrency_analysis(self) -> ConcurrencyAnalysis:
-        """Solved whole-program concurrency facts (locksets, lock order,
-        thread entries, inferred guards).
+        """Solved whole-program concurrency facts (may-held entry locksets
+        and the acquisition closure).
 
         Memoised like :meth:`typeflow_analysis`: one fixpoint per lint
         invocation, purely over the cached summaries.  Modules are
-        visited in sorted order, so lock ids, thread entries and every
-        downstream diagnostic are byte-identical at any worker count.
+        visited in sorted order, so lock ids and every downstream
+        diagnostic are byte-identical at any worker count.
         """
         if self._concurrency is not None:
             return self._concurrency
         functions: Dict[str, ConcurrencyFunction] = {}
         locks: Dict[str, LockInfo] = {}
-        class_bases: Dict[str, List[str]] = {}
         for summary in self.iter_modules():
-            for name in sorted(summary.classes):
-                info = summary.classes[name]
-                class_bases[f"{summary.module}.{name}"] = list(info["bases"])
             for entry in summary.lock_defs:
                 owner, attr, kind, lineno = entry
                 canon = (
@@ -965,26 +473,21 @@ class ProjectContext:
                         canon=canon, kind=str(kind),
                         rel_path=summary.rel_path, lineno=int(lineno),
                     )
+            # Every function is listed, events or not: a call resolved to
+            # any project function never matches a ``*.leaf`` blocklist
+            # pattern (a project method named ``cancel`` is not
+            # ``Future.cancel``).
             for qual in sorted(summary.functions):
                 fsum = summary.functions[qual]
-                if fsum.concurrency is None:
-                    continue
-                head = qual.split(".", 1)[0]
-                owner = (
-                    f"{summary.module}.{head}"
-                    if head in summary.classes
-                    else None
-                )
-                record = FunctionConcurrency.from_dict(fsum.concurrency)
-                functions[f"{summary.module}.{qual}"] = ConcurrencyFunction(
-                    fqname=f"{summary.module}.{qual}",
-                    module=summary.module,
-                    qualname=qual,
+                fqname = f"{summary.module}.{qual}"
+                functions[fqname] = ConcurrencyFunction(
+                    fqname=fqname,
                     rel_path=summary.rel_path,
-                    owner=owner,
-                    events=record.events,
+                    events=FunctionConcurrency.from_dict(
+                        fsum.concurrency or {}
+                    ).events,
                 )
-        analysis = ConcurrencyAnalysis(functions, locks, class_bases)
+        analysis = ConcurrencyAnalysis(functions, locks)
         analysis.solve()
         self._concurrency = analysis
         return analysis

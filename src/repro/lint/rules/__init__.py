@@ -2,15 +2,9 @@
 :data:`repro.lint.engine.REGISTRY`."""
 
 from repro.lint.rules import (  # noqa: F401  (import-for-registration)
-    batch_flow,
     concurrency_rules,
     determinism,
-    float_eq,
-    header_fields,
-    immutability,
     plumbing,
-    process_safety,
-    rng_keys,
     schema_drift,
     typeflow_rules,
 )
@@ -18,13 +12,7 @@ from repro.lint.rules import (  # noqa: F401  (import-for-registration)
 __all__ = [
     "determinism",
     "plumbing",
-    "header_fields",
-    "immutability",
-    "float_eq",
-    "rng_keys",
-    "process_safety",
     "schema_drift",
-    "batch_flow",
     "typeflow_rules",
     "concurrency_rules",
 ]

@@ -1,62 +1,32 @@
-"""RPR015–RPR019: lockset / lock-order / blocking concurrency rules (pass 4).
+"""RPR017 and RPR018: blocking calls and callbacks under a held lock
+(pass 4; each documented on its rule class).
 
-These rules consume the solved whole-program
-:class:`~repro.lint.concurrency.ConcurrencyAnalysis` — entry locksets
-(must/may), the transitive acquisition closure, thread entry points and
-per-attribute inferred guards — and audit the recorded events:
-
-* **RPR015 unguarded-shared-state** — an attribute of a lock-owning class
-  has writes under an inferred guard, yet is also read or written on a
-  path that provably holds none of it (Eraser's lockset discipline with
-  an initialisation-phase refinement), or is written without any guard
-  from a thread entry point (``threading.Thread`` target, registered
-  callback, socketserver ``do_*`` handler).
-* **RPR016 lock-order-inversion** — the global lock-acquisition graph
-  (edges ``A → B`` when ``B`` is acquired while ``A`` may be held,
-  through the call graph) contains a cycle, or a non-reentrant lock is
-  re-acquired while already held.
-* **RPR017 blocking-call-under-lock** — a call matching the configurable
-  ``blocking-calls`` blocklist (``Future.result/cancel``,
-  ``Executor.shutdown``, ``Thread.join``, file/socket I/O,
-  ``time.sleep``) executes while a lock may be held — the PR 9
-  ``cancel()`` bug class, where ``Future.cancel()`` blocked on done
-  callbacks with the queue lock held.
-* **RPR018 callback-reentrancy** — a callable registered via
-  ``add_done_callback`` or ``signal.signal`` re-acquires a non-reentrant
-  lock that may already be held at the registration site; a settled
-  ``Future`` runs its callbacks *synchronously on the registering
-  thread*, so the callback deadlocks against its own caller — the other
-  PR 9 bug class (``JobQueue``'s lock had to become an ``RLock``).
-* **RPR019 atomicity-split** — check-then-act on guarded state: a value
-  read under a lock is written back under a *later, separate*
-  acquisition of the same lock without re-validation, so the invariant
-  checked in the first scope may no longer hold in the second.
+Both rules consume the solved whole-program
+:class:`~repro.lint.concurrency.ConcurrencyAnalysis` — may-held entry
+locksets with witness caller chains, and the transitive acquisition
+closure — and audit the recorded call and registration events.
 
 Suppressions must state the protecting invariant, e.g.::
 
     future.result()  # repro-lint: disable=RPR017 — future is settled here
 
-All five respect inline suppressions, the baseline, ``--select`` /
+Both respect inline suppressions, the baseline, ``--select`` /
 ``--ignore`` and path-scoped rule sets like every other rule, and solve
 in sorted order so diagnostics are byte-identical at any ``--workers``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, Sequence
 
 from repro.lint.concurrency import (
     ConcurrencyAnalysis,
-    ConcurrencyFunction,
     match_blocking,
     short_lock,
 )
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, ProjectRule
 from repro.lint.project import ProjectContext
-
-#: Methods that run before the object escapes its constructor.
-_CONSTRUCTOR_METHODS = ("__init__", "__new__", "__del__", "__post_init__")
 
 
 def _short_fn(fqname: str) -> str:
@@ -78,249 +48,38 @@ class _ConcurrencyRule(ProjectRule):
         raise NotImplementedError
 
 
-def _class_accesses(
-    analysis: ConcurrencyAnalysis, cls: str
-) -> Dict[str, List[Tuple[ConcurrencyFunction, Dict[str, Any]]]]:
-    """Per-attribute access events across a class's non-constructor,
-    non-init-phase methods (deferred accesses excluded: a lambda body
-    may run synchronously under the enclosing locks, so its empty
-    lockset would be a false witness)."""
-    lock_attrs = analysis.lock_attrs(cls)
-    out: Dict[str, List[Tuple[ConcurrencyFunction, Dict[str, Any]]]] = {}
-    for fn in analysis.iter_functions():
-        if fn.owner != cls:
-            continue
-        if fn.leaf in _CONSTRUCTOR_METHODS or fn.fqname in analysis.init_only:
-            continue
-        for event in fn.events:
-            if event["k"] != "access" or event["deferred"]:
-                continue
-            if event["attr"] in lock_attrs:
-                continue
-            out.setdefault(event["attr"], []).append((fn, event))
-    return out
-
-
-@REGISTRY.register
-class UnguardedSharedStateRule(_ConcurrencyRule):
-    code = "RPR015"
-    name = "unguarded-shared-state"
-    description = (
-        "an attribute of a lock-owning class is accessed both under its "
-        "inferred guard and on a lock-free path (data race)"
-    )
-
-    def check_concurrency(
-        self, project: ProjectContext, analysis: ConcurrencyAnalysis
-    ) -> Iterator[Diagnostic]:
-        guards = analysis.attr_guards()
-        for cls in sorted(analysis.class_bases):
-            if not analysis.class_locks(cls):
-                continue
-            accesses = _class_accesses(analysis, cls)
-            for attr in sorted(accesses):
-                events = accesses[attr]
-                guard = guards.get((cls, attr), set())
-                guarded_writes = [
-                    (fn, ev) for fn, ev in events
-                    if ev["mode"] == "write" and analysis.held_must(fn, ev)
-                ]
-                seen: Set[Tuple[int, int]] = set()
-                if guard and guarded_writes:
-                    wfn, wev = guarded_writes[0]
-                    witness = f"{wfn.rel_path}:{wev['lineno']}"
-                    glabel = ", ".join(
-                        short_lock(lock) for lock in sorted(guard)
-                    )
-                    for fn, ev in events:
-                        if analysis.held_must(fn, ev) & guard:
-                            continue
-                        site = (ev["lineno"], ev["col"])
-                        if site in seen:
-                            continue
-                        seen.add(site)
-                        verb = ("written" if ev["mode"] == "write"
-                                else "read")
-                        yield self.project_diag(
-                            fn.rel_path, ev["lineno"], ev["col"],
-                            f"attribute '{attr}' of '{_short_fn(cls)}' is "
-                            f"guarded by {glabel} (written under it at "
-                            f"{witness}) but {verb} in "
-                            f"'{_short_fn(fn.fqname)}' without holding it; "
-                            f"acquire {glabel} or suppress stating the "
-                            f"protecting invariant",
-                        )
-                    continue
-                # No inferred guard: a write from a thread entry point
-                # still races against every other accessor.
-                accessors = {fn.fqname for fn, _ in events}
-                if len(accessors) < 2:
-                    continue
-                for fn, ev in events:
-                    if ev["mode"] != "write":
-                        continue
-                    if fn.fqname not in analysis.thread_entries:
-                        continue
-                    if analysis.held_must(fn, ev):
-                        continue
-                    site = (ev["lineno"], ev["col"])
-                    if site in seen:
-                        continue
-                    seen.add(site)
-                    yield self.project_diag(
-                        fn.rel_path, ev["lineno"], ev["col"],
-                        f"attribute '{attr}' of lock-owning class "
-                        f"'{_short_fn(cls)}' is written from thread entry "
-                        f"point '{_short_fn(fn.fqname)}' without any lock "
-                        f"while other methods also touch it; guard the "
-                        f"write or suppress stating the protecting "
-                        f"invariant",
-                    )
-
-
-@REGISTRY.register
-class LockOrderInversionRule(_ConcurrencyRule):
-    code = "RPR016"
-    name = "lock-order-inversion"
-    description = (
-        "two locks are acquired in opposite orders on different paths "
-        "(deadlock), or a non-reentrant lock is re-acquired while held"
-    )
-
-    def check_concurrency(
-        self, project: ProjectContext, analysis: ConcurrencyAnalysis
-    ) -> Iterator[Diagnostic]:
-        edges: Dict[Tuple[str, str], Tuple[str, int, int, str]] = {}
-        for fn in analysis.iter_functions():
-            for event in fn.events:
-                if event["k"] != "acquire" or event["deferred"]:
-                    continue
-                lock = event["lock"]
-                if lock not in analysis.locks:
-                    continue
-                held_before = {
-                    pair[0] for pair in event.get("held", [])
-                    if pair[0] in analysis.locks
-                }
-                may_held = held_before | analysis.entry_may.get(
-                    fn.fqname, set()
-                )
-                for prior in sorted(may_held):
-                    if prior == lock:
-                        if analysis.kind(lock) != "lock":
-                            continue
-                        if lock in held_before:
-                            how = "already held in this function"
-                        else:
-                            chain = analysis.entry_chain(fn.fqname, lock)
-                            how = ("may already be held by a caller (" +
-                                   " <- ".join(_short_fn(f)
-                                               for f in chain) + ")")
-                        yield self.project_diag(
-                            fn.rel_path, event["lineno"], event["col"],
-                            f"non-reentrant lock {short_lock(lock)} is "
-                            f"re-acquired while {how}; this deadlocks — "
-                            f"make it an RLock or restructure so the lock "
-                            f"is taken once",
-                        )
-                        continue
-                    edges.setdefault(
-                        (prior, lock),
-                        (fn.rel_path, event["lineno"], event["col"],
-                         fn.fqname),
-                    )
-        yield from self._cycles(edges)
-
-    def _cycles(
-        self, edges: Dict[Tuple[str, str], Tuple[str, int, int, str]]
-    ) -> Iterator[Diagnostic]:
-        graph: Dict[str, Set[str]] = {}
-        for (a, b) in edges:
-            graph.setdefault(a, set()).add(b)
-            graph.setdefault(b, set())
-        for component in _sccs(graph):
-            if len(component) < 2:
-                continue
-            members = sorted(component)
-            internal = sorted(
-                (a, b) for (a, b) in edges
-                if a in component and b in component
-            )
-            spots = []
-            for a, b in internal:
-                rel, line, _, _ = edges[(a, b)]
-                spots.append(
-                    f"{short_lock(a)} -> {short_lock(b)} at {rel}:{line}"
-                )
-            rel, line, col, _ = min(edges[e] for e in internal)
-            names = ", ".join(short_lock(m) for m in members)
-            yield self.project_diag(
-                rel, line, col,
-                f"lock-order inversion among {names}: the acquisition "
-                f"graph has a cycle ({'; '.join(spots)}); impose one "
-                f"global acquisition order",
-            )
-
-
-def _sccs(graph: Dict[str, Set[str]]) -> List[Set[str]]:
-    """Tarjan's strongly-connected components, iterative, sorted input."""
-    index: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    counter = [0]
-    out: List[Set[str]] = []
-
-    for root in sorted(graph):
-        if root in index:
-            continue
-        work: List[Tuple[str, Iterator[str]]] = [
-            (root, iter(sorted(graph[root])))
-        ]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph[succ]))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: Set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                out.append(component)
-    return out
-
-
 @REGISTRY.register
 class BlockingCallUnderLockRule(_ConcurrencyRule):
+    """No blocking call while a lock may be held.
+
+    A call matching the configurable ``blocking-calls`` blocklist is
+    reached, directly or through the call graph, while a lock may be
+    held; every other thread then stalls behind the blocked holder.  This
+    is the ``JobQueue.cancel()`` bug class, where ``Future.cancel()``
+    blocked on done callbacks with the queue lock held.  The default
+    blocklist: ``*.result``, ``*.cancel``, ``*.shutdown``, ``*.join``,
+    ``*.wait``, ``*.acquire``, file I/O (``*.read_text`` ..., ``open``),
+    socket verbs (``*.recv``, ``*.sendall``, ``*.connect``,
+    ``*.accept``), ``time.sleep`` and ``subprocess.run``/checks; override
+    it with ``blocking-calls = [...]`` in ``[tool.repro-lint]``.
+    ``*.leaf`` patterns never match calls resolved to project functions
+    (a project method named ``cancel`` is not ``Future.cancel``) nor
+    calls on string/bytes literals (``", ".join(...)``).  Suppress only
+    with the invariant that makes the call non-blocking (e.g. the future
+    has settled).
+    """
+
     code = "RPR017"
     name = "blocking-call-under-lock"
     description = (
         "a call from the blocking-calls blocklist (Future.result/cancel, "
         "Executor.shutdown, I/O, time.sleep) runs while a lock may be held"
     )
+    example = """
+        def cancel(self, fut):
+            with self._lock:
+                fut.cancel()           # RPR017: may run callbacks
+    """
 
     def check_concurrency(
         self, project: ProjectContext, analysis: ConcurrencyAnalysis
@@ -336,10 +95,7 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
                 pattern = match_blocking(event, blocking, analysis.functions)
                 if pattern is None:
                     continue
-                local = {
-                    pair[0] for pair in event.get("held", [])
-                    if pair[0] in analysis.locks
-                }
+                local = analysis.held_locks(event)
                 parts = []
                 for lock in sorted(held):
                     if lock in local:
@@ -363,12 +119,32 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
 
 @REGISTRY.register
 class CallbackReentrancyRule(_ConcurrencyRule):
+    """No callback re-acquires a non-reentrant lock held where it is
+    registered.
+
+    A callable registered via ``add_done_callback`` or ``signal.signal``
+    re-acquires a non-reentrant ``threading.Lock`` that may already be
+    held at the registration site.  A settled ``Future`` runs its
+    callbacks synchronously on the registering thread, so the callback
+    deadlocks against its own caller: the bug that forced ``JobQueue``'s
+    lock to become an ``RLock``.  Fix by making the lock reentrant or
+    registering outside the lock.
+    """
+
     code = "RPR018"
     name = "callback-reentrancy"
     description = (
         "a callback registered while a non-reentrant lock may be held "
         "re-acquires that lock (settled futures fire synchronously)"
     )
+    example = """
+        def start(self):
+            with self._lock:           # plain Lock
+                fut = pool.submit(work)
+                fut.add_done_callback(self._on_done)  # RPR018
+        def _on_done(self, fut):
+            with self._lock: ...
+    """
 
     def check_concurrency(
         self, project: ProjectContext, analysis: ConcurrencyAnalysis
@@ -405,60 +181,3 @@ class CallbackReentrancyRule(_ConcurrencyRule):
                         f"caller — make the lock an RLock or register "
                         f"outside the lock",
                     )
-
-
-@REGISTRY.register
-class AtomicitySplitRule(_ConcurrencyRule):
-    code = "RPR019"
-    name = "atomicity-split"
-    description = (
-        "guarded state is read under one lock acquisition and written "
-        "under a later one without re-validation (check-then-act race)"
-    )
-
-    def check_concurrency(
-        self, project: ProjectContext, analysis: ConcurrencyAnalysis
-    ) -> Iterator[Diagnostic]:
-        guards = analysis.attr_guards()
-        for fn in analysis.iter_functions():
-            if fn.owner is None:
-                continue
-            if (fn.leaf in _CONSTRUCTOR_METHODS
-                    or fn.fqname in analysis.init_only):
-                continue
-            reads: Dict[str, List[Tuple[Set[Tuple[str, str]], int]]] = {}
-            for event in fn.events:
-                if event["k"] != "access" or event["deferred"]:
-                    continue
-                attr = event["attr"]
-                scoped = analysis.held_scoped(fn, event)
-                if event["mode"] == "read":
-                    reads.setdefault(attr, []).append(
-                        (scoped, event["lineno"])
-                    )
-                    continue
-                guard = guards.get((fn.owner, attr), set())
-                for lock, scope in sorted(scoped):
-                    if lock not in guard:
-                        continue
-                    prior = [
-                        line
-                        for held, line in reads.get(attr, [])
-                        if any(l == lock and s != scope for l, s in held)
-                    ]
-                    revalidated = any(
-                        any(l == lock and s == scope for l, s in held)
-                        for held, _ in reads.get(attr, [])
-                    )
-                    if prior and not revalidated:
-                        yield self.project_diag(
-                            fn.rel_path, event["lineno"], event["col"],
-                            f"check-then-act on '{attr}' in "
-                            f"'{_short_fn(fn.fqname)}': read under "
-                            f"{short_lock(lock)} at line {prior[0]}, the "
-                            f"lock was released, and written here under a "
-                            f"separate acquisition without re-reading; "
-                            f"hold the lock across the whole sequence or "
-                            f"re-validate the state in the second scope",
-                        )
-                        break

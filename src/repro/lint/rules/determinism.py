@@ -1,21 +1,5 @@
-"""RPR001 — determinism: no ambient randomness or wall-clock reads.
-
-Every stochastic draw in the library must flow through the generators that
-``repro._util.rng`` derives, so that adding a consumer never perturbs the
-draws of existing ones (the property Table 1/Table 2 calibration rests on).
-This rule flags the ways ambient nondeterminism sneaks in:
-
-* the stdlib :mod:`random` module (import or call) — process-global state;
-* legacy ``numpy.random.*`` module-level distributions and ``seed`` — the
-  same global-state problem in numpy clothing;
-* ``numpy.random.default_rng()`` *without* a seed — fresh OS entropy;
-* wall-clock reads (``time.time``/``time.time_ns``/``time.monotonic``/
-  ``time.perf_counter``, ``datetime.now``/``utcnow``/``today``) in library
-  code.
-
-Files listed in ``rng-exempt`` (default: ``_util/rng.py``) are skipped —
-they *are* the plumbing.
-"""
+"""RPR001 — determinism: no ambient randomness or wall-clock reads
+(documented on :class:`DeterminismRule`)."""
 
 from __future__ import annotations
 
@@ -56,12 +40,36 @@ _NUMPY_RANDOM_OK = {
 
 @REGISTRY.register
 class DeterminismRule(Rule):
+    """No ambient nondeterminism in library code.
+
+    Every stochastic draw must flow through the generators that
+    ``repro._util.rng`` derives, so a run is byte-reproducible from its
+    seed and adding a consumer never perturbs the draws of existing ones
+    (the property Table 1/Table 2 calibration rests on).  Flagged:
+
+    * the stdlib ``random`` module (import or call): process-global state;
+    * legacy ``numpy.random.*`` module-level distributions and ``seed``:
+      the same global-state problem in numpy clothing;
+    * ``numpy.random.default_rng()`` without a seed: fresh OS entropy;
+    * wall-clock reads (``time.time``, ``time.monotonic``,
+      ``time.perf_counter`` and their ``_ns`` forms, ``datetime.now``,
+      ``utcnow``, ``today``).
+
+    Files listed in ``rng-exempt`` (default: ``_util/rng.py``) are
+    skipped: they are the plumbing.
+    """
+
     code = "RPR001"
     name = "determinism"
     description = (
         "ambient randomness (stdlib random, legacy np.random globals, "
         "unseeded default_rng) or wall-clock reads in library code"
     )
+    example = """
+        import time
+        started = time.time()          # RPR001
+        jitter = rng.random()          # ok: rng plumbed in
+    """
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.matches_suffix(ctx.config.rng_exempt):

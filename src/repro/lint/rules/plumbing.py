@@ -1,16 +1,5 @@
-"""RPR002 — RNG plumbing: generators come from repro._util.rng.
-
-Two failure modes:
-
-* constructing generators directly (``np.random.default_rng(seed)``,
-  ``Generator``/``RandomState``/``SeedSequence``) outside ``_util/rng.py`` —
-  such streams bypass the central derivation, so their draws are not stable
-  under stream-derivation reordering the way ``derive_rng`` children are;
-* accepting the public ``RandomState`` union (``int | Generator | None``)
-  and then drawing on the parameter directly — an ``int`` or ``None`` has no
-  ``.integers``/``.random``; the parameter must be normalised with
-  ``as_generator`` (or routed through ``derive_rng``/``spawn_rngs``) first.
-"""
+"""RPR002 — RNG plumbing: generators come from repro._util.rng
+(documented on :class:`RngPlumbingRule`)."""
 
 from __future__ import annotations
 
@@ -42,12 +31,33 @@ _NORMALISERS = {"as_generator", "derive_rng", "spawn_rngs"}
 
 @REGISTRY.register
 class RngPlumbingRule(Rule):
+    """Random generators derive from ``repro._util.rng``.
+
+    Two failure modes:
+
+    * constructing generators directly (``np.random.default_rng(seed)``,
+      ``Generator``/``RandomState``/``SeedSequence``) outside
+      ``_util/rng.py``: such streams bypass the keyed derivation, so
+      adding a consumer can shift the draws an existing consumer sees;
+    * accepting the public ``RandomState`` union (``int | Generator |
+      None``) and drawing on the parameter directly: an ``int`` or
+      ``None`` has no ``.integers``/``.random``, so the parameter must be
+      normalised with ``as_generator`` (or routed through
+      ``derive_rng``/``spawn_rngs``) first.
+    """
+
     code = "RPR002"
     name = "rng-plumbing"
     description = (
         "generators constructed outside repro._util.rng, or RandomState "
         "parameters drawn from without as_generator normalisation"
     )
+    example = """
+        import numpy as np
+        g = np.random.default_rng(0)              # RPR002
+        g = as_generator(seed)                    # ok
+        child = derive_rng(g, "retries", year)    # ok
+    """
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.matches_suffix(ctx.config.rng_exempt):

@@ -1,24 +1,6 @@
-"""RPR008: persisted-schema drift against the committed manifest.
-
-Three stores persist field sets to disk (``CaptureCache`` capture
-metadata, ``CheckpointStore`` / ``IncrementalScanIdentifier.snapshot``
-arrays, ``TraceWriter``'s ``_COLUMN_ORDER``), each guarded by a version
-constant that is part of the on-disk key.  The silent failure mode is
-editing the field set without bumping the constant: old artefacts then
-load as if compatible and resume/cache hits go quietly wrong.
-
-The rule fingerprints (blake2b) the field set at every configured
-``schema-sites`` entry and compares it against the committed manifest
-(``lint-schema.json``):
-
-* fields drifted, version constant unchanged → **error** (bump it);
-* fields drifted *and* version bumped → **warning** (manifest stale; run
-  ``repro-lint --update-schema-manifest`` to re-commit the new shape);
-* site missing from the manifest → **error** (run the updater once).
-
-Each site spec is ``"<site path>:<qualname>:<version path>:<constant>"``;
-relative paths never contain ``:`` so the split is unambiguous.
-"""
+"""RPR008 — persisted-schema drift against the committed manifest
+(documented on :class:`SchemaDriftRule`), plus the manifest reader and
+writer behind ``--update-schema-manifest``."""
 
 from __future__ import annotations
 
@@ -99,12 +81,37 @@ def write_manifest(path: Path, sites: Dict[str, Dict[str, Any]]) -> None:
 
 @REGISTRY.register
 class SchemaDriftRule(ProjectRule):
+    """Persisted field sets match the committed schema manifest.
+
+    Three stores persist field sets to disk (``CaptureCache`` capture
+    metadata, the ``IncrementalScanIdentifier.snapshot`` checkpoint
+    arrays, ``TraceWriter``'s ``_COLUMN_ORDER``), each guarded by a
+    version constant that is part of the on-disk key.  The silent failure
+    is editing the field set without bumping the constant: old artefacts
+    then load as if compatible and resumes or cache hits go quietly
+    wrong.  The rule fingerprints (blake2b) the field set at every
+    configured ``schema-sites`` entry and compares it against the
+    committed manifest (``lint-schema.json``):
+
+    * fields drifted, version constant unchanged: error (bump it);
+    * fields drifted and version bumped: warning (the manifest is stale;
+      run ``repro-lint --update-schema-manifest`` and commit the result);
+    * site missing from the manifest: error (run the updater once).
+
+    Each site spec is ``"<site path>:<qualname>:<version path>:<constant>"``;
+    relative paths never contain ``:`` so the split is unambiguous.
+    """
+
     code = "RPR008"
     name = "schema-drift"
     description = (
         "persisted field sets must match the committed manifest unless the "
         "guarding *_SCHEMA_VERSION constant is bumped"
     )
+    example = """
+        doc = {"schema": 3, "new_field": x}   # RPR008 until the version
+        # constant is bumped and --update-schema-manifest is rerun
+    """
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
         cfg = project.config

@@ -1,372 +1,95 @@
-"""RPR010–RPR014: dtype/width/unit typeflow rules (pass 3).
+"""RPR011 — overflow-risk arithmetic over the typeflow pass (documented on
+:class:`OverflowArithmeticRule`).
 
-These rules consume the solved interprocedural
-:class:`~repro.lint.typeflow.TypeflowAnalysis` — abstract values (dtype,
+The rule consumes the solved interprocedural
+:class:`~repro.lint.typeflow.TypeflowAnalysis`: abstract values (dtype,
 unit tag, provenance column, significant-bit bound) inferred for every
-tracked expression — and audit the recorded cast/arithmetic/compare/
-accumulation/persistence events against it:
-
-* **RPR010 narrowing-cast** — an ``astype``/``ascontiguousarray``/scalar
-  constructor that can truncate a tracked value (uint64→uint32 on a
-  packed key, float64→float32 on timestamps).  Casts whose source is
-  *proven* to fit (``(key >> 32).astype(uint32)``) pass.
-* **RPR011 overflow-risk arithmetic** — add/mul/shift whose inferred
-  value-bit bound exceeds the promoted dtype's capacity.  Arithmetic
-  inside ``with np.errstate(...)`` has declared wraparound intent and is
-  skipped.
-* **RPR012 unit-mixing** — adding/subtracting/comparing quantities whose
-  unit tags disagree (timestamp seconds vs. window indices, ports vs.
-  ip-ints).
-* **RPR013 persisted-dtype drift** — the declared in-memory column table
-  and the serialised layout disagree (names, widths, kinds, or missing
-  explicit little-endian markers), or a ``savez`` sink receives a column
-  whose inferred dtype drifted from the declared one.
-* **RPR014 float-accumulation** — float64 timestamps summed into a
-  float32 or Python-float accumulator on a streaming path.
-
-All five respect inline suppressions, the baseline, ``--select`` /
-``--ignore`` and path-scoped rule sets like every other rule.
+tracked expression, checked against the recorded arithmetic events.  It
+respects inline suppressions, the baseline, ``--select`` / ``--ignore``
+and path-scoped rule sets like every other rule.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, ProjectRule
-from repro.lint.project import ModuleSummary, ProjectContext
+from repro.lint.project import ProjectContext
 from repro.lint.typeflow import (
-    DTYPE_BITS,
-    COLUMN_TYPES,
-    OVERFLOW_OPS,
-    AbstractValue,
-    TypeEvent,
     TypeflowAnalysis,
-    TypeflowFunction,
-    describe,
     int_capacity,
-    parse_dtype,
     promote_dtype,
 )
 
-_INT_KINDS = ("uint", "int")
-
 
 def _is_int(dtype: Optional[str]) -> bool:
-    return dtype is not None and dtype.startswith(_INT_KINDS)
-
-
-def _is_float(dtype: Optional[str]) -> bool:
-    return dtype is not None and dtype.startswith("float")
-
-
-class _TypeflowRule(ProjectRule):
-    """Common driver: solve once, visit the recorded events in a stable
-    (function-name, event-order) sequence so diagnostics are byte-identical
-    at any worker count."""
-
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        analysis = project.typeflow_analysis()
-        for fn, event in analysis.iter_events():
-            yield from self.check_event(analysis, fn, event)
-
-    def check_event(
-        self, tf: TypeflowAnalysis, fn: TypeflowFunction, event: TypeEvent
-    ) -> Iterator[Diagnostic]:
-        raise NotImplementedError
+    return dtype is not None and dtype.startswith(("uint", "int"))
 
 
 @REGISTRY.register
-class NarrowingCastRule(_TypeflowRule):
-    code = "RPR010"
-    name = "narrowing-cast"
-    description = (
-        "a cast narrows a value derived from a tracked PacketBatch column "
-        "(possible truncation of packed keys or timestamps)"
-    )
+class OverflowArithmeticRule(ProjectRule):
+    """Arithmetic on packed-key integers stays within the dtype's range.
 
-    def check_event(
-        self, tf: TypeflowAnalysis, fn: TypeflowFunction, event: TypeEvent
-    ) -> Iterator[Diagnostic]:
-        if event.kind != "cast" or event.wrap:
-            return
-        data = event.data
-        if data.get("direct_col"):
-            return  # RPR003 owns the syntactic batch.col.astype(...) shape
-        target: Optional[str] = data.get("dtype")
-        if target is None:
-            return
-        src_expr = data.get("src", ["u"])
-        value = tf.eval(fn.fqname, src_expr)
-        if not (value.tracked() or tf.involves_tracked(fn.fqname, src_expr)):
-            return
-        width = DTYPE_BITS[target]
-        if _is_int(target):
-            if value.bits is not None and value.bits <= width:
-                return  # proven to fit, e.g. (key >> 32).astype(uint32)
-            src_width = value.width()
-            if value.bits is None and (src_width is None or src_width <= width):
-                return
-            if _is_float(value.dtype):
-                return  # float->int is a rounding choice, not a truncation
-        elif target == "float32":
-            if value.dtype != "float64":
-                return
-        else:
-            return
-        yield self.project_diag(
-            fn.rel_path, event.lineno, event.col,
-            f"cast to {target} can truncate a tracked value "
-            f"({describe(value)}) in '{event.text}'; widen the target "
-            "dtype or mask/shift the value into range first",
-        )
+    An add, multiply or left shift whose mathematical result can exceed
+    the promoted dtype's capacity wraps silently in numpy.  The bound is
+    the uncapped bit count, so a value that already wrapped upstream does
+    not launder the overflow.  ``np.errstate(over=...)`` is the idiom for
+    intentional wraparound (hash mixers); arithmetic under it is skipped.
+    For a bound the analysis cannot see (e.g. "group ids are bounded by
+    the packet index"), state it in a comment and suppress the line.
+    Events are visited in (function name, event order), so diagnostics
+    are byte-identical at any worker count.
+    """
 
-
-@REGISTRY.register
-class OverflowArithmeticRule(_TypeflowRule):
     code = "RPR011"
     name = "overflow-arithmetic"
     description = (
         "add/mul/shift on a tracked integer value whose inferred bit "
         "width can exceed the result dtype (silent wraparound)"
     )
-
-    def check_event(
-        self, tf: TypeflowAnalysis, fn: TypeflowFunction, event: TypeEvent
-    ) -> Iterator[Diagnostic]:
-        if event.kind != "binop" or event.wrap:
-            return
-        data = event.data
-        op: str = data["op"]
-        if op not in OVERFLOW_OPS:
-            return
-        left, right = data["l"], data["r"]
-        lv = tf.eval(fn.fqname, left)
-        rv = tf.eval(fn.fqname, right)
-        # Gate: the operands derive from a tracked column/unit, or the
-        # author is doing explicit numpy integer arithmetic (a packed key)
-        # — generic Python-int arithmetic cannot wrap and is ignored.
-        tracked = (
-            tf.involves_tracked(fn.fqname, left)
-            or tf.involves_tracked(fn.fqname, right)
-            or _is_int(lv.dtype)
-        )
-        if not tracked:
-            return
-        dtype = promote_dtype(lv, rv)
-        if not _is_int(dtype):
-            return
-        raw = TypeflowAnalysis.raw_bits(op, lv, rv, right)
-        if raw is None:
-            return
-        capacity = int_capacity(dtype)
-        if raw <= capacity:
-            return
-        yield self.project_diag(
-            fn.rel_path, event.lineno, event.col,
-            f"'{op}' result needs up to {raw} bits but {dtype} holds "
-            f"{capacity}; '{event.text}' can wrap silently — widen the "
-            "operands, mask the inputs, or put the statement under "
-            "np.errstate(over=...) to declare intentional wraparound",
-        )
-
-
-@REGISTRY.register
-class UnitMixingRule(_TypeflowRule):
-    code = "RPR012"
-    name = "unit-mixing"
-    description = (
-        "quantities with incompatible unit tags (seconds, packets, bytes, "
-        "ip-int, port, window-index) are added or compared"
-    )
-
-    _OPS = ("add", "sub")
-
-    def check_event(
-        self, tf: TypeflowAnalysis, fn: TypeflowFunction, event: TypeEvent
-    ) -> Iterator[Diagnostic]:
-        if event.kind == "binop":
-            if event.data["op"] not in self._OPS:
-                return
-            verb = f"'{event.data['op']}'"
-        elif event.kind == "compare":
-            verb = "comparison"
-        else:
-            return
-        left = tf.eval(fn.fqname, event.data["l"])
-        right = tf.eval(fn.fqname, event.data["r"])
-        if left.unit is None or right.unit is None or left.unit == right.unit:
-            return
-        yield self.project_diag(
-            fn.rel_path, event.lineno, event.col,
-            f"{verb} mixes incompatible units: {describe(left)} vs "
-            f"{describe(right)} in '{event.text}'; convert one side "
-            "explicitly before combining them",
-        )
-
-
-@REGISTRY.register
-class PersistedDtypeDriftRule(_TypeflowRule):
-    code = "RPR013"
-    name = "persisted-dtype-drift"
-    description = (
-        "a dtype reaching a persistence sink (TraceWriter/savez layout) "
-        "disagrees with the declared column schema, or the serialised "
-        "layout drifts from the in-memory one (names, widths, endianness)"
-    )
+    example = """
+        key = (saddr.astype(np.uint64) << 48) | seq   # RPR011: u32 << 48
+        with np.errstate(over="ignore"):
+            mixed *= np.uint64(0x9E3779B97F4A7C15)    # ok: declared wrap
+    """
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        yield from self._check_layout_pairs(project)
-        yield from super().check_project(project)
-
-    # -- declared vs serialised layout tables -------------------------------
-
-    def _check_layout_pairs(
-        self, project: ProjectContext
-    ) -> Iterator[Diagnostic]:
-        for spec in project.config.dtype_layouts:
-            parsed = _parse_layout_spec(spec)
-            if parsed is None:
+        tf = project.typeflow_analysis()
+        for fn, event in tf.iter_events():
+            if event.wrap:
                 continue
-            decl_path, decl_name, ser_path, ser_name = parsed
-            decl_mod = project.module_by_suffix(decl_path)
-            ser_mod = project.module_by_suffix(ser_path)
-            if decl_mod is None or ser_mod is None:
-                continue
-            decl = decl_mod.layouts.get(decl_name)
-            ser = ser_mod.layouts.get(ser_name)
-            if decl is None or ser is None:
-                continue
-            yield from self._compare_layouts(
-                decl_name, decl, ser_name, ser, ser_mod
+            data = event.data
+            op: str = data["op"]
+            left, right = data["l"], data["r"]
+            lv = tf.eval(fn.fqname, left)
+            rv = tf.eval(fn.fqname, right)
+            # Gate: the operands derive from a tracked column/unit, or the
+            # author is doing explicit numpy integer arithmetic (a packed
+            # key); generic Python-int arithmetic cannot wrap.
+            tracked = (
+                tf.involves_tracked(fn.fqname, left)
+                or tf.involves_tracked(fn.fqname, right)
+                or _is_int(lv.dtype)
             )
-
-    def _compare_layouts(
-        self,
-        decl_name: str,
-        decl: Dict[str, Any],
-        ser_name: str,
-        ser: Dict[str, Any],
-        ser_mod: ModuleSummary,
-    ) -> Iterator[Diagnostic]:
-        lineno = int(ser["lineno"])
-        decl_pairs: List[List[str]] = decl["pairs"]
-        ser_pairs: List[List[str]] = ser["pairs"]
-        decl_fields = [p[0] for p in decl_pairs]
-        ser_fields = [p[0] for p in ser_pairs]
-        if decl_fields != ser_fields:
-            yield self.project_diag(
-                ser_mod.rel_path, lineno, 0,
-                f"serialised layout {ser_name} columns {ser_fields} do not "
-                f"match declared {decl_name} columns {decl_fields}",
-            )
-            return
-        for (field_name, decl_spelling), (_, ser_spelling) in zip(
-            decl_pairs, ser_pairs
-        ):
-            decl_dtype, _ = parse_dtype(decl_spelling)
-            ser_dtype, endian = parse_dtype(ser_spelling)
-            if decl_dtype is None or ser_dtype is None:
+            if not tracked:
                 continue
-            if decl_dtype != ser_dtype:
-                yield self.project_diag(
-                    ser_mod.rel_path, lineno, 0,
-                    f"column '{field_name}' is declared {decl_dtype} in "
-                    f"{decl_name} but serialised as {ser_dtype} "
-                    f"({ser_spelling!r}) in {ser_name}",
-                )
-            elif DTYPE_BITS.get(ser_dtype, 8) > 8 and endian != "<":
-                yield self.project_diag(
-                    ser_mod.rel_path, lineno, 0,
-                    f"column '{field_name}' in {ser_name} spells its dtype "
-                    f"as {ser_spelling!r}; multi-byte serialised columns "
-                    "must be explicit little-endian ('<' prefix) so traces "
-                    "are portable across hosts",
-                )
-
-    # -- dtype drift at savez sinks -----------------------------------------
-
-    def check_event(
-        self, tf: TypeflowAnalysis, fn: TypeflowFunction, event: TypeEvent
-    ) -> Iterator[Diagnostic]:
-        if event.kind != "sink":
-            return
-        value = tf.eval(fn.fqname, event.data["value"])
-        if value.origin is None or value.dtype is None:
-            return
-        declared, _ = COLUMN_TYPES[value.origin]
-        if value.dtype == declared:
-            return
-        yield self.project_diag(
-            fn.rel_path, event.lineno, event.col,
-            f"savez field '{event.data['name']}' persists column "
-            f"'{value.origin}' as {value.dtype} but the declared column "
-            f"dtype is {declared}; persist the declared dtype or rename "
-            "the field to mark the transformation",
-        )
-
-
-@REGISTRY.register
-class FloatAccumulationRule(_TypeflowRule):
-    code = "RPR014"
-    name = "float-accumulation"
-    description = (
-        "float64 timestamps accumulate into a float32 or Python-float "
-        "accumulator on a streaming path (precision loss at trace scale)"
-    )
-
-    def check_event(
-        self, tf: TypeflowAnalysis, fn: TypeflowFunction, event: TypeEvent
-    ) -> Iterator[Diagnostic]:
-        if event.kind != "accum":
-            return
-        data = event.data
-        value = tf.eval(fn.fqname, data["value"])
-        time_like = value.origin == "time" or value.unit == "seconds"
-        if not (time_like and (value.dtype in (None, "float64"))):
-            return
-        how: str = data["how"]
-        if how == "npsum":
-            if data.get("acc_dtype") == "float32":
-                yield self.project_diag(
-                    fn.rel_path, event.lineno, event.col,
-                    f"np.sum over float64 timestamps ({describe(value)}) "
-                    f"with dtype=float32 in '{event.text}' loses precision "
-                    "at trace scale; accumulate in float64",
-                )
-            return
-        if how == "pysum":
+            dtype = promote_dtype(lv, rv)
+            if dtype is None or not _is_int(dtype):
+                continue
+            raw = TypeflowAnalysis.raw_bits(op, lv, rv, right)
+            if raw is None:
+                continue
+            capacity = int_capacity(dtype)
+            if raw <= capacity:
+                continue
             yield self.project_diag(
                 fn.rel_path, event.lineno, event.col,
-                f"builtin sum() accumulates float64 timestamps "
-                f"({describe(value)}) one element at a time in "
-                f"'{event.text}'; use np.sum (pairwise) on the array",
+                f"'{op}' result needs up to {raw} bits but {dtype} holds "
+                f"{capacity}; '{event.text}' can wrap silently — widen the "
+                "operands, mask the inputs, or put the statement under "
+                "np.errstate(over=...) to declare intentional wraparound",
             )
-            return
-        if how == "aug" and event.loop:
-            target = tf.eval(fn.fqname, data["target"])
-            if target.dtype == "float32":
-                yield self.project_diag(
-                    fn.rel_path, event.lineno, event.col,
-                    f"float32 accumulator absorbs float64 timestamps "
-                    f"({describe(value)}) in a loop at '{event.text}'; "
-                    "initialise the accumulator as float64",
-                )
 
 
-def _parse_layout_spec(
-    spec: str,
-) -> Optional[Tuple[str, str, str, str]]:
-    parts = spec.split(":")
-    if len(parts) != 4:
-        return None
-    return parts[0], parts[1], parts[2], parts[3]
-
-
-__all__ = [
-    "NarrowingCastRule",
-    "OverflowArithmeticRule",
-    "UnitMixingRule",
-    "PersistedDtypeDriftRule",
-    "FloatAccumulationRule",
-]
+__all__ = ["OverflowArithmeticRule"]

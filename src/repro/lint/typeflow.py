@@ -13,18 +13,17 @@ expression, an :class:`AbstractValue`:
   ``bytes``, ``ip-int``, ``port``, ``window-index``;
 * **origin** — which ``PacketBatch`` column the value derived from;
 * **bits** — a conservative upper bound on the significant value bits
-  (for overflow and cast-safety reasoning: ``x >> 32`` of a 64-bit
-  quantity needs at most 32 bits, so ``.astype(uint32)`` is proven safe).
+  (for overflow reasoning: a ``uint32`` source widened to ``uint64`` and
+  shifted left by 32 needs at most 64 bits, so it is proven to fit).
 
 Everything is summary-driven: :class:`TypeflowExtractor` runs once per
 function during pass 1 and emits a JSON-serialisable :class:`FunctionTypeflow`
 (an expression IR whose leaves are parameters, batch columns, literals and
-project calls, plus cast/arithmetic/compare/accumulation/sink events), so
-the content-addressed summary cache covers typeflow and warm runs re-parse
+project calls, plus one event per add/multiply/left-shift), so the
+content-addressed summary cache covers typeflow and warm runs re-parse
 nothing.  :class:`TypeflowAnalysis` then joins call-site argument values
 into callee parameters and return expressions into call results until
-fixpoint — the same interprocedural discipline as the RPR009 mutation
-closure — and the RPR010–RPR014 rules evaluate the recorded events
+fixpoint, and the RPR011 overflow rule evaluates the recorded events
 against the solved environment.
 
 The lattice definition (unit vocabulary, column seeds, dtype tables) is
@@ -43,7 +42,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set,
 from repro.lint._ast import resolve
 
 #: Bump on any change to the extraction or evaluation semantics.
-TYPEFLOW_VERSION = 1
+TYPEFLOW_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # the lattice: dtypes, units, column seeds
@@ -138,24 +137,20 @@ def lattice_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def parse_dtype(text: Optional[str]) -> Tuple[Optional[str], Optional[str]]:
-    """Canonical (dtype, endianness) for a dtype spelling.
+def parse_dtype(text: Optional[str]) -> Optional[str]:
+    """Canonical dtype for a dtype spelling, or None when unknown.
 
-    ``numpy.uint32`` → ``("uint32", None)``; ``"<u4"`` → ``("uint32", "<")``;
-    ``"u4"`` → ``("uint32", None)``; unknown spellings → ``(None, None)``.
+    ``numpy.uint32`` → ``"uint32"``; ``"<u4"`` and ``"u4"`` → ``"uint32"``.
     """
     if not text:
-        return None, None
+        return None
     if text in _DTYPE_NAMES:
-        return _DTYPE_NAMES[text], None
+        return _DTYPE_NAMES[text]
     if text in DTYPE_BITS:
-        return text, None
-    endian: Optional[str] = None
-    body = text
-    if body and body[0] in "<>=|":
-        endian = body[0]
-        body = body[1:]
-    return _STRUCT_CODES.get(body), endian
+        return text
+    if text[0] in "<>=|":
+        text = text[1:]
+    return _STRUCT_CODES.get(text)
 
 
 def _dtype_kind(dtype: str) -> str:
@@ -196,9 +191,6 @@ class AbstractValue:
 
     def tracked(self) -> bool:
         return self.origin is not None or self.unit is not None
-
-    def width(self) -> Optional[int]:
-        return DTYPE_BITS.get(self.dtype) if self.dtype else None
 
 
 UNKNOWN = AbstractValue()
@@ -281,10 +273,10 @@ _BIN_OPS: Dict[type, str] = {
     ast.BitOr: "or", ast.BitAnd: "and", ast.BitXor: "xor",
 }
 
-#: Ops RPR011 audits for overflow risk.
+#: Ops RPR011 audits for overflow risk; each one records an event.
 OVERFLOW_OPS = ("add", "mul", "shl")
 
-#: Ops that combine two quantities additively (unit compatibility applies).
+#: Ops that combine two quantities additively (the unit carries through).
 _ADDITIVE_OPS = ("add", "sub")
 
 _MAX_DEPTH = 10
@@ -295,8 +287,6 @@ _CAST_CALLS = {
     "numpy.asarray", "numpy.ascontiguousarray", "numpy.array",
     "numpy.asfortranarray", "numpy.frombuffer",
 }
-
-_SAVEZ_CALLS = {"numpy.savez", "numpy.savez_compressed"}
 
 _SUM_CALLS = {"numpy.sum", "numpy.nansum", "numpy.cumsum"}
 
@@ -350,33 +340,28 @@ class TypeCall:
 
 @dataclass
 class TypeEvent:
-    """One recorded site the RPR010–RPR014 rules may flag.
+    """One add/multiply/left-shift site the RPR011 rule may flag.
 
-    ``kind`` ∈ {``cast``, ``binop``, ``compare``, ``accum``, ``sink``};
-    ``data`` holds the kind-specific payload (expression trees, target
-    dtypes, flags).  ``wrap`` is True inside a ``with np.errstate(...)``
-    block — arithmetic there has declared its wraparound intent.
+    ``data`` holds ``op`` and the operand expression trees ``l`` and
+    ``r``.  ``wrap`` is True inside a ``with np.errstate(...)`` block —
+    arithmetic there has declared its wraparound intent.
     """
 
-    kind: str
     lineno: int
     col: int
     text: str
     data: Dict[str, Any] = field(default_factory=dict)
     wrap: bool = False
-    loop: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "lineno": self.lineno, "col": self.col,
-                "text": self.text, "data": self.data, "wrap": self.wrap,
-                "loop": self.loop}
+        return {"lineno": self.lineno, "col": self.col, "text": self.text,
+                "data": self.data, "wrap": self.wrap}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TypeEvent":
-        return cls(kind=data["kind"], lineno=int(data["lineno"]),
-                   col=int(data["col"]), text=data["text"],
-                   data=dict(data["data"]), wrap=bool(data["wrap"]),
-                   loop=bool(data["loop"]))
+        return cls(lineno=int(data["lineno"]), col=int(data["col"]),
+                   text=data["text"], data=dict(data["data"]),
+                   wrap=bool(data["wrap"]))
 
 
 @dataclass
@@ -436,7 +421,6 @@ class TypeflowExtractor:
         self.resolve_call = resolve_call
         self.env: Dict[str, Expr] = {}
         self.out = FunctionTypeflow()
-        self._loop_depth = 0
         self._wrap_depth = 0
 
     # -- public entry --------------------------------------------------------
@@ -471,15 +455,11 @@ class TypeflowExtractor:
             self._expr(stmt.iter)
             # Iterating an array yields elements of the same scalar type.
             self._bind(stmt.target, self._expr(stmt.iter))
-            self._loop_depth += 1
             self._block(stmt.body)
-            self._loop_depth -= 1
             self._block(stmt.orelse)
         elif isinstance(stmt, ast.While):
             self._expr(stmt.test)
-            self._loop_depth += 1
             self._block(stmt.body)
-            self._loop_depth -= 1
             self._block(stmt.orelse)
         elif isinstance(stmt, ast.If):
             self._expr(stmt.test)
@@ -526,11 +506,6 @@ class TypeflowExtractor:
                 old = ["p", self.param_index[name]]
             else:
                 old = self.env.get(name, _UNKNOWN_EXPR)
-        if op == "add":
-            self._event("accum", stmt, data={
-                "how": "aug", "target": old, "value": value,
-                "acc_dtype": None,
-            })
         if op is not None:
             combined: Expr = ["bin", op, old, value]
             self._record_binop(stmt, op, old, value)
@@ -635,19 +610,16 @@ class TypeflowExtractor:
 
     def _record_binop(self, node: ast.AST, op: str,
                       left: Expr, right: Expr) -> None:
-        if op not in OVERFLOW_OPS and op not in _ADDITIVE_OPS:
+        if op not in OVERFLOW_OPS:
             return
         if expr_is_const(left) and expr_is_const(right):
             return
-        self._event("binop", node, data={"op": op, "l": left, "r": right})
+        self._event(node, data={"op": op, "l": left, "r": right})
 
     def _compare(self, node: ast.Compare, depth: int) -> Expr:
-        left = self._expr(node.left, depth + 1)
+        self._expr(node.left, depth + 1)
         for comparator in node.comparators:
-            right = self._expr(comparator, depth + 1)
-            if not (expr_is_const(left) and expr_is_const(right)):
-                self._event("compare", node, data={"l": left, "r": right})
-            left = right
+            self._expr(comparator, depth + 1)
         return ["c", "bool", 1, None, None]
 
     def _call(self, node: ast.Call, depth: int) -> Expr:
@@ -656,13 +628,6 @@ class TypeflowExtractor:
         if isinstance(func, ast.Attribute) and func.attr == "astype":
             src = self._expr(func.value, depth + 1)
             dtype = self._dtype_arg(node, 0)
-            direct_col = (
-                isinstance(func.value, ast.Attribute)
-                and func.value.attr in COLUMN_TYPES
-            )
-            self._event("cast", node, data={
-                "dtype": dtype, "src": src, "direct_col": direct_col,
-            })
             for arg in node.args[1:]:
                 self._expr(arg, depth + 1)
             return ["cast", dtype, src]
@@ -679,9 +644,6 @@ class TypeflowExtractor:
                 exact = _const_int_value(inner)
                 if exact is not None:
                     return ["c", dtype, max(exact.bit_length(), 1), None, exact]
-                self._event("cast", node, data={
-                    "dtype": dtype, "src": inner, "direct_col": False,
-                })
                 return ["cast", dtype, inner]
             return ["c", dtype, DTYPE_BITS.get(dtype), None, None]
 
@@ -690,40 +652,16 @@ class TypeflowExtractor:
             src = self._expr(node.args[0], depth + 1)
             dtype = self._dtype_kwarg(node) or self._dtype_arg(node, 1)
             if dtype is not None:
-                self._event("cast", node, data={
-                    "dtype": dtype, "src": src, "direct_col": False,
-                })
                 return ["cast", dtype, src]
             return src
 
-        # Accumulating reductions.
+        # Reductions keep the summed values' type (in ``dtype=`` if given).
         if resolved in _SUM_CALLS and node.args:
             src = self._expr(node.args[0], depth + 1)
             acc_dtype = self._dtype_kwarg(node)
-            self._event("accum", node, data={
-                "how": "npsum", "target": _UNKNOWN_EXPR, "value": src,
-                "acc_dtype": acc_dtype,
-            })
             return ["cast", acc_dtype, src] if acc_dtype else src
         if isinstance(func, ast.Name) and func.id == "sum" and node.args:
-            src = self._expr(node.args[0], depth + 1)
-            self._event("accum", node, data={
-                "how": "pysum", "target": _UNKNOWN_EXPR, "value": src,
-                "acc_dtype": None,
-            })
-            return src
-
-        # Persistence sinks.
-        if resolved in _SAVEZ_CALLS:
-            for arg in node.args:
-                self._expr(arg, depth + 1)
-            for kw in node.keywords:
-                value = self._expr(kw.value, depth + 1)
-                if kw.arg is not None:
-                    self._event("sink", node, data={
-                        "sink": "savez", "name": kw.arg, "value": value,
-                    })
-            return _UNKNOWN_EXPR
+            return self._expr(node.args[0], depth + 1)
 
         # Builtin numeric coercions produce Python numbers (arbitrary
         # precision — they cannot wrap), so keep provenance but no dtype.
@@ -762,26 +700,18 @@ class TypeflowExtractor:
 
     def _dtype_of(self, node: ast.expr) -> Optional[str]:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            canon, _ = parse_dtype(node.value)
-            return canon
-        dotted = resolve(node, self.aliases)
-        if dotted is not None:
-            canon, _ = parse_dtype(dotted)
-            return canon
-        return None
+            return parse_dtype(node.value)
+        return parse_dtype(resolve(node, self.aliases))
 
-    def _event(self, kind: str, node: ast.AST,
-               data: Dict[str, Any]) -> None:
+    def _event(self, node: ast.AST, data: Dict[str, Any]) -> None:
         if len(self.out.events) >= _MAX_EVENTS:
             return
         self.out.events.append(TypeEvent(
-            kind=kind,
             lineno=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            text=_short_text(node) if isinstance(node, ast.AST) else "",
+            text=_short_text(node),
             data=data,
             wrap=self._wrap_depth > 0,
-            loop=self._loop_depth > 0,
         ))
 
 
@@ -957,13 +887,12 @@ class TypeflowAnalysis:
         if op in _ADDITIVE_OPS or op in ("mod",):
             if left.unit == right.unit:
                 return left.unit
-            # Unitless literals/offsets keep the tagged side's unit; a
-            # genuine mismatch is flagged by RPR012 and collapses here.
+            # Unitless literals/offsets keep the tagged side's unit.
             if left.unit is None:
                 return right.unit
             if right.unit is None:
                 return left.unit
-            return None
+            return None  # two different units: the tag collapses
         if op in ("and", "or", "xor", "shl", "shr"):
             return left.unit if right.unit is None else None
         return None
@@ -1038,16 +967,3 @@ class TypeflowAnalysis:
             for event in fn.flow.events:
                 yield fn, event
 
-
-def describe(value: AbstractValue) -> str:
-    """Human-readable abstract value for diagnostics."""
-    parts: List[str] = []
-    if value.dtype:
-        parts.append(value.dtype)
-    if value.unit:
-        parts.append(f"unit={value.unit}")
-    if value.origin:
-        parts.append(f"from column '{value.origin}'")
-    if value.bits is not None:
-        parts.append(f"<={value.bits} bits")
-    return ", ".join(parts) if parts else "unknown"

@@ -15,11 +15,13 @@ capture material:
 :func:`execute_job` is the single :class:`~concurrent.futures.ProcessPoolExecutor`
 entry point (submitted by :class:`repro.serve.queue.JobQueue`); it must stay
 a pure function of its payload — no module-level mutable state, no ambient
-randomness — which the RPR007 process-safety lint proves by walking its
-call graph from the submit site.  Everything a worker needs travels in the
-payload dict (plain JSON-able values, cheap to pickle); everything it
-returns is a plain JSON-able dict, so job results persist verbatim into
-the queue's job records and serve straight out of the HTTP API.
+randomness.  ``tests/test_serve.py`` holds it there: pool-run jobs must
+serve reports byte-identical to the in-process CLI
+(``TestHTTPApi.test_scenario_report_parity_with_cli``).  Everything a
+worker needs travels in the payload dict (plain JSON-able values, cheap
+to pickle); everything it returns is a plain JSON-able dict, so job
+results persist verbatim into the queue's job records and serve straight
+out of the HTTP API.
 """
 
 from __future__ import annotations
@@ -174,7 +176,8 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     ``payload`` carries ``spec`` (a :meth:`JobSpec.to_dict`), ``cache_dir``
     and, for streaming jobs, ``checkpoint_dir``/``checkpoint_every``.  Must
-    stay a module-level function of its arguments alone (RPR007).
+    stay a module-level function of its arguments alone: pool workers
+    share no state with the parent.
     """
     spec = JobSpec.from_dict(payload["spec"])
     cache = CaptureCache(payload["cache_dir"])

@@ -121,7 +121,7 @@ class IncrementalScanIdentifier:
         # carry, and a progress callback reads this gauge after every window.
         key = carry.src_ip.astype(np.uint64)
         # Sources are 32-bit, so the shifted source fills the high word only.
-        key <<= np.uint64(32)  # repro-lint: disable=RPR011
+        key <<= np.uint64(32)
         key |= carry.dst_ip
         key.sort()
         pair_src = key[run_starts(key)] >> np.uint64(32)

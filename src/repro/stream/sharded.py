@@ -103,9 +103,10 @@ def _run_one_shard(
     """Stream one shard of ``source`` to completion (or to ``stop``).
 
     Runs in the calling process — the in-process engine and the body of
-    the pool task both come here.  Pure in its arguments (RPR007): all
-    state is constructed locally, and the only writes are the shard's own
-    content-addressed checkpoint files.  ``analyses`` (when given) attaches
+    the pool task both come here.  Pure in its arguments: all state is
+    constructed locally, and the only writes are the shard's own
+    content-addressed checkpoint files (``tests/test_sharded.py`` checks
+    that pool workers match the in-process run).  ``analyses`` (when given) attaches
     a fresh :class:`~repro.stream.analyses.AnalysisSuite` that sees exactly
     the shard's packets; its snapshot rides back on the :class:`ShardRun`
     for the caller to merge (sources are disjoint across shards, which is

@@ -32,7 +32,8 @@ FLAG_ACK = 0x10
 FLAG_URG = 0x20
 
 #: Wire widths (bits) of the modelled integer header fields; the single
-#: source of truth for both runtime validation and the RPR003 lint rule.
+#: source of truth for ``SynPacket``'s runtime bound checks
+#: (``repro._util.validate.check_header_field``).
 _FIELD_BITS = {
     "src_ip": 32,
     "dst_ip": 32,
@@ -108,9 +109,9 @@ class PacketBatch:
     All columns are numpy arrays of equal length; the batch is immutable
     (operations return new batches sharing or copying arrays, never mutating
     in place), which keeps analysis code free of aliasing bugs.  The
-    invariant is enforced both statically (lint rule RPR004) and at runtime:
-    the batch holds non-writeable views, so ``batch.ttl[0] = 1`` raises
-    ``ValueError``.  Callers that handed arrays to the constructor keep
+    invariant is enforced at runtime (``tests/test_packet.py``,
+    ``TestPacketBatchImmutability``): the batch holds non-writeable views,
+    so ``batch.ttl[0] = 1`` raises ``ValueError``.  Callers that handed arrays to the constructor keep
     their own writable references — freezing protects against mutation
     *through the batch*, it does not snapshot shared buffers.
     """

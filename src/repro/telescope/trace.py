@@ -14,9 +14,12 @@ Layout::
         columns     raw little-endian arrays, in fixed column order
 
 Chunking lets a writer stream a multi-day capture without holding it in
-memory.  :class:`TraceReader`, the one reader, maps the file and hands its
-chunks out as zero-copy column views; :func:`read_trace` copies them into
-one owned batch.
+memory.  :class:`TraceWriter` writes a temporary file beside the target
+and renames it into place on a clean exit, so a reader holding the old
+capture keeps it and an interrupted write leaves the target untouched.
+:class:`TraceReader`, the one reader, maps the file and hands its chunks
+out as zero-copy column views; :func:`read_trace` copies them into one
+owned batch.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import io
 import json
 import mmap
+import os
 import struct
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -54,6 +58,23 @@ class TraceFormatError(ValueError):
     """Raised when a trace file is malformed or truncated."""
 
 
+def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
+    """Create and open a new temporary file beside ``path``.
+
+    ``open(..., "xb")`` gives it the umask-derived mode that
+    ``open(path, "wb")`` gives a new file (``tempfile.mkstemp`` would
+    force 0600).  The name carries the pid and the first free sequence
+    number, so concurrent writers of one path never share a file.
+    """
+    n = 0
+    while True:
+        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{n}")
+        try:
+            return open(tmp, "xb"), tmp
+        except FileExistsError:
+            n += 1
+
+
 def _decode_meta(raw: bytes, path: Path) -> Dict[str, Any]:
     """Parse a metadata block; damage raises :class:`TraceFormatError`."""
     try:
@@ -73,20 +94,37 @@ class TraceWriter:
         with TraceWriter(path, meta={"year": 2020}) as w:
             for batch in batches:
                 w.write(batch)
+
+    The chunks go to a temporary file beside ``path``.  A clean exit
+    writes the end marker and renames the file onto ``path``; an
+    exception deletes it and leaves ``path`` as it was.  So a reader
+    mapping the old capture keeps its file, and no interrupted write
+    passes for a complete capture.
+
+    ``path`` is resolved through symlinks first, so writing through a
+    link replaces the file it points to and the link stays a link.  The
+    rename gives ``path`` a new inode: a capture that existed before
+    takes the mode a new file gets under the umask, and the writer's
+    owner, and any other hard link to it keeps the old contents.
     """
 
     def __init__(self, path: PathLike, meta: Optional[Dict[str, Any]] = None):
-        self._path = Path(path)
+        self._path = Path(os.path.realpath(path))
         self._file: Optional[io.BufferedWriter] = None
+        self._tmp: Optional[Path] = None
         self._meta = dict(meta or {})
         self._packets_written = 0
 
     def __enter__(self) -> "TraceWriter":
-        self._file = open(self._path, "wb")
-        self._file.write(MAGIC)
-        meta_bytes = json.dumps(self._meta, sort_keys=True).encode("utf-8")
-        self._file.write(struct.pack("<I", len(meta_bytes)))
-        self._file.write(meta_bytes)
+        self._file, self._tmp = _create_sibling(self._path)
+        try:
+            self._file.write(MAGIC)
+            meta_bytes = json.dumps(self._meta, sort_keys=True).encode("utf-8")
+            self._file.write(struct.pack("<I", len(meta_bytes)))
+            self._file.write(meta_bytes)
+        except BaseException:
+            self._discard()
+            raise
         return self
 
     def write(self, batch: PacketBatch) -> None:
@@ -106,11 +144,29 @@ class TraceWriter:
         return self._packets_written
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._file is not None:
+        if self._file is None or self._tmp is None:
+            return
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
             # Explicit terminator so a truncated tail is detectable.
             self._file.write(struct.pack("<I", 0))
             self._file.close()
+            os.replace(self._tmp, self._path)
+        except BaseException:
+            self._discard()
+            raise
+        self._file = self._tmp = None
+
+    def _discard(self) -> None:
+        """Close and delete the temporary file; ``path`` is untouched."""
+        if self._file is not None:
+            self._file.close()
             self._file = None
+        if self._tmp is not None:
+            self._tmp.unlink(missing_ok=True)
+            self._tmp = None
 
 
 #: Bytes per packet across all serialised columns (one row of a chunk).

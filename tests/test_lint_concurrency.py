@@ -1,11 +1,11 @@
-"""Tests for the concurrency pass (repro.lint.concurrency, RPR015-019).
+"""Tests for the concurrency pass (repro.lint.concurrency, RPR017/018).
 
 Each rule gets a seeded-violation fixture plus a clean counterpart, the
-two PR 9 bug classes are pinned as regression fixtures (blocking
+two serve-layer bug classes are pinned as regression fixtures (blocking
 ``Future.cancel`` under the lock; done-callback reentry into a
 non-reentrant lock), and the pass is exercised for worker-count
 byte-identical diagnostics, suppression handling, the configurable
-blocking-call blocklist, and the ``--explain`` catalog.
+blocking-call blocklist, and ``--explain``.
 """
 
 import textwrap
@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintConfig, lint_repository
-from repro.lint.catalog import CATALOG, explain
 from repro.lint.cli import main
 from repro.lint.concurrency import (
     DEFAULT_BLOCKING_CALLS,
@@ -26,7 +25,7 @@ from repro.lint.engine import REGISTRY
 
 #: File rules are exercised by tests/test_lint.py; fixtures here disable
 #: them so each assertion sees only the concurrency rule under test.
-FILE_RULES = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+FILE_RULES = ["RPR001", "RPR002"]
 
 
 def write_tree(root, files):
@@ -40,7 +39,6 @@ def run_project(tmp_path, files, **cfg_kwargs):
     write_tree(tmp_path, files)
     cfg_kwargs.setdefault("paths", ["pkg"])
     cfg_kwargs.setdefault("disable", FILE_RULES)
-    cfg_kwargs.setdefault("dtype_layouts", [])
     config = LintConfig(root=tmp_path, **cfg_kwargs)
     diags, project, stats = lint_repository(config, use_cache=False)
     return diags, project, stats
@@ -51,199 +49,7 @@ def codes(diags):
 
 
 # ---------------------------------------------------------------------------
-# RPR015: unguarded shared state
-# ---------------------------------------------------------------------------
-
-
-RPR015_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/counter.py": """\
-        import threading
-
-        class Counter:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.done = 0
-
-            def bump(self):
-                with self._lock:
-                    self.done = self.done + 1
-
-            def peek(self):
-                return self.done
-    """,
-}
-
-
-class TestUnguardedSharedState:
-    def test_bare_read_of_guarded_attr_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR015_FILES)
-        assert codes(diags) == ["RPR015"]
-        assert "'done'" in diags[0].message
-        assert "_lock" in diags[0].message
-        assert "peek" in diags[0].message
-
-    def test_read_under_lock_clean(self, tmp_path):
-        files = dict(RPR015_FILES)
-        files["pkg/counter.py"] = textwrap.dedent(
-            files["pkg/counter.py"]
-        ).replace(
-            "    def peek(self):\n        return self.done",
-            "    def peek(self):\n"
-            "        with self._lock:\n"
-            "            return self.done",
-        )
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_unguarded_write_from_thread_target_flagged(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/worker.py": """\
-                import threading
-
-                class Worker:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.count = 0
-
-                    def start(self):
-                        thread = threading.Thread(target=self._run)
-                        thread.start()
-
-                    def _run(self):
-                        self.count = self.count + 1
-
-                    def total(self):
-                        with self._lock:
-                            return self.count
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert "RPR015" in codes(diags)
-        assert any("thread entry" in d.message for d in diags)
-
-    def test_init_phase_helper_not_flagged(self, tmp_path):
-        # Eraser-style initialisation refinement: _restore is reachable
-        # only from __init__, before the object is shared.
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/store.py": """\
-                import threading
-
-                class Store:
-                    def __init__(self, items):
-                        self._lock = threading.Lock()
-                        self._items = {}
-                        self._restore(items)
-
-                    def _restore(self, items):
-                        for key in items:
-                            self._items[key] = True
-
-                    def add(self, key):
-                        with self._lock:
-                            self._items[key] = True
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
-# RPR016: lock-order inversion
-# ---------------------------------------------------------------------------
-
-
-RPR016_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/pair.py": """\
-        import threading
-
-        class Pair:
-            def __init__(self):
-                self._alpha = threading.Lock()
-                self._beta = threading.Lock()
-
-            def forward(self):
-                with self._alpha:
-                    with self._beta:
-                        pass
-
-            def backward(self):
-                with self._beta:
-                    with self._alpha:
-                        pass
-    """,
-}
-
-
-class TestLockOrderInversion:
-    def test_opposite_nesting_orders_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR016_FILES)
-        assert codes(diags) == ["RPR016"]
-        assert "_alpha" in diags[0].message
-        assert "_beta" in diags[0].message
-        assert "cycle" in diags[0].message
-
-    def test_consistent_order_clean(self, tmp_path):
-        files = dict(RPR016_FILES)
-        files["pkg/pair.py"] = textwrap.dedent(files["pkg/pair.py"]).replace(
-            "        with self._beta:\n            with self._alpha:",
-            "        with self._alpha:\n            with self._beta:",
-        )
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_reacquire_through_call_graph_flagged(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/once.py": """\
-                import threading
-
-                class Once:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def outer(self):
-                        with self._lock:
-                            self.inner()
-
-                    def inner(self):
-                        with self._lock:
-                            pass
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR016"]
-        assert "re-acquired" in diags[0].message
-        assert "Once.outer" in diags[0].message
-
-    def test_rlock_reacquire_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/once.py": """\
-                import threading
-
-                class Once:
-                    def __init__(self):
-                        self._lock = threading.RLock()
-
-                    def outer(self):
-                        with self._lock:
-                            self.inner()
-
-                    def inner(self):
-                        with self._lock:
-                            pass
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
-# RPR017: blocking call under lock (the PR 9 cancel() bug class)
+# RPR017: blocking call under lock (the JobQueue.cancel() bug class)
 # ---------------------------------------------------------------------------
 
 
@@ -269,8 +75,9 @@ RPR017_FILES = {
 
 class TestBlockingCallUnderLock:
     def test_future_cancel_under_lock_flagged(self, tmp_path):
-        # Regression fixture for the PR 9 bug: Future.cancel() runs done
-        # callbacks synchronously and blocked with the queue lock held.
+        # Regression fixture for the JobQueue.cancel() bug: Future.cancel()
+        # runs done callbacks synchronously and blocked with the queue
+        # lock held.
         diags, _, _ = run_project(tmp_path, RPR017_FILES)
         assert codes(diags) == ["RPR017"]
         assert "fut.cancel()" in diags[0].message
@@ -385,7 +192,7 @@ class TestBlockingCallUnderLock:
 
 
 # ---------------------------------------------------------------------------
-# RPR018: callback reentrancy (the other PR 9 bug class)
+# RPR018: callback reentrancy (the JobQueue RLock bug class)
 # ---------------------------------------------------------------------------
 
 
@@ -418,9 +225,10 @@ RPR018_FILES = {
 
 class TestCallbackReentrancy:
     def test_done_callback_reentry_into_plain_lock_flagged(self, tmp_path):
-        # Regression fixture for the PR 9 bug: a settled Future runs its
-        # done callbacks synchronously inside add_done_callback, so the
-        # callback re-acquiring the held non-reentrant lock deadlocks.
+        # Regression fixture for the JobQueue RLock bug: a settled Future
+        # runs its done callbacks synchronously inside add_done_callback,
+        # so the callback re-acquiring the held non-reentrant lock
+        # deadlocks.
         diags, _, _ = run_project(tmp_path, RPR018_FILES)
         assert codes(diags) == ["RPR018"]
         assert "_on_done" in diags[0].message
@@ -460,86 +268,11 @@ class TestCallbackReentrancy:
 
 
 # ---------------------------------------------------------------------------
-# RPR019: atomicity split
-# ---------------------------------------------------------------------------
-
-
-RPR019_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/budget.py": """\
-        import threading
-
-        class Budget:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.count = 0
-
-            def bump(self, limit):
-                with self._lock:
-                    n = self.count
-                if n >= limit:
-                    return False
-                with self._lock:
-                    self.count = n + 1
-                return True
-    """,
-}
-
-
-class TestAtomicitySplit:
-    def test_check_then_act_across_scopes_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR019_FILES)
-        assert codes(diags) == ["RPR019"]
-        assert "'count'" in diags[0].message
-        assert "separate acquisition" in diags[0].message
-
-    def test_single_scope_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/budget.py": """\
-                import threading
-
-                class Budget:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.count = 0
-
-                    def bump(self, limit):
-                        with self._lock:
-                            if self.count >= limit:
-                                return False
-                            self.count = self.count + 1
-                        return True
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_revalidating_read_in_second_scope_clean(self, tmp_path):
-        files = dict(RPR019_FILES)
-        files["pkg/budget.py"] = textwrap.dedent(
-            files["pkg/budget.py"]
-        ).replace(
-            "        with self._lock:\n"
-            "            self.count = n + 1\n",
-            "        with self._lock:\n"
-            "            if self.count != n:\n"
-            "                return False\n"
-            "            self.count = n + 1\n",
-        )
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
 # determinism, serialisation, config plumbing
 # ---------------------------------------------------------------------------
 
 
-ALL_FIXTURES = {}
-for fixture in (RPR015_FILES, RPR016_FILES, RPR017_FILES, RPR018_FILES,
-                RPR019_FILES):
-    ALL_FIXTURES.update(fixture)
+ALL_FIXTURES = {**RPR017_FILES, **RPR018_FILES}
 
 
 class TestDeterminism:
@@ -548,26 +281,18 @@ class TestDeterminism:
         self, tmp_path, workers
     ):
         write_tree(tmp_path, ALL_FIXTURES)
-        config = LintConfig(
-            root=tmp_path, paths=["pkg"], disable=FILE_RULES,
-            dtype_layouts=[],
-        )
+        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
         serial, _, _ = lint_repository(config, workers=0, use_cache=False)
         parallel, _, _ = lint_repository(
             config, workers=workers, use_cache=False
         )
-        assert sorted(codes(serial)) == [
-            "RPR015", "RPR016", "RPR017", "RPR018", "RPR019",
-        ]
+        assert sorted(codes(serial)) == ["RPR017", "RPR018"]
         assert parallel == serial
 
     def test_warm_cache_reproduces_findings(self, tmp_path):
         write_tree(tmp_path, ALL_FIXTURES)
         cache_dir = tmp_path / ".cache"
-        config = LintConfig(
-            root=tmp_path, paths=["pkg"], disable=FILE_RULES,
-            dtype_layouts=[],
-        )
+        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
         cold, _, stats_cold = lint_repository(
             config, workers=0, cache_dir=cache_dir, use_cache=True
         )
@@ -583,7 +308,7 @@ class TestDeterminism:
     def test_function_concurrency_roundtrips(self):
         conc = FunctionConcurrency(events=[
             {"k": "acquire", "lineno": 3, "col": 4, "held": [],
-             "deferred": False, "lock": "pkg.m.C._lock", "scope": "3:9"},
+             "deferred": False, "lock": "pkg.m.C._lock"},
         ])
         assert FunctionConcurrency.from_dict(conc.to_dict()) == conc
 
@@ -613,34 +338,37 @@ class TestBlockingMatch:
 
 
 # ---------------------------------------------------------------------------
-# catalog / --explain
+# --explain: each rule class documents itself
 # ---------------------------------------------------------------------------
 
 
 class TestCatalog:
     def test_catalog_covers_exactly_the_registered_rules(self):
-        assert sorted(CATALOG) == sorted(r.code for r in REGISTRY.rules())
+        for rule in REGISTRY.rules():
+            text = REGISTRY.explain(rule.code)
+            assert text.startswith(f"{rule.code} — {rule.name}")
 
     def test_every_entry_has_summary_and_example(self):
-        for code, doc in CATALOG.items():
-            assert doc.summary.strip(), code
-            assert doc.example.strip(), code
+        # The text comes from the rule class itself, not an inherited one.
+        for rule in REGISTRY.rules():
+            assert type(rule).__doc__ and type(rule).__doc__.strip(), rule.code
+            assert rule.example.strip(), rule.code
 
     def test_explain_renders_code_name_and_example(self):
-        text = explain("RPR018")
+        text = REGISTRY.explain("RPR018")
         assert text is not None
         assert text.startswith("RPR018")
         assert "callback-reentrancy" in text
         assert "Example:" in text
 
     def test_explain_unknown_code_is_none(self):
-        assert explain("RPR999") is None
+        assert REGISTRY.explain("RPR999") is None
 
     def test_cli_explain_prints_entry(self, capsys):
-        assert main(["--explain", "RPR015,RPR019"]) == 0
+        assert main(["--explain", "RPR017,RPR018"]) == 0
         out = capsys.readouterr().out
-        assert "RPR015" in out
-        assert "RPR019" in out
+        assert "RPR017 — blocking-call-under-lock" in out
+        assert "RPR018 — callback-reentrancy" in out
 
     def test_cli_explain_rejects_unknown_code(self, capsys):
         assert main(["--explain", "RPR999"]) == 2

@@ -1,9 +1,10 @@
-"""Tests for the whole-program lint pass (repro.lint.project, RPR006-009).
+"""Tests for the whole-program lint pass (repro.lint.project).
 
-Each project rule gets a seeded-violation fixture package plus a clean
-counterpart; the pass itself is exercised for cache hit/invalidation on
+The schema-drift rule (RPR008) gets seeded-violation fixtures plus clean
+counterparts; the pass itself is exercised for cache hit/invalidation on
 edit, worker-count independence (0/1/4 produce identical diagnostics),
-SARIF output against a golden file, and ``--update-baseline`` pruning.
+SARIF output against a golden file, and ``--update-baseline`` pruning,
+over fixtures that trip the kept project rules (RPR011, RPR017).
 """
 
 import json
@@ -37,7 +38,53 @@ GOLDEN_SARIF = Path(__file__).resolve().parent / "data" / "lint_golden.sarif"
 
 #: File rules are exercised by tests/test_lint.py; fixtures here disable
 #: them so each assertion sees only the project rule under test.
-FILE_RULES = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+FILE_RULES = ["RPR001", "RPR002"]
+
+#: A cross-module RPR017 finding: ``Ticker.tick`` holds its lock while
+#: calling ``pause`` in another module, which sleeps.  Editing ``b.py``
+#: alone clears it.
+LOCKED_SLEEP = {
+    "pkg/__init__.py": "",
+    "pkg/a.py": """\
+        import threading
+
+        from pkg.b import pause
+
+        class Ticker:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def tick(self):
+                with self._lock:
+                    pause()
+    """,
+    "pkg/b.py": """\
+        import time
+
+        def pause():
+            time.sleep(0.1)
+    """,
+}
+
+#: One RPR011 finding: a 32-bit source shifted left by 40 in uint64.
+OVERFLOW_PACK = {
+    "pkg/pack.py": """\
+        import numpy as np
+
+        def pack(batch):
+            ips = batch.src_ip.astype(np.uint64)
+            return (ips << np.uint64(40)) | batch.src_port
+    """,
+}
+
+
+def fix_sleep(tmp_path):
+    """Edit ``pkg/b.py`` so LOCKED_SLEEP no longer blocks under the lock."""
+    target = tmp_path / "pkg" / "b.py"
+    target.write_text(
+        target.read_text().replace("time.sleep(0.1)", "return 0.1"),
+        encoding="utf-8",
+    )
 
 
 def write_tree(root, files):
@@ -73,14 +120,15 @@ class TestModuleSummary:
 
     def test_summary_round_trips_through_json(self):
         src = textwrap.dedent("""\
-            from repro._util.rng import derive_rng
+            import threading
 
             SCHEMA_VERSION = 3
-            _TABLE = {}
+            _LOCK = threading.Lock()
 
             def f(rng, arr):
-                arr.sort()
-                return derive_rng(rng, "label", 7)
+                with _LOCK:
+                    arr.sort()
+                return {"key": arr << 2}
         """)
         summary = summarize_source(src, "pkg/mod.py")
         from repro.lint.project import ModuleSummary
@@ -90,10 +138,14 @@ class TestModuleSummary:
         )
         assert clone.to_dict() == summary.to_dict()
         assert clone.constants["SCHEMA_VERSION"] == "3"
-        assert clone.mutable_globals == ["_TABLE"]
-        [site] = clone.rng_sites
-        assert site.tokens == ["'label'", "7"]
-        assert clone.functions["f"].mutated_params == [1]
+        assert clone.lock_defs == [["<module>", "_LOCK", "lock", 4]]
+        assert clone.schema_fields["f"]["fields"] == ["key"]
+        fsum = clone.functions["f"]
+        assert [e["k"] for e in fsum.concurrency["events"]] == [
+            "acquire", "call",
+        ]
+        [shift] = fsum.typeflow["events"]
+        assert shift["data"]["op"] == "shl"
 
     def test_schema_fields_from_returned_dict(self):
         src = textwrap.dedent("""\
@@ -108,164 +160,6 @@ class TestModuleSummary:
         src = 'COLS = (("x", "<u4"), ("y", "<u2"))\n'
         summary = summarize_source(src, "pkg/cols.py")
         assert summary.schema_fields["COLS"]["fields"] == ["x", "y"]
-
-
-# ---------------------------------------------------------------------------
-# RPR006: derive_rng key paths
-# ---------------------------------------------------------------------------
-
-
-RPR006_COLLIDING = {
-    "pkg/__init__.py": "",
-    "pkg/a.py": """\
-        from repro._util.rng import derive_rng
-
-        def f(rng, year):
-            return derive_rng(rng, "year", year)
-    """,
-    "pkg/b.py": """\
-        from repro._util.rng import derive_rng
-
-        def g(rng):
-            return derive_rng(rng, "year", 2020)
-    """,
-}
-
-
-class TestRngKeysRule:
-    def test_colliding_keys_across_modules_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR006_COLLIDING)
-        assert codes(diags) == ["RPR006"]
-        assert "collide" in diags[0].message
-        assert "pkg/a.py" in diags[0].message
-
-    def test_ambiguous_key_flagged(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/a.py": """\
-                from repro._util.rng import derive_rng
-
-                def f(rng, year):
-                    return derive_rng(rng, year)
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR006"]
-        assert "no constant leading key token" in diags[0].message
-
-    def test_distinct_labels_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/a.py": """\
-                from repro._util.rng import derive_rng
-
-                def f(rng, year):
-                    a = derive_rng(rng, "alpha", year)
-                    b = derive_rng(rng, "beta", year)
-                    return a, b
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_rng_exempt_paths_skipped(self, tmp_path):
-        diags, _, _ = run_project(
-            tmp_path, RPR006_COLLIDING, rng_exempt=["pkg/a.py", "pkg/b.py"]
-        )
-        assert diags == []
-
-    def test_suppression_comment_silences(self, tmp_path):
-        files = dict(RPR006_COLLIDING)
-        files["pkg/b.py"] = """\
-            from repro._util.rng import derive_rng
-
-            def g(rng):
-                return derive_rng(rng, "year", 2020)  # repro-lint: disable=RPR006
-        """
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
-# RPR007: process-boundary purity
-# ---------------------------------------------------------------------------
-
-
-RPR007_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/state.py": """\
-        CACHE = {}
-
-        def helper(x):
-            CACHE[x] = x
-            return x
-    """,
-    "pkg/parallel.py": """\
-        import os
-        from concurrent.futures import ProcessPoolExecutor
-
-        from pkg.state import helper
-
-        def task(x):
-            helper(x)
-            return os.urandom(4)
-
-        def run(items):
-            with ProcessPoolExecutor() as pool:
-                futures = [pool.submit(task, x) for x in items]
-            return [f.result() for f in futures]
-    """,
-}
-
-
-class TestProcessSafetyRule:
-    def test_submitted_function_reaching_global_and_randomness(self, tmp_path):
-        diags, _, _ = run_project(
-            tmp_path, RPR007_FILES, executor_modules=["pkg/parallel.py"]
-        )
-        assert codes(diags) == ["RPR007", "RPR007"]
-        messages = "\n".join(d.message for d in diags)
-        assert "CACHE" in messages  # via task -> helper, cross-module
-        assert "os.urandom" in messages
-        assert all(d.path == "pkg/parallel.py" for d in diags)
-
-    def test_out_of_scope_module_ignored(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR007_FILES)
-        assert diags == []  # default executor-modules is exec/parallel.py
-
-    def test_pure_task_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/parallel.py": """\
-                from concurrent.futures import ProcessPoolExecutor
-
-                def task(x, table):
-                    return table[x] + 1
-
-                def run(items, table):
-                    with ProcessPoolExecutor() as pool:
-                        futures = [pool.submit(task, x, table) for x in items]
-                    return [f.result() for f in futures]
-            """,
-        }
-        diags, _, _ = run_project(
-            tmp_path, files, executor_modules=["pkg/parallel.py"]
-        )
-        assert diags == []
-
-    def test_live_exec_parallel_worker_is_pure(self):
-        """Satellite audit: the real fan-out worker stays submittable."""
-        config = LintConfig(root=REPO_ROOT)
-        diags, project, _ = lint_repository(
-            config,
-            paths=[REPO_ROOT / "src" / "repro" / "exec"],
-            use_cache=False,
-        )
-        parallel = project.modules["src/repro/exec/parallel.py"]
-        assert [s.callee for s in parallel.submit_sites] == [
-            "repro.exec.parallel._simulate_year_task"
-        ]
-        assert not [d for d in diags if d.code == "RPR007"]
 
 
 # ---------------------------------------------------------------------------
@@ -371,85 +265,6 @@ class TestSchemaDriftRule:
 
 
 # ---------------------------------------------------------------------------
-# RPR009: interprocedural batch-column mutation
-# ---------------------------------------------------------------------------
-
-
-RPR009_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/mut.py": """\
-        def scramble(arr):
-            arr.sort()
-            return arr
-    """,
-    "pkg/use.py": """\
-        from pkg.mut import scramble
-
-        def summarise(batch):
-            return scramble(batch.src_ip)
-    """,
-}
-
-
-class TestBatchColumnFlowRule:
-    def test_cross_module_mutation_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR009_FILES)
-        assert codes(diags) == ["RPR009"]
-        assert diags[0].path == "pkg/use.py"
-        assert "src_ip" in diags[0].message
-        assert "scramble" in diags[0].message
-
-    def test_transitive_forwarding_flagged(self, tmp_path):
-        files = dict(RPR009_FILES)
-        files["pkg/use.py"] = """\
-            from pkg.mut import scramble
-
-            def outer(col):
-                return scramble(col)
-
-            def summarise(batch):
-                return outer(batch.src_ip)
-        """
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR009"]
-        assert "outer" in diags[0].message
-
-    def test_pure_callee_clean(self, tmp_path):
-        files = dict(RPR009_FILES)
-        files["pkg/mut.py"] = """\
-            def scramble(arr):
-                out = arr.copy()
-                out.sort()
-                return out
-        """
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_method_receiver_shift(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/cls.py": """\
-                class Helper:
-                    def mutate(self, arr):
-                        arr.fill(0)
-                        return arr
-
-                    def run(self, batch):
-                        return self.mutate(batch.ttl)
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR009"]
-        assert "'arr'" in diags[0].message
-
-    def test_immutability_exempt_path_skipped(self, tmp_path):
-        diags, _, _ = run_project(
-            tmp_path, RPR009_FILES, immutability_exempt=["pkg/use.py"]
-        )
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
 # caching & parallel pass
 # ---------------------------------------------------------------------------
 
@@ -462,7 +277,7 @@ class TestSummaryCache:
         )
 
     def test_cold_then_warm_then_invalidation(self, tmp_path):
-        write_tree(tmp_path, RPR006_COLLIDING)
+        write_tree(tmp_path, LOCKED_SLEEP)
         cache_dir = tmp_path / ".cache"
 
         cold_diags, _, cold = self._run(tmp_path, cache_dir)
@@ -474,16 +289,13 @@ class TestSummaryCache:
         assert warm_diags == cold_diags
 
         # Editing one file invalidates exactly that file's entry.
-        target = tmp_path / "pkg" / "b.py"
-        target.write_text(
-            target.read_text().replace('"year"', '"season"'), encoding="utf-8"
-        )
+        fix_sleep(tmp_path)
         edited_diags, _, edited = self._run(tmp_path, cache_dir)
         assert (edited.cache_hits, edited.cache_misses) == (2, 1)
-        assert edited_diags == []  # collision resolved by the edit
+        assert edited_diags == []  # the edit removed the blocking call
 
     def test_config_change_invalidates(self, tmp_path):
-        write_tree(tmp_path, RPR006_COLLIDING)
+        write_tree(tmp_path, LOCKED_SLEEP)
         cache_dir = tmp_path / ".cache"
         self._run(tmp_path, cache_dir)
 
@@ -497,7 +309,7 @@ class TestSummaryCache:
         assert stats.cache_hits == 0  # different config fingerprint
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        write_tree(tmp_path, RPR006_COLLIDING)
+        write_tree(tmp_path, LOCKED_SLEEP)
         cache_dir = tmp_path / ".cache"
         diags, _, _ = self._run(tmp_path, cache_dir)
         for entry in cache_dir.glob("*.lint.json"):
@@ -512,16 +324,13 @@ class TestWorkerEquivalence:
     def test_diagnostics_identical_at_any_worker_count(
         self, tmp_path, workers
     ):
-        files = {**RPR006_COLLIDING, **{
-            k: v for k, v in RPR009_FILES.items() if k != "pkg/__init__.py"
-        }}
-        write_tree(tmp_path, files)
+        write_tree(tmp_path, {**LOCKED_SLEEP, **OVERFLOW_PACK})
         config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
         serial, _, _ = lint_repository(config, workers=0, use_cache=False)
         parallel, _, _ = lint_repository(
             config, workers=workers, use_cache=False
         )
-        assert sorted(codes(serial)) == ["RPR006", "RPR009"]
+        assert sorted(codes(serial)) == ["RPR011", "RPR017"]
         assert parallel == serial
 
 
@@ -545,7 +354,7 @@ def write_cli_project(tmp_path, files):
 
 class TestCli:
     def test_sarif_output_matches_golden(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, RPR006_COLLIDING)
+        pyproject = write_cli_project(tmp_path, LOCKED_SLEEP)
         out_file = tmp_path / "lint.sarif"
         status = main([
             "--config", str(pyproject),
@@ -563,10 +372,12 @@ class TestCli:
     def test_sarif_results_cover_all_registered_rules(self):
         sarif = to_sarif([], REGISTRY)
         rule_ids = [r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]]
-        assert rule_ids == [f"RPR{i:03d}" for i in range(1, 20)]
+        assert rule_ids == [
+            "RPR001", "RPR002", "RPR008", "RPR011", "RPR017", "RPR018",
+        ]
 
     def test_update_baseline_prunes_stale_entry(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, RPR006_COLLIDING)
+        pyproject = write_cli_project(tmp_path, LOCKED_SLEEP)
 
         status = main(["--config", str(pyproject), "--write-baseline"])
         capsys.readouterr()
@@ -574,11 +385,8 @@ class TestCli:
         baseline_path = tmp_path / "lint-baseline.json"
         assert len(Baseline.load(baseline_path).entries) == 1
 
-        # Fix the collision: the baselined entry goes stale.
-        target = tmp_path / "pkg" / "b.py"
-        target.write_text(
-            target.read_text().replace('"year"', '"season"'), encoding="utf-8"
-        )
+        # Fix the blocking call: the baselined entry goes stale.
+        fix_sleep(tmp_path)
         status = main(["--config", str(pyproject), "--update-baseline"])
         out = capsys.readouterr().out
         assert status == 1
@@ -619,7 +427,7 @@ class TestCli:
         assert status == 0
 
     def test_workers_flag_matches_serial(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, RPR006_COLLIDING)
+        pyproject = write_cli_project(tmp_path, LOCKED_SLEEP)
         outputs = []
         for flags in ([], ["--workers", "2"]):
             status = main([

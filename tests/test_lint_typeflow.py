@@ -1,10 +1,11 @@
-"""Tests for the typeflow pass (repro.lint.typeflow, RPR010-014).
+"""Tests for the typeflow pass (repro.lint.typeflow) and its RPR011 rule.
 
-Each typeflow rule gets a seeded-violation fixture package plus a clean
-counterpart; the pass itself is exercised for cache invalidation when the
-unit lattice changes, worker-count independence, SARIF output against a
-golden file, ``--select``/``--ignore`` filtering, and the
-``[tool.repro-lint.paths]`` path-scoped rule sets.
+The overflow rule gets a seeded-violation fixture package plus clean
+counterparts; the pass itself is exercised for interprocedural value
+propagation, cache invalidation when the unit lattice changes,
+worker-count independence, SARIF output against a golden file,
+``--select``/``--ignore`` filtering, and the ``[tool.repro-lint.paths]``
+path-scoped rule sets.
 """
 
 import json
@@ -31,7 +32,7 @@ GOLDEN_SARIF = Path(__file__).resolve().parent / "data" / "lint_typeflow_golden.
 
 #: File rules are exercised by tests/test_lint.py; fixtures here disable
 #: them so each assertion sees only the typeflow rule under test.
-FILE_RULES = ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005"]
+FILE_RULES = ["RPR001", "RPR002"]
 
 
 def write_tree(root, files):
@@ -45,7 +46,6 @@ def run_project(tmp_path, files, **cfg_kwargs):
     write_tree(tmp_path, files)
     cfg_kwargs.setdefault("paths", ["pkg"])
     cfg_kwargs.setdefault("disable", FILE_RULES)
-    cfg_kwargs.setdefault("dtype_layouts", [])
     config = LintConfig(root=tmp_path, **cfg_kwargs)
     diags, project, stats = lint_repository(config, use_cache=False)
     return diags, project, stats
@@ -62,11 +62,11 @@ def codes(diags):
 
 class TestLattice:
     def test_parse_dtype_struct_codes_and_endianness(self):
-        assert parse_dtype("<u4") == ("uint32", "<")
-        assert parse_dtype("u2") == ("uint16", None)
-        assert parse_dtype("float64") == ("float64", None)
-        assert parse_dtype("numpy.uint8") == ("uint8", None)
-        assert parse_dtype("not-a-dtype") == (None, None)
+        assert parse_dtype("<u4") == "uint32"
+        assert parse_dtype("u2") == "uint16"
+        assert parse_dtype("float64") == "float64"
+        assert parse_dtype("numpy.uint8") == "uint8"
+        assert parse_dtype("not-a-dtype") is None
 
     def test_int_capacity_loses_a_bit_when_signed(self):
         assert int_capacity("uint64") == 64
@@ -85,53 +85,6 @@ class TestLattice:
 
     def test_fingerprint_is_stable(self):
         assert lattice_fingerprint() == lattice_fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# RPR010: narrowing casts
-# ---------------------------------------------------------------------------
-
-
-RPR010_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/narrow.py": """\
-        import numpy as np
-
-        def shrink(batch):
-            ips = batch.src_ip
-            return ips.astype(np.uint16)
-    """,
-}
-
-
-class TestNarrowingCastRule:
-    def test_narrowing_cast_of_column_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR010_FILES)
-        assert codes(diags) == ["RPR010"]
-        assert "uint16" in diags[0].message
-        assert "src_ip" in diags[0].message
-
-    def test_widening_cast_clean(self, tmp_path):
-        files = dict(RPR010_FILES)
-        files["pkg/narrow.py"] = files["pkg/narrow.py"].replace(
-            "np.uint16", "np.uint64"
-        )
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_cast_proven_to_fit_by_shift_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/fold.py": """\
-                import numpy as np
-
-                def fold(batch):
-                    wide = batch.src_ip.astype(np.uint64)
-                    return (wide >> np.uint64(16)).astype(np.uint16)
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
 
 
 # ---------------------------------------------------------------------------
@@ -185,202 +138,37 @@ class TestOverflowArithmeticRule:
 
 
 # ---------------------------------------------------------------------------
-# RPR012: unit mixing
-# ---------------------------------------------------------------------------
-
-
-RPR012_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/units.py": """\
-        def drift(batch):
-            return batch.time + batch.src_port
-
-        def lagged(batch, cutoff_seconds):
-            return batch.src_port > cutoff_seconds
-    """,
-}
-
-
-class TestUnitMixingRule:
-    def test_add_and_compare_across_units_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR012_FILES)
-        assert codes(diags) == ["RPR012", "RPR012"]
-        assert "seconds" in diags[0].message
-        assert "port" in diags[0].message
-
-    def test_same_unit_arithmetic_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/units.py": """\
-                def relative(batch):
-                    return batch.time - batch.time[0]
-
-                def padded(batch):
-                    return batch.time + 0.5
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
-# RPR013: persisted-dtype drift
-# ---------------------------------------------------------------------------
-
-
-RPR013_SPEC = "pkg/decl.py:_COLUMNS:pkg/ser.py:_ORDER"
-
-RPR013_LAYOUT = {
-    "pkg/__init__.py": "",
-    "pkg/decl.py": '_COLUMNS = (("time", "float64"), ("src_ip", "uint32"))\n',
-    "pkg/ser.py": '_ORDER = (("time", "<f8"), ("src_ip", "<u2"))\n',
-}
-
-
-class TestPersistedDtypeDriftRule:
-    def test_layout_width_drift_flagged(self, tmp_path):
-        diags, _, _ = run_project(
-            tmp_path, RPR013_LAYOUT, dtype_layouts=[RPR013_SPEC]
-        )
-        assert codes(diags) == ["RPR013"]
-        assert "declared uint32" in diags[0].message
-        assert "uint16" in diags[0].message
-
-    def test_missing_endianness_marker_flagged(self, tmp_path):
-        files = dict(RPR013_LAYOUT)
-        files["pkg/ser.py"] = '_ORDER = (("time", "f8"), ("src_ip", "<u4"))\n'
-        diags, _, _ = run_project(
-            tmp_path, files, dtype_layouts=[RPR013_SPEC]
-        )
-        assert codes(diags) == ["RPR013"]
-        assert "little-endian" in diags[0].message
-
-    def test_matching_layouts_clean(self, tmp_path):
-        files = dict(RPR013_LAYOUT)
-        files["pkg/ser.py"] = '_ORDER = (("time", "<f8"), ("src_ip", "<u4"))\n'
-        diags, _, _ = run_project(
-            tmp_path, files, dtype_layouts=[RPR013_SPEC]
-        )
-        assert diags == []
-
-    def test_savez_sink_dtype_drift_flagged(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/persist.py": """\
-                import numpy as np
-
-                def persist(path, batch):
-                    np.savez(path, time=batch.time.astype(np.float32))
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR013"]
-        assert "float32" in diags[0].message
-        assert "float64" in diags[0].message
-
-    def test_savez_declared_dtype_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/persist.py": """\
-                import numpy as np
-
-                def persist(path, batch):
-                    np.savez(path, time=batch.time)
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-
-# ---------------------------------------------------------------------------
-# RPR014: float accumulation
-# ---------------------------------------------------------------------------
-
-
-RPR014_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/accum.py": """\
-        import numpy as np
-
-        def total(batch):
-            return np.sum(batch.time, dtype=np.float32)
-
-        def total_py(batch):
-            return sum(batch.time)
-    """,
-}
-
-
-class TestFloatAccumulationRule:
-    def test_float32_and_python_sum_flagged(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, RPR014_FILES)
-        assert codes(diags) == ["RPR014", "RPR014"]
-        assert "float32" in diags[0].message
-        assert "sum()" in diags[1].message
-
-    def test_float64_accumulators_clean(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/accum.py": """\
-                import numpy as np
-
-                def total(batch):
-                    return np.sum(batch.time)
-
-                def total_explicit(batch):
-                    return np.sum(batch.time, dtype=np.float64)
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert diags == []
-
-    def test_float32_loop_accumulator_flagged(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/stream.py": """\
-                import numpy as np
-
-                def stream(batch):
-                    acc = np.float32(0.0)
-                    for i in range(3):
-                        acc += batch.time[0]
-                    return acc
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR014"]
-        assert "loop" in diags[0].message
-
-
-# ---------------------------------------------------------------------------
 # interprocedural propagation
 # ---------------------------------------------------------------------------
 
 
+#: The helper's parameter is untracked on its own; only the call site in
+#: another module makes it a 32-bit ``src_ip`` value held in uint64.
+INTERPROCEDURAL_FILES = {
+    "pkg/__init__.py": "",
+    "pkg/helpers.py": """\
+        import numpy as np
+
+        def spread(values):
+            return values << np.uint64(40)
+    """,
+    "pkg/use.py": """\
+        import numpy as np
+
+        from pkg.helpers import spread
+
+        def pack(batch):
+            return spread(batch.src_ip.astype(np.uint64))
+    """,
+}
+
+
 class TestInterprocedural:
     def test_column_provenance_crosses_call_boundaries(self, tmp_path):
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/helpers.py": """\
-                import numpy as np
-
-                def widen(values):
-                    return values.astype(np.uint64)
-            """,
-            "pkg/use.py": """\
-                import numpy as np
-
-                from pkg.helpers import widen
-
-                def pack(batch):
-                    wide = widen(batch.src_ip)
-                    return wide.astype(np.uint8)
-            """,
-        }
-        diags, _, _ = run_project(tmp_path, files)
-        assert codes(diags) == ["RPR010"]
-        assert "uint8" in diags[0].message
-        assert diags[0].path.endswith("use.py")
+        diags, _, _ = run_project(tmp_path, INTERPROCEDURAL_FILES)
+        assert codes(diags) == ["RPR011"]
+        assert "72 bits" in diags[0].message
+        assert diags[0].path.endswith("helpers.py")
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +178,7 @@ class TestInterprocedural:
 
 class TestLatticeCache:
     def _run(self, tmp_path, cache_dir):
-        config = LintConfig(
-            root=tmp_path, paths=["pkg"], disable=FILE_RULES, dtype_layouts=[]
-        )
+        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
         return lint_repository(
             config, workers=0, cache_dir=cache_dir, use_cache=True
         )
@@ -428,22 +214,13 @@ class TestWorkerEquivalence:
     def test_typeflow_diagnostics_identical_at_any_worker_count(
         self, tmp_path, workers
     ):
-        files = {
-            **RPR010_FILES,
-            **{k: v for k, v in RPR011_FILES.items() if k != "pkg/__init__.py"},
-            **{k: v for k, v in RPR012_FILES.items() if k != "pkg/__init__.py"},
-        }
-        write_tree(tmp_path, files)
-        config = LintConfig(
-            root=tmp_path, paths=["pkg"], disable=FILE_RULES, dtype_layouts=[]
-        )
+        write_tree(tmp_path, {**RPR011_FILES, **INTERPROCEDURAL_FILES})
+        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
         serial, _, _ = lint_repository(config, workers=0, use_cache=False)
         parallel, _, _ = lint_repository(
             config, workers=workers, use_cache=False
         )
-        assert sorted(codes(serial)) == [
-            "RPR010", "RPR011", "RPR012", "RPR012",
-        ]
+        assert codes(serial) == ["RPR011", "RPR011"]
         assert parallel == serial
 
 
@@ -452,34 +229,47 @@ class TestWorkerEquivalence:
 # ---------------------------------------------------------------------------
 
 
+#: One finding each from RPR011 (pack.py), RPR017 (lock.py: a sleep
+#: under the lock), RPR018 (lock.py: a done callback re-entering it) and,
+#: outside the RPR01 family, RPR002 (seed.py: a generator built directly;
+#: reported only where RPR002 is enabled).
 MIXED_FILES = {
     "pkg/__init__.py": "",
-    "pkg/a.py": """\
-        from repro._util.rng import derive_rng
+    "pkg/lock.py": """\
+        import threading
+        import time
 
-        def f(rng, year):
-            return derive_rng(rng, "year", year)
-    """,
-    "pkg/b.py": """\
-        from repro._util.rng import derive_rng
+        class Queue:
+            def __init__(self):
+                self._lock = threading.Lock()
 
-        def g(rng):
-            return derive_rng(rng, "year", 2020)
+            def start(self, fut):
+                with self._lock:
+                    time.sleep(0.1)
+                    fut.add_done_callback(self._on_done)
+
+            def _on_done(self, fut):
+                with self._lock:
+                    pass
     """,
     "pkg/pack.py": RPR011_FILES["pkg/pack.py"],
+    "pkg/seed.py": """\
+        import numpy as np
+
+        g = np.random.default_rng(42)
+    """,
 }
 
 
-def write_cli_project(tmp_path, files):
+def write_cli_project(tmp_path, files, disable_rules=FILE_RULES):
     write_tree(tmp_path, files)
-    disable = ", ".join(f'"{c}"' for c in FILE_RULES)
+    disable = ", ".join(f'"{c}"' for c in disable_rules)
     (tmp_path / "pyproject.toml").write_text(textwrap.dedent(f"""\
         [tool.repro-lint]
         paths = ["pkg"]
         disable = [{disable}]
         cache = ""
         schema-sites = []
-        dtype-layouts = []
     """), encoding="utf-8")
     return tmp_path / "pyproject.toml"
 
@@ -495,38 +285,45 @@ def cli_result_codes(pyproject, extra_args):
     return status, [r["ruleId"] for r in sarif["runs"][0]["results"]]
 
 
+def write_mixed_project(tmp_path):
+    """The MIXED_FILES project with RPR002 on, so it reports four codes."""
+    return write_cli_project(tmp_path, MIXED_FILES, disable_rules=["RPR001"])
+
+
 class TestSelectIgnore:
     def test_select_keeps_only_matching_codes(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, MIXED_FILES)
+        pyproject = write_mixed_project(tmp_path)
         status, rule_ids = cli_result_codes(pyproject, ["--select", "RPR011"])
         capsys.readouterr()
         assert status == 1
         assert rule_ids == ["RPR011"]
 
     def test_ignore_drops_matching_codes(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, MIXED_FILES)
+        pyproject = write_mixed_project(tmp_path)
         status, rule_ids = cli_result_codes(pyproject, ["--ignore", "RPR011"])
         capsys.readouterr()
         assert status == 1
-        assert rule_ids == ["RPR006"]
+        assert sorted(rule_ids) == ["RPR002", "RPR017", "RPR018"]
 
     def test_select_prefix_matches_family(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, MIXED_FILES)
+        pyproject = write_mixed_project(tmp_path)
+        _, unfiltered = cli_result_codes(pyproject, [])
         status, rule_ids = cli_result_codes(pyproject, ["--select", "RPR01"])
         capsys.readouterr()
+        assert sorted(unfiltered) == ["RPR002", "RPR011", "RPR017", "RPR018"]
         assert status == 1
-        assert rule_ids == ["RPR011"]
+        assert sorted(rule_ids) == ["RPR011", "RPR017", "RPR018"]
 
     def test_invalid_code_prefix_is_a_usage_error(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, MIXED_FILES)
+        pyproject = write_mixed_project(tmp_path)
         status = main(["--config", str(pyproject), "--select", "E501"])
         err = capsys.readouterr().err
         assert status == 2
         assert "RPR" in err
 
     def test_config_select_applies_without_cli_flag(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, MIXED_FILES, select=["RPR012"])
-        assert diags == []  # nothing in the fixture matches RPR012
+        diags, _, _ = run_project(tmp_path, MIXED_FILES, select=["RPR008"])
+        assert diags == []  # nothing in the fixture matches RPR008
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +338,7 @@ PATHS_BLOCK = """\
 
     [tool.repro-lint.paths]
     "src/repro" = []
-    "benchmarks" = ["RPR001", "RPR006"]
+    "benchmarks" = ["RPR001", "RPR002"]
 """
 
 
@@ -552,14 +349,14 @@ class TestPathScopedRules:
         cfg = load_config(pyproject)
         assert cfg.paths == ["src/repro", "benchmarks"]
         assert cfg.path_rules == {
-            "src/repro": [], "benchmarks": ["RPR001", "RPR006"],
+            "src/repro": [], "benchmarks": ["RPR001", "RPR002"],
         }
 
     def test_fallback_parser_reads_subtables(self):
         parsed = _fallback_parse(textwrap.dedent(PATHS_BLOCK))
         assert parsed["cache"] == ""
         assert parsed["paths"] == {
-            "src/repro": [], "benchmarks": ["RPR001", "RPR006"],
+            "src/repro": [], "benchmarks": ["RPR001", "RPR002"],
         }
 
     def test_load_config_via_fallback_parser(self, tmp_path, monkeypatch):
@@ -568,7 +365,7 @@ class TestPathScopedRules:
         pyproject.write_text(textwrap.dedent(PATHS_BLOCK), encoding="utf-8")
         cfg = load_config(pyproject)
         assert cfg.paths == ["src/repro", "benchmarks"]
-        assert cfg.path_rules["benchmarks"] == ["RPR001", "RPR006"]
+        assert cfg.path_rules["benchmarks"] == ["RPR001", "RPR002"]
 
     def test_scalar_paths_key_still_accepted(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"

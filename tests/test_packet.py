@@ -173,8 +173,7 @@ class TestPacketBatchOps:
 
 
 class TestPacketBatchImmutability:
-    """The immutability invariant is enforced at runtime, not just by docs
-    (and statically by lint rule RPR004)."""
+    """The immutability invariant is enforced at runtime, not just by docs."""
 
     def test_column_write_raises(self):
         b = PacketBatch.from_packets(make_packets(3))

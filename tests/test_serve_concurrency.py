@@ -3,10 +3,9 @@
 N threads hammer JobQueue and ScenarioStore with mixed operations while
 an invariant checker reads consistent snapshots concurrently; every test
 runs under a watchdog join so a deadlock fails fast instead of hanging
-the suite.  The invariants asserted here are the ones the concurrency
-lint pass (RPR015-019) exists to protect: counters consistent with job
-records, no lost scenario updates, snapshot reads never observing a
-half-applied transition.
+the suite.  These tests are what hold the lock discipline of the serve
+layer: counters consistent with job records, no lost scenario updates,
+snapshot reads never observing a half-applied transition.
 """
 
 import threading

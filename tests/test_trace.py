@@ -17,6 +17,8 @@ from repro.telescope import (
     read_trace,
     write_trace,
 )
+from repro.telescope.packet import _COLUMNS
+from repro.telescope.trace import _COLUMN_ORDER
 
 
 def sample_batch(n=100):
@@ -81,6 +83,109 @@ class TestRoundTrip:
         w = TraceWriter(tmp_path / "x.rtrace")
         with pytest.raises(RuntimeError):
             w.write(sample_batch(1))
+
+
+class TestColumnLayout:
+    """The serialised column order mirrors the in-memory column table."""
+
+    def test_names_match_packet_columns_in_order(self):
+        assert [n for n, _ in _COLUMN_ORDER] == [n for n, _ in _COLUMNS]
+
+    def test_each_column_keeps_its_declared_dtype_little_endian(self):
+        for (name, spelling), (_, declared) in zip(_COLUMN_ORDER, _COLUMNS):
+            assert np.dtype(spelling) == np.dtype(declared).newbyteorder("<"), name
+
+    def test_multibyte_columns_spell_explicit_little_endian(self):
+        for name, spelling in _COLUMN_ORDER:
+            if np.dtype(spelling).itemsize > 1:
+                assert spelling.startswith("<"), name
+
+
+class TestInterruptedWrite:
+    """A write lands whole or not at all: the target path only ever holds
+    a complete capture."""
+
+    def _fail_after_two_chunks(self, path):
+        with pytest.raises(RuntimeError, match="boom"):
+            with TraceWriter(path, meta={"k": 1}) as w:
+                w.write(sample_batch(100))
+                w.write(sample_batch(100))
+                raise RuntimeError("boom")
+
+    def test_failed_write_leaves_previous_capture_byte_identical(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_trace(path, sample_batch(30), meta={"old": True})
+        before = path.read_bytes()
+        self._fail_after_two_chunks(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.rtrace"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        self._fail_after_two_chunks(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        write_trace(tmp_path / "t.rtrace", sample_batch(5))
+        (tmp_path / "plain").write_bytes(b"")
+        mode = (tmp_path / "t.rtrace").stat().st_mode & 0o777
+        assert mode == (tmp_path / "plain").stat().st_mode & 0o777
+
+    def test_write_through_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "store" / "t.rtrace"
+        target.parent.mkdir()
+        write_trace(target, sample_batch(30))
+        link = tmp_path / "link.rtrace"
+        link.symlink_to(target)
+        write_trace(link, sample_batch(10))
+        assert link.is_symlink()
+        assert len(read_trace(target)[0]) == 10
+        assert [p.name for p in target.parent.iterdir()] == ["t.rtrace"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.rtrace", "store"]
+
+    def test_rewrite_puts_a_new_file_at_the_path(self, tmp_path):
+        """The rename replaces the inode: another hard link keeps the old
+        capture, and the old file's mode does not carry over."""
+        path = tmp_path / "t.rtrace"
+        write_trace(path, sample_batch(30))
+        fresh_mode = path.stat().st_mode & 0o777
+        path.chmod(0o400 if fresh_mode != 0o400 else 0o600)
+        other = tmp_path / "other.rtrace"
+        os.link(path, other)
+        before = other.read_bytes()
+        write_trace(path, sample_batch(10))
+        assert other.read_bytes() == before
+        assert len(read_trace(path)[0]) == 10
+        assert path.stat().st_mode & 0o777 == fresh_mode
+
+    def test_held_reader_survives_rewrite_of_its_path(self, tmp_path):
+        """A reader's views stay valid, with the old values, while
+        ``write_trace`` rewrites the same path.  Runs in a child process,
+        because a view into a truncated mapping dies of SIGBUS instead of
+        raising."""
+        script = """
+import sys
+import numpy as np
+from repro.telescope import TraceReader, write_trace
+from tests.test_trace import sample_batch
+
+path = sys.argv[1]
+batch = sample_batch(200_000)
+write_trace(path, batch)
+with TraceReader(path) as reader:
+    (chunk,) = list(reader)
+    write_trace(path, sample_batch(10))
+    for name, col in batch.columns().items():
+        assert np.array_equal(chunk.columns()[name], col), name
+"""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "t.rtrace")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, (child.returncode, child.stderr)
 
 
 class TestFormatErrors:
@@ -380,10 +485,10 @@ class TestMappedReader:
 
 class TestReadTraceCopies:
     def test_loaded_batch_survives_in_place_rewrite(self, tmp_path):
-        """``read_trace`` copies out of the mapping: rewriting the file in
-        place with a shorter capture leaves the loaded batch intact.  Runs in
-        a child process, because a view into a truncated mapping faults with
-        SIGBUS instead of raising."""
+        """``read_trace`` copies out of the mapping: rewriting the path with
+        a shorter capture leaves the loaded batch intact.  Runs in a child
+        process, so a fault in the mapping (SIGBUS) fails this test rather
+        than the suite."""
         script = """
 import sys
 import numpy as np
@@ -394,7 +499,7 @@ path = sys.argv[1]
 batch = sample_batch(5000)
 write_trace(path, batch)  # one chunk: the case a view could stand in for
 loaded, _ = read_trace(path)
-write_trace(path, sample_batch(10))  # same inode, truncated and rewritten
+write_trace(path, sample_batch(10))  # rewrite the path, shorter
 for name, col in batch.columns().items():
     assert np.array_equal(loaded.columns()[name], col), name
 """
