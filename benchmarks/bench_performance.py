@@ -21,6 +21,7 @@ from conftest import BENCH_DAYS, BENCH_MAX_PACKETS, BENCH_SEED
 from repro.core.campaigns import identify_scans
 from repro.core.fingerprints import ToolFingerprinter
 from repro.enrichment import ScannerClassifier
+from repro.exec import CaptureCache
 from repro.simulation import TelescopeWorld
 from repro.stream import (
     BatchStreamSource,
@@ -92,6 +93,27 @@ def test_perf_simulate_year(benchmark):
     benchmark.extra_info["packets"] = len(result.batch)
     benchmark.extra_info["campaigns"] = len(result.campaigns)
     assert not result.cache_hit
+
+
+def test_perf_capture_cache(benchmark, tmp_path):
+    """``CaptureCache.store`` then ``load`` of one cold-report period (2024,
+    7 days, 100k packets, 300 min scans, world seed 7): the ``.rtrace``
+    write and checked read, and the ground-truth campaign columns."""
+    world = TelescopeWorld(rng=7)
+    budget = dict(days=7, max_packets=100_000, min_scans=300)
+    result = world.simulate_year(2024, **budget)
+    cache = CaptureCache(tmp_path / "cache")
+    key = cache.key_for(world, 2024, **budget)
+
+    def round_trip():
+        cache.store(key, result)
+        return cache.load(key, world)
+
+    loaded = benchmark.pedantic(round_trip, rounds=5, iterations=1,
+                                warmup_rounds=1)
+    assert loaded.cache_hit and loaded.campaigns == result.campaigns
+    benchmark.extra_info["campaigns"] = len(result.campaigns)
+    benchmark.extra_info["entry_bytes"] = cache.path_for(key).stat().st_size
 
 
 def test_perf_identify_scans(perf_batch, benchmark):

@@ -252,11 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cch = sub.add_parser("cache", help="inspect and prune the capture cache")
     cch_sub = cch.add_subparsers(dest="cache_command", required=True)
-    cls = cch_sub.add_parser("ls", help="list cached captures, LRU first")
+    cls = cch_sub.add_parser(
+        "ls", help="list orphaned temp files, then cached captures LRU first")
     cls.add_argument("--cache-dir", type=Path, required=True)
     cpr = cch_sub.add_parser(
         "prune",
-        help="evict least-recently-used captures until the cache fits",
+        help="delete orphaned temp files, then evict least-recently-used "
+             "captures until the cache fits",
     )
     cpr.add_argument("--cache-dir", type=Path, required=True)
     cpr.add_argument("--max-bytes", type=str, required=True,
@@ -595,6 +597,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+#: The metadata ``anonymize`` carries over: scalars that describe the
+#: period.  Anything else (a capture-cache entry's ground-truth campaign
+#: columns, say) may name raw addresses, so it is dropped.
+_ANONYMIZED_META_KEYS = ("year", "days", "packet_scale", "scan_scale", "seed")
+
+
 def _cmd_anonymize(args: argparse.Namespace) -> int:
     try:
         batch, meta = _load_capture(args)
@@ -603,7 +611,7 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = anonymizer.anonymize_batch(batch, sources_only=not args.both_sides)
-    meta = dict(meta)
+    meta = {k: meta[k] for k in _ANONYMIZED_META_KEYS if k in meta}
     meta["anonymized"] = True
     write_trace(args.out, out, meta=meta)
     print(f"wrote {len(out):,} anonymised packets to {args.out}")
@@ -616,10 +624,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = CaptureCache(args.cache_dir)
     if args.cache_command == "ls":
         entries = cache.usage()
+        orphans = sum(entry.orphan for entry in entries)
         for entry in entries:
-            print(f"{entry.key}  {format_bytes(entry.bytes):>10}  {entry.path}")
-        print(f"{len(entries)} entr(y/ies), "
-              f"{format_bytes(cache.total_bytes())} total", file=sys.stderr)
+            note = "  (orphaned temp file)" if entry.orphan else ""
+            print(f"{entry.key}  {format_bytes(entry.bytes):>10}  "
+                  f"{entry.path}{note}")
+        print(f"{len(entries) - orphans} entr(y/ies), {orphans} orphaned "
+              f"temp file(s), {format_bytes(sum(e.bytes for e in entries))} "
+              "total", file=sys.stderr)
         return 0
     try:
         budget = _parse_size(args.max_bytes)
@@ -628,7 +640,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 2
     removed = cache.prune(budget)
     for entry in removed:
-        print(f"evicted {entry.key}  {format_bytes(entry.bytes)}")
+        note = "  (orphaned temp file)" if entry.orphan else ""
+        print(f"evicted {entry.key}  {format_bytes(entry.bytes)}{note}")
     print(f"{len(removed)} evicted; "
           f"{format_bytes(cache.total_bytes())} retained", file=sys.stderr)
     return 0

@@ -25,9 +25,12 @@ the rare experimental path.
 
 Entries are written atomically (``write_trace`` writes a temp file and
 ``os.replace``-s it into place) so a crashed or concurrent writer can
-never leave a truncated entry behind; the packet columns live in the
-trace chunks and the ground-truth campaign list plus scale metadata in
-the trace's JSON meta block.
+never leave a truncated entry behind; a writer killed mid-store leaves
+only its temp file, which :meth:`CaptureCache.orphans` finds once the
+writer's pid is gone and ``prune`` deletes.  The packet columns live in
+the trace chunks, the ground-truth campaign list as typed columns in the
+trace's array block, and the scale metadata in its JSON meta block.  The
+``.rtrace`` checksums make a flipped byte anywhere in an entry a miss.
 """
 
 from __future__ import annotations
@@ -35,10 +38,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
 import os
+import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -47,11 +53,13 @@ from repro._util.rng import stream_signature
 from repro.telescope.trace import TraceFormatError, read_trace, write_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.simulation.campaigns import CampaignSpec
     from repro.simulation.world import SimulationResult, TelescopeWorld
 
-#: Bump to invalidate every existing cache entry (e.g. when the generator's
-#: draw order changes without any config/version change).
-CACHE_SCHEMA_VERSION = 1
+#: Bump to invalidate every existing cache entry: when the generator's draw
+#: order changes without any config/version change, or when the entry
+#: layout :meth:`CaptureCache.store` writes changes.
+CACHE_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -105,47 +113,78 @@ def _telescope_token(telescope) -> Dict[str, Any]:
     }
 
 
-def _spec_to_json(spec) -> Dict[str, Any]:
-    """Serialise one ground-truth CampaignSpec for the trace meta block."""
-    return {
-        "campaign_id": spec.campaign_id,
-        "cohort": spec.cohort,
-        "scanner_type": spec.scanner_type.value,
-        "tool": spec.tool.value,
-        "country": spec.country,
-        "src_ips": list(spec.src_ips),
-        "ports": list(spec.ports),
-        "start": spec.start,
-        "rate_pps": spec.rate_pps,
-        "telescope_hits": spec.telescope_hits,
-        "ipv4_coverage": spec.ipv4_coverage,
-        "sequential": spec.sequential,
-        "fingerprintable": spec.fingerprintable,
-        "organisation": spec.organisation,
-    }
+def _flatten(groups: Sequence[Sequence[int]], dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged integer tuples as one flat column plus ``int64`` offsets.
+
+    Group ``i`` is ``values[offsets[i]:offsets[i + 1]]``.
+    """
+    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(group) for group in groups])
+    values = np.fromiter(itertools.chain.from_iterable(groups), dtype=dtype,
+                         count=int(offsets[-1]))
+    return values, offsets
 
 
-def _spec_from_json(data: Dict[str, Any]):
+def _unflatten(values: Any, offsets: Any) -> List[Tuple[int, ...]]:
+    """Inverse of :func:`_flatten`; bad offsets raise ``ValueError``."""
+    flat = np.asarray(values).tolist()
+    bounds = np.asarray(offsets, dtype=np.int64)
+    if (bounds.ndim != 1 or len(bounds) == 0 or bounds[0] != 0
+            or bounds[-1] != len(flat) or np.any(np.diff(bounds) < 0)):
+        raise ValueError("ragged campaign column with bad offsets")
+    cuts = bounds.tolist()
+    return [tuple(flat[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _campaigns_from_columns(meta: Mapping[str, Any]) -> List["CampaignSpec"]:
+    """Rebuild the ground-truth campaign list :meth:`CaptureCache.store`
+    wrote as columns; columns of unequal length raise ``ValueError``."""
     from repro.enrichment.types import ScannerType
     from repro.scanners.base import Tool
     from repro.simulation.campaigns import CampaignSpec
 
-    return CampaignSpec(
-        campaign_id=int(data["campaign_id"]),
-        cohort=data["cohort"],
-        scanner_type=ScannerType(data["scanner_type"]),
-        tool=Tool(data["tool"]),
-        country=data["country"],
-        src_ips=tuple(map(int, data["src_ips"])),
-        ports=tuple(map(int, data["ports"])),
-        start=float(data["start"]),
-        rate_pps=float(data["rate_pps"]),
-        telescope_hits=int(data["telescope_hits"]),
-        ipv4_coverage=float(data["ipv4_coverage"]),
-        sequential=bool(data["sequential"]),
-        fingerprintable=bool(data["fingerprintable"]),
-        organisation=data["organisation"],
-    )
+    def column(name: str, dtype) -> List[Any]:
+        return np.asarray(meta[name], dtype=dtype).tolist()
+
+    fields = {
+        "campaign_id": column("campaign_id", np.int64),
+        "cohort": list(meta["cohort"]),
+        "scanner_type": [ScannerType(v) for v in meta["scanner_type"]],
+        "tool": [Tool(v) for v in meta["tool"]],
+        "country": list(meta["country"]),
+        "src_ips": _unflatten(meta["src_ips"], meta["src_ips_offsets"]),
+        "ports": _unflatten(meta["ports"], meta["ports_offsets"]),
+        "start": column("start", np.float64),
+        "rate_pps": column("rate_pps", np.float64),
+        "telescope_hits": column("telescope_hits", np.int64),
+        "ipv4_coverage": column("ipv4_coverage", np.float64),
+        "sequential": column("sequential", bool),
+        "fingerprintable": column("fingerprintable", bool),
+        "organisation": list(meta["organisation"]),
+    }
+    lengths = {len(values) for values in fields.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"campaign columns of unequal lengths {sorted(lengths)}")
+    names = list(fields)
+    return [CampaignSpec(**dict(zip(names, row)))
+            for row in zip(*fields.values())]
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 probes without sending)."""
+    if os.name != "posix":
+        return True  # no safe probe: treat every writer as live
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
+
+
+#: ``TraceWriter``'s temporary sibling of an entry, ``<key>.rtrace.tmp<pid>-<n>``.
+_TEMP_NAME = re.compile(r"(?P<key>.+)\.rtrace\.tmp(?P<pid>[0-9]+)-[0-9]+")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,6 +195,8 @@ class CacheEntry:
     path: Path
     bytes: int
     mtime: float
+    #: A temporary file its writer left behind when it died mid-store.
+    orphan: bool = False
 
 
 class CaptureCache:
@@ -233,7 +274,7 @@ class CaptureCache:
                 telescope=world.telescope,
                 registry=world.registry,
                 batch=batch,
-                campaigns=[_spec_from_json(s) for s in meta["campaigns"]],
+                campaigns=_campaigns_from_columns(meta),
                 packet_scale=float(meta["packet_scale"]),
                 scan_scale=float(meta["scan_scale"]),
                 background_sources=int(meta["background_sources"]),
@@ -241,10 +282,12 @@ class CaptureCache:
                 coverage_cap=float(meta["coverage_cap"]),
                 cache_hit=True,
             )
-        except (OSError, KeyError, ValueError):
+        except (OSError, KeyError, TypeError, ValueError):
             # OSError: unreadable, or removed by a concurrent prune.
-            # ValueError: damaged bytes (TraceFormatError is one) or a bad
-            # field value.  KeyError: metadata that parses but lacks a field.
+            # ValueError: damaged bytes (TraceFormatError is one, checksum
+            # mismatches included) or a bad field value.  KeyError: metadata
+            # that parses but lacks a field.  TypeError: a field of the
+            # wrong kind.
             self.misses += 1
             return None
         self.hits += 1
@@ -257,8 +300,18 @@ class CaptureCache:
         return result
 
     def store(self, key: str, result: "SimulationResult") -> Path:
-        """Persist a finished period under ``key`` (atomic)."""
+        """Persist a finished period under ``key`` (atomic).
+
+        The ground-truth campaigns are stored one ``CampaignSpec`` field
+        per key: numbers and flags as NumPy columns (the trace's typed
+        array block), each campaign's sources and ports flattened into one
+        column plus ``int64`` offsets, and the five string fields as JSON
+        lists.
+        """
         path = self.path_for(key)
+        specs = result.campaigns
+        src_ips, src_ips_offsets = _flatten([s.src_ips for s in specs], np.uint32)
+        ports, ports_offsets = _flatten([s.ports for s in specs], np.uint16)
         meta = {
             "cache_key": key,
             "year": result.year,
@@ -268,7 +321,25 @@ class CaptureCache:
             "background_sources": result.background_sources,
             "backscatter_packets": result.backscatter_packets,
             "coverage_cap": result.coverage_cap,
-            "campaigns": [_spec_to_json(s) for s in result.campaigns],
+            "campaign_id": np.array([s.campaign_id for s in specs], dtype=np.int64),
+            "cohort": [s.cohort for s in specs],
+            "scanner_type": [s.scanner_type.value for s in specs],
+            "tool": [s.tool.value for s in specs],
+            "country": [s.country for s in specs],
+            "src_ips": src_ips,
+            "src_ips_offsets": src_ips_offsets,
+            "ports": ports,
+            "ports_offsets": ports_offsets,
+            "start": np.array([s.start for s in specs], dtype=np.float64),
+            "rate_pps": np.array([s.rate_pps for s in specs], dtype=np.float64),
+            "telescope_hits": np.array([s.telescope_hits for s in specs],
+                                       dtype=np.int64),
+            "ipv4_coverage": np.array([s.ipv4_coverage for s in specs],
+                                      dtype=np.float64),
+            "sequential": np.array([s.sequential for s in specs], dtype=np.uint8),
+            "fingerprintable": np.array([s.fingerprintable for s in specs],
+                                        dtype=np.uint8),
+            "organisation": [s.organisation for s in specs],
         }
         write_trace(path, result.batch, meta=meta)
         return path
@@ -279,26 +350,43 @@ class CaptureCache:
         """Cached capture files, sorted by name."""
         return sorted(self.root.glob("*.rtrace"))
 
+    def orphans(self) -> List[Path]:
+        """Temporary files of stores whose writing process is gone.
+
+        A store writes ``<key>.rtrace.tmp<pid>-<n>`` and renames it onto
+        the entry on a clean exit; a process killed before that leaves it
+        behind.  Only files whose writer pid no longer exists are listed,
+        so a live writer's file is never touched.
+        """
+        return [
+            path for path in sorted(self.root.glob("*.rtrace.tmp*"))
+            if (match := _TEMP_NAME.fullmatch(path.name))
+            and not _pid_alive(int(match["pid"]))
+        ]
+
     def usage(self) -> List["CacheEntry"]:
-        """Entry inventory in LRU order (least recently used first).
+        """Inventory: orphaned temp files, then entries in LRU order.
 
         ``load`` refreshes an entry's mtime, so mtime order is use order.
-        Entries that vanish between the glob and the stat (concurrent
+        Files that vanish between the glob and the stat (concurrent
         prune) are skipped.
         """
         rows: List[CacheEntry] = []
-        for path in self.entries():
+        listed = [(p, False) for p in self.entries()]
+        listed += [(p, True) for p in self.orphans()]
+        for path, orphan in listed:
             try:
                 stat = path.stat()
             except OSError:
                 continue
             rows.append(CacheEntry(
-                key=path.stem,
+                key=path.name.split(".rtrace", 1)[0],
                 path=path,
                 bytes=int(stat.st_size),
                 mtime=float(stat.st_mtime),
+                orphan=orphan,
             ))
-        rows.sort(key=lambda e: (e.mtime, e.key))
+        rows.sort(key=lambda e: (not e.orphan, e.mtime, e.key))
         return rows
 
     def total_bytes(self) -> int:
@@ -306,19 +394,20 @@ class CaptureCache:
         return sum(entry.bytes for entry in self.usage())
 
     def prune(self, max_bytes: int) -> List["CacheEntry"]:
-        """Evict least-recently-used entries until the cache fits.
+        """Delete every orphaned temp file, then evict least-recently-used
+        entries until the cache fits.
 
         Deletions are plain unlinks — atomic against the cache's own
         readers, whose ``load`` treats a vanished file as a miss.  Returns
-        the entries removed (possibly none).
+        the files removed (possibly none).
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         entries = self.usage()
         total = sum(entry.bytes for entry in entries)
         removed: List[CacheEntry] = []
-        for entry in entries:  # oldest first
-            if total <= max_bytes:
+        for entry in entries:  # orphans, then oldest first
+            if total <= max_bytes and not entry.orphan:
                 break
             try:
                 entry.path.unlink()
@@ -329,9 +418,10 @@ class CaptureCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
+        """Delete every entry and orphaned temp file; returns the number
+        removed."""
         removed = 0
-        for path in self.entries():
+        for path in self.entries() + self.orphans():
             path.unlink()
             removed += 1
         return removed

@@ -14,14 +14,13 @@ and re-batching the remainder reproduces the original window sequence.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
 from repro.telescope.packet import PacketBatch
-from repro.telescope.trace import MAGIC, TraceReader
+from repro.telescope.trace import TraceReader
 
 PathLike = Union[str, Path]
 
@@ -163,23 +162,22 @@ class TraceStreamSource(StreamSource):
             self.meta = reader.meta
             #: Mirrors ``TraceReader.truncated``.
             self.truncated = reader.truncated
+            self._header_blake2b = reader.header_blake2b()
 
     def identity(self) -> Optional[Dict[str, Any]]:
-        """Size plus a digest of the metadata block.
+        """Size plus a digest of the header as stored.
 
         Cheap (no full-content read) yet specific enough that a different
         capture squatting on the same path misses the checkpoint instead of
-        corrupting the resume.
+        corrupting the resume.  The digest covers the magic, the metadata
+        and the array block (:meth:`TraceReader.header_blake2b`), so an
+        ``RTRACE01`` capture keeps the identity it always had and
+        checkpoints written over it still resume.
         """
-        import json
-
-        meta_blob = json.dumps(self.meta, sort_keys=True).encode("utf-8")
         return {
             "kind": "rtrace",
             "size": self.path.stat().st_size,
-            "meta_blake2b": hashlib.blake2b(
-                MAGIC + meta_blob, digest_size=16
-            ).hexdigest(),
+            "meta_blake2b": self._header_blake2b,
         }
 
     def windows(self, skip_packets: int = 0) -> Iterator[PacketBatch]:

@@ -4,14 +4,33 @@ A compact column-oriented on-disk format for telescope captures, replacing
 raw pcap for this reproduction (pcap carries full frames; the analyses only
 need the header subset in :class:`~repro.telescope.packet.PacketBatch`).
 
-Layout::
+Layout (every integer little-endian)::
 
-    magic      8 bytes  b"RTRACE01"
-    meta_len   4 bytes  little-endian uint32
-    meta       meta_len bytes, UTF-8 JSON (arbitrary user metadata)
-    chunks     repeated until EOF:
-        n_packets   4 bytes little-endian uint32   (0 terminates the stream)
+    magic       8 bytes  b"RTRACE02"
+    meta_len    4 bytes  uint32
+    meta        meta_len bytes, UTF-8 JSON object: the plain metadata values
+    arrays_len  4 bytes  uint32 (0 when the metadata holds no array)
+    arrays      arrays_len bytes, the metadata's NumPy arrays:
+        dir_len     4 bytes  uint32
+        directory   dir_len bytes, UTF-8 JSON list of [name, dtype, length]
+        data        each array's raw little-endian bytes, in directory order
+    header_crc  4 bytes  zlib.crc32 of every byte above
+    chunks      repeated:
+        n_packets   4 bytes  uint32 (0 ends the stream)
+        count_crc   4 bytes  zlib.crc32 of the n_packets field
         columns     raw little-endian arrays, in fixed column order
+        data_crc    4 bytes  zlib.crc32 of the columns
+    end         4 bytes  a zero n_packets, the last bytes of the file
+
+Any metadata value that is a NumPy array is stored as one 1-D column of
+the array block rather than as JSON; the directory admits little-endian
+bool, int, uint, float and unicode dtypes only, so reading a file never
+builds an object array or unpickles anything.  The header CRC is checked
+when the file is opened, each chunk header's CRC during the chunk walk,
+and each chunk's data CRC the first time the chunk is handed out, so any
+single flipped byte raises :class:`TraceFormatError`.  ``RTRACE01`` files
+(no array block, chunk headers of ``n_packets`` alone, no checksums) are
+still read; only ``RTRACE02`` is written.
 
 Chunking lets a writer stream a multi-day capture without holding it in
 memory.  :class:`TraceWriter` writes a temporary file beside the target
@@ -24,11 +43,14 @@ owned batch.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import mmap
 import os
+import re
 import struct
+import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -36,7 +58,9 @@ import numpy as np
 
 from repro.telescope.packet import PacketBatch
 
-MAGIC = b"RTRACE01"
+MAGIC = b"RTRACE02"
+#: The first revision: no array block and no checksums.  Read, never written.
+MAGIC_V1 = b"RTRACE01"
 
 _COLUMN_ORDER: Tuple[Tuple[str, str], ...] = (
     ("time", "<f8"),
@@ -51,11 +75,19 @@ _COLUMN_ORDER: Tuple[Tuple[str, str], ...] = (
     ("flags", "<u1"),
 )
 
+#: dtype spellings the array directory admits: little-endian (or
+#: single-byte) bool, int, uint, float and fixed-width unicode.
+_ARRAY_DTYPE = re.compile(r"\|b1|\|[iu]1|<[iu][248]|<f[248]|<U[1-9][0-9]{0,8}")
+
 PathLike = Union[str, Path]
 
 
 class TraceFormatError(ValueError):
     """Raised when a trace file is malformed or truncated."""
+
+
+def _u32(value: int) -> bytes:
+    return struct.pack("<I", value)
 
 
 def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
@@ -75,6 +107,38 @@ def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
             n += 1
 
 
+def _encode_header(meta: Dict[str, Any]) -> bytes:
+    """Magic, metadata, array block and header CRC, ready to write.
+
+    Raises ``ValueError`` for an array value that is not 1-D or whose dtype
+    the directory does not admit, ``TypeError`` for a non-string array key.
+    """
+    plain = {k: v for k, v in meta.items() if not isinstance(v, np.ndarray)}
+    directory: List[List[Any]] = []
+    data: List[bytes] = []
+    for name in sorted(k for k, v in meta.items() if isinstance(v, np.ndarray)):
+        if not isinstance(name, str):
+            raise TypeError(f"array metadata keys must be str, not {name!r}")
+        value = meta[name]
+        column = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<"))
+        if value.ndim != 1 or not _ARRAY_DTYPE.fullmatch(column.dtype.str):
+            raise ValueError(
+                f"metadata array {name!r} ({value.dtype}, shape {value.shape}) "
+                "is not a 1-D bool, int, uint, float or unicode column"
+            )
+        directory.append([name, column.dtype.str, len(column)])
+        data.append(column.tobytes())
+    arrays = b""
+    if directory:
+        listing = json.dumps(directory).encode("utf-8")
+        arrays = b"".join([_u32(len(listing)), listing, *data])
+    meta_bytes = json.dumps(plain, sort_keys=True).encode("utf-8")
+    header = b"".join(
+        [MAGIC, _u32(len(meta_bytes)), meta_bytes, _u32(len(arrays)), arrays]
+    )
+    return header + _u32(zlib.crc32(header))
+
+
 def _decode_meta(raw: bytes, path: Path) -> Dict[str, Any]:
     """Parse a metadata block; damage raises :class:`TraceFormatError`."""
     try:
@@ -86,6 +150,54 @@ def _decode_meta(raw: bytes, path: Path) -> Dict[str, Any]:
     return meta
 
 
+def _decode_arrays(buf, start: int, end: int, path: Path) -> Dict[str, np.ndarray]:
+    """The array block ``buf[start:end]`` as read-only views into ``buf``.
+
+    Every directory entry must name a new key, an admitted dtype and a
+    length that fits in what is left of the block, and the arrays must
+    fill the block exactly; anything else raises :class:`TraceFormatError`.
+    """
+    if start == end:
+        return {}
+
+    def damaged(why: str) -> TraceFormatError:
+        return TraceFormatError(f"bad array block in {path}: {why}")
+
+    if end - start < 4:
+        raise damaged("no directory length")
+    (dir_len,) = struct.unpack("<I", buf[start:start + 4])
+    pos = start + 4 + dir_len
+    if pos > end:
+        raise damaged(f"directory of {dir_len} bytes overruns the block")
+    try:
+        directory = json.loads(bytes(buf[start + 4:pos]).decode("utf-8"))
+    except ValueError as exc:
+        raise damaged(f"unreadable directory: {exc}") from exc
+    if not isinstance(directory, list):
+        raise damaged("directory is not a JSON list")
+    arrays: Dict[str, np.ndarray] = {}
+    for entry in directory:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)
+                and type(entry[2]) is int and entry[2] >= 0):
+            raise damaged(f"directory entry {entry!r} is not [name, dtype, length]")
+        name, spelling, length = entry
+        if name in arrays:
+            raise damaged(f"array {name!r} listed twice")
+        if not _ARRAY_DTYPE.fullmatch(spelling):
+            raise damaged(f"array {name!r} has unsupported dtype {spelling!r}")
+        dtype = np.dtype(spelling)
+        nbytes = length * dtype.itemsize
+        if pos + nbytes > end:
+            raise damaged(f"array {name!r} of {nbytes} bytes overruns the block")
+        arrays[name] = (np.frombuffer(buf, dtype=dtype, count=length, offset=pos)
+                        if length else np.empty(0, dtype=dtype))
+        pos += nbytes
+    if pos != end:
+        raise damaged(f"{end - pos} bytes after the last array")
+    return arrays
+
+
 class TraceWriter:
     """Streaming trace writer; use as a context manager.
 
@@ -94,6 +206,10 @@ class TraceWriter:
         with TraceWriter(path, meta={"year": 2020}) as w:
             for batch in batches:
                 w.write(batch)
+
+    ``meta`` values that are NumPy arrays go to the array block as typed
+    columns (1-D bool, int, uint, float or unicode; anything else raises
+    ``ValueError`` here); every other value must be JSON-serialisable.
 
     The chunks go to a temporary file beside ``path``.  A clean exit
     writes the end marker and renames the file onto ``path``; an
@@ -112,16 +228,13 @@ class TraceWriter:
         self._path = Path(os.path.realpath(path))
         self._file: Optional[io.BufferedWriter] = None
         self._tmp: Optional[Path] = None
-        self._meta = dict(meta or {})
+        self._header = _encode_header(dict(meta or {}))
         self._packets_written = 0
 
     def __enter__(self) -> "TraceWriter":
         self._file, self._tmp = _create_sibling(self._path)
         try:
-            self._file.write(MAGIC)
-            meta_bytes = json.dumps(self._meta, sort_keys=True).encode("utf-8")
-            self._file.write(struct.pack("<I", len(meta_bytes)))
-            self._file.write(meta_bytes)
+            self._file.write(self._header)
         except BaseException:
             self._discard()
             raise
@@ -133,10 +246,15 @@ class TraceWriter:
             raise RuntimeError("TraceWriter must be used as a context manager")
         if len(batch) == 0:
             return
-        self._file.write(struct.pack("<I", len(batch)))
+        count = _u32(len(batch))
+        self._file.write(count + _u32(zlib.crc32(count)))
         cols = batch.columns()
+        crc = 0
         for name, dtype in _COLUMN_ORDER:
-            self._file.write(np.ascontiguousarray(cols[name], dtype=dtype).tobytes())
+            column = np.ascontiguousarray(cols[name], dtype=dtype)
+            crc = zlib.crc32(column, crc)
+            self._file.write(column)
+        self._file.write(_u32(crc))
         self._packets_written += len(batch)
 
     @property
@@ -151,7 +269,7 @@ class TraceWriter:
             return
         try:
             # Explicit terminator so a truncated tail is detectable.
-            self._file.write(struct.pack("<I", 0))
+            self._file.write(_u32(0))
             self._file.close()
             os.replace(self._tmp, self._path)
         except BaseException:
@@ -199,7 +317,7 @@ class TraceIndex:
         counts: List[int],
         truncated: bool,
     ):
-        #: Byte offset of each chunk's column data (past its 4-byte header).
+        #: Byte offset of each chunk's column data (past its header).
         self.offsets = offsets
         #: Packets per chunk.
         self.counts = counts
@@ -219,23 +337,34 @@ class TraceIndex:
 
     @classmethod
     def build(
-        cls, buf, start: int, size: int, path: Path, strict: bool
+        cls, buf, start: int, size: int, path: Path, strict: bool,
+        checksummed: bool,
     ) -> "TraceIndex":
         """Walk the chunk headers of ``buf[start:size]``.
 
         ``buf`` is any random-access byte buffer (an ``mmap``, a ``bytes``).
+        ``checksummed`` selects the ``RTRACE02`` chunk layout, whose
+        header CRCs are checked here; ``False`` walks ``RTRACE01`` chunks.
         Raises :class:`TraceFormatError` on damage under ``strict=True``;
         otherwise a truncated tail ends the index with ``truncated`` set.
+        A bad header CRC, or bytes after a v2 end marker, raise either way:
+        they are damage, not a writer cut short.
         """
+        head, tail = (8, 4) if checksummed else (4, 0)
         offsets: List[int] = []
         counts: List[int] = []
         truncated = False
         pos = start
-        batch_index = 0
-        while True:
-            if pos + 4 > size:
-                if pos == size:
-                    break  # missing terminator: tolerate as end of stream
+        while pos < size:  # a missing terminator reads as end of stream
+            batch_index = len(offsets)
+            if pos + 4 <= size and buf[pos:pos + 4] == b"\0\0\0\0":
+                if checksummed and pos + 4 != size:
+                    raise TraceFormatError(
+                        f"damaged trace file {path}: {size - pos - 4} bytes "
+                        f"after the end marker at byte offset {pos}"
+                    )
+                break
+            if pos + head > size:
                 if strict:
                     raise TraceFormatError(
                         f"truncated trace file {path}: partial chunk header "
@@ -244,10 +373,15 @@ class TraceIndex:
                 truncated = True
                 break
             (count,) = struct.unpack("<I", buf[pos:pos + 4])
-            if count == 0:
-                break
-            data = pos + 4
-            nbytes = count * _ROW_BYTES
+            if checksummed:
+                (crc,) = struct.unpack("<I", buf[pos + 4:pos + 8])
+                if zlib.crc32(buf[pos:pos + 4]) != crc:
+                    raise TraceFormatError(
+                        f"checksum mismatch in {path}: header of batch "
+                        f"{batch_index} at byte offset {pos}"
+                    )
+            data = pos + head
+            nbytes = count * _ROW_BYTES + tail
             if data + nbytes > size:
                 if strict:
                     raise TraceFormatError(
@@ -259,7 +393,6 @@ class TraceIndex:
                 break
             offsets.append(data)
             counts.append(count)
-            batch_index += 1
             pos = data + nbytes
         return cls(offsets, counts, truncated)
 
@@ -267,12 +400,14 @@ class TraceIndex:
 class TraceReader:
     """Zero-copy ``.rtrace`` reader over a memory-mapped file.
 
-    A context manager: ``__enter__`` maps the file, checks the magic and
-    the metadata block, and builds the chunk directory (:class:`TraceIndex`)
-    from the headers.  Every length field is bounded by the file size
-    before it is used, so a damaged count is an error, never a huge read.
-    Then:
+    A context manager: ``__enter__`` maps the file, checks the magic, the
+    header (its CRC, then the metadata and array block) and builds the
+    chunk directory (:class:`TraceIndex`) from the chunk headers.  Every
+    length field is bounded by the file size before it is used, so a
+    damaged count is an error, never a huge read.  Then:
 
+    * ``meta`` holds the metadata; array values are read-only views into
+      the mapped file;
     * iteration yields each chunk as a :class:`PacketBatch` whose columns
       are **read-only views straight into the mapped file** — no
       deserialisation copy, no per-column allocation; the OS pages data in
@@ -281,19 +416,22 @@ class TraceReader:
     * ``skip_packets`` is a binary search over the index plus a view
       construction, and :meth:`chunk` is random access in O(1).
 
+    A chunk's data CRC is checked the first time the chunk is handed out
+    (by iteration, :meth:`chunk` or :meth:`skip_packets`), so a mismatch
+    raises :class:`TraceFormatError` there, possibly mid-stream.
+
     ``strict=True`` (the default) raises :class:`TraceFormatError` on any
     truncated or corrupt chunk, reporting the byte offset and batch index of
     the damage.  ``strict=False`` tolerates a cleanly-truncated tail — a
     writer killed mid-chunk — by dropping the partial chunk (``truncated``
     records that this happened).  Damage before the chunks (bad magic,
-    unreadable metadata) always raises.  Either way it happens on
-    ``__enter__``.
+    unreadable metadata) and any checksum mismatch always raise.
 
-    Lifetime: batches handed out remain valid after the reader closes —
-    the mapping is only released once the last view is garbage-collected
-    (``close`` unmaps at once when no view is alive, lazily otherwise).
-    Callers that keep data while the file may be rewritten in place copy
-    it out, as :func:`read_trace` does.
+    Lifetime: batches and metadata arrays handed out remain valid after the
+    reader closes — the mapping is only released once the last view is
+    garbage-collected (``close`` unmaps at once when no view is alive,
+    lazily otherwise).  Callers that keep data while the file may be
+    rewritten in place copy it out, as :func:`read_trace` does.
     """
 
     def __init__(self, path: PathLike, strict: bool = True):
@@ -304,6 +442,10 @@ class TraceReader:
         self.index: Optional[TraceIndex] = None
         self._mm: Optional[mmap.mmap] = None
         self._next_chunk = 0
+        #: Per chunk: data CRC still to check (all False for ``RTRACE01``).
+        self._unchecked: List[bool] = []
+        #: Byte spans of the magic, the metadata and the array block.
+        self._header_spans: List[Tuple[int, int]] = []
 
     def __enter__(self) -> "TraceReader":
         fh = open(self._path, "rb")
@@ -316,43 +458,74 @@ class TraceReader:
         finally:
             # The mapping outlives the descriptor on every platform.
             fh.close()
-        mm = self._mm
-        size = len(mm)
         try:
-            magic = bytes(mm[: len(MAGIC)])
-            if magic != MAGIC:
-                if magic.startswith(b"RTRACE"):
-                    # Same family, different format revision: name both
-                    # versions so multi-trace runs can tell which file is old.
-                    raise TraceFormatError(
-                        f"unsupported trace format version {magic!r} in "
-                        f"{self._path}: this reader supports {MAGIC!r}"
-                    )
-                raise TraceFormatError(f"bad magic in {self._path}: {magic!r}")
-            if size < len(MAGIC) + 4:
-                raise TraceFormatError(
-                    f"truncated trace file {self._path}: short read of "
-                    f"metadata length at byte offset {size} (batch 0)"
-                )
-            (meta_len,) = struct.unpack(
-                "<I", mm[len(MAGIC): len(MAGIC) + 4]
-            )
-            meta_end = len(MAGIC) + 4 + meta_len
-            if meta_end > size:
-                raise TraceFormatError(
-                    f"truncated trace file {self._path}: short read of "
-                    f"metadata block at byte offset {size} (batch 0)"
-                )
-            self.meta = _decode_meta(bytes(mm[len(MAGIC) + 4: meta_end]), self._path)
-            self.index = TraceIndex.build(
-                mm, meta_end, size, self._path, self._strict
-            )
+            self._read_header()
         except TraceFormatError:
             self.close()
             raise
         self.truncated = self.index.truncated
         self._next_chunk = 0
         return self
+
+    def _read_header(self) -> None:
+        mm = self._mm
+        size = len(mm)
+        path = self._path
+
+        def length_at(pos: int, what: str) -> int:
+            if pos + 4 > size:
+                raise TraceFormatError(
+                    f"truncated trace file {path}: short read of {what} "
+                    f"length at byte offset {size} (batch 0)"
+                )
+            (value,) = struct.unpack("<I", mm[pos:pos + 4])
+            if pos + 4 + value > size:
+                raise TraceFormatError(
+                    f"truncated trace file {path}: short read of {what} "
+                    f"block at byte offset {size} (batch 0)"
+                )
+            return value
+
+        magic = bytes(mm[: len(MAGIC)])
+        if magic not in (MAGIC, MAGIC_V1):
+            if magic.startswith(b"RTRACE"):
+                # Same family, different format revision: name both
+                # versions so multi-trace runs can tell which file is old.
+                raise TraceFormatError(
+                    f"unsupported trace format version {magic!r} in "
+                    f"{path}: this reader supports {MAGIC!r} and {MAGIC_V1!r}"
+                )
+            raise TraceFormatError(f"bad magic in {path}: {magic!r}")
+        checksummed = magic == MAGIC
+        meta_start = len(MAGIC) + 4
+        meta_end = meta_start + length_at(len(MAGIC), "metadata")
+        arrays_start = arrays_end = chunks = meta_end
+        if checksummed:
+            arrays_start = meta_end + 4
+            arrays_end = arrays_start + length_at(meta_end, "array")
+            chunks = arrays_end + 4
+            if chunks > size:
+                raise TraceFormatError(
+                    f"truncated trace file {path}: short read of header "
+                    f"checksum at byte offset {size} (batch 0)"
+                )
+            (crc,) = struct.unpack("<I", mm[arrays_end:chunks])
+            if zlib.crc32(np.frombuffer(mm, dtype=np.uint8, count=arrays_end)) != crc:
+                raise TraceFormatError(f"checksum mismatch in {path}: header")
+        plain = _decode_meta(bytes(mm[meta_start:meta_end]), path)
+        arrays = _decode_arrays(mm, arrays_start, arrays_end, path)
+        shared = sorted(set(plain) & set(arrays))
+        if shared:
+            raise TraceFormatError(
+                f"bad array block in {path}: {shared} also in the metadata"
+            )
+        self.meta = {**plain, **arrays}
+        self._header_spans = [(0, len(MAGIC)), (meta_start, meta_end),
+                              (arrays_start, arrays_end)]
+        self.index = TraceIndex.build(
+            mm, chunks, size, path, self._strict, checksummed
+        )
+        self._unchecked = [checksummed] * self.index.n_chunks
 
     # -- access --------------------------------------------------------------
 
@@ -366,11 +539,36 @@ class TraceReader:
         """Packets in the capture (index lookup, no data touched)."""
         return self._entered().total_packets
 
+    def header_blake2b(self) -> str:
+        """BLAKE2b-128 hex digest of the header as stored.
+
+        It covers the magic, the metadata block and the array block, and
+        leaves out the length fields and the CRC.  For an ``RTRACE01`` file
+        that is the digest of its magic and metadata bytes, the form stream
+        checkpoints have always keyed on.
+        """
+        self._entered()
+        digest = hashlib.blake2b(digest_size=16)
+        for start, end in self._header_spans:
+            digest.update(self._mm[start:end])
+        return digest.hexdigest()
+
     def chunk(self, i: int, start: int = 0) -> PacketBatch:
         """Chunk ``i`` (optionally from packet ``start``) as zero-copy views."""
         index = self._entered()
         data = index.offsets[i]
         count = index.counts[i]
+        if self._unchecked[i]:
+            end = data + count * _ROW_BYTES
+            (crc,) = struct.unpack("<I", self._mm[end:end + 4])
+            body = np.frombuffer(self._mm, dtype=np.uint8, count=end - data,
+                                 offset=data)
+            if zlib.crc32(body) != crc:
+                raise TraceFormatError(
+                    f"checksum mismatch in {self._path}: data of batch {i} "
+                    f"at byte offset {data}"
+                )
+            self._unchecked[i] = False
         cols: Dict[str, np.ndarray] = {}
         for (name, dtype), prefix in zip(_COLUMN_ORDER, _COL_PREFIX):
             col = np.frombuffer(
@@ -451,9 +649,11 @@ def read_trace(
 ) -> Tuple[PacketBatch, Dict[str, Any]]:
     """Read a whole trace into memory; returns ``(batch, meta)``.
 
-    The columns are copied out of the mapping (``PacketBatch.concat``
-    always copies), so the batch never aliases a file that is later
-    rewritten in place.
+    The columns and metadata arrays are copied out of the mapping
+    (``PacketBatch.concat`` always copies), so nothing returned aliases a
+    file that is later rewritten in place.  Every chunk's CRC is checked.
     """
     with TraceReader(path, strict=strict) as reader:
-        return PacketBatch.concat(list(reader)), reader.meta
+        meta = {k: v.copy() if isinstance(v, np.ndarray) else v
+                for k, v in reader.meta.items()}
+        return PacketBatch.concat(list(reader)), meta

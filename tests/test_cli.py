@@ -121,6 +121,27 @@ class TestAnonymize:
         assert main(["anonymize", str(capture), "--out", str(out),
                      "--key", "-5"]) == 2
 
+    def test_cache_entry_carries_no_ground_truth(self, tmp_path, capsys):
+        """A capture-cache entry's metadata lists every campaign's raw
+        source addresses; only the period's scalar keys may carry over."""
+        cache = tmp_path / "cache"
+        assert main(["simulate", "--year", "2018", "--days", "2",
+                     "--max-packets", "8000", "--min-scans", "40",
+                     "--seed", "4", "--cache-dir", str(cache),
+                     "--out", str(tmp_path / "sim.rtrace")]) == 0
+        (entry,) = cache.glob("*.rtrace")
+        _, entry_meta = read_trace(entry)
+        assert len(entry_meta["src_ips"]) > 0
+        out = tmp_path / "anon.rtrace"
+        assert main(["anonymize", str(entry), "--out", str(out),
+                     "--key", "3"]) == 0
+        _, meta = read_trace(out)
+        assert meta == {
+            "year": 2018, "days": 2, "anonymized": True,
+            "packet_scale": entry_meta["packet_scale"],
+            "scan_scale": entry_meta["scan_scale"],
+        }
+
 
 class TestStream:
     def test_stream_summary_and_stats(self, capture, tmp_path, capsys):
@@ -279,6 +300,24 @@ class TestCacheCommand:
         assert old.exists() and new.exists()
         assert "0 evicted" in capsys.readouterr().err
 
+    def test_orphaned_temp_file_is_listed_and_pruned(self, tmp_path, capsys):
+        import subprocess
+        import sys
+
+        cache, old, new = self._fake_cache(tmp_path)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # its pid now names no process
+        orphan = cache / f"{'c' * 32}.rtrace.tmp{child.pid}-0"
+        orphan.write_bytes(b"z" * 512)
+        assert main(["cache", "ls", "--cache-dir", str(cache)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[0].endswith("(orphaned temp file)")
+        assert "2 entr(y/ies), 1 orphaned temp file(s), 3.5 KB total" in out.err
+        assert main(["cache", "prune", "--cache-dir", str(cache),
+                     "--max-bytes", "1M"]) == 0
+        assert not orphan.exists() and old.exists() and new.exists()
+        assert "1 evicted" in capsys.readouterr().err
+
     def test_prune_rejects_malformed_budget(self, tmp_path, capsys):
         cache, _, _ = self._fake_cache(tmp_path)
         assert main(["cache", "prune", "--cache-dir", str(cache),
@@ -407,15 +446,25 @@ DAMAGED_ARGV = ["analyze", "fingerprint", "anonymize --key 3", "stream",
 class TestDamagedCapture:
     @pytest.fixture(scope="class")
     def damaged(self, capture, tmp_path_factory):
-        """A bad-magic file and a copy of the capture cut mid-chunk."""
+        """A bad-magic file, a copy of the capture cut mid-chunk, and a
+        three-chunk copy with one byte flipped in its last chunk."""
+        from repro.telescope import write_trace
+
         d = tmp_path_factory.mktemp("damaged")
         (d / "bad.rtrace").write_bytes(b"NOTTRACE" + b"\x00" * 6)
         data = capture.read_bytes()
         (d / "cut.rtrace").write_bytes(data[: len(data) // 2])
+        batch, meta = read_trace(capture)
+        write_trace(d / "flipped.rtrace", batch, meta=meta,
+                    chunk_size=len(batch) // 3 + 1)
+        data = bytearray((d / "flipped.rtrace").read_bytes())
+        data[len(data) - 8 - 100] ^= 0x01  # before the data CRC and end
+        (d / "flipped.rtrace").write_bytes(bytes(data))
         return d
 
     @pytest.mark.parametrize("kind,message", [
         ("bad", "bad magic in"), ("cut", "truncated trace file"),
+        ("flipped", "checksum mismatch"),
     ])
     @pytest.mark.parametrize("argv", DAMAGED_ARGV)
     def test_exits_2_with_one_error_line(self, damaged, tmp_path, capsys,
@@ -431,6 +480,18 @@ class TestDamagedCapture:
                   if line.startswith("error:")]
         assert len(errors) == 1 and message in errors[0]
         assert list(tmp_path.iterdir()) == []  # no output file written
+
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2", "--workers", "2"]])
+    def test_checksum_mismatch_found_mid_stream(self, damaged, capsys, extra):
+        assert main(["stream", str(damaged / "flipped.rtrace"),
+                     "--batch-size", "4096", "--progress-every", "1",
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "checksum mismatch" in errors[0], err
+        assert "batch 2" in errors[0] and "Traceback" not in err
+        if not extra:  # in-process: the good chunks' windows came first
+            assert err.index("shard 0:") < err.index("error:")
 
 
 class TestServeCommand:

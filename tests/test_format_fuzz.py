@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.telescope.pcap import PcapFormatError, iter_pcap, write_pcap
-from repro.telescope.trace import MAGIC, TraceFormatError, TraceReader, write_trace
+from repro.telescope.trace import (
+    MAGIC,
+    MAGIC_V1,
+    TraceFormatError,
+    TraceReader,
+    write_trace,
+)
 from tests.test_trace import sample_batch
 
 
@@ -49,9 +55,9 @@ _DAMAGE_AT = dict(offset=st.integers(min_value=0, max_value=2**16),
 
 class TestDamagedValidFiles:
     # Always tried: the high byte of the first chunk's packet count (magic,
-    # meta_len and the 14-byte metadata come first), which once made a
-    # reader request ~34 GB.
-    @example(offset=8 + 4 + 14 + 3, flip=0xFF)
+    # meta_len, the 14-byte metadata, an arrays_len of 0 and the header CRC
+    # come first), which once made a reader request ~34 GB.
+    @example(offset=8 + 4 + 14 + 4 + 4 + 3, flip=0xFF)
     @given(**_DAMAGE_AT)
     @settings(max_examples=150, deadline=None)
     def test_rtrace(self, tmp_path_factory, valid_files, offset, flip):
@@ -89,6 +95,13 @@ class TestTraceFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "t.rtrace"
         path.write_bytes(MAGIC + body)
         _read_all(path)  # unreadable metadata is a format error too
+
+    @given(body=st.binary(min_size=0, max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_v1_magic_random_body(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("fuzz") / "t.rtrace"
+        path.write_bytes(MAGIC_V1 + body)
+        _read_all(path)
 
 
 class TestPcapFuzz:

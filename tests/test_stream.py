@@ -613,6 +613,45 @@ class TestCheckpointResume:
         assert not again.resumed
         assert_tables_equal(again.scans, scans2020)
 
+    def test_v1_capture_keeps_its_identity(self):
+        """Checkpoints written over an ``RTRACE01`` capture before v2 still
+        resume: its identity is the one the v1 reader computed."""
+        from tests.test_trace import V1_CAPTURE
+
+        assert TraceStreamSource(V1_CAPTURE).identity() == {
+            "kind": "rtrace", "size": 853,
+            "meta_blake2b": "b95eeca5a6e90f7673a8f0be19cf7463",
+        }
+
+    def test_resume_over_a_capture_with_array_metadata(self, tmp_path,
+                                                       batch2020, scans2020):
+        path = tmp_path / "cap.rtrace"
+        write_trace(path, batch2020, chunk_size=10_000,
+                    meta={"year": 2020, "ids": np.arange(9, dtype=np.int64)})
+        config = StreamConfig(batch_size=8192, checkpoint_dir=tmp_path / "ckpt",
+                              checkpoint_every=1)
+
+        class Killed(Exception):
+            pass
+
+        def killer(shard, stats):
+            if stats.windows >= 2:
+                raise Killed
+
+        with pytest.raises(Killed):
+            StreamEngine(config=config).run(
+                TraceStreamSource(path, batch_size=8192), progress=killer)
+        result = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=8192))
+        assert result.resumed
+        assert_tables_equal(result.scans, scans2020)
+        # The digest covers the arrays: other values, another capture.
+        other = tmp_path / "other.rtrace"
+        write_trace(other, batch2020, chunk_size=10_000,
+                    meta={"year": 2020, "ids": np.arange(1, 10, dtype=np.int64)})
+        assert (TraceStreamSource(other).identity()
+                != TraceStreamSource(path).identity())
+
     def test_key_separates_configurations(self, tmp_path, batch2020):
         path = self._trace(tmp_path, batch2020)
         store = CheckpointStore(tmp_path / "ckpt")

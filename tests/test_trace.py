@@ -1,9 +1,13 @@
 """Unit tests for the .rtrace serialisation format."""
 
+import hashlib
+import json
 import os
 import struct
 import subprocess
 import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +210,7 @@ class TestFormatErrors:
                 list(r)
         message = str(excinfo.value)
         assert "RTRACE99" in message
-        assert "RTRACE01" in message
+        assert "RTRACE02" in message and "RTRACE01" in message
         assert str(path) in message
 
     def test_truncated_meta(self, tmp_path):
@@ -433,7 +437,8 @@ class TestMappedReader:
             with TraceReader(old):
                 pass
         message = str(excinfo.value)
-        assert "RTRACE99" in message and "RTRACE01" in message
+        assert "RTRACE99" in message
+        assert "RTRACE02" in message and "RTRACE01" in message
 
     def test_empty_file_is_bad_magic(self, tmp_path):
         empty = tmp_path / "zero.rtrace"
@@ -511,3 +516,273 @@ for name, col in batch.columns().items():
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 0, (child.returncode, child.stderr)
+
+
+def _v2_file(meta_bytes, arrays, chunks=b""):
+    """An ``RTRACE02`` file around raw metadata and array-block bytes, with
+    a valid header CRC: what a hostile writer can make."""
+    header = (b"RTRACE02" + struct.pack("<I", len(meta_bytes)) + meta_bytes
+              + struct.pack("<I", len(arrays)) + arrays)
+    return header + struct.pack("<I", zlib.crc32(header)) + chunks + b"\0" * 4
+
+
+def _array_block(directory, data=b""):
+    listing = json.dumps(directory).encode("utf-8")
+    return struct.pack("<I", len(listing)) + listing + data
+
+
+class TestArrayMeta:
+    """Metadata arrays are stored as typed columns, not JSON."""
+
+    ARRAYS = {
+        "flags": np.array([True, False, True]),
+        "i1": np.array([-128, 0, 127], dtype=np.int8),
+        "i8": np.array([-2**63, 0, 2**63 - 1], dtype=np.int64),
+        "u2": np.array([0, 65535], dtype=np.uint16),
+        "u4": np.array([0, 0xFFFFFFFF], dtype=np.uint32),
+        "f2": np.array([0.5, -2.0], dtype=np.float16),
+        "f8": np.array([np.pi, -0.0, np.inf, np.nan]),
+        "names": np.array(["zmap", "", "ü"]),
+        "empty": np.zeros(0, dtype=np.int32),
+    }
+
+    def _assert_arrays_equal(self, got):
+        for name, want in self.ARRAYS.items():
+            assert got[name].dtype == want.dtype.newbyteorder("<"), name
+            np.testing.assert_array_equal(got[name], want, err_msg=name)
+
+    def test_roundtrip_keeps_values_and_dtypes(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_trace(path, sample_batch(10),
+                    meta={"year": 2020, "note": [1, "a"], **self.ARRAYS})
+        loaded, meta = read_trace(path)
+        assert set(meta) == {"year", "note", *self.ARRAYS}
+        assert meta["year"] == 2020 and meta["note"] == [1, "a"]
+        self._assert_arrays_equal(meta)
+        assert len(loaded) == 10
+        # Only the plain values are JSON.
+        data = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", data[8:12])
+        assert json.loads(data[12:12 + meta_len]) == {"year": 2020, "note": [1, "a"]}
+
+    def test_reader_meta_is_zero_copy_read_trace_copies(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        write_trace(path, sample_batch(10), meta={"ids": np.arange(5)})
+        with TraceReader(path) as reader:
+            ids = reader.meta["ids"]
+            assert not ids.flags.writeable and not ids.flags.owndata
+        _, meta = read_trace(path)
+        assert meta["ids"].flags.writeable and meta["ids"].flags.owndata
+        np.testing.assert_array_equal(meta["ids"], np.arange(5))
+
+    def test_big_endian_input_is_stored_little_endian(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        values = np.array([1, 256, 70000], dtype=">u4")
+        write_trace(path, PacketBatch.empty(), meta={"v": values})
+        _, meta = read_trace(path)
+        assert meta["v"].dtype.str == "<u4"
+        np.testing.assert_array_equal(meta["v"], values)
+
+    @pytest.mark.parametrize("value", [
+        np.array([object(), 1], dtype=object),
+        np.zeros((2, 2)),
+        np.array(5),
+        np.array([1 + 2j]),
+        np.array(["2020-01-01"], dtype="datetime64[D]"),
+        np.zeros(2, dtype=[("a", "<i4")]),
+        np.array([b"raw"]),
+    ])
+    def test_writer_rejects_what_the_directory_does_not_admit(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_trace(tmp_path / "t.rtrace", sample_batch(1), meta={"x": value})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("directory,data", [
+        ([["x", "|O", 1]], b"\0" * 8),           # object: never built
+        ([["x", ">i4", 1]], b"\0" * 4),          # big-endian
+        ([["x", "<c16", 1]], b"\0" * 16),        # complex
+        ([["x", "V4", 1]], b"\0" * 4),           # raw void
+        ([["x", "<i4", 3]], b"\0" * 8),          # overruns the block
+        ([["x", "<i4", 1]], b"\0" * 8),          # bytes after the arrays
+        ([["x", "<i4", 1], ["x", "<i4", 1]], b"\0" * 8),  # listed twice
+        ([["year", "<i4", 1]], b"\0" * 4),       # shadows a JSON key
+        ([["x", "<i4", -1]], b""),               # negative length
+        ([["x", "<i4", True]], b"\0" * 4),       # a bool is not a length
+        ([["x", "<i4"]], b""),                   # short entry
+        ({"x": "<i4"}, b""),                     # not a list
+    ])
+    def test_hostile_directory_is_a_format_error(self, tmp_path, directory, data):
+        path = tmp_path / "t.rtrace"
+        path.write_bytes(_v2_file(b'{"year": 1}', _array_block(directory, data)))
+        for strict in (True, False):
+            with pytest.raises(TraceFormatError, match="array block"):
+                with TraceReader(path, strict=strict):
+                    pass
+
+    @pytest.mark.parametrize("arrays", [b"\1\0", struct.pack("<I", 99) + b"[]"])
+    def test_directory_bounded_by_the_block(self, tmp_path, arrays):
+        path = tmp_path / "t.rtrace"
+        path.write_bytes(_v2_file(b"{}", arrays))
+        with pytest.raises(TraceFormatError, match="array block"):
+            with TraceReader(path):
+                pass
+
+    def test_valid_handmade_block_reads(self, tmp_path):
+        path = tmp_path / "t.rtrace"
+        data = np.array([7, -7], dtype="<i2").tobytes()
+        path.write_bytes(_v2_file(b"{}", _array_block([["x", "<i2", 2]], data)))
+        with TraceReader(path) as reader:
+            np.testing.assert_array_equal(reader.meta["x"], [7, -7])
+
+
+class TestChecksums:
+    """Every byte of a v2 capture is covered by a CRC."""
+
+    def _capture(self, tmp_path):
+        batch = sample_batch(7)
+        path = tmp_path / "good.rtrace"
+        write_trace(path, batch, chunk_size=3,
+                    meta={"year": 2020, "ids": np.array([3, -1, 7])})
+        return batch, path.read_bytes()
+
+    @pytest.mark.parametrize("mask", [0x01, 0xFF])
+    def test_every_single_byte_flip_is_caught(self, tmp_path, mask):
+        batch, data = self._capture(tmp_path)
+        with TraceReader(tmp_path / "good.rtrace") as reader:
+            assert reader.index.n_chunks == 3
+        path = tmp_path / "bad.rtrace"
+        tolerated = []
+        for at in range(len(data)):
+            path.write_bytes(data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+            with pytest.raises(TraceFormatError):
+                with TraceReader(path) as reader:
+                    list(reader)
+            try:
+                with TraceReader(path, strict=False) as reader:
+                    chunks = list(reader)
+                    truncated = reader.truncated
+            except TraceFormatError:
+                continue
+            # Not an error only where it reads as a cleanly cut tail: then
+            # every written packet comes back.
+            assert truncated, at
+            got = PacketBatch.concat(chunks)
+            for name, col in batch.columns().items():
+                assert np.array_equal(got.columns()[name], col), (at, name)
+            tolerated.append(at)
+        assert tolerated == list(range(len(data) - 4, len(data)))  # end marker
+
+    def test_chunk_crc_is_checked_when_the_chunk_is_handed_out(self, tmp_path):
+        batch, data = self._capture(tmp_path)
+        at = len(data) - 4 - 4 - 5  # inside the last chunk's columns
+        path = tmp_path / "bad.rtrace"
+        path.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
+        with TraceReader(path) as reader:  # the header walk passes
+            first = reader.chunk(0)
+            assert np.array_equal(first.seq, batch.seq[:3])
+            assert len(reader.skip_packets(4)) == 2
+            assert len(reader.skip_packets(6)) == 0  # hands nothing out
+            with pytest.raises(TraceFormatError, match="checksum mismatch.*batch 2"):
+                reader.chunk(2)
+        with TraceReader(path) as reader:
+            got = []
+            with pytest.raises(TraceFormatError, match="batch 2"):
+                for chunk in reader:
+                    got.append(len(chunk))
+            assert got == [3, 3]
+        with pytest.raises(TraceFormatError):
+            read_trace(path, strict=False)
+
+    def test_bytes_after_the_end_marker_are_damage(self, tmp_path):
+        _, data = self._capture(tmp_path)
+        path = tmp_path / "bad.rtrace"
+        path.write_bytes(data + b"\0")
+        for strict in (True, False):
+            with pytest.raises(TraceFormatError, match="after the end marker"):
+                with TraceReader(path, strict=strict):
+                    pass
+
+    def test_header_digest_covers_the_arrays(self, tmp_path):
+        a, b = tmp_path / "a.rtrace", tmp_path / "b.rtrace"
+        write_trace(a, sample_batch(3), meta={"year": 1, "v": np.array([1, 2])})
+        write_trace(b, sample_batch(3), meta={"year": 1, "v": np.array([1, 3])})
+        with TraceReader(a) as ra, TraceReader(b) as rb:
+            assert ra.header_blake2b() != rb.header_blake2b()
+        write_trace(b, sample_batch(5), meta={"year": 1, "v": np.array([1, 2])})
+        with TraceReader(a) as ra, TraceReader(b) as rb:
+            assert ra.header_blake2b() == rb.header_blake2b()
+
+
+#: ``tests/data/v1_capture.rtrace``: written by the last ``RTRACE01``
+#: writer from :func:`v1_fixture_batch` and ``V1_META``, ``chunk_size=10``.
+V1_CAPTURE = Path(__file__).parent / "data" / "v1_capture.rtrace"
+V1_META = {"year": 2016, "days": 3, "packet_scale": 0.25,
+           "note": "RTRACE01 fixture"}
+
+
+def v1_fixture_batch():
+    k = np.arange(25, dtype=np.int64)
+    src_ip = (k * 2654435761 + 7) % 2**32
+    src_ip[-1] = 0xFFFFFFFF
+    src_port = (k * 2741) % 2**16
+    src_port[-1] = 0xFFFF
+    return PacketBatch(
+        time=k * 0.75 + 0.125,
+        src_ip=src_ip.astype(np.uint32),
+        dst_ip=((k * 40503 + 0x0A000000) % 2**32).astype(np.uint32),
+        src_port=src_port.astype(np.uint16),
+        dst_port=np.array([22, 23, 80, 443, 0, 65535] * 4 + [8080],
+                          dtype=np.uint16),
+        ip_id=((k * 54321) % 2**16).astype(np.uint16),
+        seq=((k * 3141592653) % 2**32).astype(np.uint32),
+        ttl=((k * 37) % 256).astype(np.uint8),
+        window=((k * 1021) % 2**16).astype(np.uint16),
+        flags=np.full(25, 2, dtype=np.uint8),
+    )
+
+
+class TestV1Files:
+    """``RTRACE01`` captures, which have no checksums, still read."""
+
+    def test_committed_v1_capture_reads_unchanged(self):
+        assert V1_CAPTURE.read_bytes()[:8] == b"RTRACE01"
+        loaded, meta = read_trace(V1_CAPTURE)
+        assert meta == V1_META
+        for name, col in v1_fixture_batch().columns().items():
+            assert loaded.columns()[name].dtype == col.dtype, name
+            assert np.array_equal(loaded.columns()[name], col), name
+
+    def test_mapped_reader_chunks_and_skip(self):
+        batch = v1_fixture_batch()
+        with TraceReader(V1_CAPTURE) as reader:
+            assert reader.meta == V1_META
+            assert [len(c) for c in reader] == [10, 10, 5]
+        with TraceReader(V1_CAPTURE) as reader:
+            rest = PacketBatch.concat([reader.skip_packets(13)] + list(reader))
+        assert np.array_equal(rest.src_ip, batch.src_ip[13:])
+
+    def test_header_digest_is_the_pre_v2_metadata_digest(self):
+        with TraceReader(V1_CAPTURE) as reader:
+            digest = reader.header_blake2b()
+        blob = json.dumps(V1_META, sort_keys=True).encode("utf-8")
+        assert digest == hashlib.blake2b(b"RTRACE01" + blob,
+                                         digest_size=16).hexdigest()
+
+    def test_truncated_v1_tail_still_tolerated(self, tmp_path):
+        data = V1_CAPTURE.read_bytes()
+        path = tmp_path / "cut.rtrace"
+        path.write_bytes(data[: len(data) - 4 - 5 * 30 + 7])
+        with pytest.raises(TraceFormatError, match="batch 2"):
+            read_trace(path)
+        loaded, _ = read_trace(path, strict=False)
+        assert len(loaded) == 20
+
+    def test_rewriting_a_v1_capture_writes_v2(self, tmp_path):
+        loaded, meta = read_trace(V1_CAPTURE)
+        path = tmp_path / "again.rtrace"
+        write_trace(path, loaded, meta=meta)
+        assert path.read_bytes()[:8] == b"RTRACE02"
+        again, meta2 = read_trace(path)
+        assert meta2 == meta
+        for name, col in loaded.columns().items():
+            assert np.array_equal(again.columns()[name], col), name
