@@ -356,13 +356,13 @@ def test_perf_anonymize(perf_batch, benchmark):
 
 
 def test_perf_lint(benchmark, tmp_path):
-    """Whole-program lint of src/repro: cold vs summary-cache-warm.
+    """Full lint of src/repro: cold vs summary-cache-warm.
 
     The timed figure is the warm run (what a developer iterating on one
     file pays); the cold time and the resulting speedup land in
-    ``benchmark.extra_info``. The project pass is only worth its cache
-    if warm runs skip essentially all parsing, so the speedup is pinned
-    at >= 3x.
+    ``benchmark.extra_info``. A warm run loads each file's cached
+    findings and summary and solves nothing but RPR008, so the speedup is
+    pinned at >= 3x.
     """
     from repro.lint.config import load_config
     from repro.lint.project import lint_repository
@@ -403,13 +403,12 @@ def test_perf_lint(benchmark, tmp_path):
 
 
 def test_perf_lint_concurrency(benchmark, tmp_path):
-    """Concurrency pass (RPR017, RPR018) over src/repro: cold vs cache-warm.
+    """The lock rules (RPR017, RPR018) over src/repro: cold vs cache-warm.
 
-    Selecting only the lock rules still runs pass 1 in full (the per-file
-    summaries carry the lock/acquisition index regardless of rule
-    selection), so the summary cache has to pay off here exactly as it
-    does for the whole rule set: the warm fixpoint solve plus rule checks
-    must come in >= 3x under the cold parse-everything run.
+    A cold run parses every file and solves each module's lock analysis;
+    the selection is part of the cache key, so these entries hold only
+    the lock rules' findings.  A warm run loads them and solves nothing,
+    so it must come in >= 3x under the cold run.
     """
     from repro.lint.config import load_config
     from repro.lint.project import lint_repository

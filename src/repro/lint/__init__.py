@@ -15,25 +15,27 @@ RPR017    blocking-call-under-lock  no blocking calls while a lock is held
 RPR018    callback-reentrancy       callbacks never re-enter a held Lock
 ========  ========================  ===========================================
 
-RPR001 and RPR002 are per-file syntactic rules.  The other four are
-whole-program rules over the :class:`~repro.lint.project.ProjectContext`
-built by :mod:`repro.lint.project` (per-file summaries are
-content-addressed-cached and parsed in parallel under ``--workers``):
-RPR008 compares persisted field sets with a committed manifest, RPR011
-runs over the interprocedural dtype/width abstract interpretation in
-:mod:`repro.lint.typeflow`, and RPR017/RPR018 over the lock analysis in
-:mod:`repro.lint.concurrency`.  Each rule class documents itself;
-``repro-lint --explain RPR0NN`` prints that text.
+Five are file rules, each run on one parsed module: RPR001 and RPR002
+are syntactic; RPR011 reads the dtype/width abstract interpretation of
+:mod:`repro.lint.typeflow` and RPR017/RPR018 the lock analysis of
+:mod:`repro.lint.concurrency`, both solved over the functions of that
+one module.  RPR008 is the one whole-program rule: it compares
+persisted field sets, gathered into the
+:class:`~repro.lint.project.ProjectContext`, with a committed manifest.
+Each file's findings and summary are content-addressed-cached
+(:mod:`repro.lint.project`), so a warm lint re-analyses only edited
+files.  Each rule class documents itself; ``repro-lint --explain
+RPR0NN`` prints that text.
 
 Run ``python -m repro.lint`` (or the ``repro-lint`` console script);
 configure via ``[tool.repro-lint]`` in pyproject.toml (path-scoped rule
 sets via ``[tool.repro-lint.paths]``); scope runs with ``--select`` /
-``--ignore``; silence single lines with ``# repro-lint: disable=RPR00x``;
-grandfather findings in ``lint-baseline.json``; commit persisted-schema
-fingerprints to ``lint-schema.json`` via ``--update-schema-manifest``.
+``--ignore``; silence single lines with ``# repro-lint: disable=RPR00x``
+and state the bound or invariant that makes the line safe; commit
+persisted-schema fingerprints to ``lint-schema.json`` via
+``--update-schema-manifest``.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import (
@@ -42,8 +44,6 @@ from repro.lint.engine import (
     ProjectRule,
     Rule,
     RuleRegistry,
-    lint_file,
-    lint_paths,
     lint_source,
 )
 from repro.lint.project import (
@@ -56,11 +56,7 @@ from repro.lint.project import (
     run_project_rules,
     summarize_source,
 )
-from repro.lint.typeflow import (
-    AbstractValue,
-    TypeflowAnalysis,
-    lattice_fingerprint,
-)
+from repro.lint.typeflow import AbstractValue, TypeflowAnalysis
 
 # Importing the rules package registers the rule set.
 import repro.lint.rules  # noqa: E402,F401
@@ -68,8 +64,6 @@ import repro.lint.rules  # noqa: E402,F401
 __all__ = [
     "AbstractValue",
     "TypeflowAnalysis",
-    "lattice_fingerprint",
-    "Baseline",
     "Diagnostic",
     "FileContext",
     "LintConfig",
@@ -84,8 +78,6 @@ __all__ = [
     "SummaryCache",
     "analyze_files",
     "find_pyproject",
-    "lint_file",
-    "lint_paths",
     "lint_repository",
     "lint_source",
     "load_config",

@@ -1,13 +1,11 @@
 """Command-line front end: ``python -m repro.lint`` / ``repro-lint``.
 
-One invocation runs both passes — the per-file syntactic rules
-(RPR001, RPR002) and the whole-program project rules (RPR008, RPR011,
-RPR017, RPR018) over a :class:`~repro.lint.project.ProjectContext` — with
-per-file summaries content-addressed-cached and parsed in parallel under
-``--workers``.
+One invocation runs the file rules on each module (RPR001, RPR002,
+RPR011, RPR017, RPR018) and then the whole-program rule (RPR008) over a
+:class:`~repro.lint.project.ProjectContext`, with each file's summary and
+findings content-addressed-cached.
 
-Exit status: 0 — clean (no unbaselined error-severity findings);
-1 — findings (or, under ``--update-baseline``, stale entries pruned);
+Exit status: 0 — clean (no error-severity findings); 1 — findings;
 2 — usage/configuration error.
 """
 
@@ -19,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import REGISTRY
@@ -47,24 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: nearest pyproject above the first path)",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline file (default: from config, lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write all current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="prune baseline entries no longer matched by any finding; "
-             "exits 1 when entries were pruned (stale baseline) or new "
-             "error findings remain",
-    )
-    parser.add_argument(
         "--update-schema-manifest", action="store_true",
         help="re-fingerprint the configured schema-sites and rewrite the "
              "schema manifest (lint-schema.json), then exit",
@@ -90,14 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
              "goes to stdout, and the exit code is unaffected)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="parse/summarise files with N worker processes "
-             "(0 = serial; default: [tool.repro-lint] workers)",
-    )
-    parser.add_argument(
         "--cache-dir", type=Path, default=None,
         help="summary-cache directory (default: [tool.repro-lint] cache, "
-             ".repro-lint-cache under the lint root)",
+             ".repro-lint-cache under the lint root; none without a "
+             "pyproject)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -152,16 +127,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.ignore is not None:
             config.ignore = _parse_codes(args.ignore, "--ignore")
         targets = _resolve_targets(args, config)
-        workers = (
-            args.workers if args.workers is not None
-            else config.default_workers()
-        )
-        if workers < 0:
-            raise ValueError("--workers must be non-negative")
         diagnostics, project, stats = lint_repository(
             config,
             paths=targets,
-            workers=workers,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
         )
@@ -181,48 +149,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return EXIT_CLEAN
 
-    baseline_path = args.baseline or config.baseline_path()
-    if args.write_baseline:
-        Baseline.from_diagnostics(diagnostics).save(baseline_path)
-        print(f"wrote {len(diagnostics)} finding(s) to {baseline_path}")
-        return EXIT_CLEAN
-
-    try:
-        baseline = (
-            Baseline() if args.no_baseline else Baseline.load(baseline_path)
-        )
-    except ValueError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.update_baseline:
-        stale = baseline.stale_entries(diagnostics)
-        pruned = baseline.pruned(diagnostics)
-        pruned.save(baseline_path)
-        for path, code, line in stale:
-            print(f"pruned stale baseline entry: {path}:{line} {code}")
-        new, _ = pruned.partition(diagnostics)
-        errors = [d for d in new if d.severity is Severity.ERROR]
-        print(
-            f"baseline updated: {len(pruned.entries)} entr(y/ies) kept, "
-            f"{len(stale)} pruned, {len(errors)} unbaselined error(s) remain"
-        )
-        return EXIT_FINDINGS if stale or errors else EXIT_CLEAN
-
-    new, known = baseline.partition(diagnostics)
-    files = stats.files
-
     payload: Optional[str] = None
     if args.format == "sarif":
-        payload = render_sarif(new, REGISTRY)
+        payload = render_sarif(diagnostics, REGISTRY)
     elif args.format == "json":
         payload = json.dumps(
             {
                 "findings": [
-                    {**d.__dict__, "severity": d.severity.value} for d in new
+                    {**d.__dict__, "severity": d.severity.value}
+                    for d in diagnostics
                 ],
-                "baselined": len(known),
-                "files": files,
+                "files": stats.files,
                 "cache": {
                     "hits": stats.cache_hits,
                     "misses": stats.cache_misses,
@@ -231,24 +168,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             indent=2, default=str,
         )
 
-    summary = (
-        f"{len(new)} finding(s) ({len(known)} baselined) "
-        f"across {files} file(s)"
-    )
+    summary = f"{len(diagnostics)} finding(s) across {stats.files} file(s)"
+    if not diagnostics:
+        summary = f"clean: {summary}"
     if args.output is not None and payload is not None:
         args.output.write_text(payload + "\n", encoding="utf-8")
         print(f"wrote {args.format} report to {args.output}")
-        print(summary if new or known else f"clean: {summary}")
+        print(summary)
     elif payload is not None:
         print(payload)
     else:
-        for diag in new:
+        for diag in diagnostics:
             print(diag.render())
-        print(summary if new or known else f"clean: {summary}")
+        print(summary)
     if args.statistics:
-        _print_statistics(new, stats)
+        _print_statistics(diagnostics, stats)
 
-    errors = [d for d in new if d.severity is Severity.ERROR]
+    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     return EXIT_FINDINGS if errors else EXIT_CLEAN
 
 
@@ -280,7 +216,7 @@ def _resolve_targets(args: argparse.Namespace, config: LintConfig) -> List[Path]
 
 
 def _print_statistics(
-    diags: Sequence[Diagnostic], stats: Optional[ProjectStats] = None
+    diags: Sequence[Diagnostic], stats: ProjectStats
 ) -> None:
     counts: dict = {}
     for diag in diags:
@@ -288,11 +224,10 @@ def _print_statistics(
     for code in sorted(counts):
         rule = REGISTRY.get(code)
         print(f"  {code} ({rule.name}): {counts[code]}")
-    if stats is not None:
-        print(
-            f"  cache: {stats.cache_hits} hit(s), {stats.cache_misses} "
-            f"miss(es); parsed {stats.parsed}/{stats.files} file(s)"
-        )
+    print(
+        f"  cache: {stats.cache_hits} hit(s), {stats.cache_misses} "
+        f"miss(es); parsed {stats.parsed}/{stats.files} file(s)"
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

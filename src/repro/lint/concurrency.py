@@ -1,46 +1,39 @@
-"""Concurrency pass (pass 4): locks held at blocking calls and callbacks.
+"""Lock analysis over one module: locks held at blocking calls and callbacks.
 
 The threaded serve layer hit two concurrency bugs by hand: ``JobQueue``'s
 lock had to become reentrant because a settled
 :class:`~concurrent.futures.Future` runs ``add_done_callback`` callbacks
 synchronously, and ``cancel()`` had to release the lock around
 ``Future.cancel()`` (which blocks on the done callbacks).  This module
-makes that bug class machine-checked on top of the summary architecture:
+makes that bug class machine-checked, one module at a time:
 
-* :class:`ConcurrencyExtractor` runs once per function during pass 1 and
-  emits a JSON-serialisable event list — lock acquisitions (``with
-  self._lock:`` scopes, with the locks already held at that point),
-  project calls (flagged *deferred* when they sit inside a lambda or
-  nested ``def``, i.e. run later on an arbitrary thread) and callback
-  registrations (``add_done_callback``, ``signal.signal``).  Lock objects
-  themselves (``self._lock = threading.Lock()``, module-level ``LOCK =
-  threading.Lock()``) are indexed on the
-  :class:`~repro.lint.project.ModuleSummary`.  Everything is cached with
-  the summary, so warm runs never re-parse.
+* :class:`ConcurrencyExtractor` walks each function once and emits an
+  event list — lock acquisitions (``with self._lock:`` scopes, with the
+  locks already held at that point), calls (flagged *deferred* when they
+  sit inside a lambda or nested ``def``, i.e. run later on an arbitrary
+  thread) and callback registrations (``add_done_callback``,
+  ``signal.signal``).  Lock objects themselves (``self._lock =
+  threading.Lock()``, module-level ``LOCK = threading.Lock()``) are
+  indexed by :func:`analyze_module`.
 
-* :class:`ConcurrencyAnalysis` stitches the summaries into whole-program
-  facts, solved to a fixpoint in sorted function order so diagnostics are
-  byte-identical at any ``--workers``:
+* :class:`ConcurrencyAnalysis` solves facts over the module's functions
+  to a fixpoint, in sorted function order:
 
   - **entry locksets** — the locks that *may* be held on entry (union
     over non-deferred call sites), with a witness caller chain;
   - **acquisition closure** — locks a call may take, transitively.
 
-The RPR017 and RPR018 rules in :mod:`repro.lint.rules.concurrency_rules`
-evaluate these facts.  The vocabulary below (lock constructors, blocking
-defaults) is fingerprinted into the summary-cache salt: editing it
-invalidates every cached summary.
+A call into another module is opaque: no lock flows into its body, and
+the blocklist judges it by its name like any library call.  The RPR017
+and RPR018 rules in :mod:`repro.lint.rules.concurrency_rules` evaluate
+these facts.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Container,
     Dict,
     Iterator,
@@ -51,10 +44,10 @@ from typing import (
     Tuple,
 )
 
-from repro.lint._ast import resolve
+from repro.lint._ast import ModuleScope, resolve
 
-#: Bump on any change to the extraction or solving semantics.
-CONCURRENCY_VERSION = 2
+#: One extracted event (see :class:`ConcurrencyExtractor`).
+Event = Dict[str, Any]
 
 #: Canonical constructors whose result is a lock, with its kind.
 #: ``Condition``/``Semaphore`` are treated as non-reentrant: re-acquiring
@@ -96,20 +89,6 @@ DEFAULT_BLOCKING_CALLS: Tuple[str, ...] = (
 _TEXT_CAP = 80
 
 
-def concurrency_fingerprint() -> str:
-    """Content fingerprint of the concurrency vocabulary (part of the
-    cache salt — editing the lock or blocking tables re-analyses every
-    file)."""
-    material = {
-        "version": CONCURRENCY_VERSION,
-        "locks": LOCK_CONSTRUCTORS,
-        "blocking": list(DEFAULT_BLOCKING_CALLS),
-    }
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(json.dumps(material, sort_keys=True).encode("utf-8"))
-    return digest.hexdigest()
-
-
 def lock_kind(value: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     """Kind ('lock'/'rlock') when ``value`` constructs a known lock."""
     if not isinstance(value, ast.Call):
@@ -120,8 +99,9 @@ def lock_kind(value: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     return LOCK_CONSTRUCTORS.get(target)
 
 
-def short_lock(canon: str) -> str:
-    """Human-sized spelling of a canonical lock id: last two components."""
+def short_name(canon: str) -> str:
+    """Human-sized spelling of a lock id or function name: the last two
+    components (``JobQueue._lock``, ``JobQueue._on_done``)."""
     parts = canon.split(".")
     return ".".join(parts[-2:]) if len(parts) > 2 else canon
 
@@ -135,19 +115,19 @@ def _text(node: ast.AST) -> str:
 
 
 # ---------------------------------------------------------------------------
-# pass 1: per-function event extraction
+# per-function event extraction
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FunctionConcurrency:
-    """Serialisable concurrency record of one function.
+class ConcurrencyExtractor:
+    """Single recursive walk of one function body, tracking held locks.
 
-    ``events`` is an ordered list of dicts.  Common fields: ``k`` (kind),
-    ``lineno``/``col``, ``held`` (locks live at the event — local
-    ``with`` scopes only; entry locks are solved in pass 2) and
-    ``deferred`` (the event sits inside a lambda/nested ``def`` and runs
-    later, on an arbitrary thread, with no caller locks).  Per kind:
+    :meth:`extract` returns an ordered list of event dicts.  Common
+    fields: ``k`` (kind), ``lineno``/``col``, ``held`` (locks live at the
+    event — local ``with`` scopes only; entry locks are solved by
+    :class:`ConcurrencyAnalysis`) and ``deferred`` (the event sits inside
+    a lambda/nested ``def`` and runs later, on an arbitrary thread, with
+    no caller locks).  Per kind:
 
     - ``acquire``: ``lock`` (canonical id);
     - ``call``: ``callee`` (resolved dotted name or None), ``leaf``
@@ -157,41 +137,20 @@ class FunctionConcurrency:
       (add_done_callback/signal), ``text``.
     """
 
-    events: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"events": self.events}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionConcurrency":
-        return cls(events=[dict(e) for e in data.get("events", [])])
-
-
-class ConcurrencyExtractor:
-    """Single recursive walk of one function body, tracking held locks."""
-
-    def __init__(
-        self,
-        module: str,
-        klass: Optional[str],
-        aliases: Dict[str, str],
-        toplevel_defs: Container[str],
-        resolver: Callable[[ast.Call], Optional[str]],
-    ) -> None:
-        self._module = module
+    def __init__(self, scope: ModuleScope, klass: Optional[str]) -> None:
+        self._scope = scope
+        self._module = scope.module
         self._klass = klass
-        self._aliases = aliases
-        self._toplevel = toplevel_defs
-        self._resolver = resolver
-        self._events: List[Dict[str, Any]] = []
+        self._aliases = scope.aliases
+        self._events: List[Event] = []
         self._held: List[str] = []
         self._deferred = 0
 
-    def extract(self, func: ast.AST) -> FunctionConcurrency:
+    def extract(self, func: ast.AST) -> List[Event]:
         body = getattr(func, "body", [])
         for stmt in body:
             self._visit(stmt)
-        return FunctionConcurrency(events=self._events)
+        return self._events
 
     # -- event plumbing -----------------------------------------------------
 
@@ -222,8 +181,8 @@ class ConcurrencyExtractor:
         """Canonical lock id when ``expr`` names a lockable object.
 
         ``self._lock`` in class ``C`` of module ``M`` → ``M.C._lock``;
-        a bare module-level name → ``M.NAME``.  Pass 2 filters the
-        result against the global lock-definition table, so shapes that
+        a bare module-level name → ``M.NAME``.  The analysis filters the
+        result against the module's lock definitions, so shapes that
         merely look lock-like resolve to nothing downstream.
         """
         if isinstance(expr, ast.Name):
@@ -285,7 +244,7 @@ class ConcurrencyExtractor:
             del self._held[-pushed:]
 
     def _visit_call(self, node: ast.Call) -> None:
-        resolved = self._resolver(node)
+        resolved = self._scope.resolve_call(node, self._klass)
         func = node.func
         leaf: Optional[str] = None
         recv: Optional[str] = None
@@ -333,7 +292,7 @@ class ConcurrencyExtractor:
     def _callable_targets(self, node: ast.AST) -> List[str]:
         """Resolved callables a callback argument may invoke."""
         if isinstance(node, ast.Name):
-            if node.id in self._toplevel:
+            if node.id in self._scope.toplevel:
                 return [f"{self._module}.{node.id}"]
             dotted = self._aliases.get(node.id)
             return [dotted] if dotted is not None else []
@@ -347,7 +306,7 @@ class ConcurrencyExtractor:
             targets: Set[str] = set()
             for call in ast.walk(node.body):
                 if isinstance(call, ast.Call):
-                    dotted = self._resolver(call)
+                    dotted = self._scope.resolve_call(call, self._klass)
                     if dotted is not None:
                         targets.add(dotted)
             return sorted(targets)
@@ -359,69 +318,42 @@ class ConcurrencyExtractor:
 
 
 # ---------------------------------------------------------------------------
-# pass 2: the whole-program solver
+# the solver (one module)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LockInfo:
-    """One lock definition site."""
-
-    canon: str  #: canonical id: module[.Class].attr
-    kind: str  #: 'lock' (non-reentrant) or 'rlock'
-    rel_path: str
-    lineno: int
-
-
-@dataclass
-class ConcurrencyFunction:
-    """Solver-side view of one summarised function."""
-
-    fqname: str
-    rel_path: str
-    events: List[Dict[str, Any]]
-
-
 class ConcurrencyAnalysis:
-    """Fixpoint facts over every function's concurrency events.
+    """Fixpoint facts over the events of one module's functions.
 
-    All iteration orders are sorted, so two runs over the same summaries —
-    at any worker count — produce identical facts and, downstream,
-    byte-identical diagnostics.
+    All iteration orders are sorted, so two runs over the same module
+    produce identical facts and, downstream, byte-identical diagnostics.
     """
 
     def __init__(
         self,
-        functions: Dict[str, ConcurrencyFunction],
-        locks: Dict[str, LockInfo],
+        functions: Dict[str, List[Event]],
+        locks: Dict[str, str],
     ) -> None:
-        self.functions = functions
-        self.locks = locks
+        self.functions = functions  #: fqname -> events
+        self.locks = locks  #: canonical lock id -> 'lock' or 'rlock'
         #: callee -> [(caller fq, call event)] over non-deferred edges
-        self._callers: Dict[str, List[Tuple[str, Dict[str, Any]]]] = {}
+        self._callers: Dict[str, List[Tuple[str, Event]]] = {}
         self.entry_may: Dict[str, Set[str]] = {}
         self._witness: Dict[Tuple[str, str], str] = {}
         self._acquires: Dict[str, Set[str]] = {}
-        self._solved = False
-
-    # -- solving ------------------------------------------------------------
 
     def solve(self) -> None:
-        if self._solved:
-            return
-        self._solved = True
         self._build_edges()
         self._solve_entry_may()
         self._solve_acquires()
 
-    def held_locks(self, event: Dict[str, Any]) -> Set[str]:
+    def held_locks(self, event: Event) -> Set[str]:
         """Locally-held known locks at an event."""
         return {lock for lock in event.get("held", []) if lock in self.locks}
 
     def _build_edges(self) -> None:
         for name in sorted(self.functions):
-            fn = self.functions[name]
-            for event in fn.events:
+            for event in self.functions[name]:
                 if event["k"] != "call" or event["deferred"]:
                     continue
                 callee = event.get("callee")
@@ -451,10 +383,9 @@ class ConcurrencyAnalysis:
         directly or transitively (synchronous callees only)."""
         self._acquires = {}
         for name in sorted(self.functions):
-            fn = self.functions[name]
             self._acquires[name] = {
                 event["lock"]
-                for event in fn.events
+                for event in self.functions[name]
                 if event["k"] == "acquire"
                 and not event["deferred"]
                 and event["lock"] in self.locks
@@ -463,9 +394,8 @@ class ConcurrencyAnalysis:
         while changed:
             changed = False
             for name in sorted(self.functions):
-                fn = self.functions[name]
                 mine = self._acquires[name]
-                for event in fn.events:
+                for event in self.functions[name]:
                     if event["k"] != "call" or event["deferred"]:
                         continue
                     callee = event.get("callee")
@@ -478,19 +408,17 @@ class ConcurrencyAnalysis:
 
     # -- queries ------------------------------------------------------------
 
-    def iter_functions(self) -> Iterator[ConcurrencyFunction]:
+    def iter_events(self) -> Iterator[Tuple[str, Event]]:
+        """``(function fqname, event)`` in sorted function order."""
         for name in sorted(self.functions):
-            yield self.functions[name]
+            for event in self.functions[name]:
+                yield name, event
 
-    def kind(self, lock: str) -> str:
-        return self.locks[lock].kind
-
-    def held_may(self, fn: ConcurrencyFunction,
-                 event: Dict[str, Any]) -> Set[str]:
+    def held_may(self, fqname: str, event: Event) -> Set[str]:
         """Locks possibly held at an event (entry ∪ local scopes)."""
         if event["deferred"]:
             return set()
-        return self.entry_may.get(fn.fqname, set()) | self.held_locks(event)
+        return self.entry_may.get(fqname, set()) | self.held_locks(event)
 
     def acquires(self, fqname: str) -> Set[str]:
         return self._acquires.get(fqname, set())
@@ -509,16 +437,60 @@ class ConcurrencyAnalysis:
             node = caller
 
 
+def analyze_module(scope: ModuleScope, tree: ast.Module) -> ConcurrencyAnalysis:
+    """Index the module's locks, extract every function and solve."""
+    locks: Dict[str, str] = {}
+
+    def define(canon: str, value: ast.AST) -> None:
+        kind = lock_kind(value, scope.aliases)
+        if kind is not None:
+            locks.setdefault(canon, kind)
+
+    for node in tree.body:
+        targets: List[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                define(f"{scope.module}.{target.id}", value)
+    functions: Dict[str, List[Event]] = {}
+    for fn in scope.functions:
+        klass = fn.klass
+        if klass is not None:
+            for inner in ast.walk(fn.node):
+                if not isinstance(inner, ast.Assign):
+                    continue
+                for target in inner.targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    ):
+                        define(f"{scope.module}.{klass}.{target.attr}",
+                               inner.value)
+        functions[fn.fqname] = ConcurrencyExtractor(scope, klass).extract(
+            fn.node
+        )
+    analysis = ConcurrencyAnalysis(functions, locks)
+    analysis.solve()
+    return analysis
+
+
 def match_blocking(
-    event: Dict[str, Any],
+    event: Event,
     blocking: Sequence[str],
-    project_functions: Container[str],
+    module_functions: Container[str],
 ) -> Optional[str]:
     """First blocklist pattern matching a call event, else None.
 
-    ``*.leaf`` patterns never match calls resolved to project functions —
-    the may-entry propagation already analyses those bodies directly, and
-    a project method named ``cancel`` is not ``Future.cancel``.
+    ``*.leaf`` patterns never match calls resolved to a function of the
+    same module — the entry-lockset propagation already analyses those
+    bodies directly, and a method named ``cancel`` is not
+    ``Future.cancel``.
     """
     callee = event.get("callee")
     leaf = event.get("leaf")
@@ -528,7 +500,7 @@ def match_blocking(
             if (
                 leaf == pattern[2:]
                 and recv not in ("const", "bare")
-                and (callee is None or callee not in project_functions)
+                and (callee is None or callee not in module_functions)
             ):
                 return pattern
         elif callee == pattern or (recv == "bare" and leaf == pattern):

@@ -46,9 +46,7 @@ class LintConfig:
     root: Path = field(default_factory=Path.cwd)
     paths: List[str] = field(default_factory=lambda: ["src/repro"])
     exclude: List[str] = field(default_factory=list)
-    baseline: str = "lint-baseline.json"
     disable: List[str] = field(default_factory=list)
-    warn: List[str] = field(default_factory=list)
     #: flake8-style rule filters: run only codes matching a ``select``
     #: prefix, then drop codes matching an ``ignore`` prefix.
     select: List[str] = field(default_factory=list)
@@ -57,23 +55,18 @@ class LintConfig:
     #: ``[tool.repro-lint.paths]`` block (keys double as lint targets).
     path_rules: Dict[str, List[str]] = field(default_factory=dict)
     rng_exempt: List[str] = field(default_factory=lambda: list(DEFAULT_RNG_EXEMPT))
-    #: project-pass knobs — TOML values are strings per the fallback parser,
-    #: so ``workers`` stays a string here and is int()-ed at the use site.
-    workers: str = "0"
+    #: summary-cache directory under the root ("" = no cache)
     cache: str = ".repro-lint-cache"
     schema_manifest: str = "lint-schema.json"
     schema_sites: List[str] = field(
         default_factory=lambda: list(DEFAULT_SCHEMA_SITES)
     )
     #: RPR017 blocklist: ``*.leaf`` patterns (attribute calls by leaf name
-    #: on non-literal receivers, project functions excluded), resolved
-    #: dotted callees, or bare builtin names.
+    #: on non-literal receivers, the module's own functions excluded),
+    #: resolved dotted callees, or bare builtin names.
     blocking_calls: List[str] = field(
         default_factory=lambda: list(DEFAULT_BLOCKING_CALLS)
     )
-
-    def baseline_path(self) -> Path:
-        return self.root / self.baseline
 
     def cache_path(self) -> Optional[Path]:
         """Summary-cache directory; ``cache = ""`` disables caching."""
@@ -83,15 +76,6 @@ class LintConfig:
 
     def manifest_path(self) -> Path:
         return self.root / self.schema_manifest
-
-    def default_workers(self) -> int:
-        try:
-            return int(self.workers)
-        except ValueError:
-            raise ValueError(
-                f"[tool.{SECTION}].workers must be an integer string, "
-                f"got {self.workers!r}"
-            )
 
     def is_excluded(self, rel_path: str) -> bool:
         from fnmatch import fnmatch
@@ -110,48 +94,15 @@ class LintConfig:
             return False
         return any(code.startswith(p) for p in self.path_rules[best])
 
-    def to_payload(self, include_root: bool = True) -> Dict[str, object]:
-        """JSON-serialisable form (for worker processes and cache keys)."""
-        payload: Dict[str, object] = {}
-        for attr in _KEY_MAP.values():
-            value = getattr(self, attr)
-            if isinstance(value, list):
-                payload[attr] = list(value)
-            elif isinstance(value, dict):
-                payload[attr] = {k: list(v) for k, v in value.items()}
-            else:
-                payload[attr] = value
-        if include_root:
-            payload["root"] = str(self.root)
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "LintConfig":
-        cfg = cls()
-        for attr in _KEY_MAP.values():
-            if attr in payload:
-                value = payload[attr]
-                if isinstance(value, list):
-                    value = list(value)
-                elif isinstance(value, dict):
-                    value = {k: list(v) for k, v in value.items()}
-                setattr(cfg, attr, value)
-        if "root" in payload:
-            cfg.root = Path(str(payload["root"]))
-        return cfg
-
 
 _KEY_MAP = {
     "paths": "paths",
     "exclude": "exclude",
-    "baseline": "baseline",
     "disable": "disable",
-    "warn": "warn",
     "select": "select",
     "ignore": "ignore",
     "path-rules": "path_rules",
     "rng-exempt": "rng_exempt",
-    "workers": "workers",
     "cache": "cache",
     "schema-manifest": "schema_manifest",
     "schema-sites": "schema_sites",
@@ -160,9 +111,13 @@ _KEY_MAP = {
 
 
 def load_config(pyproject: Optional[Path]) -> LintConfig:
-    """Build a :class:`LintConfig` from a pyproject file (or defaults)."""
+    """Build a :class:`LintConfig` from a pyproject file (or defaults).
+
+    Without a pyproject the root is only the current directory, so the
+    defaults cache nothing there (``--cache-dir`` still names a cache).
+    """
     if pyproject is None or not pyproject.is_file():
-        return LintConfig()
+        return LintConfig(cache="")
     table = _read_tool_table(pyproject)
     cfg = LintConfig(root=pyproject.parent.resolve())
     for raw_key, value in table.items():

@@ -2,9 +2,7 @@
 
 A :class:`Diagnostic` pins a finding to a file/line/column, carries the rule
 code (``RPR001``…) and a human-readable message, and knows how to render
-itself for terminals and how to reduce itself to the stable key used by the
-baseline (path + code + line — columns are deliberately excluded so that
-intra-line edits do not invalidate a grandfathered finding).
+itself for terminals.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ class Severity(enum.Enum):
     """How seriously a finding counts toward the exit status.
 
     ``ERROR`` findings fail the run; ``WARNING`` findings are reported but do
-    not affect the exit code.  Rules declare a default severity and the
-    ``warn`` list in ``[tool.repro-lint]`` can demote codes per project.
+    not affect the exit code.  Rules declare a default severity; RPR008
+    reports a stale manifest as a warning.
     """
 
     WARNING = "warning"
@@ -39,10 +37,6 @@ class Diagnostic:
     code: str  #: rule code, e.g. ``RPR001``
     message: str
     severity: Severity = Severity.ERROR
-
-    def baseline_key(self) -> Tuple[str, str, int]:
-        """The identity used for baseline matching."""
-        return (self.path, self.code, self.line)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)

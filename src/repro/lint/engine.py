@@ -3,19 +3,19 @@
 The engine is deliberately small: a rule is an object with a ``code`` and a
 ``check(ctx)`` generator; the engine parses each file once, hands every rule
 the same :class:`FileContext`, filters findings through inline suppression
-comments, and returns sorted diagnostics.  Baseline handling lives in
-:mod:`repro.lint.baseline`; path/config resolution in
+comments, and returns sorted diagnostics.  Path/config resolution lives in
 :mod:`repro.lint.config`.
 
 Two rule families share the registry:
 
-* **file rules** (:class:`Rule`) see one :class:`FileContext` at a time —
-  the per-file syntactic pass;
+* **file rules** (:class:`Rule`) see one :class:`FileContext` at a time:
+  the syntactic rules (RPR001, RPR002), and the overflow (RPR011) and
+  lock rules (RPR017, RPR018), whose analyses are solved over the
+  functions of that one module;
 * **project rules** (:class:`ProjectRule`) see the whole-program
   :class:`~repro.lint.project.ProjectContext` built by
-  :mod:`repro.lint.project` — schema drift (RPR008), overflow typeflow
-  (RPR011) and the lock rules (RPR017, RPR018), which no single file can
-  witness.
+  :mod:`repro.lint.project`: schema drift (RPR008), which compares a
+  site in one module with a version constant in another.
 
 Each rule class carries its own ``--explain`` text: the class docstring
 says what the rule enforces and ``example`` shows a minimal trigger.
@@ -37,9 +37,23 @@ import inspect
 import re
 import textwrap
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
+from repro.lint._ast import ModuleScope, import_aliases
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 
@@ -50,6 +64,8 @@ _SUPPRESS_RE = re.compile(
 
 _CODE_RE = re.compile(r"^RPR\d{3}$")
 
+T = TypeVar("T")
+
 
 @dataclass
 class FileContext:
@@ -58,13 +74,34 @@ class FileContext:
     path: Path  #: absolute path on disk
     rel_path: str  #: posix path relative to the lint root (used in output)
     source: str
-    tree: ast.AST
+    tree: ast.Module
     config: LintConfig
     lines: List[str] = field(default_factory=list)
+    _derived: Dict[Callable[..., Any], Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Import aliases of the module, computed once for every rule."""
+        return import_aliases(self.tree)
+
+    @cached_property
+    def scope(self) -> ModuleScope:
+        """The module's functions and call resolution."""
+        return ModuleScope(self.tree, self.rel_path, self.aliases)
+
+    def derived(self, build: Callable[["FileContext"], T]) -> T:
+        """``build(self)``, computed once per file: an analysis that
+        several rules read (RPR017 and RPR018 share the lock analysis)."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        result: T = self._derived[build]
+        return result
 
     def walk(self) -> Iterator[ast.AST]:
         return ast.walk(self.tree)
@@ -103,33 +140,14 @@ class Rule:
         return f"{self.code} — {self.name}\n\n{summary}\n\nExample:\n{example}"
 
     def diag(self, ctx: FileContext, node: ast.AST, message: str) -> Diagnostic:
-        return Diagnostic(
-            path=ctx.rel_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            code=self.code,
-            message=message,
-            severity=self.default_severity,
+        return self.diag_at(
+            ctx.rel_path,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0),
+            message,
         )
 
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Subclasses implement :meth:`check_project` over the
-    :class:`~repro.lint.project.ProjectContext`; :meth:`check` is unused
-    (project rules never run in the per-file pass).  :meth:`project_diag`
-    stamps findings from module summaries, which carry relative paths and
-    line numbers but no live AST.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def project_diag(
+    def diag_at(
         self,
         rel_path: str,
         line: int,
@@ -145,6 +163,23 @@ class ProjectRule(Rule):
             message=message,
             severity=severity or self.default_severity,
         )
+
+
+class ProjectRule(Rule):
+    """Base class for whole-program rules.
+
+    Subclasses implement :meth:`check_project` over the
+    :class:`~repro.lint.project.ProjectContext`; :meth:`check` is unused
+    (project rules never run in the per-file pass).  Findings come from
+    module summaries, which carry relative paths and line numbers but no
+    live AST, so they are stamped with :meth:`Rule.diag_at`.
+    """
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        return iter(())
+
+    def check_project(self, project: Any) -> Iterator[Diagnostic]:
+        raise NotImplementedError
 
 
 class RuleRegistry:
@@ -191,11 +226,11 @@ class RuleRegistry:
         return rules
 
     def file_rules(self, config: LintConfig) -> List[Rule]:
-        """Enabled per-file rules (the pass-2a syntactic walk)."""
+        """Enabled per-file rules (run on each parsed module)."""
         return [r for r in self.enabled(config) if not isinstance(r, ProjectRule)]
 
     def project_rules(self, config: LintConfig) -> List["ProjectRule"]:
-        """Enabled whole-program rules (the pass-2b cross-module walk)."""
+        """Enabled whole-program rules (run over the module summaries)."""
         return [r for r in self.enabled(config) if isinstance(r, ProjectRule)]
 
 
@@ -213,12 +248,9 @@ def parse_suppressions(lines: Sequence[str]) -> Dict[int, Optional[Set[str]]]:
         if not match:
             continue
         codes = match.group("codes")
-        if codes is None:
-            out[i] = None
-        else:
-            parsed = {c.strip() for c in codes.split(",") if c.strip()}
-            existing = out.get(i, set())
-            out[i] = None if existing is None else (existing or set()) | parsed
+        out[i] = None if codes is None else {
+            c.strip() for c in codes.split(",") if c.strip()
+        }
     return out
 
 
@@ -231,6 +263,22 @@ def is_suppressed(
     return codes is None or diag.code in codes
 
 
+def check_file(
+    ctx: FileContext,
+    registry: RuleRegistry,
+    suppressions: Dict[int, Optional[Set[str]]],
+) -> List[Diagnostic]:
+    """Every enabled file rule over one module, suppression-filtered and
+    sorted."""
+    found = [
+        diag
+        for rule in registry.file_rules(ctx.config)
+        for diag in rule.check(ctx)
+        if not is_suppressed(diag, suppressions)
+    ]
+    return sorted(found, key=Diagnostic.sort_key)
+
+
 def lint_source(
     source: str,
     rel_path: str,
@@ -239,72 +287,26 @@ def lint_source(
     path: Optional[Path] = None,
 ) -> List[Diagnostic]:
     """Lint one in-memory source blob (the unit the tests drive)."""
-    config = config or LintConfig()
-    tree = ast.parse(source, filename=rel_path)
     ctx = FileContext(
         path=path or Path(rel_path),
         rel_path=rel_path,
         source=source,
-        tree=tree,
-        config=config,
+        tree=ast.parse(source, filename=rel_path),
+        config=config or LintConfig(),
     )
-    found: List[Diagnostic] = []
-    for rule in registry.file_rules(config):
-        found.extend(rule.check(ctx))
-    found = apply_warn(found, config)
-    suppressions = parse_suppressions(ctx.lines)
-    kept = [d for d in found if not is_suppressed(d, suppressions)]
-    return sorted(kept, key=Diagnostic.sort_key)
+    return check_file(ctx, registry, parse_suppressions(ctx.lines))
 
 
-def apply_warn(
-    diags: Iterable[Diagnostic], config: LintConfig
-) -> List[Diagnostic]:
-    """Demote codes listed in ``config.warn`` to warning severity."""
-    warn_codes = set(config.warn)
-    out: List[Diagnostic] = []
-    for diag in diags:
-        if diag.code in warn_codes and diag.severity is Severity.ERROR:
-            diag = Diagnostic(
-                path=diag.path,
-                line=diag.line,
-                col=diag.col,
-                code=diag.code,
-                message=diag.message,
-                severity=Severity.WARNING,
-            )
-        out.append(diag)
-    return out
+def collect_files(
+    paths: Iterable[Path], config: LintConfig
+) -> List[Tuple[Path, str]]:
+    """Expand directories into sorted ``*.py`` files, applying excludes.
 
-
-def lint_file(
-    path: Path,
-    config: Optional[LintConfig] = None,
-    registry: RuleRegistry = REGISTRY,
-) -> List[Diagnostic]:
-    """Lint one file on disk."""
-    config = config or LintConfig()
-    rel = _relativize(path, config.root)
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, rel, config=config, registry=registry, path=path)
-
-
-def lint_paths(
-    paths: Iterable[Path],
-    config: Optional[LintConfig] = None,
-    registry: RuleRegistry = REGISTRY,
-) -> List[Diagnostic]:
-    """Lint files and directory trees; returns all diagnostics, sorted."""
-    config = config or LintConfig()
-    diags: List[Diagnostic] = []
-    for file_path in collect_files(paths, config):
-        diags.extend(lint_file(file_path, config=config, registry=registry))
-    return sorted(diags, key=Diagnostic.sort_key)
-
-
-def collect_files(paths: Iterable[Path], config: LintConfig) -> List[Path]:
-    """Expand directories into sorted ``*.py`` files, applying excludes."""
-    out: List[Path] = []
+    Returns ``(path, rel_path)`` pairs: each file's posix path relative to
+    the lint root (resolved once), computed once per file.
+    """
+    root = config.root.resolve()
+    out: List[Tuple[Path, str]] = []
     for path in paths:
         if path.is_dir():
             candidates = sorted(path.rglob("*.py"))
@@ -313,14 +315,10 @@ def collect_files(paths: Iterable[Path], config: LintConfig) -> List[Path]:
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
         for cand in candidates:
-            rel = _relativize(cand, config.root)
+            try:
+                rel = cand.resolve().relative_to(root).as_posix()
+            except ValueError:
+                rel = cand.as_posix()
             if not config.is_excluded(rel):
-                out.append(cand)
+                out.append((cand, rel))
     return out
-
-
-def _relativize(path: Path, root: Path) -> str:
-    try:
-        return path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()

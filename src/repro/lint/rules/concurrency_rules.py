@@ -1,18 +1,18 @@
 """RPR017 and RPR018: blocking calls and callbacks under a held lock
-(pass 4; each documented on its rule class).
+(each documented on its rule class).
 
-Both rules consume the solved whole-program
+Both rules consume the module's solved
 :class:`~repro.lint.concurrency.ConcurrencyAnalysis` — may-held entry
 locksets with witness caller chains, and the transitive acquisition
-closure — and audit the recorded call and registration events.
+closure — and audit the recorded call and registration events.  The
+analysis is solved once per file and shared by the two rules.
 
 Suppressions must state the protecting invariant, e.g.::
 
     future.result()  # repro-lint: disable=RPR017 — future is settled here
 
-Both respect inline suppressions, the baseline, ``--select`` /
-``--ignore`` and path-scoped rule sets like every other rule, and solve
-in sorted order so diagnostics are byte-identical at any ``--workers``.
+Both respect inline suppressions, ``--select`` / ``--ignore`` and
+path-scoped rule sets like every other rule.
 """
 
 from __future__ import annotations
@@ -21,29 +21,28 @@ from typing import Iterator, Sequence
 
 from repro.lint.concurrency import (
     ConcurrencyAnalysis,
+    analyze_module,
     match_blocking,
-    short_lock,
+    short_name,
 )
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.engine import REGISTRY, ProjectRule
-from repro.lint.project import ProjectContext
+from repro.lint.engine import REGISTRY, FileContext, Rule
 
 
-def _short_fn(fqname: str) -> str:
-    parts = fqname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else fqname
+def _module_analysis(ctx: FileContext) -> ConcurrencyAnalysis:
+    return analyze_module(ctx.scope, ctx.tree)
 
 
-class _ConcurrencyRule(ProjectRule):
-    """Common driver: solve the concurrency facts once (memoised on the
-    project context) and visit them in sorted function order."""
+class _ConcurrencyRule(Rule):
+    """Common driver: solve the module's lock facts once per file (shared
+    through :meth:`FileContext.derived`) and visit them in sorted function
+    order."""
 
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        analysis = project.concurrency_analysis()
-        yield from self.check_concurrency(project, analysis)
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        yield from self.check_concurrency(ctx, ctx.derived(_module_analysis))
 
     def check_concurrency(
-        self, project: ProjectContext, analysis: ConcurrencyAnalysis
+        self, ctx: FileContext, analysis: ConcurrencyAnalysis
     ) -> Iterator[Diagnostic]:
         raise NotImplementedError
 
@@ -53,8 +52,8 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
     """No blocking call while a lock may be held.
 
     A call matching the configurable ``blocking-calls`` blocklist is
-    reached, directly or through the call graph, while a lock may be
-    held; every other thread then stalls behind the blocked holder.  This
+    reached, directly or through the module's own calls, while a lock may
+    be held; every other thread then stalls behind the blocked holder.  This
     is the ``JobQueue.cancel()`` bug class, where ``Future.cancel()``
     blocked on done callbacks with the queue lock held.  The default
     blocklist: ``*.result``, ``*.cancel``, ``*.shutdown``, ``*.join``,
@@ -62,11 +61,14 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
     socket verbs (``*.recv``, ``*.sendall``, ``*.connect``,
     ``*.accept``), ``time.sleep`` and ``subprocess.run``/checks; override
     it with ``blocking-calls = [...]`` in ``[tool.repro-lint]``.
-    ``*.leaf`` patterns never match calls resolved to project functions
-    (a project method named ``cancel`` is not ``Future.cancel``) nor
-    calls on string/bytes literals (``", ".join(...)``).  Suppress only
-    with the invariant that makes the call non-blocking (e.g. the future
-    has settled).
+    ``*.leaf`` patterns never match calls resolved to a function of the
+    same module (a method named ``cancel`` is not ``Future.cancel``) nor
+    calls on string/bytes literals (``", ".join(...)``).  Each module is
+    checked on its own: a lock held at a call into another project module
+    does not flow into that function's body, and the blocklist judges
+    such a call by its name like any library call.  Suppress only with
+    the invariant that makes the call non-blocking (e.g. the future has
+    settled).
     """
 
     code = "RPR017"
@@ -82,33 +84,32 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
     """
 
     def check_concurrency(
-        self, project: ProjectContext, analysis: ConcurrencyAnalysis
+        self, ctx: FileContext, analysis: ConcurrencyAnalysis
     ) -> Iterator[Diagnostic]:
-        blocking: Sequence[str] = list(project.config.blocking_calls)
-        for fn in analysis.iter_functions():
-            for event in fn.events:
-                if event["k"] != "call":
-                    continue
-                held = analysis.held_may(fn, event)
-                if not held:
-                    continue
-                pattern = match_blocking(event, blocking, analysis.functions)
-                if pattern is None:
-                    continue
-                local = analysis.held_locks(event)
-                parts = []
-                for lock in sorted(held):
-                    if lock in local:
-                        parts.append(f"{short_lock(lock)} (held here)")
-                    else:
-                        chain = analysis.entry_chain(fn.fqname, lock)
-                        parts.append(
-                            f"{short_lock(lock)} (held on entry via "
-                            + " <- ".join(_short_fn(f) for f in chain)
-                            + ")"
-                        )
-                yield self.project_diag(
-                    fn.rel_path, event["lineno"], event["col"],
+        blocking: Sequence[str] = list(ctx.config.blocking_calls)
+        for fqname, event in analysis.iter_events():
+            if event["k"] != "call":
+                continue
+            held = analysis.held_may(fqname, event)
+            if not held:
+                continue
+            pattern = match_blocking(event, blocking, analysis.functions)
+            if pattern is None:
+                continue
+            local = analysis.held_locks(event)
+            parts = []
+            for lock in sorted(held):
+                if lock in local:
+                    parts.append(f"{short_name(lock)} (held here)")
+                else:
+                    chain = analysis.entry_chain(fqname, lock)
+                    parts.append(
+                        f"{short_name(lock)} (held on entry via "
+                        + " <- ".join(short_name(f) for f in chain)
+                        + ")"
+                    )
+            yield self.diag_at(
+                ctx.rel_path, event["lineno"], event["col"],
                     f"'{event['text']}' matches blocking-call pattern "
                     f"'{pattern}' while {'; '.join(parts)}; every other "
                     f"thread stalls behind this call — release the lock "
@@ -147,37 +148,36 @@ class CallbackReentrancyRule(_ConcurrencyRule):
     """
 
     def check_concurrency(
-        self, project: ProjectContext, analysis: ConcurrencyAnalysis
+        self, ctx: FileContext, analysis: ConcurrencyAnalysis
     ) -> Iterator[Diagnostic]:
-        for fn in analysis.iter_functions():
-            for event in fn.events:
-                if event["k"] != "register":
+        for fqname, event in analysis.iter_events():
+            if event["k"] != "register":
+                continue
+            held = analysis.held_may(fqname, event)
+            if not held:
+                continue
+            target = event.get("target")
+            if target is None or target not in analysis.functions:
+                continue
+            for lock in sorted(analysis.acquires(target) & held):
+                if analysis.locks[lock] != "lock":
                     continue
-                held = analysis.held_may(fn, event)
-                if not held:
-                    continue
-                target = event.get("target")
-                if target is None or target not in analysis.functions:
-                    continue
-                for lock in sorted(analysis.acquires(target) & held):
-                    if analysis.kind(lock) != "lock":
-                        continue
-                    if event["via"] == "signal":
-                        how = (
-                            "a signal handler can preempt the holder on "
-                            "the same thread"
-                        )
-                    else:
-                        how = (
-                            "a settled Future runs done callbacks "
-                            "synchronously on the registering thread"
-                        )
-                    yield self.project_diag(
-                        fn.rel_path, event["lineno"], event["col"],
-                        f"callback '{_short_fn(target)}' re-acquires "
-                        f"non-reentrant lock {short_lock(lock)}, which may "
-                        f"already be held at this registration site; "
-                        f"{how}, so the callback deadlocks against its "
-                        f"caller — make the lock an RLock or register "
-                        f"outside the lock",
+                if event["via"] == "signal":
+                    how = (
+                        "a signal handler can preempt the holder on "
+                        "the same thread"
                     )
+                else:
+                    how = (
+                        "a settled Future runs done callbacks "
+                        "synchronously on the registering thread"
+                    )
+                yield self.diag_at(
+                    ctx.rel_path, event["lineno"], event["col"],
+                    f"callback '{short_name(target)}' re-acquires "
+                    f"non-reentrant lock {short_name(lock)}, which may "
+                    f"already be held at this registration site; "
+                    f"{how}, so the callback deadlocks against its "
+                    f"caller — make the lock an RLock or register "
+                    f"outside the lock",
+                )

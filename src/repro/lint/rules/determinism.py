@@ -6,7 +6,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint._ast import import_aliases, resolve
+from repro.lint._ast import resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
 
@@ -74,7 +74,7 @@ class DeterminismRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.matches_suffix(ctx.config.rng_exempt):
             return
-        aliases = import_aliases(ctx.tree)
+        aliases = ctx.aliases
         for node in ctx.walk():
             if isinstance(node, ast.Import):
                 for item in node.names:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from repro.lint._ast import annotation_text, import_aliases, resolve
+from repro.lint._ast import annotation_text, resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
 
@@ -62,7 +62,7 @@ class RngPlumbingRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.matches_suffix(ctx.config.rng_exempt):
             return
-        aliases = import_aliases(ctx.tree)
+        aliases = ctx.aliases
         for node in ctx.walk():
             if isinstance(node, ast.Call):
                 target = resolve(node.func, aliases)

@@ -118,7 +118,7 @@ class SchemaDriftRule(ProjectRule):
         try:
             manifest = load_manifest(cfg.manifest_path())
         except (ValueError, json.JSONDecodeError) as exc:
-            yield self.project_diag(
+            yield self.diag_at(
                 cfg.schema_manifest, 1, 0, f"unreadable schema manifest: {exc}"
             )
             return
@@ -128,7 +128,7 @@ class SchemaDriftRule(ProjectRule):
             try:
                 site_path, qualname, ver_path, ver_name = parse_site_spec(spec)
             except ValueError as exc:
-                yield self.project_diag(cfg.schema_manifest, 1, 0, str(exc))
+                yield self.diag_at(cfg.schema_manifest, 1, 0, str(exc))
                 continue
             summary = project.module_by_suffix(site_path)
             if summary is None:
@@ -137,7 +137,7 @@ class SchemaDriftRule(ProjectRule):
                 continue
             entry = summary.schema_fields.get(qualname)
             if entry is None:
-                yield self.project_diag(
+                yield self.diag_at(
                     summary.rel_path, 1, 0,
                     f"schema site {qualname!r} not found in "
                     f"{summary.rel_path}; fix the schema-sites entry in "
@@ -147,7 +147,7 @@ class SchemaDriftRule(ProjectRule):
             ver_mod = project.module_by_suffix(ver_path)
             version = ver_mod.constants.get(ver_name) if ver_mod else None
             if version is None:
-                yield self.project_diag(
+                yield self.diag_at(
                     summary.rel_path, entry["lineno"], 0,
                     f"version constant {ver_name} not found in {ver_path}; "
                     "persisted schemas must be guarded by a module-level "
@@ -164,7 +164,7 @@ class SchemaDriftRule(ProjectRule):
                     cfg.schema_manifest if manifest is not None
                     else f"missing {cfg.schema_manifest}"
                 )
-                yield self.project_diag(
+                yield self.diag_at(
                     summary.rel_path, entry["lineno"], 0,
                     f"persisted schema {qualname} ({len(fields)} fields) is "
                     f"not recorded in {where}; run "
@@ -175,7 +175,7 @@ class SchemaDriftRule(ProjectRule):
 
             if rec.get("fingerprint") == fingerprint:
                 if rec.get("schema_version") != version:
-                    yield self.project_diag(
+                    yield self.diag_at(
                         summary.rel_path, entry["lineno"], 0,
                         f"{ver_name} is now {version} but the manifest "
                         f"records {rec.get('schema_version')}; run "
@@ -191,7 +191,7 @@ class SchemaDriftRule(ProjectRule):
                 ([f"+{name}" for name in added] + [f"-{name}" for name in removed])
             )
             if rec.get("schema_version") == version:
-                yield self.project_diag(
+                yield self.diag_at(
                     summary.rel_path, entry["lineno"], 0,
                     f"persisted schema {qualname} drifted ({delta}) but "
                     f"{ver_name} in {ver_path} is still {version}; bump the "
@@ -199,7 +199,7 @@ class SchemaDriftRule(ProjectRule):
                     "`repro-lint --update-schema-manifest`",
                 )
             else:
-                yield self.project_diag(
+                yield self.diag_at(
                     summary.rel_path, entry["lineno"], 0,
                     f"persisted schema {qualname} changed ({delta}) and "
                     f"{ver_name} was bumped to {version}; run "

@@ -1,12 +1,12 @@
-"""RPR011 — overflow-risk arithmetic over the typeflow pass (documented on
-:class:`OverflowArithmeticRule`).
+"""RPR011 — overflow-risk arithmetic over the typeflow analysis
+(documented on :class:`OverflowArithmeticRule`).
 
-The rule consumes the solved interprocedural
+The rule consumes the module's solved
 :class:`~repro.lint.typeflow.TypeflowAnalysis`: abstract values (dtype,
 unit tag, provenance column, significant-bit bound) inferred for every
 tracked expression, checked against the recorded arithmetic events.  It
-respects inline suppressions, the baseline, ``--select`` / ``--ignore``
-and path-scoped rule sets like every other rule.
+respects inline suppressions, ``--select`` / ``--ignore`` and
+path-scoped rule sets like every other rule.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.engine import REGISTRY, ProjectRule
-from repro.lint.project import ProjectContext
+from repro.lint.engine import REGISTRY, FileContext, Rule
 from repro.lint.typeflow import (
     TypeflowAnalysis,
+    analyze_module,
     int_capacity,
     promote_dtype,
 )
@@ -28,7 +28,7 @@ def _is_int(dtype: Optional[str]) -> bool:
 
 
 @REGISTRY.register
-class OverflowArithmeticRule(ProjectRule):
+class OverflowArithmeticRule(Rule):
     """Arithmetic on packed-key integers stays within the dtype's range.
 
     An add, multiply or left shift whose mathematical result can exceed
@@ -38,8 +38,9 @@ class OverflowArithmeticRule(ProjectRule):
     intentional wraparound (hash mixers); arithmetic under it is skipped.
     For a bound the analysis cannot see (e.g. "group ids are bounded by
     the packet index"), state it in a comment and suppress the line.
-    Events are visited in (function name, event order), so diagnostics
-    are byte-identical at any worker count.
+    Values flow through calls between the functions of one module (a
+    helper's return value, a caller's arguments); the result of a call
+    into another module is unknown, bounded only by a cast's dtype.
     """
 
     code = "RPR011"
@@ -54,8 +55,8 @@ class OverflowArithmeticRule(ProjectRule):
             mixed *= np.uint64(0x9E3779B97F4A7C15)    # ok: declared wrap
     """
 
-    def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        tf = project.typeflow_analysis()
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        tf = analyze_module(ctx.scope)
         for fn, event in tf.iter_events():
             if event.wrap:
                 continue
@@ -83,8 +84,8 @@ class OverflowArithmeticRule(ProjectRule):
             capacity = int_capacity(dtype)
             if raw <= capacity:
                 continue
-            yield self.project_diag(
-                fn.rel_path, event.lineno, event.col,
+            yield self.diag_at(
+                ctx.rel_path, event.lineno, event.col,
                 f"'{op}' result needs up to {raw} bits but {dtype} holds "
                 f"{capacity}; '{event.text}' can wrap silently — widen the "
                 "operands, mask the inputs, or put the statement under "

@@ -1,11 +1,11 @@
-"""Typeflow pass (pass 3): interprocedural dtype/width/unit inference.
+"""Typeflow analysis: dtype/width/unit inference over one module.
 
 The paper's measurement rests on exact wire-level semantics — ``uint32``
 IPs, ``uint16`` ports, ``float64`` epoch timestamps — and those columns
 now move through many hands (packed sort keys in ``identify_scans``,
 per-source tallies in ``repro.stream``, fixed little-endian layouts in
 ``.rtrace``/checkpoint stores).  This module performs abstract
-interpretation over the pass-1 summaries to infer, for every tracked
+interpretation over one module's functions to infer, for every tracked
 expression, an :class:`AbstractValue`:
 
 * **dtype** — canonical numpy dtype (width + signedness + float/int);
@@ -16,33 +16,26 @@ expression, an :class:`AbstractValue`:
   (for overflow reasoning: a ``uint32`` source widened to ``uint64`` and
   shifted left by 32 needs at most 64 bits, so it is proven to fit).
 
-Everything is summary-driven: :class:`TypeflowExtractor` runs once per
-function during pass 1 and emits a JSON-serialisable :class:`FunctionTypeflow`
-(an expression IR whose leaves are parameters, batch columns, literals and
-project calls, plus one event per add/multiply/left-shift), so the
-content-addressed summary cache covers typeflow and warm runs re-parse
-nothing.  :class:`TypeflowAnalysis` then joins call-site argument values
-into callee parameters and return expressions into call results until
-fixpoint, and the RPR011 overflow rule evaluates the recorded events
-against the solved environment.
-
-The lattice definition (unit vocabulary, column seeds, dtype tables) is
-fingerprinted into the summary-cache salt: editing it invalidates every
-cached summary.
+:class:`TypeflowExtractor` runs once per function and emits a
+:class:`FunctionTypeflow` (an expression IR whose leaves are parameters,
+batch columns, literals and resolved calls, plus one event per
+add/multiply/left-shift).  :func:`analyze_module` then joins call-site
+argument values into the parameters of the module's own functions and
+return expressions into call results until fixpoint, and the RPR011
+overflow rule evaluates the recorded events against the solved
+environment.  A call into another module is opaque: its result is
+unknown and its arguments seed nothing.  RPR011's findings are cached
+with the file's, under a key that digests this module's source, so
+editing the lattice re-analyses every file.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.lint._ast import resolve
-
-#: Bump on any change to the extraction or evaluation semantics.
-TYPEFLOW_VERSION = 2
+from repro.lint._ast import ModuleFunction, ModuleScope, resolve
 
 # ---------------------------------------------------------------------------
 # the lattice: dtypes, units, column seeds
@@ -55,11 +48,6 @@ DTYPE_BITS: Dict[str, int] = {
     "float32": 32, "float64": 64,
     "bool": 1,
 }
-
-#: The unit vocabulary of the packet pipeline.
-UNITS: Tuple[str, ...] = (
-    "seconds", "packets", "bytes", "ip-int", "port", "window-index",
-)
 
 #: Semantic value bounds implied by a unit tag regardless of storage dtype:
 #: an IPv4 address is < 2**32 and a port < 2**16 *by definition*, so a
@@ -85,7 +73,7 @@ COLUMN_TYPES: Dict[str, Tuple[str, Optional[str]]] = {
     "flags": ("uint8", None),
 }
 
-#: Parameter/variable name suffixes that imply a unit when interprocedural
+#: Parameter/variable name suffixes that imply a unit when call-site
 #: propagation has nothing better (documented in docs/lint.md).
 NAME_UNIT_SUFFIXES: Tuple[Tuple[str, str], ...] = (
     ("_seconds", "seconds"),
@@ -119,22 +107,6 @@ _STRUCT_CODES: Dict[str, str] = {
     "f4": "float32", "f8": "float64",
     "b1": "bool",
 }
-
-
-def lattice_fingerprint() -> str:
-    """Content fingerprint of the lattice definition (part of the cache
-    salt — editing the unit vocabulary or column seeds re-analyses all)."""
-    material = {
-        "version": TYPEFLOW_VERSION,
-        "units": list(UNITS),
-        "unit_bits": UNIT_VALUE_BITS,
-        "columns": {k: list(v) for k, v in COLUMN_TYPES.items()},
-        "suffixes": [list(p) for p in NAME_UNIT_SUFFIXES],
-        "dtypes": DTYPE_BITS,
-    }
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(json.dumps(material, sort_keys=True).encode("utf-8"))
-    return digest.hexdigest()
 
 
 def parse_dtype(text: Optional[str]) -> Optional[str]:
@@ -250,7 +222,7 @@ def promote_dtype(a: AbstractValue, b: AbstractValue) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# the expression IR (JSON-serialisable nested lists)
+# the expression IR (nested lists)
 # ---------------------------------------------------------------------------
 
 # Encodings:
@@ -330,13 +302,6 @@ class TypeCall:
     args: List[Expr]
     lineno: int
 
-    def to_list(self) -> List[Any]:
-        return [self.callee, self.args, self.lineno]
-
-    @classmethod
-    def from_list(cls, data: Sequence[Any]) -> "TypeCall":
-        return cls(callee=data[0], args=list(data[1]), lineno=int(data[2]))
-
 
 @dataclass
 class TypeEvent:
@@ -353,43 +318,18 @@ class TypeEvent:
     data: Dict[str, Any] = field(default_factory=dict)
     wrap: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"lineno": self.lineno, "col": self.col, "text": self.text,
-                "data": self.data, "wrap": self.wrap}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TypeEvent":
-        return cls(lineno=int(data["lineno"]), col=int(data["col"]),
-                   text=data["text"], data=dict(data["data"]),
-                   wrap=bool(data["wrap"]))
-
 
 @dataclass
 class FunctionTypeflow:
-    """The serialisable typeflow facts of one function."""
+    """The typeflow facts of one function."""
 
     events: List[TypeEvent] = field(default_factory=list)
     returns: List[Expr] = field(default_factory=list)
     calls: List[TypeCall] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [e.to_dict() for e in self.events],
-            "returns": self.returns,
-            "calls": [c.to_list() for c in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionTypeflow":
-        return cls(
-            events=[TypeEvent.from_dict(e) for e in data["events"]],
-            returns=[list(r) for r in data["returns"]],
-            calls=[TypeCall.from_list(c) for c in data["calls"]],
-        )
-
 
 # ---------------------------------------------------------------------------
-# extraction (pass 1, per function)
+# extraction (per function)
 # ---------------------------------------------------------------------------
 
 
@@ -409,16 +349,12 @@ class TypeflowExtractor:
     is fine for a linter that only ever *under*-claims.
     """
 
-    def __init__(
-        self,
-        params: Sequence[str],
-        aliases: Dict[str, str],
-        resolve_call: Callable[[ast.Call], Optional[str]],
-    ):
-        self.params = list(params)
-        self.param_index = {name: i for i, name in enumerate(params)}
-        self.aliases = aliases
-        self.resolve_call = resolve_call
+    def __init__(self, scope: ModuleScope, fn: ModuleFunction):
+        self.params = fn.params
+        self.param_index = {name: i for i, name in enumerate(self.params)}
+        self.aliases = scope.aliases
+        self.scope = scope
+        self.klass = fn.klass
         self.env: Dict[str, Expr] = {}
         self.out = FunctionTypeflow()
         self._wrap_depth = 0
@@ -483,7 +419,7 @@ class TypeflowExtractor:
             self._block(stmt.finalbody)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef)):
-            pass  # nested defs are summarised separately
+            pass  # nested defs are extracted separately
         else:
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
@@ -674,12 +610,12 @@ class TypeflowExtractor:
                 self._expr(arg, depth + 1)
             return ["c", "int64", None, None, None]
 
-        # Ordinary call: record for interprocedural propagation when the
-        # callee resolves; arguments are always visited.
+        # Ordinary call: record for call-site propagation when the callee
+        # resolves; arguments are always visited.
         args = [self._expr(arg, depth + 1) for arg in node.args]
         for kw in node.keywords:
             self._expr(kw.value, depth + 1)
-        callee = self.resolve_call(node)
+        callee = self.scope.resolve_call(node, self.klass)
         if callee is not None:
             self.out.calls.append(TypeCall(
                 callee=callee, args=args, lineno=node.lineno,
@@ -716,7 +652,7 @@ class TypeflowExtractor:
 
 
 # ---------------------------------------------------------------------------
-# the interprocedural solver (pass 3)
+# the solver (one module)
 # ---------------------------------------------------------------------------
 
 
@@ -725,19 +661,17 @@ class TypeflowFunction:
     """Solver-side view of one function."""
 
     fqname: str
-    rel_path: str
     params: List[str]
     flow: FunctionTypeflow
 
 
 class TypeflowAnalysis:
-    """Whole-program fixpoint over the per-function typeflow records.
+    """Fixpoint over the typeflow records of one module's functions.
 
     Parameters start at bottom and absorb (join) the abstract value of
     every call-site argument; return values join every return expression.
     The lattice is finite, joins only move upward, so the iteration
-    terminates; evaluation order does not affect the fixpoint, making
-    diagnostics byte-identical at any ``--workers`` count.
+    terminates; evaluation order does not affect the fixpoint.
     """
 
     _MAX_ROUNDS = 40
@@ -751,13 +685,10 @@ class TypeflowAnalysis:
         self.return_values: Dict[str, AbstractValue] = {
             name: BOTTOM for name in functions
         }
-        self._solved = False
 
     # -- solving -------------------------------------------------------------
 
     def solve(self) -> None:
-        if self._solved:
-            return
         names = sorted(self.functions)
         for _ in range(self._MAX_ROUNDS):
             changed = False
@@ -775,7 +706,6 @@ class TypeflowAnalysis:
                     changed = True
             if not changed:
                 break
-        self._solved = True
 
     def _apply_call(self, caller: str, call: TypeCall) -> bool:
         callee = self.functions.get(call.callee)
@@ -967,3 +897,15 @@ class TypeflowAnalysis:
             for event in fn.flow.events:
                 yield fn, event
 
+
+def analyze_module(scope: ModuleScope) -> TypeflowAnalysis:
+    """Extract every function of one module and solve the fixpoint."""
+    functions: Dict[str, TypeflowFunction] = {}
+    for fn in scope.functions:
+        functions[fn.fqname] = TypeflowFunction(
+            fqname=fn.fqname, params=fn.params,
+            flow=TypeflowExtractor(scope, fn).extract(fn.node),
+        )
+    analysis = TypeflowAnalysis(functions)
+    analysis.solve()
+    return analysis

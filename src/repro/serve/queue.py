@@ -37,7 +37,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from enum import Enum
 from pathlib import Path
@@ -47,7 +46,6 @@ from repro import __version__
 from repro.exec.cache import CaptureCache
 from repro.serve.jobs import JobSpec, execute_job
 from repro.simulation import TelescopeWorld
-from repro.stream.stats import wall_clock
 
 #: Bump to invalidate every persisted job record and job key.
 SERVE_SCHEMA_VERSION = 2
@@ -82,6 +80,11 @@ class JobRecord:
     )
     #: Pool generation the current future was submitted into (retry logic).
     generation: int = dataclasses.field(default=0, repr=False, compare=False)
+    #: Set, under the queue's lock, by the transition that finishes the
+    #: record; cleared when a resubmission revives it.
+    settled: threading.Event = dataclasses.field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     @property
     def status(self) -> str:
@@ -247,6 +250,7 @@ class JobQueue:
                 rec.result = None
                 rec.error = None
                 rec.attempts = 0
+                rec.settled.clear()
             self._start_locked(rec)
             self._persist_locked(rec)
             return rec
@@ -318,6 +322,7 @@ class JobQueue:
                 self.failures += 1
             rec.future = None
             self._persist_locked(rec)
+            rec.settled.set()
 
     def _retire_pool_locked(self, generation: int) -> None:
         """Replace a broken pool exactly once per generation.
@@ -372,17 +377,17 @@ class JobQueue:
             ]
 
     def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
-        """Block until the job finishes (or ``timeout`` elapses)."""
-        deadline = wall_clock() + timeout
-        while True:
-            rec = self.get(job_id)
-            if rec is None:
-                raise KeyError(f"no such job: {job_id}")
-            if rec.finished():
-                return rec
-            if wall_clock() >= deadline:
-                return rec
-            time.sleep(0.02)
+        """Block until the job finishes (or ``timeout`` elapses).
+
+        Wakes on the record's ``settled`` event, so a waiter returns as
+        soon as the job's callback has stored its outcome; a finished job
+        returns at once.
+        """
+        rec = self.get(job_id)
+        if rec is None:
+            raise KeyError(f"no such job: {job_id}")
+        rec.settled.wait(timeout)
+        return rec
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; running/finished jobs cannot be cancelled
@@ -404,6 +409,7 @@ class JobQueue:
             rec.state = JobState.CANCELLED
             rec.future = None
             self._persist_locked(rec)
+            rec.settled.set()
             return True
 
     def stats(self) -> Dict[str, Any]:
@@ -500,7 +506,9 @@ class JobQueue:
                 )
                 self._jobs[rec.job_id] = rec
                 self.restored += 1
-                if rec.state is JobState.QUEUED:
+                if rec.finished():
+                    rec.settled.set()
+                elif rec.state is JobState.QUEUED:
                     # In-flight when the previous process died: run again.
                     # Streaming jobs re-attach to their checkpoints, capture
                     # synthesis re-attaches to the capture cache.

@@ -1,8 +1,8 @@
-"""Tests for repro.lint — rule fixtures, suppressions, baseline, CLI.
+"""Tests for repro.lint — rule fixtures, suppressions, config, CLI.
 
-Each rule family gets positive (fires), negative (stays quiet), suppressed
-and baselined fixtures; a final test asserts the live tree is clean against
-the committed baseline, which is what CI enforces.
+Each rule family gets positive (fires), negative (stays quiet) and
+suppressed fixtures; a final test asserts the live tree is clean, which is
+what CI enforces.
 """
 
 import io
@@ -15,9 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintConfig,
-    Severity,
     lint_repository,
     lint_source,
 )
@@ -194,11 +192,6 @@ class TestSuppressions:
 
 
 class TestSeverityAndConfig:
-    def test_warn_demotes_severity(self):
-        cfg = LintConfig(warn=["RPR002"])
-        diags = run(SEEDED_RNG + "\n", config=cfg)
-        assert [d.severity for d in diags] == [Severity.WARNING]
-
     def test_disable_removes_rule(self):
         cfg = LintConfig(disable=["RPR002"])
         assert codes(SEEDED_RNG + "\n", config=cfg) == []
@@ -211,13 +204,13 @@ class TestSeverityAndConfig:
 
             [tool.repro-lint]
             paths = ["src/pkg"]
-            baseline = "custom-baseline.json"
-            warn = ["RPR002"]
+            cache = "custom-cache"
+            disable = ["RPR002"]
         """))
         cfg = load_config(pyproject)
         assert cfg.paths == ["src/pkg"]
-        assert cfg.baseline == "custom-baseline.json"
-        assert cfg.warn == ["RPR002"]
+        assert cfg.cache == "custom-cache"
+        assert cfg.disable == ["RPR002"]
         assert cfg.root == tmp_path.resolve()
 
     def test_load_config_rejects_unknown_key(self, tmp_path):
@@ -226,48 +219,35 @@ class TestSeverityAndConfig:
         with pytest.raises(ValueError):
             load_config(pyproject)
 
+    @pytest.mark.parametrize("key", ["baseline", "warn", "workers"])
+    def test_removed_keys_rejected(self, tmp_path, key):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(f"[tool.repro-lint]\n{key} = []\n")
+        with pytest.raises(ValueError, match="unknown key"):
+            load_config(pyproject)
+
     def test_fallback_parser_matches_subset(self):
         text = textwrap.dedent("""\
             [project]
             name = "x"
 
             [tool.repro-lint]
-            baseline = "b.json"  # trailing comment
+            cache = "c"  # trailing comment
             paths = [
                 "src/a",
                 "src/b",
             ]
-            warn = []
+            disable = []
 
             [tool.after]
             y = "z"
         """)
         table = _fallback_parse(text)
         assert table == {
-            "baseline": "b.json",
+            "cache": "c",
             "paths": ["src/a", "src/b"],
-            "warn": [],
+            "disable": [],
         }
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        diags = run(SEEDED_RNG + "\n")
-        baseline = Baseline.from_diagnostics(diags)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        new, known = loaded.partition(diags)
-        assert new == [] and known == diags
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").entries == set()
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
 
 
 VIOLATIONS = {
@@ -277,12 +257,24 @@ VIOLATIONS = {
 
 
 class TestCli:
+    @pytest.mark.parametrize("flag", [
+        "--baseline=b.json", "--no-baseline", "--write-baseline",
+        "--update-baseline", "--workers=0",
+    ])
+    def test_removed_flags_are_usage_errors(self, tmp_path, flag, capsys):
+        target = tmp_path / "clean.py"
+        target.write_text("x = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(target), flag])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
     @pytest.mark.parametrize("code", sorted(VIOLATIONS))
     def test_each_rule_family_fails_the_run(self, tmp_path, code, capsys):
         target = tmp_path / "core" / "snippet.py"
         target.parent.mkdir()
         target.write_text(VIOLATIONS[code])
-        status = main([str(target), "--no-baseline"])
+        status = main([str(target)])
         out = capsys.readouterr().out
         assert status == 1
         assert code in out
@@ -290,29 +282,31 @@ class TestCli:
     def test_clean_file_exits_zero(self, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
-        assert main([str(target), "--no-baseline"]) == 0
+        assert main([str(target)]) == 0
 
-    def test_baseline_workflow(self, tmp_path, capsys):
-        target = tmp_path / "core" / "snippet.py"
-        target.parent.mkdir()
+    def test_run_without_pyproject_writes_no_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # No pyproject above the tree: the root is just the current
+        # directory, so neither it nor the linted tree gets a cache.
+        tree = tmp_path / "tree"
+        target = tree / "core" / "snippet.py"
+        target.parent.mkdir(parents=True)
         target.write_text(SEEDED_RNG + "\n")
-        baseline = tmp_path / "baseline.json"
-
-        assert main([str(target), "--baseline", str(baseline)]) == 1
-        assert main([str(target), "--baseline", str(baseline),
-                     "--write-baseline"]) == 0
-        # Grandfathered now.
-        assert main([str(target), "--baseline", str(baseline)]) == 0
-        # A new violation still fails.
-        target.write_text(SEEDED_RNG + "\nimport time\nt = time.time()\n")
-        assert main([str(target), "--baseline", str(baseline)]) == 1
-        capsys.readouterr()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main([str(tree)]) == 1
+        assert "RPR002" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "core", "elsewhere", "snippet.py", "tree",
+        ]
 
     def test_json_format(self, tmp_path, capsys):
         target = tmp_path / "core" / "snippet.py"
         target.parent.mkdir()
         target.write_text(SEEDED_RNG + "\n")
-        status = main([str(target), "--no-baseline", "--format", "json"])
+        status = main([str(target), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert status == 1
         assert payload["findings"][0]["code"] == "RPR002"
@@ -326,12 +320,12 @@ class TestCli:
         ]
 
     def test_missing_path_is_usage_error(self, tmp_path):
-        assert main([str(tmp_path / "ghost.py"), "--no-baseline"]) == 2
+        assert main([str(tmp_path / "ghost.py")]) == 2
 
     def test_syntax_error_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "broken.py"
         target.write_text("def f(:\n")
-        assert main([str(target), "--no-baseline"]) == 2
+        assert main([str(target)]) == 2
         capsys.readouterr()
 
 
@@ -362,7 +356,7 @@ def strip_suppressions(root):
 
 class TestLiveTree:
     """The enforcement test: the shipped tree must lint clean against the
-    committed configuration and baseline."""
+    committed configuration."""
 
     def test_src_repro_is_clean(self, capsys):
         status = main([
@@ -381,8 +375,7 @@ class TestLiveTree:
                 REPO_ROOT / name, tmp_path / name,
                 ignore=shutil.ignore_patterns("__pycache__"),
             )
-        for name in ("pyproject.toml", "lint-schema.json",
-                     "lint-baseline.json"):
+        for name in ("pyproject.toml", "lint-schema.json"):
             shutil.copy2(REPO_ROOT / name, tmp_path / name)
         stripped = strip_suppressions(tmp_path)
         config = load_config(tmp_path / "pyproject.toml")

@@ -1,30 +1,31 @@
-"""Tests for the whole-program lint pass (repro.lint.project).
+"""Tests for the lint pass (repro.lint.project).
 
 The schema-drift rule (RPR008) gets seeded-violation fixtures plus clean
 counterparts; the pass itself is exercised for cache hit/invalidation on
-edit, worker-count independence (0/1/4 produce identical diagnostics),
-SARIF output against a golden file, and ``--update-baseline`` pruning,
-over fixtures that trip the kept project rules (RPR011, RPR017).
+edit, a warm lint that solves nothing, cache keys that follow the
+linter's own source, and SARIF output against a golden file, over a
+fixture that trips RPR017.
 """
 
 import json
+import shutil
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintConfig,
+    ModuleSummary,
     Severity,
     lint_repository,
 )
+from repro.lint._ast import module_name_for
 from repro.lint.cli import main
-from repro.lint.project import (
-    SummaryCache,
-    module_name_for,
-    summarize_source,
-)
+from repro.lint.concurrency import ConcurrencyAnalysis
+from repro.lint.project import LINT_PACKAGE, SummaryCache, summarize_source
+from repro.lint.typeflow import TypeflowAnalysis
 from repro.lint.rules.schema_drift import (
     collect_sites,
     fingerprint_fields,
@@ -40,15 +41,21 @@ GOLDEN_SARIF = Path(__file__).resolve().parent / "data" / "lint_golden.sarif"
 #: them so each assertion sees only the project rule under test.
 FILE_RULES = ["RPR001", "RPR002"]
 
-#: A cross-module RPR017 finding: ``Ticker.tick`` holds its lock while
-#: calling ``pause`` in another module, which sleeps.  Editing ``b.py``
-#: alone clears it.
+#: One RPR017 finding: ``Ticker.tick`` holds its lock while calling
+#: ``pause``, a function of the same module, which sleeps.  Editing
+#: ``b.py`` alone clears it; ``a.py`` is a bystander.
 LOCKED_SLEEP = {
     "pkg/__init__.py": "",
     "pkg/a.py": """\
+        def tick_count(ticks):
+            return len(ticks)
+    """,
+    "pkg/b.py": """\
         import threading
+        import time
 
-        from pkg.b import pause
+        def pause():
+            time.sleep(0.1)
 
         class Ticker:
             def __init__(self):
@@ -57,12 +64,6 @@ LOCKED_SLEEP = {
             def tick(self):
                 with self._lock:
                     pause()
-    """,
-    "pkg/b.py": """\
-        import time
-
-        def pause():
-            time.sleep(0.1)
     """,
 }
 
@@ -127,25 +128,15 @@ class TestModuleSummary:
 
             def f(rng, arr):
                 with _LOCK:
-                    arr.sort()
+                    arr.sort()  # repro-lint: disable=RPR017
                 return {"key": arr << 2}
         """)
         summary = summarize_source(src, "pkg/mod.py")
-        from repro.lint.project import ModuleSummary
-
-        clone = ModuleSummary.from_dict(
-            json.loads(json.dumps(summary.to_dict()))
-        )
-        assert clone.to_dict() == summary.to_dict()
-        assert clone.constants["SCHEMA_VERSION"] == "3"
-        assert clone.lock_defs == [["<module>", "_LOCK", "lock", 4]]
+        clone = ModuleSummary(**json.loads(json.dumps(asdict(summary))))
+        assert clone == summary
+        assert clone.constants == {"SCHEMA_VERSION": "3"}
         assert clone.schema_fields["f"]["fields"] == ["key"]
-        fsum = clone.functions["f"]
-        assert [e["k"] for e in fsum.concurrency["events"]] == [
-            "acquire", "call",
-        ]
-        [shift] = fsum.typeflow["events"]
-        assert shift["data"]["op"] == "shl"
+        assert clone.suppression_table() == {8: {"RPR017"}}
 
     def test_schema_fields_from_returned_dict(self):
         src = textwrap.dedent("""\
@@ -265,7 +256,7 @@ class TestSchemaDriftRule:
 
 
 # ---------------------------------------------------------------------------
-# caching & parallel pass
+# caching
 # ---------------------------------------------------------------------------
 
 
@@ -276,12 +267,53 @@ class TestSummaryCache:
             config, workers=0, cache_dir=cache_dir, use_cache=True
         )
 
+    def test_warm_lint_solves_nothing(self, tmp_path, monkeypatch):
+        write_tree(tmp_path, {**LOCKED_SLEEP, **OVERFLOW_PACK})
+        cache_dir = tmp_path / ".cache"
+        cold_diags, _, _ = self._run(tmp_path, cache_dir)
+        assert sorted(codes(cold_diags)) == ["RPR011", "RPR017"]
+
+        def refuse(self):
+            raise AssertionError("a warm lint must not solve anything")
+
+        monkeypatch.setattr(TypeflowAnalysis, "solve", refuse)
+        monkeypatch.setattr(ConcurrencyAnalysis, "solve", refuse)
+        warm_diags, _, warm = self._run(tmp_path, cache_dir)
+        assert warm_diags == cold_diags
+        assert warm.cache_hits == warm.files == 4
+        assert warm.parsed == 0
+
+    def test_any_linter_edit_changes_every_key(self, tmp_path, monkeypatch):
+        # The salt digests every .py file of the linter package, so an
+        # edit to a rule, an analysis or the engine misses everywhere.
+        package = tmp_path / "lint"
+        shutil.copytree(LINT_PACKAGE, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr("repro.lint.project.LINT_PACKAGE", package)
+        config = LintConfig(root=tmp_path)
+        cache = SummaryCache(tmp_path / ".cache")
+
+        def key():
+            salt = SummaryCache.salt(config, REGISTRY)
+            return cache.key_for("pkg/a.py", b"x = 1\n", salt)
+
+        original = key()
+        sources = sorted(package.rglob("*.py"))
+        assert len(sources) >= 15
+        for source in sources:
+            text = source.read_text(encoding="utf-8")
+            source.write_text(text + "# edited\n", encoding="utf-8")
+            assert key() != original, source.relative_to(package)
+            source.write_text(text, encoding="utf-8")
+        assert key() == original
+
     def test_cold_then_warm_then_invalidation(self, tmp_path):
         write_tree(tmp_path, LOCKED_SLEEP)
         cache_dir = tmp_path / ".cache"
 
         cold_diags, _, cold = self._run(tmp_path, cache_dir)
         assert (cold.cache_hits, cold.cache_misses) == (0, 3)
+        assert codes(cold_diags) == ["RPR017"]
 
         warm_diags, _, warm = self._run(tmp_path, cache_dir)
         assert (warm.cache_hits, warm.cache_misses) == (3, 0)
@@ -319,23 +351,15 @@ class TestSummaryCache:
         assert rerun_diags == diags
 
 
-class TestWorkerEquivalence:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_diagnostics_identical_at_any_worker_count(
-        self, tmp_path, workers
-    ):
-        write_tree(tmp_path, {**LOCKED_SLEEP, **OVERFLOW_PACK})
-        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
-        serial, _, _ = lint_repository(config, workers=0, use_cache=False)
-        parallel, _, _ = lint_repository(
-            config, workers=workers, use_cache=False
-        )
-        assert sorted(codes(serial)) == ["RPR011", "RPR017"]
-        assert parallel == serial
+def test_workers_other_than_zero_raise(tmp_path):
+    write_tree(tmp_path, LOCKED_SLEEP)
+    config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
+    with pytest.raises(ValueError, match="workers must be 0"):
+        lint_repository(config, workers=1, use_cache=False)
 
 
 # ---------------------------------------------------------------------------
-# CLI: SARIF, --update-baseline, --update-schema-manifest
+# CLI: SARIF, --update-schema-manifest
 # ---------------------------------------------------------------------------
 
 
@@ -359,7 +383,6 @@ class TestCli:
         status = main([
             "--config", str(pyproject),
             "--format", "sarif", "--output", str(out_file),
-            "--no-baseline",
         ])
         capsys.readouterr()
         assert status == 1
@@ -376,28 +399,6 @@ class TestCli:
             "RPR001", "RPR002", "RPR008", "RPR011", "RPR017", "RPR018",
         ]
 
-    def test_update_baseline_prunes_stale_entry(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, LOCKED_SLEEP)
-
-        status = main(["--config", str(pyproject), "--write-baseline"])
-        capsys.readouterr()
-        assert status == 0
-        baseline_path = tmp_path / "lint-baseline.json"
-        assert len(Baseline.load(baseline_path).entries) == 1
-
-        # Fix the blocking call: the baselined entry goes stale.
-        fix_sleep(tmp_path)
-        status = main(["--config", str(pyproject), "--update-baseline"])
-        out = capsys.readouterr().out
-        assert status == 1
-        assert "pruned stale baseline entry" in out
-        assert Baseline.load(baseline_path).entries == set()
-
-        # A second update run is clean and exits 0.
-        status = main(["--config", str(pyproject), "--update-baseline"])
-        capsys.readouterr()
-        assert status == 0
-
     def test_update_schema_manifest_cli(self, tmp_path, capsys):
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a"])}
         write_tree(tmp_path, files)
@@ -410,9 +411,7 @@ class TestCli:
         """), encoding="utf-8")
         pyproject = tmp_path / "pyproject.toml"
 
-        status = main([
-            "--config", str(pyproject), "--no-baseline",
-        ])
+        status = main(["--config", str(pyproject)])
         capsys.readouterr()
         assert status == 1  # unrecorded schema site
 
@@ -422,31 +421,6 @@ class TestCli:
         manifest = json.loads((tmp_path / "lint-schema.json").read_text())
         assert "pkg/store.py:Store.snapshot" in manifest["sites"]
 
-        status = main(["--config", str(pyproject), "--no-baseline"])
+        status = main(["--config", str(pyproject)])
         capsys.readouterr()
         assert status == 0
-
-    def test_workers_flag_matches_serial(self, tmp_path, capsys):
-        pyproject = write_cli_project(tmp_path, LOCKED_SLEEP)
-        outputs = []
-        for flags in ([], ["--workers", "2"]):
-            status = main([
-                "--config", str(pyproject), "--no-baseline",
-                "--format", "json", *flags,
-            ])
-            assert status == 1
-            payload = json.loads(capsys.readouterr().out)
-            outputs.append(payload["findings"])
-        assert outputs[0] == outputs[1]
-
-
-class TestBaselineVersionError:
-    def test_load_names_both_versions(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError) as excinfo:
-            Baseline.load(path)
-        message = str(excinfo.value)
-        assert "99" in message
-        assert "version 1" in message
-        assert str(path) in message

@@ -1,26 +1,24 @@
-"""Tests for the typeflow pass (repro.lint.typeflow) and its RPR011 rule.
+"""Tests for the typeflow analysis (repro.lint.typeflow) and its RPR011 rule.
 
-The overflow rule gets a seeded-violation fixture package plus clean
-counterparts; the pass itself is exercised for interprocedural value
-propagation, cache invalidation when the unit lattice changes,
-worker-count independence, SARIF output against a golden file,
-``--select``/``--ignore`` filtering, and the ``[tool.repro-lint.paths]``
-path-scoped rule sets.
+The overflow rule gets a seeded-violation fixture package, clean
+counterparts, and the packed-key shapes of the live tree; the analysis
+itself is exercised for value propagation through one module's calls,
+cache invalidation when the unit lattice changes, SARIF output against a
+golden file, ``--select``/``--ignore`` filtering, and the
+``[tool.repro-lint.paths]`` path-scoped rule sets.
 """
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    LintConfig,
-    lattice_fingerprint,
-    lint_repository,
-)
+from repro.lint import LintConfig, lint_repository
 from repro.lint.cli import main
 from repro.lint.config import _fallback_parse, load_config
+from repro.lint.project import LINT_PACKAGE
 from repro.lint.typeflow import (
     AbstractValue,
     int_capacity,
@@ -83,9 +81,6 @@ class TestLattice:
         b = AbstractValue(dtype="int32")
         assert promote_dtype(a, b) == "int64"
 
-    def test_fingerprint_is_stable(self):
-        assert lattice_fingerprint() == lattice_fingerprint()
-
 
 # ---------------------------------------------------------------------------
 # RPR011: overflow-risk arithmetic
@@ -138,12 +133,12 @@ class TestOverflowArithmeticRule:
 
 
 # ---------------------------------------------------------------------------
-# interprocedural propagation
+# propagation through the module's own calls
 # ---------------------------------------------------------------------------
 
 
 #: The helper's parameter is untracked on its own; only the call site in
-#: another module makes it a 32-bit ``src_ip`` value held in uint64.
+#: the same module makes it a 32-bit ``src_ip`` value held in uint64.
 INTERPROCEDURAL_FILES = {
     "pkg/__init__.py": "",
     "pkg/helpers.py": """\
@@ -151,11 +146,6 @@ INTERPROCEDURAL_FILES = {
 
         def spread(values):
             return values << np.uint64(40)
-    """,
-    "pkg/use.py": """\
-        import numpy as np
-
-        from pkg.helpers import spread
 
         def pack(batch):
             return spread(batch.src_ip.astype(np.uint64))
@@ -168,7 +158,101 @@ class TestInterprocedural:
         diags, _, _ = run_project(tmp_path, INTERPROCEDURAL_FILES)
         assert codes(diags) == ["RPR011"]
         assert "72 bits" in diags[0].message
-        assert diags[0].path.endswith("helpers.py")
+        assert (diags[0].path, diags[0].line) == ("pkg/helpers.py", 4)
+
+
+# ---------------------------------------------------------------------------
+# the live tree's packed-key shapes, one module each
+# ---------------------------------------------------------------------------
+
+
+def one_module(body):
+    return {"pkg/__init__.py": "", "pkg/keys.py": "import numpy as np\n\n" + textwrap.dedent(body)}
+
+
+#: ``core/campaigns.py:_grouped_value_counts``: an unbounded int64 group
+#: id shifted by 16 (suppressed in the tree: ids are packet-index-bounded).
+GROUP_SHIFT = one_module("""\
+    def grouped_keys(group, values):
+        return (group.astype(np.int64) << 16) | values.astype(np.int64)
+""")
+
+#: ``core/campaigns.py:_identify``: an unbounded uint64 session id shifted
+#: by 32 (suppressed in the tree: ids are < 2**32).
+SESSION_SHIFT = one_module("""\
+    def packed(sub_session, sub_dst):
+        return (sub_session.astype(np.uint64) << np.uint64(32)) | sub_dst
+""")
+
+#: ``enrichment/registry.py:sample_in_blocks``: two uint64 arrays added
+#: (suppressed in the tree: both are < 2**32).
+WIDE_ADD = one_module("""\
+    def addresses(starts, sizes, fractions):
+        firsts = np.array(starts, dtype=np.uint64)
+        offsets = (fractions * sizes).astype(np.uint64)
+        return (firsts + offsets).astype(np.uint32)
+""")
+
+#: ``scanners/nmap.py:NMapModel.craft``: a helper of the same module
+#: returns a 16-bit token, which is doubled into a uint32 by a shift of
+#: 16.  Only the module's return-value fixpoint proves it fits.
+TOKEN_DOUBLE = one_module("""\
+    class Model:
+        def craft(self, dst_ip, dst_port):
+            nfo = self._match_token(dst_ip, dst_port)
+            return (nfo.astype(np.uint32) << np.uint32(16)) | nfo.astype(np.uint32)
+
+        def _match_token(self, dst_ip, dst_port):
+            mixed = dst_ip.astype(np.uint32) ^ dst_port.astype(np.uint32)
+            return (mixed & np.uint32(0xFFFF)).astype(np.uint16)
+""")
+
+
+class TestTreeShapes:
+    @pytest.mark.parametrize("files, message", [
+        (GROUP_SHIFT, "'shl' result needs up to 79 bits but int64 holds 63; "
+                      "'group.astype(np.int64) << 16'"),
+        (SESSION_SHIFT, "'shl' result needs up to 96 bits but uint64 holds "
+                        "64; 'sub_session.astype(np.uint64) << np.uint64(32)'"),
+        (WIDE_ADD, "'add' result needs up to 65 bits but uint64 holds 64; "
+                   "'firsts + offsets'"),
+    ], ids=["group-shift", "session-shift", "wide-add"])
+    def test_unbounded_packed_key_flagged(self, tmp_path, files, message):
+        diags, _, _ = run_project(tmp_path, files)
+        assert codes(diags) == ["RPR011"]
+        assert diags[0].message.startswith(message)
+
+    def test_same_module_helper_return_proves_fit(self, tmp_path):
+        diags, _, _ = run_project(tmp_path, TOKEN_DOUBLE)
+        assert diags == []
+
+    def test_helper_in_another_module_is_opaque(self, tmp_path):
+        # The same shift with the helper in another module: its 16-bit
+        # return is not seen, the token counts as a full uint32, and the
+        # shift is flagged.  The analysis is per module on purpose.
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/keys.py": """\
+                import numpy as np
+
+                from pkg.token import match_token
+
+                def craft(dst_ip, dst_port):
+                    nfo = match_token(dst_ip, dst_port)
+                    return (nfo.astype(np.uint32) << np.uint32(16)) | nfo
+            """,
+            "pkg/token.py": """\
+                import numpy as np
+
+                def match_token(dst_ip, dst_port):
+                    mixed = dst_ip.astype(np.uint32) ^ dst_port.astype(np.uint32)
+                    return (mixed & np.uint32(0xFFFF)).astype(np.uint16)
+            """,
+        }
+        diags, _, _ = run_project(tmp_path, files)
+        assert codes(diags) == ["RPR011"]
+        assert diags[0].path == "pkg/keys.py"
+        assert "needs up to 48 bits but uint32 holds 32" in diags[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -194,34 +278,21 @@ class TestLatticeCache:
         assert codes(warm_diags) == ["RPR011"]
 
     def test_lattice_change_invalidates_cache(self, tmp_path, monkeypatch):
+        # The lattice lives in typeflow.py, whose source is part of every
+        # cache key: editing the unit vocabulary misses every entry.
+        package = tmp_path / "lint"
+        shutil.copytree(LINT_PACKAGE, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr("repro.lint.project.LINT_PACKAGE", package)
         write_tree(tmp_path, RPR011_FILES)
         cache_dir = tmp_path / ".cache"
         self._run(tmp_path, cache_dir)
-        monkeypatch.setattr(
-            "repro.lint.project.lattice_fingerprint", lambda: "tweaked"
-        )
+        lattice = package / "typeflow.py"
+        lattice.write_text(lattice.read_text().replace(
+            '"port": 16,', '"port": 17,'
+        ))
         _, _, stats = self._run(tmp_path, cache_dir)
         assert stats.cache_hits == 0  # new lattice, every entry misses
-
-
-# ---------------------------------------------------------------------------
-# worker-count equivalence
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerEquivalence:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_typeflow_diagnostics_identical_at_any_worker_count(
-        self, tmp_path, workers
-    ):
-        write_tree(tmp_path, {**RPR011_FILES, **INTERPROCEDURAL_FILES})
-        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
-        serial, _, _ = lint_repository(config, workers=0, use_cache=False)
-        parallel, _, _ = lint_repository(
-            config, workers=workers, use_cache=False
-        )
-        assert codes(serial) == ["RPR011", "RPR011"]
-        assert parallel == serial
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +349,7 @@ def cli_result_codes(pyproject, extra_args):
     out_file = pyproject.parent / "out.sarif"
     status = main([
         "--config", str(pyproject),
-        "--format", "sarif", "--output", str(out_file),
-        "--no-baseline", *extra_args,
+        "--format", "sarif", "--output", str(out_file), *extra_args,
     ])
     sarif = json.loads(out_file.read_text())
     return status, [r["ruleId"] for r in sarif["runs"][0]["results"]]
@@ -401,11 +471,6 @@ class TestPathScopedRules:
         )
         assert diags == []
 
-    def test_roundtrip_through_worker_payload(self):
-        cfg = LintConfig(path_rules={"benchmarks": ["RPR001"]})
-        clone = LintConfig.from_payload(cfg.to_payload())
-        assert clone.path_rules == {"benchmarks": ["RPR001"]}
-
 
 # ---------------------------------------------------------------------------
 # SARIF golden for a typeflow finding
@@ -419,7 +484,6 @@ class TestTypeflowSarif:
         status = main([
             "--config", str(pyproject),
             "--format", "sarif", "--output", str(out_file),
-            "--no-baseline",
         ])
         capsys.readouterr()
         assert status == 1

@@ -299,6 +299,28 @@ class TestCancel:
             assert revived.state.value == "done"
 
 
+class TestWait:
+    def test_wait_blocks_on_the_settling_transition(self, tmp_path):
+        """wait() sleeps on the record's event rather than polling: a
+        running job comes back unfinished at the timeout, a finished one
+        is settled, and so is a finished record a restart reloads."""
+        spec = JobSpec(kind="simulate", **SPEC)
+        cache_dir, state_dir = tmp_path / "cache", tmp_path / "state"
+        with JobQueue(cache_dir, state_dir=state_dir, workers=1,
+                      task=_task_block) as q1:
+            rec = q1.submit(spec)
+            assert not q1.wait(rec.job_id, timeout=0.05).finished()
+            assert not rec.settled.is_set()
+            (tmp_path / "release").write_text("go")
+            assert q1.wait(rec.job_id, timeout=60).state.value == "done"
+            assert rec.settled.is_set()
+        with JobQueue(cache_dir, state_dir=state_dir, workers=1,
+                      task=_task_block) as q2:
+            assert q2.get(rec.job_id).settled.is_set()
+            with pytest.raises(KeyError):
+                q2.wait("no-such-job", timeout=0)
+
+
 class TestPersistence:
     def test_done_records_survive_restart(self, tmp_path):
         spec = JobSpec(kind="simulate", **SPEC)
