@@ -16,7 +16,7 @@ RPR018    callback-reentrancy       callbacks never re-enter a held Lock
 ========  ========================  ===========================================
 
 Five are file rules, each run on one parsed module: RPR001 and RPR002
-are syntactic; RPR011 reads the dtype/width abstract interpretation of
+are syntactic; RPR011 reads the dtype/bit-width abstract interpretation of
 :mod:`repro.lint.typeflow` and RPR017/RPR018 the lock analysis of
 :mod:`repro.lint.concurrency`, both solved over the functions of that
 one module.  RPR008 is the one whole-program rule: it compares
@@ -28,9 +28,9 @@ files.  Each rule class documents itself; ``repro-lint --explain
 RPR0NN`` prints that text.
 
 Run ``python -m repro.lint`` (or the ``repro-lint`` console script);
-configure via ``[tool.repro-lint]`` in pyproject.toml (path-scoped rule
-sets via ``[tool.repro-lint.paths]``); scope runs with ``--select`` /
-``--ignore``; silence single lines with ``# repro-lint: disable=RPR00x``
+name the lint targets and their path-scoped rule sets in
+``[tool.repro-lint.paths]`` in pyproject.toml; scope runs with
+``--select`` / ``--ignore``; silence single lines with ``# repro-lint: disable=RPR00x``
 and state the bound or invariant that makes the line safe; commit
 persisted-schema fingerprints to ``lint-schema.json`` via
 ``--update-schema-manifest``.

@@ -21,7 +21,11 @@ from repro.lint.config import LintConfig, find_pyproject, load_config
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import REGISTRY
 from repro.lint.project import ProjectStats, lint_repository
-from repro.lint.rules.schema_drift import collect_sites, write_manifest
+from repro.lint.rules.schema_drift import (
+    collect_sites,
+    manifest_path,
+    write_manifest,
+)
 from repro.lint.sarif import render_sarif
 
 EXIT_CLEAN = 0
@@ -36,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files or directories to lint (default: [tool.repro-lint] paths)",
+        help="files or directories to lint (default: the keys of "
+             "[tool.repro-lint.paths])",
     )
     parser.add_argument(
         "--config", type=Path, default=None,
@@ -45,19 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--update-schema-manifest", action="store_true",
-        help="re-fingerprint the configured schema-sites and rewrite the "
+        help="re-fingerprint the persisted-schema sites and rewrite the "
              "schema manifest (lint-schema.json), then exit",
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
         help="comma-separated rule-code prefixes to run exclusively "
              "(flake8 semantics, e.g. --select RPR017,RPR018 for the lock "
-             "rules); overrides [tool.repro-lint] select",
+             "rules)",
     )
     parser.add_argument(
         "--ignore", default=None, metavar="CODES",
         help="comma-separated rule-code prefixes to skip (applied after "
-             "--select); overrides [tool.repro-lint] ignore",
+             "--select)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -70,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", type=Path, default=None,
-        help="summary-cache directory (default: [tool.repro-lint] cache, "
-             ".repro-lint-cache under the lint root; none without a "
-             "pyproject)",
+        help="summary-cache directory (default: .repro-lint-cache under "
+             "the lint root; none without a pyproject)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -142,11 +146,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
 
     if args.update_schema_manifest:
-        sites = collect_sites(project, config)
-        write_manifest(config.manifest_path(), sites)
-        print(
-            f"wrote {len(sites)} schema site(s) to {config.manifest_path()}"
-        )
+        sites = collect_sites(project)
+        write_manifest(manifest_path(project), sites)
+        print(f"wrote {len(sites)} schema site(s) to {manifest_path(project)}")
         return EXIT_CLEAN
 
     payload: Optional[str] = None

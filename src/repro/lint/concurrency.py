@@ -60,32 +60,6 @@ LOCK_CONSTRUCTORS: Dict[str, str] = {
     "threading.BoundedSemaphore": "lock",
 }
 
-#: Default RPR017 blocklist (overridable via ``[tool.repro-lint]
-#: blocking-calls``).  ``*.leaf`` matches any attribute call with that
-#: leaf name on a non-literal receiver; a plain dotted name matches the
-#: resolved callee exactly; a bare name matches a builtin call.
-DEFAULT_BLOCKING_CALLS: Tuple[str, ...] = (
-    "*.result",
-    "*.cancel",
-    "*.shutdown",
-    "*.join",
-    "*.wait",
-    "*.acquire",
-    "*.read_text",
-    "*.write_text",
-    "*.read_bytes",
-    "*.write_bytes",
-    "*.recv",
-    "*.sendall",
-    "*.connect",
-    "*.accept",
-    "time.sleep",
-    "subprocess.run",
-    "subprocess.check_call",
-    "subprocess.check_output",
-    "open",
-)
-
 _TEXT_CAP = 80
 
 

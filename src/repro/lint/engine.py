@@ -106,10 +106,6 @@ class FileContext:
     def walk(self) -> Iterator[ast.AST]:
         return ast.walk(self.tree)
 
-    def matches_suffix(self, suffixes: Sequence[str]) -> bool:
-        """True when the file's relative path ends with any of ``suffixes``."""
-        return any(self.rel_path.endswith(sfx) for sfx in suffixes)
-
 
 class Rule:
     """Base class for lint rules.
@@ -210,9 +206,9 @@ class RuleRegistry:
         return None if rule is None else rule.explain()
 
     def enabled(self, config: LintConfig) -> List[Rule]:
-        """Rules that survive ``disable`` plus the flake8-style
-        ``select``/``ignore`` prefix filters."""
-        rules = [r for r in self.rules() if r.code not in config.disable]
+        """Rules that survive the flake8-style ``select``/``ignore``
+        prefix filters."""
+        rules = self.rules()
         if config.select:
             rules = [
                 r for r in rules
@@ -300,7 +296,7 @@ def lint_source(
 def collect_files(
     paths: Iterable[Path], config: LintConfig
 ) -> List[Tuple[Path, str]]:
-    """Expand directories into sorted ``*.py`` files, applying excludes.
+    """Expand directories into sorted ``*.py`` files.
 
     Returns ``(path, rel_path)`` pairs: each file's posix path relative to
     the lint root (resolved once), computed once per file.
@@ -319,6 +315,5 @@ def collect_files(
                 rel = cand.resolve().relative_to(root).as_posix()
             except ValueError:
                 rel = cand.as_posix()
-            if not config.is_excluded(rel):
-                out.append((cand, rel))
+            out.append((cand, rel))
     return out

@@ -188,11 +188,13 @@ class ProjectContext:
 class SummaryCache:
     """Per-file analysis cache keyed on content, config and the linter.
 
-    One JSON entry per (source digest, salt) holds the file's summary and
-    its file-rule findings; the key mirrors ``CaptureCache``'s blake2b
-    discipline, so any edit — to the file, the lint configuration, the
-    rule set or any module of the linter — misses and re-analyses, while
-    untouched files load without parsing.
+    Each linted file owns one JSON entry, named after a digest of its
+    relative path, that holds the file's summary, its file-rule findings
+    and the key they were computed under.  The key mirrors
+    ``CaptureCache``'s blake2b discipline, so any edit — to the file, the
+    lint configuration, the rule set or any module of the linter —
+    misses, re-analyses and overwrites the entry, while untouched files
+    load without parsing.
     """
 
     def __init__(self, root: Path):
@@ -227,11 +229,12 @@ class SummaryCache:
         digest.update(source)
         return digest.hexdigest()
 
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.lint.json"
+    def path_for(self, rel_path: str) -> Path:
+        name = hashlib.blake2b(rel_path.encode("utf-8"), digest_size=16)
+        return self.root / f"{name.hexdigest()}.lint.json"
 
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self.path_for(key)
+    def load(self, rel_path: str, key: str) -> Optional[Dict[str, Any]]:
+        path = self.path_for(rel_path)
         if not path.is_file():
             self.misses += 1
             return None
@@ -246,10 +249,11 @@ class SummaryCache:
         self.hits += 1
         return dict(payload)
 
-    def store(self, key: str, payload: Dict[str, Any]) -> None:
+    def store(self, rel_path: str, key: str,
+              payload: Dict[str, Any]) -> None:
         payload = dict(payload)
         payload["key"] = key
-        path = self.path_for(key)
+        path = self.path_for(rel_path)
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
         tmp.replace(path)
@@ -305,7 +309,7 @@ def analyze_files(
         key = ""
         if cache is not None:
             key = cache.key_for(rel, source, salt)
-            payload = cache.load(key)
+            payload = cache.load(rel, key)
             if payload is not None:
                 modules[rel] = ModuleSummary(**payload["summary"])
                 found.extend(_diag_from_dict(d) for d in payload["diagnostics"])
@@ -320,7 +324,7 @@ def analyze_files(
         modules[rel] = summary
         found.extend(diags)
         if cache is not None:
-            cache.store(key, {
+            cache.store(rel, key, {
                 "summary": asdict(summary),
                 "diagnostics": [_diag_to_dict(d) for d in diags],
             })

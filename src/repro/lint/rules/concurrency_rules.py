@@ -17,7 +17,7 @@ path-scoped rule sets like every other rule.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Tuple
 
 from repro.lint.concurrency import (
     ConcurrencyAnalysis,
@@ -27,6 +27,31 @@ from repro.lint.concurrency import (
 )
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
+
+#: RPR017's blocklist.  ``*.leaf`` matches any attribute call with that
+#: leaf name on a non-literal receiver; a plain dotted name matches the
+#: resolved callee exactly; a bare name matches a builtin call.
+BLOCKING_CALLS: Tuple[str, ...] = (
+    "*.result",
+    "*.cancel",
+    "*.shutdown",
+    "*.join",
+    "*.wait",
+    "*.acquire",
+    "*.read_text",
+    "*.write_text",
+    "*.read_bytes",
+    "*.write_bytes",
+    "*.recv",
+    "*.sendall",
+    "*.connect",
+    "*.accept",
+    "time.sleep",
+    "subprocess.run",
+    "subprocess.check_call",
+    "subprocess.check_output",
+    "open",
+)
 
 
 def _module_analysis(ctx: FileContext) -> ConcurrencyAnalysis:
@@ -51,24 +76,22 @@ class _ConcurrencyRule(Rule):
 class BlockingCallUnderLockRule(_ConcurrencyRule):
     """No blocking call while a lock may be held.
 
-    A call matching the configurable ``blocking-calls`` blocklist is
-    reached, directly or through the module's own calls, while a lock may
-    be held; every other thread then stalls behind the blocked holder.  This
-    is the ``JobQueue.cancel()`` bug class, where ``Future.cancel()``
-    blocked on done callbacks with the queue lock held.  The default
-    blocklist: ``*.result``, ``*.cancel``, ``*.shutdown``, ``*.join``,
-    ``*.wait``, ``*.acquire``, file I/O (``*.read_text`` ..., ``open``),
-    socket verbs (``*.recv``, ``*.sendall``, ``*.connect``,
-    ``*.accept``), ``time.sleep`` and ``subprocess.run``/checks; override
-    it with ``blocking-calls = [...]`` in ``[tool.repro-lint]``.
-    ``*.leaf`` patterns never match calls resolved to a function of the
-    same module (a method named ``cancel`` is not ``Future.cancel``) nor
-    calls on string/bytes literals (``", ".join(...)``).  Each module is
-    checked on its own: a lock held at a call into another project module
-    does not flow into that function's body, and the blocklist judges
-    such a call by its name like any library call.  Suppress only with
-    the invariant that makes the call non-blocking (e.g. the future has
-    settled).
+    A call matching the blocklist is reached, directly or through the
+    module's own calls, while a lock may be held; every other thread then
+    stalls behind the blocked holder.  This is the ``JobQueue.cancel()``
+    bug class, where ``Future.cancel()`` blocked on done callbacks with
+    the queue lock held.  The blocklist: ``*.result``, ``*.cancel``,
+    ``*.shutdown``, ``*.join``, ``*.wait``, ``*.acquire``, file I/O
+    (``*.read_text`` ..., ``open``), socket verbs (``*.recv``,
+    ``*.sendall``, ``*.connect``, ``*.accept``), ``time.sleep`` and
+    ``subprocess.run``/checks.  ``*.leaf`` patterns never match calls
+    resolved to a function of the same module (a method named ``cancel``
+    is not ``Future.cancel``) nor calls on string/bytes literals
+    (``", ".join(...)``).  Each module is checked on its own: a lock held
+    at a call into another project module does not flow into that
+    function's body, and the blocklist judges such a call by its name like
+    any library call.  Suppress only with the invariant that makes the
+    call non-blocking (e.g. the future has settled).
     """
 
     code = "RPR017"
@@ -86,14 +109,13 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
     def check_concurrency(
         self, ctx: FileContext, analysis: ConcurrencyAnalysis
     ) -> Iterator[Diagnostic]:
-        blocking: Sequence[str] = list(ctx.config.blocking_calls)
         for fqname, event in analysis.iter_events():
             if event["k"] != "call":
                 continue
             held = analysis.held_may(fqname, event)
             if not held:
                 continue
-            pattern = match_blocking(event, blocking, analysis.functions)
+            pattern = match_blocking(event, BLOCKING_CALLS, analysis.functions)
             if pattern is None:
                 continue
             local = analysis.held_locks(event)

@@ -23,6 +23,10 @@ _CLOCK_CALLS = {
     "datetime.date.today",
 }
 
+#: Paths (suffix-matched against the posix relative path) where the
+#: determinism and RNG-plumbing rules do not apply: the RNG plumbing itself.
+RNG_EXEMPT = ("_util/rng.py",)
+
 #: numpy.random module-level names that are *not* global legacy state.
 _NUMPY_RANDOM_OK = {
     "default_rng",
@@ -55,8 +59,7 @@ class DeterminismRule(Rule):
       ``time.perf_counter`` and their ``_ns`` forms, ``datetime.now``,
       ``utcnow``, ``today``).
 
-    Files listed in ``rng-exempt`` (default: ``_util/rng.py``) are
-    skipped: they are the plumbing.
+    Files ending in ``_util/rng.py`` are skipped: they are the plumbing.
     """
 
     code = "RPR001"
@@ -72,7 +75,7 @@ class DeterminismRule(Rule):
     """
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.matches_suffix(ctx.config.rng_exempt):
+        if ctx.rel_path.endswith(RNG_EXEMPT):
             return
         aliases = ctx.aliases
         for node in ctx.walk():

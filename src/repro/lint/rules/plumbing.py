@@ -9,6 +9,7 @@ from typing import Iterator, Set
 from repro.lint._ast import annotation_text, resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
+from repro.lint.rules.determinism import RNG_EXEMPT
 
 _DIRECT_CONSTRUCTORS = {
     "numpy.random.default_rng",
@@ -60,7 +61,7 @@ class RngPlumbingRule(Rule):
     """
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        if ctx.matches_suffix(ctx.config.rng_exempt):
+        if ctx.rel_path.endswith(RNG_EXEMPT):
             return
         aliases = ctx.aliases
         for node in ctx.walk():

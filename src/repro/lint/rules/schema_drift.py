@@ -9,23 +9,24 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import REGISTRY, ProjectRule
 from repro.lint.project import ProjectContext
 
 SCHEMA_MANIFEST_VERSION = 1
 
+#: The committed manifest, relative to the lint root.
+SCHEMA_MANIFEST = "lint-schema.json"
 
-def parse_site_spec(spec: str) -> Tuple[str, str, str, str]:
-    """Split ``site_path:qualname:version_path:constant``."""
-    parts = spec.split(":")
-    if len(parts) != 4 or not all(parts):
-        raise ValueError(
-            f"bad schema-sites entry {spec!r}: expected "
-            '"<site path>:<qualname>:<version path>:<constant>"'
-        )
-    return parts[0], parts[1], parts[2], parts[3]
+#: Persisted-schema sites: (site path, site qualname, version path,
+#: version constant), paths suffix-matched against the linted tree.
+SCHEMA_SITES: Tuple[Tuple[str, str, str, str], ...] = (
+    ("exec/cache.py", "CaptureCache.store.meta",
+     "exec/cache.py", "CACHE_SCHEMA_VERSION"),
+    ("stream/incremental.py", "IncrementalScanIdentifier.snapshot",
+     "stream/checkpoint.py", "STREAM_SCHEMA_VERSION"),
+    ("telescope/trace.py", "_COLUMN_ORDER", "telescope/trace.py", "MAGIC"),
+)
 
 
 def fingerprint_fields(fields: List[str]) -> str:
@@ -48,13 +49,14 @@ def load_manifest(path: Path) -> Optional[Dict[str, Any]]:
     return data
 
 
-def collect_sites(
-    project: ProjectContext, config: LintConfig
-) -> Dict[str, Dict[str, Any]]:
-    """Resolve every configured site against the current tree."""
+def manifest_path(project: ProjectContext) -> Path:
+    return project.config.root / SCHEMA_MANIFEST
+
+
+def collect_sites(project: ProjectContext) -> Dict[str, Dict[str, Any]]:
+    """Resolve every schema site against the current tree."""
     sites: Dict[str, Dict[str, Any]] = {}
-    for spec in config.schema_sites:
-        site_path, qualname, ver_path, ver_name = parse_site_spec(spec)
+    for site_path, qualname, ver_path, ver_name in SCHEMA_SITES:
         summary = project.module_by_suffix(site_path)
         if summary is None:
             continue
@@ -90,16 +92,13 @@ class SchemaDriftRule(ProjectRule):
     is editing the field set without bumping the constant: old artefacts
     then load as if compatible and resumes or cache hits go quietly
     wrong.  The rule fingerprints (blake2b) the field set at every
-    configured ``schema-sites`` entry and compares it against the
-    committed manifest (``lint-schema.json``):
+    schema site and compares it against the committed manifest
+    (``lint-schema.json``):
 
     * fields drifted, version constant unchanged: error (bump it);
     * fields drifted and version bumped: warning (the manifest is stale;
       run ``repro-lint --update-schema-manifest`` and commit the result);
     * site missing from the manifest: error (run the updater once).
-
-    Each site spec is ``"<site path>:<qualname>:<version path>:<constant>"``;
-    relative paths never contain ``:`` so the split is unambiguous.
     """
 
     code = "RPR008"
@@ -114,22 +113,16 @@ class SchemaDriftRule(ProjectRule):
     """
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        cfg = project.config
         try:
-            manifest = load_manifest(cfg.manifest_path())
+            manifest = load_manifest(manifest_path(project))
         except (ValueError, json.JSONDecodeError) as exc:
             yield self.diag_at(
-                cfg.schema_manifest, 1, 0, f"unreadable schema manifest: {exc}"
+                SCHEMA_MANIFEST, 1, 0, f"unreadable schema manifest: {exc}"
             )
             return
         recorded: Dict[str, Any] = (manifest or {}).get("sites", {})
 
-        for spec in cfg.schema_sites:
-            try:
-                site_path, qualname, ver_path, ver_name = parse_site_spec(spec)
-            except ValueError as exc:
-                yield self.diag_at(cfg.schema_manifest, 1, 0, str(exc))
-                continue
+        for site_path, qualname, ver_path, ver_name in SCHEMA_SITES:
             summary = project.module_by_suffix(site_path)
             if summary is None:
                 # Site module outside the linted path set (e.g. a partial
@@ -140,8 +133,8 @@ class SchemaDriftRule(ProjectRule):
                 yield self.diag_at(
                     summary.rel_path, 1, 0,
                     f"schema site {qualname!r} not found in "
-                    f"{summary.rel_path}; fix the schema-sites entry in "
-                    "[tool.repro-lint] (or restore the persisted dict)",
+                    f"{summary.rel_path}; fix its entry in "
+                    "SCHEMA_SITES (or restore the persisted dict)",
                 )
                 continue
             ver_mod = project.module_by_suffix(ver_path)
@@ -161,8 +154,8 @@ class SchemaDriftRule(ProjectRule):
             rec = recorded.get(site_id)
             if rec is None:
                 where = (
-                    cfg.schema_manifest if manifest is not None
-                    else f"missing {cfg.schema_manifest}"
+                    SCHEMA_MANIFEST if manifest is not None
+                    else f"missing {SCHEMA_MANIFEST}"
                 )
                 yield self.diag_at(
                     summary.rel_path, entry["lineno"], 0,

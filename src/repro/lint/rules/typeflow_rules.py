@@ -2,29 +2,26 @@
 (documented on :class:`OverflowArithmeticRule`).
 
 The rule consumes the module's solved
-:class:`~repro.lint.typeflow.TypeflowAnalysis`: abstract values (dtype,
-unit tag, provenance column, significant-bit bound) inferred for every
-tracked expression, checked against the recorded arithmetic events.  It
-respects inline suppressions, ``--select`` / ``--ignore`` and
-path-scoped rule sets like every other rule.
+:class:`~repro.lint.typeflow.TypeflowAnalysis`: the dtype and
+significant-bit bound inferred for every operand, checked against the
+recorded arithmetic events.  It respects inline suppressions,
+``--select`` / ``--ignore`` and path-scoped rule sets like every other
+rule.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
 from repro.lint.typeflow import (
-    TypeflowAnalysis,
     analyze_module,
     int_capacity,
+    is_int_dtype,
     promote_dtype,
+    raw_bits,
 )
-
-
-def _is_int(dtype: Optional[str]) -> bool:
-    return dtype is not None and dtype.startswith(("uint", "int"))
 
 
 @REGISTRY.register
@@ -32,15 +29,18 @@ class OverflowArithmeticRule(Rule):
     """Arithmetic on packed-key integers stays within the dtype's range.
 
     An add, multiply or left shift whose mathematical result can exceed
-    the promoted dtype's capacity wraps silently in numpy.  The bound is
-    the uncapped bit count, so a value that already wrapped upstream does
-    not launder the overflow.  ``np.errstate(over=...)`` is the idiom for
-    intentional wraparound (hash mixers); arithmetic under it is skipped.
-    For a bound the analysis cannot see (e.g. "group ids are bounded by
-    the packet index"), state it in a comment and suppress the line.
-    Values flow through calls between the functions of one module (a
-    helper's return value, a caller's arguments); the result of a call
-    into another module is unknown, bounded only by a cast's dtype.
+    the promoted integer dtype's capacity wraps silently in numpy.  The
+    bound is the uncapped bit count, so a value that already wrapped
+    upstream does not launder the overflow.  Bounds come from
+    ``PacketBatch`` column dtypes, literals and casts, and from parameter
+    names: a ``*_ip`` parameter holds at most 32 bits and a ``*_port``
+    parameter 16, whatever its dtype; any other parameter is bounded only
+    by a cast's dtype.  A helper's return value flows to its callers in
+    the same module; the result of a call into another module is unknown.
+    ``np.errstate(over=...)`` is the idiom for intentional wraparound
+    (hash mixers); arithmetic under it is skipped.  For a bound the
+    analysis cannot see (e.g. "group ids are bounded by the packet
+    index"), state it in a comment and suppress the line.
     """
 
     code = "RPR011"
@@ -57,28 +57,15 @@ class OverflowArithmeticRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         tf = analyze_module(ctx.scope)
-        for fn, event in tf.iter_events():
+        for event in tf.iter_events():
             if event.wrap:
                 continue
-            data = event.data
-            op: str = data["op"]
-            left, right = data["l"], data["r"]
-            lv = tf.eval(fn.fqname, left)
-            rv = tf.eval(fn.fqname, right)
-            # Gate: the operands derive from a tracked column/unit, or the
-            # author is doing explicit numpy integer arithmetic (a packed
-            # key); generic Python-int arithmetic cannot wrap.
-            tracked = (
-                tf.involves_tracked(fn.fqname, left)
-                or tf.involves_tracked(fn.fqname, right)
-                or _is_int(lv.dtype)
-            )
-            if not tracked:
-                continue
+            lv = tf.eval(event.left)
+            rv = tf.eval(event.right)
             dtype = promote_dtype(lv, rv)
-            if dtype is None or not _is_int(dtype):
+            if dtype is None or not is_int_dtype(dtype):
                 continue
-            raw = TypeflowAnalysis.raw_bits(op, lv, rv, right)
+            raw = raw_bits(event.op, lv, rv, event.right)
             if raw is None:
                 continue
             capacity = int_capacity(dtype)
@@ -86,10 +73,11 @@ class OverflowArithmeticRule(Rule):
                 continue
             yield self.diag_at(
                 ctx.rel_path, event.lineno, event.col,
-                f"'{op}' result needs up to {raw} bits but {dtype} holds "
-                f"{capacity}; '{event.text}' can wrap silently — widen the "
-                "operands, mask the inputs, or put the statement under "
-                "np.errstate(over=...) to declare intentional wraparound",
+                f"'{event.op}' result needs up to {raw} bits but {dtype} "
+                f"holds {capacity}; '{event.text}' can wrap silently — "
+                "widen the operands, mask the inputs, or put the statement "
+                "under np.errstate(over=...) to declare intentional "
+                "wraparound",
             )
 
 

@@ -1,32 +1,32 @@
-"""Typeflow analysis: dtype/width/unit inference over one module.
+"""Typeflow analysis: dtype and bit-width inference over one module.
 
-The paper's measurement rests on exact wire-level semantics — ``uint32``
-IPs, ``uint16`` ports, ``float64`` epoch timestamps — and those columns
-now move through many hands (packed sort keys in ``identify_scans``,
-per-source tallies in ``repro.stream``, fixed little-endian layouts in
-``.rtrace``/checkpoint stores).  This module performs abstract
-interpretation over one module's functions to infer, for every tracked
-expression, an :class:`AbstractValue`:
+The paper's tool fingerprints rest on wire-width arithmetic — ``uint32``
+IPs, ``uint16`` ports, ZMap's fixed IP-ID, Masscan's IP-ID derived from
+dstIP ⊕ dstPort ⊕ seq — and the identifiers pack the same columns into
+wide sort keys.  This module performs abstract interpretation over one
+module's functions to infer, for every expression, an
+:class:`AbstractValue`:
 
 * **dtype** — canonical numpy dtype (width + signedness + float/int);
-* **unit** — what the number *means*: ``seconds``, ``packets``,
-  ``bytes``, ``ip-int``, ``port``, ``window-index``;
-* **origin** — which ``PacketBatch`` column the value derived from;
 * **bits** — a conservative upper bound on the significant value bits
   (for overflow reasoning: a ``uint32`` source widened to ``uint64`` and
   shifted left by 32 needs at most 64 bits, so it is proven to fit).
 
+The seeds are ``PacketBatch`` columns, literals, casts, and parameters
+named ``*_ip`` or ``*_port``, which hold at most 32 or 16 bits whatever
+their dtype.  Any other parameter is unknown: call-site arguments do not
+flow into it.
+
 :class:`TypeflowExtractor` runs once per function and emits a
 :class:`FunctionTypeflow` (an expression IR whose leaves are parameters,
-batch columns, literals and resolved calls, plus one event per
-add/multiply/left-shift).  :func:`analyze_module` then joins call-site
-argument values into the parameters of the module's own functions and
-return expressions into call results until fixpoint, and the RPR011
-overflow rule evaluates the recorded events against the solved
-environment.  A call into another module is opaque: its result is
-unknown and its arguments seed nothing.  RPR011's findings are cached
-with the file's, under a key that digests this module's source, so
-editing the lattice re-analyses every file.
+batch columns, literals and calls, plus one event per add/multiply/
+left-shift).  :func:`analyze_module` then joins each function's return
+expressions into the value of every call to it until fixpoint, and the
+RPR011 overflow rule evaluates the recorded events against the solved
+return values.  A call into another module is opaque: its result is
+unknown.  RPR011's findings are cached with the file's, under a key that
+digests this module's source, so editing the lattice re-analyses every
+file.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.lint._ast import ModuleFunction, ModuleScope, resolve
 
 # ---------------------------------------------------------------------------
-# the lattice: dtypes, units, column seeds
+# the lattice: dtypes, column seeds, parameter bounds
 # ---------------------------------------------------------------------------
 
 #: Canonical integer/float dtypes with their widths in bits.
@@ -49,44 +49,24 @@ DTYPE_BITS: Dict[str, int] = {
     "bool": 1,
 }
 
-#: Semantic value bounds implied by a unit tag regardless of storage dtype:
-#: an IPv4 address is < 2**32 and a port < 2**16 *by definition*, so a
-#: value tagged with one of these units needs at most this many bits.
-UNIT_VALUE_BITS: Dict[str, int] = {
-    "ip-int": 32,
-    "port": 16,
+#: Column name -> canonical dtype.  Mirrors
+#: ``repro.telescope.packet._COLUMNS``; this is the seed of the analysis.
+COLUMN_TYPES: Dict[str, str] = {
+    "time": "float64",
+    "src_ip": "uint32",
+    "dst_ip": "uint32",
+    "src_port": "uint16",
+    "dst_port": "uint16",
+    "ip_id": "uint16",
+    "seq": "uint32",
+    "ttl": "uint8",
+    "window": "uint16",
+    "flags": "uint8",
 }
 
-#: Column name -> (canonical dtype, unit tag).  Mirrors
-#: ``repro.telescope.packet._COLUMNS`` plus the semantic unit of each
-#: column; this is the seed of the whole analysis.
-COLUMN_TYPES: Dict[str, Tuple[str, Optional[str]]] = {
-    "time": ("float64", "seconds"),
-    "src_ip": ("uint32", "ip-int"),
-    "dst_ip": ("uint32", "ip-int"),
-    "src_port": ("uint16", "port"),
-    "dst_port": ("uint16", "port"),
-    "ip_id": ("uint16", None),
-    "seq": ("uint32", None),
-    "ttl": ("uint8", None),
-    "window": ("uint16", None),
-    "flags": ("uint8", None),
-}
-
-#: Parameter/variable name suffixes that imply a unit when call-site
-#: propagation has nothing better (documented in docs/lint.md).
-NAME_UNIT_SUFFIXES: Tuple[Tuple[str, str], ...] = (
-    ("_seconds", "seconds"),
-    ("_window_index", "window-index"),
-    ("_widx", "window-index"),
-    ("_bytes", "bytes"),
-    ("_packets", "packets"),
-    ("_pkts", "packets"),
-    ("_port", "port"),
-    ("_ip", "ip-int"),
-    ("_ts", "seconds"),
-    ("_s", "seconds"),
-)
+#: Parameter name suffixes that bound the value regardless of its dtype:
+#: an IPv4 address is < 2**32 and a port < 2**16 by definition.
+NAME_BITS: Tuple[Tuple[str, int], ...] = (("_port", 16), ("_ip", 32))
 
 #: numpy dtype spellings (dotted names and struct-style strings) mapped to
 #: canonical dtypes; struct strings also carry explicit endianness.
@@ -141,6 +121,17 @@ def int_capacity(dtype: str) -> int:
     return width - 1 if _dtype_kind(dtype) == "int" else width
 
 
+def is_int_dtype(dtype: str) -> bool:
+    return _dtype_kind(dtype) in ("uint", "int")
+
+
+def _name_bits(name: str) -> Optional[int]:
+    for suffix, bits in NAME_BITS:
+        if name.endswith(suffix):
+            return bits
+    return None
+
+
 # ---------------------------------------------------------------------------
 # abstract values
 # ---------------------------------------------------------------------------
@@ -156,21 +147,12 @@ class AbstractValue:
     """
 
     dtype: Optional[str] = None
-    unit: Optional[str] = None
-    origin: Optional[str] = None  #: provenance PacketBatch column
     bits: Optional[int] = None  #: upper bound on significant value bits
     is_bottom: bool = False
-
-    def tracked(self) -> bool:
-        return self.origin is not None or self.unit is not None
 
 
 UNKNOWN = AbstractValue()
 BOTTOM = AbstractValue(is_bottom=True)
-
-
-def _is_int_dtype(dtype: str) -> bool:
-    return _dtype_kind(dtype) in ("uint", "int")
 
 
 def join(a: AbstractValue, b: AbstractValue) -> AbstractValue:
@@ -184,12 +166,8 @@ def join(a: AbstractValue, b: AbstractValue) -> AbstractValue:
         bits = None
     else:
         bits = max(a.bits, b.bits)
-    return AbstractValue(
-        dtype=a.dtype if a.dtype == b.dtype else None,
-        unit=a.unit if a.unit == b.unit else None,
-        origin=a.origin if a.origin == b.origin else None,
-        bits=bits,
-    )
+    return AbstractValue(dtype=a.dtype if a.dtype == b.dtype else None,
+                         bits=bits)
 
 
 def promote_dtype(a: AbstractValue, b: AbstractValue) -> Optional[str]:
@@ -199,8 +177,6 @@ def promote_dtype(a: AbstractValue, b: AbstractValue) -> Optional[str]:
     other operand, matching numpy scalar promotion for in-range Python
     ints.
     """
-    if a.is_bottom or b.is_bottom:
-        return None
     if a.dtype is None and a.bits is not None and b.dtype is not None:
         return b.dtype
     if b.dtype is None and b.bits is not None and a.dtype is not None:
@@ -227,10 +203,10 @@ def promote_dtype(a: AbstractValue, b: AbstractValue) -> Optional[str]:
 
 # Encodings:
 #   ["u"]                              unknown
-#   ["c", dtype, bits, unit, value]    constant (value: exact int or None)
-#   ["p", index]                       parameter of the enclosing function
+#   ["c", dtype, bits, value]          constant (value: exact int or None)
+#   ["p", bits]                        parameter (bits from its name, or None)
 #   ["col", name]                      PacketBatch column load
-#   ["call", dotted, [args...]]        call to a resolvable function
+#   ["call", dotted]                   call to a resolvable function
 #   ["cast", dtype, inner]             dtype cast (None dtype = dynamic)
 #   ["bin", op, left, right]           arithmetic/bitwise operation
 
@@ -247,9 +223,6 @@ _BIN_OPS: Dict[type, str] = {
 
 #: Ops RPR011 audits for overflow risk; each one records an event.
 OVERFLOW_OPS = ("add", "mul", "shl")
-
-#: Ops that combine two quantities additively (the unit carries through).
-_ADDITIVE_OPS = ("add", "sub")
 
 _MAX_DEPTH = 10
 _MAX_EVENTS = 400
@@ -268,25 +241,9 @@ def expr_is_const(expr: Expr) -> bool:
 
 
 def _const_int_value(expr: Expr) -> Optional[int]:
-    if expr_is_const(expr) and isinstance(expr[4], int):
-        return expr[4]
+    if expr_is_const(expr) and isinstance(expr[3], int):
+        return expr[3]
     return None
-
-
-def iter_leaves(expr: Expr) -> Iterator[Expr]:
-    """Yield the param/col/call leaves of an expression tree."""
-    kind = expr[0] if expr else "u"
-    if kind in ("p", "col"):
-        yield expr
-    elif kind == "call":
-        yield expr
-        for arg in expr[2]:
-            yield from iter_leaves(arg)
-    elif kind == "cast":
-        yield from iter_leaves(expr[2])
-    elif kind == "bin":
-        yield from iter_leaves(expr[2])
-        yield from iter_leaves(expr[3])
 
 
 # ---------------------------------------------------------------------------
@@ -295,27 +252,20 @@ def iter_leaves(expr: Expr) -> Iterator[Expr]:
 
 
 @dataclass
-class TypeCall:
-    """A call site with abstract argument expressions (param seeding)."""
-
-    callee: str
-    args: List[Expr]
-    lineno: int
-
-
-@dataclass
 class TypeEvent:
     """One add/multiply/left-shift site the RPR011 rule may flag.
 
-    ``data`` holds ``op`` and the operand expression trees ``l`` and
-    ``r``.  ``wrap`` is True inside a ``with np.errstate(...)`` block —
-    arithmetic there has declared its wraparound intent.
+    ``left`` and ``right`` are the operand expression trees.  ``wrap`` is
+    True inside a ``with np.errstate(...)`` block — arithmetic there has
+    declared its wraparound intent.
     """
 
     lineno: int
     col: int
     text: str
-    data: Dict[str, Any] = field(default_factory=dict)
+    op: str
+    left: Expr
+    right: Expr
     wrap: bool = False
 
 
@@ -325,7 +275,6 @@ class FunctionTypeflow:
 
     events: List[TypeEvent] = field(default_factory=list)
     returns: List[Expr] = field(default_factory=list)
-    calls: List[TypeCall] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +299,7 @@ class TypeflowExtractor:
     """
 
     def __init__(self, scope: ModuleScope, fn: ModuleFunction):
-        self.params = fn.params
-        self.param_index = {name: i for i, name in enumerate(self.params)}
+        self.param_bits = {name: _name_bits(name) for name in fn.params}
         self.aliases = scope.aliases
         self.scope = scope
         self.klass = fn.klass
@@ -437,16 +385,11 @@ class TypeflowExtractor:
         value = self._expr(stmt.value)
         old = _UNKNOWN_EXPR
         if isinstance(stmt.target, ast.Name):
-            name = stmt.target.id
-            if name in self.param_index:
-                old = ["p", self.param_index[name]]
-            else:
-                old = self.env.get(name, _UNKNOWN_EXPR)
+            old = self._name(stmt.target.id)
         if op is not None:
-            combined: Expr = ["bin", op, old, value]
             self._record_binop(stmt, op, old, value)
             if isinstance(stmt.target, ast.Name):
-                self.env[stmt.target.id] = combined
+                self.env[stmt.target.id] = ["bin", op, old, value]
 
     def _is_errstate(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Call):
@@ -457,15 +400,19 @@ class TypeflowExtractor:
 
     # -- expressions ---------------------------------------------------------
 
+    def _name(self, name: str) -> Expr:
+        # A parameter reads as itself even after a rebinding in the body.
+        if name in self.param_bits:
+            return ["p", self.param_bits[name]]
+        return self.env.get(name, _UNKNOWN_EXPR)
+
     def _expr(self, node: ast.expr, depth: int = 0) -> Expr:
         if depth > _MAX_DEPTH:
             return _UNKNOWN_EXPR
         if isinstance(node, ast.Constant):
             return self._const(node.value)
         if isinstance(node, ast.Name):
-            if node.id in self.param_index:
-                return ["p", self.param_index[node.id]]
-            return self.env.get(node.id, _UNKNOWN_EXPR)
+            return self._name(node.id)
         if isinstance(node, ast.Attribute):
             return self._attribute(node)
         if isinstance(node, ast.Subscript):
@@ -510,13 +457,13 @@ class TypeflowExtractor:
         # Literal ints are *weak* (dtype None): they adapt to the other
         # operand the way numpy scalar promotion does.
         if isinstance(value, bool):
-            return ["c", "bool", 1, None, int(value)]
+            return ["c", "bool", 1, int(value)]
         if isinstance(value, int):
             bits = max(value.bit_length(), 1) if value >= 0 else None
             exact = value if -(2 ** 63) <= value < 2 ** 64 else None
-            return ["c", None, bits, None, exact]
+            return ["c", None, bits, exact]
         if isinstance(value, float):
-            return ["c", "float64", None, None, None]
+            return ["c", "float64", None, None]
         return _UNKNOWN_EXPR
 
     def _attribute(self, node: ast.Attribute) -> Expr:
@@ -529,10 +476,8 @@ class TypeflowExtractor:
         )
         if receiver_ok and node.attr in COLUMN_TYPES:
             return ["col", node.attr]
-        if node.attr in ("size", "itemsize", "ndim"):
-            return ["c", "int64", None, None, None]
-        if node.attr == "nbytes":
-            return ["c", "int64", None, "bytes", None]
+        if node.attr in ("size", "itemsize", "ndim", "nbytes"):
+            return ["c", "int64", None, None]
         return _UNKNOWN_EXPR
 
     def _binop(self, node: ast.BinOp, depth: int) -> Expr:
@@ -550,13 +495,21 @@ class TypeflowExtractor:
             return
         if expr_is_const(left) and expr_is_const(right):
             return
-        self._event(node, data={"op": op, "l": left, "r": right})
+        if len(self.out.events) >= _MAX_EVENTS:
+            return
+        self.out.events.append(TypeEvent(
+            lineno=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            text=_short_text(node),
+            op=op, left=left, right=right,
+            wrap=self._wrap_depth > 0,
+        ))
 
     def _compare(self, node: ast.Compare, depth: int) -> Expr:
         self._expr(node.left, depth + 1)
         for comparator in node.comparators:
             self._expr(comparator, depth + 1)
-        return ["c", "bool", 1, None, None]
+        return ["c", "bool", 1, None]
 
     def _call(self, node: ast.Call, depth: int) -> Expr:
         func = node.func
@@ -579,9 +532,9 @@ class TypeflowExtractor:
                 inner = self._expr(node.args[0], depth + 1)
                 exact = _const_int_value(inner)
                 if exact is not None:
-                    return ["c", dtype, max(exact.bit_length(), 1), None, exact]
+                    return ["c", dtype, max(exact.bit_length(), 1), exact]
                 return ["cast", dtype, inner]
-            return ["c", dtype, DTYPE_BITS.get(dtype), None, None]
+            return ["c", dtype, DTYPE_BITS.get(dtype), None]
 
         # np.asarray(x, dtype=...) and friends.
         if resolved in _CAST_CALLS and node.args:
@@ -600,7 +553,7 @@ class TypeflowExtractor:
             return self._expr(node.args[0], depth + 1)
 
         # Builtin numeric coercions produce Python numbers (arbitrary
-        # precision — they cannot wrap), so keep provenance but no dtype.
+        # precision — they cannot wrap): keep the bound but no dtype.
         if isinstance(func, ast.Name) and func.id in ("int", "float") \
                 and len(node.args) == 1:
             inner = self._expr(node.args[0], depth + 1)
@@ -608,20 +561,17 @@ class TypeflowExtractor:
         if isinstance(func, ast.Name) and func.id == "len":
             for arg in node.args:
                 self._expr(arg, depth + 1)
-            return ["c", "int64", None, None, None]
+            return ["c", "int64", None, None]
 
-        # Ordinary call: record for call-site propagation when the callee
-        # resolves; arguments are always visited.
-        args = [self._expr(arg, depth + 1) for arg in node.args]
+        # Ordinary call: its value is the callee's return value when the
+        # callee is a function of this module; arguments are always
+        # visited for their own events.
+        for arg in node.args:
+            self._expr(arg, depth + 1)
         for kw in node.keywords:
             self._expr(kw.value, depth + 1)
         callee = self.scope.resolve_call(node, self.klass)
-        if callee is not None:
-            self.out.calls.append(TypeCall(
-                callee=callee, args=args, lineno=node.lineno,
-            ))
-            return ["call", callee, args]
-        return _UNKNOWN_EXPR
+        return _UNKNOWN_EXPR if callee is None else ["call", callee]
 
     def _dtype_arg(self, node: ast.Call, index: int) -> Optional[str]:
         if len(node.args) <= index:
@@ -639,49 +589,26 @@ class TypeflowExtractor:
             return parse_dtype(node.value)
         return parse_dtype(resolve(node, self.aliases))
 
-    def _event(self, node: ast.AST, data: Dict[str, Any]) -> None:
-        if len(self.out.events) >= _MAX_EVENTS:
-            return
-        self.out.events.append(TypeEvent(
-            lineno=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            text=_short_text(node),
-            data=data,
-            wrap=self._wrap_depth > 0,
-        ))
-
 
 # ---------------------------------------------------------------------------
 # the solver (one module)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TypeflowFunction:
-    """Solver-side view of one function."""
-
-    fqname: str
-    params: List[str]
-    flow: FunctionTypeflow
-
-
 class TypeflowAnalysis:
-    """Fixpoint over the typeflow records of one module's functions.
+    """Fixpoint over the return values of one module's functions.
 
-    Parameters start at bottom and absorb (join) the abstract value of
-    every call-site argument; return values join every return expression.
-    The lattice is finite, joins only move upward, so the iteration
-    terminates; evaluation order does not affect the fixpoint.
+    Each function's return value starts at bottom and joins the value of
+    every return expression; a call to a function of the module reads
+    that function's current return value.  The lattice is finite and
+    joins only move upward, so the iteration terminates; evaluation order
+    does not affect the fixpoint.
     """
 
     _MAX_ROUNDS = 40
 
-    def __init__(self, functions: Dict[str, TypeflowFunction]):
-        self.functions = functions
-        self.param_values: Dict[str, List[AbstractValue]] = {
-            name: [BOTTOM] * len(fn.params)
-            for name, fn in functions.items()
-        }
+    def __init__(self, functions: Dict[str, FunctionTypeflow]):
+        self.functions = functions  #: fqname -> that function's facts
         self.return_values: Dict[str, AbstractValue] = {
             name: BOTTOM for name in functions
         }
@@ -693,96 +620,41 @@ class TypeflowAnalysis:
         for _ in range(self._MAX_ROUNDS):
             changed = False
             for name in names:
-                fn = self.functions[name]
-                for call in fn.flow.calls:
-                    changed |= self._apply_call(name, call)
-                ret = BOTTOM
-                for expr in fn.flow.returns:
-                    ret = join(ret, self.eval(name, expr))
+                ret = self.return_values[name]
+                for expr in self.functions[name].returns:
+                    ret = join(ret, self.eval(expr))
                 if ret != self.return_values[name]:
-                    self.return_values[name] = join(
-                        self.return_values[name], ret
-                    )
+                    self.return_values[name] = ret
                     changed = True
             if not changed:
                 break
 
-    def _apply_call(self, caller: str, call: TypeCall) -> bool:
-        callee = self.functions.get(call.callee)
-        if callee is None:
-            return False
-        shift = 1 if callee.params[:1] in (["self"], ["cls"]) else 0
-        table = self.param_values[call.callee]
-        changed = False
-        for arg_idx, arg in enumerate(call.args):
-            target = arg_idx + shift
-            if target >= len(table):
-                continue
-            value = self.eval(caller, arg)
-            joined = join(table[target], value)
-            if joined != table[target]:
-                table[target] = joined
-                changed = True
-        return changed
-
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, fname: str, expr: Expr) -> AbstractValue:
-        """Abstract value of ``expr`` in the (current) solved environment."""
+    def eval(self, expr: Expr) -> AbstractValue:
+        """Abstract value of ``expr`` under the (current) return values."""
         kind = expr[0] if expr else "u"
-        if kind == "u":
-            return UNKNOWN
         if kind == "c":
-            return AbstractValue(dtype=expr[1], unit=expr[3], bits=expr[2])
+            return AbstractValue(dtype=expr[1], bits=expr[2])
         if kind == "p":
-            return self._param_value(fname, expr[1])
+            return AbstractValue(bits=expr[1])
         if kind == "col":
-            dtype, unit = COLUMN_TYPES[expr[1]]
-            return AbstractValue(dtype=dtype, unit=unit, origin=expr[1],
-                                 bits=DTYPE_BITS[dtype])
+            dtype = COLUMN_TYPES[expr[1]]
+            return AbstractValue(dtype=dtype, bits=DTYPE_BITS[dtype])
         if kind == "call":
             value = self.return_values.get(expr[1], UNKNOWN)
             return UNKNOWN if value.is_bottom else value
         if kind == "cast":
-            return self._eval_cast(fname, expr)
+            return self._eval_cast(expr)
         if kind == "bin":
-            return self._eval_bin(fname, expr)
+            return self._eval_bin(expr)
         return UNKNOWN
 
-    def _param_value(self, fname: str, index: int) -> AbstractValue:
-        fn = self.functions.get(fname)
-        table = self.param_values.get(fname)
-        if fn is None or table is None or index >= len(table):
-            return UNKNOWN
-        value = table[index]
-        if value.is_bottom:
-            value = UNKNOWN
-        if value.unit is None and index < len(fn.params):
-            fallback = self._name_unit(fn.params[index])
-            if fallback is not None:
-                value = AbstractValue(dtype=value.dtype, unit=fallback,
-                                      origin=value.origin, bits=value.bits)
-        if value.bits is None and value.unit in UNIT_VALUE_BITS:
-            value = AbstractValue(dtype=value.dtype, unit=value.unit,
-                                  origin=value.origin,
-                                  bits=UNIT_VALUE_BITS[value.unit])
-        return value
-
-    @staticmethod
-    def _name_unit(name: str) -> Optional[str]:
-        for suffix, unit in NAME_UNIT_SUFFIXES:
-            if name.endswith(suffix):
-                return unit
-        return None
-
-    def _eval_cast(self, fname: str, expr: Expr) -> AbstractValue:
-        inner = self.eval(fname, expr[2])
-        if inner.is_bottom:
-            return BOTTOM
+    def _eval_cast(self, expr: Expr) -> AbstractValue:
+        inner = self.eval(expr[2])
         dtype: Optional[str] = expr[1]
         if dtype is None:
-            return AbstractValue(unit=inner.unit, origin=inner.origin,
-                                 bits=inner.bits)
+            return AbstractValue(bits=inner.bits)
         cap = int_capacity(dtype)
         bits: Optional[int]
         if _dtype_kind(dtype) == "float":
@@ -791,121 +663,65 @@ class TypeflowAnalysis:
             bits = min(inner.bits, cap)
         else:
             bits = cap
-        return AbstractValue(dtype=dtype, unit=inner.unit,
-                             origin=inner.origin, bits=bits)
+        return AbstractValue(dtype=dtype, bits=bits)
 
-    def _eval_bin(self, fname: str, expr: Expr) -> AbstractValue:
-        op = expr[1]
-        left = self.eval(fname, expr[2])
-        right = self.eval(fname, expr[3])
-        if left.is_bottom or right.is_bottom:
-            return BOTTOM
+    def _eval_bin(self, expr: Expr) -> AbstractValue:
+        left = self.eval(expr[2])
+        right = self.eval(expr[3])
         dtype = promote_dtype(left, right)
-        unit = self._unit_of(op, left, right)
-        origin = self._origin_of(left, right)
-        bits = self.raw_bits(op, left, right, expr[3])
+        bits = raw_bits(expr[1], left, right, expr[3])
         # The stored result is *physical*: whatever the mathematical bound,
         # an N-bit register holds at most N bits (RPR011 audits the raw
         # bound at the operation itself; downstream sees the wrapped value).
-        if bits is not None and dtype is not None and _is_int_dtype(dtype):
+        if bits is not None and dtype is not None and is_int_dtype(dtype):
             bits = min(bits, int_capacity(dtype))
-        return AbstractValue(dtype=dtype, unit=unit, origin=origin, bits=bits)
+        return AbstractValue(dtype=dtype, bits=bits)
 
-    @staticmethod
-    def _unit_of(op: str, left: AbstractValue,
-                 right: AbstractValue) -> Optional[str]:
-        if op in _ADDITIVE_OPS or op in ("mod",):
-            if left.unit == right.unit:
-                return left.unit
-            # Unitless literals/offsets keep the tagged side's unit.
-            if left.unit is None:
-                return right.unit
-            if right.unit is None:
-                return left.unit
-            return None  # two different units: the tag collapses
-        if op in ("and", "or", "xor", "shl", "shr"):
-            return left.unit if right.unit is None else None
-        return None
-
-    @staticmethod
-    def _origin_of(left: AbstractValue,
-                   right: AbstractValue) -> Optional[str]:
-        if left.origin == right.origin:
-            return left.origin
-        if left.origin is None:
-            return right.origin
-        if right.origin is None:
-            return left.origin
-        return None  # two different columns mixed — ambiguous provenance
-
-    @staticmethod
-    def raw_bits(op: str, left: AbstractValue, right: AbstractValue,
-                 right_expr: Expr) -> Optional[int]:
-        """Mathematical (uncapped) bit bound of ``left op right`` — what
-        RPR011 compares against the result dtype's capacity."""
-        lb, rb = left.bits, right.bits
-        if op == "shl":
-            shift = _const_int_value(right_expr)
-            if lb is None or shift is None or shift < 0:
-                return None
-            return lb + shift
-        if op == "shr":
-            shift = _const_int_value(right_expr)
-            if lb is None:
-                return None
-            return max(lb - shift, 0) if shift is not None and shift >= 0 else lb
-        if op == "and":
-            candidates = [b for b in (lb, rb) if b is not None]
-            return min(candidates) if candidates else None
-        if op in ("or", "xor"):
-            if lb is None or rb is None:
-                return None
-            return max(lb, rb)
-        if op == "add" or op == "sub":
-            if lb is None or rb is None:
-                return None
-            return max(lb, rb) + 1
-        if op == "mul":
-            if lb is None or rb is None:
-                return None
-            return lb + rb
-        if op in ("floordiv", "mod"):
-            return lb
-        return None
-
-    # -- queries for the rules ----------------------------------------------
-
-    def involves_tracked(self, fname: str, expr: Expr) -> bool:
-        """True when any leaf of ``expr`` carries column provenance or a
-        unit tag — the gate that keeps RPR011 off generic arithmetic."""
-        for leaf in iter_leaves(expr):
-            if leaf[0] == "col":
-                return True
-            if leaf[0] == "p":
-                value = self._param_value(fname, leaf[1])
-                if value.tracked():
-                    return True
-            if leaf[0] == "call":
-                value = self.return_values.get(leaf[1], UNKNOWN)
-                if not value.is_bottom and value.tracked():
-                    return True
-        return False
-
-    def iter_events(self) -> Iterator[Tuple[TypeflowFunction, TypeEvent]]:
+    def iter_events(self) -> Iterator[TypeEvent]:
         for name in sorted(self.functions):
-            fn = self.functions[name]
-            for event in fn.flow.events:
-                yield fn, event
+            yield from self.functions[name].events
+
+
+def raw_bits(op: str, left: AbstractValue, right: AbstractValue,
+             right_expr: Expr) -> Optional[int]:
+    """Mathematical (uncapped) bit bound of ``left op right`` — what
+    RPR011 compares against the result dtype's capacity."""
+    lb, rb = left.bits, right.bits
+    if op == "shl":
+        shift = _const_int_value(right_expr)
+        if lb is None or shift is None or shift < 0:
+            return None
+        return lb + shift
+    if op == "shr":
+        shift = _const_int_value(right_expr)
+        if lb is None:
+            return None
+        return max(lb - shift, 0) if shift is not None and shift >= 0 else lb
+    if op == "and":
+        candidates = [b for b in (lb, rb) if b is not None]
+        return min(candidates) if candidates else None
+    if op in ("or", "xor"):
+        if lb is None or rb is None:
+            return None
+        return max(lb, rb)
+    if op == "add" or op == "sub":
+        if lb is None or rb is None:
+            return None
+        return max(lb, rb) + 1
+    if op == "mul":
+        if lb is None or rb is None:
+            return None
+        return lb + rb
+    if op in ("floordiv", "mod"):
+        return lb
+    return None
 
 
 def analyze_module(scope: ModuleScope) -> TypeflowAnalysis:
     """Extract every function of one module and solve the fixpoint."""
-    functions: Dict[str, TypeflowFunction] = {}
-    for fn in scope.functions:
-        functions[fn.fqname] = TypeflowFunction(
-            fqname=fn.fqname, params=fn.params,
-            flow=TypeflowExtractor(scope, fn).extract(fn.node),
-        )
-    analysis = TypeflowAnalysis(functions)
+    analysis = TypeflowAnalysis({
+        fn.fqname: TypeflowExtractor(scope, fn).extract(fn.node)
+        for fn in scope.functions
+    })
     analysis.solve()
     return analysis

@@ -20,7 +20,7 @@ from repro.lint import (
     lint_source,
 )
 from repro.lint.cli import main
-from repro.lint.config import _fallback_parse, load_config
+from repro.lint.config import load_config
 from repro.lint.engine import _SUPPRESS_RE, parse_suppressions
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -193,7 +193,7 @@ class TestSuppressions:
 
 class TestSeverityAndConfig:
     def test_disable_removes_rule(self):
-        cfg = LintConfig(disable=["RPR002"])
+        cfg = LintConfig(ignore=["RPR002"])
         assert codes(SEEDED_RNG + "\n", config=cfg) == []
 
     def test_load_config_reads_table(self, tmp_path):
@@ -202,15 +202,13 @@ class TestSeverityAndConfig:
             [tool.other]
             x = 1
 
-            [tool.repro-lint]
-            paths = ["src/pkg"]
-            cache = "custom-cache"
-            disable = ["RPR002"]
+            [tool.repro-lint.paths]
+            "src/pkg" = ["RPR002"]
         """))
         cfg = load_config(pyproject)
         assert cfg.paths == ["src/pkg"]
-        assert cfg.cache == "custom-cache"
-        assert cfg.disable == ["RPR002"]
+        assert cfg.path_rules == {"src/pkg": ["RPR002"]}
+        assert cfg.cache == ".repro-lint-cache"
         assert cfg.root == tmp_path.resolve()
 
     def test_load_config_rejects_unknown_key(self, tmp_path):
@@ -219,35 +217,16 @@ class TestSeverityAndConfig:
         with pytest.raises(ValueError):
             load_config(pyproject)
 
-    @pytest.mark.parametrize("key", ["baseline", "warn", "workers"])
+    @pytest.mark.parametrize("key", [
+        "baseline", "warn", "workers", "exclude", "disable", "select",
+        "ignore", "rng-exempt", "cache", "schema-manifest", "schema-sites",
+        "blocking-calls",
+    ])
     def test_removed_keys_rejected(self, tmp_path, key):
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(f"[tool.repro-lint]\n{key} = []\n")
         with pytest.raises(ValueError, match="unknown key"):
             load_config(pyproject)
-
-    def test_fallback_parser_matches_subset(self):
-        text = textwrap.dedent("""\
-            [project]
-            name = "x"
-
-            [tool.repro-lint]
-            cache = "c"  # trailing comment
-            paths = [
-                "src/a",
-                "src/b",
-            ]
-            disable = []
-
-            [tool.after]
-            y = "z"
-        """)
-        table = _fallback_parse(text)
-        assert table == {
-            "cache": "c",
-            "paths": ["src/a", "src/b"],
-            "disable": [],
-        }
 
 
 VIOLATIONS = {
@@ -318,6 +297,14 @@ class TestCli:
         assert listed == [
             "RPR001", "RPR002", "RPR008", "RPR011", "RPR017", "RPR018",
         ]
+
+    def test_config_key_other_than_paths_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text('[tool.repro-lint]\ncache = ""\n')
+        assert main(["--config", str(pyproject)]) == 2
+        assert "unknown key 'cache'" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path):
         assert main([str(tmp_path / "ghost.py")]) == 2

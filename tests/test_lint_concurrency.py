@@ -5,17 +5,18 @@ serve-layer bug classes are pinned as regression fixtures (blocking
 ``Future.cancel`` under the lock; done-callback reentry into a
 non-reentrant lock; a blocking call in a ``*_locked`` helper), and the
 analysis is exercised for warm-cache diagnostics, suppression handling,
-the configurable blocking-call blocklist, and ``--explain``.
+the blocking-call blocklist, and ``--explain``.
 """
 
 import textwrap
 
 from repro.lint import LintConfig, lint_repository
 from repro.lint.cli import main
-from repro.lint.concurrency import DEFAULT_BLOCKING_CALLS, match_blocking
+from repro.lint.concurrency import match_blocking
 from repro.lint.engine import REGISTRY
+from repro.lint.rules.concurrency_rules import BLOCKING_CALLS
 
-#: File rules are exercised by tests/test_lint.py; fixtures here disable
+#: File rules are exercised by tests/test_lint.py; fixtures here ignore
 #: them so each assertion sees only the concurrency rule under test.
 FILE_RULES = ["RPR001", "RPR002"]
 
@@ -30,7 +31,7 @@ def write_tree(root, files):
 def run_project(tmp_path, files, **cfg_kwargs):
     write_tree(tmp_path, files)
     cfg_kwargs.setdefault("paths", ["pkg"])
-    cfg_kwargs.setdefault("disable", FILE_RULES)
+    cfg_kwargs.setdefault("ignore", FILE_RULES)
     config = LintConfig(root=tmp_path, **cfg_kwargs)
     diags, project, stats = lint_repository(config, use_cache=False)
     return diags, project, stats
@@ -170,7 +171,7 @@ class TestBlockingCallUnderLock:
         diags, _, _ = run_project(tmp_path, files)
         assert diags == []
 
-    def test_blocklist_is_configurable(self, tmp_path):
+    def test_blocklist_is_configurable(self, tmp_path, monkeypatch):
         files = {
             "pkg/__init__.py": "",
             "pkg/custom.py": """\
@@ -187,9 +188,13 @@ class TestBlockingCallUnderLock:
         }
         diags, _, _ = run_project(tmp_path, files)
         assert diags == []
-        diags, _, _ = run_project(
-            tmp_path, files, blocking_calls=["*.frobnicate"]
+        # The blocklist is RPR017's module constant; the run is uncached,
+        # so the patched list is what the rule reads.
+        monkeypatch.setattr(
+            "repro.lint.rules.concurrency_rules.BLOCKING_CALLS",
+            ("*.frobnicate",),
         )
+        diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR017"]
         assert "*.frobnicate" in diags[0].message
 
@@ -306,7 +311,7 @@ class TestDeterminism:
     def test_warm_cache_reproduces_findings(self, tmp_path):
         write_tree(tmp_path, ALL_FIXTURES)
         cache_dir = tmp_path / ".cache"
-        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
+        config = LintConfig(root=tmp_path, paths=["pkg"], ignore=FILE_RULES)
         cold, _, stats_cold = lint_repository(
             config, workers=0, cache_dir=cache_dir, use_cache=True
         )
@@ -326,19 +331,19 @@ class TestBlockingMatch:
     def test_exact_name_matches_resolved_callee(self):
         event = {"callee": "time.sleep", "leaf": "sleep", "recv": "name"}
         assert match_blocking(
-            event, DEFAULT_BLOCKING_CALLS, frozenset()
+            event, BLOCKING_CALLS, frozenset()
         ) == "time.sleep"
 
     def test_leaf_pattern_skips_const_receiver(self):
         # ", ".join(...) must not match a hypothetical *.join blocklist
         # entry aimed at Thread.join.
         event = {"callee": None, "leaf": "join", "recv": "const"}
-        assert match_blocking(event, DEFAULT_BLOCKING_CALLS, frozenset()) is None
+        assert match_blocking(event, BLOCKING_CALLS, frozenset()) is None
 
     def test_leaf_pattern_skips_project_callee(self):
         event = {"callee": "pkg.m.Q.cancel", "leaf": "cancel", "recv": "self"}
         assert match_blocking(
-            event, DEFAULT_BLOCKING_CALLS, frozenset(["pkg.m.Q.cancel"])
+            event, BLOCKING_CALLS, frozenset(["pkg.m.Q.cancel"])
         ) is None
 
 

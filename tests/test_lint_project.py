@@ -37,7 +37,7 @@ from repro.lint.engine import REGISTRY
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_SARIF = Path(__file__).resolve().parent / "data" / "lint_golden.sarif"
 
-#: File rules are exercised by tests/test_lint.py; fixtures here disable
+#: File rules are exercised by tests/test_lint.py; fixtures here ignore
 #: them so each assertion sees only the project rule under test.
 FILE_RULES = ["RPR001", "RPR002"]
 
@@ -98,7 +98,7 @@ def write_tree(root, files):
 def run_project(tmp_path, files, **cfg_kwargs):
     write_tree(tmp_path, files)
     cfg_kwargs.setdefault("paths", ["pkg"])
-    cfg_kwargs.setdefault("disable", FILE_RULES)
+    cfg_kwargs.setdefault("ignore", FILE_RULES)
     config = LintConfig(root=tmp_path, **cfg_kwargs)
     diags, project, stats = lint_repository(config, use_cache=False)
     return diags, project, stats
@@ -168,65 +168,65 @@ def store_source(fields, version=1):
     )
 
 
-RPR008_SITE = "pkg/store.py:Store.snapshot:pkg/store.py:STORE_SCHEMA_VERSION"
+RPR008_SITE = ("pkg/store.py", "Store.snapshot",
+               "pkg/store.py", "STORE_SCHEMA_VERSION")
+
+
+@pytest.fixture
+def store_site(monkeypatch):
+    """RPR008's schema sites are its module constant: point them at the
+    fixture's store.  Runs stay uncached, so the rule reads the patch."""
+    monkeypatch.setattr(
+        "repro.lint.rules.schema_drift.SCHEMA_SITES", (RPR008_SITE,)
+    )
 
 
 class TestSchemaDriftRule:
-    def _config(self, tmp_path):
-        return dict(
-            schema_sites=[RPR008_SITE],
-            schema_manifest="lint-schema.json",
-        )
+    def _write_manifest(self, tmp_path, files):
+        _, project, _ = run_project(tmp_path, files)
+        write_manifest(tmp_path / "lint-schema.json", collect_sites(project))
 
-    def _write_manifest(self, tmp_path, files, **cfg_kwargs):
-        _, project, _ = run_project(tmp_path, files, **cfg_kwargs)
-        config = LintConfig(
-            root=tmp_path, paths=["pkg"], disable=FILE_RULES, **cfg_kwargs
-        )
-        write_manifest(
-            tmp_path / "lint-schema.json", collect_sites(project, config)
-        )
-
+    @pytest.mark.usefixtures("store_site")
     def test_missing_manifest_entry_is_error(self, tmp_path):
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a"])}
-        diags, _, _ = run_project(tmp_path, files, **self._config(tmp_path))
+        diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR008"]
         assert "not recorded" in diags[0].message
 
+    @pytest.mark.usefixtures("store_site")
     def test_recorded_schema_is_clean(self, tmp_path):
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a", "b"])}
-        cfg = self._config(tmp_path)
-        self._write_manifest(tmp_path, files, **cfg)
-        diags, _, _ = run_project(tmp_path, files, **cfg)
+        self._write_manifest(tmp_path, files)
+        diags, _, _ = run_project(tmp_path, files)
         assert diags == []
 
+    @pytest.mark.usefixtures("store_site")
     def test_drift_without_version_bump_is_error(self, tmp_path):
-        cfg = self._config(tmp_path)
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a", "b"])}
-        self._write_manifest(tmp_path, files, **cfg)
+        self._write_manifest(tmp_path, files)
         files["pkg/store.py"] = store_source(["a", "b", "c"])
-        diags, _, _ = run_project(tmp_path, files, **cfg)
+        diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR008"]
         assert diags[0].severity is Severity.ERROR
         assert "+c" in diags[0].message
         assert "STORE_SCHEMA_VERSION" in diags[0].message
 
+    @pytest.mark.usefixtures("store_site")
     def test_drift_with_version_bump_is_warning(self, tmp_path):
-        cfg = self._config(tmp_path)
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a", "b"])}
-        self._write_manifest(tmp_path, files, **cfg)
+        self._write_manifest(tmp_path, files)
         files["pkg/store.py"] = store_source(["a", "b", "c"], version=2)
-        diags, _, _ = run_project(tmp_path, files, **cfg)
+        diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR008"]
         assert diags[0].severity is Severity.WARNING
         assert "--update-schema-manifest" in diags[0].message
 
+    @pytest.mark.usefixtures("store_site")
     def test_field_removal_detected(self, tmp_path):
-        cfg = self._config(tmp_path)
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a", "b"])}
-        self._write_manifest(tmp_path, files, **cfg)
+        self._write_manifest(tmp_path, files)
         files["pkg/store.py"] = store_source(["a"])
-        diags, _, _ = run_project(tmp_path, files, **cfg)
+        diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR008"]
         assert "-b" in diags[0].message
 
@@ -239,7 +239,7 @@ class TestSchemaDriftRule:
         _, project, _ = lint_repository(
             config, paths=[REPO_ROOT / "src" / "repro"], use_cache=False
         )
-        sites = collect_sites(project, config)
+        sites = collect_sites(project)
         assert set(sites) == {
             "exec/cache.py:CaptureCache.store.meta",
             "stream/incremental.py:IncrementalScanIdentifier.snapshot",
@@ -262,7 +262,7 @@ class TestSchemaDriftRule:
 
 class TestSummaryCache:
     def _run(self, tmp_path, cache_dir):
-        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
+        config = LintConfig(root=tmp_path, paths=["pkg"], ignore=FILE_RULES)
         return lint_repository(
             config, workers=0, cache_dir=cache_dir, use_cache=True
         )
@@ -332,8 +332,7 @@ class TestSummaryCache:
         self._run(tmp_path, cache_dir)
 
         config = LintConfig(
-            root=tmp_path, paths=["pkg"], disable=FILE_RULES,
-            rng_exempt=["pkg/a.py"],
+            root=tmp_path, paths=["pkg"], ignore=[*FILE_RULES, "RPR018"],
         )
         _, _, stats = lint_repository(
             config, cache_dir=cache_dir, use_cache=True
@@ -350,10 +349,22 @@ class TestSummaryCache:
         assert stats.cache_misses == 3
         assert rerun_diags == diags
 
+    def test_edit_overwrites_the_file_entry(self, tmp_path):
+        # Entries are named after the file, not the key: an edit replaces
+        # the file's entry instead of leaving the old one behind.
+        write_tree(tmp_path, {"pkg/pack.py": OVERFLOW_PACK["pkg/pack.py"]})
+        cache_dir = tmp_path / ".cache"
+        self._run(tmp_path, cache_dir)
+        target = tmp_path / "pkg" / "pack.py"
+        target.write_text(target.read_text() + "\nWIDTH = 40\n")
+        _, _, stats = self._run(tmp_path, cache_dir)
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+        assert len(list(cache_dir.glob("*.lint.json"))) == 1
+
 
 def test_workers_other_than_zero_raise(tmp_path):
     write_tree(tmp_path, LOCKED_SLEEP)
-    config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
+    config = LintConfig(root=tmp_path, paths=["pkg"], ignore=FILE_RULES)
     with pytest.raises(ValueError, match="workers must be 0"):
         lint_repository(config, workers=1, use_cache=False)
 
@@ -365,13 +376,10 @@ def test_workers_other_than_zero_raise(tmp_path):
 
 def write_cli_project(tmp_path, files):
     write_tree(tmp_path, files)
-    disable = ", ".join(f'"{c}"' for c in FILE_RULES)
+    relaxed = ", ".join(f'"{c}"' for c in FILE_RULES)
     (tmp_path / "pyproject.toml").write_text(textwrap.dedent(f"""\
-        [tool.repro-lint]
-        paths = ["pkg"]
-        disable = [{disable}]
-        cache = ""
-        schema-sites = []
+        [tool.repro-lint.paths]
+        "pkg" = [{relaxed}]
     """), encoding="utf-8")
     return tmp_path / "pyproject.toml"
 
@@ -399,28 +407,22 @@ class TestCli:
             "RPR001", "RPR002", "RPR008", "RPR011", "RPR017", "RPR018",
         ]
 
+    @pytest.mark.usefixtures("store_site")
     def test_update_schema_manifest_cli(self, tmp_path, capsys):
         files = {"pkg/__init__.py": "", "pkg/store.py": store_source(["a"])}
-        write_tree(tmp_path, files)
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent(f"""\
-            [tool.repro-lint]
-            paths = ["pkg"]
-            disable = [{", ".join(f'"{c}"' for c in FILE_RULES)}]
-            cache = ""
-            schema-sites = ["{RPR008_SITE}"]
-        """), encoding="utf-8")
-        pyproject = tmp_path / "pyproject.toml"
+        pyproject = write_cli_project(tmp_path, files)
+        run = ["--config", str(pyproject), "--no-cache"]
 
-        status = main(["--config", str(pyproject)])
+        status = main(run)
         capsys.readouterr()
         assert status == 1  # unrecorded schema site
 
-        status = main(["--config", str(pyproject), "--update-schema-manifest"])
+        status = main([*run, "--update-schema-manifest"])
         capsys.readouterr()
         assert status == 0
         manifest = json.loads((tmp_path / "lint-schema.json").read_text())
         assert "pkg/store.py:Store.snapshot" in manifest["sites"]
 
-        status = main(["--config", str(pyproject)])
+        status = main(run)
         capsys.readouterr()
         assert status == 0

@@ -1,11 +1,11 @@
 """Tests for the typeflow analysis (repro.lint.typeflow) and its RPR011 rule.
 
 The overflow rule gets a seeded-violation fixture package, clean
-counterparts, and the packed-key shapes of the live tree; the analysis
-itself is exercised for value propagation through one module's calls,
-cache invalidation when the unit lattice changes, SARIF output against a
-golden file, ``--select``/``--ignore`` filtering, and the
-``[tool.repro-lint.paths]`` path-scoped rule sets.
+counterparts, and the packed-key shapes of the live tree, including the
+``*_ip``/``*_port`` parameter bounds and the module's return-value flow;
+the analysis itself is exercised for cache invalidation when the lattice
+changes, SARIF output against a golden file, ``--select``/``--ignore``
+filtering, and the ``[tool.repro-lint.paths]`` path-scoped rule sets.
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 
 from repro.lint import LintConfig, lint_repository
 from repro.lint.cli import main
-from repro.lint.config import _fallback_parse, load_config
+from repro.lint.config import load_config
 from repro.lint.project import LINT_PACKAGE
 from repro.lint.typeflow import (
     AbstractValue,
@@ -28,7 +28,7 @@ from repro.lint.typeflow import (
 
 GOLDEN_SARIF = Path(__file__).resolve().parent / "data" / "lint_typeflow_golden.sarif"
 
-#: File rules are exercised by tests/test_lint.py; fixtures here disable
+#: File rules are exercised by tests/test_lint.py; fixtures here ignore
 #: them so each assertion sees only the typeflow rule under test.
 FILE_RULES = ["RPR001", "RPR002"]
 
@@ -43,7 +43,7 @@ def write_tree(root, files):
 def run_project(tmp_path, files, **cfg_kwargs):
     write_tree(tmp_path, files)
     cfg_kwargs.setdefault("paths", ["pkg"])
-    cfg_kwargs.setdefault("disable", FILE_RULES)
+    cfg_kwargs.setdefault("ignore", FILE_RULES)
     config = LintConfig(root=tmp_path, **cfg_kwargs)
     diags, project, stats = lint_repository(config, use_cache=False)
     return diags, project, stats
@@ -133,35 +133,6 @@ class TestOverflowArithmeticRule:
 
 
 # ---------------------------------------------------------------------------
-# propagation through the module's own calls
-# ---------------------------------------------------------------------------
-
-
-#: The helper's parameter is untracked on its own; only the call site in
-#: the same module makes it a 32-bit ``src_ip`` value held in uint64.
-INTERPROCEDURAL_FILES = {
-    "pkg/__init__.py": "",
-    "pkg/helpers.py": """\
-        import numpy as np
-
-        def spread(values):
-            return values << np.uint64(40)
-
-        def pack(batch):
-            return spread(batch.src_ip.astype(np.uint64))
-    """,
-}
-
-
-class TestInterprocedural:
-    def test_column_provenance_crosses_call_boundaries(self, tmp_path):
-        diags, _, _ = run_project(tmp_path, INTERPROCEDURAL_FILES)
-        assert codes(diags) == ["RPR011"]
-        assert "72 bits" in diags[0].message
-        assert (diags[0].path, diags[0].line) == ("pkg/helpers.py", 4)
-
-
-# ---------------------------------------------------------------------------
 # the live tree's packed-key shapes, one module each
 # ---------------------------------------------------------------------------
 
@@ -207,6 +178,21 @@ TOKEN_DOUBLE = one_module("""\
             return (mixed & np.uint32(0xFFFF)).astype(np.uint16)
 """)
 
+#: ``scanners/unicorn.py``-style port token: a ``*_port`` parameter holds
+#: at most 16 bits whatever its dtype, so widened to uint32 and shifted by
+#: 16 it fits.
+PORT_SHIFT = one_module("""\
+    def key(dst_port):
+        return dst_port.astype(np.uint32) << np.uint32(16)
+""")
+
+#: The same body under a parameter whose name bounds nothing: only the
+#: cast's 32 bits are known, and the shift needs 48.
+TOKEN_SHIFT = one_module("""\
+    def key(token):
+        return token.astype(np.uint32) << np.uint32(16)
+""")
+
 
 class TestTreeShapes:
     @pytest.mark.parametrize("files, message", [
@@ -216,11 +202,17 @@ class TestTreeShapes:
                         "64; 'sub_session.astype(np.uint64) << np.uint64(32)'"),
         (WIDE_ADD, "'add' result needs up to 65 bits but uint64 holds 64; "
                    "'firsts + offsets'"),
-    ], ids=["group-shift", "session-shift", "wide-add"])
+        (TOKEN_SHIFT, "'shl' result needs up to 48 bits but uint32 holds "
+                      "32; 'token.astype(np.uint32) << np.uint32(16)'"),
+    ], ids=["group-shift", "session-shift", "wide-add", "token-shift"])
     def test_unbounded_packed_key_flagged(self, tmp_path, files, message):
         diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR011"]
         assert diags[0].message.startswith(message)
+
+    def test_port_parameter_bound_proves_fit(self, tmp_path):
+        diags, _, _ = run_project(tmp_path, PORT_SHIFT)
+        assert diags == []
 
     def test_same_module_helper_return_proves_fit(self, tmp_path):
         diags, _, _ = run_project(tmp_path, TOKEN_DOUBLE)
@@ -262,7 +254,7 @@ class TestTreeShapes:
 
 class TestLatticeCache:
     def _run(self, tmp_path, cache_dir):
-        config = LintConfig(root=tmp_path, paths=["pkg"], disable=FILE_RULES)
+        config = LintConfig(root=tmp_path, paths=["pkg"], ignore=FILE_RULES)
         return lint_repository(
             config, workers=0, cache_dir=cache_dir, use_cache=True
         )
@@ -279,7 +271,7 @@ class TestLatticeCache:
 
     def test_lattice_change_invalidates_cache(self, tmp_path, monkeypatch):
         # The lattice lives in typeflow.py, whose source is part of every
-        # cache key: editing the unit vocabulary misses every entry.
+        # cache key: editing a parameter bound misses every entry.
         package = tmp_path / "lint"
         shutil.copytree(LINT_PACKAGE, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -288,9 +280,10 @@ class TestLatticeCache:
         cache_dir = tmp_path / ".cache"
         self._run(tmp_path, cache_dir)
         lattice = package / "typeflow.py"
-        lattice.write_text(lattice.read_text().replace(
-            '"port": 16,', '"port": 17,'
-        ))
+        source = lattice.read_text()
+        edited = source.replace('("_port", 16)', '("_port", 17)')
+        assert edited != source
+        lattice.write_text(edited)
         _, _, stats = self._run(tmp_path, cache_dir)
         assert stats.cache_hits == 0  # new lattice, every entry misses
 
@@ -332,15 +325,12 @@ MIXED_FILES = {
 }
 
 
-def write_cli_project(tmp_path, files, disable_rules=FILE_RULES):
+def write_cli_project(tmp_path, files, relaxed_rules=FILE_RULES):
     write_tree(tmp_path, files)
-    disable = ", ".join(f'"{c}"' for c in disable_rules)
+    relaxed = ", ".join(f'"{c}"' for c in relaxed_rules)
     (tmp_path / "pyproject.toml").write_text(textwrap.dedent(f"""\
-        [tool.repro-lint]
-        paths = ["pkg"]
-        disable = [{disable}]
-        cache = ""
-        schema-sites = []
+        [tool.repro-lint.paths]
+        "pkg" = [{relaxed}]
     """), encoding="utf-8")
     return tmp_path / "pyproject.toml"
 
@@ -357,7 +347,7 @@ def cli_result_codes(pyproject, extra_args):
 
 def write_mixed_project(tmp_path):
     """The MIXED_FILES project with RPR002 on, so it reports four codes."""
-    return write_cli_project(tmp_path, MIXED_FILES, disable_rules=["RPR001"])
+    return write_cli_project(tmp_path, MIXED_FILES, relaxed_rules=["RPR001"])
 
 
 class TestSelectIgnore:
@@ -402,10 +392,6 @@ class TestSelectIgnore:
 
 
 PATHS_BLOCK = """\
-    [tool.repro-lint]
-    cache = ""
-    schema-sites = []
-
     [tool.repro-lint.paths]
     "src/repro" = []
     "benchmarks" = ["RPR001", "RPR002"]
@@ -422,30 +408,14 @@ class TestPathScopedRules:
             "src/repro": [], "benchmarks": ["RPR001", "RPR002"],
         }
 
-    def test_fallback_parser_reads_subtables(self):
-        parsed = _fallback_parse(textwrap.dedent(PATHS_BLOCK))
-        assert parsed["cache"] == ""
-        assert parsed["paths"] == {
-            "src/repro": [], "benchmarks": ["RPR001", "RPR002"],
-        }
-
-    def test_load_config_via_fallback_parser(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.lint.config._toml", None)
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(textwrap.dedent(PATHS_BLOCK), encoding="utf-8")
-        cfg = load_config(pyproject)
-        assert cfg.paths == ["src/repro", "benchmarks"]
-        assert cfg.path_rules["benchmarks"] == ["RPR001", "RPR002"]
-
-    def test_scalar_paths_key_still_accepted(self, tmp_path):
+    def test_scalar_paths_key_rejected(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(textwrap.dedent("""\
             [tool.repro-lint]
             paths = ["pkg"]
         """), encoding="utf-8")
-        cfg = load_config(pyproject)
-        assert cfg.paths == ["pkg"]
-        assert cfg.path_rules == {}
+        with pytest.raises(ValueError, match=r"\[tool.repro-lint.paths\]"):
+            load_config(pyproject)
 
     def test_direct_path_rules_key_rejected(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
