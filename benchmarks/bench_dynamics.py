@@ -5,8 +5,8 @@ non-correlation, and geographic port biases.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_table
 from repro._util.stats import pearson_r
 from repro.core.geography import (

@@ -7,8 +7,8 @@ and packets sent.  Paper headline: >50% of /16s change by at least 2×; only
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_table
 from repro.core.volatility import volatility_summary
 

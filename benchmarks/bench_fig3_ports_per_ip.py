@@ -6,8 +6,8 @@ CDF of the number of different ports each source probes: 83% single-port in
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_table
 from repro._util.stats import pearson_r
 from repro.core.ports_analysis import ports_per_source_summary

@@ -6,8 +6,8 @@ coverage); enterprises are the most throttled; hosting outpaces residential.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_rate_bps, format_table
 from repro.core.classification import capability_by_type, institutional_speed_ratio
 from repro.enrichment.types import SCANNER_TYPE_ORDER, ScannerType

@@ -5,8 +5,8 @@ Rapid7 do not; universities sit at a handful of ports.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_table
 from repro.core.institutions import known_scanner_share, org_footprints
 from repro.enrichment import profile_by_name

@@ -7,7 +7,6 @@ The appendix's ETL pipeline is also exercised against the 2024 capture.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
 from repro._util.fmt import format_table
 from repro.core.institutions import org_footprints, port_coverage_comparison

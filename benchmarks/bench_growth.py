@@ -4,8 +4,8 @@
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_table
 from repro.core import growth_report, summarize_period
 from repro.scanners import Tool

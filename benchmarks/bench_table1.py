@@ -7,8 +7,8 @@ simulation scales) next to the paper's published ones.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_count, format_table
 from repro.core import summarize_period
 from repro.reporting import render_table1

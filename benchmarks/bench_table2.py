@@ -6,8 +6,8 @@ the volume-weighted aggregate over all ten simulated years.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
+from repro import paper as ref
 from repro._util.fmt import format_table
 from repro.core.classification import type_shares
 from repro.enrichment.types import SCANNER_TYPE_ORDER, ScannerType

@@ -5,7 +5,6 @@ trend, coverage modes betraying sharded scans, and tool geography.
 
 import numpy as np
 
-import paper_reference as ref
 from conftest import emit
 from repro._util.fmt import format_table
 from repro.core import summarize_period

@@ -27,10 +27,11 @@ Entries are written atomically (``write_trace`` writes a temp file and
 ``os.replace``-s it into place) so a crashed or concurrent writer can
 never leave a truncated entry behind; a writer killed mid-store leaves
 only its temp file, which :meth:`CaptureCache.orphans` finds once the
-writer's pid is gone and ``prune`` deletes.  The packet columns live in
-the trace chunks, the ground-truth campaign list as typed columns in the
-trace's array block, and the scale metadata in its JSON meta block.  The
-``.rtrace`` checksums make a flipped byte anywhere in an entry a miss.
+writer's pid is gone, and ``prune`` or the next store of that key
+deletes.  The packet columns live in the trace chunks, the ground-truth
+campaign list as typed columns in the trace's array block, and the scale
+metadata in its JSON meta block.  The ``.rtrace`` checksums make a
+flipped byte anywhere in an entry a miss.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import hashlib
 import itertools
 import json
 import os
-import re
 from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -50,7 +50,8 @@ import numpy as np
 
 from repro import __version__
 from repro._util.rng import stream_signature
-from repro.telescope.trace import TraceFormatError, read_trace, write_trace
+from repro.telescope.trace import (TraceFormatError, orphaned_temp_files,
+                                   read_trace, write_trace)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.campaigns import CampaignSpec
@@ -168,23 +169,6 @@ def _campaigns_from_columns(meta: Mapping[str, Any]) -> List["CampaignSpec"]:
     names = list(fields)
     return [CampaignSpec(**dict(zip(names, row)))
             for row in zip(*fields.values())]
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether process ``pid`` exists (signal 0 probes without sending)."""
-    if os.name != "posix":
-        return True  # no safe probe: treat every writer as live
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):
-        return False
-    except PermissionError:
-        return True  # alive, owned by another user
-    return True
-
-
-#: ``TraceWriter``'s temporary sibling of an entry, ``<key>.rtrace.tmp<pid>-<n>``.
-_TEMP_NAME = re.compile(r"(?P<key>.+)\.rtrace\.tmp(?P<pid>[0-9]+)-[0-9]+")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -358,11 +342,7 @@ class CaptureCache:
         behind.  Only files whose writer pid no longer exists are listed,
         so a live writer's file is never touched.
         """
-        return [
-            path for path in sorted(self.root.glob("*.rtrace.tmp*"))
-            if (match := _TEMP_NAME.fullmatch(path.name))
-            and not _pid_alive(int(match["pid"]))
-        ]
+        return orphaned_temp_files(self.root, "*.rtrace")
 
     def usage(self) -> List["CacheEntry"]:
         """Inventory: orphaned temp files, then entries in LRU order.

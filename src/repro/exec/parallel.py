@@ -20,16 +20,52 @@ identical instances); the parent re-attaches its own.  One observable
 difference from serial runs: ``Telescope.stats`` counters accumulate in the
 worker copies and are discarded, so parallel runs do not advance the shared
 telescope's observation statistics.
+
+Pool workers die with the process that forked them
+(:func:`_die_with_parent`, also the initializer of the source-shard pool in
+``stream/sharded.py``), so killing that process alone leaves none behind.
 """
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+import signal
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.cache import CaptureCache
     from repro.simulation.world import SimulationResult, TelescopeWorld
+
+#: ``prctl`` option asking the kernel to signal this process when the
+#: thread that forked it exits (Linux ``<sys/prctl.h>``).
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: a worker dies with the process that forked it.
+
+    A parent killed by a signal runs no clean-up, and a forked pool worker
+    waiting on its call queue never sees the queue close (it holds the
+    queue's other end itself), so it would sleep on forever.  On Linux the
+    kernel SIGKILLs the worker when its parent exits instead; elsewhere
+    this is a no-op.
+
+    The signal follows the *thread* that forked the worker, and with
+    ``fork`` a pool forks every worker in the thread of its first
+    ``submit``: only a pool first used from a thread that outlives it (the
+    main thread, here) may take this initializer.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    # A forked worker whose parent died before the prctl call has been
+    # reparented already, and no signal will come.
+    if multiprocessing.get_start_method() == "fork" and os.getppid() != parent:
+        os._exit(1)
 
 
 def _simulate_year_task(world, year, days, max_packets, min_scans):
@@ -95,7 +131,10 @@ def simulate_years_parallel(
                     year, days=days, max_packets=max_packets, min_scans=min_scans
                 )
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_die_with_parent,
+                initargs=(os.getpid(),),
+            ) as pool:
                 futures = {
                     year: pool.submit(
                         _simulate_year_task, world, year, days, max_packets,

@@ -401,10 +401,12 @@ class TypeflowExtractor:
     # -- expressions ---------------------------------------------------------
 
     def _name(self, name: str) -> Expr:
-        # A parameter reads as itself even after a rebinding in the body.
+        # A rebinding in the body shadows the parameter from there on.
+        if name in self.env:
+            return self.env[name]
         if name in self.param_bits:
             return ["p", self.param_bits[name]]
-        return self.env.get(name, _UNKNOWN_EXPR)
+        return _UNKNOWN_EXPR
 
     def _expr(self, node: ast.expr, depth: int = 0) -> Expr:
         if depth > _MAX_DEPTH:

@@ -1,9 +1,14 @@
-"""Published values from the paper, used as reference columns in benchmark
-output.  Garbled table cells (see DESIGN.md) carry the cleaned values also
-used for calibration — the comparison for those cells is rank-order only.
+"""The paper's published numbers, written down once.
+
+The simulator calibrates from them (:mod:`repro.simulation.config`), the
+scorecard prints them (:mod:`repro.reporting.validation`) and the fidelity
+benchmarks compare against them; the analysis pipeline never reads them.
+Table 1 cells that the available paper text garbles (repeated "26.0") hold
+values interpolated from their neighbours, keeping each row's rank order, so
+the top-5 port cells are compared by rank only.
 """
 
-from repro.scanners import Tool
+from repro.scanners.base import Tool
 
 #: Table 1: telescope packets/day.
 PACKETS_PER_DAY = {
@@ -17,35 +22,35 @@ SCANS_PER_MONTH = {
     2020: 222e3, 2021: 290e3, 2022: 777e3, 2023: 727e3, 2024: 1.3e6,
 }
 
-#: Table 1: top-5 ports by packets (rank order).
+#: Table 1: top-5 ports by packets, port -> % of packets, in rank order.
 TOP_PORTS_BY_PACKETS = {
-    2015: [22, 8080, 3389, 80, 443],
-    2016: [22, 80, 3389, 1433, 8080],
-    2017: [5358, 7574, 22, 2323, 6789],
-    2018: [22, 8545, 3389, 80, 8080],
-    2019: [22, 80, 8080, 81, 3389],
-    2020: [80, 3389, 81, 22, 8080],
-    2021: [6379, 22, 80, 3389, 8080],
-    2022: [22, 80, 443, 2375, 2376],
-    2023: [22, 8080, 80, 3389, 443],
-    2024: [3389, 22, 80, 443, 8080],
+    2015: {22: 15.0, 8080: 8.7, 3389: 7.1, 80: 7.0, 443: 6.0},
+    2016: {22: 8.2, 80: 6.0, 3389: 4.5, 1433: 3.5, 8080: 2.3},
+    2017: {5358: 14.4, 7574: 12.1, 22: 11.2, 2323: 9.2, 6789: 6.2},
+    2018: {22: 3.1, 8545: 1.4, 3389: 1.1, 80: 1.0, 8080: 0.9},
+    2019: {22: 2.9, 80: 2.0, 8080: 1.8, 81: 1.7, 3389: 1.6},
+    2020: {80: 1.0, 3389: 0.95, 81: 0.9, 22: 0.8, 8080: 0.8},
+    2021: {6379: 1.4, 22: 1.3, 80: 1.1, 3389: 0.8, 8080: 0.8},
+    2022: {22: 2.7, 80: 1.4, 443: 1.3, 2375: 1.3, 2376: 1.2},
+    2023: {22: 1.8, 8080: 1.5, 80: 1.5, 3389: 1.3, 443: 1.1},
+    2024: {3389: 2.2, 22: 1.8, 80: 1.5, 443: 1.2, 8080: 1.2},
 }
 
-#: Table 1: top-5 ports by sources (rank order).
+#: Table 1: top-5 ports by sources, port -> % of sources, in rank order.
 TOP_PORTS_BY_SOURCES = {
-    2015: [10073, 3389, 80, 8080, 22555],
-    2016: [21, 3389, 20012, 80, 8080],
-    2017: [7545, 2323, 5358, 22, 23231],
-    2018: [8291, 2323, 21, 22, 80],
-    2019: [80, 8080, 2323, 5555, 5900],
-    2020: [80, 8080, 81, 5555, 2323],
-    2021: [80, 8080, 5555, 81, 8443],
-    2022: [80, 8080, 5555, 81, 8443],
-    2023: [80, 8080, 52869, 60023, 2323],
-    2024: [80, 8080, 443, 2323, 5900],
+    2015: {10073: 33.0, 3389: 11.3, 80: 5.8, 8080: 2.7, 22555: 2.0},
+    2016: {21: 10.2, 3389: 9.6, 20012: 5.2, 80: 3.3, 8080: 1.4},
+    2017: {7545: 38.8, 2323: 25.3, 5358: 11.5, 22: 8.0, 23231: 7.4},
+    2018: {8291: 38.8, 2323: 10.4, 21: 9.8, 22: 7.3, 80: 6.0},
+    2019: {80: 30.4, 8080: 30.3, 2323: 18.8, 5555: 11.7, 5900: 8.2},
+    2020: {80: 35.9, 8080: 30.4, 81: 13.2, 5555: 11.0, 2323: 9.1},
+    2021: {80: 46.0, 8080: 42.0, 5555: 13.5, 81: 9.8, 8443: 8.3},
+    2022: {80: 48.5, 8080: 41.9, 5555: 13.0, 81: 10.2, 8443: 7.7},
+    2023: {80: 30.6, 8080: 27.1, 52869: 17.7, 60023: 17.4, 2323: 11.5},
+    2024: {80: 37.4, 8080: 29.0, 443: 16.2, 2323: 12.1, 5900: 10.5},
 }
 
-#: Table 1: tool shares by scans.
+#: Table 1: tool shares by scans (Unicorn omitted: 2 source IPs ever).
 TOOL_SHARES_BY_SCANS = {
     2015: {Tool.MASSCAN: 0.005, Tool.NMAP: 0.317, Tool.MIRAI: 0.0, Tool.ZMAP: 0.021},
     2016: {Tool.MASSCAN: 0.015, Tool.NMAP: 0.128, Tool.MIRAI: 0.0, Tool.ZMAP: 0.091},
@@ -67,6 +72,9 @@ TABLE2 = {
     "residential": (0.5492, 0.4612, 0.2339),
     "unknown": (0.3733, 0.2507, 0.2161),
 }
+
+#: §3.1: share of unsolicited TCP traffic that is SYN scanning.
+SYN_SCAN_SHARE = 0.98
 
 #: §4.1 growth headline.
 PACKET_GROWTH_10Y = 30.0

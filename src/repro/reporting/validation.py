@@ -8,7 +8,8 @@ self-contained summary (also exposed as ``repro-scan validate``).
 
 Each check encodes a *shape* criterion (see EXPERIMENTS.md): direction of a
 trend, an ordering, a bounded ratio — not absolute parity with the paper's
-proprietary vantage point.
+proprietary vantage point.  The "paper" column is formatted from
+:mod:`repro.paper`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro import paper
 from repro._util.fmt import format_table
 from repro._util.stats import pearson_r
 from repro.core.classification import capability_by_type, institutional_speed_ratio, type_shares
@@ -54,6 +56,11 @@ def _fmt(value: float, kind: str = "x") -> str:
     return f"{value:.3g}"
 
 
+def _span(by_year: Mapping[int, float]) -> str:
+    """A published per-year series as "first%→last%"."""
+    return f"{by_year[min(by_year)]:.0%}→{by_year[max(by_year)]:.0%}"
+
+
 def validate_reproduction(
     analyses: Mapping[int, PeriodAnalysis],
     sims: Optional[Mapping[int, object]] = None,
@@ -87,7 +94,8 @@ def validate_reproduction(
             growth = ppd[last] / ppd[first]
             add("growth-packets", "§4.1",
                 f"packet volume grows strongly {first}→{last}",
-                "~30x over 2015–2024", _fmt(growth), 10 < growth < 80)
+                f"~{paper.PACKET_GROWTH_10Y:.0f}x over 2015–2024", _fmt(growth),
+                10 < growth < 80)
         spm = {
             y: summaries[y].scans_per_month / sims[y].scan_scale
             for y in (first, last) if y in sims
@@ -96,30 +104,33 @@ def validate_reproduction(
             growth = spm[last] / spm[first]
             add("growth-scans", "§4.1",
                 f"scan count grows strongly {first}→{last}",
-                "~39x over 2015–2024", _fmt(growth), 10 < growth < 100)
+                f"~{paper.SCAN_GROWTH_10Y:.0f}x over 2015–2024", _fmt(growth),
+                10 < growth < 100)
 
     # -- §3.1 separation ----------------------------------------------------
     if sims:
         shares = [sims[y].syn_scan_share() for y in years if y in sims]
         if shares:
             mean_share = float(np.mean(shares))
+            syn = f"{paper.SYN_SCAN_SHARE:.0%}"
             add("syn-share", "§3.1",
-                "~98% of unsolicited TCP traffic is SYN scanning",
-                "98%", _fmt(mean_share, "%"), 0.95 < mean_share < 0.999)
+                f"~{syn} of unsolicited TCP traffic is SYN scanning",
+                syn, _fmt(mean_share, "%"), 0.95 < mean_share < 0.999)
 
     # -- §4.4 volatility -----------------------------------------------------
     vol = volatility_summary(analyses[years[-1]])
     frac2x = vol["sources"].fraction_at_least_2x
     add("weekly-volatility", "§4.4",
         "a large share of /16s changes >=2x week-over-week",
-        ">50%", _fmt(frac2x, "%"), frac2x > 0.35)
+        f">{paper.WEEKLY_2X_FRACTION:.0%}", _fmt(frac2x, "%"), frac2x > 0.35)
 
     # -- §5.1 single-port decline --------------------------------------------
     singles = {y: ports_per_source_summary(analyses[y].study_batch)
                .fraction_single_port for y in years}
     r, _ = pearson_r(list(singles), list(singles.values()))
     add("single-port-decline", "§5.1",
-        "single-port sources decline across the decade (83%→65%)",
+        "single-port sources decline across the decade "
+        f"({_span(paper.SINGLE_PORT_FRACTION)})",
         "negative trend", f"r={r:.2f}", r < -0.5 if not np.isnan(r) else False)
 
     # -- §5.1 alias affinity ---------------------------------------------------
@@ -129,7 +140,7 @@ def validate_reproduction(
     if len(usable) >= 2:
         first, last = min(usable), max(usable)
         add("alias-affinity", "§5.1",
-            "80→8080 coupling grows (18%→87%)",
+            f"80→8080 coupling grows ({_span(paper.AFFINITY_80_8080)})",
             "rising", f"{usable[first]:.0%}→{usable[last]:.0%}",
             usable[last] > usable[first])
 
@@ -138,7 +149,7 @@ def validate_reproduction(
                     for y in years])
     add("speed-ports-r", "§5.3",
         "scan speed correlates positively with ports targeted",
-        "R=0.88", f"R={corr:.2f}", corr > 0.15)
+        f"R={paper.SPEED_PORTS_R}", f"R={corr:.2f}", corr > 0.15)
 
     # -- §6.3 tool speeds --------------------------------------------------------
     mid = years[len(years) // 2]
@@ -163,12 +174,13 @@ def validate_reproduction(
     ratio = float(np.median(ratios)) if ratios else float("nan")
     add("institutional-speed", "§6.8",
         "institutions scan far faster than the average scanner",
-        "~92x", _fmt(ratio), ratio > 8)
+        f"~{paper.INSTITUTIONAL_SPEED_RATIO:.0f}x", _fmt(ratio), ratio > 8)
     rows = {r.scanner_type: r for r in type_shares(analyses[late])}
     inst = rows[ScannerType.INSTITUTIONAL]
+    paper_sources, _, paper_packets = paper.TABLE2["institutional"]
     add("institutional-share", "Table 2",
         "institutional: tiny source share, outsized packet share",
-        "0.16% sources / 32.6% packets",
+        f"{paper_sources:.2%} sources / {paper_packets:.1%} packets",
         f"{inst.sources:.2%} / {inst.packets:.1%}",
         inst.sources < 0.02 and inst.packets > 5 * inst.sources)
     caps = capability_by_type(analyses[late])
@@ -185,7 +197,8 @@ def validate_reproduction(
         share = summaries[mirai_years[0]].tool_shares_by_scans.get(Tool.MIRAI, 0)
         add("mirai-era", "§6.2",
             f"Mirai drives a large share of {mirai_years[0]} scans",
-            ">25% (2017: 46.5%)", _fmt(share, "%"), share > 0.15)
+            f">25% (2017: {paper.TOOL_SHARES_BY_SCANS[2017][Tool.MIRAI]:.1%})",
+            _fmt(share, "%"), share > 0.15)
 
     return checks
 

@@ -6,13 +6,13 @@ shares, Table 2's scanner-type shares, the narrative statistics of Sections
 reads this module; it recovers the aggregates from packets alone, and the
 benchmarks compare what it recovers against the paper's numbers.
 
-Calibration sources, and how garbled cells were handled:
+Calibration sources (published values are read from :mod:`repro.paper`):
 
 * Packets/day, scans/month, tool-shares-by-scans: Table 1 verbatim.
-* Port weights: Table 1's top-5 lists by packets and by sources; percentage
-  cells that are obviously corrupted in the paper's text (several "26.0"
-  repeats) were replaced with values interpolated from their neighbours —
-  each substitution keeps the row's rank order.
+* Port weights: Table 1's top-5 cells by packets and by sources (garbled
+  cells cleaned), then calibration-only ports.
+* Single-port share and 80→8080 alias adoption: §5.1's anchor years; the
+  years between them are interpolated here.
 * Packet shares per tool: §6.1 gives exact 2020/2022 values; other years are
   interpolated consistent with the narrative (custom tooling dominant in
   2015, Masscan dominant 2018–2022, de-fingerprinting from 2023).
@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import paper
 from repro._util.rng import RandomState, as_generator
 from repro._util.validate import check_fraction, check_positive
 from repro.enrichment.types import ScannerType
@@ -221,7 +222,8 @@ class YearConfig:
     #: Figure 3 single-port decline).
     background_multi_port_prob: float = 0.2
     #: Backscatter (DDoS-victim responses) as a fraction of all unsolicited
-    #: TCP traffic; the paper notes 98% of unsolicited TCP is SYN scans.
+    #: TCP traffic: the rest of ``paper.SYN_SCAN_SHARE``, written out because
+    #: ``1 - 0.98`` is not ``0.02`` in binary floating point.
     backscatter_fraction: float = 0.02
 
     def scaled(self, max_packets: int = DEFAULT_MAX_PACKETS) -> "ScaledYear":
@@ -257,54 +259,29 @@ class ScaledYear:
 # Calibration data
 # ---------------------------------------------------------------------------
 
-_PACKETS_PER_DAY: Dict[int, float] = {
-    2015: 11e6, 2016: 19e6, 2017: 45e6, 2018: 133e6, 2019: 117e6,
-    2020: 283e6, 2021: 281e6, 2022: 285e6, 2023: 402e6, 2024: 345e6,
-}
+def _with_top5(
+    top5: Mapping[int, Mapping[int, float]], more: Dict[int, Dict[int, float]]
+) -> Dict[int, Dict[int, float]]:
+    """Per year, Table 1's top-5 port cells followed by calibration-only ports."""
+    return {year: {**top5[year], **ports} for year, ports in more.items()}
 
-_SCANS_PER_MONTH: Dict[int, float] = {
-    2015: 33e3, 2016: 38e3, 2017: 252e3, 2018: 137e3, 2019: 238e3,
-    2020: 222e3, 2021: 290e3, 2022: 777e3, 2023: 727e3, 2024: 1.3e6,
-}
 
-#: Tool shares *by scans* (Table 1). unicorn omitted: 2 source IPs ever.
-_TOOL_SCAN_SHARE: Dict[int, Dict[Tool, float]] = {
-    2015: {Tool.MASSCAN: 0.005, Tool.NMAP: 0.317, Tool.MIRAI: 0.0, Tool.ZMAP: 0.021},
-    2016: {Tool.MASSCAN: 0.015, Tool.NMAP: 0.128, Tool.MIRAI: 0.0, Tool.ZMAP: 0.091},
-    2017: {Tool.MASSCAN: 0.007, Tool.NMAP: 0.026, Tool.MIRAI: 0.465, Tool.ZMAP: 0.011},
-    2018: {Tool.MASSCAN: 0.209, Tool.NMAP: 0.032, Tool.MIRAI: 0.192, Tool.ZMAP: 0.047},
-    2019: {Tool.MASSCAN: 0.219, Tool.NMAP: 0.036, Tool.MIRAI: 0.162, Tool.ZMAP: 0.027},
-    2020: {Tool.MASSCAN: 0.205, Tool.NMAP: 0.050, Tool.MIRAI: 0.149, Tool.ZMAP: 0.131},
-    2021: {Tool.MASSCAN: 0.251, Tool.NMAP: 0.068, Tool.MIRAI: 0.024, Tool.ZMAP: 0.092},
-    2022: {Tool.MASSCAN: 0.099, Tool.NMAP: 0.023, Tool.MIRAI: 0.010, Tool.ZMAP: 0.037},
-    2023: {Tool.MASSCAN: 0.002, Tool.NMAP: 0.0001, Tool.MIRAI: 0.390, Tool.ZMAP: 0.220},
-    2024: {Tool.MASSCAN: 0.002, Tool.NMAP: 0.0001, Tool.MIRAI: 0.053, Tool.ZMAP: 0.590},
-}
-
-#: Port weights for packet volume (Table 1 "top ports by packets", cleaned;
-#: 23/445 appear pre-block only and are excluded from analyses, as in §3.2).
-_PORT_PACKET_WEIGHTS: Dict[int, Dict[int, float]] = {
-    2015: {22: 15.0, 8080: 8.7, 3389: 7.1, 80: 7.0, 443: 6.0, 23: 10.0, 445: 8.0,
-           21: 3.0, 1433: 2.5, 3306: 2.0, 25: 2.0, 5900: 1.5, 110: 1.0, 8443: 0.8},
-    2016: {22: 8.2, 80: 6.0, 3389: 4.5, 1433: 3.5, 8080: 2.3, 23: 12.0, 445: 9.0,
-           21: 4.0, 2323: 2.0, 3306: 2.0, 443: 2.0, 5900: 1.2},
-    2017: {5358: 14.4, 7574: 12.1, 22: 11.2, 2323: 9.2, 6789: 6.2, 7547: 5.0,
-           23231: 3.0, 80: 3.0, 8080: 2.5, 81: 2.0, 3389: 2.0, 443: 1.5},
-    2018: {22: 3.1, 8545: 1.4, 3389: 1.1, 80: 1.0, 8080: 0.9, 8291: 2.5,
-           2323: 1.5, 21: 1.2, 81: 0.8, 5555: 0.8, 443: 0.7},
-    2019: {22: 2.9, 80: 2.0, 8080: 1.8, 81: 1.7, 3389: 1.6, 2323: 1.2,
-           5555: 1.0, 443: 0.9, 5900: 0.8, 8443: 0.6, 1433: 0.6},
-    2020: {80: 1.0, 3389: 0.95, 81: 0.9, 22: 0.8, 8080: 0.8, 5555: 0.7,
-           443: 0.6, 2323: 0.6, 1433: 0.5, 8443: 0.4},
-    2021: {6379: 1.4, 22: 1.3, 80: 1.1, 3389: 0.8, 8080: 0.8, 443: 0.7,
-           81: 0.6, 5555: 0.6, 2323: 0.5},
-    2022: {22: 2.7, 80: 1.4, 443: 1.3, 2375: 1.3, 2376: 1.2, 8080: 1.0,
-           3389: 0.9, 81: 0.6, 5555: 0.6, 6379: 0.5},
-    2023: {22: 1.8, 8080: 1.5, 80: 1.5, 3389: 1.3, 443: 1.1, 2323: 0.9,
-           52869: 0.7, 60023: 0.7, 81: 0.5, 5555: 0.5},
-    2024: {3389: 2.2, 22: 1.8, 80: 1.5, 443: 1.2, 8080: 1.2, 2323: 0.7,
-           5900: 0.7, 81: 0.5, 5555: 0.5, 3306: 0.5},
-}
+#: Port weights for packet volume: Table 1's top-5 cells by packets, then
+#: calibration-only ports (23/445 appear pre-block only and are excluded
+#: from analyses, as in §3.2).
+_PORT_PACKET_WEIGHTS = _with_top5(paper.TOP_PORTS_BY_PACKETS, {
+    2015: {23: 10.0, 445: 8.0, 21: 3.0, 1433: 2.5, 3306: 2.0, 25: 2.0, 5900: 1.5,
+           110: 1.0, 8443: 0.8},
+    2016: {23: 12.0, 445: 9.0, 21: 4.0, 2323: 2.0, 3306: 2.0, 443: 2.0, 5900: 1.2},
+    2017: {7547: 5.0, 23231: 3.0, 80: 3.0, 8080: 2.5, 81: 2.0, 3389: 2.0, 443: 1.5},
+    2018: {8291: 2.5, 2323: 1.5, 21: 1.2, 81: 0.8, 5555: 0.8, 443: 0.7},
+    2019: {2323: 1.2, 5555: 1.0, 443: 0.9, 5900: 0.8, 8443: 0.6, 1433: 0.6},
+    2020: {5555: 0.7, 443: 0.6, 2323: 0.6, 1433: 0.5, 8443: 0.4},
+    2021: {443: 0.7, 81: 0.6, 5555: 0.6, 2323: 0.5},
+    2022: {8080: 1.0, 3389: 0.9, 81: 0.6, 5555: 0.6, 6379: 0.5},
+    2023: {2323: 0.9, 52869: 0.7, 60023: 0.7, 81: 0.5, 5555: 0.5},
+    2024: {2323: 0.7, 5900: 0.7, 81: 0.5, 5555: 0.5, 3306: 0.5},
+})
 
 #: Uniform-tail mass over the whole port range (port-space blanketing, §5.1).
 _PORT_PACKET_TAIL: Dict[int, float] = {
@@ -312,29 +289,20 @@ _PORT_PACKET_TAIL: Dict[int, float] = {
     2020: 0.55, 2021: 0.60, 2022: 0.65, 2023: 0.72, 2024: 0.72,
 }
 
-#: Port weights for *source* counts (Table 1 "top ports by sources").
-_PORT_SOURCE_WEIGHTS: Dict[int, Dict[int, float]] = {
-    2015: {10073: 33.0, 3389: 11.3, 80: 5.8, 8080: 2.7, 22555: 2.0, 22: 2.0,
-           23: 8.0, 445: 6.0, 21: 1.5, 443: 1.0},
-    2016: {21: 10.2, 3389: 9.6, 20012: 5.2, 80: 3.3, 8080: 1.4, 23: 15.0,
-           445: 8.0, 22: 1.5, 2323: 1.0},
-    2017: {7545: 38.8, 2323: 25.3, 5358: 11.5, 22: 8.0, 23231: 7.4,
-           80: 2.0, 8080: 1.5, 81: 1.0},
-    2018: {8291: 38.8, 2323: 10.4, 21: 9.8, 22: 7.3, 80: 6.0, 8080: 4.0,
-           5555: 3.0, 81: 2.0},
-    2019: {80: 30.4, 8080: 30.3, 2323: 18.8, 5555: 11.7, 5900: 8.2,
-           81: 5.0, 443: 2.0, 60001: 1.0},
-    2020: {80: 35.9, 8080: 30.4, 81: 13.2, 5555: 11.0, 2323: 9.1,
-           5900: 4.0, 443: 2.0},
-    2021: {80: 46.0, 8080: 42.0, 5555: 13.5, 81: 9.8, 8443: 8.3,
-           2323: 6.0, 5900: 3.0},
-    2022: {80: 48.5, 8080: 41.9, 5555: 13.0, 81: 10.2, 8443: 7.7,
-           2323: 6.0, 2375: 2.0, 2376: 2.0},
-    2023: {80: 30.6, 8080: 27.1, 52869: 17.7, 60023: 17.4, 2323: 11.5,
-           5555: 6.0, 81: 4.0, 443: 3.0},
-    2024: {80: 37.4, 8080: 29.0, 443: 16.2, 2323: 12.1, 5900: 10.5,
-           5555: 5.0, 81: 4.0, 22: 3.0},
-}
+#: Port weights for *source* counts: Table 1's top-5 cells by sources,
+#: then calibration-only ports.
+_PORT_SOURCE_WEIGHTS = _with_top5(paper.TOP_PORTS_BY_SOURCES, {
+    2015: {22: 2.0, 23: 8.0, 445: 6.0, 21: 1.5, 443: 1.0},
+    2016: {23: 15.0, 445: 8.0, 22: 1.5, 2323: 1.0},
+    2017: {80: 2.0, 8080: 1.5, 81: 1.0},
+    2018: {8080: 4.0, 5555: 3.0, 81: 2.0},
+    2019: {81: 5.0, 443: 2.0, 60001: 1.0},
+    2020: {5900: 4.0, 443: 2.0},
+    2021: {2323: 6.0, 5900: 3.0},
+    2022: {2323: 6.0, 2375: 2.0, 2376: 2.0},
+    2023: {5555: 6.0, 81: 4.0, 443: 3.0},
+    2024: {5555: 5.0, 81: 4.0, 22: 3.0},
+})
 
 #: Packet shares of the non-institutional campaign budget per cohort.
 #: (hosting_fast, residential_botnet, enterprise, residual)
@@ -352,16 +320,17 @@ _COHORT_PACKET_SHARES: Dict[int, Tuple[float, float, float]] = {
     2024: (0.45,    0.02,   0.05),
 }
 
-#: Ports-per-scan mixtures (Figure 3 calibration).
+#: Ports-per-scan mixtures (Figure 3 calibration); the single-port share
+#: meets §5.1's anchors in 2015, 2020 and 2022.
 _PORTS_PER_SCAN: Dict[int, PortsPerScanModel] = {
-    2015: PortsPerScanModel(0.830, 0.1498, 0.0195, 0.00068, 0.00002),
+    2015: PortsPerScanModel(paper.SINGLE_PORT_FRACTION[2015], 0.1498, 0.0195, 0.00068, 0.00002),
     2016: PortsPerScanModel(0.820, 0.1555, 0.0235, 0.00095, 0.00005),
     2017: PortsPerScanModel(0.800, 0.1680, 0.0300, 0.00190, 0.00010),
     2018: PortsPerScanModel(0.780, 0.1790, 0.0380, 0.00250, 0.00050),
     2019: PortsPerScanModel(0.760, 0.1850, 0.0500, 0.00400, 0.00100),
-    2020: PortsPerScanModel(0.740, 0.1800, 0.0700, 0.00520, 0.00480),
+    2020: PortsPerScanModel(paper.SINGLE_PORT_FRACTION[2020], 0.1800, 0.0700, 0.00520, 0.00480),
     2021: PortsPerScanModel(0.700, 0.2060, 0.0850, 0.00800, 0.00100),
-    2022: PortsPerScanModel(0.650, 0.2400, 0.1000, 0.00900, 0.00100),
+    2022: PortsPerScanModel(paper.SINGLE_PORT_FRACTION[2022], 0.2400, 0.1000, 0.00900, 0.00100),
     2023: PortsPerScanModel(0.620, 0.2550, 0.1150, 0.00900, 0.00100),
     2024: PortsPerScanModel(0.580, 0.2500, 0.1500, 0.01800, 0.00200),
 }
@@ -431,10 +400,12 @@ _HTTP_US_SHARE: Dict[int, float] = {
     2020: 0.04, 2021: 0.05, 2022: 0.06, 2023: 0.07, 2024: 0.07,
 }
 
-#: Alias adoption (80→8080 coupling): 18% in 2015 → 87% by 2020, plateau.
+#: Alias adoption (80→8080 coupling): §5.1's 2015 and 2020 anchors, a
+#: ramp between them, then a plateau.
 _ALIAS_ADOPTION: Dict[int, float] = {
-    2015: 0.18, 2016: 0.30, 2017: 0.45, 2018: 0.60, 2019: 0.75,
-    2020: 0.87, 2021: 0.87, 2022: 0.88, 2023: 0.87, 2024: 0.88,
+    2015: paper.AFFINITY_80_8080[2015], 2016: 0.30, 2017: 0.45, 2018: 0.60,
+    2019: 0.75, 2020: paper.AFFINITY_80_8080[2020], 2021: 0.87, 2022: 0.88,
+    2023: 0.87, 2024: 0.88,
 }
 
 #: Sharding growth (collaborative scans, §4.1/§6.4).
@@ -566,7 +537,7 @@ def _nmap_multiplier(year: int) -> float:
 
 
 def _build_cohorts(year: int) -> List[CohortConfig]:
-    tool_share = _TOOL_SCAN_SHARE[year]
+    tool_share = paper.TOOL_SHARES_BY_SCANS[year]
     inst = _INSTITUTIONAL[year]
     mirai_share = tool_share[Tool.MIRAI]
     masscan_share = tool_share[Tool.MASSCAN]
@@ -728,15 +699,15 @@ def _port_country_overrides(year: int) -> Dict[int, Dict[str, float]]:
 
 def year_config(year: int, days: int = DEFAULT_PERIOD_DAYS) -> YearConfig:
     """The calibrated configuration for ``year`` (2015–2024)."""
-    if year not in _PACKETS_PER_DAY:
+    if year not in paper.PACKETS_PER_DAY:
         raise ValueError(f"year {year} outside the study range {ALL_YEARS}")
     if not 1 <= days <= 61:
         raise ValueError("days must be within [1, 61] (the paper's windows)")
     return YearConfig(
         year=year,
         days=days,
-        packets_per_day=_PACKETS_PER_DAY[year],
-        scans_per_month=_SCANS_PER_MONTH[year],
+        packets_per_day=paper.PACKETS_PER_DAY[year],
+        scans_per_month=paper.SCANS_PER_MONTH[year],
         background_packet_fraction=0.10,
         background_port_weights=_PORT_SOURCE_WEIGHTS[year],
         background_tail_fraction=0.06,

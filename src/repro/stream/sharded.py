@@ -23,9 +23,9 @@ arguments).  Each worker re-opens the ``.rtrace`` by path and maps it
 shared read-only between workers by the page cache instead of being pickled
 across the pool.  :func:`_run_engine`, the body of
 :meth:`StreamEngine.run`, dispatches the shards one way or the other and
-merges their results.  Pool workers die with the process that
-forked them (:func:`_die_with_parent`), so killing that process alone
-leaves none behind.
+merges their results.  Pool workers die with the process that forked
+them (:func:`~repro.exec.parallel._die_with_parent`), so killing that
+process alone leaves none behind.
 
 Checkpointing is per shard: each shard owns a content-addressed key
 (``key_for(..., shard=(i, n))``) and its snapshot carries one extra array —
@@ -37,11 +37,7 @@ each shard independently from its newest snapshot.
 
 from __future__ import annotations
 
-import ctypes
-import multiprocessing
 import os
-import signal
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -50,6 +46,7 @@ import numpy as np
 
 from repro.core.campaigns import CampaignCriteria, merge_scan_tables
 from repro.core.fingerprints import ToolFingerprinter
+from repro.exec.parallel import _die_with_parent
 from repro.stream.analyses import AnalysisConfig, AnalysisSuite
 from repro.stream.checkpoint import CheckpointStore
 from repro.stream.engine import (
@@ -207,29 +204,6 @@ def _run_one_shard(
         truncated_source=getattr(source, "truncated", False),
         analysis=suite.snapshot() if suite is not None else None,
     )
-
-
-#: ``prctl`` option asking the kernel to signal this process when the
-#: thread that forked it exits (Linux ``<sys/prctl.h>``).
-_PR_SET_PDEATHSIG = 1
-
-
-def _die_with_parent(parent: int) -> None:
-    """Pool initializer: a worker dies with the process that forked it.
-
-    A parent killed by a signal runs no clean-up, and a forked pool worker
-    waiting on its call queue never sees the queue close (it holds the
-    queue's other end itself), so it would sleep on forever.  On Linux the
-    kernel SIGKILLs the worker when its parent exits instead; elsewhere
-    this is a no-op.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    # A forked worker whose parent died before the prctl call has been
-    # reparented already, and no signal will come.
-    if multiprocessing.get_start_method() == "fork" and os.getppid() != parent:
-        os._exit(1)
 
 
 def _shard_stream_task(

@@ -43,6 +43,8 @@ owned batch.
 
 from __future__ import annotations
 
+import fnmatch
+import glob
 import hashlib
 import io
 import json
@@ -95,8 +97,9 @@ def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
 
     ``open(..., "xb")`` gives it the umask-derived mode that
     ``open(path, "wb")`` gives a new file (``tempfile.mkstemp`` would
-    force 0600).  The name carries the pid and the first free sequence
-    number, so concurrent writers of one path never share a file.
+    force 0600).  The name, ``<name>.tmp<pid>-<n>``, carries the pid and
+    the first free sequence number, so concurrent writers of one path
+    never share a file.
     """
     n = 0
     while True:
@@ -105,6 +108,39 @@ def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
             return open(tmp, "xb"), tmp
         except FileExistsError:
             n += 1
+
+
+#: A temporary sibling's name, as :func:`_create_sibling` makes it.
+_TEMP_NAME = re.compile(r"(?P<target>.+)\.tmp(?P<pid>[0-9]+)-[0-9]+")
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 probes without sending)."""
+    if os.name != "posix":
+        return True  # no safe probe: treat every writer as live
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
+
+
+def orphaned_temp_files(directory: PathLike, target: str) -> List[Path]:
+    """Temporary files in ``directory`` whose writer died before renaming.
+
+    A :class:`TraceWriter` killed mid-write leaves ``<name>.tmp<pid>-<n>``
+    beside its target.  ``target`` is a glob pattern for the target's
+    name.  Only files whose writer pid no longer exists are listed, so a
+    live writer's file is never touched.
+    """
+    return [
+        path for path in sorted(Path(directory).glob(f"{target}.tmp*"))
+        if (match := _TEMP_NAME.fullmatch(path.name))
+        and fnmatch.fnmatchcase(match["target"], target)
+        and not _pid_alive(int(match["pid"]))
+    ]
 
 
 def _encode_header(meta: Dict[str, Any]) -> bytes:
@@ -215,7 +251,9 @@ class TraceWriter:
     writes the end marker and renames the file onto ``path``; an
     exception deletes it and leaves ``path`` as it was.  So a reader
     mapping the old capture keeps its file, and no interrupted write
-    passes for a complete capture.
+    passes for a complete capture.  A writer killed outright leaves its
+    temporary file behind; the next writer of ``path`` deletes it
+    (:func:`orphaned_temp_files`).
 
     ``path`` is resolved through symlinks first, so writing through a
     link replaces the file it points to and the link stays a link.  The
@@ -232,6 +270,12 @@ class TraceWriter:
         self._packets_written = 0
 
     def __enter__(self) -> "TraceWriter":
+        for stale in orphaned_temp_files(self._path.parent,
+                                         glob.escape(self._path.name)):
+            try:
+                stale.unlink()
+            except OSError:  # gone already, or not ours to remove
+                pass
         self._file, self._tmp = _create_sibling(self._path)
         try:
             self._file.write(self._header)
@@ -347,15 +391,18 @@ class TraceIndex:
         header CRCs are checked here; ``False`` walks ``RTRACE01`` chunks.
         Raises :class:`TraceFormatError` on damage under ``strict=True``;
         otherwise a truncated tail ends the index with ``truncated`` set.
-        A bad header CRC, or bytes after a v2 end marker, raise either way:
-        they are damage, not a writer cut short.
+        A v2 file ends with its end marker, so reaching the end of the file
+        without it is truncation, even at a chunk boundary; an ``RTRACE01``
+        stream may end without its terminator.  A bad header CRC, or bytes
+        after a v2 end marker, raise either way: they are damage, not a
+        writer cut short.
         """
         head, tail = (8, 4) if checksummed else (4, 0)
         offsets: List[int] = []
         counts: List[int] = []
         truncated = False
         pos = start
-        while pos < size:  # a missing terminator reads as end of stream
+        while True:
             batch_index = len(offsets)
             if pos + 4 <= size and buf[pos:pos + 4] == b"\0\0\0\0":
                 if checksummed and pos + 4 != size:
@@ -365,10 +412,13 @@ class TraceIndex:
                     )
                 break
             if pos + head > size:
+                if pos == size and not checksummed:
+                    break
                 if strict:
+                    what = "no end marker" if pos == size else "partial chunk header"
                     raise TraceFormatError(
-                        f"truncated trace file {path}: partial chunk header "
-                        f"at byte offset {size} (batch {batch_index})"
+                        f"truncated trace file {path}: {what} at byte offset "
+                        f"{size} (batch {batch_index})"
                     )
                 truncated = True
                 break

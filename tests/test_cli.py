@@ -51,6 +51,33 @@ class TestSimulate:
         assert len(batch_a) == len(batch_b)
         assert (batch_a.seq == batch_b.seq).all()
 
+    def test_rewrite_removes_a_dead_writers_temp_file(self, tmp_path):
+        """A killed ``simulate --out`` leaves ``<out>.tmp<pid>-<n>`` behind;
+        the next write to that path deletes it, but keeps a live writer's
+        file and those of other targets."""
+        import subprocess
+        import sys
+
+        out = tmp_path / "c.rtrace"
+        ended = subprocess.Popen([sys.executable, "-c", "pass"])
+        ended.wait()  # its pid now names no process
+        running = subprocess.Popen([sys.executable, "-c",
+                                    "import time; time.sleep(60)"])
+        try:
+            dead = tmp_path / f"c.rtrace.tmp{ended.pid}-0"
+            live = tmp_path / f"c.rtrace.tmp{running.pid}-0"
+            other = tmp_path / f"d.rtrace.tmp{ended.pid}-0"
+            for path in (dead, live, other):
+                path.write_bytes(b"partial")
+            assert main(["simulate", "--year", "2016", "--days", "3",
+                         "--max-packets", "15000", "--min-scans", "60",
+                         "--out", str(out)]) == 0
+            assert len(read_trace(out)[0]) > 0
+            assert not dead.exists() and live.exists() and other.exists()
+        finally:
+            running.kill()
+            running.wait()
+
 
 class TestAnalyze:
     def test_report_sections(self, capture, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import paper
 from repro.enrichment.types import ScannerType
 from repro.scanners.base import Tool
 from repro.simulation import (
@@ -12,7 +13,7 @@ from repro.simulation import (
     all_year_configs,
     year_config,
 )
-from repro.simulation.config import DisclosureEvent, _TOOL_SCAN_SHARE
+from repro.simulation.config import DisclosureEvent
 
 
 class TestSpeedSpec:
@@ -164,9 +165,9 @@ class TestYearConfigs:
 
     def test_table1_tool_shares_recorded(self):
         """Spot-check the Table 1 transcription."""
-        assert _TOOL_SCAN_SHARE[2015][Tool.NMAP] == pytest.approx(0.317)
-        assert _TOOL_SCAN_SHARE[2017][Tool.MIRAI] == pytest.approx(0.465)
-        assert _TOOL_SCAN_SHARE[2024][Tool.ZMAP] == pytest.approx(0.59)
+        assert paper.TOOL_SHARES_BY_SCANS[2015][Tool.NMAP] == pytest.approx(0.317)
+        assert paper.TOOL_SHARES_BY_SCANS[2017][Tool.MIRAI] == pytest.approx(0.465)
+        assert paper.TOOL_SHARES_BY_SCANS[2024][Tool.ZMAP] == pytest.approx(0.59)
 
     def test_scaling_respects_budget(self):
         cfg = year_config(2024)

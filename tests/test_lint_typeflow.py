@@ -194,6 +194,15 @@ TOKEN_SHIFT = one_module("""\
 """)
 
 
+#: A parameter the body rebinds reads as its new binding from there on:
+#: ``scanners/base.py:_validate_targets`` rebinds its parameters this way.
+REBOUND_PARAM = one_module("""\
+    def key2(addr):
+        addr = np.asarray(addr, dtype=np.uint64)
+        return addr << np.uint64(40)
+""")
+
+
 class TestTreeShapes:
     @pytest.mark.parametrize("files, message", [
         (GROUP_SHIFT, "'shl' result needs up to 79 bits but int64 holds 63; "
@@ -204,7 +213,10 @@ class TestTreeShapes:
                    "'firsts + offsets'"),
         (TOKEN_SHIFT, "'shl' result needs up to 48 bits but uint32 holds "
                       "32; 'token.astype(np.uint32) << np.uint32(16)'"),
-    ], ids=["group-shift", "session-shift", "wide-add", "token-shift"])
+        (REBOUND_PARAM, "'shl' result needs up to 104 bits but uint64 holds "
+                        "64; 'addr << np.uint64(40)'"),
+    ], ids=["group-shift", "session-shift", "wide-add", "token-shift",
+            "rebound-param"])
     def test_unbounded_packed_key_flagged(self, tmp_path, files, message):
         diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR011"]

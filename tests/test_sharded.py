@@ -159,8 +159,9 @@ class TestShardEquivalence:
         not Path("/proc").is_dir(), reason="needs /proc to list a process group"
     )
     def test_workers_die_with_a_killed_parent(self, tmp_path, batch2020):
-        """SIGTERM to the parent of a pooled ``stream`` run alone (default
-        signal death, no clean-up) must not leave its workers running."""
+        """SIGTERM to the parent of a pooled run alone (default signal
+        death, no clean-up) must not leave its workers running: neither a
+        sharded ``stream`` nor a ``simulate`` over the year pool."""
         path = tmp_path / "cap.rtrace"
         write_trace(path, batch2020, meta={"year": 2020}, chunk_size=10_000)
         src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -168,50 +169,56 @@ class TestShardEquivalence:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src_dir, env.get("PYTHONPATH")) if p
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "stream", str(path),
-             "--shards", "2", "--workers", "2", "--batch-size", "64"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
-            start_new_session=True,
-        )
-        pgid = proc.pid
+        runs = [
+            ["stream", str(path), "--shards", "2", "--workers", "2",
+             "--batch-size", "64"],
+            ["simulate", "--out", str(tmp_path / "sim.rtrace"),
+             "--workers", "2"],
+        ]
+        for args in runs:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *args],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+                start_new_session=True,
+            )
+            pgid = proc.pid
 
-        def group_size():
-            size = 0
-            for entry in Path("/proc").iterdir():
-                try:
-                    stat = (entry / "stat").read_text()
-                except OSError:
-                    continue
-                # "pid (comm) state ppid pgrp ...": comm may hold spaces.
-                if int(stat.rsplit(")", 1)[1].split()[2]) == pgid:
-                    size += 1
-            return size
+            def group_size():
+                size = 0
+                for entry in Path("/proc").iterdir():
+                    try:
+                        stat = (entry / "stat").read_text()
+                    except OSError:
+                        continue
+                    # "pid (comm) state ppid pgrp ...": comm may hold spaces.
+                    if int(stat.rsplit(")", 1)[1].split()[2]) == pgid:
+                        size += 1
+                return size
 
-        try:
-            deadline = time.monotonic() + 60
-            while group_size() < 3:
-                assert proc.poll() is None, "run ended before its workers ran"
-                assert time.monotonic() < deadline, "workers never started"
-                time.sleep(0.02)
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10) == -signal.SIGTERM
-            deadline = time.monotonic() + 10
-            while True:
-                try:
-                    os.killpg(pgid, 0)
-                except ProcessLookupError:
-                    break
-                assert time.monotonic() < deadline, (
-                    "pool workers outlived their killed parent"
-                )
-                time.sleep(0.05)
-        finally:
             try:
-                os.killpg(pgid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait()
+                deadline = time.monotonic() + 60
+                while group_size() < 3:
+                    assert proc.poll() is None, (args[0], "ended before its workers ran")
+                    assert time.monotonic() < deadline, (args[0], "workers never started")
+                    time.sleep(0.02)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == -signal.SIGTERM
+                deadline = time.monotonic() + 10
+                while True:
+                    try:
+                        os.killpg(pgid, 0)
+                    except ProcessLookupError:
+                        break
+                    assert time.monotonic() < deadline, (
+                        args[0], "pool workers outlived their killed parent"
+                    )
+                    time.sleep(0.05)
+            finally:
+                try:
+                    os.killpg(pgid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

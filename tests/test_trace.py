@@ -231,14 +231,12 @@ class TestFormatErrors:
                 list(r)
 
     def test_missing_terminator_tolerated(self, tmp_path):
-        # A file ending exactly at a chunk boundary (no 0 sentinel) still reads.
-        good = tmp_path / "good.rtrace"
-        write_trace(good, sample_batch(10))
-        data = good.read_bytes()
+        # An RTRACE01 file ending exactly at a chunk boundary (no 0
+        # sentinel) still reads; a v2 file must end with its end marker.
         trimmed = tmp_path / "trimmed.rtrace"
-        trimmed.write_bytes(data[:-4])
+        trimmed.write_bytes(V1_CAPTURE.read_bytes()[:-4])
         loaded, _ = read_trace(trimmed)
-        assert len(loaded) == 10
+        assert len(loaded) == 25
 
 
 class TestTruncationDiagnostics:
@@ -480,12 +478,15 @@ class TestMappedReader:
             assert np.array_equal(kept.columns()[name], col), name
 
     def test_missing_terminator_tolerated(self, tmp_path):
+        # Without strict, a v2 capture cut before its end marker reads
+        # every chunk and reports the cut.
         good = tmp_path / "good.rtrace"
         write_trace(good, sample_batch(10))
         trimmed = tmp_path / "trimmed.rtrace"
         trimmed.write_bytes(good.read_bytes()[:-4])
-        with TraceReader(trimmed) as mapped:
+        with TraceReader(trimmed, strict=False) as mapped:
             assert sum(len(c) for c in mapped) == 10
+            assert mapped.truncated
 
 
 class TestReadTraceCopies:
@@ -692,6 +693,27 @@ class TestChecksums:
             assert got == [3, 3]
         with pytest.raises(TraceFormatError):
             read_trace(path, strict=False)
+
+    def test_every_chunk_boundary_cut_is_truncation(self, tmp_path):
+        """A capture cut where a chunk header or the end marker starts has
+        lost its end marker: a strict read raises, a lenient one keeps the
+        chunks before the cut and reports it."""
+        good = tmp_path / "good.rtrace"
+        write_trace(good, sample_batch(50), chunk_size=20)
+        data = good.read_bytes()
+        with TraceReader(good) as reader:
+            cuts = [offset - 8 for offset in reader.index.offsets]
+        cuts.append(len(data) - 4)
+        assert len(cuts) == 4
+        path = tmp_path / "cut.rtrace"
+        for kept, at in enumerate(cuts):
+            path.write_bytes(data[:at])
+            with pytest.raises(TraceFormatError,
+                               match=f"no end marker .* \\(batch {kept}\\)"):
+                read_trace(path)
+            with TraceReader(path, strict=False) as reader:
+                assert reader.truncated
+                assert reader.total_packets == min(50, 20 * kept)
 
     def test_bytes_after_the_end_marker_are_damage(self, tmp_path):
         _, data = self._capture(tmp_path)
