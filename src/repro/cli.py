@@ -197,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stm.add_argument("--stats-json", type=Path, default=None,
                      help="write the final stream stats as JSON")
     stm.add_argument("--tolerate-truncation", action="store_true",
-                     help="accept a cleanly-truncated final trace batch")
+                     help="accept a capture cut before its end marker, "
+                          "reading its complete chunks")
     stm.add_argument("--shards", type=int, default=1,
                      help="source-hash shards; >1 splits the identifier "
                           "state by hash(src_ip) %% N with bit-identical "
@@ -511,8 +512,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(f"resumed from checkpoint past "
               f"{result.stats.resumed_packets:,} packets", file=sys.stderr)
     if result.truncated_source:
-        print("note: capture was truncated; partial final batch dropped",
-              file=sys.stderr)
+        print(f"note: capture was truncated; read only its complete chunks "
+              f"({result.stats.packets:,} packets)", file=sys.stderr)
     for run in result.shards:
         print(f"shard {run.shard}: {run.stats.summary_line()}",
               file=sys.stderr)

@@ -83,11 +83,9 @@ from repro.core.coverage import (
 )
 from repro.core.recurrence import (
     RecurrenceStats,
-    daily_cadence_sources,
     institutional_daily_scanners,
     recurrence_by_type,
     recurrence_stats,
-    recurrence_stats_arrays,
     split_scan_times,
 )
 from repro.core.classification import (
@@ -126,7 +124,6 @@ from repro.core.trends import (
     concentration_from_packets,
     country_distribution_entropy,
     entropy_from_counts,
-    intensity_from_arrays,
     metric_trend,
     port_distribution_entropy,
     port_rank_stability,
@@ -199,9 +196,8 @@ __all__ = [
     "collaborating_subnets", "coverage_by_tool", "coverage_modes",
     "coverage_stats",
     # recurrence
-    "RecurrenceStats", "daily_cadence_sources",
-    "institutional_daily_scanners", "recurrence_by_type",
-    "recurrence_stats", "recurrence_stats_arrays", "split_scan_times",
+    "RecurrenceStats", "institutional_daily_scanners",
+    "recurrence_by_type", "recurrence_stats", "split_scan_times",
     # classification
     "TypeCapability", "TypeShares", "capability_by_type",
     "institutional_speed_ratio", "port_type_distribution", "type_shares",
@@ -219,7 +215,7 @@ __all__ = [
     "classic_port_share_trend", "country_distribution_entropy",
     "metric_trend", "port_distribution_entropy", "port_rank_stability",
     "port_share", "traffic_concentration", "concentration_from_packets",
-    "entropy_from_counts", "intensity_from_arrays",
+    "entropy_from_counts",
     # report
     "ChurnReport", "PaperReport", "RecurrenceReport", "TrendsReport",
     "paper_report",

@@ -9,10 +9,9 @@ mode of scanning every single day.
 The per-source grouping is one ``lexsort`` plus split boundaries
 (:func:`split_scan_times`) rather than a Python dict-append loop: the old
 formulation was interpreter-bound at O(n) dict operations and dominated
-recurrence analysis on large tables.  The split arrays are also the
-finalise representation of the streaming recurrence accumulator
-(:class:`repro.stream.analyses.IncrementalRecurrence`), so batch and
-streaming recurrence compute through the same implementation.
+recurrence analysis on large tables.  The paper report's recurrence
+section (:meth:`repro.stream.analyses.AnalysisSuite.finalize`) is these
+functions over the final scan table, in batch and streaming runs alike.
 """
 
 from __future__ import annotations
@@ -66,14 +65,9 @@ def split_scan_times(
     return src_sorted[firsts], offsets, times
 
 
-def recurrence_stats_arrays(
-    sources: np.ndarray, offsets: np.ndarray, times: np.ndarray
-) -> RecurrenceStats:
-    """Recurrence statistics from :func:`split_scan_times` arrays.
-
-    The shared finalise step of the batch path and the streaming recurrence
-    accumulator.
-    """
+def recurrence_stats(scans: ScanTable) -> RecurrenceStats:
+    """Recurrence statistics over one scan table."""
+    sources, offsets, times = split_scan_times(scans.src_ip, scans.start)
     if sources.size == 0:
         empty = (np.array([]), np.array([]))
         return RecurrenceStats(0, 0.0, 0.0, empty, empty, 0.0, 0.0)
@@ -102,11 +96,6 @@ def recurrence_stats_arrays(
     )
 
 
-def recurrence_stats(scans: ScanTable) -> RecurrenceStats:
-    """Recurrence statistics over one scan table."""
-    return recurrence_stats_arrays(*split_scan_times(scans.src_ip, scans.start))
-
-
 def recurrence_by_type(scans: ScanTable) -> Dict[ScannerType, RecurrenceStats]:
     """Recurrence statistics split by scanner type (Figure 6).
 
@@ -121,28 +110,6 @@ def recurrence_by_type(scans: ScanTable) -> Dict[ScannerType, RecurrenceStats]:
     return out
 
 
-def daily_cadence_sources(
-    sources: np.ndarray,
-    offsets: np.ndarray,
-    times: np.ndarray,
-    tolerance: float = 0.25,
-    min_scans: int = 5,
-) -> int:
-    """Sources whose median inter-scan gap is within ``tolerance`` of a day.
-
-    Operates on :func:`split_scan_times` arrays so the streaming path can
-    reuse it; only sources with at least ``min_scans`` scans qualify.
-    """
-    counts = np.diff(offsets)
-    count = 0
-    for i in np.flatnonzero(counts >= min_scans):
-        gaps = np.diff(times[offsets[i]:offsets[i + 1]])
-        median_gap = float(np.median(gaps))
-        if abs(median_gap - _DAY_S) <= tolerance * _DAY_S:
-            count += 1
-    return count
-
-
 def institutional_daily_scanners(scans: ScanTable, tolerance: float = 0.25) -> int:
     """Number of institutional sources with a near-daily scanning cadence.
 
@@ -152,5 +119,11 @@ def institutional_daily_scanners(scans: ScanTable, tolerance: float = 0.25) -> i
     """
     types = np.array([str(t) if t is not None else "" for t in scans.scanner_type])
     inst = scans.select(types == ScannerType.INSTITUTIONAL.value)
-    sources, offsets, times = split_scan_times(inst.src_ip, inst.start)
-    return daily_cadence_sources(sources, offsets, times, tolerance=tolerance)
+    _, offsets, times = split_scan_times(inst.src_ip, inst.start)
+    count = 0
+    for i in np.flatnonzero(np.diff(offsets) >= 5):
+        gaps = np.diff(times[offsets[i]:offsets[i + 1]])
+        median_gap = float(np.median(gaps))
+        if abs(median_gap - _DAY_S) <= tolerance * _DAY_S:
+            count += 1
+    return count

@@ -1,12 +1,14 @@
 """The combined paper report: trends, volatility, recurrence, churn.
 
 :class:`PaperReport` bundles the longitudinal analyses of §4.2/§4.4/§6.6
-into one value.  One implementation computes it: the mergeable
-accumulators of :class:`repro.stream.analyses.AnalysisSuite`.  A streaming
-pass feeds the suite window by window; :func:`paper_report` feeds it a
-fully materialised :class:`~repro.core.pipeline.PeriodAnalysis` as a
-single window.  The report is therefore the same, field by field and float
-for float, however the capture was cut into windows or shards.
+into one value.  One implementation computes it:
+:class:`repro.stream.analyses.AnalysisSuite`, which accumulates the
+packet-side tallies window by window and computes the per-scan statistics
+from the final scan table.  A streaming pass feeds the suite window by
+window; :func:`paper_report` feeds it a fully materialised
+:class:`~repro.core.pipeline.PeriodAnalysis` as a single window.  The
+report is therefore the same, field by field and float for float, however
+the capture was cut into windows or shards.
 """
 
 from __future__ import annotations
@@ -73,5 +75,4 @@ def paper_report(analysis: PeriodAnalysis) -> PaperReport:
 
     suite = AnalysisSuite(AnalysisConfig(analysis.year, analysis.days))
     suite.consume(analysis.batch)
-    suite.consume_scans(analysis.scans)
-    return suite.finalize()
+    return suite.finalize(analysis.scans)

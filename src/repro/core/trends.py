@@ -44,8 +44,8 @@ def entropy_from_counts(counts: np.ndarray) -> float:
     """Shannon entropy (bits) of a tally vector.
 
     The counts must be in a canonical (key-sorted) order — ``np.unique``
-    output, or a sorted-key sparse tally — so the float summation order is
-    identical between the batch and streaming paths.
+    output, or a port histogram's nonzero entries — so the float summation
+    order does not depend on how the counts were gathered.
     """
     if counts.size == 0:
         return 0.0
@@ -112,8 +112,8 @@ class ConcentrationReport:
 def concentration_from_packets(per_scan_packets: np.ndarray) -> ConcentrationReport:
     """Concentration report from a per-scan packet-count vector.
 
-    Pure finaliser shared by :func:`traffic_concentration` (batch) and the
-    streaming trends accumulator; the input need not be sorted.
+    The body of :func:`traffic_concentration`; the input need not be
+    sorted.
     """
     if per_scan_packets.size == 0:
         raise ValueError("no scans to analyse")
@@ -163,18 +163,17 @@ class IntensityReport:
     mean_duration_s: float
 
 
-def intensity_from_arrays(
-    packets: np.ndarray, duration: np.ndarray
-) -> IntensityReport:
-    """Intensity report from per-scan packet and duration vectors.
+def scan_intensity(scans: ScanTable) -> IntensityReport:
+    """Per-scan packets and wall-clock duration (§5.3's 'scans used to get
+    more intensive and take longer, but are increasingly spread out').
 
-    Pure finaliser shared by :func:`scan_intensity` (batch) and the
-    streaming trends accumulator.  The means are pairwise float sums, so
-    callers that need bit-identity must pass the vectors in the canonical
-    scan-table order (``lexsort((start, src_ip))``).
+    The means are pairwise float sums, so they depend on the row order;
+    the paper report passes tables in their canonical ``(src_ip, start)``
+    order.
     """
-    if packets.size == 0:
+    if len(scans) == 0:
         raise ValueError("no scans to analyse")
+    packets, duration = scans.packets, scans.duration
     return IntensityReport(
         scans=int(packets.size),
         median_packets=float(np.median(packets)),
@@ -182,14 +181,6 @@ def intensity_from_arrays(
         median_duration_s=float(np.median(duration)),
         mean_duration_s=float(duration.mean()),
     )
-
-
-def scan_intensity(scans: ScanTable) -> IntensityReport:
-    """Per-scan packets and wall-clock duration (§5.3's 'scans used to get
-    more intensive and take longer, but are increasingly spread out')."""
-    if len(scans) == 0:
-        raise ValueError("no scans to analyse")
-    return intensity_from_arrays(scans.packets, scans.duration)
 
 
 @dataclass(frozen=True)

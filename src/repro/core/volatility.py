@@ -9,10 +9,12 @@ next; only 20–30% of netblocks are stable.
 The per-(block, week) counting is factored into *sparse tallies* — packed
 ``(block << 32) | week`` keys with ``int64`` multiplicities — plus a pure
 :func:`dense_weekly_counts` finaliser.  The accumulator
-:class:`repro.stream.analyses.IncrementalVolatility` builds the tallies
-window by window and merges them across shards; :func:`volatility_summary`
-is the volatility section of :func:`~repro.core.report.paper_report`, which
-runs that accumulator over the whole period as one window.
+:class:`repro.stream.analyses.IncrementalVolatility` builds the packet and
+source tallies window by window, and the analysis suite adds the final
+scan table's :func:`scan_weekly_tally` when it finalises;
+:func:`volatility_summary` is the volatility section of
+:func:`~repro.core.report.paper_report`, which runs that suite over the
+whole period as one window.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def summaries_from_counts(
 ) -> Dict[str, VolatilitySummary]:
     """Per-metric weekly-change summaries from dense weekly counts.
 
-    The finaliser of :class:`repro.stream.analyses.IncrementalVolatility`'s
+    The finaliser of :meth:`repro.stream.analyses.IncrementalVolatility.finalize_counts`'s
     dense counts.
     """
     out: Dict[str, VolatilitySummary] = {}

@@ -23,16 +23,16 @@ telescope's observation statistics.
 
 Pool workers die with the process that forked them
 (:func:`_die_with_parent`, also the initializer of the source-shard pool in
-``stream/sharded.py``), so killing that process alone leaves none behind.
+``stream/sharded.py`` and of ``repro-scan serve``'s job pool), so killing
+that process alone leaves none behind.
 """
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
-import signal
-import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
@@ -40,9 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.cache import CaptureCache
     from repro.simulation.world import SimulationResult, TelescopeWorld
 
-#: ``prctl`` option asking the kernel to signal this process when the
-#: thread that forked it exits (Linux ``<sys/prctl.h>``).
-_PR_SET_PDEATHSIG = 1
+#: How often a pool worker checks that its parent process still lives.
+_PARENT_POLL_S = 0.2
 
 
 def _die_with_parent(parent: int) -> None:
@@ -50,22 +49,27 @@ def _die_with_parent(parent: int) -> None:
 
     A parent killed by a signal runs no clean-up, and a forked pool worker
     waiting on its call queue never sees the queue close (it holds the
-    queue's other end itself), so it would sleep on forever.  On Linux the
-    kernel SIGKILLs the worker when its parent exits instead; elsewhere
-    this is a no-op.
+    queue's other end itself), so it would sleep on forever.  Instead a
+    daemon thread in the worker polls ``os.getppid()`` and exits the worker
+    once it changes: the worker has been reparented, so its parent is gone.
 
-    The signal follows the *thread* that forked the worker, and with
-    ``fork`` a pool forks every worker in the thread of its first
-    ``submit``: only a pool first used from a thread that outlives it (the
-    main thread, here) may take this initializer.
+    It watches the parent *process*.  Linux's parent-death signal follows
+    the thread that forked the worker, and with ``fork`` a pool forks every
+    worker in the thread of its first ``submit`` — in ``serve``, an HTTP
+    handler thread that ends with its request.
     """
-    if not sys.platform.startswith("linux"):
-        return
-    ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    # A forked worker whose parent died before the prctl call has been
-    # reparented already, and no signal will come.
-    if multiprocessing.get_start_method() == "fork" and os.getppid() != parent:
+    watched = os.getppid()
+    # A forked worker whose parent died before this initializer ran has
+    # been reparented already.
+    if multiprocessing.get_start_method() == "fork" and watched != parent:
         os._exit(1)
+
+    def watch() -> None:
+        while os.getppid() == watched:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="die-with-parent", daemon=True).start()
 
 
 def _simulate_year_task(world, year, days, max_packets, min_scans):

@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import __version__
 from repro.exec.cache import CaptureCache
+from repro.exec.parallel import _die_with_parent
 from repro.serve.jobs import JobSpec, execute_job
 from repro.simulation import TelescopeWorld
 
@@ -268,7 +269,10 @@ class JobQueue:
 
     def _start_locked(self, rec: JobRecord) -> None:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_die_with_parent,
+                initargs=(os.getpid(),),
+            )
         rec.attempts += 1
         rec.generation = self._generation
         self.executed += 1

@@ -13,8 +13,9 @@ into ``n_shards`` by hash and walks every shard through the same window
 loop (:mod:`~repro.stream.sharded`), in this process (``workers=0``) or in
 worker processes, with output bit-identical at any shard or worker count;
 the serial run is ``n_shards=1, workers=0``.  On top of the scan
-identifier, :mod:`~repro.stream.analyses` runs the paper's longitudinal
-analyses incrementally, and :func:`~repro.stream.report.stream_report`
+identifier, :mod:`~repro.stream.analyses` tallies the paper's longitudinal
+analyses window by window and finishes them over the final scan table, and
+:func:`~repro.stream.report.stream_report`
 produces the full batch-equal :class:`~repro.core.report.PaperReport` in
 one bounded-memory pass.
 """
@@ -24,8 +25,6 @@ from repro.stream.analyses import (
     AnalysisConfig,
     AnalysisSuite,
     IncrementalChurn,
-    IncrementalRecurrence,
-    IncrementalTrends,
     IncrementalVolatility,
 )
 from repro.stream.checkpoint import (
@@ -68,8 +67,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisSuite",
     "IncrementalChurn",
-    "IncrementalRecurrence",
-    "IncrementalTrends",
     "IncrementalVolatility",
     "StreamReportResult",
     "analysis_period",

@@ -1,18 +1,24 @@
 """Incremental paper analyses: the one implementation of the paper report.
 
 The paper's longitudinal results — §4.4 volatility, §6.6 recurrence, §4.2
-trends and churn — are computed here, and only here, by *mergeable
-accumulators* over time-ordered packet windows, following the
-:class:`~repro.stream.incremental.IncrementalScanIdentifier` pattern:
-``consume`` windows (and ``consume_scans`` finalised scan-table chunks),
-``merge`` accumulators from source-disjoint shards, ``snapshot`` /
-``restore`` through flat numpy arrays for durable checkpoints, and
-``finalize`` into a :class:`~repro.core.report.PaperReport`.  The batch
+trends and churn — split into packet-side tallies and per-scan statistics,
+and :class:`AnalysisSuite` is accordingly two things.  It is an
+*accumulator* over time-ordered packet windows, following the
+:class:`~repro.stream.incremental.IncrementalScanIdentifier` pattern —
+``consume`` windows, ``snapshot`` / ``restore`` through flat numpy arrays
+for durable checkpoints — and a *finaliser* over the final scan table:
+``finalize(scans)`` computes every per-scan field with the
+:class:`~repro.core.campaigns.ScanTable` functions of
+:mod:`repro.core.volatility`, :mod:`repro.core.trends` and
+:mod:`repro.core.recurrence`, and returns the
+:class:`~repro.core.report.PaperReport`.  The batch
 :func:`~repro.core.report.paper_report` is this suite fed one window: the
-whole capture and its whole scan table.
+whole capture, then its whole scan table.  A sharded run attaches the suite
+to shard 0 only, which consumes every raw window before the shard filter
+(:mod:`repro.stream.sharded`), so a suite is never merged.
 
-The window pass: :class:`AnalysisSuite` reduces each raw window once and
-hands the reduction to the packet-side accumulators — one study mask
+The window pass: :meth:`AnalysisSuite.consume` reduces each raw window once
+and hands the reduction to the packet-side accumulators — one study mask
 (:func:`~repro.core.pipeline.study_mask`), one day division
 (:func:`~repro.core.churn.day_index`; weeks are ``day // 7``), and one
 in-place sort of packed ``(source << 32) | day`` keys into the window's
@@ -27,37 +33,32 @@ of their concatenation, not ``np.union1d``: NumPy >= 2.3 answers
 Why the results are field-by-field **equal** to that one-window run at any
 window size and shard count:
 
-* Every tally (per-port packets, per-(/16, week) activity, per-day first
-  appearances) is an exact integer count kept in sorted-key order; merging
-  sorted tallies is associative and reproduces one global ``np.unique``.
+* Every packet-side tally (per-port packets, per-(/16, week) activity,
+  per-day first appearances) is an exact integer count kept in sorted-key
+  order; adding sorted tallies reproduces one global ``np.unique``.
 * Distinct-(source, week) dedupe is windowed: the stream is time-ordered,
   so only the weeks at the watermark can still receive packets — older
   weeks retire their source sets into the sparse tally and free the memory.
+* The per-scan half never sees a window.  It reads the final table, which
+  the engine makes bit-identical to batch ``identify_scans`` at any window
+  size and shard count, in that table's ``(src_ip, start)`` row order.
 * Float statistics go through pure finalisers
   (:func:`~repro.core.volatility.summaries_from_counts`,
-  :func:`~repro.core.trends.concentration_from_packets`,
-  :func:`~repro.core.recurrence.recurrence_stats_arrays`,
-  :func:`~repro.core.churn.fit_population_curve`), fed in canonical orders
-  that do not depend on the windowing (sorted tally keys;
-  ``lexsort((start, src_ip))`` scan rows), so even order-dependent
+  :func:`~repro.core.churn.fit_population_curve`, …) fed in canonical
+  orders that do not depend on the windowing, so even order-dependent
   pairwise float sums agree bit for bit.
 
-Merging follows the shard contract of :mod:`repro.stream.sharded`: the two
-accumulators must have consumed *source-disjoint* packet streams (per-source
-facts — first appearance, distinct weeks — cannot be reconciled after the
-fact when a source is split across accumulators).
-
 Memory model: tallies grow with distinct (/16, week) keys, and the port
-histogram is a fixed 65,536 counters; scan-side buffers grow with the
-result set (scans, not packets); the only packet-rate structure — the
+histogram is a fixed 65,536 counters; the only packet-rate structure — the
 open-week source sets — is bounded by the sources active within the
-watermark's week.  Nothing scales with capture length in packets.
+watermark's week.  The suite holds no scan-side state, and nothing scales
+with capture length in packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,9 +77,9 @@ from repro.core.pipeline import (
     study_scans_of,
 )
 from repro.core.recurrence import (
-    daily_cadence_sources,
-    recurrence_stats_arrays,
-    split_scan_times,
+    institutional_daily_scanners,
+    recurrence_by_type,
+    recurrence_stats,
 )
 from repro.core.report import (
     ChurnReport,
@@ -88,12 +89,12 @@ from repro.core.report import (
 )
 from repro.core.trends import (
     CLASSIC_PORTS,
-    concentration_from_packets,
     entropy_from_counts,
-    intensity_from_arrays,
+    scan_intensity,
+    traffic_concentration,
 )
 from repro.core.volatility import (
-    METRICS,
+    SparseTally,
     dense_weekly_counts,
     pack_block_week,
     packet_weekly_tally,
@@ -102,7 +103,6 @@ from repro.core.volatility import (
     week_index,
     weeks_in_period,
 )
-from repro.enrichment.types import ScannerType
 from repro.stream.incremental import StreamOrderError
 from repro.telescope.addresses import slash16_of
 from repro.telescope.packet import PacketBatch
@@ -110,13 +110,17 @@ from repro.telescope.packet import PacketBatch
 #: Size of the dense port histogram (ports are 16-bit).
 _N_PORTS = 1 << 16
 
-#: Bumped when any accumulator's snapshot layout changes; part of the
-#: checkpoint key material, so old analysis checkpoints miss cleanly.
-ANALYSES_SCHEMA_VERSION = 1
+#: Bumped when the suite's snapshot layout changes; part of the checkpoint
+#: key material, so old analysis checkpoints miss cleanly.
+ANALYSES_SCHEMA_VERSION = 2
+
+#: The volatility metrics tallied from packets; the ``scans`` metric is
+#: tallied from the final table at finalisation.
+_PACKET_METRICS = ("sources", "packets")
 
 
 class _SparseTally:
-    """A sorted-key ``int64`` tally, mergeable by sorted reduction.
+    """A sorted-key ``int64`` tally.
 
     Keys stay sorted-distinct; adds concatenate + stable-argsort +
     ``np.add.reduceat``.
@@ -152,24 +156,12 @@ class _SparseTally:
         self.keys = allk[firsts]
         self.counts = np.add.reduceat(allc, firsts)
 
-    def merge(self, other: "_SparseTally") -> None:
-        self.add(other.keys, other.counts)
-
-    def pair(self) -> Tuple[np.ndarray, np.ndarray]:
+    def pair(self) -> SparseTally:
         return self.keys, self.counts
 
     @property
     def nbytes(self) -> int:
         return int(self.keys.nbytes + self.counts.nbytes)
-
-
-def _cat(chunks: List[np.ndarray], dtype) -> np.ndarray:
-    """Concatenate a chunk list (typed empty array for the empty case)."""
-    if not chunks:
-        return np.array([], dtype=dtype)
-    if len(chunks) == 1:
-        return chunks[0].astype(dtype, copy=False)
-    return np.concatenate(chunks).astype(dtype, copy=False)
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,31 +178,24 @@ def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Window(NamedTuple):
     """A time-ordered study-view window, reduced once for every accumulator.
 
-    ``tmin``/``tmax`` feed the order checks and watermarks; ``pairs`` are
-    the window's distinct (source, day) pairs.
+    ``tmax`` feeds the volatility watermark; ``pairs`` are the window's
+    distinct (source, day) pairs.
     """
 
-    tmin: float
     tmax: float
     pairs: SourceDays
 
 
-def _window_of(time: np.ndarray, src_ip: np.ndarray) -> _Window:
-    return _Window(
-        float(time.min()), float(time.max()),
-        source_days(src_ip, day_index(time)),
-    )
-
-
 class IncrementalVolatility:
-    """Streaming §4.4: per-/16, per-week activity tallies.
+    """Streaming §4.4: per-/16, per-week packet and source tallies.
 
-    Packet and scan counts are exact sparse tallies.  The distinct-source
-    metric needs a per-week dedupe; the stream's time order bounds it —
-    once the watermark's week moves past week ``w``, no packet can land in
-    ``w`` again, so ``w``'s source set is *retired*: counted per /16 into
-    the sparse tally and dropped.  Only the weeks at the watermark hold
-    live source sets.
+    Packet counts are an exact sparse tally.  The distinct-source metric
+    needs a per-week dedupe; the stream's time order bounds it — once the
+    watermark's week moves past week ``w``, no packet can land in ``w``
+    again, so ``w``'s source set is *retired*: counted per /16 into the
+    sparse tally and dropped.  Only the weeks at the watermark hold live
+    source sets.  The per-week scan counts come from the final table
+    (:meth:`finalize_counts`).
     """
 
     def __init__(self, n_weeks: int):
@@ -218,7 +203,7 @@ class IncrementalVolatility:
             raise ValueError("n_weeks must be >= 1")
         self.n_weeks = n_weeks
         self.tallies: Dict[str, _SparseTally] = {
-            metric: _SparseTally() for metric in METRICS
+            metric: _SparseTally() for metric in _PACKET_METRICS
         }
         #: Sorted distinct /16 blocks of the consumed packets (the dense
         #: matrices' row index).
@@ -227,18 +212,7 @@ class IncrementalVolatility:
         self._open_weeks: Dict[int, np.ndarray] = {}
         self.watermark = float("-inf")
 
-    def consume(self, batch: PacketBatch) -> None:
-        """Ingest one time-ordered packet window (study view)."""
-        if len(batch):
-            self._consume(_window_of(batch.time, batch.src_ip))
-
     def _consume(self, window: _Window) -> None:
-        if self.watermark != float("-inf") and window.tmin < self.watermark:
-            raise StreamOrderError(
-                f"window starts at t={window.tmin:.6f}, before the volatility "
-                f"watermark {self.watermark:.6f}; week retirement needs a "
-                f"time-ordered stream"
-            )
         pairs = window.pairs
         weeks = week_index(pairs.day, self.n_weeks)
         keys, counts = packet_weekly_tally(pairs.src, weeks, pairs.packets)
@@ -267,32 +241,16 @@ class IncrementalVolatility:
         self.watermark = max(self.watermark, window.tmax)
         self._retire_closed_weeks()
 
-    def consume_scans(self, scans: ScanTable) -> None:
-        """Fold finalised scans (study view) into the scan tally."""
-        keys, counts = scan_weekly_tally(scans, self.n_weeks)
-        self.tallies["scans"].add(keys, counts)
-
-    def merge(self, other: "IncrementalVolatility") -> None:
-        """Fold a source-disjoint shard's state into this one."""
-        if other.n_weeks != self.n_weeks:
-            raise ValueError("cannot merge volatility over different horizons")
-        for metric in METRICS:
-            self.tallies[metric].merge(other.tallies[metric])
-        self.blocks = _union(self.blocks, other.blocks)
-        for week, srcs in other._open_weeks.items():
-            current = self._open_weeks.get(week)
-            self._open_weeks[week] = (
-                srcs.copy() if current is None else _union(current, srcs)
-            )
-        self.watermark = max(self.watermark, other.watermark)
-        self._retire_closed_weeks()
-
-    def finalize_counts(self) -> Dict[str, np.ndarray]:
-        """Retire every open week and scatter into dense weekly matrices."""
+    def finalize_counts(self, scans: SparseTally) -> Dict[str, np.ndarray]:
+        """Retire every open week and scatter the packet tallies and the
+        final table's per-(/16, week) ``scans`` tally into dense weekly
+        matrices."""
         for week in sorted(self._open_weeks):
             self._retire_week(week)
         return dense_weekly_counts(self.blocks, self.n_weeks, {
-            metric: self.tallies[metric].pair() for metric in METRICS
+            "scans": scans,
+            **{metric: self.tallies[metric].pair()
+               for metric in _PACKET_METRICS},
         })
 
     def state_nbytes(self) -> int:
@@ -327,110 +285,6 @@ class IncrementalVolatility:
         )
 
 
-class IncrementalTrends:
-    """Streaming §4.2 trends: port/country tallies plus scan-side buffers.
-
-    Packet-side state is a dense per-port packet histogram (exact counts;
-    its nonzero entries, in port order, are the entropy-safe sorted tally).
-    Scan-side columns are buffered as chunks and sorted into the
-    canonical scan-table order (``lexsort((start, src_ip))``) at finalise,
-    so the order-dependent float means do not depend on how the scans
-    arrived; this buffer grows with the *result set*, not the packet stream.
-    """
-
-    def __init__(self):
-        #: Packets per destination port; ports are 16-bit, so a window adds
-        #: its ``np.bincount`` instead of merging a sparse tally.
-        self.port_packets = np.zeros(_N_PORTS, dtype=np.int64)
-        self.total_packets = 0
-        self._src: List[np.ndarray] = []
-        self._start: List[np.ndarray] = []
-        self._end: List[np.ndarray] = []
-        self._packets: List[np.ndarray] = []
-        self._country: List[np.ndarray] = []
-
-    def consume(self, batch: PacketBatch) -> None:
-        """Ingest one packet window (study view)."""
-        self._consume_ports(batch.dst_port)
-
-    def _consume_ports(self, dst_port: np.ndarray) -> None:
-        if dst_port.size == 0:
-            return
-        self.port_packets += np.bincount(dst_port, minlength=_N_PORTS)
-        self.total_packets += dst_port.size
-
-    def consume_scans(self, scans: ScanTable) -> None:
-        """Buffer one chunk of finalised, enriched scans (study view)."""
-        if len(scans) == 0:
-            return
-        self._src.append(scans.src_ip.copy())
-        self._start.append(scans.start.copy())
-        self._end.append(scans.end.copy())
-        self._packets.append(scans.packets.copy())
-        self._country.append(scans.country.astype(str))
-
-    def merge(self, other: "IncrementalTrends") -> None:
-        self.port_packets += other.port_packets
-        self.total_packets += other.total_packets
-        self._src.extend(other._src)
-        self._start.extend(other._start)
-        self._end.extend(other._end)
-        self._packets.extend(other._packets)
-        self._country.extend(other._country)
-
-    def finalize(self) -> TrendsReport:
-        if self.total_packets:
-            classic = int(self.port_packets[list(CLASSIC_PORTS)].sum())
-            classic_share = float(classic / self.total_packets)
-            port_entropy = entropy_from_counts(
-                self.port_packets[self.port_packets > 0]
-            )
-        else:
-            classic_share = 0.0
-            port_entropy = 0.0
-
-        country = _cat(self._country, np.str_)
-        if country.size:
-            _, country_counts = np.unique(country, return_counts=True)
-            country_entropy = entropy_from_counts(country_counts)
-        else:
-            country_entropy = 0.0
-
-        src = _cat(self._src, np.uint32)
-        if src.size == 0:
-            return TrendsReport(
-                classic_port_share=classic_share,
-                port_entropy=port_entropy,
-                country_entropy=country_entropy,
-                concentration=None,
-                intensity=None,
-            )
-        start = _cat(self._start, np.float64)
-        order = np.lexsort((start, src))
-        start = start[order]
-        end = _cat(self._end, np.float64)[order]
-        packets = _cat(self._packets, np.int64)[order]
-        duration = np.maximum(end - start, 1.0)
-        return TrendsReport(
-            classic_port_share=classic_share,
-            port_entropy=port_entropy,
-            country_entropy=country_entropy,
-            concentration=concentration_from_packets(packets),
-            intensity=intensity_from_arrays(packets, duration),
-        )
-
-    def state_nbytes(self) -> int:
-        chunk_bytes = sum(
-            chunk.nbytes
-            for store in (
-                self._src, self._start, self._end, self._packets,
-                self._country,
-            )
-            for chunk in store
-        )
-        return int(self.port_packets.nbytes) + chunk_bytes
-
-
 class IncrementalChurn:
     """Streaming §4.2 churn: first-appearance day per distinct source.
 
@@ -446,21 +300,8 @@ class IncrementalChurn:
         self.days = days
         self.seen = np.array([], dtype=np.uint32)
         self.per_day = np.zeros(days, dtype=np.int64)
-        self.watermark = float("-inf")
-
-    def consume(self, batch: PacketBatch) -> None:
-        """Ingest one time-ordered packet window (study view)."""
-        if len(batch):
-            self._consume(_window_of(batch.time, batch.src_ip))
 
     def _consume(self, window: _Window) -> None:
-        if self.watermark != float("-inf") and window.tmin < self.watermark:
-            raise StreamOrderError(
-                f"window starts at t={window.tmin:.6f}, before the churn "
-                f"watermark {self.watermark:.6f}; first-appearance days need "
-                f"a time-ordered stream"
-            )
-        self.watermark = max(self.watermark, window.tmax)
         srcs, first_days = first_appearance_days(window.pairs, self.days)
         if self.seen.size:
             idx = np.minimum(
@@ -475,14 +316,6 @@ class IncrementalChurn:
             ).astype(np.int64, copy=False)
             self.seen = _union(self.seen, srcs[new])
 
-    def merge(self, other: "IncrementalChurn") -> None:
-        """Fold a source-disjoint shard's state into this one."""
-        if other.days != self.days:
-            raise ValueError("cannot merge churn over different horizons")
-        self.per_day += other.per_day
-        self.seen = _union(self.seen, other.seen)
-        self.watermark = max(self.watermark, other.watermark)
-
     def finalize(self) -> ChurnReport:
         curve = np.cumsum(self.per_day)
         fit = fit_population_curve(curve) if curve[-1] > 0 else None
@@ -490,63 +323,6 @@ class IncrementalChurn:
 
     def state_nbytes(self) -> int:
         return int(self.seen.nbytes + self.per_day.nbytes)
-
-
-class IncrementalRecurrence:
-    """Streaming §6.6 recurrence: per-source scan-time digests.
-
-    Buffers ``(src, start, scanner_type)`` per scan-table chunk; finalise
-    runs the shared :func:`~repro.core.recurrence.split_scan_times` /
-    :func:`~repro.core.recurrence.recurrence_stats_arrays` pipeline, whose
-    lexsort makes the result independent of chunk arrival order.
-    """
-
-    def __init__(self):
-        self._src: List[np.ndarray] = []
-        self._start: List[np.ndarray] = []
-        self._types: List[np.ndarray] = []
-
-    def consume_scans(self, scans: ScanTable) -> None:
-        """Buffer one chunk of finalised, enriched scans (study view)."""
-        if len(scans) == 0:
-            return
-        self._src.append(scans.src_ip.copy())
-        self._start.append(scans.start.copy())
-        self._types.append(np.array(
-            [str(t) if t is not None else "" for t in scans.scanner_type]
-        ))
-
-    def merge(self, other: "IncrementalRecurrence") -> None:
-        self._src.extend(other._src)
-        self._start.extend(other._start)
-        self._types.extend(other._types)
-
-    def finalize(self) -> RecurrenceReport:
-        src = _cat(self._src, np.uint32)
-        start = _cat(self._start, np.float64)
-        types = _cat(self._types, np.str_)
-        overall = recurrence_stats_arrays(*split_scan_times(src, start))
-        by_type: Dict[ScannerType, Any] = {}
-        for stype in ScannerType:
-            mask = types == stype.value
-            if np.any(mask):
-                by_type[stype] = recurrence_stats_arrays(
-                    *split_scan_times(src[mask], start[mask])
-                )
-        inst = types == ScannerType.INSTITUTIONAL.value
-        daily = daily_cadence_sources(
-            *split_scan_times(src[inst], start[inst])
-        )
-        return RecurrenceReport(
-            overall=overall, by_type=by_type, institutional_daily=daily
-        )
-
-    def state_nbytes(self) -> int:
-        return sum(
-            chunk.nbytes
-            for store in (self._src, self._start, self._types)
-            for chunk in store
-        )
 
 
 @dataclass(frozen=True)
@@ -577,30 +353,29 @@ class AnalysisConfig:
 
 
 class AnalysisSuite:
-    """All incremental analyses of one period behind a single surface.
+    """All analyses of one period behind a single surface.
 
     The suite applies the §3.2 study filter itself
     (:func:`~repro.core.pipeline.study_mask` on packets,
     :func:`~repro.core.pipeline.study_scans_of` on scans), so it is fed the
-    raw stream and the raw finalised scan table.  Each window is reduced
+    raw stream and the raw final scan table.  Each window is reduced
     once — the study mask, one day division and one sort into distinct
     (source, day) pairs — and the packet-side accumulators read that
-    reduction through their private ``_consume`` paths.
+    reduction through their private ``_consume`` paths; the per-port
+    packet histogram is the suite's own.
     """
 
     def __init__(self, config: AnalysisConfig):
         self.config = config
         self.volatility = IncrementalVolatility(config.n_weeks)
-        self.trends = IncrementalTrends()
         self.churn = IncrementalChurn(config.days)
-        self.recurrence = IncrementalRecurrence()
+        #: Study packets per destination port; ports are 16-bit, so a
+        #: window adds its ``np.bincount`` instead of merging a sparse tally.
+        self.port_packets = np.zeros(_N_PORTS, dtype=np.int64)
         self.packets_consumed = 0       # raw packets, pre study filter
         self.study_packets = 0
-        self.study_scans = 0
         self.windows_consumed = 0
         self.watermark = float("-inf")
-
-    # -- streaming ----------------------------------------------------------
 
     def consume(self, batch: PacketBatch) -> None:
         """Ingest one raw, time-ordered packet window."""
@@ -623,63 +398,68 @@ class AnalysisSuite:
             time, src_ip, dst_port = time[keep], src_ip[keep], dst_port[keep]
             if time.size == 0:
                 return
-        window = _window_of(time, src_ip)
+        window = _Window(
+            float(time.max()), source_days(src_ip, day_index(time))
+        )
         self.study_packets += time.size
         self.volatility._consume(window)
-        self.trends._consume_ports(dst_port)
         self.churn._consume(window)
+        self.port_packets += np.bincount(dst_port, minlength=_N_PORTS)
 
-    def consume_scans(self, scans: ScanTable) -> None:
-        """Fold finalised, *enriched* scans in (each scan exactly once)."""
+    def finalize(self, scans: ScanTable) -> PaperReport:
+        """The :class:`~repro.core.report.PaperReport` of the consumed
+        windows and ``scans``, the period's final, *enriched* table.
+
+        ``scans`` rows must be in ``(src_ip, start)`` order, as
+        :func:`~repro.core.campaigns.identify_sessions` and
+        :func:`~repro.core.campaigns.merge_scan_tables` emit them (the
+        study filter keeps it): :func:`~repro.core.trends.scan_intensity`
+        averages in row order, and the report is bit-identical to the
+        batch one only in that order.  The suite does not re-sort.
+        """
         scans = study_scans_of(scans)
-        if len(scans) == 0:
-            return
-        self.study_scans += len(scans)
-        self.volatility.consume_scans(scans)
-        self.trends.consume_scans(scans)
-        self.recurrence.consume_scans(scans)
-
-    def merge(self, other: "AnalysisSuite") -> None:
-        """Fold a source-disjoint shard's suite into this one."""
-        if other.config != self.config:
-            raise ValueError("cannot merge suites with different configs")
-        self.volatility.merge(other.volatility)
-        self.trends.merge(other.trends)
-        self.churn.merge(other.churn)
-        self.recurrence.merge(other.recurrence)
-        self.packets_consumed += other.packets_consumed
-        self.study_packets += other.study_packets
-        self.study_scans += other.study_scans
-        self.windows_consumed = max(
-            self.windows_consumed, other.windows_consumed
+        counts = self.volatility.finalize_counts(
+            scan_weekly_tally(scans, self.config.n_weeks)
         )
-        self.watermark = max(self.watermark, other.watermark)
-
-    def finalize(self) -> PaperReport:
-        """Build the :class:`~repro.core.report.PaperReport`."""
-        counts = self.volatility.finalize_counts()
+        if self.study_packets:
+            classic = int(self.port_packets[list(CLASSIC_PORTS)].sum())
+            classic_share = float(classic / self.study_packets)
+        else:
+            classic_share = 0.0
+        _, country_counts = np.unique(
+            scans.country.astype(str), return_counts=True
+        )
         return PaperReport(
             year=self.config.year,
             days=self.config.days,
             packets=self.study_packets,
-            scans=self.study_scans,
-            trends=self.trends.finalize(),
+            scans=len(scans),
+            trends=TrendsReport(
+                classic_port_share=classic_share,
+                port_entropy=entropy_from_counts(
+                    self.port_packets[self.port_packets > 0]
+                ),
+                country_entropy=entropy_from_counts(country_counts),
+                concentration=(
+                    traffic_concentration(scans) if len(scans) else None
+                ),
+                intensity=scan_intensity(scans) if len(scans) else None,
+            ),
             volatility=summaries_from_counts(counts),
-            recurrence=self.recurrence.finalize(),
+            recurrence=RecurrenceReport(
+                overall=recurrence_stats(scans),
+                by_type=recurrence_by_type(scans),
+                institutional_daily=institutional_daily_scanners(scans),
+            ),
             churn=self.churn.finalize(),
         )
-
-    # -- gauges / keys ------------------------------------------------------
 
     def state_nbytes(self) -> int:
         """Bytes held by accumulator state (the bounded-memory gauge)."""
         return (
-            self.volatility.state_nbytes() + self.trends.state_nbytes()
-            + self.churn.state_nbytes() + self.recurrence.state_nbytes()
+            self.volatility.state_nbytes() + self.churn.state_nbytes()
+            + int(self.port_packets.nbytes)
         )
-
-    def key_material(self) -> Dict[str, Any]:
-        return self.config.key_material()
 
     # -- checkpoint state -----------------------------------------------------
 
@@ -687,42 +467,31 @@ class AnalysisSuite:
         """Serialise the suite into flat arrays (``np.savez``-safe)."""
         vol = self.volatility
         open_weeks = sorted(vol._open_weeks)
-        port_keys = np.flatnonzero(self.trends.port_packets).astype(np.int64)
+        port_keys = np.flatnonzero(self.port_packets).astype(np.int64)
         out: Dict[str, np.ndarray] = {
             "counters": np.array(
                 [self.packets_consumed, self.study_packets,
-                 self.study_scans, self.windows_consumed],
+                 self.windows_consumed],
                 dtype=np.int64,
             ),
             "watermarks": np.array(
-                [self.watermark, vol.watermark, self.churn.watermark],
-                dtype=np.float64,
+                [self.watermark, vol.watermark], dtype=np.float64
             ),
             "vol_blocks": vol.blocks,
             "vol_week_ids": np.array(open_weeks, dtype=np.int64),
             "vol_week_offsets": np.concatenate(([0], np.cumsum(
                 [vol._open_weeks[w].size for w in open_weeks]
             ))).astype(np.int64),
-            "vol_week_srcs": _cat(
-                [vol._open_weeks[w] for w in open_weeks], np.uint32
+            "vol_week_srcs": np.concatenate(
+                [np.array([], dtype=np.uint32)]
+                + [vol._open_weeks[w] for w in open_weeks]
             ),
-            "tr_port_keys": port_keys,
-            "tr_port_counts": self.trends.port_packets[port_keys],
-            "tr_total_packets": np.array(
-                [self.trends.total_packets], dtype=np.int64
-            ),
-            "tr_src": _cat(self.trends._src, np.uint32),
-            "tr_start": _cat(self.trends._start, np.float64),
-            "tr_end": _cat(self.trends._end, np.float64),
-            "tr_packets": _cat(self.trends._packets, np.int64),
-            "tr_country": _cat(self.trends._country, np.str_),
+            "port_keys": port_keys,
+            "port_counts": self.port_packets[port_keys],
             "ch_seen": self.churn.seen,
             "ch_per_day": self.churn.per_day,
-            "rec_src": _cat(self.recurrence._src, np.uint32),
-            "rec_start": _cat(self.recurrence._start, np.float64),
-            "rec_types": _cat(self.recurrence._types, np.str_),
         }
-        for metric in METRICS:
+        for metric in _PACKET_METRICS:
             keys, cnts = vol.tallies[metric].pair()
             out[f"vol_{metric}_keys"] = keys
             out[f"vol_{metric}_counts"] = cnts
@@ -733,15 +502,14 @@ class AnalysisSuite:
         counters = arrays["counters"]
         self.packets_consumed = int(counters[0])
         self.study_packets = int(counters[1])
-        self.study_scans = int(counters[2])
-        self.windows_consumed = int(counters[3])
+        self.windows_consumed = int(counters[2])
         watermarks = arrays["watermarks"]
         self.watermark = float(watermarks[0])
 
         vol = IncrementalVolatility(self.config.n_weeks)
         vol.watermark = float(watermarks[1])
         vol.blocks = arrays["vol_blocks"].copy()
-        for metric in METRICS:
+        for metric in _PACKET_METRICS:
             vol.tallies[metric] = _SparseTally(
                 arrays[f"vol_{metric}_keys"].copy(),
                 arrays[f"vol_{metric}_counts"].copy(),
@@ -755,26 +523,10 @@ class AnalysisSuite:
             ].copy()
         self.volatility = vol
 
-        trends = IncrementalTrends()
-        trends.port_packets[arrays["tr_port_keys"]] = arrays["tr_port_counts"]
-        trends.total_packets = int(arrays["tr_total_packets"][0])
-        if arrays["tr_src"].size:
-            trends._src = [arrays["tr_src"].copy()]
-            trends._start = [arrays["tr_start"].copy()]
-            trends._end = [arrays["tr_end"].copy()]
-            trends._packets = [arrays["tr_packets"].copy()]
-            trends._country = [arrays["tr_country"].copy()]
-        self.trends = trends
+        self.port_packets = np.zeros(_N_PORTS, dtype=np.int64)
+        self.port_packets[arrays["port_keys"]] = arrays["port_counts"]
 
         churn = IncrementalChurn(self.config.days)
-        churn.watermark = float(watermarks[2])
         churn.seen = arrays["ch_seen"].copy()
         churn.per_day = arrays["ch_per_day"].astype(np.int64, copy=True)
         self.churn = churn
-
-        recurrence = IncrementalRecurrence()
-        if arrays["rec_src"].size:
-            recurrence._src = [arrays["rec_src"].copy()]
-            recurrence._start = [arrays["rec_start"].copy()]
-            recurrence._types = [arrays["rec_types"].copy()]
-        self.recurrence = recurrence

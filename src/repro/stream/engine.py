@@ -7,10 +7,11 @@ pull bounded windows from a :class:`~repro.stream.source.StreamSource`,
 keep the shard's packets, feed them to an
 :class:`~repro.stream.incremental.IncrementalScanIdentifier` (which runs
 the batch identification kernel over each window plus the open sessions it
-carries between windows) and to the incremental analyses, when attached,
-and persist durable checkpoints at a configurable cadence.  The per-shard tables merge bit-identically into the
-serial one (see :mod:`repro.stream.sharded`), so the serial run is simply
-the case ``n_shards=1, workers=0``.
+carries between windows), and persist durable checkpoints at a
+configurable cadence.  The paper analyses, when attached, ride with shard
+0 and read every raw window before its shard filter.  The per-shard tables
+merge bit-identically into the serial one (see :mod:`repro.stream.sharded`),
+so the serial run is simply the case ``n_shards=1, workers=0``.
 
 ``workers=0`` walks the shards one after another in this process;
 ``workers>=1`` runs them in a process pool whose workers re-open the
@@ -69,7 +70,8 @@ class StreamConfig:
     #: Save a checkpoint every this many committed windows (plus one final
     #: snapshot before finalisation).
     checkpoint_every: int = 8
-    #: Tolerate a cleanly-truncated final trace batch (killed writer).
+    #: Tolerate a trace cut before its end marker (killed writer): read
+    #: its complete chunks only.
     strict: bool = True
 
     def __post_init__(self) -> None:
@@ -92,9 +94,9 @@ class ShardRun:
     #: True when a ``stop`` callback ended the shard between windows.
     interrupted: bool = False
     truncated_source: bool = False
-    #: Snapshot of the shard's analysis suite (plain arrays, so pool
+    #: Snapshot of the run's analysis suite (plain arrays, so pool
     #: workers hand it back without pickling live accumulator objects);
-    #: ``None`` when the run carried no analyses.
+    #: set on shard 0 of a run with analyses attached, ``None`` otherwise.
     analysis: Optional[Dict[str, np.ndarray]] = None
 
 
@@ -116,9 +118,9 @@ class StreamResult:
     truncated_source: bool = False
     #: Final checkpoint of each shard that saved one.
     checkpoint_paths: List[Path] = field(default_factory=list)
-    #: The merged incremental analysis suite (when the run carried
-    #: analyses); it has consumed every window and awaits
-    #: ``consume_scans`` + ``finalize``.
+    #: The analysis suite restored from shard 0's snapshot (when the run
+    #: carried analyses); it has consumed every raw window and awaits
+    #: ``finalize(scans)`` with the enriched table.
     analyses: Optional[AnalysisSuite] = None
 
 
@@ -131,8 +133,8 @@ class StreamEngine:
     process).  They are separate so a checkpointed run can change its
     worker count without invalidating its per-shard checkpoints — the shard
     count, not the worker count, is part of the checkpoint key.
-    ``analyses`` attaches the incremental paper analyses
-    (:class:`~repro.stream.analyses.AnalysisSuite`) to every shard.
+    ``analyses`` attaches the paper analyses
+    (:class:`~repro.stream.analyses.AnalysisSuite`) to shard 0.
     """
 
     def __init__(

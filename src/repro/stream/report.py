@@ -3,18 +3,19 @@
 :func:`stream_report` walks a capture once through
 :class:`~repro.stream.engine.StreamEngine` — any shard count, serial being
 ``n_shards=1`` — with an :class:`~repro.stream.analyses.AnalysisSuite`
-riding alongside the scan identifier, then enriches the identified scans
-and finalises the suite into a :class:`~repro.core.report.PaperReport`
-(:func:`finish_report`, which callers running the engine themselves reuse).
+riding alongside shard 0's scan identifier, then enriches the identified
+scans and finalises the suite over them into a
+:class:`~repro.core.report.PaperReport` (:func:`finish_report`, which
+callers running the engine themselves reuse).
 :func:`repro.core.report.paper_report` runs the same suite over a loaded
 capture as one window.
 
 The report is field-by-field equal to that one-window report at any window
 size, shard count, or worker count: the scan table is bit-identical by the
-engine's own guarantee, and the suite's accumulators do not depend on the
-windowing (see :mod:`repro.stream.analyses`).  Memory stays bounded
-throughout — the suite holds tallies and the finalised scan columns, never
-the packet stream.
+engine's own guarantee, and the suite's packet-side tallies do not depend
+on the windowing (see :mod:`repro.stream.analyses`).  Memory stays bounded
+throughout — the suite holds tallies, never the packet stream, and the
+per-scan statistics read the one final table.
 
 ``progress(shard, stats)`` fires after every committed window of an
 in-process run.  ``stop`` is honoured only with ``workers=0``: it ends the
@@ -91,7 +92,7 @@ def analysis_period(
 def finish_report(
     result: StreamResult, classifier: Optional[ScannerClassifier] = None
 ) -> StreamReportResult:
-    """Enrich a run's scans and finalise its analysis suite into the report.
+    """Enrich a run's scans and finalise its analysis suite over them.
 
     ``result`` must come from an engine with analyses attached.
     ``classifier`` defaults to the registry-backed default; pass the
@@ -103,9 +104,8 @@ def finish_report(
     if classifier is None:
         classifier = ScannerClassifier(build_default_registry())
     scans = result.scans.enrich(classifier)
-    result.analyses.consume_scans(scans)
     return StreamReportResult(
-        report=result.analyses.finalize(),
+        report=result.analyses.finalize(scans),
         scans=scans,
         stats=result.stats,
         resumed=result.resumed,

@@ -27,12 +27,21 @@ merges their results.  Pool workers die with the process that forked
 them (:func:`~repro.exec.parallel._die_with_parent`), so killing that
 process alone leaves none behind.
 
+The paper analyses are not sharded.  A run with analyses attaches the one
+:class:`~repro.stream.analyses.AnalysisSuite` to shard 0, which feeds it
+every raw window before the shard filter; its snapshot rides back on that
+shard's :class:`~repro.stream.engine.ShardRun`, so the suite is never
+split across shards and never merged.
+
 Checkpointing is per shard: each shard owns a content-addressed key
 (``key_for(..., shard=(i, n))``) and its snapshot carries one extra array —
 ``shard_stream_pos``, the shard's position in the *raw* (unfiltered) packet
 stream — because the identifier's own ``packets_consumed`` counts only the
-shard's packets and cannot seek the shared source.  A killed run resumes
-each shard independently from its newest snapshot.
+shard's packets and cannot seek the shared source.  Only shard 0's key
+carries the analyses' key material and its snapshot the suite's arrays;
+the other shards hold identifier state only, so a plain run's checkpoint
+of the same shard may satisfy them.  A killed run resumes each shard
+independently from its newest snapshot.
 """
 
 from __future__ import annotations
@@ -104,11 +113,11 @@ def _run_one_shard(
     constructed locally, and the only writes are the shard's own
     content-addressed checkpoint files (``tests/test_sharded.py`` checks
     that pool workers match the in-process run).  ``analyses`` (when given) attaches
-    a fresh :class:`~repro.stream.analyses.AnalysisSuite` that sees exactly
-    the shard's packets; its snapshot rides back on the :class:`ShardRun`
-    for the caller to merge (sources are disjoint across shards, which is
-    precisely the suite's merge contract).  Stats are refreshed only for a
-    ``progress`` callback and once at the end.
+    a fresh :class:`~repro.stream.analyses.AnalysisSuite` that consumes
+    every raw window before the shard filter — the engine passes it to
+    shard 0 only — and its snapshot rides back on the :class:`ShardRun`.
+    Stats are refreshed only for a ``progress`` callback and once at the
+    end.
     """
     identifier = IncrementalScanIdentifier(criteria, fingerprinter)
     suite = AnalysisSuite(analyses) if analyses is not None else None
@@ -175,11 +184,11 @@ def _run_one_shard(
     interrupted = False
     for window in source.windows(skip_packets=raw_pos):
         raw_pos += len(window)
+        if suite is not None:
+            suite.consume(window)
         if n_shards > 1:
             window = window.where(shard_of(window.src_ip, n_shards) == shard)
         identifier.consume(window)
-        if suite is not None:
-            suite.consume(window)
         windows_since_save += 1
         if store is not None and windows_since_save >= config.checkpoint_every:
             save()
@@ -245,14 +254,16 @@ def _run_engine(
     ``workers=0`` walks the shards one after another through
     :func:`_run_one_shard`, stopping after a shard that ``stop`` interrupted;
     otherwise the shards run in a process pool through
-    :func:`_shard_stream_task`.
+    :func:`_shard_stream_task`.  The analyses, when attached, ride with
+    shard 0.
     """
     if engine.workers == 0:
         runs: List[ShardRun] = []
         for shard in range(engine.n_shards):
             runs.append(_run_one_shard(
                 source, shard, engine.n_shards, engine.criteria,
-                engine.fingerprinter, engine.config, engine.analyses,
+                engine.fingerprinter, engine.config,
+                engine.analyses if shard == 0 else None,
                 progress=progress, stop=stop,
             ))
             if runs[-1].interrupted:
@@ -278,7 +289,7 @@ def _run_engine(
                     str(source.path), source.batch_size, source.window_s,
                     source.strict, shard, engine.n_shards,
                     engine.criteria, engine.fingerprinter, engine.config,
-                    engine.analyses,
+                    engine.analyses if shard == 0 else None,
                 )
                 for shard in range(engine.n_shards)
             ]
@@ -289,13 +300,8 @@ def _run_engine(
     stats.scans = len(scans)
     suite: Optional[AnalysisSuite] = None
     if engine.analyses is not None:
-        # Fold the shard snapshots into one suite; shards partition the
-        # sources, which is exactly the suite's merge precondition.
         suite = AnalysisSuite(engine.analyses)
-        for run in runs:
-            part = AnalysisSuite(engine.analyses)
-            part.restore(run.analysis)
-            suite.merge(part)
+        suite.restore(runs[0].analysis)
     return StreamResult(
         scans=scans,
         stats=stats,

@@ -141,8 +141,8 @@ class TraceStreamSource(StreamSource):
 
     Building the source opens the capture once, which checks the whole
     chunk directory: a damaged capture raises :class:`TraceFormatError`
-    here, and with ``strict=False`` a cleanly-truncated tail is dropped and
-    ``truncated`` is set.  ``skip_packets`` fast-forwards for checkpoint
+    here, and with ``strict=False`` only the complete chunks before a cut
+    are read and ``truncated`` is set.  ``skip_packets`` fast-forwards for checkpoint
     resume with an index seek, so a resumed run re-reads none of the
     committed bytes.
     """

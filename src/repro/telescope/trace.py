@@ -367,8 +367,10 @@ class TraceIndex:
         self.counts = counts
         #: ``cum_counts[i]`` = packets in chunks ``0..i`` inclusive.
         self.cum_counts = np.cumsum(np.asarray(counts, dtype=np.int64))
-        #: True when a cleanly-truncated final chunk was dropped
-        #: (``strict=False`` only).
+        #: True when the file ends before its end marker — none at a chunk
+        #: boundary, a partial chunk header or a short chunk — so the index
+        #: holds only the complete chunks before the cut (``strict=False``
+        #: only).
         self.truncated = truncated
 
     @property
@@ -472,10 +474,11 @@ class TraceReader:
 
     ``strict=True`` (the default) raises :class:`TraceFormatError` on any
     truncated or corrupt chunk, reporting the byte offset and batch index of
-    the damage.  ``strict=False`` tolerates a cleanly-truncated tail — a
-    writer killed mid-chunk — by dropping the partial chunk (``truncated``
-    records that this happened).  Damage before the chunks (bad magic,
-    unreadable metadata) and any checksum mismatch always raise.
+    the damage.  ``strict=False`` tolerates a truncated tail — a writer
+    killed before its end marker — by reading only the complete chunks
+    before the cut (``truncated`` records that this happened).  Damage
+    before the chunks (bad magic, unreadable metadata) and any checksum
+    mismatch always raise.
 
     Lifetime: batches and metadata arrays handed out remain valid after the
     reader closes — the mapping is only released once the last view is

@@ -1,15 +1,19 @@
 """Whole-array reference assembly of the paper report: the test oracle for
 :class:`repro.stream.analyses.AnalysisSuite`.
 
-The library computes the report one way, with the suite's mergeable
-accumulators; :func:`repro.core.report.paper_report` is that suite over a
-single window.  This module keeps the readable batch form it replaced — each
-section computed from the fully materialised study views by the batch
-helpers the fidelity benches use (``port_share``, the entropies,
-``recurrence_stats``, …), with the weekly /16 matrices built in one
-``np.unique`` pass over the whole capture.  Tests require the suite to equal
-it field for field, floats included, at every window size and shard count;
-nothing in ``src/`` calls it.
+The library computes the report one way: the suite's packet-side
+accumulators, finalised over the final scan table;
+:func:`repro.core.report.paper_report` is that suite over a single window.
+This module keeps the readable batch form — each section computed from the
+fully materialised study views by the batch helpers the fidelity benches
+use (``port_share``, the entropies, ``recurrence_stats``, …), with the
+weekly /16 matrices built in one ``np.unique`` pass over the whole capture.
+The suite's per-scan half calls the same ``ScanTable`` functions
+(``recurrence_stats``, ``scan_intensity``, ``traffic_concentration``, …), so
+for that half the oracle checks what the suite feeds them: the study
+filter and the final table's row order.  Tests require the suite to equal
+it field for field, floats included, at every window size, shard count and
+worker count; nothing in ``src/`` calls it.
 
 The packet-side forms the suite's window pass replaced live here too, so the
 oracle never checks that pass against itself: week indices from

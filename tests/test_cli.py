@@ -234,6 +234,30 @@ class TestStream:
         assert main(["stream", str(bare), "--report"]) == 2
         assert "year" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", [0, 4, 100])
+    def test_truncation_note_names_the_packets_read(self, capture, tmp_path,
+                                                    capsys, cut):
+        """A three-chunk capture cut ``cut`` bytes past where its third
+        chunk's header starts — no end marker, a partial header, a short
+        chunk — reads its first two chunks whole, and the note says so."""
+        from repro.telescope import TraceReader, write_trace
+
+        batch, meta = read_trace(capture)
+        full = tmp_path / "full.rtrace"
+        write_trace(full, batch, meta=meta, chunk_size=len(batch) // 3 + 1)
+        with TraceReader(full) as reader:
+            third_header = reader.index.offsets[2] - 8
+            kept = int(reader.index.cum_counts[1])
+        cut_path = tmp_path / "cut.rtrace"
+        cut_path.write_bytes(full.read_bytes()[:third_header + cut])
+        assert main(["stream", str(cut_path), "--tolerate-truncation"]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note:")]
+        assert notes == [
+            f"note: capture was truncated; read only its complete chunks "
+            f"({kept:,} packets)"
+        ]
+
     def test_cache_key_resolution(self, capture, tmp_path, capsys):
         # A capture argument that is not a file resolves through --cache-dir.
         cache = tmp_path / "cache"

@@ -22,9 +22,9 @@ from repro.core.speed import (
     top_k_mean_speed,
     top_k_speed_trend,
 )
-from repro.core.volatility import weekly_change_factors
+from repro.core.volatility import scan_weekly_tally, weekly_change_factors
 from repro.scanners import Tool
-from repro.stream.analyses import IncrementalVolatility
+from repro.stream.analyses import AnalysisConfig, AnalysisSuite
 from repro.telescope.packet import PacketBatch
 
 
@@ -228,10 +228,12 @@ def _week_batch(src_ips, weeks):
 
 def _source_tally(batch, n_weeks):
     """The per-(block, week) distinct-source tally of one window."""
-    volatility = IncrementalVolatility(n_weeks)
-    volatility.consume(batch)
-    volatility.finalize_counts()
-    return volatility.tallies["sources"].pair()
+    suite = AnalysisSuite(AnalysisConfig(year=2020, days=7 * n_weeks))
+    suite.consume(batch)
+    suite.volatility.finalize_counts(
+        scan_weekly_tally(ScanTable.empty(), n_weeks)
+    )
+    return suite.volatility.tallies["sources"].pair()
 
 
 class TestSourceWeeklyTally:

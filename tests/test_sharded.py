@@ -7,11 +7,14 @@ are a per-source construct and shards partition the sources.  The serial
 run is the one-shard case, so every test here runs it too.
 """
 
+import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,26 @@ from repro.stream.sharded import _run_one_shard
 from repro.telescope import write_trace
 
 from tests.test_stream import assert_tables_equal
+
+
+def _run_one_serve_job(proc):
+    """Submit one small simulate job to a starting ``serve`` subprocess
+    and wait until it is done."""
+    line = proc.stderr.readline().decode()
+    url = re.search(r"listening on (http://\S+)", line)
+    assert url is not None, line
+    spec = {"kind": "simulate", "year": 2016, "days": 3,
+            "max_packets": 6_000, "min_scans": 40, "seed": 5}
+    request = urllib.request.Request(
+        f"{url.group(1)}/jobs", data=json.dumps(spec).encode(),
+        method="POST", headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=60) as reply:
+        job_id = json.load(reply)["job"]["job_id"]
+    with urllib.request.urlopen(
+        f"{url.group(1)}/jobs/{job_id}?wait=60", timeout=90
+    ) as reply:
+        assert json.load(reply)["job"]["status"] == "done"
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +182,11 @@ class TestShardEquivalence:
         not Path("/proc").is_dir(), reason="needs /proc to list a process group"
     )
     def test_workers_die_with_a_killed_parent(self, tmp_path, batch2020):
-        """SIGTERM to the parent of a pooled run alone (default signal
-        death, no clean-up) must not leave its workers running: neither a
-        sharded ``stream`` nor a ``simulate`` over the year pool."""
+        """A signal death of the parent of a pooled run alone (no clean-up)
+        must not leave its workers running: not a sharded ``stream``, not a
+        ``simulate`` over the year pool, and not ``serve`` after one job,
+        whose pool forks its workers from an HTTP handler thread.  serve
+        exits cleanly on SIGTERM, so it gets a SIGKILL."""
         path = tmp_path / "cap.rtrace"
         write_trace(path, batch2020, meta={"year": 2020}, chunk_size=10_000)
         src_dir = str(Path(repro.__file__).resolve().parents[1])
@@ -170,16 +195,21 @@ class TestShardEquivalence:
             p for p in (src_dir, env.get("PYTHONPATH")) if p
         )
         runs = [
-            ["stream", str(path), "--shards", "2", "--workers", "2",
-             "--batch-size", "64"],
-            ["simulate", "--out", str(tmp_path / "sim.rtrace"),
-             "--workers", "2"],
+            (["stream", str(path), "--shards", "2", "--workers", "2",
+              "--batch-size", "64"], signal.SIGTERM),
+            (["simulate", "--out", str(tmp_path / "sim.rtrace"),
+              "--workers", "2"], signal.SIGTERM),
+            (["serve", "--port", "0", "--workers", "2",
+              "--state-dir", str(tmp_path / "state"),
+              "--cache-dir", str(tmp_path / "cache")], signal.SIGKILL),
         ]
-        for args in runs:
+        for args, sig in runs:
+            serve = args[0] == "serve"
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", *args],
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
-                start_new_session=True,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE if serve else subprocess.DEVNULL,
+                env=env, start_new_session=True,
             )
             pgid = proc.pid
 
@@ -196,13 +226,15 @@ class TestShardEquivalence:
                 return size
 
             try:
+                if serve:
+                    _run_one_serve_job(proc)
                 deadline = time.monotonic() + 60
                 while group_size() < 3:
                     assert proc.poll() is None, (args[0], "ended before its workers ran")
                     assert time.monotonic() < deadline, (args[0], "workers never started")
                     time.sleep(0.02)
-                proc.send_signal(signal.SIGTERM)
-                assert proc.wait(timeout=10) == -signal.SIGTERM
+                proc.send_signal(sig)
+                assert proc.wait(timeout=10) == -sig
                 deadline = time.monotonic() + 10
                 while True:
                     try:
@@ -219,6 +251,8 @@ class TestShardEquivalence:
                 except ProcessLookupError:
                     pass
                 proc.wait()
+                if proc.stderr is not None:
+                    proc.stderr.close()
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

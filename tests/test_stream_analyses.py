@@ -1,10 +1,11 @@
 """The analysis suite vs the whole-array reference report.
 
-The contract under test (see ``repro/stream/analyses.py``): the incremental
-accumulators produce a :class:`~repro.core.report.PaperReport` that is
-field-by-field — including every float — equal to the batch assembly kept
-in ``tests/report_oracle.py``, at any window size and shard count, across
-kill-and-resume, and within bounded memory; and
+The contract under test (see ``repro/stream/analyses.py``): the suite's
+packet-side accumulators, finalised over the final scan table, produce a
+:class:`~repro.core.report.PaperReport` that is field-by-field — including
+every float — equal to the batch assembly kept in
+``tests/report_oracle.py``, at any window size, shard count and worker
+count, across kill-and-resume, and within bounded memory; and
 :func:`~repro.core.report.paper_report`, the suite over one window, equals
 it too.
 """
@@ -21,7 +22,6 @@ from repro.stream import (
     AnalysisSuite,
     BatchStreamSource,
     StreamOrderError,
-    shard_of,
     stream_report,
 )
 from repro.telescope import PacketBatch, write_trace
@@ -121,37 +121,9 @@ class TestSuiteEquivalence:
         )
         for window in windows_of(analysis2020.batch, batch_size):
             suite.consume(window)
-        suite.consume_scans(analysis2020.scans)
-        assert_reports_equal(suite.finalize(), expected_report)
-
-    @pytest.mark.parametrize("n_shards", [2, 4])
-    def test_source_disjoint_merge(
-        self, analysis2020, expected_report, n_shards
-    ):
-        batch, scans = analysis2020.batch, analysis2020.scans
-        config = AnalysisConfig(
-            year=analysis2020.year, days=analysis2020.days
+        assert_reports_equal(
+            suite.finalize(analysis2020.scans), expected_report
         )
-        merged = AnalysisSuite(config)
-        for shard in range(n_shards):
-            part = AnalysisSuite(config)
-            packet_mask = shard_of(batch.src_ip, n_shards) == shard
-            for window in windows_of(batch, 8192):
-                keep = shard_of(window.src_ip, n_shards) == shard
-                part.consume(window.where(keep))
-            part.consume_scans(
-                scans.select(shard_of(scans.src_ip, n_shards) == shard)
-            )
-            assert packet_mask.sum() == part.packets_consumed
-            merged.merge(part)
-        assert merged.packets_consumed == len(batch)
-        assert_reports_equal(merged.finalize(), expected_report)
-
-    def test_merge_rejects_different_configs(self, analysis2020):
-        a = AnalysisSuite(AnalysisConfig(year=2020, days=10))
-        b = AnalysisSuite(AnalysisConfig(year=2021, days=10))
-        with pytest.raises(ValueError, match="different configs"):
-            a.merge(b)
 
     def test_out_of_order_window_rejected(self, analysis2020):
         suite = AnalysisSuite(
@@ -180,15 +152,15 @@ class TestSnapshotRestore:
         restored.restore({k: v.copy() for k, v in snapshot.items()})
         for window in windows[len(windows) // 2:]:
             restored.consume(window)
-        restored.consume_scans(analysis2020.scans)
-        assert_reports_equal(restored.finalize(), expected_report)
+        assert_reports_equal(
+            restored.finalize(analysis2020.scans), expected_report
+        )
 
     def test_snapshot_is_savez_safe(self, analysis2020, tmp_path):
         suite = AnalysisSuite(
             AnalysisConfig(year=analysis2020.year, days=analysis2020.days)
         )
         suite.consume(analysis2020.batch)
-        suite.consume_scans(analysis2020.scans)
         path = tmp_path / "suite.npz"
         np.savez(path, **suite.snapshot())
         with np.load(path, allow_pickle=False) as payload:
@@ -198,7 +170,8 @@ class TestSnapshotRestore:
         )
         restored.restore(arrays)
         assert_reports_equal(
-            restored.finalize(), batch_paper_report(analysis2020)
+            restored.finalize(analysis2020.scans),
+            batch_paper_report(analysis2020),
         )
 
 
@@ -222,6 +195,37 @@ class TestStreamReport:
         )
         assert_reports_equal(result.report, expected_report)
         assert result.stats.analysis_state_bytes > 0
+
+    def test_suite_rides_with_shard_zero(self, analysis2020):
+        """A sharded run carries one suite, on shard 0, and that suite
+        reads every raw packet, not shard 0's share of them."""
+        from repro.stream import StreamEngine
+
+        batch = analysis2020.batch
+        result = StreamEngine(
+            n_shards=3,
+            analyses=AnalysisConfig(analysis2020.year, analysis2020.days),
+        ).run(BatchStreamSource(batch, batch_size=8192))
+        assert [run.analysis is not None for run in result.shards] == [
+            True, False, False,
+        ]
+        assert result.shards[0].stats.packets < len(batch)
+        assert result.analyses.packets_consumed == len(batch)
+
+    def test_worker_processes_equal_batch_report(
+        self, analysis2020, expected_report, tmp_path
+    ):
+        """Through pool workers, shard 0's suite snapshot crosses the
+        process boundary and the report still equals the oracle's."""
+        trace = tmp_path / "period.rtrace"
+        write_trace(trace, analysis2020.batch, meta={
+            "year": analysis2020.year, "days": analysis2020.days,
+        })
+        result = stream_report(
+            trace, n_shards=2, workers=2,
+            classifier=analysis2020.classifier,
+        )
+        assert_reports_equal(result.report, expected_report)
 
     def test_period_must_be_known(self, analysis2020):
         with pytest.raises(ValueError, match="year"):

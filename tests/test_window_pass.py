@@ -18,7 +18,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.campaigns import ScanTable
 from repro.core.churn import day_index, first_appearance_days, source_days
 from repro.core.pipeline import study_batch_of
-from repro.core.volatility import packet_weekly_tally, week_index
+from repro.core.volatility import (
+    packet_weekly_tally,
+    scan_weekly_tally,
+    week_index,
+)
 from repro.stream import AnalysisConfig, AnalysisSuite
 from repro.telescope import PacketBatch
 from tests import report_oracle as oracle
@@ -105,12 +109,14 @@ def suite_over(windows, days):
 
 def packet_side(suite):
     """The packet-side state of a suite, finalised into plain arrays."""
-    counts = suite.volatility.finalize_counts()
-    ports = np.flatnonzero(suite.trends.port_packets)
+    counts = suite.volatility.finalize_counts(
+        scan_weekly_tally(ScanTable.empty(), suite.config.n_weeks)
+    )
+    ports = np.flatnonzero(suite.port_packets)
     return {
         **{f"vol_{name}": matrix for name, matrix in counts.items()},
         "port_keys": ports,
-        "port_counts": suite.trends.port_packets[ports],
+        "port_counts": suite.port_packets[ports],
         "churn_curve": np.cumsum(suite.churn.per_day),
         "churn_seen": suite.churn.seen,
         "study_packets": np.array([suite.study_packets]),
