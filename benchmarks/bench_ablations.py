@@ -26,7 +26,7 @@ from repro.core import (
 )
 
 
-def test_criteria_sensitivity(sims, benchmark, capsys):
+def test_criteria_sensitivity(sims, capsys):
     """Paper thresholds vs Durumeric et al. (2014) on identical captures."""
     sim = sims[2020]
 
@@ -35,7 +35,7 @@ def test_criteria_sensitivity(sims, benchmark, capsys):
         loose = analyze_simulation(sim, criteria=CampaignCriteria.durumeric2014())
         return paper, loose
 
-    paper, loose = benchmark.pedantic(measure, rounds=1, iterations=1)
+    paper, loose = measure()
 
     rows = [
         ["scans identified", len(paper.study_scans), len(loose.study_scans)],
@@ -61,7 +61,7 @@ def test_criteria_sensitivity(sims, benchmark, capsys):
     assert len(paper_srcs & loose_srcs) > 0.5 * len(paper_srcs)
 
 
-def test_single_source_counting_bias(decade, benchmark, capsys):
+def test_single_source_counting_bias(decade, capsys):
     """§9: reconstructing sharded campaigns deflates scan counts."""
 
     def measure():
@@ -76,7 +76,7 @@ def test_single_source_counting_bias(decade, benchmark, capsys):
             out[year] = (report, score)
         return out
 
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = measure()
     rows = []
     for year, (report, score) in sorted(results.items()):
         rows.append([
@@ -104,7 +104,7 @@ def test_single_source_counting_bias(decade, benchmark, capsys):
         assert score.pair_recall > 0.5, year
 
 
-def test_blocklist_staleness(analyses, benchmark, capsys):
+def test_blocklist_staleness(analyses, capsys):
     """§4.4/§6.6: general lists go stale; the institutional list does not."""
     analysis = analyses[2022]
 
@@ -113,7 +113,7 @@ def test_blocklist_staleness(analyses, benchmark, capsys):
         inst = institutional_filter_effectiveness(analysis, build_days=7.0)
         return general, inst
 
-    general, inst = benchmark.pedantic(measure, rounds=1, iterations=1)
+    general, inst = measure()
     rows = [
         [f"w{i}", r.list_size, f"{r.source_hit_rate:.1%}", f"{r.packet_hit_rate:.1%}"]
         for i, r in enumerate(general)
@@ -139,7 +139,7 @@ def test_blocklist_staleness(analyses, benchmark, capsys):
     assert inst.packet_hit_rate > 10 * inst.list_size / mean_size
 
 
-def test_distributed_campaign_detection(decade, benchmark, capsys):
+def test_distributed_campaign_detection(decade, capsys):
     """Header-pattern clustering (the paper's [27]) finds multi-subnet
     operations that subnet-based shard merging cannot."""
     from repro.core.collaboration import detect_distributed_campaigns
@@ -151,7 +151,7 @@ def test_distributed_campaign_detection(decade, benchmark, capsys):
             out[year] = detect_distributed_campaigns(analysis.study_scans)
         return out
 
-    clusters = benchmark.pedantic(measure, rounds=1, iterations=1)
+    clusters = measure()
     rows = []
     for year, found in sorted(clusters.items()):
         for c in found[:4]:

@@ -12,7 +12,7 @@ from repro._util.fmt import format_table
 from repro.core.events import event_response
 
 
-def test_fig1_event_decay(decade, benchmark, capsys):
+def test_fig1_event_decay(decade, capsys):
     def measure():
         responses = []
         for year, (sim, analysis) in decade.items():
@@ -21,7 +21,7 @@ def test_fig1_event_decay(decade, benchmark, capsys):
                     analysis, event.port, event.day_offset)))
         return responses
 
-    responses = benchmark.pedantic(measure, rounds=1, iterations=1)
+    responses = measure()
     assert responses, "no disclosure events in the decade"
 
     rows = []

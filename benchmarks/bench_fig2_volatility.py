@@ -13,11 +13,11 @@ from repro._util.fmt import format_table
 from repro.core.volatility import volatility_summary
 
 
-def test_fig2_weekly_volatility(analyses, benchmark, capsys):
+def test_fig2_weekly_volatility(analyses, capsys):
     def measure():
         return {year: volatility_summary(a) for year, a in analyses.items()}
 
-    per_year = benchmark.pedantic(measure, rounds=1, iterations=1)
+    per_year = measure()
 
     rows = []
     for year, summary in sorted(per_year.items()):

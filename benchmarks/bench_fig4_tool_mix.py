@@ -14,12 +14,12 @@ from repro.reporting import figure4_tool_mix_per_port
 from repro.scanners import Tool
 
 
-def test_fig4_tool_mix(analyses, benchmark, capsys):
+def test_fig4_tool_mix(analyses, capsys):
     def measure():
         return {year: figure4_tool_mix_per_port(a, top_n=10)
                 for year, a in analyses.items()}
 
-    per_year = benchmark.pedantic(measure, rounds=1, iterations=1)
+    per_year = measure()
 
     rows = []
     for year in sorted(per_year):

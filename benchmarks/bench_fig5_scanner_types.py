@@ -12,13 +12,10 @@ from repro.core.classification import port_type_distribution
 from repro.enrichment.types import SCANNER_TYPE_ORDER, ScannerType
 
 
-def test_fig5_scanner_types_per_port(analyses, benchmark, capsys):
+def test_fig5_scanner_types_per_port(analyses, capsys):
     analysis = analyses[2022]
 
-    dist = benchmark.pedantic(
-        lambda: port_type_distribution(analysis, top_n=15),
-        rounds=1, iterations=1,
-    )
+    dist = port_type_distribution(analysis, top_n=15)
     assert len(dist) == 15
 
     rows = []

@@ -12,14 +12,12 @@ from repro.core.recurrence import institutional_daily_scanners, recurrence_by_ty
 from repro.enrichment.types import SCANNER_TYPE_ORDER, ScannerType
 
 
-def test_fig6_recurrence(rich_recent_years, benchmark, capsys):
+def test_fig6_recurrence(rich_recent_years, capsys):
     # The daily re-scan cadence needs enough institutional campaigns to be
     # visible, so this figure runs on the richer 2024 period.
     _, analysis = rich_recent_years[2024]
 
-    by_type = benchmark.pedantic(
-        lambda: recurrence_by_type(analysis.study_scans), rounds=1, iterations=1
-    )
+    by_type = recurrence_by_type(analysis.study_scans)
 
     rows = []
     for stype in SCANNER_TYPE_ORDER:

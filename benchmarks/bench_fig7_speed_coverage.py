@@ -13,13 +13,11 @@ from repro.core.classification import capability_by_type, institutional_speed_ra
 from repro.enrichment.types import SCANNER_TYPE_ORDER, ScannerType
 
 
-def test_fig7_speed_coverage(analyses, sims, benchmark, capsys):
+def test_fig7_speed_coverage(analyses, sims, capsys):
     analysis = analyses[2022]
     sim = sims[2022]
 
-    caps = benchmark.pedantic(
-        lambda: capability_by_type(analysis), rounds=1, iterations=1
-    )
+    caps = capability_by_type(analysis)
 
     rows = []
     for stype in SCANNER_TYPE_ORDER:

@@ -12,12 +12,10 @@ from repro.core.institutions import known_scanner_share, org_footprints
 from repro.enrichment import profile_by_name
 
 
-def test_fig8_org_port_coverage(rich_recent_years, benchmark, capsys):
+def test_fig8_org_port_coverage(rich_recent_years, capsys):
     _, analysis = rich_recent_years[2024]
 
-    footprints = benchmark.pedantic(
-        lambda: org_footprints(analysis), rounds=1, iterations=1
-    )
+    footprints = org_footprints(analysis)
     assert footprints
 
     rows = []

@@ -13,12 +13,12 @@ from repro.core.institutions import org_footprints, port_coverage_comparison
 from repro.enrichment import EtlPipeline, KnownScannerFeed, synthesise_sources
 
 
-def test_fig9_10_year_over_year(rich_recent_years, benchmark, capsys):
+def test_fig9_10_year_over_year(rich_recent_years, capsys):
     def measure():
         return (org_footprints(rich_recent_years[2023][1]),
                 org_footprints(rich_recent_years[2024][1]))
 
-    fps_2023, fps_2024 = benchmark.pedantic(measure, rounds=1, iterations=1)
+    fps_2023, fps_2024 = measure()
     comparison = port_coverage_comparison(fps_2023, fps_2024)
 
     rows = [
@@ -55,7 +55,7 @@ def test_fig9_10_year_over_year(rich_recent_years, benchmark, capsys):
     assert stable >= len(measurable) * 0.55
 
 
-def test_appendix_etl_on_capture(rich_recent_years, benchmark, capsys):
+def test_appendix_etl_on_capture(rich_recent_years, capsys):
     """Run the Appendix-A ETL over the 2024 capture's sources and verify it
     re-identifies the known-scanner population."""
     sim, analysis = rich_recent_years[2024]
@@ -69,9 +69,7 @@ def test_appendix_etl_on_capture(rich_recent_years, benchmark, capsys):
         registry, feed, observed, rng=7, direct_fraction=0.5
     )
 
-    warehouse = benchmark.pedantic(
-        lambda: EtlPipeline(data_sources).run(observed), rounds=1, iterations=1
-    )
+    warehouse = EtlPipeline(data_sources).run(observed)
 
     known_ips = sources[known_mask]
     matched = sum(1 for ip in known_ips.tolist() if warehouse.actor_of(int(ip)))

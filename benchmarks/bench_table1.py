@@ -16,14 +16,14 @@ from repro.scanners import Tool
 from repro.simulation import ALL_YEARS
 
 
-def test_table1(decade, benchmark, capsys):
+def test_table1(decade, capsys):
     summaries = {}
 
     def build():
         return {year: summarize_period(analysis)
                 for year, (_, analysis) in decade.items()}
 
-    summaries = benchmark.pedantic(build, rounds=1, iterations=1)
+    summaries = build()
 
     lines = ["", "=" * 78, "TABLE 1 — ecosystem per year (measured, simulation scale)", "=" * 78]
     lines.append(render_table1(summaries))

@@ -37,10 +37,8 @@ def aggregate_type_shares(analyses):
     }
 
 
-def test_table2(analyses, benchmark, capsys):
-    aggregated = benchmark.pedantic(
-        lambda: aggregate_type_shares(analyses), rounds=1, iterations=1
-    )
+def test_table2(analyses, capsys):
+    aggregated = aggregate_type_shares(analyses)
 
     rows = []
     for stype in SCANNER_TYPE_ORDER:

@@ -12,7 +12,6 @@ from repro.core.coverage import collaborating_subnets, coverage_by_tool, coverag
 from repro.core.ecosystem import common_tool_share
 from repro.core.geography import tool_country_shares
 from repro.core.speed import (
-    nmap_faster_than_masscan,
     speed_stats_by_tool,
     tool_speed_trend,
     top_k_speed_trend,
@@ -20,7 +19,7 @@ from repro.core.speed import (
 from repro.scanners import Tool
 
 
-def test_common_tool_adoption(analyses, benchmark, capsys):
+def test_common_tool_adoption(analyses, capsys):
     """§6.1: tracked-tool share of scans 34% (2015) → 54% (2020), dropping
     again by 2022; packet share 25% (2015) → 92% (2020), <40% by 2024."""
 
@@ -32,7 +31,7 @@ def test_common_tool_adoption(analyses, benchmark, capsys):
                          common_tool_share(s, by_packets=True))
         return out
 
-    shares = benchmark.pedantic(measure, rounds=1, iterations=1)
+    shares = measure()
     rows = [[y, f"{a * 100:.0f}%", f"{b * 100:.0f}%"]
             for y, (a, b) in sorted(shares.items())]
     emit(capsys, "\n".join([
@@ -47,13 +46,11 @@ def test_common_tool_adoption(analyses, benchmark, capsys):
     assert shares[2024][1] < shares[2020][1]  # de-fingerprinting
 
 
-def test_tool_speed_ordering(analyses, benchmark, capsys):
+def test_tool_speed_ordering(analyses, capsys):
     """§6.3: ZMap fastest; NMap outpaces Masscan; Mirai slowest."""
     analysis = analyses[2020]
 
-    by_tool = benchmark.pedantic(
-        lambda: speed_stats_by_tool(analysis.study_scans), rounds=1, iterations=1
-    )
+    by_tool = speed_stats_by_tool(analysis.study_scans)
     rows = [[t.value, s.scans, f"{s.median_pps:,.0f}", f"{s.mean_pps:,.0f}",
              f"{s.fraction_over_1gbps * 100:.1f}%"]
             for t, s in sorted(by_tool.items(), key=lambda kv: -kv[1].median_pps)]
@@ -62,10 +59,8 @@ def test_tool_speed_ordering(analyses, benchmark, capsys):
         format_table(["tool", "scans", "median pps", "mean pps", ">1Gbps"], rows),
     ]))
 
-    assert by_tool[Tool.ZMAP].median_pps == max(
-        s.median_pps for s in by_tool.values()
-    )
-    assert nmap_faster_than_masscan(analysis.study_scans) is True
+    # ZMap fastest and NMap over Masscan are the scorecard's
+    # (bench_scorecard.py).
     assert by_tool[Tool.MIRAI].median_pps == min(
         s.median_pps for s in by_tool.values()
     )
@@ -73,7 +68,7 @@ def test_tool_speed_ordering(analyses, benchmark, capsys):
     assert by_tool[Tool.ZMAP].fraction_over_1gbps < 0.2
 
 
-def test_speed_trends(analyses, benchmark, capsys):
+def test_speed_trends(analyses, capsys):
     """§6.3: overall speed flat-to-declining; top-100 accelerating
     (paper R = 0.356); NMap the only tool trending up (R = 0.12)."""
     tables = {year: a.study_scans for year, a in analyses.items()}
@@ -82,7 +77,7 @@ def test_speed_trends(analyses, benchmark, capsys):
         return (top_k_speed_trend(tables, k=100),
                 tool_speed_trend(tables, Tool.NMAP))
 
-    top, nmap = benchmark.pedantic(measure, rounds=1, iterations=1)
+    top, nmap = measure()
     emit(capsys, "\n".join([
         "", "§6.3 — speed trends across the decade",
         f"top-100 mean speed trend: R = {top.r:.2f} (paper: +0.356)",
@@ -93,7 +88,7 @@ def test_speed_trends(analyses, benchmark, capsys):
     assert nmap.increasing
 
 
-def test_coverage_modes_and_collaboration(analyses, sims, benchmark, capsys):
+def test_coverage_modes_and_collaboration(analyses, sims, capsys):
     """§6.4: sharded scans leave coverage modes; collaborating subnets
     appear as /24s of concurrent scanners with near-identical coverage."""
     analysis = analyses[2024]
@@ -104,7 +99,7 @@ def test_coverage_modes_and_collaboration(analyses, sims, benchmark, capsys):
         return (coverage_modes(zmap.coverage, min_count=5, excess_factor=2.0),
                 collaborating_subnets(scans, min_sources=4))
 
-    modes, clusters = benchmark.pedantic(measure, rounds=1, iterations=1)
+    modes, clusters = measure()
     lines = ["", "§6.4 — coverage modes (ZMap, 2024) and collaborating subnets"]
     for m in modes[:8]:
         lines.append(f"  mode at coverage {m.coverage:.4%}: {m.count} scans "
@@ -119,14 +114,14 @@ def test_coverage_modes_and_collaboration(analyses, sims, benchmark, capsys):
     assert clusters, "sharded campaigns must form visible subnet clusters"
 
 
-def test_coverage_by_tool(analyses, benchmark, capsys):
+def test_coverage_by_tool(analyses, capsys):
     """§6.4: large single-source scans are rare and shrinking."""
 
     def measure():
         return {year: coverage_by_tool(a.study_scans)
                 for year, a in analyses.items()}
 
-    per_year = benchmark.pedantic(measure, rounds=1, iterations=1)
+    per_year = measure()
     rows = []
     for year in (2016, 2020, 2024):
         for tool, stats in per_year[year].items():
@@ -144,7 +139,7 @@ def test_coverage_by_tool(analyses, benchmark, capsys):
         assert late.mean <= early.mean * 1.5
 
 
-def test_mirai_port_footprint(analyses, benchmark, capsys):
+def test_mirai_port_footprint(analyses, capsys):
     """§6.2: Mirai's scan routine spreads over the port range after the
     2016 source release (99.6% of all TCP ports carry the fingerprint by
     2020 at full scale)."""
@@ -154,7 +149,7 @@ def test_mirai_port_footprint(analyses, benchmark, capsys):
         return {year: tool_port_footprint(a.study_scans, Tool.MIRAI)
                 for year, a in analyses.items() if year >= 2017}
 
-    footprints = benchmark.pedantic(measure, rounds=1, iterations=1)
+    footprints = measure()
     rows = [[y, n, f"{cov:.2%}"] for y, (n, cov) in sorted(footprints.items())]
     emit(capsys, "\n".join([
         "", "§6.2 — distinct ports carrying the Mirai fingerprint",
@@ -166,7 +161,7 @@ def test_mirai_port_footprint(analyses, benchmark, capsys):
     assert footprints[2020][0] > 25
 
 
-def test_churn_correction(analyses, benchmark, capsys):
+def test_churn_correction(analyses, capsys):
     """§4.2: source counts overstate device counts in churning space."""
     from repro.core.churn import fit_population_by_type
     from repro.enrichment.types import ScannerType
@@ -179,7 +174,7 @@ def test_churn_correction(analyses, benchmark, capsys):
                           ScannerType.INSTITUTIONAL)
         }
 
-    fits = benchmark.pedantic(measure, rounds=1, iterations=1)
+    fits = measure()
     rows = [[st.value, f.observed_sources, f"{f.population:,.0f}",
              f"{f.lifetime_days:.1f}d", f"{f.inflation_factor:.2f}x"]
             for st, f in fits.items() if f is not None]
@@ -197,13 +192,11 @@ def test_churn_correction(analyses, benchmark, capsys):
     assert inst.inflation_factor < 2.0
 
 
-def test_tool_geography(analyses, benchmark, capsys):
+def test_tool_geography(analyses, capsys):
     """§6.5: ZMap almost exclusively from China and the US."""
     analysis = analyses[2021]
 
-    geo = benchmark.pedantic(
-        lambda: tool_country_shares(analysis, Tool.ZMAP), rounds=1, iterations=1
-    )
+    geo = tool_country_shares(analysis, Tool.ZMAP)
     rows = [[c, f"{v * 100:.0f}%"]
             for c, v in sorted(geo.items(), key=lambda kv: -kv[1])[:6]]
     emit(capsys, "\n".join([

@@ -18,12 +18,10 @@ from repro.core.trends import (
 )
 
 
-def test_classic_port_collapse(analyses, benchmark, capsys):
+def test_classic_port_collapse(analyses, capsys):
     """§4.2: 22+80+8080 hold >1/3 of packets in 2015, a few percent later."""
 
-    shares = benchmark.pedantic(
-        lambda: classic_port_share_trend(analyses), rounds=1, iterations=1
-    )
+    shares = classic_port_share_trend(analyses)
     rows = [[y, f"{v:.1%}"] for y, v in sorted(shares.items())]
     emit(capsys, "\n".join([
         "", "=" * 78,
@@ -46,7 +44,7 @@ def test_classic_port_collapse(analyses, benchmark, capsys):
     assert metric_trend(shares).r < -0.3
 
 
-def test_diversification_entropy(analyses, benchmark, capsys):
+def test_diversification_entropy(analyses, capsys):
     """Port and country distributions spread out over the decade."""
 
     def measure():
@@ -55,9 +53,7 @@ def test_diversification_entropy(analyses, benchmark, capsys):
             {y: country_distribution_entropy(a) for y, a in analyses.items()},
         )
 
-    port_entropy, country_entropy = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    port_entropy, country_entropy = measure()
     rows = [[y, f"{port_entropy[y]:.2f}", f"{country_entropy[y]:.2f}"]
             for y in sorted(port_entropy)]
     emit(capsys, "\n".join([
@@ -71,7 +67,7 @@ def test_diversification_entropy(analyses, benchmark, capsys):
     assert country_entropy[2024] >= country_entropy[2015] - 0.2
 
 
-def test_port_rank_volatility(analyses, benchmark, capsys):
+def test_port_rank_volatility(analyses, capsys):
     """Consecutive years share only part of their top-port list (§4.2)."""
 
     def measure():
@@ -81,7 +77,7 @@ def test_port_rank_volatility(analyses, benchmark, capsys):
             for a, b in zip(years, years[1:])
         }
 
-    stability = benchmark.pedantic(measure, rounds=1, iterations=1)
+    stability = measure()
     rows = [[f"{a}->{b}", f"{v:.2f}"] for (a, b), v in sorted(stability.items())]
     emit(capsys, "\n".join([
         "", "§4.2 — top-50 port overlap between consecutive years (Jaccard)",
@@ -94,14 +90,14 @@ def test_port_rank_volatility(analyses, benchmark, capsys):
     assert np.mean(values) > 0.05
 
 
-def test_traffic_concentration(analyses, sims, benchmark, capsys):
+def test_traffic_concentration(analyses, sims, capsys):
     """A small head of scans carries a disproportionate packet share."""
 
     def measure():
         return {y: traffic_concentration(a.study_scans)
                 for y, a in analyses.items() if len(a.study_scans)}
 
-    per_year = benchmark.pedantic(measure, rounds=1, iterations=1)
+    per_year = measure()
     rows = [[y, c.scans, f"{c.gini:.2f}", f"{c.top_1pct_share:.1%}",
              f"{c.top_10pct_share:.1%}", f"{c.share_for_80pct:.1%}"]
             for y, c in sorted(per_year.items())]

@@ -16,7 +16,7 @@ from repro.simulation.vantage import second_vantage
 from repro.telescope import CidrBlock, Telescope
 
 
-def test_vantage_comparison(sims, benchmark, capsys):
+def test_vantage_comparison(sims, capsys):
     sim = sims[2020]
     same_size = Telescope.from_blocks(
         [CidrBlock.parse("198.18.0.0/15")], population=0.5458, rng=77
@@ -34,7 +34,7 @@ def test_vantage_comparison(sims, benchmark, capsys):
             out[label] = identify_scans(batch, criteria=criteria)
         return out
 
-    views = benchmark.pedantic(measure, rounds=1, iterations=1)
+    views = measure()
     primary = identify_scans(sim.batch)
 
     rows = [["primary (paper layout)", sim.telescope.size, len(primary),

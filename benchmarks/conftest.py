@@ -2,13 +2,12 @@
 
 A full simulated decade is expensive, so it is built once per benchmark
 session and shared by every table/figure benchmark.  The scales used here
-(21-day periods, ≤400 k packets per year) keep the whole decade under a
-couple of minutes while leaving every analysis statistically meaningful.
+(21-day periods, ≤400 k packets per year) simulate and analyse the whole
+decade in seconds while leaving every analysis statistically meaningful.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -19,17 +18,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro.core import analyze_simulation
 from repro.simulation import ALL_YEARS, TelescopeWorld
 
-#: Environment knobs so CI smoke jobs can shrink / parallelise / cache the
-#: decade without editing this file:
-#:   REPRO_BENCH_DAYS / REPRO_BENCH_MAX_PACKETS — period scale;
-#:   REPRO_BENCH_WORKERS — process-pool size for the decade build (0=serial);
-#:   REPRO_BENCH_CACHE — capture-cache directory (unset disables caching).
-BENCH_DAYS = int(os.environ.get("REPRO_BENCH_DAYS", 21))
-BENCH_MAX_PACKETS = int(os.environ.get("REPRO_BENCH_MAX_PACKETS", 400_000))
+BENCH_DAYS = 21
+BENCH_MAX_PACKETS = 400_000
 BENCH_MIN_SCANS = 600
 BENCH_SEED = 2024
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", 0))
-BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
 
 
 @pytest.fixture(scope="session")
@@ -38,21 +30,11 @@ def world():
 
 
 @pytest.fixture(scope="session")
-def capture_cache():
-    """Session capture cache, or ``None`` when REPRO_BENCH_CACHE is unset."""
-    if BENCH_CACHE_DIR is None:
-        return None
-    from repro.exec import CaptureCache
-
-    return CaptureCache(BENCH_CACHE_DIR)
-
-
-@pytest.fixture(scope="session")
-def decade(world, capture_cache):
+def decade(world):
     """year -> (SimulationResult, PeriodAnalysis) for all ten study years."""
     sims = world.simulate_years(
         ALL_YEARS, days=BENCH_DAYS, max_packets=BENCH_MAX_PACKETS,
-        min_scans=BENCH_MIN_SCANS, workers=BENCH_WORKERS, cache=capture_cache,
+        min_scans=BENCH_MIN_SCANS,
     )
     return {year: (sim, analyze_simulation(sim)) for year, sim in sims.items()}
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from repro import TelescopeWorld, analyze_simulation, summarize_period
-from repro.core import type_shares
+from repro.core import capability_by_type, type_shares
 from repro.core.ports_analysis import ports_per_source_summary
 from repro.core.recurrence import recurrence_by_type
 from repro.core.volatility import volatility_summary
@@ -23,7 +23,6 @@ from repro.reporting import (
     export_csv,
     export_json,
     export_year_summaries,
-    figure7_speed_coverage,
     figure8_org_port_coverage,
 )
 
@@ -82,7 +81,7 @@ def main() -> None:
 
     # Figure 7: speed/coverage per type.
     written.append(export_json(
-        out / "fig7_2024.json", figure7_speed_coverage(analyses[2024])
+        out / "fig7_2024.json", capability_by_type(analyses[2024])
     ))
 
     # Figure 8: org port coverage.

@@ -31,6 +31,10 @@ from repro._util.validate import check_positive
 from repro.telescope.packet import PacketBatch
 
 _DAY_S = 86_400.0
+#: ``1 / 86400`` rounded up, so ``t * _PER_DAY`` never falls below ``t``'s
+#: exact day count: its floor is the day or, just below a day boundary, one
+#: more.  (NumPy's float ``//`` is exact but about three times slower.)
+_PER_DAY = float(np.nextafter(1.0 / _DAY_S, np.inf))
 
 #: Largest day index: :func:`source_days` packs it into the low 32 bits of
 #: a ``uint64`` key, below the source address.
@@ -78,7 +82,9 @@ def day_index(times: np.ndarray) -> np.ndarray:
     one, whose floor casts to ``INT64_MIN``.
     """
     with np.errstate(invalid="ignore"):
-        day = (times // _DAY_S).astype(np.int64)
+        day = np.floor(times * _PER_DAY)
+        day -= times < day * _DAY_S
+        day = day.astype(np.int64)
     if day.size and (day.min() < 0 or day.max() > _MAX_DAY):
         bad = times[(day < 0) | (day > _MAX_DAY)][0]
         raise ValueError(

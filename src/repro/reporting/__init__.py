@@ -22,13 +22,8 @@ from repro.reporting.validation import (
 )
 from repro.reporting.figures import (
     OrgCoverageRow,
-    figure1_event_decay,
-    figure2_volatility_cdfs,
     figure3_ports_per_ip,
     figure4_tool_mix_per_port,
-    figure5_scanner_types_per_port,
-    figure6_recurrence,
-    figure7_speed_coverage,
     figure8_org_port_coverage,
 )
 
@@ -48,12 +43,7 @@ __all__ = [
     "export_json",
     "export_year_summaries",
     "OrgCoverageRow",
-    "figure1_event_decay",
-    "figure2_volatility_cdfs",
     "figure3_ports_per_ip",
     "figure4_tool_mix_per_port",
-    "figure5_scanner_types_per_port",
-    "figure6_recurrence",
-    "figure7_speed_coverage",
     "figure8_org_port_coverage",
 ]

@@ -1,43 +1,25 @@
-"""Figure-series extraction.
+"""Figure series that no core function computes already.
 
-Every figure in the paper's evaluation has a function here that reduces a
-:class:`~repro.core.pipeline.PeriodAnalysis` (or several, for cross-year
-figures) into the plain data series the figure plots.  The benchmark harness
-prints these series; plotting is intentionally out of scope (no plotting
-dependency), but every function returns data directly consumable by
-matplotlib or similar.
+Figures 3, 4 and 8-10 reduce a :class:`~repro.core.pipeline.PeriodAnalysis`
+(several, for Figure 3) into the plain data series they plot.  The other
+figures' series are core functions: ``multi_event_responses`` (Figure 1),
+``volatility_summary`` (2), ``port_type_distribution`` (5),
+``recurrence_by_type`` (6) and ``capability_by_type`` (7).  Plotting is out
+of scope (no plotting dependency); ``benchmarks/bench_fig4_tool_mix.py``
+prints Figure 4's series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.classification import capability_by_type, port_type_distribution
-from repro.core.events import EventResponse, event_response
 from repro.core.institutions import org_footprints
 from repro.core.pipeline import PeriodAnalysis
 from repro.core.ports_analysis import ports_per_source_summary
-from repro.core.recurrence import recurrence_by_type
-from repro.core.volatility import volatility_summary
-from repro.enrichment.types import ScannerType
 from repro.scanners.base import Tool
-
-
-def figure1_event_decay(
-    analysis: PeriodAnalysis, events: Sequence[Tuple[int, int]]
-) -> Dict[int, EventResponse]:
-    """Figure 1: per-event relative activity series after disclosure."""
-    return {
-        port: event_response(analysis, port, day) for port, day in events
-    }
-
-
-def figure2_volatility_cdfs(analysis: PeriodAnalysis):
-    """Figure 2: weekly /16 change-factor CDFs for sources/scans/packets."""
-    return volatility_summary(analysis)
 
 
 def figure3_ports_per_ip(
@@ -74,23 +56,6 @@ def figure4_tool_mix_per_port(
                 mix[Tool(name)] = float(scans.packets[sel].sum() / total)
         out[int(port)] = mix
     return out
-
-
-def figure5_scanner_types_per_port(
-    analysis: PeriodAnalysis, top_n: int = 15
-) -> Dict[int, Dict[ScannerType, float]]:
-    """Figure 5: scanner-type mix over the top-``top_n`` ports."""
-    return port_type_distribution(analysis, top_n=top_n)
-
-
-def figure6_recurrence(analysis: PeriodAnalysis):
-    """Figure 6: recurrence-count and downtime CDFs per scanner type."""
-    return recurrence_by_type(analysis.study_scans)
-
-
-def figure7_speed_coverage(analysis: PeriodAnalysis):
-    """Figure 7: speed and coverage statistics per scanner type."""
-    return capability_by_type(analysis)
 
 
 @dataclass(frozen=True)

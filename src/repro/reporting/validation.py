@@ -2,9 +2,9 @@
 
 `validate_reproduction` runs every headline claim of the paper against a set
 of analysed periods and returns a structured pass/fail list — the
-artifact-evaluation view of this repository in one call. The benchmark
-suite checks the same ground in more depth; the scorecard is the quick,
-self-contained summary (also exposed as ``repro-scan validate``).
+artifact-evaluation view of this repository in one call, also exposed as
+``repro-scan validate`` and asserted on the fidelity suite's simulated
+decade (``benchmarks/bench_scorecard.py``).
 
 Each check encodes a *shape* criterion (see EXPERIMENTS.md): direction of a
 trend, an ordering, a bounded ratio — not absolute parity with the paper's
@@ -95,7 +95,7 @@ def validate_reproduction(
             add("growth-packets", "§4.1",
                 f"packet volume grows strongly {first}→{last}",
                 f"~{paper.PACKET_GROWTH_10Y:.0f}x over 2015–2024", _fmt(growth),
-                10 < growth < 80)
+                15 < growth < 60)
         spm = {
             y: summaries[y].scans_per_month / sims[y].scan_scale
             for y in (first, last) if y in sims
@@ -105,7 +105,7 @@ def validate_reproduction(
             add("growth-scans", "§4.1",
                 f"scan count grows strongly {first}→{last}",
                 f"~{paper.SCAN_GROWTH_10Y:.0f}x over 2015–2024", _fmt(growth),
-                10 < growth < 100)
+                20 < growth < 80)
 
     # -- §3.1 separation ----------------------------------------------------
     if sims:
@@ -131,7 +131,7 @@ def validate_reproduction(
     add("single-port-decline", "§5.1",
         "single-port sources decline across the decade "
         f"({_span(paper.SINGLE_PORT_FRACTION)})",
-        "negative trend", f"r={r:.2f}", r < -0.5 if not np.isnan(r) else False)
+        "negative trend", f"r={r:.2f}", r < -0.7 if not np.isnan(r) else False)
 
     # -- §5.1 alias affinity ---------------------------------------------------
     affinities = {y: port_pair_affinity(analyses[y].study_scans, 80, 8080)

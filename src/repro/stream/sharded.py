@@ -255,8 +255,10 @@ def _run_engine(
     :func:`_run_one_shard`, stopping after a shard that ``stop`` interrupted;
     otherwise the shards run in a process pool through
     :func:`_shard_stream_task`.  The analyses, when attached, ride with
-    shard 0.
+    shard 0.  The merged stats carry the whole dispatch's wall time and
+    this process's peak RSS next to the shards'.
     """
+    started = wall_clock()
     if engine.workers == 0:
         runs: List[ShardRun] = []
         for shard in range(engine.n_shards):
@@ -298,6 +300,8 @@ def _run_engine(
     scans = merge_scan_tables([run.scans for run in runs])
     stats = StreamStats.merge([run.stats for run in runs])
     stats.scans = len(scans)
+    stats.wall_s = wall_clock() - started
+    stats.peak_rss_bytes = max(stats.peak_rss_bytes, peak_rss_bytes())
     suite: Optional[AnalysisSuite] = None
     if engine.analyses is not None:
         suite = AnalysisSuite(engine.analyses)

@@ -138,10 +138,11 @@ class StreamStats:
         Shards partition the sources, so additive counters (packets, scans,
         discards, open-session gauges) simply sum.  Windows do not: every
         shard walks the same raw window sequence, so the aggregate keeps the
-        maximum.  Wall time is the slowest shard (shards overlap when run in
-        worker processes), and the memory gauges keep the per-shard maximum —
-        the bound the sharded design promises is *per shard*, not summed
-        across a fleet of workers.
+        maximum.  Wall time is left at 0: shards run one after another or
+        overlap in worker processes, so only the caller that dispatched them
+        can time the run (``_run_engine`` does).  The memory gauges keep the
+        per-shard maximum — the bound the sharded design promises is *per
+        shard*, not summed across a fleet of workers.
         """
         out = cls(peak_rss_bytes=0)
         for part in parts:
@@ -155,7 +156,6 @@ class StreamStats:
             out.buffered_bytes += part.buffered_bytes
             out.analysis_state_bytes += part.analysis_state_bytes
             out.windows = max(out.windows, part.windows)
-            out.wall_s = max(out.wall_s, part.wall_s)
             out.peak_open_session_bytes = max(
                 out.peak_open_session_bytes, part.peak_open_session_bytes
             )

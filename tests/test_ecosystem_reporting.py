@@ -21,19 +21,20 @@ from repro.core.ports_analysis import (
     speed_ports_correlation,
     vertical_scan_counts,
 )
+from repro.core.recurrence import recurrence_by_type
 from repro.core.volatility import volatility_summary
 from repro.reporting import (
-    figure2_volatility_cdfs,
     figure3_ports_per_ip,
     figure4_tool_mix_per_port,
-    figure5_scanner_types_per_port,
-    figure6_recurrence,
-    figure7_speed_coverage,
     figure8_org_port_coverage,
     render_table1,
     render_table2,
 )
-from repro.core.classification import type_shares
+from repro.core.classification import (
+    capability_by_type,
+    port_type_distribution,
+    type_shares,
+)
 from repro.scanners import Tool
 
 
@@ -180,7 +181,7 @@ class TestRenderers:
 
 class TestFigureSeries:
     def test_figure2(self, analysis2020):
-        cdfs = figure2_volatility_cdfs(analysis2020)
+        cdfs = volatility_summary(analysis2020)
         assert "scans" in cdfs
 
     def test_figure3(self, analysis2020):
@@ -196,14 +197,14 @@ class TestFigureSeries:
                 assert sum(tools.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_figure5(self, analysis2020):
-        assert len(figure5_scanner_types_per_port(analysis2020, top_n=8)) == 8
+        assert len(port_type_distribution(analysis2020, top_n=8)) == 8
 
     def test_figure6(self, analysis2020):
-        recurrence = figure6_recurrence(analysis2020)
+        recurrence = recurrence_by_type(analysis2020.study_scans)
         assert recurrence
 
     def test_figure7(self, analysis2020):
-        caps = figure7_speed_coverage(analysis2020)
+        caps = capability_by_type(analysis2020)
         assert caps
 
     def test_figure8(self, analysis2020):

@@ -134,6 +134,19 @@ class TestShardEquivalence:
         assert sharded.stats.packets == len(batch2020)
         assert sharded.stats.peak_open_session_bytes > 0
 
+    def test_merged_wall_time_is_the_whole_run(self, batch2020):
+        """In-process shards run one after another, so the run's wall time
+        (and its packets/s) covers every shard, not just the slowest."""
+        result = StreamEngine(n_shards=3).run(
+            BatchStreamSource(batch2020, batch_size=8192)
+        )
+        shard_walls = [run.stats.wall_s for run in result.shards]
+        assert len(shard_walls) == 3 and min(shard_walls) > 0
+        assert result.stats.wall_s >= sum(shard_walls)
+        assert result.stats.peak_rss_bytes >= max(
+            run.stats.peak_rss_bytes for run in result.shards
+        )
+
     def test_worker_processes_match(self, tmp_path, batch2020, scans2020):
         """One real process-pool run: workers re-open the trace by path."""
         path = tmp_path / "cap.rtrace"

@@ -208,6 +208,27 @@ class TestWindowPass:
             day_index(times), (times // DAY_S).astype(np.int64)
         )
 
+    def test_day_index_equals_floor_division_up_to_the_last_day(self):
+        """``day_index`` floors a product, not a quotient: it must equal
+        ``t // 86400.0`` at exact day multiples across the whole packable
+        range, one ulp either side of them, and at random times."""
+        rng = np.random.default_rng(26)
+        days = np.concatenate([
+            np.arange(1, 100_000), rng.integers(1, 2**32, 200_000),
+            [2**32 - 1],
+        ]).astype(np.float64)
+        edges = days * DAY_S
+        times = np.concatenate([
+            [0.0], edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            rng.uniform(0.0, 2.0**32 * DAY_S, 200_000),
+        ])
+        times = times[times < 2.0**32 * DAY_S]
+        assert np.array_equal(
+            day_index(times), (times // DAY_S).astype(np.int64)
+        )
+
     def test_excluded_ports_only(self):
         """A window of only ports 23 and 445 is an empty study view: it
         counts as consumed but leaves every tally untouched."""
