@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from conftest import emit
+from conftest import check_all, emit
 from repro import paper as ref
 from repro._util.fmt import format_table
 from repro.core import growth_report, summarize_period
@@ -40,11 +40,19 @@ def test_growth_headlines(decade, capsys):
     emit(capsys, text)
 
     # The growth factors' bounds are the scorecard's (bench_scorecard.py).
-    assert report.scan_growth > report.packet_growth  # scans outgrow packets
     # Intensity rose mid-decade then collapsed as campaigns spread out.
     mid = projected[2020].packets_per_day * 30 / projected[2020].scans_per_month
-    assert mid > report.intensity_first
-    assert report.intensity_last < mid
+    check_all([
+        (f"scans outgrow packets: scan growth {report.scan_growth:.2f}x > "
+         f"packet growth {report.packet_growth:.2f}x",
+         report.scan_growth > report.packet_growth),
+        (f"2020 intensity {mid:,.0f} > 2015 intensity "
+         f"{report.intensity_first:,.0f} pkts/scan",
+         mid > report.intensity_first),
+        (f"2024 intensity {report.intensity_last:,.0f} < 2020 intensity "
+         f"{mid:,.0f} pkts/scan",
+         report.intensity_last < mid),
+    ])
 
 
 def test_zmap_scans_jump_2024(decade, capsys):

@@ -5,7 +5,7 @@ trend, coverage modes betraying sharded scans, and tool geography.
 
 import numpy as np
 
-from conftest import emit
+from conftest import check_all, emit
 from repro._util.fmt import format_table
 from repro.core import summarize_period
 from repro.core.coverage import collaborating_subnets, coverage_by_tool, coverage_modes
@@ -157,8 +157,12 @@ def test_mirai_port_footprint(analyses, capsys):
         "paper: 65,286 ports (99.6%) by 2020 at full scale",
     ]))
 
-    assert footprints[2020][0] > 1.5 * footprints[2017][0]
-    assert footprints[2020][0] > 25
+    ports_2017, ports_2020 = footprints[2017][0], footprints[2020][0]
+    check_all([
+        (f"2020 ports {ports_2020} > 1.5x 2017 ports {ports_2017}",
+         ports_2020 > 1.5 * ports_2017),
+        (f"2020 ports {ports_2020} > 25", ports_2020 > 25),
+    ])
 
 
 def test_churn_correction(analyses, capsys):

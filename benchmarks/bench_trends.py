@@ -5,7 +5,7 @@ rankings, and the concentration of traffic in few scans.
 
 import numpy as np
 
-from conftest import emit
+from conftest import check_all, emit
 from repro._util.fmt import format_table
 from repro.core.trends import (
     CLASSIC_PORTS,
@@ -35,13 +35,17 @@ def test_classic_port_collapse(analyses, capsys):
     # floor sits above the paper's (the trio keeps a large share of *source*
     # counts, which leaks a packet floor at simulation scale), but the
     # collapse is unambiguous.
-    assert shares[2015] > 0.25
-    assert shares[2023] < 0.16
-    assert shares[2024] < 0.16
-    assert shares[2015] > 2.5 * shares[2023]
     # The series is non-monotone mid-decade (as is the paper's Table 1),
     # so the linear trend is modest but clearly negative.
-    assert metric_trend(shares).r < -0.3
+    trend_r = metric_trend(shares).r
+    check_all([
+        (f"2015 share {shares[2015]:.1%} > 25%", shares[2015] > 0.25),
+        (f"2023 share {shares[2023]:.1%} < 16%", shares[2023] < 0.16),
+        (f"2024 share {shares[2024]:.1%} < 16%", shares[2024] < 0.16),
+        (f"2015 share {shares[2015]:.1%} > 2.5x 2023 share "
+         f"{shares[2023]:.1%}", shares[2015] > 2.5 * shares[2023]),
+        (f"trend r {trend_r:.2f} < -0.3", trend_r < -0.3),
+    ])
 
 
 def test_diversification_entropy(analyses, capsys):

@@ -71,3 +71,11 @@ def emit(capsys, text: str) -> None:
     """Print a benchmark report section past pytest's capture."""
     with capsys.disabled():
         print(text)
+
+
+def check_all(conditions) -> None:
+    """Evaluate every ``(description, holds)`` pair, then fail once,
+    naming each condition that does not hold, so one red condition never
+    hides the ones after it."""
+    failed = [description for description, holds in conditions if not holds]
+    assert not failed, "conditions that do not hold: " + "; ".join(failed)

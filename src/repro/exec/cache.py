@@ -100,6 +100,15 @@ def _canonical(obj: Any) -> Any:
     raise TypeError(f"cannot canonicalise {type(obj).__name__} for cache key")
 
 
+def content_key(material: Mapping[str, Any]) -> str:
+    """The content key of ``material``: a BLAKE2b-128 hex digest of its
+    sorted-key JSON.  Every store (captures, checkpoints, serve's jobs and
+    scenarios) keys its entries this way, on material it has passed
+    through :func:`_canonical` where that is needed."""
+    blob = json.dumps(material, sort_keys=True).encode("utf-8")
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
 def _telescope_token(telescope) -> Dict[str, Any]:
     """Stable description of the telescope's observable behaviour."""
     addresses = telescope.monitored.addresses
@@ -224,8 +233,7 @@ class CaptureCache:
             "budgets": {"days": days, "max_packets": max_packets,
                         "min_scans": min_scans},
         }
-        blob = json.dumps(material, sort_keys=True).encode("utf-8")
-        return hashlib.blake2b(blob, digest_size=16).hexdigest()
+        return content_key(material)
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.rtrace"
@@ -331,8 +339,10 @@ class CaptureCache:
     # -- maintenance --------------------------------------------------------
 
     def entries(self) -> List[Path]:
-        """Cached capture files, sorted by name."""
-        return sorted(self.root.glob("*.rtrace"))
+        """Cached capture files, sorted by name.  Stream checkpoints
+        (``<key>.stream.rtrace``) in a shared directory are not entries."""
+        return [path for path in sorted(self.root.glob("*.rtrace"))
+                if not path.name.endswith(".stream.rtrace")]
 
     def orphans(self) -> List[Path]:
         """Temporary files of stores whose writing process is gone.

@@ -36,6 +36,7 @@ from repro.lint.engine import (
     is_suppressed,
     parse_suppressions,
 )
+from repro.telescope.trace import atomic_replace
 
 #: The linter's own source, digested into every cache key.
 LINT_PACKAGE = Path(__file__).resolve().parent
@@ -194,7 +195,8 @@ class SummaryCache:
     ``CaptureCache``'s blake2b discipline, so any edit — to the file, the
     lint configuration, the rule set or any module of the linter —
     misses, re-analyses and overwrites the entry, while untouched files
-    load without parsing.
+    load without parsing.  A store writes its own temporary sibling and
+    renames it into place, so lints sharing the directory never collide.
     """
 
     def __init__(self, root: Path):
@@ -253,10 +255,8 @@ class SummaryCache:
               payload: Dict[str, Any]) -> None:
         payload = dict(payload)
         payload["key"] = key
-        path = self.path_for(rel_path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        with atomic_replace(self.path_for(rel_path)) as handle:
+            handle.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ BLOCKING_CALLS: Tuple[str, ...] = (
     "subprocess.check_call",
     "subprocess.check_output",
     "open",
+    "repro.telescope.trace.atomic_replace",
 )
 
 

@@ -33,7 +33,6 @@ transitions happen either under it or in future callbacks that take it.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import threading
@@ -43,10 +42,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import __version__
-from repro.exec.cache import CaptureCache
+from repro.exec.cache import CaptureCache, content_key
 from repro.exec.parallel import _die_with_parent
 from repro.serve.jobs import JobSpec, execute_job
 from repro.simulation import TelescopeWorld
+from repro.telescope.trace import atomic_replace
 
 #: Bump to invalidate every persisted job record and job key.
 SERVE_SCHEMA_VERSION = 2
@@ -215,8 +215,8 @@ class JobQueue:
             "kind": spec.kind,
             "capture": capture_key,
         }
-        blob = json.dumps(material, sort_keys=True).encode("utf-8")
-        return hashlib.blake2b(blob, digest_size=16).hexdigest()
+        job_id: str = content_key(material)
+        return job_id
 
     # -- submission ---------------------------------------------------------
 
@@ -467,12 +467,11 @@ class JobQueue:
             "result": rec.result,
         }
         path = self._record_path(rec.job_id)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         # Invariant: the on-disk record stream must serialise with the
         # in-memory state transition it mirrors (crash consistency), and
         # the payload is one small local JSON document.
-        tmp.write_text(json.dumps(doc, sort_keys=True))  # repro-lint: disable=RPR017
-        os.replace(tmp, path)
+        with atomic_replace(path) as handle:  # repro-lint: disable=RPR017
+            handle.write(json.dumps(doc, sort_keys=True).encode("utf-8"))
 
     def _restore(self) -> None:
         """Reload persisted records; requeue anything left unfinished.

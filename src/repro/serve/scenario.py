@@ -21,16 +21,16 @@ pattern, not escaped.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-import os
 import re
 import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import __version__
+from repro.exec.cache import content_key
 from repro.serve.jobs import JobSpec
+from repro.telescope.trace import atomic_replace
 
 PathLike = Union[str, Path]
 
@@ -66,8 +66,8 @@ def config_hash(spec: JobSpec) -> str:
             "seed": spec.seed,
         },
     }
-    blob = json.dumps(material, sort_keys=True).encode("utf-8")
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+    digest: str = content_key(material)
+    return digest
 
 
 @dataclasses.dataclass
@@ -208,12 +208,11 @@ class ScenarioStore:
             "version": __version__,
             "scenario": scenario.to_dict(with_derived=True),
         }
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         # Invariant: persisted scenarios must serialise with the in-memory
         # transition they mirror (crash consistency); the payload is one
         # small local JSON document.
-        tmp.write_text(json.dumps(doc, sort_keys=True))  # repro-lint: disable=RPR017
-        os.replace(tmp, path)
+        with atomic_replace(path) as handle:  # repro-lint: disable=RPR017
+            handle.write(json.dumps(doc, sort_keys=True).encode("utf-8"))
 
     def _restore(self) -> None:
         assert self.root is not None

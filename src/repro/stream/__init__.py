@@ -27,11 +27,7 @@ from repro.stream.analyses import (
     IncrementalChurn,
     IncrementalVolatility,
 )
-from repro.stream.checkpoint import (
-    STREAM_SCHEMA_VERSION,
-    CheckpointStore,
-    CheckpointVersionError,
-)
+from repro.stream.checkpoint import STREAM_SCHEMA_VERSION, CheckpointStore
 from repro.stream.engine import (
     ShardRun,
     StreamConfig,
@@ -74,7 +70,6 @@ __all__ = [
     "stream_report",
     "STREAM_SCHEMA_VERSION",
     "CheckpointStore",
-    "CheckpointVersionError",
     "StreamConfig",
     "StreamEngine",
     "StreamResult",

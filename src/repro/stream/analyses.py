@@ -464,7 +464,8 @@ class AnalysisSuite:
     # -- checkpoint state -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, np.ndarray]:
-        """Serialise the suite into flat arrays (``np.savez``-safe)."""
+        """Serialise the suite into flat 1-D arrays that the ``.rtrace``
+        array block admits, as a checkpoint stores them."""
         vol = self.volatility
         open_weeks = sorted(vol._open_weeks)
         port_keys = np.flatnonzero(self.port_packets).astype(np.int64)

@@ -3,44 +3,44 @@
 A checkpoint is the full :class:`~repro.stream.incremental.IncrementalScanIdentifier`
 state after some prefix of committed windows — the carry (the raw packets
 of the still-open sessions), the scans found so far, the counters and the
-watermark — serialised to one ``.npz`` file.  A killed run resumes by restoring the newest checkpoint and
-asking the source to skip the packets it already consumed; memoryless
-re-batching (see :mod:`repro.stream.source`) guarantees the resumed window
-sequence matches the original one exactly.
+watermark — stored as the typed array block of one ``.rtrace`` file with
+no packet chunks, ``<key>.stream.rtrace``.  A killed run resumes by
+restoring the newest checkpoint and asking the source to skip the packets
+it already consumed; memoryless re-batching (see
+:mod:`repro.stream.source`) guarantees the resumed window sequence matches
+the original one exactly.
 
 Like :class:`repro.exec.cache.CaptureCache`, entries are content-addressed:
 the key digests everything that determines the stream's behaviour (source
 identity, campaign criteria, fingerprinter settings, batching parameters,
 schema/library version), so a checkpoint can never be replayed against a
-different capture or configuration.  Writes are atomic (temp file +
-``os.replace``); a crash mid-save leaves the previous checkpoint intact.
+different capture or configuration.  ``write_trace`` writes a temporary
+file and renames it into place, so a crash mid-save leaves the previous
+checkpoint intact, and the trace's checksums and bounded lengths make a
+damaged file a miss rather than a crash or an unbounded read.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import zipfile
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro import __version__
 from repro.core.campaigns import CampaignCriteria
 from repro.core.fingerprints import ToolFingerprinter
-from repro.exec.cache import _canonical
+from repro.exec.cache import _canonical, content_key
+from repro.telescope.packet import PacketBatch
+from repro.telescope.trace import read_trace, write_trace
 
 #: Bump when the snapshot array layout changes; stale checkpoints are then
 #: ignored (the stream simply restarts from the beginning).
-STREAM_SCHEMA_VERSION = 2
+STREAM_SCHEMA_VERSION = 3
 
 PathLike = Union[str, Path]
 
-
-class CheckpointVersionError(ValueError):
-    """A checkpoint exists but was written by an incompatible version."""
+T = TypeVar("T")
 
 
 class CheckpointStore:
@@ -49,9 +49,6 @@ class CheckpointStore:
     def __init__(self, root: PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Why the most recent :meth:`load` treated a present file as a
-        #: miss (``None`` when the load hit or the file was absent).
-        self.last_mismatch: Optional[str] = None
 
     # -- keys ---------------------------------------------------------------
 
@@ -96,113 +93,42 @@ class CheckpointStore:
         }
         if analyses is not None:
             material["analyses"] = _canonical(analyses)
-        blob = json.dumps(material, sort_keys=True).encode("utf-8")
-        return hashlib.blake2b(blob, digest_size=16).hexdigest()
+        return content_key(material)
 
     def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.stream.npz"
+        return self.root / f"{key}.stream.rtrace"
 
     # -- save / load --------------------------------------------------------
 
     def save(self, key: str, arrays: Dict[str, np.ndarray]) -> Path:
-        """Persist one snapshot under ``key`` (atomic replace)."""
+        """Persist one snapshot under ``key`` (atomic replace); returns the
+        file written.  The arrays must be 1-D columns the trace's array
+        block admits, as every snapshot's are."""
         path = self.path_for(key)
-        payload = dict(arrays)
-        payload["checkpoint_meta"] = np.array(
-            json.dumps({
-                "schema": STREAM_SCHEMA_VERSION,
-                "version": __version__,
-                "key": key,
-            }, sort_keys=True)
-        )
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}.npz")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # pragma: no cover - only on write failure
-                tmp.unlink()
+        write_trace(path, PacketBatch.empty(),
+                    meta={**arrays, "checkpoint_key": key})
         return path
 
     def load(
-        self, key: str, strict: bool = False
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Materialise the snapshot for ``key``, or ``None`` when absent.
+        self, key: str, restore: Callable[[Dict[str, np.ndarray]], T]
+    ) -> Optional[T]:
+        """``restore`` of the snapshot stored under ``key``, or ``None``.
 
-        A checkpoint written by a different schema/library version,
-        squatting on the wrong key, or damaged on disk (truncated, emptied,
-        overwritten, bit-flipped) is treated as a miss by default — the
-        caller just streams from the start and its next save replaces the
-        file — but the reason (naming the file, and for a version mismatch
-        the versions it was written by and the versions this build reads)
-        is recorded in :attr:`last_mismatch` and raised as
-        :class:`CheckpointVersionError` under ``strict=True``.
+        A missing, damaged (truncated, emptied, overwritten, bit-flipped),
+        foreign (another key's entry, or no checkpoint at all) or
+        unrestorable entry is a miss: the caller streams from the start
+        and its next save replaces the file.  Unrestorable means that
+        ``restore`` raised ``KeyError``, ``IndexError``, ``TypeError`` or
+        ``ValueError`` on the arrays (one missing, one of the wrong kind),
+        so ``restore`` must build new state, never half-update live state.
         """
-        self.last_mismatch = None
-        path = self.path_for(key)
-        if not path.exists():
+        try:
+            _, arrays = read_trace(self.path_for(key))
+            if arrays.pop("checkpoint_key", None) != key:
+                return None
+            return restore(arrays)
+        except (OSError, IndexError, KeyError, TypeError, ValueError):
+            # OSError: absent or unreadable.  ValueError: damaged bytes
+            # (TraceFormatError is one) or a bad value.  The rest: arrays
+            # that parse but do not restore.
             return None
-        try:
-            with np.load(path, allow_pickle=False) as payload:
-                arrays = {name: payload[name] for name in payload.files}
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-            return self._mismatch(
-                f"checkpoint {path} is unreadable "
-                f"({type(exc).__name__}: {exc})",
-                strict,
-            )
-        meta_blob = arrays.pop("checkpoint_meta", None)
-        if meta_blob is None:
-            return self._mismatch(
-                f"checkpoint {path} has no checkpoint_meta block "
-                f"(this build reads schema {STREAM_SCHEMA_VERSION} / "
-                f"library {__version__})",
-                strict,
-            )
-        try:
-            meta = json.loads(str(meta_blob))
-        except json.JSONDecodeError:
-            return self._mismatch(
-                f"checkpoint {path} has an unreadable checkpoint_meta "
-                f"block (this build reads schema {STREAM_SCHEMA_VERSION} / "
-                f"library {__version__})",
-                strict,
-            )
-        if (
-            meta.get("schema") != STREAM_SCHEMA_VERSION
-            or meta.get("version") != __version__
-        ):
-            return self._mismatch(
-                f"checkpoint {path} was written by schema "
-                f"{meta.get('schema')!r} / library {meta.get('version')!r}; "
-                f"this build reads schema {STREAM_SCHEMA_VERSION!r} / "
-                f"library {__version__!r}",
-                strict,
-            )
-        if meta.get("key") != key:
-            return self._mismatch(
-                f"checkpoint {path} records key {meta.get('key')!r} but was "
-                f"looked up as {key!r}",
-                strict,
-            )
-        return arrays
-
-    def _mismatch(self, message: str, strict: bool) -> None:
-        self.last_mismatch = message
-        if strict:
-            raise CheckpointVersionError(message)
-        return None
-
-    # -- maintenance --------------------------------------------------------
-
-    def delete(self, key: str) -> bool:
-        """Drop the checkpoint for ``key`` (e.g. after a completed run)."""
-        path = self.path_for(key)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
-
-    def entries(self) -> list:
-        return sorted(self.root.glob("*.stream.npz"))

@@ -24,9 +24,10 @@ callback fires — so however the process dies afterwards (including inside
 the callback), the newest checkpoint covers exactly the windows already
 reported.  A final snapshot lands before finalisation, which makes
 re-running a completed stream nearly free: resume skips every packet and
-finalisation replays from the restored state.  A checkpoint written under
-another ``STREAM_SCHEMA_VERSION`` is a recorded miss, and its shard
-restarts from packet 0.
+finalisation replays from the restored state.  A checkpoint that is
+damaged, foreign or does not restore is a miss (another
+``STREAM_SCHEMA_VERSION`` changes the key, so its files are never looked
+up), and its shard restarts from packet 0.
 """
 
 from __future__ import annotations

@@ -178,7 +178,8 @@ class IncrementalScanIdentifier:
 
         The carry's ten columns, the scans found so far (port sets as one
         value array plus ``int64`` offsets), the counters and the
-        watermark.  The result round-trips through ``np.savez`` untouched.
+        watermark.  Every array is 1-D with a dtype the ``.rtrace`` array
+        block admits, so a checkpoint stores the dict as it is.
         """
         self._tables = [merge_scan_tables(self._tables)]
         carry, rec = self._carry, self._tables[0]

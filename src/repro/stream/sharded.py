@@ -41,7 +41,8 @@ shard's packets and cannot seek the shared source.  Only shard 0's key
 carries the analyses' key material and its snapshot the suite's arrays;
 the other shards hold identifier state only, so a plain run's checkpoint
 of the same shard may satisfy them.  A killed run resumes each shard
-independently from its newest snapshot.
+independently from its newest snapshot; an entry that does not restore
+whole is a miss, and that shard restarts from packet 0.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,16 +139,27 @@ def _run_one_shard(
                     analyses.key_material() if analyses is not None else None
                 ),
             )
-            arrays = store.load(key)
-            if arrays is not None:
-                raw_pos = int(arrays.pop("shard_stream_pos")[0])
-                names = [n for n in arrays if n.startswith(ANALYSIS_PREFIX)]
-                suite_arrays = {
-                    n[len(ANALYSIS_PREFIX):]: arrays.pop(n) for n in names
-                }
-                identifier.restore(arrays)
-                if suite is not None and suite_arrays:
-                    suite.restore(suite_arrays)
+
+            def restore(arrays: Dict[str, np.ndarray]) -> Tuple[
+                int, IncrementalScanIdentifier, Optional[AnalysisSuite]
+            ]:
+                # New objects, so an entry that fails halfway changes nothing.
+                position = int(arrays.pop("shard_stream_pos")[0])
+                restored = IncrementalScanIdentifier(criteria, fingerprinter)
+                restored.restore(arrays)
+                restored_suite = None
+                if analyses is not None:
+                    restored_suite = AnalysisSuite(analyses)
+                    restored_suite.restore({
+                        name[len(ANALYSIS_PREFIX):]: array
+                        for name, array in arrays.items()
+                        if name.startswith(ANALYSIS_PREFIX)
+                    })
+                return position, restored, restored_suite
+
+            state = store.load(key, restore)
+            if state is not None:
+                raw_pos, identifier, suite = state
                 resumed = identifier.packets_consumed > 0 or raw_pos > 0
 
     stats = StreamStats(resumed_packets=identifier.packets_consumed)

@@ -34,7 +34,8 @@ still read; only ``RTRACE02`` is written.
 
 Chunking lets a writer stream a multi-day capture without holding it in
 memory.  :class:`TraceWriter` writes a temporary file beside the target
-and renames it into place on a clean exit, so a reader holding the old
+and renames it into place on a clean exit (:func:`atomic_replace`, the
+program's one way to write a file it owns), so a reader holding the old
 capture keeps it and an interrupted write leaves the target untouched.
 :class:`TraceReader`, the one reader, maps the file and hands its chunks
 out as zero-copy column views; :func:`read_trace` copies them into one
@@ -43,6 +44,7 @@ owned batch.
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import glob
 import hashlib
@@ -108,6 +110,27 @@ def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
             return open(tmp, "xb"), tmp
         except FileExistsError:
             n += 1
+
+
+@contextlib.contextmanager
+def atomic_replace(path: PathLike) -> Iterator[io.BufferedWriter]:
+    """Write ``path`` through a new temporary sibling.
+
+    Yields the sibling (:func:`_create_sibling`) opened for binary
+    writing.  A clean exit closes it and renames it onto ``path`` with
+    ``os.replace``; an exception deletes it and leaves ``path`` as it was.
+    A reader therefore sees the old file or the new one, never part of
+    one, and concurrent writers of one path each write their own sibling:
+    the last rename wins.
+    """
+    handle, tmp = _create_sibling(Path(path))
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 #: A temporary sibling's name, as :func:`_create_sibling` makes it.
@@ -247,13 +270,13 @@ class TraceWriter:
     columns (1-D bool, int, uint, float or unicode; anything else raises
     ``ValueError`` here); every other value must be JSON-serialisable.
 
-    The chunks go to a temporary file beside ``path``.  A clean exit
-    writes the end marker and renames the file onto ``path``; an
-    exception deletes it and leaves ``path`` as it was.  So a reader
-    mapping the old capture keeps its file, and no interrupted write
-    passes for a complete capture.  A writer killed outright leaves its
-    temporary file behind; the next writer of ``path`` deletes it
-    (:func:`orphaned_temp_files`).
+    The chunks go to a temporary file beside ``path``
+    (:func:`atomic_replace`).  A clean exit writes the end marker and
+    renames the file onto ``path``; an exception deletes it and leaves
+    ``path`` as it was.  So a reader mapping the old capture keeps its
+    file, and no interrupted write passes for a complete capture.  A
+    writer killed outright leaves its temporary file behind; the next
+    writer of ``path`` deletes it (:func:`orphaned_temp_files`).
 
     ``path`` is resolved through symlinks first, so writing through a
     link replaces the file it points to and the link stays a link.  The
@@ -265,7 +288,8 @@ class TraceWriter:
     def __init__(self, path: PathLike, meta: Optional[Dict[str, Any]] = None):
         self._path = Path(os.path.realpath(path))
         self._file: Optional[io.BufferedWriter] = None
-        self._tmp: Optional[Path] = None
+        #: Holds the :func:`atomic_replace` of ``path`` while entered.
+        self._replace: Optional[contextlib.ExitStack] = None
         self._header = _encode_header(dict(meta or {}))
         self._packets_written = 0
 
@@ -276,12 +300,11 @@ class TraceWriter:
                 stale.unlink()
             except OSError:  # gone already, or not ours to remove
                 pass
-        self._file, self._tmp = _create_sibling(self._path)
-        try:
-            self._file.write(self._header)
-        except BaseException:
-            self._discard()
-            raise
+        with contextlib.ExitStack() as stack:
+            handle = stack.enter_context(atomic_replace(self._path))
+            handle.write(self._header)
+            self._replace = stack.pop_all()
+        self._file = handle
         return self
 
     def write(self, batch: PacketBatch) -> None:
@@ -306,29 +329,16 @@ class TraceWriter:
         return self._packets_written
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._file is None or self._tmp is None:
+        replace, file = self._replace, self._file
+        if replace is None or file is None:
             return
+        self._replace = self._file = None
         if exc_type is not None:
-            self._discard()
+            replace.__exit__(exc_type, exc, tb)
             return
-        try:
+        with replace:
             # Explicit terminator so a truncated tail is detectable.
-            self._file.write(_u32(0))
-            self._file.close()
-            os.replace(self._tmp, self._path)
-        except BaseException:
-            self._discard()
-            raise
-        self._file = self._tmp = None
-
-    def _discard(self) -> None:
-        """Close and delete the temporary file; ``path`` is untouched."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        if self._tmp is not None:
-            self._tmp.unlink(missing_ok=True)
-            self._tmp = None
+            file.write(_u32(0))
 
 
 #: Bytes per packet across all serialised columns (one row of a chunk).

@@ -276,6 +276,18 @@ class TestCaptureCache:
         assert cache.clear() == 1
         assert cache.entries() == []
 
+    def test_checkpoints_in_the_directory_are_not_entries(self, tmp_path):
+        # Stream checkpoints are .rtrace files too; a directory that holds
+        # both lists, prunes and clears only the captures.
+        from repro.stream import CheckpointStore
+
+        cache = CaptureCache(tmp_path / "shared")
+        checkpoint = CheckpointStore(cache.root).save(
+            "e" * 32, {"counters": np.zeros(3, dtype=np.int64)})
+        assert cache.entries() == [] and cache.usage() == []
+        assert cache.prune(max_bytes=0) == [] and cache.clear() == 0
+        assert checkpoint.exists()
+
 
 class TestCacheMaintenance:
     def _filled(self, tmp_path):

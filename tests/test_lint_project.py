@@ -9,7 +9,9 @@ fixture that trips RPR017.
 
 import json
 import shutil
+import sys
 import textwrap
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -360,6 +362,38 @@ class TestSummaryCache:
         _, _, stats = self._run(tmp_path, cache_dir)
         assert (stats.cache_hits, stats.cache_misses) == (0, 1)
         assert len(list(cache_dir.glob("*.lint.json"))) == 1
+
+    def test_concurrent_stores_of_one_entry_never_collide(self, tmp_path):
+        # Two lints sharing a cache directory store the same file's entry;
+        # each store writes its own temporary sibling, so neither renames
+        # a file the other has already moved.
+        cache = SummaryCache(tmp_path / ".cache")
+        errors = []
+
+        def store(worker):
+            try:
+                for i in range(300):
+                    cache.store("pkg/a.py", f"key-{worker}-{i}", {"n": i})
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store, args=(w,)) for w in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two writers often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in (tmp_path / ".cache").iterdir()] == [
+            cache.path_for("pkg/a.py").name
+        ]
+        entry = json.loads(cache.path_for("pkg/a.py").read_text())
+        assert entry["key"] in {"key-0-299", "key-1-299"}
 
 
 def test_workers_other_than_zero_raise(tmp_path):

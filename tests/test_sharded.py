@@ -408,7 +408,7 @@ class TestShardedCheckpoints:
             fingerprinter, config,
         )
         store = CheckpointStore(config.checkpoint_dir)
-        arrays = store.load(run.checkpoint_key)
+        arrays = store.load(run.checkpoint_key, dict)
         assert arrays is not None
         assert int(arrays["shard_stream_pos"][0]) == len(batch2020)
         assert run.stats.packets < len(batch2020)  # shard 0's share only

@@ -5,20 +5,20 @@ identifier must reproduce batch ``identify_scans`` column by column at any
 window size, and still after a kill-and-resume through a checkpoint.
 """
 
-import io
 import json
+import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import __version__ as repro_version
 from repro.core.campaigns import CampaignCriteria, identify_scans
 from repro.stream import (
     BatchStreamSource,
     CheckpointStore,
-    CheckpointVersionError,
-    STREAM_SCHEMA_VERSION,
     IncrementalScanIdentifier,
     IterStreamSource,
     StreamConfig,
@@ -31,7 +31,7 @@ from repro.stream import (
     peak_rss_bytes,
     rebatch,
 )
-from repro.telescope import PacketBatch, write_trace
+from repro.telescope import PacketBatch, read_trace, write_trace
 from repro.telescope.trace import TraceFormatError
 
 from tests.campaigns_oracle import iter_source_sessions
@@ -274,18 +274,18 @@ def stream_in_pieces(batch, cuts, criteria=None, checkpoint_at=None):
     """Feed ``batch`` cut before each packet index in ``cuts``.
 
     With ``checkpoint_at=i`` the identifier goes through ``snapshot`` →
-    ``np.savez`` → ``restore`` into a fresh one before piece ``i`` (or
-    before ``finalize`` when ``i`` is the number of pieces).
+    ``write_trace`` → ``read_trace`` → ``restore`` into a fresh one before
+    piece ``i`` (or before ``finalize`` when ``i`` is the number of pieces).
     """
     identifier = IncrementalScanIdentifier(criteria)
     bounds = [0, *cuts, len(batch)]
     for i in range(len(bounds)):
         if i == checkpoint_at:
-            buffer = io.BytesIO()
-            np.savez(buffer, **identifier.snapshot())
-            buffer.seek(0)
-            with np.load(buffer, allow_pickle=False) as payload:
-                arrays = {name: payload[name] for name in payload.files}
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "snapshot.rtrace"
+                write_trace(path, PacketBatch.empty(),
+                            meta=identifier.snapshot())
+                _, arrays = read_trace(path)
             identifier = IncrementalScanIdentifier(criteria)
             identifier.restore(arrays)
         if i + 1 < len(bounds):
@@ -568,11 +568,8 @@ class TestCheckpointResume:
         self._damage(run.checkpoint_path, shape)
 
         store = CheckpointStore(config.checkpoint_dir)
-        assert store.load(run.checkpoint_key) is None
-        assert str(run.checkpoint_path) in store.last_mismatch
-        assert "unreadable" in store.last_mismatch
-        with pytest.raises(CheckpointVersionError):
-            store.load(run.checkpoint_key, strict=True)
+        assert run.checkpoint_path.name.endswith(".stream.rtrace")
+        assert store.load(run.checkpoint_key, dict) is None
 
         again = StreamEngine(config=config).run(
             TraceStreamSource(path, batch_size=16_384)
@@ -580,37 +577,77 @@ class TestCheckpointResume:
         assert not again.resumed
         assert_tables_equal(again.scans, first.scans)
         assert_tables_equal(again.scans, scans2020)
-        assert store.load(run.checkpoint_key) is not None
+        assert store.load(run.checkpoint_key, dict) is not None
 
-    def test_schema_1_checkpoint_is_a_recorded_miss(self, tmp_path, batch2020,
-                                                    scans2020):
-        """A checkpoint in the schema-1 layout (per-session accumulator
-        arrays instead of the carry's columns) found under the run's key is
-        a recorded miss, and the run restarts from packet 0."""
+    @staticmethod
+    def _rewrite_directory(path, edit):
+        """Rewrite the array directory of the checkpoint at ``path`` as
+        ``edit(directory)`` returns it, with a valid header checksum: a
+        hostile file, not a damaged one."""
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 8)
+        block = 12 + meta_len  # the array block's length field
+        (block_len,) = struct.unpack_from("<I", blob, block)
+        (dir_len,) = struct.unpack_from("<I", blob, block + 4)
+        listing = blob[block + 8:block + 8 + dir_len]
+        data = blob[block + 8 + dir_len:block + 4 + block_len]
+        listing = json.dumps(edit(json.loads(listing))).encode("utf-8")
+        arrays = struct.pack("<I", len(listing)) + listing + data
+        header = blob[:block] + struct.pack("<I", len(arrays)) + arrays
+        tail = blob[block + 4 + block_len + 4:]
+        path.write_bytes(header + struct.pack("<I", zlib.crc32(header)) + tail)
+
+    def test_oversized_array_directory_is_a_miss(self, tmp_path, batch2020,
+                                                  scans2020):
+        """An entry whose directory declares a 74.5 GiB array in a file of
+        a few kB is a miss, not a ``MemoryError``, and the run restarts."""
         path = self._trace(tmp_path, batch2020)
         config = StreamConfig(batch_size=16_384,
                               checkpoint_dir=tmp_path / "ckpt")
         run = StreamEngine(config=config).run(
             TraceStreamSource(path, batch_size=16_384)
         ).shards[0]
-        with np.load(run.checkpoint_path, allow_pickle=False) as payload:
-            arrays = {name: payload[name] for name in payload.files}
-        for name in [n for n in arrays if n.startswith("carry_")]:
-            del arrays[name]
-        arrays["open_src"] = np.array([], dtype=np.uint32)
-        meta = json.loads(str(arrays["checkpoint_meta"]))
-        meta["schema"] = 1
-        arrays["checkpoint_meta"] = np.array(json.dumps(meta, sort_keys=True))
-        with open(run.checkpoint_path, "wb") as fh:
-            np.savez(fh, **arrays)
+
+        def oversize(directory):
+            for entry in directory:
+                if entry[0] == "counters":
+                    entry[2] = 10_000_000_000
+            return directory
+
+        self._rewrite_directory(run.checkpoint_path, oversize)
+        with pytest.raises(TraceFormatError, match="overruns the block"):
+            read_trace(run.checkpoint_path)
 
         store = CheckpointStore(config.checkpoint_dir)
-        assert store.load(run.checkpoint_key) is None
-        assert "schema 1 " in store.last_mismatch
+        assert store.load(run.checkpoint_key, dict) is None
         again = StreamEngine(config=config).run(
             TraceStreamSource(path, batch_size=16_384)
         )
         assert not again.resumed
+        assert_tables_equal(again.scans, scans2020)
+
+    def test_checkpoint_missing_an_array_is_a_miss(self, tmp_path, batch2020,
+                                                   scans2020):
+        """A well-formed entry under the run's key that lacks one of the
+        snapshot's arrays does not restore: a miss, and the run restarts
+        from packet 0 instead of crashing the resume."""
+        path = self._trace(tmp_path, batch2020)
+        config = StreamConfig(batch_size=16_384,
+                              checkpoint_dir=tmp_path / "ckpt")
+        run = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        ).shards[0]
+        store = CheckpointStore(config.checkpoint_dir)
+        arrays = store.load(run.checkpoint_key, dict)
+        del arrays["counters"]
+        store.save(run.checkpoint_key, arrays)
+        assert "counters" not in store.load(run.checkpoint_key, dict)
+
+        again = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        )
+        assert not again.resumed
+        assert again.stats.resumed_packets == 0
         assert_tables_equal(again.scans, scans2020)
 
     def test_v1_capture_keeps_its_identity(self):
@@ -677,46 +714,11 @@ class TestCheckpointResume:
         identifier = IncrementalScanIdentifier()
         identifier.consume(ordered_batch(500))
         store.save("abc123", identifier.snapshot())
-        assert store.load("abc123") is not None
+        assert store.load("abc123", dict) is not None
         # A key mismatch (file renamed / squatting) is a miss, not an error.
         path = store.path_for("abc123")
         path.rename(store.path_for("def456"))
-        assert store.load("def456") is None
-
-    def test_version_mismatch_names_both_versions_and_path(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        identifier = IncrementalScanIdentifier()
-        identifier.consume(ordered_batch(500))
-        path = store.save("abc123", identifier.snapshot())
-
-        # Rewrite the embedded meta as if an older build had written it.
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = {name: payload[name] for name in payload.files}
-        meta = json.loads(str(arrays["checkpoint_meta"]))
-        meta["schema"], meta["version"] = 0, "0.0.1"
-        arrays["checkpoint_meta"] = np.array(json.dumps(meta, sort_keys=True))
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-
-        # Default: a miss, with the reason recorded on the store.
-        assert store.load("abc123") is None
-        message = store.last_mismatch
-        assert message is not None
-        assert str(path) in message
-        assert "schema 0" in message and "'0.0.1'" in message
-        assert f"schema {STREAM_SCHEMA_VERSION!r}" in message
-        assert repro_version in message
-
-        # strict=True: same message, raised.
-        with pytest.raises(CheckpointVersionError) as excinfo:
-            store.load("abc123", strict=True)
-        assert str(excinfo.value) == message
-
-        # A successful load clears the recorded mismatch.
-        good = store.save("good", identifier.snapshot())
-        assert good.exists()
-        assert store.load("good") is not None
-        assert store.last_mismatch is None
+        assert store.load("def456", dict) is None
 
     def test_snapshot_restore_round_trip(self, batch2020, scans2020):
         source = BatchStreamSource(batch2020, batch_size=8192)

@@ -24,7 +24,7 @@ from repro.stream import (
     StreamOrderError,
     stream_report,
 )
-from repro.telescope import PacketBatch, write_trace
+from repro.telescope import PacketBatch, read_trace, write_trace
 from tests.report_oracle import batch_paper_report
 
 
@@ -156,15 +156,14 @@ class TestSnapshotRestore:
             restored.finalize(analysis2020.scans), expected_report
         )
 
-    def test_snapshot_is_savez_safe(self, analysis2020, tmp_path):
+    def test_snapshot_round_trips_through_rtrace(self, analysis2020, tmp_path):
         suite = AnalysisSuite(
             AnalysisConfig(year=analysis2020.year, days=analysis2020.days)
         )
         suite.consume(analysis2020.batch)
-        path = tmp_path / "suite.npz"
-        np.savez(path, **suite.snapshot())
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = {name: payload[name] for name in payload.files}
+        path = tmp_path / "suite.rtrace"
+        write_trace(path, PacketBatch.empty(), meta=suite.snapshot())
+        _, arrays = read_trace(path)
         restored = AnalysisSuite(
             AnalysisConfig(year=analysis2020.year, days=analysis2020.days)
         )
