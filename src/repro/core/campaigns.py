@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fingerprints import FingerprintVerdict, ToolFingerprinter
+from repro.core.fingerprints import ToolFingerprinter
 from repro.enrichment.classify import ScannerClassifier
 from repro.scanners.base import Tool
 from repro.telescope.addresses import IPV4_SPACE_SIZE
@@ -346,6 +346,55 @@ def _grouped_port_profile(
     return port_sets, _first_max_per_group(g, v, cnts)
 
 
+def _source_time_order(
+    src_ip: np.ndarray, time: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row order by ``(src, time, row)``, with the sorted sources and times.
+
+    That is ``np.lexsort((time, src_ip))``'s order.  Whenever every source's
+    times are non-decreasing in row order, it is also the order of the
+    packed key ``(src << 32) | row``, which one in-place ``np.sort`` (NumPy's
+    SIMD sort) orders about three times faster than the two-key lexsort on
+    a 1M-packet capture.  Every
+    capture qualifies (``Telescope.observe`` sorts), and so does every
+    streaming carry + window.  A batch where some source's times step back
+    (``~(t[i+1] >= t[i])``, so a NaN counts) takes the lexsort, which puts
+    NaN last among its source's packets.
+    """
+    key = src_ip.astype(np.uint64)
+    # Sources are 32-bit and row numbers stay below 2**32 (the packet count
+    # of any batch), so the two halves of the key never overlap.
+    key <<= np.uint64(32)
+    key |= np.arange(key.size, dtype=np.uint64)
+    key.sort()
+    key &= np.uint64(0xFFFFFFFF)
+    order = key.view(np.intp)
+    src_s = src_ip[order]
+    time_s = time[order]
+    steps_back = (src_s[1:] == src_s[:-1]) & ~(time_s[1:] >= time_s[:-1])
+    if np.any(steps_back):
+        order = np.lexsort((time, src_ip))
+        src_s = src_ip[order]
+        time_s = time[order]
+    return order, src_s, time_s
+
+
+def _heads(
+    orig: np.ndarray, seg_offsets: np.ndarray, seg_counts: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` entries of each segment of ``orig``, back to back.
+
+    ``seg_offsets`` (one longer than ``seg_counts``) delimit the segments.
+    Returns the selected entries and each segment's share of them.
+    """
+    head_counts = np.minimum(seg_counts, k)
+    head_flat = np.repeat(
+        seg_offsets[:-1] - np.concatenate(([0], np.cumsum(head_counts)[:-1])),
+        head_counts,
+    ) + np.arange(int(head_counts.sum()))
+    return orig[head_flat], head_counts
+
+
 def score_sessions(
     times: np.ndarray,
     dsts: np.ndarray,
@@ -442,19 +491,19 @@ def identify_sessions(
 
     This is the analysis hot path, so the per-source Python loop of the
     original implementation (kept as the executable spec in the test
-    suite's ``campaigns_oracle``) is replaced by array passes: one lexsort
-    builds the session table, `np.add.reduceat`-style grouped reductions
-    compute every per-session statistic, and Python-level work remains only
-    for the scans that survive all thresholds (port sets, header modes,
-    fingerprinting).
+    suite's ``campaigns_oracle``) is replaced by array passes: one sort
+    (:func:`_source_time_order`) builds the session table,
+    `np.add.reduceat`-style grouped reductions compute every per-session
+    statistic, and the survivors' port sets, header modes and fingerprints
+    come from grouped passes too, with one
+    :meth:`~repro.core.fingerprints.ToolFingerprinter.fingerprint_arrays`
+    call for every surviving scan.
     """
     if len(batch) == 0:
         return ScanTable.empty(), 0, np.array([], dtype=np.intp)
 
-    # -- session table: one lexsort, boundaries where source or gap breaks --
-    order = np.lexsort((batch.time, batch.src_ip))
-    src_s = batch.src_ip[order]
-    time_s = batch.time[order]
+    # -- session table: one sort, boundaries where source or gap breaks ----
+    order, src_s, time_s = _source_time_order(batch.src_ip, batch.time)
     n = order.size
     breaks = np.empty(n, dtype=bool)
     breaks[0] = True
@@ -520,8 +569,7 @@ def identify_sessions(
     if not np.any(keep):
         return ScanTable.empty(), n_closed, open_rows
 
-    # -- survivor tail: grouped passes for ports/modes, a narrow Python
-    # loop only for tool fingerprinting (bounded by its sample limit).
+    # -- survivor tail: grouped passes for ports, modes and fingerprints --
     kept = np.flatnonzero(keep)
     kept_sessions = cand_ids[kept]
     seg_counts = counts[kept_sessions]
@@ -539,27 +587,20 @@ def identify_sessions(
     )
     # Header-quirk modes use each scan's first 64 packets, like the
     # reference implementation.
-    head_counts = np.minimum(seg_counts, 64)
-    head_flat = np.repeat(
-        seg_offsets[:-1] - np.concatenate(([0], np.cumsum(head_counts)[:-1])),
-        head_counts,
-    ) + np.arange(int(head_counts.sum()))
-    head_orig = orig[head_flat]
+    head_orig, head_counts = _heads(orig, seg_offsets, seg_counts, 64)
     head_scan = np.repeat(np.arange(kept.size), head_counts)
     window_mode = _grouped_mode(head_scan, batch.window[head_orig], kept.size)
     ttl_mode = _grouped_mode(head_scan, batch.ttl[head_orig], kept.size)
 
-    tool_list: List[Tool] = []
-    match_list: List[float] = []
-    limit = fingerprinter.sample_limit
-    for i in range(kept.size):
-        segment = orig[seg_offsets[i]:seg_offsets[i] + min(seg_counts[i], limit)]
-        verdict = fingerprinter.fingerprint_arrays(
-            batch.ip_id[segment], batch.seq[segment], batch.dst_ip[segment],
-            batch.dst_port[segment], batch.src_port[segment],
-        )
-        tool_list.append(verdict.tool)
-        match_list.append(verdict.match_fraction)
+    # Fingerprints read each scan's first ``sample_limit`` packets, all
+    # scans in one call.
+    fp_orig, fp_counts = _heads(
+        orig, seg_offsets, seg_counts, fingerprinter.sample_limit
+    )
+    tool, match_fraction = fingerprinter.fingerprint_arrays(
+        batch.ip_id[fp_orig], batch.seq[fp_orig], batch.dst_ip[fp_orig],
+        batch.dst_port[fp_orig], batch.src_port[fp_orig], fp_counts,
+    )
 
     scans = ScanTable(
         src_ip=src_s[bounds[cand_ids[kept]]].astype(np.uint32),
@@ -569,8 +610,8 @@ def identify_sessions(
         distinct_dsts=distinct_c[kept].astype(np.int64),
         port_sets=port_sets,
         primary_port=primary.astype(np.uint16),
-        tool=np.array(tool_list, dtype=object),
-        match_fraction=np.array(match_list, dtype=float),
+        tool=tool,
+        match_fraction=match_fraction,
         speed_pps=rate[kept].astype(float),
         coverage=np.minimum(
             1.0, distinct_c[kept] / criteria.telescope_size

@@ -15,7 +15,7 @@ relation if tested first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -112,42 +112,71 @@ class ToolFingerprinter:
         dst_ip: np.ndarray,
         dst_port: np.ndarray,
         src_port: np.ndarray,
-    ) -> FingerprintVerdict:
-        """Fingerprint one scan given its (time-ordered) packet fields."""
-        n = min(ip_id.size, self.sample_limit)
-        if n == 0:
-            return FingerprintVerdict(Tool.UNKNOWN, 0.0, 0)
-        ip_id, seq = ip_id[:n], seq[:n]
-        dst_ip, dst_port, src_port = dst_ip[:n], dst_port[:n], src_port[:n]
+        counts: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fingerprint many scans in one pass.
 
-        # Single-packet relations, most specific first.
-        for tool, mask in (
-            (Tool.ZMAP, zmap_match(ip_id)),
-            (Tool.MASSCAN, masscan_match(ip_id, dst_ip, dst_port, seq)),
-            (Tool.MIRAI, mirai_match(seq, dst_ip)),
-        ):
-            fraction = float(np.count_nonzero(mask) / n)
-            if fraction >= self.threshold:
-                return FingerprintVerdict(tool, fraction, n)
+        The field arrays hold each scan's first (at most ``sample_limit``)
+        time-ordered packets back to back, ``counts[i]`` of them for scan
+        ``i``.  Returns ``(tool, match_fraction)``: a :class:`Tool` object
+        array and a float64 array, one entry per scan.  Per-scan hits are
+        cumulative-sum differences and a pair that straddles two scans is
+        never counted, so the result equals one call per scan.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size and (counts.min() < 0 or counts.max() > self.sample_limit):
+            raise ValueError(
+                f"scan packet counts must lie in [0, {self.sample_limit}]"
+            )
+        if int(counts.sum()) != ip_id.size:
+            raise ValueError("counts do not add up to the packets given")
+        ends = np.cumsum(counts)
+        starts = ends - counts
 
-        # Pairwise relations need at least one pair.
-        if n >= 2:
-            uni = unicorn_pair_match(seq, dst_ip, dst_port, src_port)
-            fraction = float(np.count_nonzero(uni) / uni.size)
-            if fraction >= self.threshold:
-                return FingerprintVerdict(Tool.UNICORN, fraction, n)
-            nmap = nmap_pair_match(seq)
-            fraction = float(np.count_nonzero(nmap) / nmap.size)
-            if fraction >= self.threshold:
-                return FingerprintVerdict(Tool.NMAP, fraction, n)
+        def hits(matched: np.ndarray) -> np.ndarray:
+            cum = np.concatenate(([0], np.cumsum(matched)))
+            return cum[ends] - cum[starts]
 
-        return FingerprintVerdict(Tool.UNKNOWN, 0.0, n)
+        def pair_hits(matched: np.ndarray) -> np.ndarray:
+            # Pair i is (packet i, packet i + 1); the pair leaving a scan's
+            # last packet crosses into the next scan and is masked out.
+            padded = np.zeros(ip_id.size, dtype=bool)
+            padded[:-1] = matched
+            padded[ends[counts > 0] - 1] = False
+            return hits(padded)
+
+        # Single-packet relations, most specific first, then the pairwise
+        # ones, which need at least one pair.
+        relations = (
+            (Tool.ZMAP, hits(zmap_match(ip_id)), counts),
+            (Tool.MASSCAN, hits(masscan_match(ip_id, dst_ip, dst_port, seq)), counts),
+            (Tool.MIRAI, hits(mirai_match(seq, dst_ip)), counts),
+            (Tool.UNICORN,
+             pair_hits(unicorn_pair_match(seq, dst_ip, dst_port, src_port)),
+             counts - 1),
+            (Tool.NMAP, pair_hits(nmap_pair_match(seq)), counts - 1),
+        )
+        tool = np.empty(counts.size, dtype=object)
+        tool[:] = Tool.UNKNOWN  # np.full would store the plain str
+        fraction = np.zeros(counts.size, dtype=np.float64)
+        decided = np.zeros(counts.size, dtype=bool)
+        for name, matched, tried in relations:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                share = matched / tried
+            won = ~decided & (tried > 0) & (share >= self.threshold)
+            tool[won] = name
+            fraction[won] = share[won]
+            decided |= won
+        return tool, fraction
 
     def fingerprint_batch(self, batch: PacketBatch) -> FingerprintVerdict:
         """Fingerprint a batch assumed to belong to one scan."""
-        return self.fingerprint_arrays(
-            batch.ip_id, batch.seq, batch.dst_ip, batch.dst_port, batch.src_port
+        n = min(len(batch), self.sample_limit)
+        tool, fraction = self.fingerprint_arrays(
+            batch.ip_id[:n], batch.seq[:n], batch.dst_ip[:n],
+            batch.dst_port[:n], batch.src_port[:n], np.array([n]),
         )
+        return FingerprintVerdict(tool[0], float(fraction[0]), n)
 
     def per_packet_tool(self, batch: PacketBatch) -> np.ndarray:
         """Best-effort per-packet attribution over a mixed batch.

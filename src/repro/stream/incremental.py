@@ -15,9 +15,15 @@ Why the result is column-by-column **identical** to batch
   rejects a window that starts before the watermark), so no later packet
   can precede the watermark and a closed session can never grow again.
 * The carry keeps its packets in ``(src, time, capture order)`` order and
-  goes *before* the window, so the kernel's stable ``lexsort`` orders every
-  source's packets exactly as the batch path's global sort does, ties
-  included.
+  goes *before* the window.  Every carried packet of a source is no later
+  than the watermark and every window packet no earlier, so each source's
+  times stay non-decreasing in row order across carry + window.  That is
+  the condition under which the kernel orders rows by the packed
+  ``(src, row)`` key, and that order is exactly the batch path's
+  ``(src, time, capture order)``, ties included: a tie between a carried
+  packet and a window packet goes to the carried one, which came first in
+  the capture.  (A source whose times step back, a NaN say, takes the
+  kernel's lexsort, which orders the same way.)
 * Every scan is then produced by the same code from the same packets in the
   same order; the per-window tables merge into batch row order by
   ``(src_ip, start)``.
@@ -143,8 +149,9 @@ class IncrementalScanIdentifier:
                 )
             # Later packets arrive at or after this window's maximum time.
             self.watermark = max(self.watermark, float(batch.time.max()))
-            # Carry first: the kernel's stable sort then keeps capture order
-            # among packets with equal (src, time).
+            # Carry first: each source's times then stay non-decreasing in
+            # row order, so the kernel's packed (src, row) sort keeps
+            # capture order among packets with equal (src, time).
             self._run(
                 PacketBatch.concat([self._carry, batch])
                 if len(self._carry) else batch,

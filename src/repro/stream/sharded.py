@@ -42,7 +42,8 @@ carries the analyses' key material and its snapshot the suite's arrays;
 the other shards hold identifier state only, so a plain run's checkpoint
 of the same shard may satisfy them.  A killed run resumes each shard
 independently from its newest snapshot; an entry that does not restore
-whole is a miss, and that shard restarts from packet 0.
+whole, or whose position lies past the capture's end or behind the
+packets it has consumed, is a miss, and that shard restarts from packet 0.
 """
 
 from __future__ import annotations
@@ -147,6 +148,17 @@ def _run_one_shard(
                 position = int(arrays.pop("shard_stream_pos")[0])
                 restored = IncrementalScanIdentifier(criteria, fingerprinter)
                 restored.restore(arrays)
+                # The seek happens after ``load`` returns, so a position the
+                # source cannot skip to, or one behind the packets the
+                # snapshot has consumed, must fail here, as a miss.
+                end = source.total_packets
+                if position < max(restored.packets_consumed, 0) or (
+                    end is not None and position > end
+                ):
+                    raise ValueError(
+                        f"checkpoint position {position} lies outside "
+                        f"[{restored.packets_consumed}, {end}]"
+                    )
                 restored_suite = None
                 if analyses is not None:
                     restored_suite = AnalysisSuite(analyses)

@@ -118,6 +118,10 @@ class StreamSource:
     #: Capture metadata (the ``.rtrace`` JSON block where available).
     meta: Dict[str, Any] = {}
 
+    #: Packets the capture holds, where known without reading them; the
+    #: furthest ``windows(skip_packets=...)`` can skip.
+    total_packets: Optional[int] = None
+
     def identity(self) -> Optional[Dict[str, Any]]:
         """Stable description of the capture for checkpoint keying.
 
@@ -162,6 +166,7 @@ class TraceStreamSource(StreamSource):
             self.meta = reader.meta
             #: Mirrors ``TraceReader.truncated``.
             self.truncated = reader.truncated
+            self.total_packets = reader.total_packets
             self._header_blake2b = reader.header_blake2b()
 
     def identity(self) -> Optional[Dict[str, Any]]:
@@ -209,6 +214,7 @@ class BatchStreamSource(StreamSource):
         self.batch_size = batch_size
         self.window_s = window_s
         self.meta = {}
+        self.total_packets = len(batch)
 
     def windows(self, skip_packets: int = 0) -> Iterator[PacketBatch]:
         if skip_packets > len(self._batch):

@@ -165,9 +165,12 @@ def identify_scans_reference(
         if rate < criteria.min_rate_pps:
             continue
 
-        verdict = fingerprinter.fingerprint_arrays(
-            batch.ip_id[indices], batch.seq[indices], dst, ports,
-            batch.src_port[indices],
+        # One fingerprint call per scan over its first sample_limit packets.
+        sample = indices[:fingerprinter.sample_limit]
+        tool, match_fraction = fingerprinter.fingerprint_arrays(
+            batch.ip_id[sample], batch.seq[sample], batch.dst_ip[sample],
+            batch.dst_port[sample], batch.src_port[sample],
+            np.array([sample.size]),
         )
 
         src_list.append(src)
@@ -177,8 +180,8 @@ def identify_scans_reference(
         dsts_list.append(distinct)
         port_sets.append(unique_ports.astype(np.int64))
         primary_list.append(int(unique_ports[int(np.argmax(port_counts))]))
-        tool_list.append(verdict.tool)
-        match_list.append(verdict.match_fraction)
+        tool_list.append(tool[0])
+        match_list.append(float(match_fraction[0]))
         speed_list.append(rate)
         coverage_list.append(min(1.0, distinct / criteria.telescope_size))
         sequential_list.append(sequential)

@@ -95,6 +95,57 @@ class TestDetectorCrossConfusion:
             assert verdict.tool != tool or verdict.tool == other
 
 
+def fields(batch):
+    return (batch.ip_id, batch.seq, batch.dst_ip, batch.dst_port,
+            batch.src_port)
+
+
+class TestOnePass:
+    """One call over scans placed back to back equals one call per scan."""
+
+    @pytest.mark.parametrize("limit", [2, 16, 256])
+    def test_back_to_back_equals_one_call_per_scan(self, limit):
+        fingerprinter = ToolFingerprinter(sample_limit=limit)
+        # One NMap and one Unicorn session each split into two scans, so
+        # the pair across each boundary satisfies the relation.
+        nmap = craft_batch(NMapModel(rng=4), n=2 * limit, seed=1)
+        unicorn = craft_batch(UnicornModel(rng=5), n=2 * limit, seed=2)
+        assert nmap_pair_match(nmap.seq)[limit - 1]
+        assert unicorn_pair_match(unicorn.seq, unicorn.dst_ip,
+                                  unicorn.dst_port, unicorn.src_port)[limit - 1]
+        scans = [
+            craft_batch(ZMapModel(rng=1), n=1),
+            nmap[:limit], nmap[limit:],
+            craft_batch(MasscanModel(rng=2), n=limit, seed=3),
+            PacketBatch.empty(),
+            unicorn[:limit], unicorn[limit:],
+            craft_batch(MiraiModel(rng=3), n=1, seed=4),
+            craft_batch(CustomToolModel(rng=6), n=max(limit // 2, 1), seed=5),
+            craft_batch(NMapModel(rng=7), n=1, seed=6),
+        ]
+        joined = PacketBatch.concat(scans)
+        tool, fraction = fingerprinter.fingerprint_arrays(
+            *fields(joined), np.array([len(scan) for scan in scans])
+        )
+        assert tool.size == fraction.size == len(scans)
+        for i, scan in enumerate(scans):
+            alone, alone_fraction = fingerprinter.fingerprint_arrays(
+                *fields(scan), np.array([len(scan)])
+            )
+            assert tool[i] is alone[0]
+            assert fraction[i].tobytes() == alone_fraction[0].tobytes()
+        assert tool[[1, 2, 5, 6]].tolist() == [Tool.NMAP] * 2 + [Tool.UNICORN] * 2
+        assert fraction[[1, 2, 5, 6]].tolist() == [1.0] * 4
+
+    def test_counts_must_cover_the_packets_within_the_limit(self):
+        fingerprinter = ToolFingerprinter(sample_limit=16)
+        batch = craft_batch(MasscanModel(rng=0), n=32)
+        with pytest.raises(ValueError, match="lie in"):
+            fingerprinter.fingerprint_arrays(*fields(batch), np.array([32]))
+        with pytest.raises(ValueError, match="add up"):
+            fingerprinter.fingerprint_arrays(*fields(batch), np.array([16, 15]))
+
+
 class TestRelationPrimitives:
     def test_zmap_match(self):
         assert zmap_match(np.array([54321], dtype=np.uint16))[0]

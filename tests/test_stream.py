@@ -650,6 +650,37 @@ class TestCheckpointResume:
         assert again.stats.resumed_packets == 0
         assert_tables_equal(again.scans, scans2020)
 
+    @pytest.mark.parametrize("position", [10**9, -1, 5])
+    def test_checkpoint_position_the_run_cannot_resume_from_is_a_miss(
+        self, tmp_path, batch2020, scans2020, position
+    ):
+        """A well-formed entry under the run's key whose raw-stream position
+        the capture cannot seek to (past its end, negative) or that lies
+        behind the packets the snapshot consumed is a miss: the run
+        restarts from packet 0 and its next save replaces the entry,
+        instead of every rerun failing on the seek or on the stream
+        order."""
+        path = self._trace(tmp_path, batch2020)
+        config = StreamConfig(batch_size=16_384,
+                              checkpoint_dir=tmp_path / "ckpt")
+        run = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        ).shards[0]
+        store = CheckpointStore(config.checkpoint_dir)
+        arrays = store.load(run.checkpoint_key, dict)
+        assert arrays["shard_stream_pos"].tolist() == [len(batch2020)]
+        arrays["shard_stream_pos"] = np.array([position], dtype=np.int64)
+        store.save(run.checkpoint_key, arrays)
+
+        again = StreamEngine(config=config).run(
+            TraceStreamSource(path, batch_size=16_384)
+        )
+        assert not again.resumed
+        assert again.stats.resumed_packets == 0
+        assert_tables_equal(again.scans, scans2020)
+        saved = store.load(run.checkpoint_key, dict)
+        assert saved["shard_stream_pos"].tolist() == [len(batch2020)]
+
     def test_v1_capture_keeps_its_identity(self):
         """Checkpoints written over an ``RTRACE01`` capture before v2 still
         resume: its identity is the one the v1 reader computed."""
