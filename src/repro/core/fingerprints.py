@@ -186,7 +186,9 @@ class ToolFingerprinter:
         traffic-share analyses where packets, not scans, are weighted.
         """
         n = len(batch)
-        out = np.full(n, Tool.UNKNOWN, dtype=object)
+        # ``np.full`` would store ``Tool.UNKNOWN`` as a plain ``str``.
+        out = np.empty(n, dtype=object)
+        out.fill(Tool.UNKNOWN)
         if n == 0:
             return out
         zm = zmap_match(batch.ip_id)

@@ -1,10 +1,14 @@
-"""Shared AST helpers for the rule modules and the project pass.
+"""Shared AST helpers and :class:`ModuleScope`, a module's one traversal.
 
 The central primitive is *import-aware name resolution*: ``np.random.rand``
 resolves to ``numpy.random.rand`` given ``import numpy as np``, so rules
 match on canonical dotted module paths instead of guessing from surface
-spellings.  :class:`ModuleScope` extends it to one module's own
-functions, which is the reach of the typeflow and lock analyses.
+spellings.  One walk per module builds the :class:`ModuleScope` index —
+defs, imports, calls, and each def's ``return`` and ``=`` statements —
+which the file rules, the summariser and the typeflow and lock analyses
+read instead of walking the tree again.  An import binds in the def that
+holds it: module-level code resolves through the module-level imports,
+code in a def through its own imports layered over its enclosing scope's.
 
 This lives outside the :mod:`repro.lint.rules` package so that
 :mod:`repro.lint.project` can use it without triggering rule registration
@@ -14,16 +18,25 @@ This lives outside the :mod:`repro.lint.rules` package so that
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+ImportNode = Union[ast.Import, ast.ImportFrom]
+
+#: Node types with nothing below them that a walk looks for.
+LEAVES = frozenset({ast.Name, ast.Constant}.union(*(
+    kind.__subclasses__() for kind in
+    (ast.expr_context, ast.operator, ast.unaryop, ast.cmpop, ast.boolop)
+)))
 
 
-def import_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Map local names bound by imports to canonical dotted module paths."""
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+def bind_imports(imports: Iterable[ImportNode],
+                 base: Dict[str, str]) -> Dict[str, str]:
+    """``base`` plus the local names ``imports`` bind to canonical dotted
+    module paths; a later binding of a name wins."""
+    aliases = dict(base)
+    for node in imports:
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.asname:
@@ -32,13 +45,30 @@ def import_aliases(tree: ast.AST) -> Dict[str, str]:
                     # ``import a.b`` binds the top-level name ``a``.
                     top = item.name.split(".")[0]
                     aliases[top] = top
-        elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                continue  # relative imports stay project-local
+        elif node.level == 0 and node.module is not None:
+            # Absolute only: relative imports stay project-local.
             for item in node.names:
                 local = item.asname or item.name
                 aliases[local] = f"{node.module}.{item.name}"
     return aliases
+
+
+def module_bindings(
+    tree: ast.Module,
+) -> Iterator[Tuple[ast.stmt, str, ast.expr]]:
+    """``(statement, name, value)`` for each name that a module-level
+    ``=`` or annotated ``=`` binds."""
+    for node in tree.body:
+        targets: List[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield node, target.id, value
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -76,6 +106,16 @@ def annotation_text(node: Optional[ast.AST]) -> str:
         return ""
 
 
+def snippet(node: ast.AST, cap: int, ellipsis: str) -> str:
+    """Source text of an expression for a finding's message: at most
+    ``cap`` characters, the last of them ``ellipsis`` when it is cut."""
+    try:
+        text = ast.unparse(node)
+    except Exception:  # pragma: no cover - malformed expression
+        return "<expr>"
+    return text if len(text) <= cap else text[:cap - len(ellipsis)] + ellipsis
+
+
 def module_name_for(rel_path: str) -> str:
     """Dotted module name for a posix relative path.
 
@@ -92,14 +132,23 @@ def module_name_for(rel_path: str) -> str:
     return ".".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ModuleFunction:
-    """One ``def`` of a module, named as calls into it resolve."""
+    """One ``def`` of a module, named as calls into it resolve, with what
+    lies under it, nested defs and lambdas included."""
 
     qualname: str  #: ``func``, ``Class.method`` or ``outer.inner``
     fqname: str  #: ``<module>.<qualname>``
     klass: Optional[str]  #: enclosing class of a method, else None
-    node: FunctionNode
+    node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
+    parent: Optional[ModuleFunction]  #: the def this one is nested in
+    #: the imports visible in the def: its parent's, then its own
+    aliases: Dict[str, str] = field(default_factory=dict)
+    calls: List[ast.Call] = field(default_factory=list)
+    #: ``(depth, node)`` of every ``return`` and ``=`` statement, in
+    #: ``ast.walk`` order (shallowest first), which picks whose line a
+    #: summary keeps when several share a key
+    stores: List[Tuple[int, ast.stmt]] = field(default_factory=list)
 
     @property
     def params(self) -> List[str]:
@@ -108,7 +157,7 @@ class ModuleFunction:
 
 
 class ModuleScope:
-    """One module's functions and the calls that resolve to them.
+    """One module's index: its defs, imports and calls, and call resolution.
 
     A bare name resolves to a top-level ``def`` or class of the module, or
     through the imports; ``self.m()``/``cls.m()`` inside a method resolves
@@ -116,10 +165,8 @@ class ModuleScope:
     dotted import path, which names no function of this scope.
     """
 
-    def __init__(self, tree: ast.Module, rel_path: str,
-                 aliases: Dict[str, str]):
+    def __init__(self, tree: ast.Module, rel_path: str):
         self.module = module_name_for(rel_path)
-        self.aliases = aliases
         #: names of module-level defs (for bare-name call resolution)
         self.toplevel = {
             node.name
@@ -127,43 +174,76 @@ class ModuleScope:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
         }
+        #: every def, each after the def it is nested in
         self.functions: List[ModuleFunction] = []
-        self._collect(tree, None, [])
+        #: every call and import, with the innermost def holding it (None
+        #: at module level); no entry refers back to the scope, so a file's
+        #: tree is freed as soon as its lint is done
+        self.calls: List[Tuple[ast.Call, Optional[ModuleFunction]]] = []
+        self.imports: List[Tuple[ImportNode, Optional[ModuleFunction]]] = []
+        self._collect(tree, None, [], 1)
+        own: Dict[Optional[ModuleFunction], List[ImportNode]] = {}
+        for node, holder in self.imports:
+            own.setdefault(holder, []).append(node)
+        #: the imports visible at module level
+        self.aliases = bind_imports(own.get(None, []), {})
+        for fn in self.functions:
+            base = self.aliases_in(fn.parent)
+            fn.aliases = bind_imports(own[fn], base) if fn in own else base
+            fn.stores.sort(key=itemgetter(0))
 
     def _collect(self, node: ast.AST, klass: Optional[str],
-                 stack: List[str]) -> None:
+                 stack: List[ModuleFunction], depth: int) -> None:
+        holder = stack[-1] if stack else None
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                self._collect(child, child.name, stack)
+            if type(child) in LEAVES:
+                continue
+            if isinstance(child, ast.Call):
+                self.calls.append((child, holder))
+                for fn in stack:
+                    fn.calls.append(child)
+            elif isinstance(child, (ast.Return, ast.Assign)):
+                for fn in stack:
+                    fn.stores.append((depth, child))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                self.imports.append((child, holder))
+                continue
+            elif isinstance(child, ast.ClassDef):
+                self._collect(child, child.name, stack, depth + 1)
+                continue
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stack:
-                    qual = f"{stack[-1]}.{child.name}"
+                if holder is not None:
+                    qual = f"{holder.qualname}.{child.name}"
                 elif klass:
                     qual = f"{klass}.{child.name}"
                 else:
                     qual = child.name
-                self.functions.append(ModuleFunction(
+                fn = ModuleFunction(
                     qualname=qual, fqname=f"{self.module}.{qual}",
-                    klass=klass, node=child,
-                ))
-                self._collect(child, None, [*stack, qual])
-            else:
-                self._collect(child, klass, stack)
+                    klass=klass, node=child, parent=holder,
+                )
+                self.functions.append(fn)
+                self._collect(child, None, [*stack, fn], depth + 1)
+                continue
+            self._collect(child, klass, stack, depth + 1)
 
-    def resolve_call(self, node: ast.Call,
-                     klass: Optional[str]) -> Optional[str]:
-        """Dotted callee of ``node`` as seen from a def in ``klass``."""
-        func = node.func
+    def aliases_in(self, fn: Optional[ModuleFunction]) -> Dict[str, str]:
+        """The imports visible in ``fn``, or at module level for None."""
+        return self.aliases if fn is None else fn.aliases
+
+    def resolve_call(self, func: ast.expr,
+                     fn: ModuleFunction) -> Optional[str]:
+        """Dotted name of ``func``, a callee named in ``fn``."""
         if isinstance(func, ast.Name):
             if func.id in self.toplevel:
                 return f"{self.module}.{func.id}"
-            return self.aliases.get(func.id)
+            return fn.aliases.get(func.id)
         if isinstance(func, ast.Attribute):
             if (
                 isinstance(func.value, ast.Name)
                 and func.value.id in ("self", "cls")
-                and klass is not None
+                and fn.klass is not None
             ):
-                return f"{self.module}.{klass}.{func.attr}"
-            return resolve(func, self.aliases)
+                return f"{self.module}.{fn.klass}.{func.attr}"
+            return resolve(func, fn.aliases)
         return None

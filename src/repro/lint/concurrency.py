@@ -9,10 +9,11 @@ makes that bug class machine-checked, one module at a time:
 
 * :class:`ConcurrencyExtractor` walks each function once and emits an
   event list — lock acquisitions (``with self._lock:`` scopes, with the
-  locks already held at that point), calls (flagged *deferred* when they
-  sit inside a lambda or nested ``def``, i.e. run later on an arbitrary
-  thread) and callback registrations (``add_done_callback``,
-  ``signal.signal``).  Lock objects themselves (``self._lock =
+  locks already held at that point), calls and callback registrations
+  (``add_done_callback``, ``signal.signal``).  The body of a lambda or
+  nested ``def`` runs later, on an arbitrary thread, without the
+  function's locks, so it adds no events; a nested ``def`` is extracted
+  as a function of its own.  Lock objects themselves (``self._lock =
   threading.Lock()``, module-level ``LOCK = threading.Lock()``) are
   indexed by :func:`analyze_module`.
 
@@ -20,7 +21,7 @@ makes that bug class machine-checked, one module at a time:
   to a fixpoint, in sorted function order:
 
   - **entry locksets** — the locks that *may* be held on entry (union
-    over non-deferred call sites), with a witness caller chain;
+    over call sites), with a witness caller chain;
   - **acquisition closure** — locks a call may take, transitively.
 
 A call into another module is opaque: no lock flows into its body, and
@@ -44,7 +45,13 @@ from typing import (
     Tuple,
 )
 
-from repro.lint._ast import ModuleScope, resolve
+from repro.lint._ast import (
+    LEAVES,
+    ModuleFunction,
+    ModuleScope,
+    module_bindings,
+    resolve,
+)
 
 #: One extracted event (see :class:`ConcurrencyExtractor`).
 Event = Dict[str, Any]
@@ -59,8 +66,6 @@ LOCK_CONSTRUCTORS: Dict[str, str] = {
     "threading.Semaphore": "lock",
     "threading.BoundedSemaphore": "lock",
 }
-
-_TEXT_CAP = 80
 
 
 def lock_kind(value: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
@@ -80,14 +85,6 @@ def short_name(canon: str) -> str:
     return ".".join(parts[-2:]) if len(parts) > 2 else canon
 
 
-def _text(node: ast.AST) -> str:
-    try:
-        rendered = ast.unparse(node)
-    except Exception:  # pragma: no cover - malformed expression
-        return "<expr>"
-    return rendered if len(rendered) <= _TEXT_CAP else rendered[:_TEXT_CAP - 1] + "…"
-
-
 # ---------------------------------------------------------------------------
 # per-function event extraction
 # ---------------------------------------------------------------------------
@@ -97,32 +94,29 @@ class ConcurrencyExtractor:
     """Single recursive walk of one function body, tracking held locks.
 
     :meth:`extract` returns an ordered list of event dicts.  Common
-    fields: ``k`` (kind), ``lineno``/``col``, ``held`` (locks live at the
-    event — local ``with`` scopes only; entry locks are solved by
-    :class:`ConcurrencyAnalysis`) and ``deferred`` (the event sits inside
-    a lambda/nested ``def`` and runs later, on an arbitrary thread, with
-    no caller locks).  Per kind:
+    fields: ``k`` (kind), ``node`` (the AST node: the event's position,
+    and the text a finding quotes, rendered only then) and ``held``
+    (locks live at the event — local ``with`` scopes only; entry locks
+    are solved by :class:`ConcurrencyAnalysis`).  Per kind:
 
     - ``acquire``: ``lock`` (canonical id);
     - ``call``: ``callee`` (resolved dotted name or None), ``leaf``
       (attribute/bare name), ``recv`` (receiver shape: self/name/attr/
-      call/const/bare/other), ``text``;
+      call/const/bare/other);
     - ``register``: ``target`` (resolved callback or None), ``via``
-      (add_done_callback/signal), ``text``.
+      (add_done_callback/signal).
     """
 
-    def __init__(self, scope: ModuleScope, klass: Optional[str]) -> None:
+    def __init__(self, scope: ModuleScope, fn: ModuleFunction) -> None:
         self._scope = scope
         self._module = scope.module
-        self._klass = klass
-        self._aliases = scope.aliases
+        self._fn = fn
+        self._klass = fn.klass
         self._events: List[Event] = []
         self._held: List[str] = []
-        self._deferred = 0
 
-    def extract(self, func: ast.AST) -> List[Event]:
-        body = getattr(func, "body", [])
-        for stmt in body:
+    def extract(self) -> List[Event]:
+        for stmt in self._fn.node.body:
             self._visit(stmt)
         return self._events
 
@@ -130,26 +124,12 @@ class ConcurrencyExtractor:
 
     def _event(self, node: ast.AST, kind: str, **fields: Any) -> None:
         record: Dict[str, Any] = {
-            "k": kind,
-            "lineno": getattr(node, "lineno", 1),
-            "col": getattr(node, "col_offset", 0),
-            "held": list(self._held),
-            "deferred": bool(self._deferred),
+            "k": kind, "node": node, "held": list(self._held),
         }
         record.update(fields)
         self._events.append(record)
 
     # -- shapes -------------------------------------------------------------
-
-    def _self_attr(self, node: ast.AST) -> Optional[str]:
-        """Attribute name when ``node`` is ``self.X``."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        return None
 
     def _lock_ref(self, expr: ast.AST) -> Optional[str]:
         """Canonical lock id when ``expr`` names a lockable object.
@@ -173,11 +153,9 @@ class ConcurrencyExtractor:
     # -- the walk -----------------------------------------------------------
 
     def _visit(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._visit_deferred(node.body)
-            return
-        if isinstance(node, ast.Lambda):
-            self._visit_deferred([node.body])
+        if type(node) in LEAVES or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
             return
         if isinstance(node, (ast.With, ast.AsyncWith)):
             self._visit_with(node)
@@ -187,17 +165,6 @@ class ConcurrencyExtractor:
             return
         for child in ast.iter_child_nodes(node):
             self._visit(child)
-
-    def _visit_deferred(self, body: Sequence[ast.AST]) -> None:
-        """Lambda/nested-def bodies run later: no caller locks are held,
-        and their calls must not contribute to entry-lockset meets."""
-        saved = self._held
-        self._held = []
-        self._deferred += 1
-        for child in body:
-            self._visit(child)
-        self._deferred -= 1
-        self._held = saved
 
     def _visit_with(self, node: ast.AST) -> None:
         items = getattr(node, "items", [])
@@ -218,8 +185,8 @@ class ConcurrencyExtractor:
             del self._held[-pushed:]
 
     def _visit_call(self, node: ast.Call) -> None:
-        resolved = self._scope.resolve_call(node, self._klass)
         func = node.func
+        resolved = self._scope.resolve_call(func, self._fn)
         leaf: Optional[str] = None
         recv: Optional[str] = None
         if isinstance(func, ast.Attribute):
@@ -242,14 +209,13 @@ class ConcurrencyExtractor:
         if leaf == "add_done_callback" and recv is not None and node.args:
             for target in self._callable_targets(node.args[0]) or [None]:
                 self._event(node, "register", via="add_done_callback",
-                            target=target, text=_text(node))
+                            target=target)
         elif resolved == "signal.signal" and len(node.args) >= 2:
             for target in self._callable_targets(node.args[1]) or [None]:
                 self._event(node, "register", via="signal",
-                            target=target, text=_text(node))
+                            target=target)
         elif resolved is not None or leaf is not None:
-            self._event(node, "call", callee=resolved, leaf=leaf, recv=recv,
-                        text=_text(node))
+            self._event(node, "call", callee=resolved, leaf=leaf, recv=recv)
 
         # Recurse into the receiver (calls nested in it run first).
         if isinstance(func, ast.Attribute):
@@ -265,27 +231,19 @@ class ConcurrencyExtractor:
 
     def _callable_targets(self, node: ast.AST) -> List[str]:
         """Resolved callables a callback argument may invoke."""
-        if isinstance(node, ast.Name):
-            if node.id in self._scope.toplevel:
-                return [f"{self._module}.{node.id}"]
-            dotted = self._aliases.get(node.id)
-            return [dotted] if dotted is not None else []
-        if isinstance(node, ast.Attribute):
-            attr = self._self_attr(node)
-            if attr is not None and self._klass is not None:
-                return [f"{self._module}.{self._klass}.{attr}"]
-            dotted = resolve(node, self._aliases)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            dotted = self._scope.resolve_call(node, self._fn)
             return [dotted] if dotted is not None else []
         if isinstance(node, ast.Lambda):
             targets: Set[str] = set()
             for call in ast.walk(node.body):
                 if isinstance(call, ast.Call):
-                    dotted = self._scope.resolve_call(call, self._klass)
+                    dotted = self._scope.resolve_call(call.func, self._fn)
                     if dotted is not None:
                         targets.add(dotted)
             return sorted(targets)
         if isinstance(node, ast.Call):
-            dotted = resolve(node.func, self._aliases)
+            dotted = resolve(node.func, self._fn.aliases)
             if dotted in ("functools.partial",) and node.args:
                 return self._callable_targets(node.args[0])
         return []
@@ -310,7 +268,7 @@ class ConcurrencyAnalysis:
     ) -> None:
         self.functions = functions  #: fqname -> events
         self.locks = locks  #: canonical lock id -> 'lock' or 'rlock'
-        #: callee -> [(caller fq, call event)] over non-deferred edges
+        #: callee -> [(caller fq, call event)]
         self._callers: Dict[str, List[Tuple[str, Event]]] = {}
         self.entry_may: Dict[str, Set[str]] = {}
         self._witness: Dict[Tuple[str, str], str] = {}
@@ -328,7 +286,7 @@ class ConcurrencyAnalysis:
     def _build_edges(self) -> None:
         for name in sorted(self.functions):
             for event in self.functions[name]:
-                if event["k"] != "call" or event["deferred"]:
+                if event["k"] != "call":
                     continue
                 callee = event.get("callee")
                 if callee is None or callee not in self.functions:
@@ -360,9 +318,7 @@ class ConcurrencyAnalysis:
             self._acquires[name] = {
                 event["lock"]
                 for event in self.functions[name]
-                if event["k"] == "acquire"
-                and not event["deferred"]
-                and event["lock"] in self.locks
+                if event["k"] == "acquire" and event["lock"] in self.locks
             }
         changed = True
         while changed:
@@ -370,7 +326,7 @@ class ConcurrencyAnalysis:
             for name in sorted(self.functions):
                 mine = self._acquires[name]
                 for event in self.functions[name]:
-                    if event["k"] != "call" or event["deferred"]:
+                    if event["k"] != "call":
                         continue
                     callee = event.get("callee")
                     if callee is None or callee not in self._acquires:
@@ -390,8 +346,6 @@ class ConcurrencyAnalysis:
 
     def held_may(self, fqname: str, event: Event) -> Set[str]:
         """Locks possibly held at an event (entry ∪ local scopes)."""
-        if event["deferred"]:
-            return set()
         return self.entry_may.get(fqname, set()) | self.held_locks(event)
 
     def acquires(self, fqname: str) -> Set[str]:
@@ -415,27 +369,18 @@ def analyze_module(scope: ModuleScope, tree: ast.Module) -> ConcurrencyAnalysis:
     """Index the module's locks, extract every function and solve."""
     locks: Dict[str, str] = {}
 
-    def define(canon: str, value: ast.AST) -> None:
-        kind = lock_kind(value, scope.aliases)
+    def define(canon: str, value: ast.AST, aliases: Dict[str, str]) -> None:
+        kind = lock_kind(value, aliases)
         if kind is not None:
             locks.setdefault(canon, kind)
 
-    for node in tree.body:
-        targets: List[ast.expr]
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                define(f"{scope.module}.{target.id}", value)
+    for _, name, value in module_bindings(tree):
+        define(f"{scope.module}.{name}", value, scope.aliases)
     functions: Dict[str, List[Event]] = {}
     for fn in scope.functions:
         klass = fn.klass
         if klass is not None:
-            for inner in ast.walk(fn.node):
+            for _, inner in fn.stores:
                 if not isinstance(inner, ast.Assign):
                     continue
                 for target in inner.targets:
@@ -445,10 +390,8 @@ def analyze_module(scope: ModuleScope, tree: ast.Module) -> ConcurrencyAnalysis:
                         and target.value.id == "self"
                     ):
                         define(f"{scope.module}.{klass}.{target.attr}",
-                               inner.value)
-        functions[fn.fqname] = ConcurrencyExtractor(scope, klass).extract(
-            fn.node
-        )
+                               inner.value, fn.aliases)
+        functions[fn.fqname] = ConcurrencyExtractor(scope, fn).extract()
     analysis = ConcurrencyAnalysis(functions, locks)
     analysis.solve()
     return analysis

@@ -1,10 +1,11 @@
-"""Rule engine: registry, file contexts, suppressions, tree walking.
+"""Rule engine: registry, file contexts, suppressions.
 
 The engine is deliberately small: a rule is an object with a ``code`` and a
 ``check(ctx)`` generator; the engine parses each file once, hands every rule
 the same :class:`FileContext`, filters findings through inline suppression
-comments, and returns sorted diagnostics.  Path/config resolution lives in
-:mod:`repro.lint.config`.
+comments, and returns sorted diagnostics.  No rule walks the module:
+each reads its index, :attr:`FileContext.scope`, which one walk builds
+per file.  Path/config resolution lives in :mod:`repro.lint.config`.
 
 Two rule families share the registry:
 
@@ -53,7 +54,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.lint._ast import ModuleScope, import_aliases
+from repro.lint._ast import ModuleScope
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 
@@ -86,14 +87,10 @@ class FileContext:
             self.lines = self.source.splitlines()
 
     @cached_property
-    def aliases(self) -> Dict[str, str]:
-        """Import aliases of the module, computed once for every rule."""
-        return import_aliases(self.tree)
-
-    @cached_property
     def scope(self) -> ModuleScope:
-        """The module's functions and call resolution."""
-        return ModuleScope(self.tree, self.rel_path, self.aliases)
+        """The module's index (defs, imports, calls) and call resolution,
+        built by one walk for every rule and analysis."""
+        return ModuleScope(self.tree, self.rel_path)
 
     def derived(self, build: Callable[["FileContext"], T]) -> T:
         """``build(self)``, computed once per file: an analysis that
@@ -102,9 +99,6 @@ class FileContext:
             self._derived[build] = build(self)
         result: T = self._derived[build]
         return result
-
-    def walk(self) -> Iterator[ast.AST]:
-        return ast.walk(self.tree)
 
 
 class Rule:

@@ -4,7 +4,9 @@
 — the syntactic rules (RPR001, RPR002) and the overflow and lock rules
 (RPR011, RPR017, RPR018), whose analyses are solved over that module's
 functions — and reduces it to a :class:`ModuleSummary`: ALL_CAPS
-constants, persisted-dict field sets and the suppression table.
+constants, persisted-dict field sets and the suppression table.  The
+rules, the analyses and :func:`summarize` read one index per module,
+built by one walk (:class:`~repro.lint._ast.ModuleScope`).
 :class:`ProjectContext` gathers the summaries for the one whole-program
 rule, RPR008, which compares a persisted site in one module with a
 version constant in another.
@@ -25,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Sequence, Tuple
 
+from repro.lint._ast import module_bindings
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import (
@@ -100,34 +103,23 @@ def summarize(
     for line in sorted(suppressions):
         codes = suppressions[line]
         out.suppressions.append([line, None if codes is None else sorted(codes)])
-    for node in ctx.tree.body:
-        targets: List[ast.expr]
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            name = target.id
-            if name.isupper():
-                if isinstance(value, ast.Constant) and isinstance(
-                    value.value, (int, str, bytes)
-                ):
-                    out.constants[name] = repr(value.value)
-                fields = _pair_sequence_fields(value)
-                if fields is not None:
-                    out.schema_fields[name] = {
-                        "fields": fields, "lineno": node.lineno
-                    }
-            if isinstance(value, ast.Dict):
-                keys = _const_str_keys(value)
-                if keys is not None:
-                    out.schema_fields.setdefault(
-                        name, {"fields": keys, "lineno": node.lineno}
-                    )
+    for node, name, value in module_bindings(ctx.tree):
+        if name.isupper():
+            if isinstance(value, ast.Constant) and isinstance(
+                value.value, (int, str, bytes)
+            ):
+                out.constants[name] = repr(value.value)
+            fields = _pair_sequence_fields(value)
+            if fields is not None:
+                out.schema_fields[name] = {
+                    "fields": fields, "lineno": node.lineno
+                }
+        if isinstance(value, ast.Dict):
+            keys = _const_str_keys(value)
+            if keys is not None:
+                out.schema_fields.setdefault(
+                    name, {"fields": keys, "lineno": node.lineno}
+                )
 
     # Dict literals returned / bound in a function are persisted-schema
     # candidates, keyed by qualname[.var].
@@ -138,7 +130,7 @@ def summarize(
         entry["fields"] = sorted(set(entry["fields"]) | set(keys))
 
     for fn in ctx.scope.functions:
-        for inner in ast.walk(fn.node):
+        for _, inner in fn.stores:
             if isinstance(inner, ast.Return) and isinstance(inner.value, ast.Dict):
                 keys = _const_str_keys(inner.value)
                 if keys is not None:

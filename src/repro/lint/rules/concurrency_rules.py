@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
+from repro.lint._ast import snippet
 from repro.lint.concurrency import (
     ConcurrencyAnalysis,
     analyze_module,
@@ -131,14 +132,15 @@ class BlockingCallUnderLockRule(_ConcurrencyRule):
                         + " <- ".join(short_name(f) for f in chain)
                         + ")"
                     )
+            node = event["node"]
             yield self.diag_at(
-                ctx.rel_path, event["lineno"], event["col"],
-                    f"'{event['text']}' matches blocking-call pattern "
-                    f"'{pattern}' while {'; '.join(parts)}; every other "
-                    f"thread stalls behind this call — release the lock "
-                    f"around it, or suppress stating the invariant that "
-                    f"makes it non-blocking",
-                )
+                ctx.rel_path, node.lineno, node.col_offset,
+                f"'{snippet(node, 80, '…')}' matches blocking-call pattern "
+                f"'{pattern}' while {'; '.join(parts)}; every other "
+                f"thread stalls behind this call — release the lock "
+                f"around it, or suppress stating the invariant that "
+                f"makes it non-blocking",
+            )
 
 
 @REGISTRY.register
@@ -195,8 +197,9 @@ class CallbackReentrancyRule(_ConcurrencyRule):
                         "a settled Future runs done callbacks "
                         "synchronously on the registering thread"
                     )
+                node = event["node"]
                 yield self.diag_at(
-                    ctx.rel_path, event["lineno"], event["col"],
+                    ctx.rel_path, node.lineno, node.col_offset,
                     f"callback '{short_name(target)}' re-acquires "
                     f"non-reentrant lock {short_name(lock)}, which may "
                     f"already be held at this registration site; "

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Dict, Iterator
 
 from repro.lint._ast import resolve
 from repro.lint.diagnostics import Diagnostic
@@ -26,6 +26,12 @@ _CLOCK_CALLS = {
 #: Paths (suffix-matched against the posix relative path) where the
 #: determinism and RNG-plumbing rules do not apply: the RNG plumbing itself.
 RNG_EXEMPT = ("_util/rng.py",)
+
+#: The finding on an import of the stdlib ``random`` module.
+_STDLIB_RANDOM = (
+    "stdlib `random` uses hidden process-global state; "
+    "draw from a generator built by repro._util.rng"
+)
 
 #: numpy.random module-level names that are *not* global legacy state.
 _NUMPY_RANDOM_OK = {
@@ -77,27 +83,19 @@ class DeterminismRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.rel_path.endswith(RNG_EXEMPT):
             return
-        aliases = ctx.aliases
-        for node in ctx.walk():
+        scope = ctx.scope
+        for node, _ in scope.imports:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     if item.name == "random" or item.name.startswith("random."):
-                        yield self.diag(
-                            ctx, node,
-                            "stdlib `random` uses hidden process-global state; "
-                            "draw from a generator built by repro._util.rng",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module == "random":
-                    yield self.diag(
-                        ctx, node,
-                        "stdlib `random` uses hidden process-global state; "
-                        "draw from a generator built by repro._util.rng",
-                    )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node, aliases)
+                        yield self.diag(ctx, node, _STDLIB_RANDOM)
+            elif node.level == 0 and node.module == "random":
+                yield self.diag(ctx, node, _STDLIB_RANDOM)
+        for call, holder in scope.calls:
+            yield from self._check_call(ctx, call, scope.aliases_in(holder))
 
-    def _check_call(self, ctx, node: ast.Call, aliases) -> Iterator[Diagnostic]:
+    def _check_call(self, ctx: FileContext, node: ast.Call,
+                    aliases: Dict[str, str]) -> Iterator[Diagnostic]:
         target = resolve(node.func, aliases)
         if target is None:
             return

@@ -4,9 +4,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, List, Set, Tuple
 
-from repro.lint._ast import annotation_text, resolve
+from repro.lint._ast import ModuleFunction, annotation_text, resolve
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
 from repro.lint.rules.determinism import RNG_EXEMPT
@@ -63,28 +63,28 @@ class RngPlumbingRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         if ctx.rel_path.endswith(RNG_EXEMPT):
             return
-        aliases = ctx.aliases
-        for node in ctx.walk():
-            if isinstance(node, ast.Call):
-                target = resolve(node.func, aliases)
-                if target in _DIRECT_CONSTRUCTORS:
-                    leaf = target.rsplit(".", 1)[1]
-                    yield self.diag(
-                        ctx, node,
-                        f"direct numpy.random.{leaf}(...) construction; derive "
-                        "streams via repro._util.rng (as_generator/derive_rng/"
-                        "spawn_rngs) so draws stay stable as consumers are added",
-                    )
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, node)
+        scope = ctx.scope
+        for node, holder in scope.calls:
+            target = resolve(node.func, scope.aliases_in(holder))
+            if target in _DIRECT_CONSTRUCTORS:
+                leaf = target.rsplit(".", 1)[1]
+                yield self.diag(
+                    ctx, node,
+                    f"direct numpy.random.{leaf}(...) construction; derive "
+                    "streams via repro._util.rng (as_generator/derive_rng/"
+                    "spawn_rngs) so draws stay stable as consumers are added",
+                )
+        for fn in scope.functions:
+            yield from self._check_function(ctx, fn)
 
-    def _check_function(self, ctx, func: ast.AST) -> Iterator[Diagnostic]:
-        state_params = self._randomstate_params(func)
+    def _check_function(self, ctx: FileContext,
+                        fn: ModuleFunction) -> Iterator[Diagnostic]:
+        state_params = self._randomstate_params(fn.node.args)
         if not state_params:
             return
-        normalised = self._normalised_names(func)
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        normalised = self._normalised_names(fn.stores)
+        for node in fn.calls:
+            if not isinstance(node.func, ast.Attribute):
                 continue
             base = node.func.value
             if (
@@ -101,20 +101,19 @@ class RngPlumbingRule(Rule):
                 )
 
     @staticmethod
-    def _randomstate_params(func) -> Set[str]:
+    def _randomstate_params(args: ast.arguments) -> Set[str]:
         params = set()
-        args = func.args
         for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
             if "RandomState" in annotation_text(arg.annotation):
                 params.add(arg.arg)
         return params
 
     @staticmethod
-    def _normalised_names(func) -> Set[str]:
+    def _normalised_names(stores: List[Tuple[int, ast.stmt]]) -> Set[str]:
         """Parameter names that are rebound via a normaliser in the body,
         e.g. ``rng = as_generator(rng)``."""
         rebound: Set[str] = set()
-        for node in ast.walk(func):
+        for _, node in stores:
             if not isinstance(node, ast.Assign):
                 continue
             value = node.value

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.lint._ast import snippet
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import REGISTRY, FileContext, Rule
 from repro.lint.typeflow import (
@@ -72,9 +73,10 @@ class OverflowArithmeticRule(Rule):
             if raw <= capacity:
                 continue
             yield self.diag_at(
-                ctx.rel_path, event.lineno, event.col,
+                ctx.rel_path, event.node.lineno, event.node.col_offset,
                 f"'{event.op}' result needs up to {raw} bits but {dtype} "
-                f"holds {capacity}; '{event.text}' can wrap silently — "
+                f"holds {capacity}; '{snippet(event.node, 72, '...')}' "
+                "can wrap silently — "
                 "widen the operands, mask the inputs, or put the statement "
                 "under np.errstate(over=...) to declare intentional "
                 "wraparound",

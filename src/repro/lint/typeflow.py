@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.lint._ast import ModuleFunction, ModuleScope, resolve
 
@@ -255,14 +255,13 @@ def _const_int_value(expr: Expr) -> Optional[int]:
 class TypeEvent:
     """One add/multiply/left-shift site the RPR011 rule may flag.
 
-    ``left`` and ``right`` are the operand expression trees.  ``wrap`` is
-    True inside a ``with np.errstate(...)`` block — arithmetic there has
-    declared its wraparound intent.
+    ``node`` is the operation, rendered only for a finding; ``left`` and
+    ``right`` are the operand expression trees.  ``wrap`` is True inside a
+    ``with np.errstate(...)`` block — arithmetic there has declared its
+    wraparound intent.
     """
 
-    lineno: int
-    col: int
-    text: str
+    node: Union[ast.BinOp, ast.AugAssign]
     op: str
     left: Expr
     right: Expr
@@ -282,14 +281,6 @@ class FunctionTypeflow:
 # ---------------------------------------------------------------------------
 
 
-def _short_text(node: ast.AST) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - malformed expression
-        return "<expr>"
-    return text if len(text) <= 72 else text[:69] + "..."
-
-
 class TypeflowExtractor:
     """Builds a :class:`FunctionTypeflow` for one function body.
 
@@ -300,18 +291,17 @@ class TypeflowExtractor:
 
     def __init__(self, scope: ModuleScope, fn: ModuleFunction):
         self.param_bits = {name: _name_bits(name) for name in fn.params}
-        self.aliases = scope.aliases
+        self.aliases = fn.aliases
         self.scope = scope
-        self.klass = fn.klass
+        self.fn = fn
         self.env: Dict[str, Expr] = {}
         self.out = FunctionTypeflow()
         self._wrap_depth = 0
 
     # -- public entry --------------------------------------------------------
 
-    def extract(self, func: ast.AST) -> FunctionTypeflow:
-        body = getattr(func, "body", [])
-        self._block(body)
+    def extract(self) -> FunctionTypeflow:
+        self._block(self.fn.node.body)
         return self.out
 
     # -- statements ----------------------------------------------------------
@@ -336,7 +326,6 @@ class TypeflowExtractor:
         elif isinstance(stmt, ast.Expr):
             self._expr(stmt.value)
         elif isinstance(stmt, ast.For):
-            self._expr(stmt.iter)
             # Iterating an array yields elements of the same scalar type.
             self._bind(stmt.target, self._expr(stmt.iter))
             self._block(stmt.body)
@@ -491,7 +480,7 @@ class TypeflowExtractor:
         self._record_binop(node, op, left, right)
         return ["bin", op, left, right]
 
-    def _record_binop(self, node: ast.AST, op: str,
+    def _record_binop(self, node: Union[ast.BinOp, ast.AugAssign], op: str,
                       left: Expr, right: Expr) -> None:
         if op not in OVERFLOW_OPS:
             return
@@ -500,10 +489,7 @@ class TypeflowExtractor:
         if len(self.out.events) >= _MAX_EVENTS:
             return
         self.out.events.append(TypeEvent(
-            lineno=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            text=_short_text(node),
-            op=op, left=left, right=right,
+            node=node, op=op, left=left, right=right,
             wrap=self._wrap_depth > 0,
         ))
 
@@ -572,7 +558,7 @@ class TypeflowExtractor:
             self._expr(arg, depth + 1)
         for kw in node.keywords:
             self._expr(kw.value, depth + 1)
-        callee = self.scope.resolve_call(node, self.klass)
+        callee = self.scope.resolve_call(func, self.fn)
         return _UNKNOWN_EXPR if callee is None else ["call", callee]
 
     def _dtype_arg(self, node: ast.Call, index: int) -> Optional[str]:
@@ -722,7 +708,7 @@ def raw_bits(op: str, left: AbstractValue, right: AbstractValue,
 def analyze_module(scope: ModuleScope) -> TypeflowAnalysis:
     """Extract every function of one module and solve the fixpoint."""
     analysis = TypeflowAnalysis({
-        fn.fqname: TypeflowExtractor(scope, fn).extract(fn.node)
+        fn.fqname: TypeflowExtractor(scope, fn).extract()
         for fn in scope.functions
     })
     analysis.solve()

@@ -152,12 +152,21 @@ def _run_one_shard(
                 # source cannot skip to, or one behind the packets the
                 # snapshot has consumed, must fail here, as a miss.
                 end = source.total_packets
-                if position < max(restored.packets_consumed, 0) or (
+                consumed = restored.packets_consumed
+                if position < max(consumed, 0) or (
                     end is not None and position > end
                 ):
                     raise ValueError(
                         f"checkpoint position {position} lies outside "
-                        f"[{restored.packets_consumed}, {end}]"
+                        f"[{consumed}, {end}]"
+                    )
+                # A serial snapshot counts every packet read, so a position
+                # ahead of it would skip packets; a shard's counts only its
+                # own share, so the range above is all that can be checked.
+                if n_shards == 1 and position != consumed:
+                    raise ValueError(
+                        f"serial checkpoint position {position} is not the "
+                        f"{consumed} packets its snapshot consumed"
                     )
                 restored_suite = None
                 if analyses is not None:

@@ -217,8 +217,11 @@ class TestFingerprinterConfig:
         a = craft_batch(MasscanModel(rng=1), n=50)
         b = craft_batch(MiraiModel(rng=2), n=50, seed=4)
         c = craft_batch(ZMapModel(rng=3), n=50, seed=8)
-        batch = PacketBatch.concat([a, b, c])
+        d = craft_batch(CustomToolModel(rng=4), n=50, seed=12)
+        batch = PacketBatch.concat([a, b, c, d])
         tools = ToolFingerprinter().per_packet_tool(batch)
+        assert all(isinstance(tool, Tool) for tool in tools)
         assert (tools[:50] == Tool.MASSCAN).mean() > 0.95
         assert (tools[50:100] == Tool.MIRAI).mean() > 0.95
-        assert (tools[100:] == Tool.ZMAP).mean() > 0.95
+        assert (tools[100:150] == Tool.ZMAP).mean() > 0.95
+        assert (tools[150:] == Tool.UNKNOWN).mean() > 0.95

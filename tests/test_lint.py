@@ -92,6 +92,22 @@ class TestDeterminismRule:
         """
         assert "RPR001" not in codes(src)
 
+    @pytest.mark.parametrize("local_first", [True, False])
+    def test_function_local_import_stays_in_its_def(self, local_first):
+        # ``np`` names pandas inside ``helper`` only: the module-level
+        # call still resolves to numpy, and the call in ``helper`` to
+        # pandas, wherever the def sits relative to the module import.
+        helper = textwrap.dedent("""\
+            def helper():
+                import pandas as np
+                np.random.seed(1)
+            """)
+        module = "import numpy as np\n"
+        head = helper + module if local_first else module + helper
+        diags = run(head + "np.random.seed(0)\n")
+        assert [(d.code, d.line) for d in diags] == [("RPR001", 5)]
+        assert "numpy.random.seed()" in diags[0].message
+
     def test_rng_module_is_exempt(self):
         src = """\
         import numpy as np

@@ -162,6 +162,28 @@ class TestBlockingCallUnderLock:
             "<- JobQueue._on_done)"
         ) in diags[0].message
 
+    def test_long_call_is_quoted_cut_to_80_characters(self, tmp_path):
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/waiter.py": """\
+                import threading
+
+                class Waiter:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+
+                    def drain(self, future):
+                        with self._lock:
+                            return future.result(timeout=self.configured_timeout_for_draining_the_pending_future_seconds)
+            """,
+        }
+        diags, _, _ = run_project(tmp_path, files)
+        assert codes(diags) == ["RPR017"]
+        assert diags[0].message.startswith(
+            "'future.result(timeout=self.configured_timeout_for_draining_"
+            "the_pending_future_s…' matches blocking-call pattern '*.result'"
+        )
+
     def test_suppression_with_invariant_silences(self, tmp_path):
         files = dict(RPR017_FILES)
         files["pkg/cancelq.py"] = files["pkg/cancelq.py"].replace(

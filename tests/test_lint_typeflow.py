@@ -203,6 +203,23 @@ REBOUND_PARAM = one_module("""\
 """)
 
 
+#: A flagged operation too long to quote whole: the message cuts it to
+#: 72 characters, the last three of them ``...``.
+LONG_SHIFT = one_module("""\
+    def key(token_with_a_deliberately_long_name_to_overflow_the_quote):
+        return token_with_a_deliberately_long_name_to_overflow_the_quote.astype(np.uint32) << np.uint32(16)
+""")
+
+
+#: An operation in a ``for`` loop's iterable is one finding: the
+#: extractor reads the iterable once.
+FOR_ITER = one_module("""\
+    def keys(batch):
+        for key in batch.src_ip.astype(np.uint32) << np.uint32(8):
+            yield key
+""")
+
+
 class TestTreeShapes:
     @pytest.mark.parametrize("files, message", [
         (GROUP_SHIFT, "'shl' result needs up to 79 bits but int64 holds 63; "
@@ -215,8 +232,13 @@ class TestTreeShapes:
                       "32; 'token.astype(np.uint32) << np.uint32(16)'"),
         (REBOUND_PARAM, "'shl' result needs up to 104 bits but uint64 holds "
                         "64; 'addr << np.uint64(40)'"),
+        (LONG_SHIFT, "'shl' result needs up to 48 bits but uint32 holds 32; "
+                     "'token_with_a_deliberately_long_name_to_overflow_the_"
+                     "quote.astype(np.u...' can wrap"),
+        (FOR_ITER, "'shl' result needs up to 40 bits but uint32 holds 32; "
+                   "'batch.src_ip.astype(np.uint32) << np.uint32(8)'"),
     ], ids=["group-shift", "session-shift", "wide-add", "token-shift",
-            "rebound-param"])
+            "rebound-param", "long-text", "for-iter"])
     def test_unbounded_packed_key_flagged(self, tmp_path, files, message):
         diags, _, _ = run_project(tmp_path, files)
         assert codes(diags) == ["RPR011"]

@@ -5,6 +5,7 @@ identifier must reproduce batch ``identify_scans`` column by column at any
 window size, and still after a kill-and-resume through a checkpoint.
 """
 
+import itertools
 import json
 import struct
 import tempfile
@@ -650,30 +651,42 @@ class TestCheckpointResume:
         assert again.stats.resumed_packets == 0
         assert_tables_equal(again.scans, scans2020)
 
-    @pytest.mark.parametrize("position", [10**9, -1, 5])
+    @pytest.mark.parametrize("windows, position", [
+        pytest.param(None, 10**9, id="1000000000"),
+        pytest.param(None, -1, id="-1"),
+        pytest.param(None, 5, id="5"),
+        # A serial run stopped after 3 windows, its position moved ahead
+        # of the 3 * 8192 packets its snapshot holds, inside the capture.
+        pytest.param(3, 4 * 8192, id="ahead"),
+    ])
     def test_checkpoint_position_the_run_cannot_resume_from_is_a_miss(
-        self, tmp_path, batch2020, scans2020, position
+        self, tmp_path, batch2020, scans2020, windows, position
     ):
         """A well-formed entry under the run's key whose raw-stream position
-        the capture cannot seek to (past its end, negative) or that lies
-        behind the packets the snapshot consumed is a miss: the run
-        restarts from packet 0 and its next save replaces the entry,
-        instead of every rerun failing on the seek or on the stream
-        order."""
+        the capture cannot seek to (past its end, negative), that lies
+        behind the packets the snapshot consumed, or, in a serial run,
+        ahead of them is a miss: the run restarts from packet 0 and its
+        next save replaces the entry, instead of every rerun failing on the
+        seek or on the stream order, or silently skipping packets."""
         path = self._trace(tmp_path, batch2020)
-        config = StreamConfig(batch_size=16_384,
+        config = StreamConfig(batch_size=8192,
                               checkpoint_dir=tmp_path / "ckpt")
+        polls = itertools.count(1)
+        stop = None if windows is None else (lambda: next(polls) >= windows)
         run = StreamEngine(config=config).run(
-            TraceStreamSource(path, batch_size=16_384)
+            TraceStreamSource(path, batch_size=8192), stop=stop
         ).shards[0]
         store = CheckpointStore(config.checkpoint_dir)
         arrays = store.load(run.checkpoint_key, dict)
-        assert arrays["shard_stream_pos"].tolist() == [len(batch2020)]
+        consumed = len(batch2020) if windows is None else windows * 8192
+        assert arrays["shard_stream_pos"].tolist() == [consumed]
+        if windows is not None:
+            assert consumed < position < len(batch2020)
         arrays["shard_stream_pos"] = np.array([position], dtype=np.int64)
         store.save(run.checkpoint_key, arrays)
 
         again = StreamEngine(config=config).run(
-            TraceStreamSource(path, batch_size=16_384)
+            TraceStreamSource(path, batch_size=8192)
         )
         assert not again.resumed
         assert again.stats.resumed_packets == 0
