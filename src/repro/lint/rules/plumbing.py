@@ -92,6 +92,7 @@ class RngPlumbingRule(Rule):
                 and base.id in state_params
                 and base.id not in normalised
                 and node.func.attr in _DRAW_METHODS
+                and not self._bound_below(ctx, node, base.id, fn)
             ):
                 yield self.diag(
                     ctx, node,
@@ -99,6 +100,22 @@ class RngPlumbingRule(Rule):
                     f"None) but `.{node.func.attr}` is drawn from it directly; "
                     "normalise with as_generator(...) first",
                 )
+
+    @staticmethod
+    def _bound_below(ctx: FileContext, call: ast.Call, name: str,
+                     fn: ModuleFunction) -> bool:
+        """Whether a def between ``call`` and ``fn``, the def holding the
+        call included, takes ``name`` as a parameter: the call then draws
+        from that def's own parameter, which that def's check covers."""
+        holder = next(h for node, h in ctx.scope.calls if node is call)
+        while holder is not None and holder is not fn:
+            args = holder.node.args
+            bound = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                     args.vararg, args.kwarg]
+            if any(arg is not None and arg.arg == name for arg in bound):
+                return True
+            holder = holder.parent
+        return False
 
     @staticmethod
     def _randomstate_params(args: ast.arguments) -> Set[str]:

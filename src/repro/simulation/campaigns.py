@@ -118,22 +118,23 @@ def synthesize_campaign(
     timestamps follow the tool's target ordering — uniform order statistics
     for permutation scanners, address-proportional sweep times for
     sequential ones.  Hits after ``period_end`` are censored, exactly like a
-    real capture window would.
+    real capture window would.  The shards draw one after another, and
+    their columns are joined into one batch, shard after shard.
     """
     generator = as_generator(rng)
     if spec.telescope_hits == 0:
         return PacketBatch.empty()
 
-    batches: List[PacketBatch] = []
     base_hits = spec.telescope_hits // spec.shards
     remainder = spec.telescope_hits - base_hits * spec.shards
+    ports = np.asarray(spec.ports, dtype=np.uint16)
+    columns: Dict[str, List[np.ndarray]] = {}
 
     for shard, src_ip in enumerate(spec.src_ips):
         hits = base_hits + (1 if shard < remainder else 0)
         if hits == 0:
             continue
         dst = telescope.sample_destinations(generator, hits)
-        ports = np.asarray(spec.ports, dtype=np.uint16)
         if ports.size == 1:
             dst_port = np.full(hits, ports[0], dtype=np.uint16)
         else:
@@ -162,7 +163,7 @@ def synthesize_campaign(
         model = _tool_model(spec, shard, generator)
         fields = model.craft(dst, dst_port)
         n = dst.size
-        batches.append(PacketBatch(
+        shard_columns = dict(
             time=t,
             src_ip=np.full(n, src_ip, dtype=np.uint32),
             dst_ip=dst,
@@ -173,9 +174,16 @@ def synthesize_campaign(
             ttl=fields.ttl,
             window=fields.window,
             flags=np.full(n, FLAG_SYN, dtype=np.uint8),
-        ))
+        )
+        for name, values in shard_columns.items():
+            columns.setdefault(name, []).append(values)
 
-    return PacketBatch.concat(batches)
+    if not columns:
+        return PacketBatch.empty()
+    return PacketBatch(**{
+        name: parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for name, parts in columns.items()
+    })
 
 
 # -- bounded-Pareto hit sizing -------------------------------------------------
@@ -187,7 +195,9 @@ def bounded_pareto_mean(alpha: float, low: float, high: float) -> float:
         raise ValueError("low must be < high")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if np.isclose(alpha, 1.0):
+    # ``np.isclose(alpha, 1.0)``'s test in scalar arithmetic: this runs
+    # inside the calibration's 80-step bisections.
+    if abs(alpha - 1.0) <= 1e-08 + 1e-05:
         # Limit form for alpha -> 1.
         return float(np.log(high / low) / (1.0 / low - 1.0 / high))
     ratio = (low / high) ** alpha

@@ -198,12 +198,14 @@ class AddressSet:
         return bool(idx < self._addresses.size and self._addresses[idx] == value)
 
     def contains_array(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorised membership over a uint32 array."""
-        idx = np.searchsorted(self._addresses, addresses)
-        idx = np.clip(idx, 0, max(0, self._addresses.size - 1))
-        if self._addresses.size == 0:
-            return np.zeros(addresses.shape, dtype=bool)
-        return self._addresses[idx] == addresses
+        """Vectorised membership over a uint32 array.
+
+        On NumPy >= 1.24, ``np.isin`` picks a lookup table over the members'
+        range by itself when that range is small next to the inputs, as a
+        telescope's few /16s are; no ``kind=`` is passed, because older
+        NumPy has no such argument.
+        """
+        return np.isin(addresses, self._addresses)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Sample ``count`` member addresses uniformly with replacement."""

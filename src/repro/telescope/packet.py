@@ -61,6 +61,42 @@ _COLUMNS = (
 )
 
 
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, computed faster.
+
+    NumPy's default argsort (unstable, SIMD where the CPU has it) orders
+    the rows; only rows whose values tie may then be out of row order, and
+    one in-place sort of their packed key ``(run << 32) | row`` puts each
+    run of equal values back in row order.  Every sort kind puts NaN last,
+    so a NaN in the last sorted slot means NaNs are present; they never
+    compare equal, so that case takes the stable argsort.
+    """
+    order = np.argsort(values)
+    if order.size < 2:
+        return order
+    ordered = values[order]
+    if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        return np.argsort(values, kind="stable")
+    tied = ordered[1:] == ordered[:-1]
+    if not tied.any():
+        return order
+    in_run = np.zeros(order.size, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    pos = np.flatnonzero(in_run)
+    starts = np.ones(pos.size, dtype=bool)
+    starts[1:] = ~tied[pos[1:] - 1]
+    # Run numbers and row numbers stay below 2**32 (the row count of any
+    # batch), so the two halves of the key never overlap.
+    key = np.cumsum(starts, dtype=np.uint32).astype(np.uint64)
+    key <<= np.uint64(32)
+    key |= order[pos].view(np.uint64)
+    key.sort()
+    key &= np.uint64(0xFFFFFFFF)
+    order[pos] = key.view(np.intp)
+    return order
+
+
 @dataclass(frozen=True)
 class SynPacket:
     """A single observed TCP packet (header subset).
@@ -255,8 +291,7 @@ class PacketBatch:
 
     def sorted_by_time(self) -> "PacketBatch":
         """Return a copy ordered by timestamp (stable)."""
-        order = np.argsort(self.time, kind="stable")
-        return self[order]
+        return self[stable_order(self.time)]
 
     def where(self, mask: np.ndarray) -> "PacketBatch":
         """Select packets where ``mask`` is true."""

@@ -27,7 +27,7 @@ from repro.telescope.addresses import (
     AddressSet,
     CidrBlock,
 )
-from repro.telescope.packet import FLAG_SYN, PacketBatch
+from repro.telescope.packet import FLAG_SYN, PacketBatch, stable_order
 
 #: Ports dropped at the network ingress since the advent of Mirai (paper §3.2).
 DEFAULT_BLOCKED_PORTS: FrozenSet[int] = frozenset({23, 445})
@@ -54,13 +54,13 @@ class IngressPolicy:
     def is_active(self, year: int) -> bool:
         return year >= self.active_since_year
 
-    def apply(self, batch: PacketBatch, year: int) -> PacketBatch:
-        """Drop packets to blocked ports when the policy is active."""
-        if not self.is_active(year) or not self.blocked_ports or len(batch) == 0:
-            return batch
+    def allows(self, dst_port: np.ndarray, year: int) -> np.ndarray:
+        """Mask of the packets the ingress lets through: every packet
+        before the block is active, then those to ports it does not block."""
+        if not self.is_active(year) or not self.blocked_ports:
+            return np.ones(dst_port.shape, dtype=bool)
         blocked = np.array(sorted(self.blocked_ports), dtype=np.uint16)
-        mask = ~np.isin(batch.dst_port, blocked)
-        return batch.where(mask)
+        return np.isin(dst_port, blocked, invert=True)
 
 
 @dataclass
@@ -159,29 +159,33 @@ class Telescope:
     def observe(self, batch: PacketBatch, year: int) -> PacketBatch:
         """Filter a raw batch down to scan probes captured by the telescope.
 
-        Steps, mirroring the paper's collection methodology:
+        A packet is kept when, mirroring the paper's collection methodology,
 
-        1. keep packets destined to monitored (unrouted) addresses;
-        2. drop ingress-blocked ports (23/445 from 2017 on);
-        3. keep pure-SYN frames (scans); everything else is counted as
-           backscatter and dropped.
+        1. it is destined to a monitored (unrouted) address;
+        2. the ingress lets it through (23/445 are dropped from 2017 on);
+        3. it is a pure SYN (a scan probe); the rest is counted as
+           backscatter.
 
-        Returns the accepted scan probes sorted by time; accounting is
-        accumulated in :attr:`stats`.
+        The three tests make one keep mask, the kept rows are put in stable
+        time order (:func:`~repro.telescope.packet.stable_order`: tied times
+        stay in row order) and every column is gathered once.  Returns the
+        accepted scan probes sorted by time; accounting is accumulated in
+        :attr:`stats`.
         """
-        stats = ObservationStats(total_seen=len(batch))
-        inside = batch.where(self._monitored.contains_array(batch.dst_ip))
-        stats.outside_telescope = len(batch) - len(inside)
-
-        passed = self._ingress.apply(inside, year)
-        stats.ingress_dropped = len(inside) - len(passed)
-
-        scans = passed.where(passed.flags == FLAG_SYN)
-        stats.backscatter = len(passed) - len(scans)
-        stats.scan_probes = len(scans)
-
-        self._stats.merge(stats)
-        return scans.sorted_by_time()
+        keep = self._monitored.contains_array(batch.dst_ip)
+        inside = int(np.count_nonzero(keep))
+        keep &= self._ingress.allows(batch.dst_port, year)
+        passed = int(np.count_nonzero(keep))
+        keep &= batch.flags == FLAG_SYN
+        rows = np.flatnonzero(keep)
+        self._stats.merge(ObservationStats(
+            total_seen=len(batch),
+            outside_telescope=len(batch) - inside,
+            ingress_dropped=inside - passed,
+            backscatter=passed - rows.size,
+            scan_probes=rows.size,
+        ))
+        return batch[rows[stable_order(batch.time[rows])]]
 
     def sample_destinations(self, rng: RandomState, count: int) -> np.ndarray:
         """Sample monitored destination addresses (used by the simulator when

@@ -11,11 +11,15 @@ module keeps the straightforward versions those routines replaced:
 * :func:`sample_port_set` — the rejection loop drawing each extra port with
   ``sample_primary(self, 1)``;
 * :func:`port_priority` — the institutional port order via ``np.setdiff1d``;
-* :func:`address_set_init` — ``AddressSet``'s ``set``/``sorted`` constructor.
+* :func:`address_set_init` — ``AddressSet``'s ``set``/``sorted`` constructor;
+* :func:`observe` — ``Telescope.observe`` as three filtering passes and a
+  stable time sort, each gathering every column.
 
 The first two take a :class:`~repro.simulation.ports.PortSelector` as
-``self`` and the last an ``AddressSet``, so tests can call them directly or
-patch them over the library's methods; nothing in ``src/`` calls them.
+``self``, :func:`address_set_init` an ``AddressSet`` and :func:`observe` a
+``Telescope``, so tests can call them directly or patch them over the
+library's methods; nothing in ``src/`` calls them.  :func:`observe` draws
+nothing, so it checks the capture's order and contents, not a stream.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from repro._util.validate import check_port
 from repro.simulation.ports import alias_ports_of
 from repro.simulation.world import _COMMON_PORTS_FIRST
 from repro.telescope.addresses import IPV4_SPACE_SIZE
+from repro.telescope.packet import FLAG_SYN, PacketBatch
+from repro.telescope.sensor import ObservationStats
 
 
 def sample_primary(self, size: int) -> np.ndarray:
@@ -102,3 +108,26 @@ def address_set_init(self, addresses: Iterable[int]) -> None:
     if arr.size and (int(arr[-1]) >= IPV4_SPACE_SIZE):
         raise ValueError("address out of IPv4 range")
     self._addresses = arr
+
+
+def observe(self, batch: PacketBatch, year: int) -> PacketBatch:
+    """``Telescope.observe``: a ``searchsorted`` membership test, then the
+    ingress and SYN filters and a stable time sort, each a full gather."""
+    stats = ObservationStats(total_seen=len(batch))
+    members = self.monitored.addresses
+    idx = np.clip(np.searchsorted(members, batch.dst_ip), 0, max(0, members.size - 1))
+    inside = batch.where(members[idx] == batch.dst_ip)
+    stats.outside_telescope = len(batch) - len(inside)
+
+    policy = self.ingress
+    passed = inside
+    if policy.is_active(year) and policy.blocked_ports and len(inside):
+        blocked = np.array(sorted(policy.blocked_ports), dtype=np.uint16)
+        passed = inside.where(~np.isin(inside.dst_port, blocked))
+    stats.ingress_dropped = len(inside) - len(passed)
+
+    scans = passed.where(passed.flags == FLAG_SYN)
+    stats.backscatter = len(passed) - len(scans)
+    stats.scan_probes = len(scans)
+    self.stats.merge(stats)
+    return scans[np.argsort(scans.time, kind="stable")]

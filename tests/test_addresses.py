@@ -123,6 +123,15 @@ class TestAddressSet:
         s = AddressSet([10, 20])
         got = s.contains_array(np.array([10, 11, 20], dtype=np.uint32))
         assert got.tolist() == [True, False, True]
+        # Both ends of IPv4 and the addresses just outside the members.
+        edges = np.array([0, 9, 21, 2**32 - 1], dtype=np.uint32)
+        assert s.contains_array(edges).tolist() == [False] * 4
+        ends = AddressSet([0, 2**32 - 1])
+        assert ends.contains_array(edges).tolist() == [True, False, False, True]
+        block = AddressSet(range(1000, 1100))
+        probe = np.array([0, 999, 1000, 1099, 1100, 2**32 - 1], dtype=np.uint32)
+        assert block.contains_array(probe).tolist() == [
+            False, False, True, True, False, False]
 
     def test_empty_contains_array(self):
         s = AddressSet([])

@@ -152,6 +152,22 @@ class TestBoundedPareto:
         at_one = bounded_pareto_mean(1.0, 100, 10_000)
         assert abs(near_one - at_one) / at_one < 0.01
 
+    def test_alpha_one_branch_where_isclose_holds(self):
+        # At 1 +- 1.001e-5 the general form is ~1e-5 away from the limit
+        # form, far above its rounding error, so equality with the limit
+        # form tells which branch ran.
+        low, high = 100.0, 10_000.0
+        limit = float(np.log(high / low) / (1.0 / low - 1.0 / high))
+        alphas = [1.0]
+        for edge in (1.0 - 1.001e-5, 1.0 + 1.001e-5):
+            for step in range(-3, 4):
+                alphas.append(edge + step * np.spacing(edge))
+            alphas += [edge - 1e-7, edge + 1e-7]
+        taken = {alpha: bounded_pareto_mean(alpha, low, high) == limit
+                 for alpha in alphas}
+        assert taken == {alpha: bool(np.isclose(alpha, 1.0)) for alpha in alphas}
+        assert any(taken.values()) and not all(taken.values())
+
     def test_samples_within_bounds(self, rng):
         s = sample_bounded_pareto(rng, 0.9, 10, 1000, 10_000)
         assert s.min() >= 10 and s.max() <= 1000

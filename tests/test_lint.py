@@ -172,6 +172,28 @@ class TestRngPlumbingRule:
         """
         assert "RPR002" not in codes(src)
 
+    def test_nested_def_own_param_reported_once(self):
+        src = """\
+        from repro._util.rng import RandomState
+        def outer(rng: RandomState):
+            def inner(rng: RandomState):
+                return rng.random()
+            return inner
+        """
+        found = [(d.code, d.line, d.col) for d in run(src)]
+        assert found == [("RPR002", 4, 15)]
+
+    def test_nested_def_drawing_outer_param_reported_once(self):
+        src = """\
+        from repro._util.rng import RandomState
+        def outer(rng: RandomState):
+            def inner():
+                return rng.random()
+            return inner
+        """
+        found = [(d.code, d.line, d.col) for d in run(src)]
+        assert found == [("RPR002", 4, 15)]
+
 
 #: One RPR002 finding on line 2 (a seeded but direct construction).
 SEEDED_RNG = "import numpy as np\ng = np.random.default_rng(42)"

@@ -10,6 +10,7 @@ from repro.telescope.packet import (
     FLAG_SYN,
     PacketBatch,
     SynPacket,
+    stable_order,
 )
 
 
@@ -210,3 +211,33 @@ class TestPacketBatchImmutability:
         cols["src_ip"] = cols["src_ip"] + 1  # new array, fine
         rebuilt = PacketBatch(**cols)
         assert np.array_equal(rebuilt.src_ip, b.src_ip + 1)
+
+
+def _stable_order_inputs():
+    rng = np.random.default_rng(17)
+    # Thousands of rows over a few values: any unstable sort misplaces
+    # some of the tied rows.
+    ties = rng.integers(0, 8, size=5000).astype(np.float64)
+    nans = ties.copy()
+    nans[rng.integers(0, nans.size, size=6)] = np.nan
+    zeros = rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), size=3000)
+    infs = rng.choice(np.array([-np.inf, np.inf, 2.5, -2.5]), size=3000)
+    return {
+        "ties": ties,
+        "several-nans": nans,
+        "signed-zeros": zeros,
+        "infinities": infs,
+        "integer-ties": rng.integers(0, 5, size=4000),
+        "distinct": rng.permutation(4000).astype(np.float64),
+        "empty": np.array([], dtype=np.float64),
+        "one": np.array([3.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stable_order_inputs()))
+def test_stable_order_matches_stable_argsort(name):
+    values = _stable_order_inputs()[name]
+    got = stable_order(values)
+    want = np.argsort(values, kind="stable")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

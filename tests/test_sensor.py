@@ -32,25 +32,22 @@ def small_telescope():
 
 
 class TestIngressPolicy:
+    PORTS = np.array([23, 445, 80], dtype=np.uint16)
+
     def test_inactive_before_2017(self):
         policy = IngressPolicy()
-        batch = PacketBatch.from_packets([packet(1000, dst_port=23)])
-        assert len(policy.apply(batch, 2016)) == 1
+        assert policy.allows(self.PORTS, 2016).tolist() == [True, True, True]
 
     def test_active_from_2017(self):
         policy = IngressPolicy()
-        batch = PacketBatch.from_packets(
-            [packet(1000, dst_port=23), packet(1001, dst_port=445),
-             packet(1002, dst_port=80)]
-        )
-        out = policy.apply(batch, 2017)
-        assert len(out) == 1
-        assert out.dst_port[0] == 80
+        assert policy.allows(self.PORTS, 2017).tolist() == [False, False, True]
 
     def test_custom_ports(self):
         policy = IngressPolicy(blocked_ports=frozenset({8080}), active_since_year=2000)
-        batch = PacketBatch.from_packets([packet(1000, dst_port=8080)])
-        assert len(policy.apply(batch, 2015)) == 0
+        ports = np.array([8080, 23], dtype=np.uint16)
+        assert policy.allows(ports, 2015).tolist() == [False, True]
+        unblocked = IngressPolicy(blocked_ports=frozenset(), active_since_year=2000)
+        assert unblocked.allows(ports, 2015).tolist() == [True, True]
 
 
 class TestTelescope:
@@ -77,10 +74,23 @@ class TestTelescope:
         assert len(small_telescope.observe(batch, 2020)) == 0
         assert small_telescope.stats.ingress_dropped == 1
 
-    def test_observe_sorts_by_time(self, small_telescope):
+    def test_observe_sorts_by_time(self, small_telescope, rng):
         batch = PacketBatch.from_packets([packet(1050, t=5.0), packet(1051, t=1.0)])
         out = small_telescope.observe(batch, 2015)
         assert out.time.tolist() == [1.0, 5.0]
+
+        # Many sources share each of a few times: an unstable sort would
+        # interleave them, so ties must come out in row order.
+        n = 2000
+        times = rng.integers(0, 4, size=n).astype(np.float64)
+        batch = PacketBatch.from_packets(
+            SynPacket(time=float(t), src_ip=i, dst_ip=1000 + i % 100,
+                      src_port=2, dst_port=80)
+            for i, t in enumerate(times)
+        )
+        out = small_telescope.observe(batch, 2015)
+        want = np.argsort(times, kind="stable")
+        assert out.src_ip.tolist() == want.tolist()
 
     def test_paper_telescope_size(self):
         t = Telescope.paper_telescope(rng=3)

@@ -5,6 +5,10 @@ Each comparison runs the library and the oracle on twin generators and
 requires equal outputs *and* an equal generator state afterwards, so no
 later draw can move.  These tests stand in for a pinned capture digest,
 which would break whenever NumPy changes its random streams.
+
+``Telescope.observe`` draws nothing: it is compared with its three-pass
+reference column for column, bit for bit, and counter for counter, on
+simulated periods and on crafted batches.
 """
 
 import numpy as np
@@ -12,7 +16,9 @@ import pytest
 
 from repro.simulation import TelescopeWorld
 from repro.simulation.ports import PortSelector
+from repro.telescope import FLAG_ACK, FLAG_RST, FLAG_SYN, Telescope
 from repro.telescope.addresses import AddressSet
+from repro.telescope.packet import PacketBatch
 
 from tests import simulation_oracle as oracle
 
@@ -135,3 +141,90 @@ def test_world_matches_oracle_patched_world(monkeypatch):
     assert len(specs) == len(ref_specs)
     for spec, ref in zip(specs, ref_specs):
         assert spec == ref, spec.campaign_id
+
+
+def _assert_same_capture(got, want):
+    got_cols, want_cols = got.columns(), want.columns()
+    assert got_cols.keys() == want_cols.keys()
+    for name in got_cols:
+        assert got_cols[name].dtype == want_cols[name].dtype, name
+        # Bit for bit: NaN times and -0.0 compare by their bytes.
+        assert got_cols[name].tobytes() == want_cols[name].tobytes(), name
+
+
+@pytest.mark.parametrize("year", [2016, 2020])
+def test_world_observes_like_three_pass_oracle(monkeypatch, year):
+    """Before and after the 2017 ingress block."""
+    def period():
+        world = TelescopeWorld(rng=13)
+        sim = world.simulate_year(year, days=3, max_packets=40_000, min_scans=200)
+        return sim.batch, world.telescope.stats
+
+    batch, stats = period()
+    monkeypatch.setattr(Telescope, "observe", oracle.observe)
+    ref_batch, ref_stats = period()
+    _assert_same_capture(batch, ref_batch)
+    assert stats == ref_stats
+    assert stats.backscatter > 0
+    assert (stats.ingress_dropped > 0) == (year >= 2017)
+
+
+_MEMBERS = np.arange(1000, 1100)
+#: Outside the members: both ends of IPv4 and each side of the set.
+_EDGES = np.array([0, 2**32 - 1, 999, 1100])
+
+
+def _crafted(rng, n, times):
+    dst = rng.choice(np.concatenate([_MEMBERS, _EDGES]), size=n)
+    flags = rng.choice(
+        np.array([FLAG_SYN, FLAG_SYN, FLAG_SYN | FLAG_ACK, FLAG_RST]), size=n
+    )
+    dst_port = rng.choice(np.array([23, 445, 80, 8080]), size=n)
+    # Every NaN time is a kept probe in any year.
+    nan = np.isnan(times)
+    dst[nan], flags[nan], dst_port[nan] = _MEMBERS[0], FLAG_SYN, 80
+    return PacketBatch(
+        time=times,
+        src_ip=rng.integers(0, 2**32, size=n),
+        dst_ip=dst,
+        src_port=rng.integers(0, 2**16, size=n),
+        dst_port=dst_port,
+        ip_id=rng.integers(0, 2**16, size=n),
+        seq=rng.integers(0, 2**32, size=n),
+        ttl=rng.integers(0, 256, size=n),
+        window=rng.integers(0, 2**16, size=n),
+        flags=flags,
+    )
+
+
+def _crafted_batches():
+    rng = np.random.default_rng(5)
+    ties = rng.integers(0, 20, size=3000).astype(np.float64)
+    signed_zeros = ties.copy()
+    signed_zeros[rng.random(3000) < 0.3] = -0.0
+    signed_zeros[rng.random(3000) < 0.3] = 0.0
+    with_nan = ties.copy()
+    with_nan[rng.integers(0, 3000, size=7)] = np.nan
+    mixed = _crafted(rng, 3000, ties)
+    outside_or_backscatter = (~np.isin(mixed.dst_ip, _MEMBERS)
+                              | (mixed.flags != FLAG_SYN))
+    return {
+        "ties": mixed,
+        "signed-zeros": _crafted(rng, 3000, signed_zeros),
+        "nan-times": _crafted(rng, 3000, with_nan),
+        "distinct-times": _crafted(rng, 3000, rng.random(3000) * 1e5),
+        "empty": PacketBatch.empty(),
+        "nothing-kept": mixed.where(outside_or_backscatter),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_crafted_batches()))
+@pytest.mark.parametrize("year", [2016, 2017])
+def test_observe_matches_three_pass_oracle(name, year):
+    batch = _crafted_batches()[name]
+    new = Telescope(AddressSet(_MEMBERS))
+    ref = Telescope(AddressSet(_MEMBERS))
+    _assert_same_capture(new.observe(batch, year), oracle.observe(ref, batch, year))
+    assert new.stats == ref.stats
+    if name == "nothing-kept":
+        assert len(batch) and new.stats.scan_probes == 0
