@@ -20,6 +20,11 @@ Flag parity: every subcommand that loads captures accepts ``--workers`` /
 ``--cache-dir`` (a capture argument may then name a cache entry by its
 content key), and a shared ``--batch-size`` that bounds the streaming
 reader's windows.
+
+Each subcommand imports the stack it runs; at module level this file
+imports only the standard library and the package root's constants.  So
+``--help`` and ``cache`` load no NumPy, and ``simulate`` loads no
+analysis, streaming, reporting, serve or lint module.
 """
 
 from __future__ import annotations
@@ -29,47 +34,9 @@ import signal
 import sys
 import threading
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro import __version__
-from repro.core import (
-    analyze_period,
-    analyze_simulation,
-    known_scanner_share,
-    single_source_bias,
-    summarize_period,
-    type_shares,
-)
-from repro.core.fingerprints import ToolFingerprinter
-from repro.core.report import paper_report
-from repro.enrichment import ScannerClassifier, build_default_registry
-from repro.reporting import (
-    render_paper_report,
-    render_paper_report_json,
-    render_scorecard,
-    render_table1,
-    render_table2,
-    validate_reproduction,
-)
-from repro.simulation import ALL_YEARS, TelescopeWorld
-from repro.stream import DEFAULT_BATCH_SIZE as STREAM_DEFAULT_BATCH_SIZE
-from repro.stream import (
-    BatchStreamSource,
-    StreamConfig,
-    StreamEngine,
-    TraceStreamSource,
-    analysis_period,
-    finish_report,
-    format_bytes,
-    peak_rss_bytes,
-)
-from repro.telescope import (
-    PacketBatch,
-    PrefixPreservingAnonymizer,
-    read_pcap,
-    write_pcap,
-    write_trace,
-)
+from repro import ALL_YEARS, DEFAULT_BATCH_SIZE, __version__
 
 
 class _GracefulStop:
@@ -140,10 +107,9 @@ def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
 def _add_capture_flags(parser: argparse.ArgumentParser) -> None:
     """Flags of subcommands that read a capture through the streaming layer."""
     _add_worker_flags(parser)
-    parser.add_argument("--batch-size", type=int,
-                        default=STREAM_DEFAULT_BATCH_SIZE,
+    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                         help="streaming-reader window size in packets "
-                             f"(default {STREAM_DEFAULT_BATCH_SIZE:,})")
+                             f"(default {DEFAULT_BATCH_SIZE:,})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,6 +287,9 @@ def _resolve_capture(args: argparse.Namespace) -> Path:
 
 def _capture_source(args: argparse.Namespace, strict: bool = True):
     """Build the streaming source for a subcommand's capture argument."""
+    from repro.stream import BatchStreamSource, TraceStreamSource
+    from repro.telescope import read_pcap
+
     path = _resolve_capture(args)
     if path.suffix == ".pcap":
         return BatchStreamSource(
@@ -341,12 +310,17 @@ def _load_capture(args: argparse.Namespace):
     as ``repro-scan stream``, so ``--batch-size`` bounds the read
     granularity everywhere.
     """
+    from repro.telescope import PacketBatch
+
     source = _capture_source(args)
     batch = PacketBatch.concat(list(source.windows()))
     return batch, source.meta
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulation import TelescopeWorld
+    from repro.telescope import write_pcap, write_trace
+
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
     try:
@@ -381,6 +355,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.json and not args.report:
         print("error: --json requires --report", file=sys.stderr)
         return 2
+    from repro.core import (analyze_period, known_scanner_share,
+                            single_source_bias, summarize_period, type_shares)
+    from repro.core.report import paper_report
+    from repro.enrichment import ScannerClassifier, build_default_registry
+    from repro.reporting import (render_paper_report,
+                                 render_paper_report_json, render_table1,
+                                 render_table2)
+    from repro.stream import analysis_period
+    from repro.telescope import PacketBatch
+
     try:
         source = _capture_source(args)
         period = analysis_period(source, args.year, args.days)
@@ -422,6 +406,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if bad or not years:
         print(f"error: years outside the study range: {bad}", file=sys.stderr)
         return 2
+    from repro.core import analyze_simulation, summarize_period
+    from repro.reporting import render_table1
+    from repro.simulation import TelescopeWorld
+    from repro.stream import format_bytes, peak_rss_bytes
+
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
     try:
@@ -460,6 +449,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.json and not args.report:
         print("error: --json requires --report", file=sys.stderr)
         return 2
+    from repro.reporting import render_paper_report, render_paper_report_json
+    from repro.stream import (StreamConfig, StreamEngine, analysis_period,
+                              finish_report, format_bytes)
+
     try:
         config = StreamConfig(
             batch_size=args.batch_size,
@@ -549,6 +542,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.core.fingerprints import ToolFingerprinter
+
     try:
         batch, meta = _load_capture(args)
     except ValueError as exc:
@@ -560,7 +557,6 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
     tools = ToolFingerprinter().per_packet_tool(batch)
     total = len(batch)
     print(f"{total:,} packets")
-    import numpy as np
     values, counts = np.unique([str(t) for t in tools], return_counts=True)
     for value, count in sorted(zip(values, counts), key=lambda kv: -kv[1]):
         print(f"  {value:10s} {count / total:6.1%}")
@@ -577,6 +573,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if bad or not years:
         print(f"error: years outside the study range: {bad}", file=sys.stderr)
         return 2
+    from repro.core import analyze_simulation
+    from repro.reporting import render_scorecard, validate_reproduction
+    from repro.simulation import TelescopeWorld
+    from repro.stream import format_bytes, peak_rss_bytes
+
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
     print(f"simulating {len(years)} year(s) "
@@ -605,6 +606,8 @@ _ANONYMIZED_META_KEYS = ("year", "days", "packet_scale", "scan_scale", "seed")
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
+    from repro.telescope import PrefixPreservingAnonymizer, write_trace
+
     try:
         batch, meta = _load_capture(args)
         anonymizer = PrefixPreservingAnonymizer(args.key)
@@ -620,9 +623,9 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.exec import CaptureCache
+    from repro._files import CaptureDirectory, format_bytes
 
-    cache = CaptureCache(args.cache_dir)
+    cache = CaptureDirectory(args.cache_dir)
     if args.cache_command == "ls":
         entries = cache.usage()
         orphans = sum(entry.orphan for entry in entries)

@@ -13,7 +13,8 @@
   runs with unchanged seed, calibration and budgets skip synthesis entirely.
 """
 
-from repro.exec.cache import CACHE_SCHEMA_VERSION, CacheEntry, CaptureCache
+from repro._files import CacheEntry
+from repro.exec.cache import CACHE_SCHEMA_VERSION, CaptureCache
 from repro.exec.parallel import simulate_years_parallel
 
 __all__ = [

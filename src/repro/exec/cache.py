@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import itertools
 import json
@@ -49,9 +50,9 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from repro import __version__
+from repro._files import CaptureDirectory
 from repro._util.rng import stream_signature
-from repro.telescope.trace import (TraceFormatError, orphaned_temp_files,
-                                   read_trace, write_trace)
+from repro.telescope.trace import TraceFormatError, read_trace, write_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulation.campaigns import CampaignSpec
@@ -107,6 +108,18 @@ def content_key(material: Mapping[str, Any]) -> str:
     through :func:`_canonical` where that is needed."""
     blob = json.dumps(material, sort_keys=True).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _canonical_year_config(year: int, days: int) -> Any:
+    """``_canonical(year_config(year, days=days))``, built once per
+    ``(year, days)``.  ``year_config`` is a pure function of the two and
+    admits 10 years x 61 days, so the memo holds at most 610 entries per
+    argument type.  Only :meth:`CaptureCache.key_for` reads it, to
+    serialise it."""
+    from repro.simulation.config import year_config
+
+    return _canonical(year_config(year, days=days))
 
 
 def _telescope_token(telescope) -> Dict[str, Any]:
@@ -180,24 +193,13 @@ def _campaigns_from_columns(meta: Mapping[str, Any]) -> List["CampaignSpec"]:
             for row in zip(*fields.values())]
 
 
-@dataclasses.dataclass(frozen=True)
-class CacheEntry:
-    """One cached capture as seen by the maintenance commands."""
-
-    key: str
-    path: Path
-    bytes: int
-    mtime: float
-    #: A temporary file its writer left behind when it died mid-store.
-    orphan: bool = False
-
-
-class CaptureCache:
+class CaptureCache(CaptureDirectory):
     """A directory of content-addressed ``.rtrace`` captures.
 
     Thread/process safety: lookups are plain reads; stores go through a
     temp file and an atomic rename, so concurrent writers of the same key
-    simply race to produce identical bytes.
+    simply race to produce identical bytes.  Listing, pruning and clearing
+    the directory come from :class:`~repro._files.CaptureDirectory`.
 
     Attributes:
         hits / misses: lookup counters for this instance (a hit is a
@@ -206,8 +208,7 @@ class CaptureCache:
     """
 
     def __init__(self, root: PathLike):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        super().__init__(root)
         self.hits = 0
         self.misses = 0
 
@@ -222,21 +223,16 @@ class CaptureCache:
         min_scans: int,
     ) -> str:
         """Content key of one calibrated period of ``world``."""
-        from repro.simulation.config import year_config
-
         material = {
             "schema": CACHE_SCHEMA_VERSION,
             "version": __version__,
             "stream": list(stream_signature(world._stream_root)),
             "telescope": _telescope_token(world.telescope),
-            "config": _canonical(year_config(year, days=days)),
+            "config": _canonical_year_config(year, days),
             "budgets": {"days": days, "max_packets": max_packets,
                         "min_scans": min_scans},
         }
         return content_key(material)
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.rtrace"
 
     # -- lookup / store -----------------------------------------------------
 
@@ -335,86 +331,6 @@ class CaptureCache:
         }
         write_trace(path, result.batch, meta=meta)
         return path
-
-    # -- maintenance --------------------------------------------------------
-
-    def entries(self) -> List[Path]:
-        """Cached capture files, sorted by name.  Stream checkpoints
-        (``<key>.stream.rtrace``) in a shared directory are not entries."""
-        return [path for path in sorted(self.root.glob("*.rtrace"))
-                if not path.name.endswith(".stream.rtrace")]
-
-    def orphans(self) -> List[Path]:
-        """Temporary files of stores whose writing process is gone.
-
-        A store writes ``<key>.rtrace.tmp<pid>-<n>`` and renames it onto
-        the entry on a clean exit; a process killed before that leaves it
-        behind.  Only files whose writer pid no longer exists are listed,
-        so a live writer's file is never touched.
-        """
-        return orphaned_temp_files(self.root, "*.rtrace")
-
-    def usage(self) -> List["CacheEntry"]:
-        """Inventory: orphaned temp files, then entries in LRU order.
-
-        ``load`` refreshes an entry's mtime, so mtime order is use order.
-        Files that vanish between the glob and the stat (concurrent
-        prune) are skipped.
-        """
-        rows: List[CacheEntry] = []
-        listed = [(p, False) for p in self.entries()]
-        listed += [(p, True) for p in self.orphans()]
-        for path, orphan in listed:
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            rows.append(CacheEntry(
-                key=path.name.split(".rtrace", 1)[0],
-                path=path,
-                bytes=int(stat.st_size),
-                mtime=float(stat.st_mtime),
-                orphan=orphan,
-            ))
-        rows.sort(key=lambda e: (not e.orphan, e.mtime, e.key))
-        return rows
-
-    def total_bytes(self) -> int:
-        """Total size of every cached capture."""
-        return sum(entry.bytes for entry in self.usage())
-
-    def prune(self, max_bytes: int) -> List["CacheEntry"]:
-        """Delete every orphaned temp file, then evict least-recently-used
-        entries until the cache fits.
-
-        Deletions are plain unlinks — atomic against the cache's own
-        readers, whose ``load`` treats a vanished file as a miss.  Returns
-        the files removed (possibly none).
-        """
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
-        entries = self.usage()
-        total = sum(entry.bytes for entry in entries)
-        removed: List[CacheEntry] = []
-        for entry in entries:  # orphans, then oldest first
-            if total <= max_bytes and not entry.orphan:
-                break
-            try:
-                entry.path.unlink()
-            except OSError:  # pragma: no cover - raced with another pruner
-                continue
-            total -= entry.bytes
-            removed.append(entry)
-        return removed
-
-    def clear(self) -> int:
-        """Delete every entry and orphaned temp file; returns the number
-        removed."""
-        removed = 0
-        for path in self.entries() + self.orphans():
-            path.unlink()
-            removed += 1
-        return removed
 
     def stats_line(self) -> str:
         """One-line human summary (used by the CLI)."""

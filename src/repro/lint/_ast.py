@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 ImportNode = Union[ast.Import, ast.ImportFrom]
 
@@ -149,6 +149,8 @@ class ModuleFunction:
     #: ``ast.walk`` order (shallowest first), which picks whose line a
     #: summary keeps when several share a key
     stores: List[Tuple[int, ast.stmt]] = field(default_factory=list)
+    #: the names the def declares ``nonlocal``
+    nonlocals: Set[str] = field(default_factory=set)
 
     @property
     def params(self) -> List[str]:
@@ -181,6 +183,9 @@ class ModuleScope:
         #: tree is freed as soon as its lint is done
         self.calls: List[Tuple[ast.Call, Optional[ModuleFunction]]] = []
         self.imports: List[Tuple[ImportNode, Optional[ModuleFunction]]] = []
+        #: every ``return`` and ``=`` statement under a def, with the
+        #: innermost def holding it
+        self.stores: List[Tuple[ast.stmt, ModuleFunction]] = []
         self._collect(tree, None, [], 1)
         own: Dict[Optional[ModuleFunction], List[ImportNode]] = {}
         for node, holder in self.imports:
@@ -203,8 +208,14 @@ class ModuleScope:
                 for fn in stack:
                     fn.calls.append(child)
             elif isinstance(child, (ast.Return, ast.Assign)):
+                if holder is not None:
+                    self.stores.append((child, holder))
                 for fn in stack:
                     fn.stores.append((depth, child))
+            elif isinstance(child, ast.Nonlocal):
+                if holder is not None:
+                    holder.nonlocals.update(child.names)
+                continue
             elif isinstance(child, (ast.Import, ast.ImportFrom)):
                 self.imports.append((child, holder))
                 continue

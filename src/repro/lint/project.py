@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Sequence, Tuple
 
+from repro._files import atomic_replace
 from repro.lint._ast import module_bindings
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
@@ -39,7 +40,6 @@ from repro.lint.engine import (
     is_suppressed,
     parse_suppressions,
 )
-from repro.telescope.trace import atomic_replace
 
 #: The linter's own source, digested into every cache key.
 LINT_PACKAGE = Path(__file__).resolve().parent

@@ -52,7 +52,7 @@ BLOCKING_CALLS: Tuple[str, ...] = (
     "subprocess.check_call",
     "subprocess.check_output",
     "open",
-    "repro.telescope.trace.atomic_replace",
+    "repro._files.atomic_replace",
 )
 
 

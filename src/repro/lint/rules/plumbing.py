@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, Optional, Set
 
 from repro.lint._ast import ModuleFunction, annotation_text, resolve
 from repro.lint.diagnostics import Diagnostic
@@ -45,6 +45,10 @@ class RngPlumbingRule(Rule):
       ``None`` has no ``.integers``/``.random``, so the parameter must be
       normalised with ``as_generator`` (or routed through
       ``derive_rng``/``spawn_rngs``) first.
+
+    A normalisation covers the def whose name it rebinds: an ``=`` in a
+    nested def binds that def's own name unless it declares the name
+    ``nonlocal``.
     """
 
     code = "RPR002"
@@ -82,7 +86,7 @@ class RngPlumbingRule(Rule):
         state_params = self._randomstate_params(fn.node.args)
         if not state_params:
             return
-        normalised = self._normalised_names(fn.stores)
+        normalised = self._normalised_names(ctx, fn)
         for node in fn.calls:
             if not isinstance(node.func, ast.Attribute):
                 continue
@@ -126,20 +130,30 @@ class RngPlumbingRule(Rule):
         return params
 
     @staticmethod
-    def _normalised_names(stores: List[Tuple[int, ast.stmt]]) -> Set[str]:
-        """Parameter names that are rebound via a normaliser in the body,
-        e.g. ``rng = as_generator(rng)``."""
+    def _normalised_names(ctx: FileContext, fn: ModuleFunction) -> Set[str]:
+        """Names ``fn`` rebinds via a normaliser, e.g. ``rng =
+        as_generator(rng)``.  An ``=`` in a nested def binds that def's
+        own name unless every def from it up to ``fn`` declares the name
+        ``nonlocal``; the holder is looked up only for a normaliser ``=``."""
         rebound: Set[str] = set()
-        for _, node in stores:
+        for _, node in fn.stores:
             if not isinstance(node, ast.Assign):
                 continue
             value = node.value
-            if (
+            if not (
                 isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Name)
                 and value.func.id in _NORMALISERS
             ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        rebound.add(target.id)
+                continue
+            holder = next(h for stmt, h in ctx.scope.stores if stmt is node)
+            for target in node.targets:
+                if not isinstance(target, ast.Name):
+                    continue
+                binder: Optional[ModuleFunction] = holder
+                while (binder is not None and binder is not fn
+                       and target.id in binder.nonlocals):
+                    binder = binder.parent
+                if binder is fn:
+                    rebound.add(target.id)
         return rebound

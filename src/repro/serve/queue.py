@@ -42,11 +42,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro import __version__
+from repro._files import atomic_replace
 from repro.exec.cache import CaptureCache, content_key
 from repro.exec.parallel import _die_with_parent
 from repro.serve.jobs import JobSpec, execute_job
 from repro.simulation import TelescopeWorld
-from repro.telescope.trace import atomic_replace
 
 #: Bump to invalidate every persisted job record and job key.
 SERVE_SCHEMA_VERSION = 2

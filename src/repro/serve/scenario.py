@@ -28,9 +28,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import __version__
+from repro._files import atomic_replace
 from repro.exec.cache import content_key
 from repro.serve.jobs import JobSpec
-from repro.telescope.trace import atomic_replace
 
 PathLike = Union[str, Path]
 

@@ -28,15 +28,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import paper
+from repro import ALL_YEARS, paper
 from repro._util.rng import RandomState, as_generator
 from repro._util.validate import check_fraction, check_positive
 from repro.enrichment.types import ScannerType
 from repro.scanners.base import Tool
 from repro.simulation.ports import PortsPerScanModel
-
-#: Years covered by the study.
-ALL_YEARS: Tuple[int, ...] = tuple(range(2015, 2025))
 
 #: Default measurement-period length in days (paper windows: 29–61 days).
 DEFAULT_PERIOD_DAYS = 30

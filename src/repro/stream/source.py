@@ -19,14 +19,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
+from repro import DEFAULT_BATCH_SIZE
 from repro.telescope.packet import PacketBatch
 from repro.telescope.trace import TraceReader
 
 PathLike = Union[str, Path]
-
-#: Default window budget: large enough that per-window numpy passes dominate
-#: the Python orchestration, small enough to bound the working set.
-DEFAULT_BATCH_SIZE = 65_536
 
 
 def rebatch(

@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Sequence
 
+from repro._files import format_bytes
+
 
 def wall_clock() -> float:
     """Monotonic wall-clock seconds for throughput accounting."""
@@ -41,16 +43,6 @@ def peak_rss_bytes() -> int:
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         return int(peak)
     return int(peak) * 1024
-
-
-def format_bytes(n: int) -> str:
-    """Human-readable byte count (``142.3 MB``)."""
-    value = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if value < 1024.0 or unit == "TB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024.0
-    return f"{value:.1f} TB"  # pragma: no cover - unreachable
 
 
 @dataclass

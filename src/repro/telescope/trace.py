@@ -34,9 +34,10 @@ still read; only ``RTRACE02`` is written.
 
 Chunking lets a writer stream a multi-day capture without holding it in
 memory.  :class:`TraceWriter` writes a temporary file beside the target
-and renames it into place on a clean exit (:func:`atomic_replace`, the
-program's one way to write a file it owns), so a reader holding the old
-capture keeps it and an interrupted write leaves the target untouched.
+and renames it into place on a clean exit
+(:func:`repro._files.atomic_replace`, the program's one way to write a
+file it owns), so a reader holding the old capture keeps it and an
+interrupted write leaves the target untouched.
 :class:`TraceReader`, the one reader, maps the file and hands its chunks
 out as zero-copy column views; :func:`read_trace` copies them into one
 owned batch.
@@ -45,7 +46,6 @@ owned batch.
 from __future__ import annotations
 
 import contextlib
-import fnmatch
 import glob
 import hashlib
 import io
@@ -60,6 +60,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro._files import atomic_replace, orphaned_temp_files
 from repro.telescope.packet import PacketBatch
 
 MAGIC = b"RTRACE02"
@@ -92,78 +93,6 @@ class TraceFormatError(ValueError):
 
 def _u32(value: int) -> bytes:
     return struct.pack("<I", value)
-
-
-def _create_sibling(path: Path) -> Tuple[io.BufferedWriter, Path]:
-    """Create and open a new temporary file beside ``path``.
-
-    ``open(..., "xb")`` gives it the umask-derived mode that
-    ``open(path, "wb")`` gives a new file (``tempfile.mkstemp`` would
-    force 0600).  The name, ``<name>.tmp<pid>-<n>``, carries the pid and
-    the first free sequence number, so concurrent writers of one path
-    never share a file.
-    """
-    n = 0
-    while True:
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{n}")
-        try:
-            return open(tmp, "xb"), tmp
-        except FileExistsError:
-            n += 1
-
-
-@contextlib.contextmanager
-def atomic_replace(path: PathLike) -> Iterator[io.BufferedWriter]:
-    """Write ``path`` through a new temporary sibling.
-
-    Yields the sibling (:func:`_create_sibling`) opened for binary
-    writing.  A clean exit closes it and renames it onto ``path`` with
-    ``os.replace``; an exception deletes it and leaves ``path`` as it was.
-    A reader therefore sees the old file or the new one, never part of
-    one, and concurrent writers of one path each write their own sibling:
-    the last rename wins.
-    """
-    handle, tmp = _create_sibling(Path(path))
-    try:
-        with handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-#: A temporary sibling's name, as :func:`_create_sibling` makes it.
-_TEMP_NAME = re.compile(r"(?P<target>.+)\.tmp(?P<pid>[0-9]+)-[0-9]+")
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether process ``pid`` exists (signal 0 probes without sending)."""
-    if os.name != "posix":
-        return True  # no safe probe: treat every writer as live
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):
-        return False
-    except PermissionError:
-        return True  # alive, owned by another user
-    return True
-
-
-def orphaned_temp_files(directory: PathLike, target: str) -> List[Path]:
-    """Temporary files in ``directory`` whose writer died before renaming.
-
-    A :class:`TraceWriter` killed mid-write leaves ``<name>.tmp<pid>-<n>``
-    beside its target.  ``target`` is a glob pattern for the target's
-    name.  Only files whose writer pid no longer exists are listed, so a
-    live writer's file is never touched.
-    """
-    return [
-        path for path in sorted(Path(directory).glob(f"{target}.tmp*"))
-        if (match := _TEMP_NAME.fullmatch(path.name))
-        and fnmatch.fnmatchcase(match["target"], target)
-        and not _pid_alive(int(match["pid"]))
-    ]
 
 
 def _encode_header(meta: Dict[str, Any]) -> bytes:

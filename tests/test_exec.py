@@ -19,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.exec.cache as cache_module
+from repro import ALL_YEARS, __version__
+from repro._util.rng import stream_signature
 from repro.core.campaigns import identify_scans
 from repro.enrichment.types import ScannerType
 from repro.exec import CaptureCache
@@ -225,6 +227,34 @@ class TestCaptureCache:
         }
         assert base not in others.values()
         assert len(set(others.values())) == len(others)
+
+    @pytest.mark.parametrize("days", [1, DAYS, 30, 61])
+    def test_memoised_key_matches_fresh_canonical_config(self, tmp_path, days):
+        # key_for canonicalises each (year, days) config once; every key,
+        # the first and a memoised one, equals the key built on a fresh
+        # _canonical(year_config(...)).
+        cache = CaptureCache(tmp_path / "cache")
+        world = TelescopeWorld(rng=SEED)
+        budgets = dict(max_packets=MAX_PACKETS, min_scans=MIN_SCANS)
+        for year in ALL_YEARS:
+            fresh = cache_module.content_key({
+                "schema": cache_module.CACHE_SCHEMA_VERSION,
+                "version": __version__,
+                "stream": list(stream_signature(world._stream_root)),
+                "telescope": cache_module._telescope_token(world.telescope),
+                "config": cache_module._canonical(year_config(year, days=days)),
+                "budgets": {"days": days, **budgets},
+            })
+            for _ in range(2):
+                assert cache.key_for(world, year, days=days, **budgets) == fresh
+
+    def test_keys_match_earlier_builds(self, tmp_path):
+        cache = CaptureCache(tmp_path / "cache")
+        world = TelescopeWorld(rng=7)
+        keys = [cache.key_for(world, year, days=14, max_packets=300_000,
+                              min_scans=600) for year in (2015, 2020)]
+        assert keys == ["1091cca4386870d84ef01df4b13c43c0",
+                        "e2e667f84ef908b47760425a9edef024"]
 
     def test_parallel_run_populates_and_reuses_cache(self, tmp_path):
         cache = CaptureCache(tmp_path / "cache")

@@ -194,6 +194,42 @@ class TestRngPlumbingRule:
         found = [(d.code, d.line, d.col) for d in run(src)]
         assert found == [("RPR002", 4, 15)]
 
+    def test_nested_def_normalising_own_param_leaves_outer_draw(self):
+        src = """\
+        from repro._util.rng import RandomState, as_generator
+        def outer(rng: RandomState):
+            def inner(rng: RandomState):
+                rng = as_generator(rng)
+                return rng.random()
+            return rng.random()
+        """
+        found = [(d.code, d.line, d.col) for d in run(src)]
+        assert found == [("RPR002", 6, 11)]
+
+    def test_outer_normalising_own_param_beside_nested_def_not_flagged(self):
+        src = """\
+        from repro._util.rng import RandomState, as_generator
+        def outer(rng: RandomState):
+            rng = as_generator(rng)
+            def inner(rng: RandomState):
+                rng = as_generator(rng)
+                return rng.random()
+            return rng.random()
+        """
+        assert codes(src) == []
+
+    def test_nonlocal_normalisation_in_nested_def_covers_outer(self):
+        src = """\
+        from repro._util.rng import RandomState, as_generator
+        def outer(rng: RandomState):
+            def inner():
+                nonlocal rng
+                rng = as_generator(rng)
+            inner()
+            return rng.random()
+        """
+        assert codes(src) == []
+
 
 #: One RPR002 finding on line 2 (a seeded but direct construction).
 SEEDED_RNG = "import numpy as np\ng = np.random.default_rng(42)"
