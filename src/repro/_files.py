@@ -1,4 +1,5 @@
-"""The files the program owns: writing them, and keeping the capture cache.
+"""The files the program owns (writing them, keeping the capture cache),
+and the process's own clock and peak RSS.
 
 :func:`atomic_replace` is the one way the program writes such a file: the
 bytes go to a new temporary sibling, ``<name>.tmp<pid>-<n>``, which a
@@ -10,8 +11,14 @@ its rename.  :class:`CaptureDirectory` lists, sizes, prunes and clears
 the capture cache's entries without reading one, and
 :func:`format_bytes` prints their sizes.
 
-The module imports only the standard library, so the linter and
-``repro-scan cache`` use it without loading NumPy.
+:func:`wall_clock` and :func:`peak_rss_bytes` measure the process, for
+throughput and memory lines.  The clock read here is the program's only
+one: these numbers describe the process, never feed an analysis, and so
+are exempt from the RPR001 determinism rule.
+
+The module imports only the standard library, so the linter,
+``repro-scan cache`` and the peak-RSS lines of ``report`` and
+``validate`` use it without loading NumPy.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ import fnmatch
 import io
 import os
 import re
+import sys
+import time
 from pathlib import Path
 from typing import Iterator, List, Tuple, Union
 
@@ -214,3 +223,24 @@ def format_bytes(n: int) -> str:
             return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
         value /= 1024.0
     return f"{value:.1f} TB"  # pragma: no cover - unreachable
+
+
+def wall_clock() -> float:
+    """Monotonic wall-clock seconds for throughput accounting."""
+    return time.perf_counter()  # repro-lint: disable=RPR001
+
+
+def peak_rss_bytes() -> int:
+    """Peak resident-set size of this process in bytes (0 if unknown).
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; platforms
+    without the :mod:`resource` module report 0 rather than failing.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
+        return int(peak)
+    return int(peak) * 1024

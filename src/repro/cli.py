@@ -16,15 +16,19 @@ analysed with explicit ``--year``/``--days``.  The synthetic Internet
 registry is deterministic, so enrichment works identically across
 processes.
 
-Flag parity: every subcommand that loads captures accepts ``--workers`` /
-``--cache-dir`` (a capture argument may then name a cache entry by its
-content key), and a shared ``--batch-size`` that bounds the streaming
-reader's windows.
+Every subcommand that simulates or reads captures accepts ``--cache-dir``
+(a capture argument may then name a cache entry by its content key).
+``analyze``, ``fingerprint`` and ``anonymize`` read the whole capture;
+``stream`` reads it in windows of ``--batch-size`` packets and runs its
+shards over ``--workers`` processes, as ``report`` and ``validate`` run
+their years.
 
 Each subcommand imports the stack it runs; at module level this file
 imports only the standard library and the package root's constants.  So
-``--help`` and ``cache`` load no NumPy, and ``simulate`` loads no
-analysis, streaming, reporting, serve or lint module.
+``--help`` and ``cache`` load no NumPy, ``simulate`` loads no analysis,
+streaming, reporting, serve or lint module (and, without ``--cache-dir``,
+no process-pool module), and ``report`` and ``validate`` load no
+streaming module.
 """
 
 from __future__ import annotations
@@ -89,27 +93,24 @@ def _parse_size(text: str) -> int:
         raw = raw[:-1]
     try:
         value = int(float(raw) * multiplier)
-    except ValueError:
+    except (ValueError, OverflowError):  # not a number, NaN or infinite
         raise ValueError(f"malformed size {text!r} (expected e.g. 64M, 2G)")
     if value < 0:
         raise ValueError(f"size must be >= 0, got {text!r}")
     return value
 
 
-def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared execution flags every capture-touching subcommand takes."""
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker processes for simulation (0 = serial)")
+def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
+    """``--cache-dir``, which every capture-touching subcommand takes."""
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="content-addressed capture cache directory")
 
 
-def _add_capture_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags of subcommands that read a capture through the streaming layer."""
-    _add_worker_flags(parser)
-    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-                        help="streaming-reader window size in packets "
-                             f"(default {DEFAULT_BATCH_SIZE:,})")
+def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the subcommands that simulate over a year pool."""
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes for simulation (0 = serial)")
+    _add_cache_flag(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output .rtrace path")
     sim.add_argument("--pcap", type=Path, default=None,
                      help="also write a pcap copy (tcpdump/Wireshark)")
-    _add_worker_flags(sim)
+    _add_cache_flag(sim)
 
     ana = sub.add_parser("analyze", help="run the full pipeline over a capture")
     ana.add_argument("capture", type=Path, help=".rtrace/.pcap file or cache key")
@@ -145,15 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--json", action="store_true",
                      help="with --report: emit the machine-readable JSON "
                           "report instead of the text tables")
-    _add_capture_flags(ana)
+    _add_cache_flag(ana)
 
     stm = sub.add_parser(
         "stream",
         help="bounded-memory streaming scan identification with checkpoints",
     )
     stm.add_argument("capture", type=Path, help=".rtrace/.pcap file or cache key")
-    stm.add_argument("--window-s", type=float, default=None,
-                     help="align windows to absolute time buckets of this size")
     stm.add_argument("--checkpoint-dir", type=Path, default=None,
                      help="durable checkpoint directory (enables resume)")
     stm.add_argument("--checkpoint-every", type=int, default=8,
@@ -181,7 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override the capture's year metadata (--report)")
     stm.add_argument("--days", type=int, default=None,
                      help="override the capture's period length (--report)")
-    _add_capture_flags(stm)
+    stm.add_argument("--workers", type=int, default=0,
+                     help="worker processes running the shards "
+                          "(0 = one after another in this process)")
+    _add_cache_flag(stm)
+    stm.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
+                     help="streaming-reader window size in packets "
+                          f"(default {DEFAULT_BATCH_SIZE:,})")
 
     rep = sub.add_parser("report", help="simulate years and print Table 1")
     rep.add_argument("--years", type=str, default="2015,2020,2024",
@@ -193,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fpr = sub.add_parser("fingerprint", help="per-tool attribution of a capture")
     fpr.add_argument("capture", type=Path, help=".rtrace/.pcap file or cache key")
-    _add_capture_flags(fpr)
+    _add_cache_flag(fpr)
 
     val = sub.add_parser(
         "validate",
@@ -215,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="64-bit anonymisation key")
     anon.add_argument("--both-sides", action="store_true",
                       help="also anonymise destination addresses")
-    _add_capture_flags(anon)
+    _add_cache_flag(anon)
 
     cch = sub.add_parser("cache", help="inspect and prune the capture cache")
     cch_sub = cch.add_subparsers(dest="cache_command", required=True)
@@ -285,36 +290,25 @@ def _resolve_capture(args: argparse.Namespace) -> Path:
     )
 
 
-def _capture_source(args: argparse.Namespace, strict: bool = True):
-    """Build the streaming source for a subcommand's capture argument."""
+def _capture_source(args: argparse.Namespace, strict: bool):
+    """Build ``stream``'s windowed source for its capture argument."""
     from repro.stream import BatchStreamSource, TraceStreamSource
     from repro.telescope import read_pcap
 
     path = _resolve_capture(args)
     if path.suffix == ".pcap":
-        return BatchStreamSource(
-            read_pcap(path), batch_size=args.batch_size,
-            window_s=getattr(args, "window_s", None),
-        )
-    return TraceStreamSource(
-        path, batch_size=args.batch_size, strict=strict,
-        window_s=getattr(args, "window_s", None),
-    )
+        return BatchStreamSource(read_pcap(path), batch_size=args.batch_size)
+    return TraceStreamSource(path, batch_size=args.batch_size, strict=strict)
 
 
 def _load_capture(args: argparse.Namespace):
-    """Read a capture plus its metadata through the streaming reader.
+    """Read a whole capture and its metadata (a pcap carries none)."""
+    from repro.telescope import read_pcap, read_trace
 
-    The whole batch is still materialised (these subcommands are whole-
-    capture analyses), but the reads go through the same windowed front-end
-    as ``repro-scan stream``, so ``--batch-size`` bounds the read
-    granularity everywhere.
-    """
-    from repro.telescope import PacketBatch
-
-    source = _capture_source(args)
-    batch = PacketBatch.concat(list(source.windows()))
-    return batch, source.meta
+    path = _resolve_capture(args)
+    if path.suffix == ".pcap":
+        return read_pcap(path), {}
+    return read_trace(path)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -324,10 +318,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
     try:
-        sim = world.simulate_years(
-            [args.year], days=args.days, max_packets=args.max_packets,
-            min_scans=args.min_scans, workers=args.workers, cache=cache,
-        )[args.year]
+        sim = world.simulate_year(
+            args.year, days=args.days, max_packets=args.max_packets,
+            min_scans=args.min_scans, cache=cache,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -363,12 +357,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                                  render_paper_report_json, render_table1,
                                  render_table2)
     from repro.stream import analysis_period
-    from repro.telescope import PacketBatch
 
     try:
-        source = _capture_source(args)
-        period = analysis_period(source, args.year, args.days)
-        batch = PacketBatch.concat(list(source.windows()))
+        batch, meta = _load_capture(args)
+        period = analysis_period(meta, args.year, args.days)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -406,10 +398,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if bad or not years:
         print(f"error: years outside the study range: {bad}", file=sys.stderr)
         return 2
+    from repro._files import format_bytes, peak_rss_bytes
     from repro.core import analyze_simulation, summarize_period
     from repro.reporting import render_table1
     from repro.simulation import TelescopeWorld
-    from repro.stream import format_bytes, peak_rss_bytes
 
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)
@@ -456,7 +448,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     try:
         config = StreamConfig(
             batch_size=args.batch_size,
-            window_s=args.window_s,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             strict=not args.tolerate_truncation,
@@ -490,7 +481,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         source = _capture_source(args, strict=config.strict)
         engine = StreamEngine(
             config=config, n_shards=args.shards, workers=args.workers,
-            analyses=(analysis_period(source, args.year, args.days)
+            analyses=(analysis_period(source.meta, args.year, args.days)
                       if args.report else None),
         )
         result = engine.run(source, progress=progress, stop=stop)
@@ -573,10 +564,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if bad or not years:
         print(f"error: years outside the study range: {bad}", file=sys.stderr)
         return 2
+    from repro._files import format_bytes, peak_rss_bytes
     from repro.core import analyze_simulation
     from repro.reporting import render_scorecard, validate_reproduction
     from repro.simulation import TelescopeWorld
-    from repro.stream import format_bytes, peak_rss_bytes
 
     world = TelescopeWorld(rng=args.seed)
     cache = _make_cache(args)

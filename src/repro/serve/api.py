@@ -43,11 +43,11 @@ from typing import Any, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
+from repro._files import peak_rss_bytes, wall_clock
 from repro.reporting import render_report_doc
 from repro.serve.jobs import JobSpec
 from repro.serve.queue import JobQueue
 from repro.serve.scenario import ScenarioStore
-from repro.stream.stats import peak_rss_bytes, wall_clock
 
 PathLike = Union[str, Path]
 

@@ -152,7 +152,6 @@ def run_stream_report(
     year: int,
     days: int,
     checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 8,
     stop: Optional[Any] = None,
 ) -> StreamReportResult:
     """The service's streaming report pass, with its fixed parameters.
@@ -166,7 +165,6 @@ def run_stream_report(
         year=year,
         days=days,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
         stop=stop,
     )
 
@@ -175,9 +173,9 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool entry point: run one job to completion.
 
     ``payload`` carries ``spec`` (a :meth:`JobSpec.to_dict`), ``cache_dir``
-    and, for streaming jobs, ``checkpoint_dir``/``checkpoint_every``.  Must
-    stay a module-level function of its arguments alone: pool workers
-    share no state with the parent.
+    and, for streaming jobs, ``checkpoint_dir``.  Must stay a module-level
+    function of its arguments alone: pool workers share no state with the
+    parent.
     """
     spec = JobSpec.from_dict(payload["spec"])
     cache = CaptureCache(payload["cache_dir"])
@@ -218,7 +216,6 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         year=spec.year,
         days=spec.days,
         checkpoint_dir=payload.get("checkpoint_dir"),
-        checkpoint_every=int(payload.get("checkpoint_every", 8)),
     )
     result.update(_report_result(passed.report, passed.scans))
     result["stream"] = {

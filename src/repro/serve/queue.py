@@ -128,7 +128,6 @@ class JobQueue:
             memory (no restart re-attach, no checkpointing).
         workers: process-pool size (>= 1).
         max_retries: extra executions granted when a worker process dies.
-        checkpoint_every: windows between checkpoint saves in streaming jobs.
         task: test hook replacing :func:`repro.serve.jobs.execute_job`.
     """
 
@@ -138,7 +137,6 @@ class JobQueue:
         state_dir: Optional[PathLike] = None,
         workers: int = 2,
         max_retries: int = 1,
-        checkpoint_every: int = 8,
         task: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
     ) -> None:
         if workers < 1:
@@ -154,7 +152,6 @@ class JobQueue:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers
         self.max_attempts = 1 + max(0, max_retries)
-        self.checkpoint_every = checkpoint_every
         self._task = task
 
         # Reentrant: Future.add_done_callback / Future.cancel invoke
@@ -264,7 +261,6 @@ class JobQueue:
                 str(self.checkpoint_dir) if self.checkpoint_dir is not None
                 else None
             ),
-            "checkpoint_every": self.checkpoint_every,
         }
 
     def _start_locked(self, rec: JobRecord) -> None:

@@ -20,6 +20,7 @@ produces the full batch-equal :class:`~repro.core.report.PaperReport` in
 one bounded-memory pass.
 """
 
+from repro._files import format_bytes, peak_rss_bytes
 from repro.stream.analyses import (
     ANALYSES_SCHEMA_VERSION,
     AnalysisConfig,
@@ -34,7 +35,6 @@ from repro.stream.engine import (
     StreamEngine,
     StreamResult,
     as_stream_source,
-    identify_scans_stream,
 )
 from repro.stream.incremental import IncrementalScanIdentifier, StreamOrderError
 from repro.stream.report import (
@@ -51,12 +51,11 @@ from repro.stream.sharded import (
 from repro.stream.source import (
     DEFAULT_BATCH_SIZE,
     BatchStreamSource,
-    IterStreamSource,
     StreamSource,
     TraceStreamSource,
     rebatch,
 )
-from repro.stream.stats import StreamStats, format_bytes, peak_rss_bytes
+from repro.stream.stats import StreamStats
 
 __all__ = [
     "ANALYSES_SCHEMA_VERSION",
@@ -74,7 +73,6 @@ __all__ = [
     "StreamEngine",
     "StreamResult",
     "as_stream_source",
-    "identify_scans_stream",
     "IncrementalScanIdentifier",
     "StreamOrderError",
     "ShardedStreamEngine",
@@ -83,7 +81,6 @@ __all__ = [
     "shard_of",
     "DEFAULT_BATCH_SIZE",
     "BatchStreamSource",
-    "IterStreamSource",
     "StreamSource",
     "TraceStreamSource",
     "rebatch",

@@ -12,7 +12,7 @@ the original one exactly.
 
 Like :class:`repro.exec.cache.CaptureCache`, entries are content-addressed:
 the key digests everything that determines the stream's behaviour (source
-identity, campaign criteria, fingerprinter settings, batching parameters,
+identity, campaign criteria, fingerprinter settings, batch size,
 schema/library version), so a checkpoint can never be replayed against a
 different capture or configuration.  ``write_trace`` writes a temporary
 file and renames it into place, so a crash mid-save leaves the previous
@@ -58,15 +58,14 @@ class CheckpointStore:
         criteria: CampaignCriteria,
         fingerprinter: ToolFingerprinter,
         batch_size: Optional[int],
-        window_s: Optional[float],
         shard: Tuple[int, int],
         analyses: Optional[Dict[str, Any]] = None,
     ) -> str:
         """Content key of one (capture, configuration) streaming run.
 
-        The batching parameters are part of the key because they shape the
-        window sequence, and a restored run must replay the exact windows
-        the checkpointed run saw.  ``shard=(index, of)`` keys one shard of
+        The batch size is part of the key because it shapes the window
+        sequence, and a restored run must replay the exact windows the
+        checkpointed run saw.  ``shard=(index, of)`` keys one shard of
         the run (see :mod:`repro.stream.sharded`; a serial run is shard
         ``(0, 1)``), so a shard can never resume from another shard's — or
         another shard count's — state.  ``analyses`` (the
@@ -85,10 +84,7 @@ class CheckpointStore:
                 "threshold": _canonical(fingerprinter.threshold),
                 "sample_limit": fingerprinter.sample_limit,
             },
-            "batching": {
-                "batch_size": batch_size,
-                "window_s": _canonical(window_s),
-            },
+            "batching": {"batch_size": batch_size},
             "shard": {"index": shard[0], "of": shard[1]},
         }
         if analyses is not None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.stream.analyses import AnalysisConfig, AnalysisSuite
 from repro.stream.source import (
     DEFAULT_BATCH_SIZE,
     BatchStreamSource,
-    IterStreamSource,
     StreamSource,
     TraceStreamSource,
 )
@@ -62,9 +61,6 @@ class StreamConfig:
 
     #: Maximum packets per window (None = native chunk sizes).
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE
-    #: Optional absolute-time alignment: windows never span a
-    #: ``floor(time / window_s)`` boundary.
-    window_s: Optional[float] = None
     #: Directory for durable checkpoints (None disables checkpointing, as
     #: does a source without a stable identity).
     checkpoint_dir: Optional[Union[str, Path]] = None
@@ -189,48 +185,14 @@ class StreamEngine:
 
 
 def as_stream_source(
-    capture: Union[StreamSource, PacketBatch, str, Path, Iterable[PacketBatch]],
+    capture: Union[StreamSource, PacketBatch, str, Path],
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-    window_s: Optional[float] = None,
     strict: bool = True,
 ) -> StreamSource:
-    """Coerce common capture shapes into a :class:`StreamSource`."""
+    """Coerce a source, an in-memory batch or an ``.rtrace`` path into a
+    :class:`StreamSource`."""
     if isinstance(capture, StreamSource):
         return capture
     if isinstance(capture, PacketBatch):
-        return BatchStreamSource(capture, batch_size, window_s)
-    if isinstance(capture, (str, Path)):
-        return TraceStreamSource(capture, batch_size, window_s, strict=strict)
-    return IterStreamSource(capture, batch_size, window_s)
-
-
-def identify_scans_stream(
-    capture: Union[StreamSource, PacketBatch, str, Path, Iterable[PacketBatch]],
-    criteria: Optional[CampaignCriteria] = None,
-    fingerprinter: Optional[ToolFingerprinter] = None,
-    batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-    window_s: Optional[float] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
-    n_shards: int = 1,
-    workers: int = 0,
-) -> ScanTable:
-    """Streaming drop-in for :func:`repro.core.campaigns.identify_scans`.
-
-    Produces a column-by-column identical :class:`ScanTable` at any batch
-    size, shard count and worker count; see :mod:`repro.stream.incremental`
-    and :mod:`repro.stream.sharded` for why.
-    """
-    source = as_stream_source(capture, batch_size, window_s)
-    engine = StreamEngine(
-        criteria,
-        fingerprinter,
-        StreamConfig(
-            batch_size=batch_size,
-            window_s=window_s,
-            checkpoint_dir=checkpoint_dir,
-        ),
-        n_shards=n_shards,
-        workers=workers,
-    )
-    return engine.run(source, progress=progress).scans
+        return BatchStreamSource(capture, batch_size)
+    return TraceStreamSource(capture, batch_size, strict=strict)

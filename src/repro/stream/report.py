@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Any, Callable, List, Mapping, Optional, Union
 
 from repro.core.campaigns import CampaignCriteria, ScanTable
 from repro.core.fingerprints import ToolFingerprinter
@@ -68,10 +68,9 @@ class StreamReportResult:
 
 
 def analysis_period(
-    source: StreamSource, year: Optional[int], days: Optional[int]
+    meta: Mapping[str, Any], year: Optional[int], days: Optional[int]
 ) -> AnalysisConfig:
-    """Resolve the period from explicit arguments or the source's metadata."""
-    meta = getattr(source, "meta", None) or {}
+    """Resolve the period from explicit arguments or a capture's metadata."""
     if year is None:
         year = meta.get("year")
     if days is None:
@@ -115,7 +114,7 @@ def finish_report(
 
 
 def stream_report(
-    capture: Union[StreamSource, PacketBatch, PathLike, Iterable[PacketBatch]],
+    capture: Union[StreamSource, PacketBatch, PathLike],
     year: Optional[int] = None,
     days: Optional[int] = None,
     n_shards: int = 1,
@@ -123,7 +122,6 @@ def stream_report(
     criteria: Optional[CampaignCriteria] = None,
     fingerprinter: Optional[ToolFingerprinter] = None,
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-    window_s: Optional[float] = None,
     checkpoint_dir: Optional[PathLike] = None,
     checkpoint_every: int = 8,
     strict: bool = True,
@@ -137,20 +135,19 @@ def stream_report(
     files written by the simulator carry both).  ``progress`` and ``stop``
     are the engine's (see :meth:`StreamEngine.run`).
     """
-    source = as_stream_source(capture, batch_size, window_s, strict=strict)
+    source = as_stream_source(capture, batch_size, strict=strict)
     engine = StreamEngine(
         criteria,
         fingerprinter,
         StreamConfig(
             batch_size=batch_size,
-            window_s=window_s,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
             strict=strict,
         ),
         n_shards=n_shards,
         workers=workers,
-        analyses=analysis_period(source, year, days),
+        analyses=analysis_period(source.meta, year, days),
     )
     return finish_report(
         engine.run(source, progress=progress, stop=stop), classifier

@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._files import peak_rss_bytes, wall_clock
 from repro.core.campaigns import CampaignCriteria, merge_scan_tables
 from repro.core.fingerprints import ToolFingerprinter
 from repro.exec.parallel import _die_with_parent
@@ -69,7 +70,7 @@ from repro.stream.engine import (
 )
 from repro.stream.incremental import IncrementalScanIdentifier
 from repro.stream.source import StreamSource, TraceStreamSource
-from repro.stream.stats import StreamStats, peak_rss_bytes, wall_clock
+from repro.stream.stats import StreamStats
 
 #: Array-name prefix separating analysis-suite state from identifier state
 #: inside one shared checkpoint payload.
@@ -133,8 +134,7 @@ def _run_one_shard(
         if identity is not None:
             store = CheckpointStore(config.checkpoint_dir)
             key = store.key_for(
-                identity, criteria, fingerprinter,
-                config.batch_size, config.window_s,
+                identity, criteria, fingerprinter, config.batch_size,
                 shard=(shard, n_shards),
                 analyses=(
                     analyses.key_material() if analyses is not None else None
@@ -251,7 +251,6 @@ def _run_one_shard(
 def _shard_stream_task(
     path: str,
     batch_size: Optional[int],
-    window_s: Optional[float],
     strict: bool,
     shard: int,
     n_shards: int,
@@ -268,9 +267,7 @@ def _shard_stream_task(
     are then shared between workers by the OS page cache (the analysis
     state crosses back as the plain-array snapshot on the result).
     """
-    source = TraceStreamSource(
-        path, batch_size=batch_size, window_s=window_s, strict=strict
-    )
+    source = TraceStreamSource(path, batch_size=batch_size, strict=strict)
     return _run_one_shard(
         source, shard, n_shards, criteria, fingerprinter, config, analyses
     )
@@ -321,8 +318,8 @@ def _run_engine(
             futures = [
                 pool.submit(
                     _shard_stream_task,
-                    str(source.path), source.batch_size, source.window_s,
-                    source.strict, shard, engine.n_shards,
+                    str(source.path), source.batch_size, source.strict,
+                    shard, engine.n_shards,
                     engine.criteria, engine.fingerprinter, engine.config,
                     engine.analyses if shard == 0 else None,
                 )

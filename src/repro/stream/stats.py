@@ -4,45 +4,16 @@
 committed window while a progress callback listens, and once at the end of
 each shard; consumers (the ``repro-scan stream`` CLI, tests, or any
 long-running service wrapping the engine) read it to answer "how fast, how
-much is buffered, how far along".  The helpers here are deliberately free of
-engine internals so ``report``/``validate`` reuse them for their own
-resource summaries.
-
-Wall-clock reads live behind :func:`wall_clock` — this is operational
-telemetry about the *process*, not simulation state, so it is exempt from
-the RPR001 determinism rule (nothing downstream of an analysis ever
-consumes these numbers).
+much is buffered, how far along".  Its clock and peak-RSS reads come from
+:mod:`repro._files`, the one module that reads the wall clock.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Sequence
 
-from repro._files import format_bytes
-
-
-def wall_clock() -> float:
-    """Monotonic wall-clock seconds for throughput accounting."""
-    return time.perf_counter()  # repro-lint: disable=RPR001
-
-
-def peak_rss_bytes() -> int:
-    """Peak resident-set size of this process in bytes (0 if unknown).
-
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; platforms
-    without the :mod:`resource` module report 0 rather than failing.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
-        return int(peak)
-    return int(peak) * 1024
+from repro._files import format_bytes, peak_rss_bytes
 
 
 @dataclass

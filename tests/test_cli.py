@@ -268,27 +268,51 @@ class TestStream:
         assert "identified" in capsys.readouterr().out
 
 
-class TestFlagParity:
-    def test_capture_commands_accept_shared_flags(self, capture, tmp_path):
-        # --workers/--cache-dir/--batch-size parse on every capture loader.
-        assert main(["analyze", str(capture), "--workers", "0",
-                     "--cache-dir", str(tmp_path / "c1"),
-                     "--batch-size", "4096"]) == 0
-        assert main(["fingerprint", str(capture), "--workers", "0",
-                     "--cache-dir", str(tmp_path / "c2"),
-                     "--batch-size", "4096"]) == 0
-        out = tmp_path / "anon.rtrace"
-        assert main(["anonymize", str(capture), "--out", str(out),
-                     "--key", "24680", "--workers", "0",
-                     "--cache-dir", str(tmp_path / "c3"),
-                     "--batch-size", "4096"]) == 0
+#: Flags that changed nothing and were removed, each at the end of a
+#: command line that must now be refused.
+REMOVED_FLAGS = [
+    "analyze CAPTURE --workers 0",
+    "analyze CAPTURE --batch-size 4096",
+    "fingerprint CAPTURE --workers 0",
+    "fingerprint CAPTURE --batch-size 4096",
+    "anonymize CAPTURE --key 3 --workers 0",
+    "anonymize CAPTURE --key 3 --batch-size 4096",
+    "simulate --workers 1",
+    "stream CAPTURE --window-s 3600",
+]
 
-    def test_simulate_accepts_workers(self, tmp_path):
-        out = tmp_path / "w.rtrace"
-        assert main(["simulate", "--year", "2016", "--days", "2",
-                     "--max-packets", "8000", "--min-scans", "30",
-                     "--workers", "1", "--out", str(out)]) == 0
-        assert out.exists()
+
+class TestCaptureFlags:
+    def test_whole_capture_commands_take_cache_dir(self, capture, tmp_path,
+                                                   capsys):
+        # A capture argument that is not a file resolves through --cache-dir.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "deadbeef.rtrace").write_bytes(capture.read_bytes())
+        assert main(["analyze", str(capture)]) == 0
+        by_path = capsys.readouterr().out
+        assert main(["analyze", "deadbeef", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == by_path
+        assert main(["fingerprint", "deadbeef", "--cache-dir", str(cache)]) == 0
+        assert "packets" in capsys.readouterr().out
+        out = tmp_path / "anon.rtrace"
+        assert main(["anonymize", "deadbeef", "--cache-dir", str(cache),
+                     "--out", str(out), "--key", "24680"]) == 0
+        assert len(read_trace(out)[0]) == len(read_trace(capture)[0])
+
+    @pytest.mark.parametrize("argv", REMOVED_FLAGS)
+    def test_removed_flags_are_rejected(self, capture, tmp_path, capsys,
+                                        argv):
+        out = tmp_path / "out.rtrace"
+        args = [str(capture) if a == "CAPTURE" else a for a in argv.split()]
+        if args[0] in ("simulate", "anonymize"):
+            args += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        flag = argv.split()[-2]  # every entry ends in the removed flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestJsonReport:
@@ -369,11 +393,16 @@ class TestCacheCommand:
         assert not orphan.exists() and old.exists() and new.exists()
         assert "1 evicted" in capsys.readouterr().err
 
-    def test_prune_rejects_malformed_budget(self, tmp_path, capsys):
-        cache, _, _ = self._fake_cache(tmp_path)
+    @pytest.mark.parametrize("budget", ["lots", "inf", "1e400", "nan"])
+    def test_prune_rejects_malformed_budget(self, tmp_path, capsys, budget):
+        cache, old, new = self._fake_cache(tmp_path)
         assert main(["cache", "prune", "--cache-dir", str(cache),
-                     "--max-bytes", "lots"]) == 2
-        assert "malformed size" in capsys.readouterr().err
+                     "--max-bytes", budget]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "malformed size" in errors[0], err
+        assert old.exists() and new.exists()
 
 
 class TestGracefulSignals:
@@ -462,14 +491,10 @@ class TestGracefulSignals:
 BAD_ARGV = {
     "simulate --days 100": "days must be within",
     "simulate --max-packets -5": "max_packets must be positive",
-    "simulate --workers -1": "workers must be non-negative",
     "report --days 0": "days must be within",
+    "report --workers -1": "workers must be non-negative",
     "validate --days 0": "days must be within",
-    "analyze CAPTURE --batch-size -1": "batch_size must be positive",
-    "analyze CAPTURE --batch-size 0": "batch_size must be positive",
     "analyze CAPTURE --days 0": "days must be >= 1",
-    "fingerprint CAPTURE --batch-size 0": "batch_size must be positive",
-    "anonymize CAPTURE --key 3 --batch-size 0": "batch_size must be positive",
     "stream CAPTURE --batch-size 0": "batch_size must be positive",
 }
 

@@ -5,7 +5,8 @@ process that pays for what it imports.  The package root resolves its
 public names on first use, ``repro.cli`` imports each subcommand's stack
 inside the subcommand, and the linter needs only the standard library
 (its file writes go through ``repro._files``).  So ``import repro.cli``
-and a whole lint load no NumPy, and ``simulate`` loads no analysis code.
+and a whole lint load no NumPy, ``simulate`` loads no analysis or
+process-pool code, and ``report`` no streaming code.
 
 ``import scipy.stats`` costs over a second and tens of MB per process, so
 scipy is imported inside the two p-value helpers of ``repro._util.stats``;
@@ -188,6 +189,8 @@ print(json.dumps({
 
 
 def test_simulate_loads_no_analysis_code(tmp_path):
+    """One period is simulated in this process: no analysis code and,
+    without ``--cache-dir``, no process-pool machinery either."""
     capture = tmp_path / "one-day.rtrace"
     out = _child(_CLI_CHILD, "simulate", "--year", 2019, "--days", 1,
                  "--max-packets", 2000, "--min-scans", 20, "--seed", 3,
@@ -196,7 +199,18 @@ def test_simulate_loads_no_analysis_code(tmp_path):
     assert capture.stat().st_size > 0
     assert _under(out["modules"], ["repro.core", "repro.stream",
                                    "repro.reporting", "repro.serve",
-                                   "repro.lint"]) == []
+                                   "repro.lint", "repro.exec",
+                                   "multiprocessing",
+                                   "concurrent.futures"]) == []
+
+
+def test_report_loads_no_streaming_code():
+    """``report`` prints its peak RSS through ``repro._files``."""
+    out = _child(_CLI_CHILD, "report", "--years", 2015, "--days", 1,
+                 "--max-packets", 2000)
+    assert out["code"] == 0
+    assert "peak RSS" in out["output"]
+    assert _under(out["modules"], ["repro.stream"]) == []
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["cache", "ls", "--cache-dir"]],

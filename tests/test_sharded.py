@@ -30,14 +30,13 @@ from repro.stream import (
     StreamConfig,
     StreamEngine,
     TraceStreamSource,
-    identify_scans_stream,
     merge_scan_tables,
     shard_of,
 )
 from repro.stream.sharded import _run_one_shard
 from repro.telescope import write_trace
 
-from tests.test_stream import assert_tables_equal
+from tests.test_stream import assert_tables_equal, stream_scans
 
 
 def _run_one_serve_job(proc):
@@ -100,23 +99,13 @@ class TestShardEquivalence:
     @pytest.mark.parametrize("batch_size", [4096, 50_000, None])
     def test_column_equal_to_batch(self, batch2020, scans2020, n_shards,
                                    batch_size):
-        table = identify_scans_stream(
-            batch2020, n_shards=n_shards, batch_size=batch_size
-        )
-        assert_tables_equal(table, scans2020)
-
-    def test_time_windows(self, batch2020, scans2020):
-        table = identify_scans_stream(
-            batch2020, n_shards=3, batch_size=8192, window_s=6 * 3600.0
-        )
+        table = stream_scans(batch2020, batch_size, n_shards=n_shards)
         assert_tables_equal(table, scans2020)
 
     def test_custom_criteria(self, batch2020):
         criteria = CampaignCriteria(min_distinct_dsts=50, min_rate_pps=10.0,
                                     expiry_s=900.0)
-        table = identify_scans_stream(
-            batch2020, n_shards=2, criteria=criteria, batch_size=8192
-        )
+        table = stream_scans(batch2020, 8192, criteria, n_shards=2)
         assert_tables_equal(table, identify_scans(batch2020, criteria))
 
     def test_discard_counts_partition(self, batch2020):
@@ -197,7 +186,7 @@ class TestShardEquivalence:
     def test_workers_die_with_a_killed_parent(self, tmp_path, batch2020):
         """A signal death of the parent of a pooled run alone (no clean-up)
         must not leave its workers running: not a sharded ``stream``, not a
-        ``simulate`` over the year pool, and not ``serve`` after one job,
+        ``report`` over the year pool, and not ``serve`` after one job,
         whose pool forks its workers from an HTTP handler thread.  serve
         exits cleanly on SIGTERM, so it gets a SIGKILL."""
         path = tmp_path / "cap.rtrace"
@@ -210,8 +199,8 @@ class TestShardEquivalence:
         runs = [
             (["stream", str(path), "--shards", "2", "--workers", "2",
               "--batch-size", "64"], signal.SIGTERM),
-            (["simulate", "--out", str(tmp_path / "sim.rtrace"),
-              "--workers", "2"], signal.SIGTERM),
+            (["report", "--years", "2015,2016", "--workers", "2"],
+             signal.SIGTERM),
             (["serve", "--port", "0", "--workers", "2",
               "--state-dir", str(tmp_path / "state"),
               "--cache-dir", str(tmp_path / "cache")], signal.SIGKILL),
@@ -389,10 +378,10 @@ class TestShardedCheckpoints:
         fp = ToolFingerprinter()
         criteria = CampaignCriteria()
         keys = {
-            store.key_for(identity, criteria, fp, 8192, None, shard=(0, 1)),
-            store.key_for(identity, criteria, fp, 8192, None, shard=(0, 2)),
-            store.key_for(identity, criteria, fp, 8192, None, shard=(1, 2)),
-            store.key_for(identity, criteria, fp, 8192, None, shard=(0, 4)),
+            store.key_for(identity, criteria, fp, 8192, shard=(0, 1)),
+            store.key_for(identity, criteria, fp, 8192, shard=(0, 2)),
+            store.key_for(identity, criteria, fp, 8192, shard=(1, 2)),
+            store.key_for(identity, criteria, fp, 8192, shard=(0, 4)),
         }
         assert len(keys) == 4
 

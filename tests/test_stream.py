@@ -18,17 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.campaigns import CampaignCriteria, identify_scans
 from repro.stream import (
+    DEFAULT_BATCH_SIZE,
     BatchStreamSource,
     CheckpointStore,
     IncrementalScanIdentifier,
-    IterStreamSource,
     StreamConfig,
     StreamEngine,
     StreamOrderError,
     StreamStats,
     TraceStreamSource,
+    as_stream_source,
     format_bytes,
-    identify_scans_stream,
     peak_rss_bytes,
     rebatch,
 )
@@ -55,6 +55,14 @@ def assert_tables_equal(actual, expected):
     for p, q in zip(actual.port_sets, expected.port_sets):
         assert p.dtype == q.dtype
         assert np.array_equal(p, q)
+
+
+def stream_scans(capture, batch_size=DEFAULT_BATCH_SIZE, criteria=None,
+                 n_shards=1):
+    """The engine's scan table over ``capture`` (a batch, an ``.rtrace``
+    path or a source), without checkpoints."""
+    source = as_stream_source(capture, batch_size)
+    return StreamEngine(criteria, n_shards=n_shards).run(source).scans
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +107,6 @@ class TestRebatch:
         windows = list(rebatch(iter(pieces), batch_size=256))
         assert [len(w) for w in windows] == [256, 256, 256, 232]
 
-    def test_time_window_alignment(self):
-        batch = ordered_batch(2000)
-        windows = list(rebatch(iter([batch]), batch_size=None, window_s=500.0))
-        for w in windows:
-            buckets = np.floor(w.time / 500.0)
-            assert buckets.min() == buckets.max()
-        assert sum(len(w) for w in windows) == 2000
-
     def test_never_emits_empty(self):
         windows = list(rebatch(iter([PacketBatch.empty()]), batch_size=10))
         assert windows == []
@@ -114,8 +114,6 @@ class TestRebatch:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             list(rebatch(iter([]), batch_size=0))
-        with pytest.raises(ValueError):
-            list(rebatch(iter([]), window_s=-1.0))
 
     def test_memoryless_resume(self):
         """Skipping N packets and re-batching reproduces the window tail."""
@@ -155,35 +153,27 @@ class TestRebatch:
 class TestStreamEquivalence:
     @pytest.mark.parametrize("batch_size", [4096, 50_000, None])
     def test_sim2020_column_equal(self, batch2020, scans2020, batch_size):
-        table = identify_scans_stream(batch2020, batch_size=batch_size)
-        assert_tables_equal(table, scans2020)
-
-    def test_sim2020_time_windows(self, batch2020, scans2020):
-        table = identify_scans_stream(
-            batch2020, batch_size=8192, window_s=6 * 3600.0
-        )
+        table = stream_scans(batch2020, batch_size=batch_size)
         assert_tables_equal(table, scans2020)
 
     def test_custom_criteria(self, batch2020):
         criteria = CampaignCriteria(min_distinct_dsts=50, min_rate_pps=10.0,
                                     expiry_s=900.0)
-        table = identify_scans_stream(
-            batch2020, criteria=criteria, batch_size=4096
-        )
+        table = stream_scans(batch2020, batch_size=4096, criteria=criteria)
         assert_tables_equal(table, identify_scans(batch2020, criteria))
 
     def test_empty_stream(self):
-        table = identify_scans_stream(PacketBatch.empty())
+        table = stream_scans(PacketBatch.empty())
         assert len(table) == 0
 
     def test_single_window(self, batch2020, scans2020):
-        source = IterStreamSource([batch2020], batch_size=None)
-        assert_tables_equal(identify_scans_stream(source), scans2020)
+        source = BatchStreamSource(batch2020, batch_size=None)
+        assert_tables_equal(stream_scans(source), scans2020)
 
     def test_trace_source(self, tmp_path, batch2020, scans2020):
         path = tmp_path / "cap.rtrace"
         write_trace(path, batch2020, meta={"year": 2020}, chunk_size=25_000)
-        table = identify_scans_stream(str(path), batch_size=8192)
+        table = stream_scans(str(path), batch_size=8192)
         assert_tables_equal(table, scans2020)
 
     def test_mapped_windows_are_file_views(self, tmp_path, batch2020):
@@ -373,7 +363,7 @@ class TestOneIdentifier:
         columns["time"][60_000] = np.nan
         batch = PacketBatch(**columns)
         assert_tables_equal(
-            identify_scans_stream(batch, batch_size=8192), identify_scans(batch)
+            stream_scans(batch, batch_size=8192), identify_scans(batch)
         )
 
 
@@ -742,14 +732,14 @@ class TestCheckpointResume:
         fp = ToolFingerprinter()
         serial = (0, 1)
         base = store.key_for(
-            source.identity(), CampaignCriteria(), fp, 8192, None, serial
+            source.identity(), CampaignCriteria(), fp, 8192, serial
         )
         other_batch = store.key_for(
-            source.identity(), CampaignCriteria(), fp, 4096, None, serial
+            source.identity(), CampaignCriteria(), fp, 4096, serial
         )
         other_criteria = store.key_for(
             source.identity(), CampaignCriteria(min_rate_pps=10.0), fp, 8192,
-            None, serial,
+            serial,
         )
         assert len({base, other_batch, other_criteria}) == 3
 
